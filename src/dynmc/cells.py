@@ -1,10 +1,11 @@
 """Constrained local (cell) problems.
 
-Every family reduces to one engine: a TPFA stiffness on the (oversampled)
-region plus linear moment constraints, solved as one symmetric indefinite
-saddle system.  Families differ only in constraint targets, source terms,
-and boundary data.  Flux-type bases (edge, gravity, interface) reuse the
-fine flow solver on block-local grids.
+Every family reduces to one engine: the TPFA stiffness of
+:mod:`dynmc.fine` on the (oversampled) region plus linear moment
+constraints, solved as one symmetric indefinite saddle system.  Families
+differ only in constraint targets, source terms, and boundary data.
+Flux-type bases (edge, gravity, interface) reuse the fine flow solver on
+block-local grids.
 """
 
 from __future__ import annotations
@@ -17,46 +18,14 @@ from scipy.sparse.linalg import splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import FlowBC, harmonic_face_mobility, solve_flow
+from .fine import (FlowBC, assemble_stiffness, gravity_volume_source,
+                   solve_flow)
 from .grids import CoarseEdge, CoarseGrid, FineGrid, Oversample
 
 DENSE_LIMIT = 3000
 
 
-# --- stiffness and saddle engine ---------------------------------------
-
-
-def transmissibilities(grid: FineGrid, lam: np.ndarray):
-    """Interior-face transmissibilities (harmonic mobility)."""
-    lamx, lamy = harmonic_face_mobility(lam)
-    return lamx * grid.hy / grid.hx, lamy * grid.hx / grid.hy
-
-
-def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
-    """Pure-Neumann TPFA stiffness (SPSD, constants in the null space)."""
-    if np.any(lam <= 0):
-        raise ConfigError("mobility must be positive")
-    tx, ty = transmissibilities(grid, lam)
-    nx, ny = grid.nx, grid.ny
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-
-    def add(r, cl, v):
-        rows.append(r.ravel())
-        cols.append(cl.ravel())
-        vals.append(v.ravel())
-
-    add(idx[:-1, :], idx[:-1, :], tx)
-    add(idx[1:, :], idx[1:, :], tx)
-    add(idx[:-1, :], idx[1:, :], -tx)
-    add(idx[1:, :], idx[:-1, :], -tx)
-    add(idx[:, :-1], idx[:, :-1], ty)
-    add(idx[:, 1:], idx[:, 1:], ty)
-    add(idx[:, :-1], idx[:, 1:], -ty)
-    add(idx[:, 1:], idx[:, :-1], -ty)
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * ny, nx * ny)).tocsr()
+# --- sources and saddle engine -----------------------------------------
 
 
 def gradient_boundary_source(grid: FineGrid, lam: np.ndarray,
@@ -79,18 +48,6 @@ def gradient_boundary_source(grid: FineGrid, lam: np.ndarray,
     return b
 
 
-def gravity_volume_source(grid: FineGrid, lam: np.ndarray,
-                          s: np.ndarray) -> np.ndarray:
-    """Weak-form RHS of the buoyancy term div(lam s e1), interior faces."""
-    lamx, _ = harmonic_face_mobility(lam)
-    sx = 0.5 * (s[:-1, :] + s[1:, :])
-    g = lamx * sx * grid.hy
-    b = np.zeros((grid.nx, grid.ny))
-    b[1:, :] += g
-    b[:-1, :] -= g
-    return b
-
-
 @dataclass
 class SaddleSolution:
     u: np.ndarray  # (n_cells,) flattened (nx, ny)
@@ -109,10 +66,10 @@ class SaddleSolver:
         K = sparse.bmat([[A, C.T], [C, None]], format="csc")
         self.C = C.tocsr()
         if self.n + self.m <= DENSE_LIMIT:
-            self._dense = K.toarray()
+            self._K = K.toarray()
             self._lu = None
         else:
-            self._dense = None
+            self._K = K
             try:
                 self._lu = splu(K)
             except RuntimeError as exc:
@@ -120,17 +77,16 @@ class SaddleSolver:
 
     def solve(self, b: np.ndarray, g: np.ndarray) -> SaddleSolution:
         rhs = np.concatenate([b, g])
-        if self._dense is not None:
+        if self._lu is None:
             try:
-                sol = np.linalg.solve(self._dense, rhs)
+                sol = np.linalg.solve(self._K, rhs)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"singular saddle system (rank-deficient constraints?): "
                     f"{exc}") from exc
-            gap = np.abs(self._dense @ sol - rhs).max()
         else:
             sol = self._lu.solve(rhs)
-            gap = 0.0  # direct sparse LU; residual checked via constraints
+        gap = np.abs(self._K @ sol - rhs).max()
         u = sol[:self.n]
         mu = sol[self.n:]
         res = self.C @ u - g
@@ -324,115 +280,6 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
     return out
 
 
-def scalar_fluxes(grid: FineGrid, lam: np.ndarray, u: np.ndarray,
-                  boundary_value: float | np.ndarray | None = None,
-                  direction: int = 0):
-    """Darcy fluxes -lam_face grad(u); boundary faces take the natural-BC
-    value (-lam n_m contraction) when ``boundary_value`` is 'gradient'."""
-    lamx, lamy = harmonic_face_mobility(lam)
-    fx, fy = grid.zero_faces()
-    fx[1:-1, :] = -lamx * (u[1:, :] - u[:-1, :]) / grid.hx
-    fy[:, 1:-1] = -lamy * (u[:, 1:] - u[:, :-1]) / grid.hy
-    if boundary_value == "gradient":
-        if direction == 0:
-            fx[0, :] = -lam[0, :]
-            fx[-1, :] = -lam[-1, :]
-        else:
-            fy[:, 0] = -lam[:, 0]
-            fy[:, -1] = -lam[:, -1]
-    return fx, fy
-
-
-# --- mixed pressure bases ---------------------------------------------
-
-
-def _velocity_moment_rows(grid: FineGrid, lam: np.ndarray,
-                          labels: np.ndarray, n: int):
-    """Rows expressing int u_m psi_j (cell-averaged Darcy velocity of the
-    pressure unknown) as linear functionals of cell pressures."""
-    lamx, lamy = harmonic_face_mobility(lam)
-    area = grid.cell_area
-    nx, ny = grid.nx, grid.ny
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    rows = []
-    tags = []
-    for j in range(n):
-        psi = indicator(labels, j)
-        if psi.sum() == 0:
-            continue
-        # x-velocity: each interior x-face flux -lamx (uR - uL)/hx counts
-        # half into each adjacent cell's average
-        wx = np.zeros(nx * ny)
-        wf = 0.5 * area * (psi[:-1, :] + psi[1:, :]) * lamx / grid.hx
-        np.subtract.at(wx, idx[1:, :].ravel(), wf.ravel())
-        np.add.at(wx, idx[:-1, :].ravel(), wf.ravel())
-        wy = np.zeros(nx * ny)
-        wg = 0.5 * area * (psi[:, :-1] + psi[:, 1:]) * lamy / grid.hy
-        np.subtract.at(wy, idx[:, 1:].ravel(), wg.ravel())
-        np.add.at(wy, idx[:, :-1].ravel(), wg.ravel())
-        rows.extend([wx, wy])
-        tags.extend([("vx", j), ("vy", j)])
-    return rows, tags
-
-
-def solve_mixed_pressure_bases(ov: Oversample, lam_local: np.ndarray,
-                               labels_local: np.ndarray, n: int,
-                               variant: str = "average",
-                               direction: int = 0) -> CellBasisSet:
-    """Divergence-free (phi_vp, phi_p) pairs on a region.
-
-    'average': pressure moments delta_ij with zero continuum-wise velocity
-    moments.  'gradient': linear pressure moment targets with the natural
-    unit-gradient boundary data (velocity moments unconstrained; a uniform
-    -lam e_m flux is then exact for constant lam).
-    """
-    if variant not in ("average", "gradient"):
-        raise ConfigError(f"unknown mixed variant {variant!r}")
-    grid = ov.grid
-    A = assemble_stiffness(grid, lam_local)
-    Cm, rows = region_moment_matrix(ov, labels_local, n)
-    present = sorted({r.continuum for r in rows})
-    extra_rows, extra_tags = ([], [])
-    if variant == "average":
-        extra_rows, extra_tags = _velocity_moment_rows(
-            grid, lam_local, labels_local, n)
-    if extra_rows:
-        C = sparse.vstack([Cm, sparse.csr_matrix(np.vstack(extra_rows))])
-    else:
-        C = Cm
-    solver = SaddleSolver(A, C)
-    centers = gradient_centers(ov, labels_local, n, direction)
-
-    out = CellBasisSet(family=f"mixed-{variant}", grid=grid,
-                       bases=[], meta={"rows": rows, "tags": extra_tags})
-    for i in range(n):
-        if i not in present:
-            fx, fy = grid.zero_faces()
-            out.bases.append(CellBasis(continuum=i, scalar=grid.zeros(),
-                                       fx=fx, fy=fy, flag="absent"))
-            continue
-        if variant == "average":
-            b = np.zeros(grid.n_cells)
-            g = np.concatenate([
-                moment_targets(ov, labels_local, rows, i, "average"),
-                np.zeros(len(extra_rows))])
-            bnd = None
-        else:
-            b = gradient_boundary_source(grid, lam_local, direction).ravel()
-            g = moment_targets(ov, labels_local, rows, i, "gradient",
-                               direction, centers)
-            bnd = "gradient"
-        sol = solver.solve(b, g)
-        u = sol.u.reshape(grid.nx, grid.ny)
-        fx, fy = scalar_fluxes(grid, lam_local, u, boundary_value=bnd,
-                               direction=direction)
-        out.bases.append(CellBasis(
-            continuum=i, scalar=u, fx=fx, fy=fy,
-            multipliers=_beta_report(rows, sol.multipliers[:len(rows)]),
-            residual=float(np.abs(sol.residuals).max())))
-    return out
-
-
 # --- block-local flux bases (simplified mixed cell problems) ----------
 
 
@@ -558,22 +405,14 @@ def solve_gravity_basis(coarse: CoarseGrid, block: tuple[int, int],
 
 
 def solve_interface_basis(coarse: CoarseGrid, block: tuple[int, int],
-                          lam: np.ndarray, labels: np.ndarray,
-                          xmask: np.ndarray | None = None) -> CellBasisSet:
-    """Inter-continuum exchange basis: div = psi_1 - theta psi_2 in a block.
-
-    ``xmask`` optionally restricts the exchange support to a subset of
-    block columns, allowing several localized exchange bases per block.
-    """
+                          lam: np.ndarray, labels: np.ndarray) -> CellBasisSet:
+    """Inter-continuum exchange basis: div = psi_1 - theta psi_2 in a block."""
     I, J = block
     bg = _block_grid(coarse, I, J)
     lam_b = _block_field(coarse, I, J, lam)
     lab_b = _block_field(coarse, I, J, labels)
     psi1 = indicator(lab_b, 0)
     psi2 = indicator(lab_b, 1)
-    if xmask is not None:
-        psi1 = psi1 * xmask[:, None]
-        psi2 = psi2 * xmask[:, None]
     m1, m2 = psi1.sum(), psi2.sum()
     if m1 == 0 or m2 == 0:
         fx, fy = bg.zero_faces()

@@ -13,10 +13,10 @@ import numpy as np
 from . import cells
 from . import io as iomod
 from .config import (ExperimentConfig, apply_overrides, from_ini, get_preset,
-                     presets, to_ini)
+                     presets)
 from .exceptions import ConfigError, DynmcError
 from .experiment import run_experiment
-from .fine import cfl, run_fine
+from .fine import run_fine
 from .grids import oversample_block
 from .continua import classify
 from .metrics import compute_errors, concentration_errors, velocity_errors
@@ -123,14 +123,7 @@ def _cmd_cells_solve(args) -> int:
                           if args.layers is not None else cfg.layers,
                           rule=cfg.extension_rule)
     lam_l, lab_l = ov.sample(lam), ov.sample(labels)
-    if args.family in ("average", "gradient", "concentration"):
-        bset = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n,
-                                                args.family)
-    elif args.family in ("mixed-average", "mixed-gradient"):
-        bset = cells.solve_mixed_pressure_bases(
-            ov, lam_l, lab_l, n, variant=args.family.split("-")[1])
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+    bset = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, args.family)
     outdir = iomod.ensure_dir(args.out or f"cells_{args.family}")
     lines = []
     for b in bset.bases:
@@ -194,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="solve one block's cell problems, dump fields")
     _add_config_args(sp)
     sp.add_argument("--family", default="average",
-                    choices=["average", "gradient", "concentration",
-                             "mixed-average", "mixed-gradient"])
+                    choices=["average", "gradient", "concentration"])
     sp.add_argument("--block", type=int, default=None,
                     help="block index along x (default: middle)")
     sp.add_argument("--layers", type=int, default=None)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,9 @@ from .continua import ContinuumSpec, classify_values
 from .exceptions import ConfigError
 from .fine import FlowBC
 from .grids import CoarseGrid, DomainLayout, build_layout
+
+_APPROACH_BC = {"mixed-gravity": "noflow", "mixed-viscous": "inflow-outlet",
+                "galerkin": "dirichlet-x"}
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tau_coarse={self.tau_coarse} != substeps x tau "
                 f"= {self.substeps * self.tau}")
+        # the coarse models are one-block-tall chains, each with one BC kind
+        if self.Ny != 1:
+            raise ConfigError(f"coarse models need Ny = 1, got {self.Ny}")
+        if self.approach == "mixed-viscous" and len(self.thresholds) != 1:
+            raise ConfigError("mixed-viscous interface bases need exactly 2 "
+                              f"continua, got {len(self.thresholds) + 1}")
+        if self.approach not in _APPROACH_BC:
+            raise ConfigError(f"unknown approach {self.approach!r}")
+        if self.bc_kind != _APPROACH_BC[self.approach]:
+            raise ConfigError(
+                f"approach {self.approach!r} needs bc_kind="
+                f"{_APPROACH_BC[self.approach]!r}, got {self.bc_kind!r}")
 
     # --- derived objects ----------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .fine import interp_velocity
+from .fine import _reflect, interp_velocity
 from .grids import CoarseGrid, FineGrid
 
 DUAL_THRESHOLDS = (0.5,)
@@ -98,14 +98,6 @@ class MacroAverages:
     mass: np.ndarray  # (Nx, Ny, n)
     V: dict  # edge key -> (n,) array
 
-    def normalized_C(self) -> np.ndarray:
-        out = np.zeros_like(self.C)
-        np.divide(self.C, self.mass, out=out, where=self.mass > 0)
-        return out
-
-    def total_edge_flux(self, key) -> float:
-        return float(self.V[key].sum())
-
 
 def averages(coarse: CoarseGrid, p: np.ndarray, c: np.ndarray,
              vx: np.ndarray, vy: np.ndarray, labels: np.ndarray,
@@ -160,6 +152,8 @@ def advect_labels(grid: FineGrid, labels0: np.ndarray,
     (midpoint rule per step) and the label is read off at the foot point.
     Traces reflect at the boundary.  Returns labels at steps 0..len(history).
     """
+    x1, x2 = grid.x0, grid.x0 + grid.L1
+    y1, y2 = grid.y0, grid.y0 + grid.L2
     xg, yg = grid.cell_centers()
     out = [labels0.copy()]
     px, py = xg.copy(), yg.copy()
@@ -171,24 +165,15 @@ def advect_labels(grid: FineGrid, labels0: np.ndarray,
             h = tau / substeps
             for _ in range(substeps):
                 ux, uy = interp_velocity(grid, vx, vy, px, py)
-                xm, ym = _reflect_points(grid, px - 0.5 * h * ux,
-                                         py - 0.5 * h * uy)
+                xm, ym = _reflect(grid, px - 0.5 * h * ux, py - 0.5 * h * uy)
+                xm, ym = np.clip(xm, x1, x2), np.clip(ym, y1, y2)
                 ux, uy = interp_velocity(grid, vx, vy, xm, ym)
-                px, py = _reflect_points(grid, px - h * ux, py - h * uy)
+                px, py = _reflect(grid, px - h * ux, py - h * uy)
+                px, py = np.clip(px, x1, x2), np.clip(py, y1, y2)
         ii = np.clip(((px - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
         jj = np.clip(((py - grid.y0) / grid.hy).astype(int), 0, grid.ny - 1)
         out.append(labels0[ii, jj])
     return out
-
-
-def _reflect_points(grid: FineGrid, x, y):
-    x1, x2 = grid.x0, grid.x0 + grid.L1
-    y1, y2 = grid.y0, grid.y0 + grid.L2
-    x = np.where(x < x1, 2 * x1 - x, x)
-    x = np.where(x > x2, 2 * x2 - x, x)
-    y = np.where(y < y1, 2 * y1 - y, y)
-    y = np.where(y > y2, 2 * y2 - y, y)
-    return np.clip(x, x1, x2), np.clip(y, y1, y2)
 
 
 def label_agreement(a: np.ndarray, b: np.ndarray,

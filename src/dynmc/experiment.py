@@ -11,7 +11,7 @@ import numpy as np
 
 from . import io as iomod
 from .config import ExperimentConfig, to_ini
-from .continua import averages, classify, continuum_masses
+from .continua import averages, classify
 from .exceptions import DynmcError
 from .fine import FineRun, Snapshot, cfl, run_fine
 from .grids import CoarseGrid, DomainLayout

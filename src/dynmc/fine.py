@@ -3,7 +3,9 @@
 Cell-centered two-point flux Darcy flow with gravity, donor-cell upwind
 transport, and an optional particle advection scheme with clamped mean
 deposition.  All face arrays follow the staggered layout of
-:mod:`dynmc.grids`.
+:mod:`dynmc.grids`.  The TPFA operator (stiffness, gravity source,
+pure-Neumann gauge and factorization) lives here only; the cell problems
+reuse it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.ndimage import distance_transform_edt
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import splu
 
 from .exceptions import ConfigError, InvariantError, SolverError
 from .grids import FineGrid
@@ -43,10 +45,6 @@ class FlowBC:
         return any(self.side(s)[0] == "pressure" for s in SIDES)
 
 
-def no_flow_bc() -> FlowBC:
-    return FlowBC()
-
-
 def _side_values(spec, n) -> np.ndarray:
     v = np.asarray(spec, dtype=float)
     if v.ndim == 0:
@@ -63,6 +61,55 @@ def harmonic_face_mobility(lam: np.ndarray):
     return lx, ly
 
 
+# --- TPFA operator -----------------------------------------------------
+
+
+def transmissibilities(grid: FineGrid, lam: np.ndarray):
+    """Interior-face transmissibilities (harmonic mobility)."""
+    lamx, lamy = harmonic_face_mobility(lam)
+    return lamx * grid.hy / grid.hx, lamy * grid.hx / grid.hy
+
+
+def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
+    """Pure-Neumann TPFA stiffness (SPSD, constants in the null space)."""
+    if np.any(lam <= 0):
+        raise ConfigError("mobility must be positive")
+    tx, ty = transmissibilities(grid, lam)
+    nx, ny = grid.nx, grid.ny
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    rows, cols, vals = [], [], []
+
+    def add(r, cl, v):
+        rows.append(r.ravel())
+        cols.append(cl.ravel())
+        vals.append(v.ravel())
+
+    # interior x-faces couple (i-1,j)-(i,j), y-faces (i,j-1)-(i,j)
+    add(idx[:-1, :], idx[:-1, :], tx)
+    add(idx[1:, :], idx[1:, :], tx)
+    add(idx[:-1, :], idx[1:, :], -tx)
+    add(idx[1:, :], idx[:-1, :], -tx)
+    add(idx[:, :-1], idx[:, :-1], ty)
+    add(idx[:, 1:], idx[:, 1:], ty)
+    add(idx[:, :-1], idx[:, 1:], -ty)
+    add(idx[:, 1:], idx[:, :-1], -ty)
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny)).tocsr()
+
+
+def gravity_volume_source(grid: FineGrid, lam: np.ndarray,
+                          s: np.ndarray) -> np.ndarray:
+    """Weak-form RHS of the buoyancy term div(lam s e1), interior faces."""
+    lamx, _ = harmonic_face_mobility(lam)
+    sx = 0.5 * (s[:-1, :] + s[1:, :])
+    g = lamx * sx * grid.hy
+    b = np.zeros((grid.nx, grid.ny))
+    b[1:, :] += g
+    b[:-1, :] -= g
+    return b
+
+
 def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray,
                bc: FlowBC | None = None, gravity_on: bool = True,
                f: np.ndarray | None = None):
@@ -76,108 +123,57 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray,
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     if lam.shape != (nx, ny):
         raise ConfigError(f"lam shape {lam.shape} != grid {(nx, ny)}")
-    if np.any(lam <= 0):
-        raise ConfigError("mobility must be positive everywhere")
-    area = grid.cell_area
-    rhs = np.zeros((nx, ny)) if f is None else f * area
-
-    lamx, lamy = harmonic_face_mobility(lam)
-    tx = lamx * hy / hx  # interior x-face transmissibility, (nx-1, ny)
-    ty = lamy * hx / hy  # (nx, ny-1)
-
+    A = assemble_stiffness(grid, lam)
+    rhs = np.zeros((nx, ny)) if f is None else f * grid.cell_area
     if gravity_on:
-        cx = 0.5 * (c[:-1, :] + c[1:, :])
-        gx = lamx * cx  # gravity flux density on interior x-faces
-        # div of the gravity part moves to the RHS
-        rhs[:-1, :] -= gx * hy
-        rhs[1:, :] += gx * hy
+        rhs += gravity_volume_source(grid, lam, c)
 
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-
-    def add(r, cl, v):
-        rows.append(r.ravel())
-        cols.append(cl.ravel())
-        vals.append(v.ravel())
-
-    # interior x-faces couple (i-1,j)-(i,j)
-    add(idx[:-1, :], idx[:-1, :], tx)
-    add(idx[1:, :], idx[1:, :], tx)
-    add(idx[:-1, :], idx[1:, :], -tx)
-    add(idx[1:, :], idx[:-1, :], -tx)
-    add(idx[:, :-1], idx[:, :-1], ty)
-    add(idx[:, 1:], idx[:, 1:], ty)
-    add(idx[:, :-1], idx[:, 1:], -ty)
-    add(idx[:, 1:], idx[:, :-1], -ty)
-
-    # boundary sides
-    def boundary(side):
-        if side == "left":
-            cells = idx[0, :]
-            lamb = lam[0, :]
-            ccell = c[0, :]
-            h, ln, n_faces, grav_sign = hx, hy, ny, -1.0
-        elif side == "right":
-            cells = idx[-1, :]
-            lamb = lam[-1, :]
-            ccell = c[-1, :]
-            h, ln, n_faces, grav_sign = hx, hy, ny, +1.0
-        elif side == "bottom":
-            cells = idx[:, 0]
-            lamb = lam[:, 0]
-            ccell = c[:, 0]
-            h, ln, n_faces, grav_sign = hy, hx, nx, 0.0
-        else:
-            cells = idx[:, -1]
-            lamb = lam[:, -1]
-            ccell = c[:, -1]
-            h, ln, n_faces, grav_sign = hy, hx, nx, 0.0
-        return cells, lamb, ccell, h, ln, n_faces, grav_sign
-
-    rhs_flat = rhs.ravel().copy()
-    diag_extra = np.zeros(nx * ny)
+    # side -> (boundary cells, normal spacing, face length, x-normal sign)
+    sides = {"left": (np.s_[0, :], hx, hy, -1.0),
+             "right": (np.s_[-1, :], hx, hy, +1.0),
+             "bottom": (np.s_[:, 0], hy, hx, 0.0),
+             "top": (np.s_[:, -1], hy, hx, 0.0)}
+    diag_extra = np.zeros((nx, ny))
     for side in SIDES:
         kind = bc.side(side)[0]
-        cells, lamb, ccell, h, ln, n_faces, gsgn = boundary(side)
         if kind == "noflow":
             continue
+        sl, h, ln, gsgn = sides[side]
         if kind == "flux":
-            g = _side_values(bc.side(side)[1], n_faces)
-            rhs_flat[cells] -= g * ln
+            rhs[sl] -= _side_values(bc.side(side)[1], rhs[sl].size) * ln
         elif kind == "pressure":
-            pb = _side_values(bc.side(side)[1], n_faces)
-            tb = 2.0 * lamb * ln / h
-            diag_extra[cells] += tb
-            rhs_flat[cells] += tb * pb
+            pb = _side_values(bc.side(side)[1], rhs[sl].size)
+            tb = 2.0 * lam[sl] * ln / h
+            diag_extra[sl] += tb
+            rhs[sl] += tb * pb
             if gravity_on and gsgn != 0.0:
                 # outgoing gravity flux lam*c*(n.e1) at the boundary face
-                rhs_flat[cells] -= gsgn * lamb * ccell * ln
+                rhs[sl] -= gsgn * lam[sl] * c[sl] * ln
         else:
             raise ConfigError(f"unknown BC kind {kind!r} on {side}")
-
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * ny, nx * ny)).tocsr()
     if np.any(diag_extra):
-        A = A + sparse.diags(diag_extra)
+        A = A + sparse.diags(diag_extra.ravel())
 
+    rhs = rhs.ravel()
     if not bc.has_dirichlet:
-        scale = max(np.abs(rhs_flat).max(), 1.0)
-        if abs(rhs_flat.sum()) > 1e-9 * scale * nx * ny:
+        scale = max(np.abs(rhs).max(), 1.0)
+        if abs(rhs.sum()) > 1e-9 * scale * nx * ny:
             raise SolverError(
                 f"pure-Neumann flow problem is incompatible: net source "
-                f"{rhs_flat.sum():.3e}")
-        A = A.tolil()
-        A[0, :] = 0.0
-        A[0, 0] = 1.0
-        A = A.tocsr()
-        rhs_flat[0] = 0.0
+                f"{rhs.sum():.3e}")
+        # gauge: row 0 becomes the identity row, in place in the CSR arrays
+        if A.nnz == 0:  # a one-cell grid has no face entries to overwrite
+            A = sparse.identity(1, format="csr")
+        row0 = slice(A.indptr[0], A.indptr[1])
+        A.data[row0] = np.where(A.indices[row0] == 0, 1.0, 0.0)
+        A.eliminate_zeros()
+        rhs[0] = 0.0
 
     lu = splu(A.tocsc())
-    p_vec = lu.solve(rhs_flat)
+    p_vec = lu.solve(rhs)
     # one step of iterative refinement: high-contrast lam amplifies the
     # factorization roundoff into spurious face fluxes otherwise
-    p_vec += lu.solve(rhs_flat - A @ p_vec)
+    p_vec += lu.solve(rhs - A @ p_vec)
     p = p_vec.reshape(nx, ny)
     vx, vy = flux_from_pressure(grid, p, lam, c, bc, gravity_on)
     return p, vx, vy
@@ -416,12 +412,6 @@ class FineRun:
     tau: float
     snapshots: list[Snapshot] = field(default_factory=list)
 
-    def at_step(self, step: int) -> Snapshot:
-        for s in self.snapshots:
-            if s.step == step:
-                return s
-        raise KeyError(f"no snapshot at step {step}")
-
     @property
     def cfl_series(self):
         return [cfl(self.grid, s.vx, s.vy, self.tau) for s in self.snapshots]
@@ -441,6 +431,20 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
         raise ConfigError(f"unknown transport scheme {scheme!r}")
     bc = bc or FlowBC()
     run = FineRun(grid=grid, tau=tau)
+    nx, ny = grid.nx, grid.ny
+    # one block per field for every kept snapshot: snapshot arrays held
+    # between the solver's per-step temporaries would fragment the heap,
+    # and by how much would depend on where the allocator places them
+    kept = len(range(0, steps, stride)) + 1
+    store = [np.empty((kept,) + shape) for shape in
+             ((nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny))]
+
+    def keep(n, *fields):
+        i = len(run.snapshots)
+        for block, a in zip(store, fields):
+            block[i] = a
+        run.snapshots.append(Snapshot(n, n * tau, *(b[i] for b in store)))
+
     c = c0.copy()
     cloud = None
     if scheme == "particles":
@@ -450,7 +454,7 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
         lam = lam_of(c)
         p, vx, vy = solve_flow(grid, lam, c, bc, gravity_on, f=f)
         if n % stride == 0:
-            run.snapshots.append(Snapshot(n, n * tau, p, vx, vy, c.copy()))
+            keep(n, p, vx, vy, c)
         if scheme == "upwind":
             c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c)
         else:
@@ -459,5 +463,5 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
 
     lam = lam_of(c)
     p, vx, vy = solve_flow(grid, lam, c, bc, gravity_on, f=f)
-    run.snapshots.append(Snapshot(steps, steps * tau, p, vx, vy, c.copy()))
+    keep(steps, p, vx, vy, c)
     return run

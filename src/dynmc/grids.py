@@ -7,7 +7,7 @@ with positive orientation along +x / +y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,12 +117,6 @@ class CoarseGrid:
     def block_slices(self, I: int, J: int) -> tuple[slice, slice]:
         return (slice(I * self.mx, (I + 1) * self.mx),
                 slice(J * self.my, (J + 1) * self.my))
-
-    def block_of_cell(self, i: int, j: int) -> tuple[int, int]:
-        return (i // self.mx, j // self.my)
-
-    def block_center_x(self, I: int) -> float:
-        return self.fine.x0 + (I + 0.5) * self.mx * self.fine.hx
 
     # --- edges ---------------------------------------------------------
 
@@ -327,10 +321,6 @@ class DomainLayout:
     def restrict(self, ext_field: np.ndarray) -> np.ndarray:
         """Extended cell field -> target cell field."""
         return ext_field[self.offset_x:self.offset_x + self.target_fine.nx, :]
-
-    def restrict_faces(self, fx: np.ndarray, fy: np.ndarray):
-        o, n = self.offset_x, self.target_fine.nx
-        return fx[o:o + n + 1, :], fy[o:o + n, :]
 
     def embed(self, target_field: np.ndarray, fill: float = 0.0) -> np.ndarray:
         out = np.full((self.extended_fine.nx, self.extended_fine.ny), fill)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from .exceptions import ConfigError
+from .macro import CoarseState
 
 _F = "%.17g"
 
@@ -135,17 +136,7 @@ def write_averages_csv(path: str, states, n: int) -> None:
                     w.writerow([t, "V", f"{o}:{i}:{r}", k, _fmt(s.V[key][k])])
 
 
-class SeriesState:
-    """Minimal coarse-state view reconstructed from an averages CSV."""
-
-    def __init__(self, t, C, V, P):
-        self.t = t
-        self.C = C
-        self.V = V
-        self.P = P
-
-
-def read_averages_csv(path: str) -> list:
+def read_averages_csv(path: str) -> list[CoarseState]:
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -167,7 +158,7 @@ def read_averages_csv(path: str) -> list:
     NJ = 1 + max(int(loc.split(":")[1]) for _t, kind, loc, _k, _v in rows
                  if kind == "C")
     out = []
-    for t in times:
+    for step, t in enumerate(times):
         C = np.zeros((NI, NJ, n))
         P = np.full((NI, NJ, n), np.nan)
         V = {}
@@ -186,21 +177,8 @@ def read_averages_csv(path: str) -> list:
                 V.setdefault(key, np.zeros(n))[k] = v
             else:
                 raise ConfigError(f"{path}: unknown kind {kind!r}")
-        out.append(SeriesState(t, C, V, P))
+        out.append(CoarseState(step=step, t=t, C=C, V=V, P=P))
     return out
-
-
-def write_operator_csv(path: str, entries) -> None:
-    """Effective-operator entries ``block,name,i,j,value``.
-
-    ``entries`` yields (block_key, name, i, j, value); block_key is any
-    string identifying the block (e.g. "3:0").
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["block", "name", "i", "j", "value"])
-        for block, name, i, j, v in entries:
-            w.writerow([block, name, i, j, _fmt(v)])
 
 
 def write_errors_csv(path: str, report) -> None:

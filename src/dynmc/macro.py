@@ -11,6 +11,7 @@ Both feed the same donor-block Forward-Euler concentration step.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from . import cells
 from .continua import (ContinuumSpec, averages, classify, continuum_masses,
                        indicator)
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import Snapshot, harmonic_face_mobility
+from .fine import Snapshot, harmonic_face_mobility, transmissibilities
 from .grids import CoarseEdge, CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
@@ -44,7 +45,7 @@ def region_energy(ov: Oversample, lam_local: np.ndarray, u: np.ndarray,
                   v: np.ndarray) -> float:
     """(1/|R|) int_R lam grad(u).grad(v) as a weighted interior-face sum."""
     grid = ov.grid
-    tx, ty = cells.transmissibilities(grid, lam_local)
+    tx, ty = transmissibilities(grid, lam_local)
     wx, wy = _region_face_weights(ov)
     ex = wx * tx * (u[1:, :] - u[:-1, :]) * (v[1:, :] - v[:-1, :])
     ey = wy * ty * (u[:, 1:] - u[:, :-1]) * (v[:, 1:] - v[:, :-1])
@@ -52,51 +53,25 @@ def region_energy(ov: Oversample, lam_local: np.ndarray, u: np.ndarray,
     return float(ex.sum() + ey.sum()) / area
 
 
-def region_buoyancy(ov: Oversample, lam_local: np.ndarray, s: np.ndarray,
-                    u: np.ndarray) -> float:
-    """(1/|R|) int_R lam s e1 . grad(u) with arithmetic face values of s."""
-    grid = ov.grid
-    lamx, _ = harmonic_face_mobility(lam_local)
-    wx, _ = _region_face_weights(ov)
-    sx = 0.5 * (s[:-1, :] + s[1:, :])
-    ex = wx * lamx * sx * (u[1:, :] - u[:-1, :]) / grid.hx * grid.cell_area
-    return float(ex.sum()) / ov.coarse.block_area
-
-
 @dataclass
 class EffectiveOperators:
     """Per-block effective coefficient matrices over continuum indices.
 
     alpha: gradient-gradient energies (one horizontal direction here);
-    beta: average-average exchange energies; gamma couplings from the
-    buoyancy-driven bases (zero without gravity).  ``present`` masks the
+    beta: average-average exchange energies.  ``present`` masks the
     continua that exist in the block.
     """
 
     n: int
     alpha: np.ndarray  # (n, n)
     beta: np.ndarray  # (n, n)
-    gamma_bar: np.ndarray
-    gamma_tilde: np.ndarray
     present: np.ndarray  # (n,) bool
     meta: dict = field(default_factory=dict)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.gamma_bar - self.gamma_tilde
-
-    def named_entries(self):
-        for name in ("alpha", "beta", "gamma_bar", "gamma_tilde"):
-            m = getattr(self, name)
-            for i in range(self.n):
-                for j in range(self.n):
-                    yield name, i, j, float(m[i, j])
 
 
 def assemble_effective(ov: Oversample, lam_local: np.ndarray,
                        labels_local: np.ndarray, n: int,
-                       avg: cells.CellBasisSet, grad: cells.CellBasisSet,
-                       conc: cells.CellBasisSet | None = None
+                       avg: cells.CellBasisSet, grad: cells.CellBasisSet
                        ) -> EffectiveOperators:
     """Energy integrals of the solved bases over the central region."""
     cen = ov.central
@@ -104,9 +79,6 @@ def assemble_effective(ov: Oversample, lam_local: np.ndarray,
     present = np.array([(blk == i).any() for i in range(n)])
     alpha = np.zeros((n, n))
     beta = np.zeros((n, n))
-    gbar = np.zeros((n, n))
-    gtil = np.zeros((n, n))
-    area = ov.grid.cell_area
     for i in range(n):
         if not present[i]:
             continue
@@ -119,22 +91,13 @@ def assemble_effective(ov: Oversample, lam_local: np.ndarray,
                                         grad.by_continuum(j).scalar)
             beta[i, j] = region_energy(ov, lam_local, ai,
                                        avg.by_continuum(j).scalar)
-            if conc is not None:
-                gbar[i, j] = region_energy(ov, lam_local,
-                                           conc.by_continuum(i).scalar,
-                                           avg.by_continuum(j).scalar)
-                psi = indicator(labels_local, i)
-                chi = 1.0 / (psi[cen.sx, cen.sy].sum() * area)
-                gtil[i, j] = region_buoyancy(ov, lam_local, chi * psi,
-                                             avg.by_continuum(j).scalar)
     # exchange conserves mass: each row balances over the continua that
     # exist in the block, so single-continuum blocks carry no exchange
     for i in range(n):
         if present[i]:
             beta[i, i] = -sum(beta[i, j] for j in range(n)
                               if j != i and present[j])
-    return EffectiveOperators(n=n, alpha=alpha, beta=beta, gamma_bar=gbar,
-                              gamma_tilde=gtil, present=present,
+    return EffectiveOperators(n=n, alpha=alpha, beta=beta, present=present,
                               meta={"block": ov.block})
 
 
@@ -190,12 +153,6 @@ def _split_edge_support(coarse: CoarseGrid, bset: cells.CellBasisSet):
         support[blk] = (basis.fx[ox:ox + mx + 1, :].copy(),
                         basis.fy[ox:ox + mx, :].copy())
     return support
-
-
-# number of column strips per block carrying localized exchange bases;
-# several strips let conversion between continua concentrate where the
-# fine flow actually converts (e.g. near an inflow boundary)
-INTERFACE_SUBCOLUMNS = 1
 
 
 @dataclass
@@ -255,21 +212,12 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     if not gravity:
         area = fine.cell_area
         for blk in coarse.blocks():
-            sx, _sy = coarse.block_slices(*blk)
-            mx = sx.stop - sx.start
-            nsub = max(1, INTERFACE_SUBCOLUMNS)
-            for s in range(nsub):
-                xmask = np.zeros(mx)
-                xmask[s * mx // nsub:(s + 1) * mx // nsub] = 1.0
-                wset = cells.solve_interface_basis(coarse, blk, lam, labels,
-                                                   xmask=xmask)
-                if wset.bases[0].flag == "absent":
-                    continue
-                m1 = float(wset.bases[0].extras["div"].clip(min=0.0).sum()
-                           ) * area
-                bases.append(MixedBasis(
-                    kind="interface", key=blk, continuum=None, S=m1,
-                    support={blk: (wset.bases[0].fx, wset.bases[0].fy)}))
+            w = cells.solve_interface_basis(coarse, blk, lam, labels).bases[0]
+            if w.flag == "absent":
+                continue
+            m1 = float(w.extras["div"].clip(min=0.0).sum()) * area
+            bases.append(MixedBasis(kind="interface", key=blk, continuum=None,
+                                    S=m1, support={blk: (w.fx, w.fy)}))
 
     gravity_support = {}
     if gravity:
@@ -705,10 +653,11 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
         else:
             # all coarse-flow coefficients, including the buoyancy drive,
             # are rebuilt from the fine snapshot each step
-            parts = [labels.tobytes(), lam.tobytes()]
+            h = hashlib.blake2b(labels.tobytes())
+            h.update(lam.tobytes())
             if model.approach == "mixed-gravity":
-                parts.append(snap.c.tobytes())
-            key = hash(tuple(parts))
+                h.update(snap.c.tobytes())
+            key = h.digest()
             if key in cache:
                 V, P, ops = cache[key]
             elif model.approach == "galerkin":

@@ -78,43 +78,14 @@ class TestGalerkinFamilies:
         assert out.by_continuum(1).flag == "absent"
 
 
-class TestMixedPressureBases:
-    def test_single_continuum_average(self):
-        ov, lam, labels = single_continuum_region()
-        out = cells.solve_mixed_pressure_bases(ov, lam, labels, 1,
-                                               variant="average")
-        b = out.by_continuum(0)
-        assert np.allclose(b.scalar, 1.0, atol=1e-9)
-        assert np.abs(b.fx).max() < 1e-9 and np.abs(b.fy).max() < 1e-9
-
-    def test_single_continuum_gradient_uniform_flux(self):
-        ov, lam, labels = single_continuum_region()
-        out = cells.solve_mixed_pressure_bases(ov, lam, labels, 1,
-                                               variant="gradient")
-        b = out.by_continuum(0)
-        xg, _ = ov.grid.cell_centers()
-        assert np.allclose(b.scalar - b.scalar.mean(), xg - xg.mean(),
-                           atol=1e-9)
-        assert np.allclose(b.fx, -1.0, atol=1e-9)  # -lam e_x everywhere
-
-    @pytest.mark.parametrize("nx,bx,seed,contrast,thr", CASES[:3])
-    def test_dual_contrast_constraints(self, nx, bx, seed, contrast, thr):
-        ov, lam, labels, n = random_partition_region(nx, nx, bx, bx, seed,
-                                                     contrast, thr)
-        out = cells.solve_mixed_pressure_bases(ov, lam, labels, n,
-                                               variant="average")
-        for b in out.bases:
-            if b.flag != "absent":
-                assert b.residual <= 1e-9
-
-
 class TestSaddleSolver:
-    def test_matches_dense_oracle_directly(self):
+    def check_dense_oracle(self, sparse_path):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
                                                      DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
         solver = cells.SaddleSolver(A, C)
+        assert (solver._lu is not None) == sparse_path
         b = rng(10).standard_normal(ov.grid.n_cells)
         g = rng(11).standard_normal(len(rows))
         sol = solver.solve(b, g)
@@ -122,6 +93,13 @@ class TestSaddleSolver:
         assert np.abs(sol.u - u).max() <= 1e-10 * max(np.abs(u).max(), 1.0)
         assert np.abs(sol.multipliers - mu).max() <= 1e-10 * max(
             np.abs(mu).max(), 1.0)
+
+    def test_matches_dense_oracle_directly(self):
+        self.check_dense_oracle(sparse_path=False)
+
+    def test_sparse_path_matches_dense_oracle(self, monkeypatch):
+        monkeypatch.setattr(cells, "DENSE_LIMIT", 0)
+        self.check_dense_oracle(sparse_path=True)
 
     def test_empty_constraints_rejected(self):
         ov, lam, labels = single_continuum_region()

@@ -123,8 +123,6 @@ class TestGalerkinFlow:
         a = np.array([[alpha]])
         return [EffectiveOperators(n=1, alpha=a.copy(),
                                    beta=np.zeros((1, 1)),
-                                   gamma_bar=np.zeros((1, 1)),
-                                   gamma_tilde=np.zeros((1, 1)),
                                    present=np.array([True]))
                 for _ in range(NX)]
 
@@ -160,8 +158,6 @@ class TestGalerkinFlow:
             o.n = 2
             o.alpha = np.eye(2)
             o.beta = np.zeros((2, 2))
-            o.gamma_bar = np.zeros((2, 2))
-            o.gamma_tilde = np.zeros((2, 2))
             o.present = np.array([True, True])
         ops[2].present = np.array([True, False])
         ops[3].present = np.array([True, False])

@@ -84,6 +84,18 @@ class TestInvariants:
             ExperimentConfig(tau=0.01, tau_coarse=0.03, substeps=2,
                              steps=10, coarse_steps=5)
 
+    def test_multi_row_coarse_grid_rejected(self):
+        with pytest.raises(ConfigError, match="Ny = 1"):
+            dataclasses.replace(get_preset("smoke"), Ny=2)
+
+    def test_viscous_needs_two_continua(self):
+        with pytest.raises(ConfigError, match="exactly 2 continua"):
+            dataclasses.replace(get_preset("viscous"), thresholds=(0.8, 0.4))
+
+    def test_bc_kind_must_match_approach(self):
+        with pytest.raises(ConfigError, match="needs bc_kind='dirichlet-x'"):
+            dataclasses.replace(get_preset("interface"), bc_kind="noflow")
+
     def test_frozen(self):
         cfg = get_preset("smoke")
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -30,18 +30,13 @@ def region_energy_oracle(ov, lam, u, v):
     return total / ov.coarse.block_area
 
 
-def solve_ops(ov, lam, labels, n, with_conc=False):
+def solve_ops(ov, lam, labels, n):
     engine = cells.build_region_engine(ov, lam, labels, n)
     avg = cells.solve_constrained_elliptic(ov, lam, labels, n, "average",
                                            engine=engine)
     grad = cells.solve_constrained_elliptic(ov, lam, labels, n, "gradient",
                                             direction=0, engine=engine)
-    conc = None
-    if with_conc:
-        conc = cells.solve_constrained_elliptic(ov, lam, labels, n,
-                                                "concentration", engine=engine)
-    return macro.assemble_effective(ov, lam, labels, n, avg, grad, conc), \
-        avg, grad
+    return macro.assemble_effective(ov, lam, labels, n, avg, grad), avg, grad
 
 
 class TestAssembleEffective:
@@ -92,16 +87,3 @@ class TestAssembleEffective:
             if ops.present[i]:
                 row = sum(ops.beta[i, j] for j in range(n) if ops.present[j])
                 assert abs(row) <= 1e-12
-
-    def test_gamma_zero_without_concentration_bases(self):
-        ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 25, 10.0,
-                                                     (0.5,))
-        ops, _, _ = solve_ops(ov, lam, labels, n)
-        assert np.abs(ops.gamma).max() == 0.0
-
-    def test_named_entries_cover_all_matrices(self):
-        ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 26, 10.0,
-                                                     (0.5,))
-        ops, _, _ = solve_ops(ov, lam, labels, n, with_conc=True)
-        names = {e[0] for e in ops.named_entries()}
-        assert names == {"alpha", "beta", "gamma_bar", "gamma_tilde"}

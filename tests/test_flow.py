@@ -9,8 +9,13 @@ from dynmc.fine import FlowBC, cfl, divergence, solve_flow
 from dynmc.grids import FineGrid
 
 
-def dense_tpfa_dirichlet_x(grid, lam, p_left, p_right):
-    """Independent scalar-loop assembly of the same TPFA system."""
+def dense_tpfa(grid, lam, sides, f=None):
+    """Independent scalar-loop assembly and dense solve of the TPFA system.
+
+    ``sides`` maps 'left'/'right' to ('pressure', p) or ('flux', g); other
+    sides are no-flow.  Without a pressure side, row 0 is pinned to p = 0
+    as in solve_flow.
+    """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     n = nx * ny
     A = np.zeros((n, n))
@@ -21,6 +26,8 @@ def dense_tpfa_dirichlet_x(grid, lam, p_left, p_right):
 
     for i in range(nx):
         for j in range(ny):
+            if f is not None:
+                b[k(i, j)] += f[i, j] * hx * hy
             if i + 1 < nx:
                 lf = 2 * lam[i, j] * lam[i + 1, j] / (lam[i, j] + lam[i + 1, j])
                 t = lf * hy / hx
@@ -35,13 +42,19 @@ def dense_tpfa_dirichlet_x(grid, lam, p_left, p_right):
                 A[k(i, j), k(i, j + 1)] -= t
                 A[k(i, j + 1), k(i, j + 1)] += t
                 A[k(i, j + 1), k(i, j)] -= t
-    for j in range(ny):
-        tb = 2 * lam[0, j] * hy / hx
-        A[k(0, j), k(0, j)] += tb
-        b[k(0, j)] += tb * p_left
-        tb = 2 * lam[-1, j] * hy / hx
-        A[k(nx - 1, j), k(nx - 1, j)] += tb
-        b[k(nx - 1, j)] += tb * p_right
+    for side, i in (("left", 0), ("right", nx - 1)):
+        kind, value = sides.get(side, ("noflow", 0.0))
+        for j in range(ny):
+            if kind == "pressure":
+                tb = 2 * lam[i, j] * hy / hx
+                A[k(i, j), k(i, j)] += tb
+                b[k(i, j)] += tb * value
+            elif kind == "flux":
+                b[k(i, j)] -= value * hy  # outward flux density
+    if all(kind != "pressure" for kind, _ in sides.values()):
+        A[0, :] = 0.0
+        A[0, 0] = 1.0
+        b[0] = 0.0
     return np.linalg.solve(A, b).reshape(nx, ny)
 
 
@@ -70,8 +83,38 @@ class TestDenseOracle:
         bc = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
         p, _vx, _vy = solve_flow(grid, lam, np.zeros((4, 4)), bc,
                                  gravity_on=False)
-        expect = dense_tpfa_dirichlet_x(grid, lam, 1.0, 0.0)
+        expect = dense_tpfa(grid, lam, {"left": ("pressure", 1.0),
+                                        "right": ("pressure", 0.0)})
         assert np.allclose(p, expect, atol=1e-12)
+
+    def test_closed_box_zero_mean_source_matches_pinned_dense_solve(self):
+        grid = FineGrid(7, 5, 2.0, 1.0)
+        lam = random_mobility(7, 5, 12, 1000.0)
+        f = rng(13).standard_normal((7, 5))
+        f -= f.mean()  # compatible with the closed box
+        p, _vx, _vy = solve_flow(grid, lam, np.zeros((7, 5)), FlowBC(),
+                                 gravity_on=False, f=f)
+        expect = dense_tpfa(grid, lam, {}, f=f)
+        assert np.abs(p - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    def test_flux_bc_matches_pinned_dense_solve(self):
+        grid = FineGrid(8, 4, 2.0, 1.0)
+        lam = random_mobility(8, 4, 14, 1000.0)
+        # unit inflow on the left, unit outflow on the right: no net source
+        sides = {"left": ("flux", -1.0), "right": ("flux", 1.0)}
+        p, vx, _vy = solve_flow(grid, lam, np.zeros((8, 4)), FlowBC(**sides),
+                                gravity_on=False)
+        expect = dense_tpfa(grid, lam, sides)
+        assert np.abs(p - expect).max() <= 1e-10 * np.abs(expect).max()
+        assert np.allclose(vx[0, :], 1.0) and np.allclose(vx[-1, :], 1.0)
+
+
+    def test_one_cell_closed_box_is_pinned(self):
+        grid = FineGrid(1, 1, 1.0, 1.0)
+        p, vx, vy = solve_flow(grid, np.full((1, 1), 2.0), np.full((1, 1), 0.5),
+                               FlowBC(), gravity_on=True)
+        assert p[0, 0] == 0.0
+        assert not vx.any() and not vy.any()
 
 
 class TestConservation:

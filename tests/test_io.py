@@ -112,15 +112,6 @@ class TestAveragesCsv:
             io.read_averages_csv(str(path))
 
 
-def test_operator_csv_layout(tmp_path):
-    path = tmp_path / "ops.csv"
-    io.write_operator_csv(str(path), [("0:0", "alpha", 0, 1, 2.5),
-                                      ("1:0", "beta", 1, 1, -0.25)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "block,name,i,j,value"
-    assert lines[1] == "0:0,alpha,0,1,2.5"
-
-
 def test_manifest_contents(tmp_path):
     cfg = get_preset("smoke")
     path = tmp_path / "manifest.json"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import rng
 from dynmc.exceptions import ConfigError, InvariantError
 from dynmc.fine import (ParticleCloud, advance_particles, advance_upwind,
-                        deposit, run_fine, seed_particles)
+                        deposit, run_fine, seed_particles, solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -203,6 +203,25 @@ class TestRunFine:
         run = run_fine(grid, lambda c: np.ones_like(c), c0, 0.02, 3)
         assert [s.t for s in run.snapshots] == pytest.approx(
             [0.0, 0.02, 0.04, 0.06])
+
+    def test_strided_snapshots_hold_their_own_step(self):
+        grid = FineGrid(8, 4, 2.0, 1.0)
+        c0 = rng(3).random((8, 4))
+
+        def lam_of(c):
+            return np.where(c > 0.5, 10.0, 1.0)
+
+        run = run_fine(grid, lam_of, c0, 0.005, 7, stride=3)
+        assert [s.step for s in run.snapshots] == [0, 3, 6, 7]
+        c, states = c0.copy(), {}
+        for n in range(8):
+            p, vx, vy = solve_flow(grid, lam_of(c), c)
+            states[n] = (p, vx, vy, c)
+            c = advance_upwind(grid, c, vx, vy, 0.005)
+        for s in run.snapshots:
+            p, vx, vy, c = states[s.step]
+            assert (s.p == p).all() and (s.vx == vx).all()
+            assert (s.vy == vy).all() and (s.c == c).all()
 
     def test_unknown_scheme_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
