@@ -65,6 +65,7 @@ class SaddleSolver:
             raise SolverError("constraint set is empty after dropping")
         K = sparse.bmat([[A, C.T], [C, None]], format="csc")
         self.C = C.tocsr()
+        self._norm = float(abs(K).sum(axis=1).max())  # ||K||_inf
         if self.n + self.m <= DENSE_LIMIT:
             self._K = K.toarray()
             self._lu = None
@@ -91,9 +92,12 @@ class SaddleSolver:
         mu = sol[self.n:]
         res = self.C @ u - g
         scale = max(np.abs(g).max(), np.abs(u).max(), 1.0)
-        if np.abs(res).max() > 1e-8 * scale or not np.isfinite(gap):
+        if np.abs(res).max() > 1e-8 * scale:
             raise SolverError(
                 f"constraint residual {np.abs(res).max():.3e} too large")
+        bound = 1e-10 * (self._norm * np.abs(sol).max() + np.abs(rhs).max())
+        if not gap <= bound:
+            raise SolverError(f"KKT residual {gap:.3e} above {bound:.3e}")
         return SaddleSolution(u=u, multipliers=mu, residuals=res)
 
 

@@ -66,12 +66,12 @@ def _cmd_run_fine(args) -> int:
         inflow = {"left": c0[0, :].copy()}
     run = run_fine(ext, lam_of, c0, cfg.tau, cfg.steps,
                    bc=cfg.flow_bc(ext), gravity_on=cfg.gravity,
-                   scheme=cfg.scheme, inflow_c=inflow, stride=cfg.stride,
+                   scheme=cfg.scheme, inflow_c=inflow, keep=(),
                    particles_per_cell=cfg.particles_per_cell,
                    seed=cfg.particle_seed)
     last = run.snapshots[-1]
     print(f"{cfg.name}: {cfg.steps} fine steps on {ext.nx}x{ext.ny}, "
-          f"max CFL {max(run.cfl_series):.3f}")
+          f"max CFL {run.max_cfl:.3f}")
     if args.out:
         iomod.ensure_dir(args.out)
         iomod.write_cell_csv(os.path.join(args.out, "c_final.csv"), last.c)
@@ -81,7 +81,7 @@ def _cmd_run_fine(args) -> int:
         iomod.write_pgm(os.path.join(args.out, "c_final.pgm"), last.c)
         iomod.write_manifest(os.path.join(args.out, "manifest.json"), cfg,
                              {"status": "ok", "mode": "fine-only",
-                              "max_fine_cfl": max(run.cfl_series)})
+                              "max_fine_cfl": run.max_cfl})
         print(f"artifacts in {args.out}")
     return 0
 

@@ -83,7 +83,6 @@ class ExperimentConfig:
     scheme: str = "particles"
     particles_per_cell: int = 32
     particle_seed: int = 0
-    stride: int = 1
 
     def __post_init__(self):
         if self.pre_steps + self.coarse_steps * self.substeps > self.steps:
@@ -212,8 +211,7 @@ _SECTIONS = {
            "ic_centers", "wave_x0", "wave_amplitude", "wave_periods",
            "wave_high", "wave_low", "ic_file"),
     "time": ("tau", "steps", "pre_steps", "tau_coarse", "coarse_steps",
-             "substeps", "scheme", "particles_per_cell", "particle_seed",
-             "stride"),
+             "substeps", "scheme", "particles_per_cell", "particle_seed"),
 }
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -357,7 +355,7 @@ def _interface(name, *, paper=False):
         wave_periods=3.0,
         tau=1.5e-4, steps=1000,
         tau_coarse=1.5e-3, coarse_steps=100, substeps=10,
-        scheme="upwind", stride=1)
+        scheme="upwind")
 
 
 def _smoke():

@@ -13,7 +13,7 @@ from . import io as iomod
 from .config import ExperimentConfig, to_ini
 from .continua import averages, classify
 from .exceptions import DynmcError
-from .fine import FineRun, Snapshot, cfl, run_fine
+from .fine import FineRun, Snapshot, run_fine
 from .grids import CoarseGrid, DomainLayout
 from .macro import CoarseModel, CoarseState, run_coarse
 from .metrics import ErrorReport, compute_errors
@@ -22,14 +22,11 @@ log = logging.getLogger(__name__)
 
 
 def reference_states(coarse: CoarseGrid, snapshots: list[Snapshot],
-                     spec, steps: int, substeps: int,
-                     tau_coarse: float) -> list[CoarseState]:
-    """Continuum-averaged fine solution at the coarse time points."""
-    snap_at = {s.step: s for s in snapshots}
+                     spec, tau_coarse: float) -> list[CoarseState]:
+    """Continuum-averaged fine solution; snapshot k is coarse time point k."""
     out = []
     n = spec.count
-    for k in range(steps + 1):
-        snap = snap_at[k * substeps]
+    for k, snap in enumerate(snapshots):
         labels = classify(snap.c, spec)
         av = averages(coarse, snap.p, snap.c, snap.vx, snap.vy, labels, n)
         out.append(CoarseState(step=k, t=k * tau_coarse, C=av.C, V=av.V,
@@ -62,24 +59,6 @@ class ExperimentResult:
     report: ErrorReport
     wall_time: float
     artifacts: dict = field(default_factory=dict)
-
-    @property
-    def block_sel(self):
-        return np.s_[self.target_offset:self.target_offset + self.cfg.Nx, :]
-
-    @property
-    def edge_keys(self):
-        o = self.target_offset
-        return [("x", i, r) for r in range(self.cfg.Ny)
-                for i in range(o, o + self.cfg.Nx + 1)]
-
-
-def _shift_snapshots(snapshots: list[Snapshot], pre: int,
-                     tau: float) -> list[Snapshot]:
-    if pre == 0:
-        return snapshots
-    return [Snapshot(s.step - pre, (s.step - pre) * tau, s.p, s.vx, s.vy, s.c)
-            for s in snapshots if s.step >= pre]
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str | None = None
@@ -127,19 +106,20 @@ def _run(cfg: ExperimentConfig, outdir: str | None,
 
     log.info("%s: fine run %dx%d, %d steps", cfg.name, ext.nx, ext.ny,
              cfg.steps)
+    # the coarse runs read the fine field at the coarse time points only
+    end = cfg.pre_steps + cfg.coarse_steps * cfg.substeps
     fine = run_fine(ext, lam_of, c0, cfg.tau, cfg.steps, bc=bc,
                     gravity_on=gravity, scheme=cfg.scheme,
-                    inflow_c=inflow_c, stride=1,
+                    inflow_c=inflow_c,
+                    keep=range(cfg.pre_steps, end + 1, cfg.substeps),
                     particles_per_cell=cfg.particles_per_cell,
                     seed=cfg.particle_seed)
-    snaps = _shift_snapshots(fine.snapshots, cfg.pre_steps, cfg.tau)
+    snaps = fine.snapshots[:cfg.coarse_steps + 1]
 
-    reference = reference_states(coarse, snaps, spec, cfg.coarse_steps,
-                                 cfg.substeps, cfg.tau_coarse)
+    reference = reference_states(coarse, snaps, spec, cfg.tau_coarse)
 
     model = CoarseModel(coarse=coarse, spec=spec, approach=cfg.approach,
-                        lam_of=lam_of, substeps=cfg.substeps,
-                        g_in=cfg.g_in, p_out=cfg.p_out,
+                        lam_of=lam_of, g_in=cfg.g_in, p_out=cfg.p_out,
                         inflow_conc=inflow_conc,
                         flow_refine=cfg.flow_refine, layers=cfg.layers,
                         extension_rule=cfg.extension_rule, p_in=cfg.p_in)
@@ -182,17 +162,14 @@ def _write_artifacts(res: ExperimentResult, outdir: str) -> dict:
     iomod.write_averages_csv(p("averages_mh_refvel.csv"), res.mh_refvel, n)
     iomod.write_averages_csv(p("averages_mh_mhvel.csv"), res.mh_mhvel, n)
     iomod.write_errors_csv(p("errors.csv"), res.report)
-    first = res.fine.snapshots[0]
     last = res.fine.snapshots[-1]
-    iomod.write_cell_csv(p("c_initial.csv"), first.c)
+    iomod.write_cell_csv(p("c_initial.csv"), res.fine.c0)
     iomod.write_cell_csv(p("c_final.csv"), last.c)
     iomod.write_pgm(p("c_final.pgm"), last.c)
-    grid = res.fine.grid
-    max_cfl = max(cfl(grid, s.vx, s.vy, cfg.tau) for s in res.fine.snapshots)
     iomod.write_manifest(p("manifest.json"), cfg, {
         "status": "ok",
         "wall_time_s": res.wall_time,
-        "max_fine_cfl": max_cfl,
+        "max_fine_cfl": res.fine.max_cfl,
         "e_V_global_percent": res.report.eV.global_relative,
         "e_C_mhvel_percent": [float(v) for v in res.report.eC_mh_vel],
         "ordering_ok": res.report.ordering_ok,

@@ -408,38 +408,41 @@ class Snapshot:
 
 @dataclass
 class FineRun:
-    grid: FineGrid
-    tau: float
+    c0: np.ndarray  # initial concentration
+    max_cfl: float = 0.0  # largest CFL over every solved step
     snapshots: list[Snapshot] = field(default_factory=list)
-
-    @property
-    def cfl_series(self):
-        return [cfl(self.grid, s.vx, s.vy, self.tau) for s in self.snapshots]
 
 
 def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
              bc: FlowBC | None = None, gravity_on: bool = True,
              scheme: str = "upwind", inflow_c: dict | None = None,
-             stride: int = 1, particles_per_cell: int = 32,
-             seed: int = 0, f: np.ndarray | None = None) -> FineRun:
+             keep: range | tuple | None = None, particles_per_cell: int = 32,
+             seed: int = 0) -> FineRun:
     """Sequential flow/transport loop with lagged mobility.
 
     Each step solves flow with lam(c^n) and advances transport to c^{n+1};
-    snapshots are kept at the given stride and always at the final step.
+    snapshots are kept at the fine steps in ``keep`` (default: every step)
+    and always at the final step.
     """
     if scheme not in ("upwind", "particles"):
         raise ConfigError(f"unknown transport scheme {scheme!r}")
     bc = bc or FlowBC()
-    run = FineRun(grid=grid, tau=tau)
+    keep = range(steps + 1) if keep is None else keep
+    run = FineRun(c0=c0.copy())
     nx, ny = grid.nx, grid.ny
     # one block per field for every kept snapshot: snapshot arrays held
     # between the solver's per-step temporaries would fragment the heap,
     # and by how much would depend on where the allocator places them
-    kept = len(range(0, steps, stride)) + 1
+    kept = sum(n in keep for n in range(steps)) + 1
     store = [np.empty((kept,) + shape) for shape in
              ((nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny))]
 
-    def keep(n, *fields):
+    def solve(c):
+        p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on)
+        run.max_cfl = max(run.max_cfl, cfl(grid, vx, vy, tau))
+        return p, vx, vy
+
+    def record(n, *fields):
         i = len(run.snapshots)
         for block, a in zip(store, fields):
             block[i] = a
@@ -451,17 +454,14 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
         cloud = seed_particles(grid, c0, particles_per_cell, seed)
 
     for n in range(steps):
-        lam = lam_of(c)
-        p, vx, vy = solve_flow(grid, lam, c, bc, gravity_on, f=f)
-        if n % stride == 0:
-            keep(n, p, vx, vy, c)
+        p, vx, vy = solve(c)
+        if n in keep:
+            record(n, p, vx, vy, c)
         if scheme == "upwind":
             c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c)
         else:
             cloud = advance_particles(grid, cloud, vx, vy, tau)
             c = deposit(grid, cloud)
 
-    lam = lam_of(c)
-    p, vx, vy = solve_flow(grid, lam, c, bc, gravity_on, f=f)
-    keep(steps, p, vx, vy, c)
+    record(steps, *solve(c), c)
     return run

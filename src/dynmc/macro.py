@@ -159,8 +159,6 @@ def _split_edge_support(coarse: CoarseGrid, bset: cells.CellBasisSet):
 class MixedSolution:
     V: dict  # edge key -> (n,) fluxes (positive along +x/+y)
     P: dict  # pressure row key -> value
-    coefficients: np.ndarray
-    bases: list
     balance_residual: float
 
 
@@ -330,16 +328,16 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
             if ba.kind == "edge" and idx == coarse.Nx:
                 b[a] -= p_out * ba.S
 
-    keep = [r for r in range(len(rows)) if np.abs(D[r]).max() > 1e-13]
-    dropped = [rows[r] for r in range(len(rows)) if r not in set(keep)]
-    for r, row in enumerate(rows):
-        if r not in set(keep) and abs(f[r]) > 1e-12:
+    live = np.abs(D).max(axis=1) > 1e-13
+    for row, ok, fr in zip(rows, live, f):
+        if not ok and abs(fr) > 1e-12:
             raise SolverError(f"balance row {row} has data but no basis")
+    dropped = [row for row, ok in zip(rows, live) if not ok]
     if dropped:
         log.info("dropped %d empty balance rows: %s", len(dropped), dropped)
-    D = D[keep]
-    f = f[keep]
-    rows = [rows[r] for r in keep]
+    D = D[live]
+    f = f[live]
+    rows = [row for row, ok in zip(rows, live) if ok]
     if gravity:
         # pure Neumann: the last balance is implied; dropping it sets the
         # pressure gauge
@@ -369,8 +367,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
         key0 = CoarseEdge("x", 0, 0).key()
         for j in range(n):
             V[key0][j] = float((inflow_labels == j).sum()) * fine.hy * (-g_in)
-    return MixedSolution(V=V, P=P, coefficients=u, bases=bases,
-                         balance_residual=resid)
+    return MixedSolution(V=V, P=P, balance_residual=resid)
 
 
 # --- Galerkin coarse flow ---------------------------------------------
@@ -557,7 +554,6 @@ class CoarseModel:
     spec: ContinuumSpec
     approach: str  # 'mixed-gravity' | 'mixed-viscous' | 'galerkin'
     lam_of: object  # callable c -> lam field on coarse.fine
-    substeps: int = 1  # fine steps per coarse step
     # viscous boundary data
     g_in: float | None = None
     p_out: float | None = None
@@ -612,29 +608,28 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
 
     ``velocity`` picks the edge fluxes: 'mh' solves the homogenized coarse
     flow model each step, 'ref' uses the continuum-split averages of the
-    fine velocity field.  Snapshot ``n * substeps`` drives coarse step n.
+    fine velocity field.  ``snapshots[k]`` drives coarse step k.
     """
     if velocity not in ("mh", "ref"):
         raise ConfigError(f"unknown velocity mode {velocity!r}")
+    if len(snapshots) < steps + 1:
+        raise ConfigError(
+            f"missing fine snapshots: {steps} coarse steps need "
+            f"{steps + 1}, got {len(snapshots)}")
     n = model.spec.count
     coarse = model.coarse
-    snap_at = {s.step: s for s in snapshots}
-    missing = [k * model.substeps for k in range(steps + 1)
-               if k * model.substeps not in snap_at]
-    if missing:
-        raise ConfigError(f"missing fine snapshots at steps {missing[:5]}")
 
-    snap0 = snap_at[0]
+    snap0 = snapshots[0]
     labels = classify(snap0.c, model.spec)
     masses = continuum_masses(labels, coarse, n)
     ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, snap0.vy, labels, n)
     C = ref0.C.copy()
     states = []
-    cache = {}
+    last = None  # (key, V, P, ops) of the previous homogenized solve
     total_removed = 0.0
 
     for k in range(steps + 1):
-        snap = snap_at[k * model.substeps]
+        snap = snapshots[k]
         labels = classify(snap.c, model.spec)
         masses = continuum_masses(labels, coarse, n)
         # continuum absent in a block: its tracked mass has crossed a
@@ -652,17 +647,17 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             P = None
         else:
             # all coarse-flow coefficients, including the buoyancy drive,
-            # are rebuilt from the fine snapshot each step
+            # are rebuilt from the fine snapshot each step; a step whose
+            # inputs equal the previous step's reuses its solution
             h = hashlib.blake2b(labels.tobytes())
             h.update(lam.tobytes())
             if model.approach == "mixed-gravity":
                 h.update(snap.c.tobytes())
             key = h.digest()
-            if key in cache:
-                V, P, ops = cache[key]
+            if last is not None and last[0] == key:
+                _, V, P, ops = last
             elif model.approach == "galerkin":
                 V, P, ops = _galerkin_velocity(model, lam, labels, n)
-                cache[key] = (V, P, ops)
             else:
                 Cfine = averages(coarse, snap.p, snap.c, snap.vx, snap.vy,
                                  labels, n).C
@@ -679,7 +674,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                     g_in=model.g_in, p_out=model.p_out,
                     inflow_labels=inflow_lab)
                 V, P = ms.V, ms.P
-                cache[key] = (V, P, None)
+            last = (key, V, P, ops)
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
                                   present=(masses > 0), ops=ops))

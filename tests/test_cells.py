@@ -101,6 +101,36 @@ class TestSaddleSolver:
         monkeypatch.setattr(cells, "DENSE_LIMIT", 0)
         self.check_dense_oracle(sparse_path=True)
 
+    @pytest.mark.parametrize("sparse_path", [False, True])
+    def test_large_kkt_residual_rejected(self, monkeypatch, sparse_path):
+        if sparse_path:
+            monkeypatch.setattr(cells, "DENSE_LIMIT", 0)
+        ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
+                                                     DUAL)
+        A = cells.assemble_stiffness(ov.grid, lam)
+        C, rows = cells.region_moment_matrix(ov, labels, n)
+        solver = cells.SaddleSolver(A, C)
+        b = rng(10).standard_normal(ov.grid.n_cells)
+        g = rng(11).standard_normal(len(rows))
+        solver.solve(b, g)
+
+        # shifted multipliers leave C u - g at zero but break A u + C^T mu = b
+        def shifted(solve):
+            def wrapper(*args):
+                sol = solve(*args).copy()
+                sol[solver.n:] += 1.0
+                return sol
+            return wrapper
+
+        if sparse_path:
+            monkeypatch.setattr(solver, "_lu", type(
+                "ShiftedLU", (), {"solve": staticmethod(
+                    shifted(solver._lu.solve))})())
+        else:
+            monkeypatch.setattr(np.linalg, "solve", shifted(np.linalg.solve))
+        with pytest.raises(SolverError, match="KKT residual"):
+            solver.solve(b, g)
+
     def test_empty_constraints_rejected(self):
         ov, lam, labels = single_continuum_region()
         A = cells.assemble_stiffness(ov.grid, lam)

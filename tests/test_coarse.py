@@ -1,5 +1,7 @@
 """Coarse flow solves and the donor-block transport step."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,30 @@ class TestRunCoarse:
         with pytest.raises(ConfigError):
             CoarseModel(coarse=coarse, spec=single_continuum(),
                         approach="spectral", lam_of=np.ones_like)
+
+    def test_coarse_flow_reuses_only_the_previous_step(self, monkeypatch):
+        fine = FineGrid(24, 6, 3.0, 0.75)
+        coarse = CoarseGrid(fine, 3, 1)
+        model = CoarseModel(coarse=coarse,
+                            spec=ContinuumSpec(DUAL_THRESHOLDS),
+                            approach="mixed-gravity",
+                            lam_of=lambda cc: np.where(cc >= 0.5, 100.0, 1.0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_coarse_flow_mixed(*args, **kwargs)
+
+        monkeypatch.setattr(macro, "solve_coarse_flow_mixed", counted)
+        vx = np.zeros((fine.nx + 1, fine.ny))
+        same = self.make_snapshots(fine, 3, np.full((24, 6), 0.7), vx)
+        run_coarse(model, same, 3, 0.05, velocity="mh")
+        assert len(calls) == 1
+        calls.clear()
+        aba = self.make_snapshots(fine, 2, np.full((24, 6), 0.7), vx)
+        aba[1] = dataclasses.replace(aba[1], c=np.full((24, 6), 0.71))
+        run_coarse(model, aba, 2, 0.05, velocity="mh")
+        assert len(calls) == 3
 
     def test_mh_gravity_quiescent_keeps_concentration(self):
         # globally uniform concentration: hydrostatic, nothing moves

@@ -62,6 +62,8 @@ class TestIniAndOverrides:
             apply_overrides(get_preset("smoke"), ["viscosity=2"])
         with pytest.raises(ConfigError):
             apply_overrides(get_preset("smoke"), ["steps"])
+        with pytest.raises(ConfigError, match="stride"):
+            from_ini("[time]\nstride = 1\n", base=get_preset("smoke"))
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import rng
 from dynmc.exceptions import ConfigError, InvariantError
 from dynmc.fine import (ParticleCloud, advance_particles, advance_upwind,
-                        deposit, run_fine, seed_particles, solve_flow)
+                        cfl, deposit, run_fine, seed_particles, solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -211,7 +211,7 @@ class TestRunFine:
         def lam_of(c):
             return np.where(c > 0.5, 10.0, 1.0)
 
-        run = run_fine(grid, lam_of, c0, 0.005, 7, stride=3)
+        run = run_fine(grid, lam_of, c0, 0.005, 7, keep=range(0, 8, 3))
         assert [s.step for s in run.snapshots] == [0, 3, 6, 7]
         c, states = c0.copy(), {}
         for n in range(8):
@@ -222,6 +222,23 @@ class TestRunFine:
             p, vx, vy, c = states[s.step]
             assert (s.p == p).all() and (s.vx == vx).all()
             assert (s.vy == vy).all() and (s.c == c).all()
+
+    def test_keep_nothing_still_records_initial_field_and_max_cfl(self):
+        grid = FineGrid(8, 4, 2.0, 1.0)
+        c0 = rng(4).random((8, 4))
+
+        def lam_of(c):
+            return np.where(c > 0.5, 10.0, 1.0)
+
+        run = run_fine(grid, lam_of, c0, 0.005, 7, keep=())
+        assert [s.step for s in run.snapshots] == [7]
+        assert (run.c0 == c0).all()
+        c, worst = c0.copy(), 0.0
+        for n in range(8):
+            p, vx, vy = solve_flow(grid, lam_of(c), c)
+            worst = max(worst, cfl(grid, vx, vy, 0.005))
+            c = advance_upwind(grid, c, vx, vy, 0.005)
+        assert worst > 0.0 and run.max_cfl == worst
 
     def test_unknown_scheme_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
