@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -39,10 +40,6 @@ class FlowBC:
 
     def side(self, name: str) -> tuple:
         return getattr(self, name)
-
-    @property
-    def has_dirichlet(self) -> bool:
-        return any(self.side(s)[0] == "pressure" for s in SIDES)
 
 
 def _side_values(spec, n) -> np.ndarray:
@@ -110,30 +107,41 @@ def gravity_volume_source(grid: FineGrid, lam: np.ndarray,
     return b
 
 
-def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray,
-               bc: FlowBC | None = None, gravity_on: bool = True,
-               f: np.ndarray | None = None):
-    """Solve -div(lam (grad p - c e1)) = f; return (p, vx, vy).
+class FlowLoad(NamedTuple):
+    """One right-hand side of :func:`solve_flow`: gravity concentration,
+    boundary data, gravity switch and volume source."""
 
-    Face flux density is -lam_face (dp/dn - c_face [x-face]) with harmonic
-    lam_face and arithmetic c_face.  Pure-Neumann problems are gauged by
-    pinning cell (0,0) after a compatibility check.
-    """
-    bc = bc or FlowBC()
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    if lam.shape != (nx, ny):
-        raise ConfigError(f"lam shape {lam.shape} != grid {(nx, ny)}")
-    A = assemble_stiffness(grid, lam)
-    rhs = np.zeros((nx, ny)) if f is None else f * grid.cell_area
+    c: np.ndarray | None  # read only with gravity on
+    bc: FlowBC = FlowBC()
+    gravity_on: bool = True
+    f: np.ndarray | None = None
+
+
+def check_residual(what: str, gap: float, norm: float, x: np.ndarray,
+                   rhs: np.ndarray) -> None:
+    """Reject a solve whose residual ``gap`` exceeds roundoff of the system:
+    1e-10 (||K||_inf ||x||_inf + ||rhs||_inf) with ``norm`` = ||K||_inf."""
+    bound = 1e-10 * (norm * np.abs(x).max() + np.abs(rhs).max())
+    if not gap <= bound:
+        raise SolverError(f"{what} residual {gap:.3e} above {bound:.3e}")
+
+
+def _boundary_sides(grid: FineGrid) -> dict:
+    """side -> (boundary cells, normal spacing, face length, x-normal sign)."""
+    hx, hy = grid.hx, grid.hy
+    return {"left": (np.s_[0, :], hx, hy, -1.0),
+            "right": (np.s_[-1, :], hx, hy, +1.0),
+            "bottom": (np.s_[:, 0], hy, hx, 0.0),
+            "top": (np.s_[:, -1], hy, hx, 0.0)}
+
+
+def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
+    """Flattened right-hand side of one load (before the gauge)."""
+    c, bc, gravity_on, f = load
+    rhs = grid.zeros() if f is None else f * grid.cell_area
     if gravity_on:
         rhs += gravity_volume_source(grid, lam, c)
-
-    # side -> (boundary cells, normal spacing, face length, x-normal sign)
-    sides = {"left": (np.s_[0, :], hx, hy, -1.0),
-             "right": (np.s_[-1, :], hx, hy, +1.0),
-             "bottom": (np.s_[:, 0], hy, hx, 0.0),
-             "top": (np.s_[:, -1], hy, hx, 0.0)}
-    diag_extra = np.zeros((nx, ny))
+    sides = _boundary_sides(grid)
     for side in SIDES:
         kind = bc.side(side)[0]
         if kind == "noflow":
@@ -143,40 +151,81 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray,
             rhs[sl] -= _side_values(bc.side(side)[1], rhs[sl].size) * ln
         elif kind == "pressure":
             pb = _side_values(bc.side(side)[1], rhs[sl].size)
-            tb = 2.0 * lam[sl] * ln / h
-            diag_extra[sl] += tb
-            rhs[sl] += tb * pb
+            rhs[sl] += 2.0 * lam[sl] * ln / h * pb  # Dirichlet face term
             if gravity_on and gsgn != 0.0:
                 # outgoing gravity flux lam*c*(n.e1) at the boundary face
                 rhs[sl] -= gsgn * lam[sl] * c[sl] * ln
         else:
             raise ConfigError(f"unknown BC kind {kind!r} on {side}")
-    if np.any(diag_extra):
-        A = A + sparse.diags(diag_extra.ravel())
+    return rhs.ravel()
 
-    rhs = rhs.ravel()
-    if not bc.has_dirichlet:
-        scale = max(np.abs(rhs).max(), 1.0)
-        if abs(rhs.sum()) > 1e-9 * scale * nx * ny:
-            raise SolverError(
-                f"pure-Neumann flow problem is incompatible: net source "
-                f"{rhs.sum():.3e}")
+
+def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
+               bc: FlowBC | None = None, gravity_on: bool = True,
+               f: np.ndarray | None = None, *,
+               loads: list[FlowLoad] | None = None):
+    """Solve -div(lam (grad p - c e1)) = f; return (p, vx, vy).
+
+    Face flux density is -lam_face (dp/dn - c_face [x-face]) with harmonic
+    lam_face and arithmetic c_face.  Pure-Neumann problems are gauged by
+    pinning cell (0,0) after a compatibility check.
+
+    With ``loads`` the operator is assembled and factorized once and every
+    load is solved against it; the loads must share their pressure sides
+    (the only part of the boundary data in the matrix), and the result is
+    the list of their (p, vx, vy).
+    """
+    single = loads is None
+    if single:
+        loads = [FlowLoad(c, bc or FlowBC(), gravity_on, f)]
+    nx, ny = grid.nx, grid.ny
+    if lam.shape != (nx, ny):
+        raise ConfigError(f"lam shape {lam.shape} != grid {(nx, ny)}")
+    pressure = {tuple(s for s in SIDES if bc.side(s)[0] == "pressure")
+                for _c, bc, _g, _f in loads}
+    if len(pressure) != 1:
+        raise ConfigError(
+            "loads solved against one factorization must share their "
+            f"pressure sides, got {sorted(pressure)}")
+    pressure = pressure.pop()
+    A = assemble_stiffness(grid, lam)
+    rhss = [_load_rhs(grid, lam, load) for load in loads]
+
+    if pressure:
+        sides = _boundary_sides(grid)
+        diag_extra = np.zeros((nx, ny))
+        for side in pressure:
+            sl, h, ln, _gsgn = sides[side]
+            diag_extra[sl] += 2.0 * lam[sl] * ln / h
+        A = A + sparse.diags(diag_extra.ravel())
+    else:
+        for rhs in rhss:
+            scale = max(np.abs(rhs).max(), 1.0)
+            if abs(rhs.sum()) > 1e-9 * scale * nx * ny:
+                raise SolverError(
+                    f"pure-Neumann flow problem is incompatible: net source "
+                    f"{rhs.sum():.3e}")
+            rhs[0] = 0.0
         # gauge: row 0 becomes the identity row, in place in the CSR arrays
         if A.nnz == 0:  # a one-cell grid has no face entries to overwrite
             A = sparse.identity(1, format="csr")
         row0 = slice(A.indptr[0], A.indptr[1])
         A.data[row0] = np.where(A.indices[row0] == 0, 1.0, 0.0)
         A.eliminate_zeros()
-        rhs[0] = 0.0
 
     lu = splu(A.tocsc())
-    p_vec = lu.solve(rhs)
-    # one step of iterative refinement: high-contrast lam amplifies the
-    # factorization roundoff into spurious face fluxes otherwise
-    p_vec += lu.solve(rhs - A @ p_vec)
-    p = p_vec.reshape(nx, ny)
-    vx, vy = flux_from_pressure(grid, p, lam, c, bc, gravity_on)
-    return p, vx, vy
+    norm = float(abs(A).sum(axis=1).max())  # ||A||_inf
+    out = []
+    for (c, bc, gravity_on, _f), rhs in zip(loads, rhss):
+        p_vec = lu.solve(rhs)
+        # one step of iterative refinement: high-contrast lam amplifies the
+        # factorization roundoff into spurious face fluxes otherwise
+        p_vec += lu.solve(rhs - A @ p_vec)
+        check_residual("flow", np.abs(A @ p_vec - rhs).max(), norm, p_vec,
+                       rhs)
+        p = p_vec.reshape(nx, ny)
+        out.append((p, *flux_from_pressure(grid, p, lam, c, bc, gravity_on)))
+    return out[0] if single else out
 
 
 def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
@@ -325,10 +374,13 @@ def interp_velocity(grid: FineGrid, vx: np.ndarray, vy: np.ndarray,
         j0 = np.minimum(gy.astype(int), ny_nodes - 2)
         fx = gx - i0
         fy = gy - j0
-        return ((1 - fx) * (1 - fy) * arr[i0, j0]
-                + fx * (1 - fy) * arr[i0 + 1, j0]
-                + (1 - fx) * fy * arr[i0, j0 + 1]
-                + fx * fy * arr[i0 + 1, j0 + 1])
+        # one flat gather per corner: arr[i, j] is flat[i * ny_nodes + j]
+        flat = arr.ravel()
+        k = i0 * ny_nodes + j0
+        return ((1 - fx) * (1 - fy) * flat.take(k)
+                + fx * (1 - fy) * flat.take(k + ny_nodes)
+                + (1 - fx) * fy * flat.take(k + 1)
+                + fx * fy * flat.take(k + ny_nodes + 1))
 
     # vx nodes at (i*hx, (j+1/2)*hy); vy nodes at ((i+1/2)*hx, j*hy)
     ux = bilin(vx, (px - grid.x0) / grid.hx, (py - grid.y0) / grid.hy - 0.5,

@@ -21,7 +21,8 @@ from . import cells
 from .continua import (ContinuumSpec, averages, classify, continuum_masses,
                        indicator)
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import Snapshot, harmonic_face_mobility, transmissibilities
+from .fine import (Snapshot, check_residual, harmonic_face_mobility,
+                   transmissibilities)
 from .grids import CoarseEdge, CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
@@ -155,6 +156,82 @@ def _split_edge_support(coarse: CoarseGrid, bset: cells.CellBasisSet):
     return support
 
 
+def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
+    """LU solve of a small dense system with its residual checked; returns
+    the solution and ||K||_inf."""
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what} system singular: {exc}") from exc
+    norm = float(np.abs(K).sum(axis=1).max())
+    check_residual(what, float(np.abs(K @ sol - rhs).max()), norm, sol, rhs)
+    return sol, norm
+
+
+def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
+                n: int, edge_labels: dict, gravity: bool,
+                inflow_labels: np.ndarray | None):
+    """Every cell problem of one mixed solve, one factorization per block.
+
+    Returns (bases, gravity supports, inflow supports).  Bases come edge by
+    edge, continua inner, then the interface bases block by block; the Gram
+    matrix and its roundoff depend on this order.
+    """
+    # no-flow outer boundary in gravity mode; the inflow edge is data
+    edges = [e for e in coarse.edges() if e.orientation == "x"
+             and (coarse.is_interior(e) or not gravity and e.index != 0)]
+    variant = "uniform" if gravity else "psi"
+    families = [cells.edge_flux_family(coarse, e, labels, i,
+                                       edge_labels[e.key()], variant)
+                for e in edges for i in range(n)]
+    blocks = list(coarse.blocks())
+    if gravity:
+        families += [cells.gravity_family(coarse, blk, labels, i)
+                     for blk in blocks for i in range(n)]
+    else:
+        # the lift carries the prescribed inflow; its energy projects onto
+        # the unknown bases so the system stays consistent near the inlet
+        e0 = CoarseEdge("x", 0, 0)
+        families += [cells.interface_family(coarse, blk, labels)
+                     for blk in blocks]
+        families += [cells.edge_flux_family(coarse, e0, labels, i,
+                                            inflow_labels, "psi")
+                     for i in range(n)]
+    sets = iter(cells.solve_block_families(coarse, lam, families))
+
+    bases: list[MixedBasis] = []
+    for e in edges:
+        for i in range(n):
+            bset = next(sets)
+            b0 = bset.bases[0]
+            if b0.flag != "absent":
+                bases.append(MixedBasis(
+                    kind="edge", key=e.key(), continuum=i,
+                    S=b0.extras["edge_flux"],
+                    support=_split_edge_support(coarse, bset)))
+    gravity_support = {}
+    inflow_supports = []
+    if gravity:
+        for blk in blocks:
+            for i in range(n):
+                g = next(sets).bases[0]
+                if g.flag != "absent":
+                    gravity_support[(blk, i)] = (g.fx, g.fy)
+    else:
+        area = coarse.fine.cell_area
+        for blk in blocks:
+            w = next(sets).bases[0]
+            if w.flag != "absent":
+                m1 = float(w.extras["div"].clip(min=0.0).sum()) * area
+                bases.append(MixedBasis(kind="interface", key=blk,
+                                        continuum=None, S=m1,
+                                        support={blk: (w.fx, w.fy)}))
+        for iset in sets:  # a continuum absent from the inlet has no lift
+            if iset.bases[0].flag != "absent":
+                inflow_supports.append(_split_edge_support(coarse, iset))
+    return bases, gravity_support, inflow_supports
+
+
 @dataclass
 class MixedSolution:
     V: dict  # edge key -> (n,) fluxes (positive along +x/+y)
@@ -185,60 +262,8 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     fine = coarse.fine
     gravity = variant == "gravity"
 
-    bases: list[MixedBasis] = []
-    for e in coarse.edges():
-        if e.orientation != "x":
-            continue
-        boundary = not coarse.is_interior(e)
-        if boundary:
-            if gravity:
-                continue  # no-flow outer boundary: velocity is zero
-            if e.index == 0:
-                continue  # prescribed inflow handled as data
-        elab = edge_labels[e.key()]
-        for i in range(n):
-            bset = cells.solve_edge_flux_basis(
-                coarse, e, lam, labels, i, elab,
-                variant="uniform" if gravity else "psi")
-            b0 = bset.bases[0]
-            if b0.flag == "absent":
-                continue
-            bases.append(MixedBasis(
-                kind="edge", key=e.key(), continuum=i,
-                S=b0.extras["edge_flux"],
-                support=_split_edge_support(coarse, bset)))
-    if not gravity:
-        area = fine.cell_area
-        for blk in coarse.blocks():
-            w = cells.solve_interface_basis(coarse, blk, lam, labels).bases[0]
-            if w.flag == "absent":
-                continue
-            m1 = float(w.extras["div"].clip(min=0.0).sum()) * area
-            bases.append(MixedBasis(kind="interface", key=blk, continuum=None,
-                                    S=m1, support={blk: (w.fx, w.fy)}))
-
-    gravity_support = {}
-    if gravity:
-        for blk in coarse.blocks():
-            for i in range(n):
-                gset = cells.solve_gravity_basis(coarse, blk, lam, labels, i)
-                if gset.bases[0].flag != "absent":
-                    gravity_support[(blk, i)] = (gset.bases[0].fx,
-                                                 gset.bases[0].fy)
-
-    # lift field carrying the prescribed inflow; its energy projects onto
-    # the unknown bases so the system stays consistent near the inlet
-    inflow_supports = []
-    if not gravity:
-        e0 = CoarseEdge("x", 0, 0)
-        for i in range(n):
-            if not (inflow_labels == i).any():
-                continue
-            iset = cells.solve_edge_flux_basis(
-                coarse, e0, lam, labels, i, inflow_labels, variant="psi")
-            if iset.bases[0].flag == "absent":
-                continue
-            inflow_supports.append(_split_edge_support(coarse, iset))
+    bases, gravity_support, inflow_supports = mixed_bases(
+        coarse, lam, labels, n, edge_labels, gravity, inflow_labels)
 
     nb = len(bases)
     if nb == 0:
@@ -349,13 +374,11 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     K[:nb, nb:] = D.T
     K[nb:, :nb] = D
     rhs = np.concatenate([b, f])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"coarse mixed system singular: {exc}") from exc
+    sol, norm = _dense_solve(K, rhs, "coarse mixed")
     u = sol[:nb]
     P = {r: -mu for r, mu in zip(rows, sol[nb:])}
     resid = float(np.abs(D @ u - f).max()) if m else 0.0
+    check_residual("coarse mixed balance", resid, norm, sol, rhs)
 
     V = {}
     for e in coarse.edges():
@@ -428,10 +451,7 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
             if ops[K].present[j]:
                 A[r, dof[(K, j)]] += vol * ops[K].beta[i, j]
 
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"coarse Galerkin system singular: {exc}") from exc
+    sol, _norm = _dense_solve(A, rhs, "coarse Galerkin")
     P = np.full((NX, n), np.nan)
     for (K, i), r in dof.items():
         P[K, i] = sol[r]

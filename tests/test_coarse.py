@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import rng
-from dynmc import macro
+from dynmc import cells, macro
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, classify,
                             continuum_masses, single_continuum)
-from dynmc.exceptions import ConfigError, InvariantError
-from dynmc.fine import Snapshot
+from dynmc.exceptions import ConfigError, InvariantError, SolverError
+from dynmc.fine import Snapshot, solve_flow
 from dynmc.grids import CoarseEdge, CoarseGrid, FineGrid
 from dynmc.macro import (CoarseModel, EffectiveOperators, coarse_cfl,
                          run_coarse, solve_coarse_flow_galerkin,
@@ -120,6 +120,125 @@ class TestMixedViscous:
         assert ms.balance_residual <= 1e-9
 
 
+def shift_first_unknown(monkeypatch):
+    """Make np.linalg.solve return a solution off in its first entry."""
+    solve = np.linalg.solve
+
+    def shifted(K, rhs):
+        sol = solve(K, rhs).copy()
+        sol[0] += 1.0
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", shifted)
+
+
+def test_large_mixed_kkt_residual_rejected(monkeypatch):
+    fine, coarse, c, labels, lam = striped_setup(nblocks=3)
+    Chat = np.zeros((3, 1, 2))
+    Chat[:, :, 0] = [[1.0], [0.6], [0.2]]
+    args = (coarse, lam, labels, 2, Chat, edge_labels_still(coarse, labels))
+    solve_coarse_flow_mixed(*args, variant="gravity")
+    shift_first_unknown(monkeypatch)
+    with pytest.raises(SolverError, match="coarse mixed residual"):
+        solve_coarse_flow_mixed(*args, variant="gravity")
+
+
+def random_mixed_setup(seed, nblocks=3, mx=8, my=6):
+    """Random two-continuum labels (contrast 1000); the inlet column and
+    the last block hold continuum 0 only, so some bases are absent."""
+    nx = nblocks * mx
+    fine = FineGrid(nx, my, float(nx), float(my))
+    coarse = CoarseGrid(fine, nblocks, 1)
+    labels = classify(rng(seed).random((nx, my)),
+                      ContinuumSpec(DUAL_THRESHOLDS))
+    labels[-mx:, :] = 0
+    labels[0, :] = 0
+    lam = np.where(labels == 0, 1000.0, 1.0)
+    return coarse, labels, lam, edge_labels_still(coarse, labels)
+
+
+class TestMixedBases:
+    """All of a block's cell problems share one factorization."""
+
+    @pytest.mark.parametrize("variant", ["gravity", "viscous"])
+    def test_one_block_flow_per_block(self, monkeypatch, variant):
+        coarse, labels, lam, elab = random_mixed_setup(40)
+        blocks = []
+
+        def counted(grid, *args, **kwargs):
+            blocks.append((grid.x0, grid.y0))
+            return solve_flow(grid, *args, **kwargs)
+
+        monkeypatch.setattr(cells, "solve_flow", counted)
+        solve_coarse_flow_mixed(coarse, lam, labels, 2,
+                                rng(41).random((coarse.Nx, 1, 2)), elab,
+                                variant=variant, g_in=-1.0, p_out=0.0,
+                                inflow_labels=labels[0, :])
+        assert len(blocks) == len(set(blocks)) == coarse.Nx
+
+    @pytest.mark.parametrize("gravity", [True, False])
+    def test_bases_equal_one_solve_per_basis(self, gravity):
+        coarse, labels, lam, elab = random_mixed_setup(42)
+        inflow = None if gravity else labels[0, :]
+        bases, gsup, isup = macro.mixed_bases(coarse, lam, labels, 2, elab,
+                                              gravity, inflow)
+        # one public family call per basis, in the order the Gram matrix
+        # is assembled
+        variant = "uniform" if gravity else "psi"
+        want = []
+        for e in coarse.edges():
+            if e.orientation != "x" or (not coarse.is_interior(e) and (
+                    gravity or e.index == 0)):
+                continue
+            for i in range(2):
+                bset = cells.solve_edge_flux_basis(coarse, e, lam, labels, i,
+                                                   elab[e.key()], variant)
+                if bset.bases[0].flag != "absent":
+                    want.append((e.key(), i, bset.bases[0].extras[
+                        "edge_flux"], macro._split_edge_support(coarse, bset)))
+        want_g, want_i = {}, []
+        for blk in coarse.blocks():
+            if gravity:
+                for i in range(2):
+                    g = cells.solve_gravity_basis(coarse, blk, lam, labels,
+                                                  i).bases[0]
+                    if g.flag != "absent":
+                        want_g[(blk, i)] = (g.fx, g.fy)
+            else:
+                w = cells.solve_interface_basis(coarse, blk, lam,
+                                                labels).bases[0]
+                if w.flag != "absent":
+                    want.append((blk, None, None, {blk: (w.fx, w.fy)}))
+        if not gravity:
+            for i in range(2):
+                iset = cells.solve_edge_flux_basis(
+                    coarse, CoarseEdge("x", 0, 0), lam, labels, i, inflow,
+                    "psi")
+                if iset.bases[0].flag != "absent":
+                    want_i.append(macro._split_edge_support(coarse, iset))
+
+        def same(a, b):
+            assert a.keys() == b.keys()
+            for k in a:
+                assert all(np.array_equal(x, y) for x, y in zip(a[k], b[k]))
+
+        # the last block lacks continuum 1: its gravity or interface basis
+        # is absent
+        if gravity:
+            assert len(want_g) == 2 * coarse.Nx - 1
+        else:
+            assert sum(w[1] is None for w in want) == coarse.Nx - 1
+        assert [(b.key, b.continuum) for b in bases] == [w[:2] for w in want]
+        for b, (_key, _i, S, support) in zip(bases, want):
+            if S is not None:
+                assert b.S == S
+            same(b.support, support)
+        same(gsup, want_g)
+        assert len(isup) == len(want_i) == (0 if gravity else 1)
+        for got, ref in zip(isup, want_i):
+            same(got, ref)
+
+
 class TestGalerkinFlow:
     def unit_ops(self, NX, alpha=1.0):
         a = np.array([[alpha]])
@@ -176,6 +295,15 @@ class TestGalerkinFlow:
         e_out = CoarseEdge("x", 4, 0).key()
         total_in = V[CoarseEdge("x", 0, 0).key()].sum()
         assert V[e_out].sum() == pytest.approx(total_in, rel=1e-9)
+
+    def test_large_residual_rejected(self, monkeypatch):
+        fine = FineGrid(20, 4, 5.0, 1.0)
+        coarse = CoarseGrid(fine, 5, 1)
+        args = (coarse, coarse, self.unit_ops(5), 1, 1.0, 0.0)
+        solve_coarse_flow_galerkin(*args)
+        shift_first_unknown(monkeypatch)
+        with pytest.raises(SolverError, match="coarse Galerkin residual"):
+            solve_coarse_flow_galerkin(*args)
 
     def test_mismatched_refinement_rejected(self):
         fine = FineGrid(12, 4, 3.0, 1.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_mobility, rng
+from dynmc import fine
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import FlowBC, cfl, divergence, solve_flow
+from dynmc.fine import FlowBC, FlowLoad, cfl, divergence, solve_flow
 from dynmc.grids import FineGrid
 
 
@@ -171,6 +172,77 @@ class TestErrors:
         with pytest.raises(ConfigError):
             solve_flow(grid, np.ones((4, 4)), np.zeros((4, 4)), bc,
                        gravity_on=False)
+
+
+class TestManyLoads:
+    """Several loads against one factorization equal one call per load."""
+
+    def block_loads(self, nx=24, ny=36):
+        """Edge-flux, gravity and interface loads of one cell block (the
+        block size of the gravity presets, where a 2-D triangular solve of
+        the stacked loads rounds differently from one solve per load)."""
+        grid = FineGrid(nx, ny, 2.0, 1.5)
+        lam = random_mobility(nx, ny, 20, 1000.0)
+        psi = (rng(21).random((nx, ny)) < 0.5).astype(float)
+        edge = (rng(22).random(ny) < 0.5).astype(float)
+        S = edge.sum() * grid.hy
+        uniform = np.full((nx, ny), S / (nx * ny * grid.cell_area))
+        theta = psi.sum() / (nx * ny - psi.sum())
+        loads = [
+            FlowLoad(None, FlowBC(right=("flux", edge)), False, uniform),
+            FlowLoad(None, FlowBC(left=("flux", -edge)), False, -uniform),
+            FlowLoad(psi, FlowBC(), True),
+            FlowLoad(None, FlowBC(), False, psi - theta * (1.0 - psi)),
+        ]
+        return grid, lam, loads
+
+    def test_matches_one_load_calls_bit_for_bit(self):
+        grid, lam, loads = self.block_loads()
+        many = solve_flow(grid, lam, loads=loads)
+        assert len(many) == len(loads)
+        for load, got in zip(loads, many):
+            one = solve_flow(grid, lam, *load)
+            for a, b in zip(got, one):
+                assert np.array_equal(a, b)
+
+    def test_shared_pressure_sides_with_their_own_values(self):
+        grid = FineGrid(8, 4, 2.0, 1.0)
+        lam = random_mobility(8, 4, 23, 1000.0)
+        c = rng(24).random((8, 4))
+        loads = [FlowLoad(c, FlowBC(left=("pressure", 1.0),
+                                    right=("pressure", 0.0))),
+                 FlowLoad(c, FlowBC(left=("pressure", 0.0),
+                                    right=("pressure", rng(25).random(4)),
+                                    top=("flux", 0.5)), False)]
+        for load, got in zip(loads, solve_flow(grid, lam, loads=loads)):
+            for a, b in zip(got, solve_flow(grid, lam, *load)):
+                assert np.array_equal(a, b)
+
+    def test_different_pressure_sides_rejected(self):
+        grid = FineGrid(4, 4, 1.0, 1.0)
+        loads = [FlowLoad(None, FlowBC(left=("pressure", 1.0)), False),
+                 FlowLoad(None, FlowBC(right=("pressure", 1.0)), False)]
+        with pytest.raises(ConfigError, match="pressure sides"):
+            solve_flow(grid, np.ones((4, 4)), loads=loads)
+
+    def test_one_incompatible_load_rejected(self):
+        grid, lam, loads = self.block_loads()
+        bad = FlowLoad(None, FlowBC(), False, np.ones((grid.nx, grid.ny)))
+        with pytest.raises(SolverError, match="incompatible"):
+            solve_flow(grid, lam, loads=loads + [bad])
+
+
+def test_large_flow_residual_rejected(monkeypatch):
+    """A factor of the wrong matrix leaves a residual the check must catch."""
+    grid = FineGrid(8, 6, 2.0, 1.5)
+    lam = random_mobility(8, 6, 26, 1000.0)
+    c = rng(27).random((8, 6))
+    bc = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
+    solve_flow(grid, lam, c, bc)
+    splu = fine.splu
+    monkeypatch.setattr(fine, "splu", lambda A: splu(2.0 * A))
+    with pytest.raises(SolverError, match="flow residual"):
+        solve_flow(grid, lam, c, bc)
 
 
 class TestCfl:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import rng
 from dynmc.exceptions import ConfigError, InvariantError
 from dynmc.fine import (ParticleCloud, advance_particles, advance_upwind,
-                        cfl, deposit, run_fine, seed_particles, solve_flow)
+                        cfl, deposit, interp_velocity, run_fine,
+                        seed_particles, solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -125,6 +126,49 @@ def test_upwind_conserves_and_stays_monotone(seed):
     assert abs(out.sum() - c.sum()) <= 1e-12 * max(abs(c.sum()), 1.0)
     assert out.min() >= c.min() - 1e-12
     assert out.max() <= c.max() + 1e-12
+
+
+def interp_reference(grid, vx, vy, px, py):
+    """Clamped bilinear interpolation with 2-D fancy-index corner gathers."""
+
+    def bilin(arr, gx, gy, nx_nodes, ny_nodes):
+        gx = np.clip(gx, 0.0, nx_nodes - 1.0)
+        gy = np.clip(gy, 0.0, ny_nodes - 1.0)
+        i0 = np.minimum(gx.astype(int), nx_nodes - 2)
+        j0 = np.minimum(gy.astype(int), ny_nodes - 2)
+        fx = gx - i0
+        fy = gy - j0
+        return ((1 - fx) * (1 - fy) * arr[i0, j0]
+                + fx * (1 - fy) * arr[i0 + 1, j0]
+                + (1 - fx) * fy * arr[i0, j0 + 1]
+                + fx * fy * arr[i0 + 1, j0 + 1])
+
+    return (bilin(vx, (px - grid.x0) / grid.hx,
+                  (py - grid.y0) / grid.hy - 0.5, grid.nx + 1, grid.ny),
+            bilin(vy, (px - grid.x0) / grid.hx - 0.5,
+                  (py - grid.y0) / grid.hy, grid.nx, grid.ny + 1))
+
+
+def test_interp_velocity_matches_fancy_index_gather():
+    grid = FineGrid(7, 5, 3.5, 2.0, x0=0.5, y0=-0.25)
+    vx = rng(30).standard_normal((8, 5))
+    vy = rng(31).standard_normal((7, 6))
+    x1, x2 = grid.x0, grid.x0 + grid.L1
+    y1, y2 = grid.y0, grid.y0 + grid.L2
+    u = rng(32).random((2, 200))
+    xs = x1 + u[0] * grid.L1
+    ys = y1 + u[1] * grid.L2
+    # interior points, every wall, the four corners and cell-edge nodes
+    px = np.concatenate([xs, np.full(50, x1), np.full(50, x2), xs[:50],
+                         xs[50:100], [x1, x1, x2, x2],
+                         x1 + grid.hx * np.arange(8)])
+    py = np.concatenate([ys, ys[:50], ys[50:100], np.full(50, y1),
+                         np.full(50, y2), [y1, y2, y1, y2],
+                         y1 + grid.hy * np.arange(8) % grid.L2])
+    got = interp_velocity(grid, vx, vy, px, py)
+    want = interp_reference(grid, vx, vy, px, py)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 class TestParticles:
