@@ -18,8 +18,8 @@ from scipy.sparse.linalg import splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (FlowBC, FlowLoad, assemble_stiffness, check_residual,
-                   gravity_volume_source, solve_flow)
+from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, assemble_stiffness,
+                   check_residual, gravity_volume_source, solve_flow)
 from .grids import CoarseEdge, CoarseGrid, FineGrid, Oversample
 
 DENSE_LIMIT = 3000
@@ -72,7 +72,7 @@ class SaddleSolver:
         else:
             self._K = K
             try:
-                self._lu = splu(K)
+                self._lu = splu(K, **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise SolverError(f"saddle factorization failed: {exc}") from exc
 

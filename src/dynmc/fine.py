@@ -24,6 +24,14 @@ from .grids import FineGrid
 
 SIDES = ("left", "right", "bottom", "top")
 
+# The one SuperLU recipe for every TPFA and KKT factorization: minimum degree
+# on A^T + A with unrelaxed supernodes, which leaves 0.3-0.65 times the fill of
+# SuperLU's default COLAMD ordering on these 2-D stencils.  Partial pivoting
+# stays at SuperLU's default: the KKT matrices have a zero (2,2) block, and
+# with diagonal pivots (diag_pivot_thresh=0) the hydrostatic velocity of a
+# contrast-1000 closed box rises above 1e-10.
+SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
+
 
 @dataclass(frozen=True)
 class FlowBC:
@@ -213,7 +221,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         A.data[row0] = np.where(A.indices[row0] == 0, 1.0, 0.0)
         A.eliminate_zeros()
 
-    lu = splu(A.tocsc())
+    lu = splu(A.tocsc(), **SPLU_OPTIONS)
     norm = float(abs(A).sum(axis=1).max())  # ||A||_inf
     out = []
     for (c, bc, gravity_on, _f), rhs in zip(loads, rhss):
