@@ -20,7 +20,7 @@ from .continua import indicator
 from .exceptions import ConfigError, SolverError
 from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, assemble_stiffness,
                    check_residual, gravity_volume_source, solve_flow)
-from .grids import CoarseEdge, CoarseGrid, FineGrid, Oversample
+from .grids import CoarseGrid, FineGrid, Oversample
 
 DENSE_LIMIT = 3000
 
@@ -336,45 +336,40 @@ def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
     return out
 
 
-def solve_edge_flux_basis(coarse: CoarseGrid, edge: CoarseEdge,
+def solve_edge_flux_basis(coarse: CoarseGrid, edge: int,
                           lam: np.ndarray, labels: np.ndarray,
                           continuum: int, edge_labels: np.ndarray,
                           variant: str = "uniform") -> CellBasisSet:
-    """Unit continuum flux through a coarse edge, balanced inside its
+    """Unit continuum flux through coarse edge ``edge``, balanced inside its
     neighborhood.
 
     ``edge_labels`` assigns each edge face a continuum (caller picks the
     convention, typically the donor cell of the current fine velocity).
     variant 'uniform' spreads the balancing divergence evenly over each
     block; 'psi' concentrates it on the continuum (theta psi form).
-    Only x-oriented edges are supported (all target geometries are
-    one-block-tall chains with no-flow top/bottom).
     """
     return solve_block_families(coarse, lam, [edge_flux_family(
         coarse, edge, labels, continuum, edge_labels, variant)])[0]
 
 
-def edge_flux_family(coarse: CoarseGrid, edge: CoarseEdge,
+def edge_flux_family(coarse: CoarseGrid, edge: int,
                      labels: np.ndarray, continuum: int,
                      edge_labels: np.ndarray, variant: str = "uniform"):
     """Block family of :func:`solve_edge_flux_basis`."""
-    if edge.orientation != "x":
-        raise ConfigError("edge-flux bases are built for x-oriented edges")
     fine = coarse.fine
     mx, my = coarse.mx, coarse.my
-    ln = coarse.edge_length_per_face(edge)
     psi_edge = (edge_labels == continuum).astype(float)
-    S = psi_edge.sum() * ln  # edge flux carried by this continuum
+    S = psi_edge.sum() * fine.hy  # edge flux carried by this continuum
     lo, hi = coarse.edge_neighbors(edge)
-    grid = _omega_grid(coarse, edge)
+    blocks = [b for b in (lo, hi) if b is not None]
+    grid = _omega_grid(coarse, blocks)
     if S == 0.0:
         fx, fy = grid.zero_faces()
         return CellBasisSet(family=f"edge-{variant}", grid=grid,
                             bases=[CellBasis(continuum=continuum, fx=fx,
                                              fy=fy, flag="absent")],
-                            meta={"edge": edge.key()})
+                            meta={"edge": edge})
 
-    blocks = [b for b in (lo, hi) if b is not None]
     sources = {}
     loads = []
     for pos, blk in zip(("lo", "hi"), (lo, hi)):
@@ -411,14 +406,12 @@ def edge_flux_family(coarse: CoarseGrid, edge: CoarseEdge,
                       extras={"sources": sources, "edge_flux": S,
                               "psi_edge": psi_edge})
     return CellBasisSet(family=f"edge-{variant}", grid=grid, bases=[basis],
-                        meta={"edge": edge.key(), "blocks": blocks})
+                        meta={"edge": edge, "blocks": blocks})
 
 
-def _omega_grid(coarse: CoarseGrid, edge: CoarseEdge) -> FineGrid:
-    lo, hi = coarse.edge_neighbors(edge)
-    blocks = [b for b in (lo, hi) if b is not None]
-    I0 = min(b[0] for b in blocks)
-    J0 = blocks[0][1]
+def _omega_grid(coarse: CoarseGrid, blocks: list) -> FineGrid:
+    """Local grid over the blocks next to an edge, minus side first."""
+    I0, J0 = blocks[0]
     fine = coarse.fine
     mx, my = coarse.mx, coarse.my
     return FineGrid(len(blocks) * mx, my, len(blocks) * mx * fine.hx,

@@ -51,7 +51,7 @@ def _cmd_list_presets(_args) -> int:
     for name in sorted(table):
         c = table[name]
         print(f"{name:<{width}}  {c.approach:<13} fine {c.nx}x{c.ny}  "
-              f"coarse {c.Nx}x{c.Ny}  steps {c.steps}  tau {c.tau:g}")
+              f"blocks {c.Nx}  steps {c.steps}  tau {c.tau:g}")
     return 0
 
 
@@ -150,8 +150,7 @@ def _cmd_compare(args) -> int:
             print(f"{name}[{k}]: {v:.6g}" if k >= 0 else f"{name}: {v:.6g}")
         return 0
     other = series[1]
-    keys = sorted(ref[-1].V.keys())
-    ev = velocity_errors(ref[-1].V, other[-1].V, keys, n)
+    ev = velocity_errors(ref[-1].V, other[-1].V, n)
     ec = concentration_errors(other[-1].C, ref[-1].C, np.s_[:, :])
     for k in range(n):
         rel = ev.relative[k]

@@ -29,8 +29,7 @@ class ExperimentConfig:
     L2: float = 3.0
     nx: int = 120
     ny: int = 36
-    Nx: int = 5
-    Ny: int = 1
+    Nx: int = 5  # coarse blocks along x; every coarse model is one block tall
     extension: str = "none"  # none | two-sided | right
     ext_margin: float = 0.0
     flow_refine: int = 2
@@ -94,9 +93,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tau_coarse={self.tau_coarse} != substeps x tau "
                 f"= {self.substeps * self.tau}")
-        # the coarse models are one-block-tall chains, each with one BC kind
-        if self.Ny != 1:
-            raise ConfigError(f"coarse models need Ny = 1, got {self.Ny}")
         if self.approach == "mixed-viscous" and len(self.thresholds) != 1:
             raise ConfigError("mixed-viscous interface bases need exactly 2 "
                               f"continua, got {len(self.thresholds) + 1}")
@@ -106,6 +102,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"approach {self.approach!r} needs bc_kind="
                 f"{_APPROACH_BC[self.approach]!r}, got {self.bc_kind!r}")
+        refined = self.Nx * self.flow_refine
+        if self.approach == "galerkin" and (refined < 1 or self.nx % refined):
+            raise ConfigError(
+                f"Galerkin flow grid of Nx x flow_refine = {refined} blocks "
+                f"does not divide fine nx={self.nx}")
 
     # --- derived objects ----------------------------------------------
 
@@ -114,10 +115,8 @@ class ExperimentConfig:
 
     def layout(self) -> DomainLayout:
         return build_layout(self.L1, self.L2, self.nx, self.ny, self.Nx,
-                            self.Ny, extension=self.extension,
-                            ext_margin=self.ext_margin,
-                            flow_refine_x=self.flow_refine
-                            if self.approach == "galerkin" else 1)
+                            extension=self.extension,
+                            ext_margin=self.ext_margin)
 
     def extended_coarse(self, layout: DomainLayout) -> CoarseGrid:
         """Coarse grid covering the full (possibly extended) fine domain."""
@@ -128,7 +127,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"extension margin {self.ext_margin} is not a whole number "
                 f"of coarse blocks (width {width})")
-        return CoarseGrid(ext, int(round(total)), self.Ny)
+        return CoarseGrid(ext, int(round(total)), 1)
 
     def target_block_offset(self, layout: DomainLayout) -> int:
         width = self.L1 / self.Nx
@@ -201,7 +200,7 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "experiment": ("name", "approach"),
-    "geometry": ("L1", "L2", "nx", "ny", "Nx", "Ny", "extension",
+    "geometry": ("L1", "L2", "nx", "ny", "Nx", "extension",
                  "ext_margin", "flow_refine", "layers", "extension_rule"),
     "continua": ("thresholds",),
     "mobility": ("lam_kind", "lam_value", "lam_hi", "lam_lo", "lam_seed",

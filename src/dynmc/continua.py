@@ -87,8 +87,8 @@ class MacroAverages:
 
     P is the per-continuum volume mean of pressure (NaN where the continuum
     is absent), C the unnormalized integral of c over the continuum, mass
-    the continuum area per block.  V maps edge keys to per-continuum
-    edge-integrated donor-side fluxes.
+    the continuum area per block.  V holds the per-continuum edge-integrated
+    donor-side fluxes, one row per coarse edge (see :class:`CoarseGrid`).
     """
 
     coarse: CoarseGrid
@@ -96,12 +96,11 @@ class MacroAverages:
     P: np.ndarray  # (Nx, Ny, n), NaN marks absent continua
     C: np.ndarray  # (Nx, Ny, n)
     mass: np.ndarray  # (Nx, Ny, n)
-    V: dict  # edge key -> (n,) array
+    V: np.ndarray  # (Nx + 1, n)
 
 
 def averages(coarse: CoarseGrid, p: np.ndarray, c: np.ndarray,
-             vx: np.ndarray, vy: np.ndarray, labels: np.ndarray,
-             n: int) -> MacroAverages:
+             vx: np.ndarray, labels: np.ndarray, n: int) -> MacroAverages:
     """Macroscopic averages of (p, c, v) under the given partition.
 
     Edge fluxes attribute each fine face to the continuum of its donor
@@ -125,17 +124,10 @@ def averages(coarse: CoarseGrid, p: np.ndarray, c: np.ndarray,
                 P[I, J, k] = blk_p[sel].sum() / cnt
                 C[I, J, k] = blk_c[sel].sum() * area
                 mass[I, J, k] = cnt * area
-    V = {}
-    for e in coarse.edges():
-        fi, sl = coarse.edge_faces(e)
-        flux = (vx if e.orientation == "x" else vy.T)[fi, sl]
-        ii, jj = coarse.edge_donor_cells(e, flux)
-        lab = labels[ii, jj]
-        ln = coarse.edge_length_per_face(e)
-        vk = np.zeros(n)
-        for k in range(n):
-            vk[k] = flux[lab == k].sum() * ln
-        V[e.key()] = vk
+    flux = coarse.edge_flux(vx)
+    lab = coarse.edge_donor_labels(labels, flux)
+    V = np.where(lab[..., None] == np.arange(n), flux[..., None],
+                 0.0).sum(axis=1) * fine.hy
     return MacroAverages(coarse=coarse, n=n, P=P, C=C, mass=mass, V=V)
 
 

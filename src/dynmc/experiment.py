@@ -28,7 +28,7 @@ def reference_states(coarse: CoarseGrid, snapshots: list[Snapshot],
     n = spec.count
     for k, snap in enumerate(snapshots):
         labels = classify(snap.c, spec)
-        av = averages(coarse, snap.p, snap.c, snap.vx, snap.vy, labels, n)
+        av = averages(coarse, snap.p, snap.c, snap.vx, labels, n)
         out.append(CoarseState(step=k, t=k * tau_coarse, C=av.C, V=av.V,
                                P=av.P, present=av.mass > 0))
     return out
@@ -130,11 +130,9 @@ def _run(cfg: ExperimentConfig, outdir: str | None,
     mh_mhvel = run_coarse(model, snaps, cfg.coarse_steps, cfg.tau_coarse,
                           velocity="mh")
 
-    block_sel = np.s_[off:off + cfg.Nx, :]
-    edge_keys = [("x", i, r) for r in range(cfg.Ny)
-                 for i in range(off, off + cfg.Nx + 1)]
     report = compute_errors(reference, mh_refvel, mh_mhvel, n,
-                            block_sel=block_sel, edge_keys=edge_keys)
+                            block_sel=np.s_[off:off + cfg.Nx, :],
+                            edge_sel=np.s_[off:off + cfg.Nx + 1])
 
     wall = time.monotonic() - t0
     result = ExperimentResult(cfg=cfg, layout=layout, coarse=coarse,

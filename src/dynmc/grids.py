@@ -66,23 +66,6 @@ class FineGrid:
 
 
 @dataclass(frozen=True)
-class CoarseEdge:
-    """One coarse edge: a line of fine faces between (or bounding) blocks.
-
-    ``orientation`` is the face-normal direction.  For an 'x' edge, ``pos``
-    is the fine x-face column index and ``row`` the block index along y; the
-    neighbor blocks are (pos//mx - 1, row) and (pos//mx, row) where present.
-    """
-
-    orientation: str  # 'x' or 'y'
-    index: int  # block-lattice position along the normal (0..N)
-    row: int  # block index along the other direction
-
-    def key(self) -> tuple:
-        return (self.orientation, self.index, self.row)
-
-
-@dataclass(frozen=True)
 class CoarseGrid:
     """Partition of a fine grid into Nx x Ny rectangular blocks."""
 
@@ -119,62 +102,36 @@ class CoarseGrid:
                 slice(J * self.my, (J + 1) * self.my))
 
     # --- edges ---------------------------------------------------------
+    # Every coarse model runs on a one-block-tall chain with no-flow top
+    # and bottom, so the edges that carry flux are the Nx + 1 x-face
+    # columns: edge I is fine face column I * mx, between blocks I-1 and I.
 
-    def edges(self, include_boundary: bool = True) -> list[CoarseEdge]:
-        out = []
-        lo = 0 if include_boundary else 1
-        for J in range(self.Ny):
-            for I in range(lo, self.Nx + 1 - lo):
-                out.append(CoarseEdge("x", I, J))
-        for I in range(self.Nx):
-            for J in range(lo, self.Ny + 1 - lo):
-                out.append(CoarseEdge("y", J, I))
-        return out
+    def edge_neighbors(self, I: int) -> tuple[tuple[int, int] | None,
+                                              tuple[int, int] | None]:
+        """Blocks on the minus and plus side of edge I (None outside)."""
+        if not 0 <= I <= self.Nx:
+            raise ConfigError(f"edge {I} outside 0..{self.Nx}")
+        return ((I - 1, 0) if I > 0 else None,
+                (I, 0) if I < self.Nx else None)
 
-    def interior_edges(self) -> list[CoarseEdge]:
-        return [e for e in self.edges() if self.is_interior(e)]
+    def edge_flux(self, vx: np.ndarray) -> np.ndarray:
+        """Fine x-face fluxes on the coarse edges, shape (Nx + 1, ny)."""
+        if self.Ny != 1:
+            raise ConfigError(
+                f"coarse edges need a one-block-tall grid, got Ny={self.Ny}")
+        return vx[::self.mx]
 
-    def is_interior(self, e: CoarseEdge) -> bool:
-        n = self.Nx if e.orientation == "x" else self.Ny
-        return 0 < e.index < n
+    def edge_donor_labels(self, labels: np.ndarray,
+                          flux: np.ndarray) -> np.ndarray:
+        """Label of the upwind fine cell of every edge face.
 
-    def edge_faces(self, e: CoarseEdge) -> tuple[int, slice]:
-        """(face line index, slice along the edge) into the face array."""
-        if e.orientation == "x":
-            return (e.index * self.mx, slice(e.row * self.my, (e.row + 1) * self.my))
-        return (e.index * self.my, slice(e.row * self.mx, (e.row + 1) * self.mx))
-
-    def edge_length_per_face(self, e: CoarseEdge) -> float:
-        return self.fine.hy if e.orientation == "x" else self.fine.hx
-
-    def edge_neighbors(self, e: CoarseEdge) -> tuple[tuple[int, int] | None,
-                                                     tuple[int, int] | None]:
-        """Blocks on the minus and plus side of the edge (None outside)."""
-        if e.orientation == "x":
-            lo = (e.index - 1, e.row) if e.index > 0 else None
-            hi = (e.index, e.row) if e.index < self.Nx else None
-        else:
-            lo = (e.row, e.index - 1) if e.index > 0 else None
-            hi = (e.row, e.index) if e.index < self.Ny else None
-        return lo, hi
-
-    def edge_donor_cells(self, e: CoarseEdge, sign: np.ndarray):
-        """Fine cell indices on the upwind side of each edge face.
-
-        ``sign`` holds the face-normal flux values; positive flux donates
-        from the minus side.
+        Positive flux donates from the minus side; boundary faces read the
+        cell inside the domain.
         """
-        fi, sl = self.edge_faces(e)
-        idx = np.arange(sl.start, sl.stop)
-        if e.orientation == "x":
-            i_lo = np.clip(fi - 1, 0, self.fine.nx - 1)
-            i_hi = np.clip(fi, 0, self.fine.nx - 1)
-            i_don = np.where(sign >= 0, i_lo, i_hi)
-            return i_don, idx
-        j_lo = np.clip(fi - 1, 0, self.fine.ny - 1)
-        j_hi = np.clip(fi, 0, self.fine.ny - 1)
-        j_don = np.where(sign >= 0, j_lo, j_hi)
-        return idx, j_don
+        cols = np.arange(self.Nx + 1) * self.mx
+        lo = labels[np.maximum(cols - 1, 0)]
+        hi = labels[np.minimum(cols, self.fine.nx - 1)]
+        return np.where(flux >= 0, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -312,25 +269,11 @@ class DomainLayout:
     extension: str  # 'none' | 'two-sided' | 'right'
     ext_margin: float
     offset_x: int
-    flow_coarse: CoarseGrid | None = None  # refined coarse grid for flow
-
-    @property
-    def ext_cells(self) -> int:
-        return self.extended_fine.nx - self.target_fine.nx
-
-    def restrict(self, ext_field: np.ndarray) -> np.ndarray:
-        """Extended cell field -> target cell field."""
-        return ext_field[self.offset_x:self.offset_x + self.target_fine.nx, :]
-
-    def embed(self, target_field: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        out = np.full((self.extended_fine.nx, self.extended_fine.ny), fill)
-        out[self.offset_x:self.offset_x + self.target_fine.nx, :] = target_field
-        return out
 
 
-def build_layout(L1: float, L2: float, nx: int, ny: int, Nx: int, Ny: int,
-                 extension: str = "none", ext_margin: float = 0.0,
-                 flow_refine_x: int = 1) -> DomainLayout:
+def build_layout(L1: float, L2: float, nx: int, ny: int, Nx: int,
+                 extension: str = "none",
+                 ext_margin: float = 0.0) -> DomainLayout:
     """Construct the target/extended grids and the coarse partition.
 
     ``nx, ny`` count fine cells of the *target* domain.  With extension
@@ -358,10 +301,7 @@ def build_layout(L1: float, L2: float, nx: int, ny: int, Nx: int, Ny: int,
         else:
             ext = FineGrid(nx + 2 * mc, ny, L1 + 2 * ext_margin, L2)
             off = 0
-    coarse = CoarseGrid(target, Nx, Ny)
-    flow_coarse = None
-    if flow_refine_x > 1:
-        flow_coarse = CoarseGrid(target, Nx * flow_refine_x, Ny)
+    coarse = CoarseGrid(target, Nx, 1)
     return DomainLayout(target_fine=target, extended_fine=ext, coarse=coarse,
                         extension=extension, ext_margin=ext_margin,
-                        offset_x=off, flow_coarse=flow_coarse)
+                        offset_x=off)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from .exceptions import ConfigError
 from .macro import CoarseState
 
 _F = "%.17g"
+_EDGE_LOCATION = re.compile(r"x:(\d+):0")
 
 
 def _fmt(v) -> str:
@@ -107,8 +109,8 @@ def read_face_csv(path: str):
 def write_averages_csv(path: str, states, n: int) -> None:
     """Coarse state series: ``time,kind,location,continuum,value`` rows.
 
-    kind is P, C, or V; location is ``I:J`` for blocks and the edge key
-    string ``orientation:index:row`` for edges.
+    kind is P, C, or V; location is ``I:J`` for blocks and ``x:I:0`` for
+    coarse edge I (row I of V, the x-face column between blocks I-1 and I).
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -130,13 +132,13 @@ def write_averages_csv(path: str, states, n: int) -> None:
                 for key in sorted(P):
                     (I, J), k = (key[0], -1) if len(key) == 1 else key
                     w.writerow([t, "P", f"{I}:{J}", k, _fmt(P[key])])
-            for key in sorted(s.V):
-                o, i, r = key
+            for I, v in enumerate(s.V):
                 for k in range(n):
-                    w.writerow([t, "V", f"{o}:{i}:{r}", k, _fmt(s.V[key][k])])
+                    w.writerow([t, "V", f"x:{I}:0", k, _fmt(v[k])])
 
 
 def read_averages_csv(path: str) -> list[CoarseState]:
+    """Coarse state series written by :func:`write_averages_csv`."""
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -146,9 +148,17 @@ def read_averages_csv(path: str) -> list[CoarseState]:
             raise ConfigError(
                 f"{path}: expected header time,kind,location,continuum,value")
         for line in r:
-            if line:
-                rows.append((float(line[0]), line[1], line[2],
-                             int(line[3]), float(line[4])))
+            if not line:
+                continue
+            loc = line[2]
+            if line[1] == "V":  # coarse edge I as its row index
+                hit = _EDGE_LOCATION.fullmatch(loc)
+                if hit is None:
+                    raise ConfigError(
+                        f"{path}: edge location {loc!r} is not x:I:0")
+                loc = int(hit[1])
+            rows.append((float(line[0]), line[1], loc, int(line[3]),
+                         float(line[4])))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     times = sorted({t for t, *_ in rows})
@@ -157,11 +167,13 @@ def read_averages_csv(path: str) -> list[CoarseState]:
                  if kind == "C")
     NJ = 1 + max(int(loc.split(":")[1]) for _t, kind, loc, _k, _v in rows
                  if kind == "C")
+    NE = 1 + max((loc for _t, kind, loc, _k, _v in rows if kind == "V"),
+                 default=-1)
     out = []
     for step, t in enumerate(times):
         C = np.zeros((NI, NJ, n))
         P = np.full((NI, NJ, n), np.nan)
-        V = {}
+        V = np.zeros((NE, n))
         for tt, kind, loc, k, v in rows:
             if tt != t:
                 continue
@@ -172,9 +184,7 @@ def read_averages_csv(path: str) -> list[CoarseState]:
                 elif 0 <= k < n:
                     P[I, J, k] = v
             elif kind == "V":
-                o, i, r_ = loc.split(":")
-                key = (o, int(i), int(r_))
-                V.setdefault(key, np.zeros(n))[k] = v
+                V[loc, k] = v
             else:
                 raise ConfigError(f"{path}: unknown kind {kind!r}")
         out.append(CoarseState(step=step, t=t, C=C, V=V, P=P))

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells
-from .continua import (ContinuumSpec, averages, classify, continuum_masses,
-                       indicator)
+from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
 from .fine import (Snapshot, check_residual, harmonic_face_mobility,
                    transmissibilities)
-from .grids import CoarseEdge, CoarseGrid, Oversample, oversample_block
+from .grids import CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
 
@@ -107,18 +106,24 @@ def assemble_effective(ov: Oversample, lam_local: np.ndarray,
 
 @dataclass
 class MixedBasis:
-    kind: str  # 'edge' | 'interface'
-    key: tuple  # edge key or block
+    edge: int | None  # coarse edge; None for the interface basis of a block
     continuum: int | None
-    S: float  # edge flux per unit coefficient (edge bases)
-    support: dict  # block -> (fx, fy) block-local face arrays
+    S: float  # edge flux per unit coefficient; masked psi1 mass (interface)
+    support: dict  # block -> block-local face fluxes, see _faces
+
+
+def _faces(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Block-local face field as one vector: x-faces, then y-faces."""
+    return np.concatenate([fx.ravel(), fy.ravel()])
 
 
 def _block_face_quadrature(coarse: CoarseGrid, lam_b: np.ndarray):
-    """Face mobilities and volumes for block-wise L2(lam^-1) products.
+    """Face weights for block-wise L2(lam^-1) products.
 
     Block-boundary faces take the one-sided cell mobility and half a cell
     volume, so summing over blocks reproduces a global face quadrature.
+    Returns the x-face volumes and the volume/mobility weight of every
+    face in :func:`_faces` order.
     """
     mx, my = coarse.mx, coarse.my
     area = coarse.fine.cell_area
@@ -131,11 +136,11 @@ def _block_face_quadrature(coarse: CoarseGrid, lam_b: np.ndarray):
     wx[0, :] = wx[-1, :] = 0.5 * area
     wy = np.full((mx, my + 1), area)
     wy[:, 0] = wy[:, -1] = 0.5 * area
-    return lamx, lamy, wx, wy
+    return wx, _faces(wx / lamx, wy / lamy)
 
 
 def _face_indicator_x(psi: np.ndarray):
-    """Continuum indicator on block-local x-faces (one-sided at the rim)."""
+    """Cell field averaged onto block-local x-faces (one-sided at the rim)."""
     mx, my = psi.shape
     out = np.empty((mx + 1, my))
     out[1:-1, :] = 0.5 * (psi[:-1, :] + psi[1:, :])
@@ -146,14 +151,10 @@ def _face_indicator_x(psi: np.ndarray):
 def _split_edge_support(coarse: CoarseGrid, bset: cells.CellBasisSet):
     """Per-block face fields of an edge basis built on its 2-block strip."""
     basis = bset.bases[0]
-    blocks = bset.meta["blocks"]
     mx = coarse.mx
-    support = {}
-    for k, blk in enumerate(blocks):
-        ox = k * mx
-        support[blk] = (basis.fx[ox:ox + mx + 1, :].copy(),
-                        basis.fy[ox:ox + mx, :].copy())
-    return support
+    return {blk: _faces(basis.fx[k * mx:(k + 1) * mx + 1, :],
+                        basis.fy[k * mx:(k + 1) * mx, :])
+            for k, blk in enumerate(bset.meta["blocks"])}
 
 
 def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
@@ -169,7 +170,7 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
 
 
 def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
-                n: int, edge_labels: dict, gravity: bool,
+                n: int, edge_labels: np.ndarray, gravity: bool,
                 inflow_labels: np.ndarray | None):
     """Every cell problem of one mixed solve, one factorization per block.
 
@@ -178,12 +179,11 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
     matrix and its roundoff depend on this order.
     """
     # no-flow outer boundary in gravity mode; the inflow edge is data
-    edges = [e for e in coarse.edges() if e.orientation == "x"
-             and (coarse.is_interior(e) or not gravity and e.index != 0)]
+    edges = range(1, coarse.Nx if gravity else coarse.Nx + 1)
     variant = "uniform" if gravity else "psi"
-    families = [cells.edge_flux_family(coarse, e, labels, i,
-                                       edge_labels[e.key()], variant)
-                for e in edges for i in range(n)]
+    families = [cells.edge_flux_family(coarse, I, labels, i, edge_labels[I],
+                                       variant)
+                for I in edges for i in range(n)]
     blocks = list(coarse.blocks())
     if gravity:
         families += [cells.gravity_family(coarse, blk, labels, i)
@@ -191,23 +191,21 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
     else:
         # the lift carries the prescribed inflow; its energy projects onto
         # the unknown bases so the system stays consistent near the inlet
-        e0 = CoarseEdge("x", 0, 0)
         families += [cells.interface_family(coarse, blk, labels)
                      for blk in blocks]
-        families += [cells.edge_flux_family(coarse, e0, labels, i,
+        families += [cells.edge_flux_family(coarse, 0, labels, i,
                                             inflow_labels, "psi")
                      for i in range(n)]
     sets = iter(cells.solve_block_families(coarse, lam, families))
 
     bases: list[MixedBasis] = []
-    for e in edges:
+    for I in edges:
         for i in range(n):
             bset = next(sets)
             b0 = bset.bases[0]
             if b0.flag != "absent":
                 bases.append(MixedBasis(
-                    kind="edge", key=e.key(), continuum=i,
-                    S=b0.extras["edge_flux"],
+                    edge=I, continuum=i, S=b0.extras["edge_flux"],
                     support=_split_edge_support(coarse, bset)))
     gravity_support = {}
     inflow_supports = []
@@ -216,16 +214,15 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
             for i in range(n):
                 g = next(sets).bases[0]
                 if g.flag != "absent":
-                    gravity_support[(blk, i)] = (g.fx, g.fy)
+                    gravity_support[(blk, i)] = _faces(g.fx, g.fy)
     else:
         area = coarse.fine.cell_area
         for blk in blocks:
             w = next(sets).bases[0]
             if w.flag != "absent":
                 m1 = float(w.extras["div"].clip(min=0.0).sum()) * area
-                bases.append(MixedBasis(kind="interface", key=blk,
-                                        continuum=None, S=m1,
-                                        support={blk: (w.fx, w.fy)}))
+                bases.append(MixedBasis(edge=None, continuum=None, S=m1,
+                                        support={blk: _faces(w.fx, w.fy)}))
         for iset in sets:  # a continuum absent from the inlet has no lift
             if iset.bases[0].flag != "absent":
                 inflow_supports.append(_split_edge_support(coarse, iset))
@@ -234,14 +231,14 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
 
 @dataclass
 class MixedSolution:
-    V: dict  # edge key -> (n,) fluxes (positive along +x/+y)
+    V: np.ndarray  # (Nx + 1, n) edge fluxes, positive along +x
     P: dict  # pressure row key -> value
     balance_residual: float
 
 
 def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
                             labels: np.ndarray, n: int, Chat: np.ndarray,
-                            edge_labels: dict, variant: str = "gravity",
+                            edge_labels: np.ndarray, variant: str = "gravity",
                             g_in: float | None = None,
                             p_out: float | None = None,
                             inflow_labels: np.ndarray | None = None
@@ -253,7 +250,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     concentrations per block).  variant 'viscous': continuum-wise sources
     and pressures, prescribed inflow ``g_in`` on the left boundary, fixed
     pressure ``p_out`` on the right (one-sided edge bases there).
-    ``edge_labels`` maps edge keys to per-face continuum labels.
+    ``edge_labels[I]`` holds the continuum label of every face of edge I.
     """
     if variant not in ("gravity", "viscous"):
         raise ConfigError(f"unknown mixed variant {variant!r}")
@@ -268,90 +265,61 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     nb = len(bases)
     if nb == 0:
         raise SolverError("no edge bases: every continuum absent on edges")
+    # per block, F stacks the face fluxes of the bases supported there:
+    # the Gram block is (F W) F^T and each drive is F times a face field
     M = np.zeros((nb, nb))
     b = np.zeros(nb)
-    quad = {}
-    psi_blocks = {}
-    for blk in coarse.blocks():
-        sx, sy = coarse.block_slices(*blk)
-        lam_b = lam[sx, sy]
-        quad[blk] = _block_face_quadrature(coarse, lam_b)
-        psi_blocks[blk] = labels[sx, sy]
-
-    def dot(blk, fa, fb):
-        lamx, lamy, wx, wy = quad[blk]
-        return float((wx / lamx * fa[0] * fb[0]).sum()
-                     + (wy / lamy * fa[1] * fb[1]).sum())
-
     for blk in coarse.blocks():
         here = [a for a in range(nb) if blk in bases[a].support]
-        for ia, a in enumerate(here):
-            fa = bases[a].support[blk]
-            for bb in here[ia:]:
-                val = dot(blk, fa, bases[bb].support[blk])
-                M[a, bb] += val
-                if bb != a:
-                    M[bb, a] += val
-            # buoyancy drive and gravity-basis projection
-            if not gravity:
-                for sup in inflow_supports:
-                    if blk in sup:
-                        b[a] -= (-g_in) * dot(blk, fa, sup[blk])
-                continue
-            I, J = blk
-            lab_b = psi_blocks[blk]
-            lamx, lamy, wx, wy = quad[blk]
-            for i in range(n):
-                ci = Chat[I, J, i]
-                if ci == 0.0 or not np.isfinite(ci):
-                    continue
-                psix = _face_indicator_x(indicator(lab_b, i))
-                b[a] += ci * float((wx * psix * fa[0]).sum())
-                gkey = (blk, i)
-                if gkey in gravity_support:
-                    b[a] -= ci * dot(blk, fa, gravity_support[gkey])
+        if not here:
+            continue
+        sx, sy = coarse.block_slices(*blk)
+        wx, w = _block_face_quadrature(coarse, lam[sx, sy])
+        F = np.array([bases[a].support[blk] for a in here])
+        M[np.ix_(here, here)] += (F * w) @ F.T
+        zero = np.zeros_like(w)
+        if gravity:
+            # buoyancy drive minus the gravity-basis projections
+            ci = np.where(np.isfinite(Chat[blk]), Chat[blk], 0.0)
+            rho = _face_indicator_x(ci[labels[sx, sy]])
+            proj = sum((ci[i] * gravity_support[(blk, i)] for i in range(n)
+                        if (blk, i) in gravity_support), zero)
+            r = _faces(wx * rho, zero[wx.size:]) - w * proj
+        else:
+            lift = sum((sup[blk] for sup in inflow_supports if blk in sup),
+                       zero)
+            r = g_in * w * lift
+        b[here] += F @ r
 
-    # balance rows
-    rows = []  # (block,) in gravity mode, (block, continuum) otherwise
-    area = fine.cell_area
+    # balance rows: one per block (gravity), else one per present
+    # (block, continuum); row_of[I, j] is the row of block I, continuum j
     if gravity:
         rows = [(blk,) for blk in coarse.blocks()]
+        row_of = np.repeat(np.arange(coarse.Nx)[:, None], n, axis=1)
     else:
-        for blk in coarse.blocks():
-            for j in range(n):
-                if (psi_blocks[blk] == j).any():
-                    rows.append((blk, j))
-    rindex = {r: k for k, r in enumerate(rows)}
+        present = continuum_masses(labels, coarse, n)[:, 0, :] > 0
+        rows = [((int(I), 0), int(j)) for I, j in zip(*np.nonzero(present))]
+        row_of = np.full((coarse.Nx, n), -1)
+        row_of[present] = np.arange(len(rows))
     D = np.zeros((len(rows), nb))
     f = np.zeros(len(rows))
     for a, ba in enumerate(bases):
-        if ba.kind == "edge":
-            _, idx, row = ba.key
-            lo, hi = coarse.edge_neighbors(CoarseEdge("x", idx, row))
-            for blk, sgn in ((lo, +1.0), (hi, -1.0)):
-                if blk is None:
-                    continue
-                r = (blk,) if gravity else (blk, ba.continuum)
-                if r in rindex:
-                    D[rindex[r], a] = sgn * ba.S
-        else:  # interface: div = psi1 - theta psi2 (S = masked psi1 mass)
-            blk = ba.key
-            D[rindex[(blk, 0)], a] = ba.S
-            D[rindex[(blk, 1)], a] = -ba.S
+        if ba.edge is None:  # interface: div = psi1 - theta psi2
+            ((I, _J),) = ba.support
+            D[row_of[I, 0], a], D[row_of[I, 1], a] = ba.S, -ba.S
+            continue
+        for I, sgn in ((ba.edge - 1, 1.0), (ba.edge, -1.0)):
+            if 0 <= I < coarse.Nx and row_of[I, ba.continuum] >= 0:
+                D[row_of[I, ba.continuum], a] = sgn * ba.S
+        if not gravity and ba.edge == coarse.Nx:
+            # fixed outlet pressure enters the velocity equations
+            b[a] -= p_out * ba.S
 
+    V = np.zeros((coarse.Nx + 1, n))
     if not gravity:
-        # prescribed inflow through the left boundary edges
-        e0 = CoarseEdge("x", 0, 0)
-        for r, row in enumerate(rows):
-            (I, J), j = row
-            if I == 0:
-                sel = inflow_labels == j
-                f[r] += float(sel.sum()) * fine.hy * (-g_in)
-        # fixed outlet pressure enters the velocity equations
-        for a, ba in enumerate(bases):
-            _, idx, _row = ba.key if ba.kind == "edge" else (None, -1, None)
-            if ba.kind == "edge" and idx == coarse.Nx:
-                b[a] -= p_out * ba.S
+        # prescribed inflow through the left boundary edge
+        V[0] = np.bincount(inflow_labels, minlength=n)[:n] * fine.hy * (-g_in)
+        f[row_of[0, present[0]]] = V[0, present[0]]
 
     live = np.abs(D).max(axis=1) > 1e-13
     for row, ok, fr in zip(rows, live, f):
@@ -380,16 +348,10 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     resid = float(np.abs(D @ u - f).max()) if m else 0.0
     check_residual("coarse mixed balance", resid, norm, sol, rhs)
 
-    V = {}
-    for e in coarse.edges():
-        V[e.key()] = np.zeros(n)
-    for a, ba in enumerate(bases):
-        if ba.kind == "edge":
-            V[ba.key][ba.continuum] += u[a] * ba.S
-    if not gravity:
-        key0 = CoarseEdge("x", 0, 0).key()
-        for j in range(n):
-            V[key0][j] = float((inflow_labels == j).sum()) * fine.hy * (-g_in)
+    on_edge = [a for a, ba in enumerate(bases) if ba.edge is not None]
+    V[[bases[a].edge for a in on_edge],
+      [bases[a].continuum for a in on_edge]] += [u[a] * bases[a].S
+                                                 for a in on_edge]
     return MixedSolution(V=V, P=P, balance_residual=resid)
 
 
@@ -401,8 +363,9 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
                                p_in: float, p_out: float) -> tuple:
     """1D block-centered pressure solve on the refined coarse grid.
 
-    Returns (P array (NXf, n) with NaN for absent continua, V dict of
-    per-continuum fluxes on the base coarse edges, U per refined block).
+    Returns (P array (NXf, n) with NaN for absent continua, V array
+    (Nx + 1, n) of per-continuum fluxes on the base coarse edges, U per
+    refined block).
     Base-edge velocities average the two adjacent refined-block velocities;
     boundary edges use the one-sided Dirichlet face flux.
     """
@@ -470,85 +433,65 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
     U = np.zeros((NX, n))
     for K in range(NX):
         U[K] = 0.5 * (face_flux(K - 1, K) + face_flux(K, K + 1))
-    V = {}
-    for e in base_coarse.edges():
-        if e.orientation != "x":
-            V[e.key()] = np.zeros(n)
-            continue
-        rf = e.index * refine  # refined face index aligned with this edge
-        if rf == 0:
-            V[e.key()] = face_flux(-1, 0)
-        elif rf == NX:
-            V[e.key()] = face_flux(NX - 1, NX)
-        else:
-            V[e.key()] = 0.5 * (U[rf - 1] + U[rf])
+    V = np.empty((base_coarse.Nx + 1, n))
+    V[0] = face_flux(-1, 0)
+    V[1:-1] = 0.5 * (U[refine - 1:NX - 1:refine] + U[refine:NX:refine])
+    V[-1] = face_flux(NX - 1, NX)
     return P, V, U
 
 
 # --- coarse transport --------------------------------------------------
 
 
-def coarse_cfl(coarse: CoarseGrid, V: dict, masses: np.ndarray,
+def coarse_cfl(coarse: CoarseGrid, V: np.ndarray, masses: np.ndarray,
                tau: float) -> float:
     """Largest donor-mass fraction any continuum loses in one step."""
-    n = masses.shape[2]
-    out = np.zeros_like(masses)
-    for e in coarse.edges():
-        lo, hi = coarse.edge_neighbors(e)
-        for k in range(n):
-            F = V[e.key()][k] if e.key() in V else 0.0
-            donor = lo if F >= 0 else hi
-            if donor is None:
-                continue
-            out[donor[0], donor[1], k] += abs(F)
+    # block I donates through its left edge I when V[I] < 0 and through its
+    # right edge I + 1 when V[I + 1] >= 0
+    A = np.abs(V)
+    out = (np.where(V[:-1] >= 0, 0.0, A[:-1])
+           + np.where(V[1:] >= 0, A[1:], 0.0))[:, None, :]
     nu = np.zeros_like(masses)
     np.divide(out * tau, masses, out=nu, where=masses > 0)
     return float(nu.max())
 
 
 def step_macro_concentration(coarse: CoarseGrid, C: np.ndarray,
-                             masses: np.ndarray, V: dict, tau: float,
+                             masses: np.ndarray, V: np.ndarray, tau: float,
                              inflow_conc: np.ndarray | None = None):
     """One Forward-Euler donor-block step of the multicontinuum transport.
 
     C holds unnormalized continuum concentrations per block; the donor
     value is C/mass of the donor block.  Boundary edges with inflow take
     the per-continuum means ``inflow_conc``.  Returns (C_new, skipped)
-    where ``skipped`` lists (edge, continuum) fluxes dropped because the
-    donor block lacks the continuum.
+    where ``skipped`` is an (Nx + 1, n) mask of the edge fluxes dropped
+    because the donor block lacks the continuum.
     """
     nu = coarse_cfl(coarse, V, masses, tau)
     if nu > 1.0:
         raise InvariantError(
             f"coarse CFL {nu:.3f} > 1; reduce tau to <= {tau / nu:.3e}")
-    n = C.shape[2]
+    edge = np.arange(coarse.Nx + 1)[:, None]
+    donor = np.where(V >= 0, edge - 1, edge)
+    inside = (donor >= 0) & (donor < coarse.Nx)
+    donor = donor.clip(0, coarse.Nx - 1)
+    k = np.arange(V.shape[1])
+    m = masses[donor, 0, k]
+    moving = V != 0.0
+    if inflow_conc is None and (moving & ~inside).any():
+        I, j = np.argwhere(moving & ~inside)[0]
+        raise InvariantError(f"inflow through edge {I} (continuum {j}) "
+                             "without boundary data")
+    skipped = moving & inside & (m <= 0)
+    val = np.divide(C[donor, 0, k], m, out=np.zeros_like(V), where=m > 0)
+    if inflow_conc is not None:
+        val = np.where(inside, val, inflow_conc)
+    # block I gains the flux of edge I, then loses that of edge I + 1
+    flux = (tau * V * val)[:, None, :]
+    live = (moving & ~skipped)[:, None, :]
     out = C.copy()
-    skipped = []
-    for e in coarse.edges():
-        key = e.key()
-        if key not in V:
-            continue
-        lo, hi = coarse.edge_neighbors(e)
-        for k in range(n):
-            F = V[key][k]
-            if F == 0.0:
-                continue
-            donor = lo if F >= 0 else hi
-            if donor is None:
-                if inflow_conc is None:
-                    raise InvariantError(
-                        f"inflow through {key} without boundary data")
-                val = inflow_conc[k]
-            else:
-                m = masses[donor[0], donor[1], k]
-                if m <= 0:
-                    skipped.append((key, k))
-                    continue
-                val = C[donor[0], donor[1], k] / m
-            if lo is not None:
-                out[lo[0], lo[1], k] -= tau * F * val
-            if hi is not None:
-                out[hi[0], hi[1], k] += tau * F * val
+    np.add(out, flux[:-1], out=out, where=live[:-1])
+    np.subtract(out, flux[1:], out=out, where=live[1:])
     return out, skipped
 
 
@@ -560,7 +503,7 @@ class CoarseState:
     step: int
     t: float
     C: np.ndarray  # (Nx, Ny, n) unnormalized
-    V: dict  # edge key -> (n,)
+    V: np.ndarray  # (Nx + 1, n) edge fluxes
     P: dict | np.ndarray | None = None
     present: np.ndarray | None = None
     ops: list | None = None  # per-block EffectiveOperators (Galerkin mode)
@@ -587,17 +530,6 @@ class CoarseModel:
     def __post_init__(self):
         if self.approach not in ("mixed-gravity", "mixed-viscous", "galerkin"):
             raise ConfigError(f"unknown coarse approach {self.approach!r}")
-
-
-def _edge_labels_by_donor(coarse: CoarseGrid, labels: np.ndarray,
-                          snap: Snapshot) -> dict:
-    out = {}
-    for e in coarse.edges():
-        fi, sl = coarse.edge_faces(e)
-        flux = (snap.vx if e.orientation == "x" else snap.vy.T)[fi, sl]
-        ii, jj = coarse.edge_donor_cells(e, flux)
-        out[e.key()] = labels[ii, jj]
-    return out
 
 
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
@@ -642,7 +574,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     snap0 = snapshots[0]
     labels = classify(snap0.c, model.spec)
     masses = continuum_masses(labels, coarse, n)
-    ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, snap0.vy, labels, n)
+    ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, labels, n)
     C = ref0.C.copy()
     states = []
     last = None  # (key, V, P, ops) of the previous homogenized solve
@@ -662,8 +594,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
 
         ops = None
         if velocity == "ref":
-            V = averages(coarse, snap.p, snap.c, snap.vx, snap.vy,
-                         labels, n).V
+            V = averages(coarse, snap.p, snap.c, snap.vx, labels, n).V
             P = None
         else:
             # all coarse-flow coefficients, including the buoyancy drive,
@@ -679,11 +610,12 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             elif model.approach == "galerkin":
                 V, P, ops = _galerkin_velocity(model, lam, labels, n)
             else:
-                Cfine = averages(coarse, snap.p, snap.c, snap.vx, snap.vy,
-                                 labels, n).C
+                Cfine = averages(coarse, snap.p, snap.c, snap.vx, labels,
+                                 n).C
                 Chat = np.zeros_like(Cfine)
                 np.divide(Cfine, masses, out=Chat, where=masses > 0)
-                elab = _edge_labels_by_donor(coarse, labels, snap)
+                elab = coarse.edge_donor_labels(labels,
+                                                coarse.edge_flux(snap.vx))
                 inflow_lab = None
                 if model.approach == "mixed-viscous":
                     inflow_lab = labels[0, :]
@@ -702,9 +634,9 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             break
         C, skipped = step_macro_concentration(
             coarse, C, masses, V, tau, inflow_conc=model.inflow_conc)
-        if skipped:
+        if skipped.any():
             log.info("step %d: %d continuum-absent edge fluxes skipped",
-                     k, len(skipped))
+                     k, skipped.sum())
     if total_removed:
         log.info("total threshold-crossing mass removed: %.3e", total_removed)
     return states

@@ -11,14 +11,6 @@ from .exceptions import ConfigError
 NEAR_ZERO_FRACTION = 1e-8
 
 
-def edge_l2(V: dict, keys, k: int) -> float:
-    return float(np.sqrt(sum(V[key][k] ** 2 for key in keys)))
-
-
-def edge_l2_all(V: dict, keys, n: int) -> float:
-    return float(np.sqrt(sum(float(V[key][:n] @ V[key][:n]) for key in keys)))
-
-
 @dataclass
 class VelocityErrors:
     relative: np.ndarray  # per continuum, percent (NaN where near-zero rule)
@@ -27,25 +19,22 @@ class VelocityErrors:
     near_zero: np.ndarray  # mask of continua where the absolute variant rules
 
 
-def velocity_errors(V_ref: dict, V_mh: dict, keys, n: int) -> VelocityErrors:
-    missing = [key for key in keys if key not in V_ref or key not in V_mh]
-    if missing:
-        raise ConfigError(f"edge series misaligned at {missing[:5]}")
+def velocity_errors(V_ref: np.ndarray, V_mh: np.ndarray,
+                    n: int) -> VelocityErrors:
+    """Edge-L2 errors of V_mh against V_ref, both (edges, continua)."""
+    if V_ref.shape != V_mh.shape:
+        raise ConfigError(f"edge series misaligned: V shapes {V_ref.shape} "
+                          f"and {V_mh.shape}")
+    ref = V_ref[:, :n]
+    diff = V_mh[:, :n] - ref
+    nk = np.sqrt((ref ** 2).sum(axis=0))
+    ab = np.sqrt((diff ** 2).sum(axis=0))
+    gnorm = float(np.sqrt((ref ** 2).sum()))
+    near = nk < NEAR_ZERO_FRACTION * gnorm
     rel = np.full(n, np.nan)
-    ab = np.zeros(n)
-    gnorm = edge_l2_all(V_ref, keys, n)
-    near = np.zeros(n, dtype=bool)
-    for k in range(n):
-        diff = float(np.sqrt(sum((V_mh[key][k] - V_ref[key][k]) ** 2
-                                 for key in keys)))
-        ab[k] = diff
-        nk = edge_l2(V_ref, keys, k)
-        near[k] = nk < NEAR_ZERO_FRACTION * gnorm
-        if not near[k] and nk > 0:
-            rel[k] = diff / nk * 100.0
-    gdiff = float(np.sqrt(sum(
-        float((V_mh[key][:n] - V_ref[key][:n]) @ (V_mh[key][:n] - V_ref[key][:n]))
-        for key in keys)))
+    ok = ~near & (nk > 0)
+    rel[ok] = ab[ok] / nk[ok] * 100.0
+    gdiff = float(np.sqrt((diff ** 2).sum()))
     grel = gdiff / gnorm * 100.0 if gnorm > 0 else 0.0
     return VelocityErrors(relative=rel, absolute=ab, global_relative=grel,
                           near_zero=near)
@@ -98,12 +87,13 @@ class ErrorReport:
 
 
 def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
-                   n: int, block_sel=(), edge_keys=()) -> ErrorReport:
+                   n: int, block_sel=(), edge_sel=np.s_[:]) -> ErrorReport:
     """Full report over aligned coarse state series.
 
     ``reference`` carries the averaged fine solution; the other two are the
     homogenized runs driven by reference and homogenized velocities.
-    ``block_sel``/``edge_keys`` restrict the norms to the target region.
+    ``block_sel`` (blocks) and ``edge_sel`` (rows of V) restrict the norms
+    to the target region.
     """
     times_r = [s.t for s in reference]
     for other, tag in ((mh_refvel, "mh(V_ref)"), (mh_mhvel, "mh(V_mh)")):
@@ -114,9 +104,8 @@ def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
                              - set(np.round(times_o, 12)))
             raise ConfigError(f"series {tag} misaligned; missing {missing[:5]}")
     block_sel = block_sel if block_sel != () else np.s_[:, :]
-    edge_keys = list(edge_keys) if edge_keys else list(reference[-1].V.keys())
 
-    eV_series = [velocity_errors(r.V, m.V, edge_keys, n)
+    eV_series = [velocity_errors(r.V[edge_sel], m.V[edge_sel], n)
                  for r, m in zip(reference, mh_mhvel)]
     eC_series = {
         "refvel": [concentration_errors(m.C, r.C, block_sel)

@@ -4,6 +4,7 @@ import numpy as np
 
 from dynmc import cells
 from dynmc.continua import classify, ContinuumSpec
+from dynmc.exceptions import InvariantError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 
@@ -88,3 +89,52 @@ def moment_residuals(ov, labels_local, rows, basis_continuum, field,
             target = ((x - centers[row.continuum]) * sel).sum() * area
         res.append(got - target)
     return np.array(res)
+
+
+def coarse_cfl_loops(coarse, V, masses, tau):
+    """Per-edge, per-continuum loop form of ``macro.coarse_cfl``."""
+    n = masses.shape[2]
+    out = np.zeros_like(masses)
+    for I in range(coarse.Nx + 1):
+        lo, hi = coarse.edge_neighbors(I)
+        for k in range(n):
+            F = V[I, k]
+            donor = lo if F >= 0 else hi
+            if donor is None:
+                continue
+            out[donor[0], donor[1], k] += abs(F)
+    nu = np.zeros_like(masses)
+    np.divide(out * tau, masses, out=nu, where=masses > 0)
+    return float(nu.max())
+
+
+def step_macro_concentration_loops(coarse, C, masses, V, tau,
+                                   inflow_conc=None):
+    """Per-edge, per-continuum loop form of
+    ``macro.step_macro_concentration`` after its CFL guard."""
+    n = C.shape[2]
+    out = C.copy()
+    skipped = np.zeros(V.shape, dtype=bool)
+    for I in range(coarse.Nx + 1):
+        lo, hi = coarse.edge_neighbors(I)
+        for k in range(n):
+            F = V[I, k]
+            if F == 0.0:
+                continue
+            donor = lo if F >= 0 else hi
+            if donor is None:
+                if inflow_conc is None:
+                    raise InvariantError(
+                        f"inflow through edge {I} without boundary data")
+                val = inflow_conc[k]
+            else:
+                m = masses[donor[0], donor[1], k]
+                if m <= 0:
+                    skipped[I, k] = True
+                    continue
+                val = C[donor[0], donor[1], k] / m
+            if lo is not None:
+                out[lo[0], lo[1], k] -= tau * F * val
+            if hi is not None:
+                out[hi[0], hi[1], k] += tau * F * val
+    return out, skipped

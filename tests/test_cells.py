@@ -12,7 +12,7 @@ from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
 from dynmc.fine import divergence
-from dynmc.grids import CoarseEdge, CoarseGrid, FineGrid, oversample_block
+from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 DUAL = (0.5,)
 TRIPLE = (0.8, 0.4)
@@ -183,9 +183,8 @@ class TestEdgeFluxBasis:
     def test_single_continuum_uniform_unit_flux(self):
         coarse, lam, _ = strip_setup(contrast=1.0)
         labels = np.zeros((16, 4), dtype=np.int8)
-        e = CoarseEdge("x", 2, 0)
         elab = np.zeros(4, dtype=np.int8)
-        out = cells.solve_edge_flux_basis(coarse, e, np.ones((16, 4)), labels,
+        out = cells.solve_edge_flux_basis(coarse, 2, np.ones((16, 4)), labels,
                                           0, elab, variant="uniform")
         b = out.bases[0]
         mid = coarse.mx  # local index of the shared edge column
@@ -193,11 +192,9 @@ class TestEdgeFluxBasis:
 
     def test_edge_flux_equals_continuum_face_count(self):
         coarse, lam, labels = strip_setup(seed=3, contrast=10.0)
-        e = CoarseEdge("x", 1, 0)
-        fi, sl = coarse.edge_faces(e)
-        elab = labels[fi, sl]  # plus-side convention for the test
+        elab = labels[coarse.mx]  # edge 1, plus-side convention for the test
         for k in (0, 1):
-            out = cells.solve_edge_flux_basis(coarse, e, lam, labels, k, elab)
+            out = cells.solve_edge_flux_basis(coarse, 1, lam, labels, k, elab)
             b = out.bases[0]
             share = (elab == k).sum() * coarse.fine.hy
             if share == 0:
@@ -210,10 +207,8 @@ class TestEdgeFluxBasis:
     @pytest.mark.parametrize("variant", ["uniform", "psi"])
     def test_compatibility_source_balances_edge_share(self, variant):
         coarse, lam, labels = strip_setup(seed=4, contrast=1000.0)
-        e = CoarseEdge("x", 2, 0)
-        fi, sl = coarse.edge_faces(e)
-        elab = labels[fi, sl]
-        out = cells.solve_edge_flux_basis(coarse, e, lam, labels, 0, elab,
+        elab = labels[2 * coarse.mx]
+        out = cells.solve_edge_flux_basis(coarse, 2, lam, labels, 0, elab,
                                           variant=variant)
         b = out.bases[0]
         S = b.extras["edge_flux"]
@@ -229,10 +224,8 @@ class TestEdgeFluxBasis:
 
     def test_divergence_matches_source_field(self):
         coarse, lam, labels = strip_setup(seed=5, contrast=10.0)
-        e = CoarseEdge("x", 2, 0)
-        fi, sl = coarse.edge_faces(e)
-        elab = labels[fi, sl]
-        out = cells.solve_edge_flux_basis(coarse, e, lam, labels, 1, elab,
+        elab = labels[2 * coarse.mx]
+        out = cells.solve_edge_flux_basis(coarse, 2, lam, labels, 1, elab,
                                           variant="psi")
         b = out.bases[0]
         div = divergence(out.grid, b.fx, b.fy)
@@ -241,12 +234,6 @@ class TestEdgeFluxBasis:
         mx = coarse.mx
         assert div[:mx, :].sum() == pytest.approx(S, rel=1e-10)
         assert div[mx:, :].sum() == pytest.approx(-S, rel=1e-10)
-
-    def test_y_edges_rejected(self):
-        coarse, lam, labels = strip_setup()
-        with pytest.raises(ConfigError):
-            cells.solve_edge_flux_basis(coarse, CoarseEdge("y", 1, 0), lam,
-                                        labels, 0, np.zeros(4, dtype=np.int8))
 
 
 class TestGravityBasis:

@@ -74,11 +74,9 @@ def test_compare_two_series(tmp_path, capsys):
             self.t, self.C, self.V = t, C, V
 
     g = np.random.default_rng(0)
-    ref = [S(0.1 * k, g.random((2, 1, 1)) + 1,
-             {("x", i, 0): g.random(1) + 1 for i in range(3)})
+    ref = [S(0.1 * k, g.random((2, 1, 1)) + 1, g.random((3, 1)) + 1)
            for k in range(2)]
-    other = [S(s.t, 1.1 * s.C, {k: 0.9 * v for k, v in s.V.items()})
-             for s in ref]
+    other = [S(s.t, 1.1 * s.C, 0.9 * s.V) for s in ref]
     pa, pb = tmp_path / "ref.csv", tmp_path / "other.csv"
     io.write_averages_csv(str(pa), ref, 1)
     io.write_averages_csv(str(pb), other, 1)

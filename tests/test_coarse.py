@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _oracles import coarse_cfl_loops, step_macro_concentration_loops
 from conftest import rng
 from dynmc import cells, macro
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, classify,
                             continuum_masses, single_continuum)
 from dynmc.exceptions import ConfigError, InvariantError, SolverError
 from dynmc.fine import Snapshot, solve_flow
-from dynmc.grids import CoarseEdge, CoarseGrid, FineGrid
+from dynmc.grids import CoarseGrid, FineGrid
 from dynmc.macro import (CoarseModel, EffectiveOperators, coarse_cfl,
                          run_coarse, solve_coarse_flow_galerkin,
                          solve_coarse_flow_mixed, step_macro_concentration)
@@ -19,11 +20,8 @@ from dynmc.macro import (CoarseModel, EffectiveOperators, coarse_cfl,
 
 def edge_labels_still(coarse, labels):
     """Donor labels for a quiescent field (ties donate from the minus side)."""
-    snap = Snapshot(step=0, t=0.0, p=np.zeros_like(labels, dtype=float),
-                    vx=np.zeros((coarse.fine.nx + 1, coarse.fine.ny)),
-                    vy=np.zeros((coarse.fine.nx, coarse.fine.ny + 1)),
-                    c=labels.astype(float))
-    return macro._edge_labels_by_donor(coarse, labels, snap)
+    vx = np.zeros((coarse.fine.nx + 1, coarse.fine.ny))
+    return coarse.edge_donor_labels(labels, coarse.edge_flux(vx))
 
 
 def striped_setup(nblocks=2, mx=8, my=6):
@@ -46,8 +44,7 @@ class TestMixedGravity:
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
                                      edge_labels_still(coarse, labels),
                                      variant="gravity")
-        for v in ms.V.values():
-            assert np.abs(v).max() <= 1e-10
+        assert np.abs(ms.V).max() <= 1e-10
         assert ms.balance_residual <= 1e-10
 
     def test_buoyancy_contrast_drives_exchange_loop(self):
@@ -57,12 +54,11 @@ class TestMixedGravity:
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
                                      edge_labels_still(coarse, labels),
                                      variant="gravity")
-        e1 = CoarseEdge("x", 2, 0).key()
         # net flow through an interior edge cancels (closed box) but the
         # continua carry opposite directions
-        assert abs(ms.V[e1].sum()) <= 1e-10
-        assert np.abs(ms.V[e1]).max() > 1e-6
-        assert ms.V[e1][0] > 0  # high-concentration continuum moves right
+        assert abs(ms.V[2].sum()) <= 1e-10
+        assert np.abs(ms.V[2]).max() > 1e-6
+        assert ms.V[2][0] > 0  # high-concentration continuum moves right
 
     def test_balance_rows_conserve_each_block(self):
         fine, coarse, c, labels, lam = striped_setup(nblocks=4)
@@ -73,8 +69,8 @@ class TestMixedGravity:
                                      edge_labels_still(coarse, labels),
                                      variant="gravity")
         for I in range(4):
-            inflow = ms.V[CoarseEdge("x", I, 0).key()].sum()
-            outflow = ms.V[CoarseEdge("x", I + 1, 0).key()].sum()
+            inflow = ms.V[I].sum()
+            outflow = ms.V[I + 1].sum()
             assert abs(inflow - outflow) <= 1e-10
 
     def test_tall_grid_rejected(self):
@@ -83,7 +79,8 @@ class TestMixedGravity:
         with pytest.raises(ConfigError):
             solve_coarse_flow_mixed(coarse, np.ones((8, 8)),
                                     np.zeros((8, 8), dtype=np.int8), 1,
-                                    np.zeros((2, 2, 1)), {})
+                                    np.zeros((2, 2, 1)),
+                                    np.zeros((3, 4), dtype=np.int8))
 
 
 class TestMixedViscous:
@@ -99,20 +96,19 @@ class TestMixedViscous:
     def test_total_flux_matches_inflow_on_every_edge(self):
         fine, coarse, ms = self.solve()
         total_in = fine.L2  # |g_in| * ny * hy
-        for e in coarse.edges():
-            if e.orientation == "x":
-                assert ms.V[e.key()].sum() == pytest.approx(total_in,
-                                                            rel=1e-9)
+        assert ms.V.shape == (coarse.Nx + 1, 2)
+        for v in ms.V:
+            assert v.sum() == pytest.approx(total_in, rel=1e-9)
 
     def test_inflow_edge_split_by_boundary_labels(self):
         fine, coarse, ms = self.solve()
-        v0 = ms.V[CoarseEdge("x", 0, 0).key()]
+        v0 = ms.V[0]
         assert v0[0] == pytest.approx(fine.L2 / 2, rel=1e-12)
         assert v0[1] == pytest.approx(fine.L2 / 2, rel=1e-12)
 
     def test_high_mobility_continuum_carries_more_downstream(self):
         fine, coarse, ms = self.solve()
-        vlast = ms.V[CoarseEdge("x", coarse.Nx, 0).key()]
+        vlast = ms.V[coarse.Nx]
         assert vlast[0] > vlast[1]
 
     def test_balance_residual_small(self):
@@ -186,15 +182,12 @@ class TestMixedBases:
         # is assembled
         variant = "uniform" if gravity else "psi"
         want = []
-        for e in coarse.edges():
-            if e.orientation != "x" or (not coarse.is_interior(e) and (
-                    gravity or e.index == 0)):
-                continue
+        for I in range(1, coarse.Nx if gravity else coarse.Nx + 1):
             for i in range(2):
-                bset = cells.solve_edge_flux_basis(coarse, e, lam, labels, i,
-                                                   elab[e.key()], variant)
+                bset = cells.solve_edge_flux_basis(coarse, I, lam, labels, i,
+                                                   elab[I], variant)
                 if bset.bases[0].flag != "absent":
-                    want.append((e.key(), i, bset.bases[0].extras[
+                    want.append((I, i, bset.bases[0].extras[
                         "edge_flux"], macro._split_edge_support(coarse, bset)))
         want_g, want_i = {}, []
         for blk in coarse.blocks():
@@ -203,24 +196,24 @@ class TestMixedBases:
                     g = cells.solve_gravity_basis(coarse, blk, lam, labels,
                                                   i).bases[0]
                     if g.flag != "absent":
-                        want_g[(blk, i)] = (g.fx, g.fy)
+                        want_g[(blk, i)] = macro._faces(g.fx, g.fy)
             else:
                 w = cells.solve_interface_basis(coarse, blk, lam,
                                                 labels).bases[0]
                 if w.flag != "absent":
-                    want.append((blk, None, None, {blk: (w.fx, w.fy)}))
+                    want.append((None, None, None,
+                                 {blk: macro._faces(w.fx, w.fy)}))
         if not gravity:
             for i in range(2):
-                iset = cells.solve_edge_flux_basis(
-                    coarse, CoarseEdge("x", 0, 0), lam, labels, i, inflow,
-                    "psi")
+                iset = cells.solve_edge_flux_basis(coarse, 0, lam, labels, i,
+                                                   inflow, "psi")
                 if iset.bases[0].flag != "absent":
                     want_i.append(macro._split_edge_support(coarse, iset))
 
         def same(a, b):
             assert a.keys() == b.keys()
             for k in a:
-                assert all(np.array_equal(x, y) for x, y in zip(a[k], b[k]))
+                assert np.array_equal(a[k], b[k])
 
         # the last block lacks continuum 1: its gravity or interface basis
         # is absent
@@ -228,7 +221,7 @@ class TestMixedBases:
             assert len(want_g) == 2 * coarse.Nx - 1
         else:
             assert sum(w[1] is None for w in want) == coarse.Nx - 1
-        assert [(b.key, b.continuum) for b in bases] == [w[:2] for w in want]
+        assert [(b.edge, b.continuum) for b in bases] == [w[:2] for w in want]
         for b, (_key, _i, S, support) in zip(bases, want):
             if S is not None:
                 assert b.S == S
@@ -257,9 +250,9 @@ class TestGalerkinFlow:
         expect_p = 1.0 - (np.arange(5) + 0.5) * dx / fine.L1
         assert np.allclose(P[:, 0], expect_p, atol=1e-12)
         flux = fine.L2 / fine.L1  # alpha * L2 * dP/L1
-        for e in coarse.edges():
-            if e.orientation == "x":
-                assert V[e.key()][0] == pytest.approx(flux, rel=1e-12)
+        assert V.shape == (6, 1)
+        for v in V:
+            assert v[0] == pytest.approx(flux, rel=1e-12)
         assert np.allclose(U[:, 0], flux, atol=1e-12)
 
     def test_refined_flow_grid_restricts_to_base_edges(self):
@@ -269,9 +262,9 @@ class TestGalerkinFlow:
         P, V, U = solve_coarse_flow_galerkin(flow, base, self.unit_ops(6), 1,
                                              p_in=2.0, p_out=0.0)
         flux = 2.0 * fine.L2 / fine.L1
-        for e in base.edges():
-            if e.orientation == "x":
-                assert V[e.key()][0] == pytest.approx(flux, rel=1e-12)
+        assert V.shape == (4, 1)
+        for v in V:
+            assert v[0] == pytest.approx(flux, rel=1e-12)
 
     def test_continuum_absent_downstream_is_no_flow(self):
         ops = self.unit_ops(4)
@@ -292,9 +285,7 @@ class TestGalerkinFlow:
                                              p_in=1.0, p_out=0.0)
         assert np.isnan(P[2, 1]) and np.isnan(P[3, 1])
         assert U[2, 1] == 0.0 and U[3, 1] == 0.0  # no flow where absent
-        e_out = CoarseEdge("x", 4, 0).key()
-        total_in = V[CoarseEdge("x", 0, 0).key()].sum()
-        assert V[e_out].sum() == pytest.approx(total_in, rel=1e-9)
+        assert V[4].sum() == pytest.approx(V[0].sum(), rel=1e-9)
 
     def test_large_residual_rejected(self, monkeypatch):
         fine = FineGrid(20, 4, 5.0, 1.0)
@@ -317,10 +308,8 @@ def chain(nblocks, F):
     """1D single-continuum chain with a uniform interior flux F."""
     fine = FineGrid(nblocks * 4, 4, float(nblocks), 1.0)
     coarse = CoarseGrid(fine, nblocks, 1)
-    V = {}
-    for e in coarse.edges():
-        interior = coarse.is_interior(e) and e.orientation == "x"
-        V[e.key()] = np.array([F if interior else 0.0])
+    V = np.zeros((nblocks + 1, 1))
+    V[1:-1] = F
     masses = np.full((nblocks, 1, 1), coarse.block_area)
     return coarse, V, masses
 
@@ -330,7 +319,7 @@ class TestMacroTransport:
         coarse, V, masses = chain(4, 0.0)
         C = rng(0).random((4, 1, 1))
         out, skipped = step_macro_concentration(coarse, C, masses, V, 0.1)
-        assert (out == C).all() and not skipped
+        assert (out == C).all() and not skipped.any()
 
     def test_unit_courant_shifts_one_block(self):
         coarse, V, masses = chain(4, 1.0)
@@ -356,7 +345,7 @@ class TestMacroTransport:
 
     def test_boundary_inflow_requires_data(self):
         coarse, V, masses = chain(3, 0.0)
-        V[CoarseEdge("x", 0, 0).key()] = np.array([1.0])
+        V[0] = 1.0
         C = np.zeros((3, 1, 1))
         with pytest.raises(InvariantError, match="inflow"):
             step_macro_concentration(coarse, C, masses, V, 0.1)
@@ -369,6 +358,66 @@ class TestMacroTransport:
         assert coarse_cfl(coarse, V, masses, tau=1.0) == pytest.approx(
             2.0 / coarse.block_area)
         assert coarse_cfl(coarse, V, masses, tau=0.0) == 0.0
+
+
+def transport_case(seed, nblocks=6, n=3):
+    """Random edge fluxes of both signs with exact zeros; block 2 lacks
+    continuum 1 and donates it through both of its edges."""
+    g = rng(seed)
+    coarse = CoarseGrid(FineGrid(2 * nblocks, 2, float(nblocks), 1.0),
+                        nblocks, 1)
+    V = 0.05 * g.standard_normal((nblocks + 1, n))
+    V[g.random(V.shape) < 0.25] = 0.0
+    V[2, 1], V[3, 1] = -0.03, 0.02
+    masses = coarse.block_area * (0.5 + g.random((nblocks, 1, n)))
+    masses[2, 0, 1] = 0.0
+    C = masses * g.random((nblocks, 1, n))
+    return coarse, C, masses, V, g.random(n)
+
+
+class TestTransportMatchesLoops:
+    """The array transport step and CFL equal their per-edge loop forms
+    bit for bit (tests/_oracles.py)."""
+
+    def same(self, coarse, C, masses, V, tau, inflow):
+        out, skipped = step_macro_concentration(coarse, C, masses, V, tau,
+                                                inflow_conc=inflow)
+        want, want_skipped = step_macro_concentration_loops(
+            coarse, C, masses, V, tau, inflow_conc=inflow)
+        assert out.tobytes() == want.tobytes()
+        assert skipped.dtype == bool and skipped.shape == V.shape
+        assert (skipped == want_skipped).all()
+        assert coarse_cfl(coarse, V, masses, tau) == coarse_cfl_loops(
+            coarse, V, masses, tau)
+        return out, skipped
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_fluxes(self, seed):
+        coarse, C, masses, V, inflow = transport_case(seed)
+        _out, skipped = self.same(coarse, C, masses, V, 0.7, inflow)
+        assert skipped[2, 1] and skipped[3, 1] and skipped.sum() == 2
+
+    @pytest.mark.parametrize("edge,sign", [(0, 1.0), (6, -1.0)])
+    def test_inflow_through_each_boundary_edge(self, edge, sign):
+        coarse, C, masses, V, inflow = transport_case(7)
+        V[edge] = sign * np.array([0.04, 0.0, 0.01])
+        out, _ = self.same(coarse, C, masses, V, 0.7, inflow)
+        blk = 0 if edge == 0 else coarse.Nx - 1
+        V[edge] = 0.0
+        closed, _ = step_macro_concentration(coarse, C, masses, V, 0.7,
+                                             inflow_conc=inflow)
+        assert (out[blk, 0, [0, 2]] > closed[blk, 0, [0, 2]]).all()
+        assert out[blk, 0, 1] == closed[blk, 0, 1]
+
+    @pytest.mark.parametrize("edge,sign", [(0, 1.0), (6, -1.0)])
+    def test_missing_inflow_conc_raises(self, edge, sign):
+        coarse, C, masses, V, _inflow = transport_case(8)
+        V[[0, -1]] = 0.0
+        V[edge, 2] = sign * 0.01
+        for step in (step_macro_concentration,
+                     step_macro_concentration_loops):
+            with pytest.raises(InvariantError, match=f"edge {edge}"):
+                step(coarse, C, masses, V, 0.7)
 
 
 class TestRunCoarse:

@@ -3,9 +3,12 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
-from dynmc.config import get_preset
+from dynmc import experiment
+from dynmc.config import apply_overrides, get_preset
 from dynmc.continua import averages, classify
+from dynmc.exceptions import ConfigError
 from dynmc.experiment import run_experiment
 from dynmc.fine import run_fine
 
@@ -25,12 +28,23 @@ def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
     assert len(res.reference) == cfg.coarse_steps + 1
     for k, ref in enumerate(res.reference):
         s = every.snapshots[2 + 2 * k]
-        av = averages(res.coarse, s.p, s.c, s.vx, s.vy, classify(s.c, spec),
+        av = averages(res.coarse, s.p, s.c, s.vx, classify(s.c, spec),
                       spec.count)
         assert (ref.C == av.C).all()
-        assert all((ref.V[e] == av.V[e]).all() for e in av.V)
+        assert (ref.V == av.V).all()
         # the 'ref' coarse run takes its velocities from the same snapshot
-        assert all((res.mh_refvel[k].V[e] == av.V[e]).all() for e in av.V)
+        assert (res.mh_refvel[k].V == av.V).all()
     assert (res.mh_refvel[0].C == res.reference[0].C).all()
     assert (res.fine.c0 == c0).all()
     assert np.isfinite(res.report.eV.global_relative)
+
+
+def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch):
+    def no_fine_run(*args, **kwargs):
+        raise AssertionError("run_fine called")
+
+    monkeypatch.setattr(experiment, "run_fine", no_fine_run)
+    # 120 fine columns do not split into Nx x flow_refine = 70 blocks
+    with pytest.raises(ConfigError, match="flow_refine = 70"):
+        run_experiment(apply_overrides(get_preset("interface"),
+                                       ["flow_refine=7"]))

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmc.exceptions import ConfigError
-from dynmc.grids import (CoarseEdge, CoarseGrid, FineGrid, build_layout,
-                         oversample_block)
+from dynmc.grids import CoarseGrid, FineGrid, build_layout, oversample_block
 
 
 class TestFineGrid:
@@ -47,40 +46,35 @@ class TestCoarseGrid:
             seen[sx, sy] += 1
         assert (seen == 1).all()
 
-    def test_interior_edge_count_8x4_fine_4x2_coarse(self):
-        # 3 interior x-lines x 2 rows + 1 interior y-line x 4 columns = 10
-        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 2)
-        assert len(coarse.interior_edges()) == 10
-        assert coarse.mx == 2 and coarse.my == 2
-
     def test_edge_faces_partition_edge_lines(self):
-        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 2)
-        hits = np.zeros((9, 4), dtype=int)
-        for e in coarse.edges():
-            if e.orientation != "x":
-                continue
-            fi, sl = coarse.edge_faces(e)
-            hits[fi, sl] += 1
-        # every fine x-face on a coarse-edge line belongs to exactly one edge
-        lines = [i * coarse.mx for i in range(coarse.Nx + 1)]
-        assert (hits[lines, :] == 1).all()
-        off = [i for i in range(9) if i not in lines]
-        assert (hits[off, :] == 0).all()
+        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 1)
+        vx = np.arange(9 * 4, dtype=float).reshape(9, 4)
+        # edge I reads exactly the fine x-face column I * mx
+        assert (coarse.edge_flux(vx) == vx[[0, 2, 4, 6, 8]]).all()
+        with pytest.raises(ConfigError, match="one-block-tall"):
+            CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 2).edge_flux(vx)
 
     def test_edge_neighbors_boundary(self):
         coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 1)
-        lo, hi = coarse.edge_neighbors(CoarseEdge("x", 0, 0))
+        lo, hi = coarse.edge_neighbors(0)
         assert lo is None and hi == (0, 0)
-        lo, hi = coarse.edge_neighbors(CoarseEdge("x", 4, 0))
+        assert coarse.edge_neighbors(2) == ((1, 0), (2, 0))
+        lo, hi = coarse.edge_neighbors(4)
         assert lo == (3, 0) and hi is None
+        for I in (-1, 5):
+            with pytest.raises(ConfigError, match="outside"):
+                coarse.edge_neighbors(I)
 
     def test_edge_donor_cells_follow_sign(self):
         coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 1)
-        e = CoarseEdge("x", 2, 0)
-        sign = np.array([1.0, -1.0, 1.0, -1.0])
-        ii, jj = coarse.edge_donor_cells(e, sign)
-        assert list(ii) == [3, 4, 3, 4]
-        assert list(jj) == [0, 1, 2, 3]
+        labels = np.arange(8 * 4).reshape(8, 4)
+        flux = np.array([[-1.0, 1.0, -1.0, 1.0]] * 5)
+        flux[2] = [1.0, -1.0, 1.0, -1.0]
+        donor = coarse.edge_donor_labels(labels, flux)
+        assert list(donor[2]) == [labels[3, 0], labels[4, 1], labels[3, 2],
+                                  labels[4, 3]]
+        # boundary faces read the cell inside the domain, whatever the sign
+        assert (donor[0] == labels[0]).all() and (donor[4] == labels[7]).all()
 
 
 class TestOversample:
@@ -145,7 +139,7 @@ class TestOversample:
 
 class TestDomainLayout:
     def test_paper_scale_extension_counts(self):
-        lay = build_layout(9.0, 3.0, 280, 90, 10, 1,
+        lay = build_layout(9.0, 3.0, 280, 90, 10,
                            extension="two-sided", ext_margin=1.8)
         assert lay.extended_fine.nx == 392
         assert lay.extended_fine.ny == 90
@@ -153,38 +147,25 @@ class TestDomainLayout:
         assert lay.extended_fine.x0 == pytest.approx(-1.8)
 
     def test_minimal_single_block(self):
-        lay = build_layout(1.0, 1.0, 2, 2, 1, 1)
+        lay = build_layout(1.0, 1.0, 2, 2, 1)
         assert lay.coarse.blocks() == [(0, 0)]
         assert lay.coarse.mx * lay.coarse.my == 4
 
     def test_right_extension_grows_only_right(self):
-        lay = build_layout(9.0, 3.0, 120, 36, 5, 1,
+        lay = build_layout(9.0, 3.0, 120, 36, 5,
                            extension="right", ext_margin=1.8)
         assert lay.extended_fine.x0 == 0.0
         assert lay.extended_fine.nx == 120 + 2 * 24
         assert lay.offset_x == 0
 
-    def test_restrict_embed_round_trip(self):
-        lay = build_layout(9.0, 3.0, 30, 6, 5, 1,
-                           extension="two-sided", ext_margin=1.8)
-        field = np.arange(30 * 6, dtype=float).reshape(30, 6)
-        assert (lay.restrict(lay.embed(field)) == field).all()
-
-    def test_restriction_is_cellwise(self):
-        lay = build_layout(9.0, 3.0, 30, 6, 5, 1,
-                           extension="two-sided", ext_margin=1.8)
-        ext = lay.extended_fine
-        xg, _ = ext.cell_centers()
-        assert np.allclose(lay.restrict(xg)[:, 0], lay.target_fine.xc())
-
     def test_fractional_margin_rejected(self):
         with pytest.raises(ConfigError, match="whole number"):
-            build_layout(9.0, 3.0, 120, 36, 5, 1,
+            build_layout(9.0, 3.0, 120, 36, 5,
                          extension="two-sided", ext_margin=1.7)
 
     def test_unknown_extension_rejected(self):
         with pytest.raises(ConfigError):
-            build_layout(1.0, 1.0, 4, 4, 2, 2, extension="left")
+            build_layout(1.0, 1.0, 4, 4, 2, extension="left")
 
 
 @settings(max_examples=40, deadline=None)

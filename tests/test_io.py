@@ -75,7 +75,7 @@ class TestAveragesCsv:
         states = []
         for k in range(3):
             C = g.random((2, 1, 2))
-            V = {("x", i, 0): g.standard_normal(2) for i in range(3)}
+            V = g.standard_normal((3, 2))
             states.append(FakeState(0.1 * k, C, V))
         return states
 
@@ -88,8 +88,25 @@ class TestAveragesCsv:
         for s, b in zip(states, back):
             assert b.t == pytest.approx(s.t, abs=1e-15)
             assert (b.C == s.C).all()
-            for key in s.V:
-                assert (b.V[key] == s.V[key]).all()
+            assert (b.V == s.V).all()
+
+    def test_edge_rows_pinned(self, tmp_path):
+        states = self.make_states()
+        path = tmp_path / "avg.csv"
+        io.write_averages_csv(str(path), states[:1], 2)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        edges = [(loc, k) for _t, kind, loc, k, _v in rows if kind == "V"]
+        assert edges == [(f"x:{I}:0", str(k)) for I in range(3)
+                         for k in range(2)]
+
+    @pytest.mark.parametrize("loc", ["y:0:0", "x:1:1", "x:-1:0", "1:0"])
+    def test_other_edge_locations_rejected(self, tmp_path, loc):
+        path = tmp_path / "old.csv"
+        path.write_text("time,kind,location,continuum,value\n"
+                        "0,C,0:0,0,1\n0,V,x:0:0,0,1\n"
+                        f"0,V,{loc},0,0\n")
+        with pytest.raises(ConfigError, match=f"old.csv.*{loc}"):
+            io.read_averages_csv(str(path))
 
     def test_pressure_dict_rows_written(self, tmp_path):
         states = self.make_states()

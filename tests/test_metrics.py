@@ -11,11 +11,9 @@ from dynmc.metrics import (ErrorReport, compute_errors, concentration_errors,
                            velocity_errors)
 
 
-KEYS = [("x", i, 0) for i in range(4)]
-
-
 def vdict(values):
-    return {key: np.asarray(v, dtype=float) for key, v in zip(KEYS, values)}
+    """Edge fluxes of four coarse edges, one row per edge."""
+    return np.asarray(values, dtype=float)
 
 
 class FakeState:
@@ -28,31 +26,29 @@ class FakeState:
 class TestVelocityErrors:
     def test_identical_series_zero_error(self):
         V = vdict([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0], [1.0, 1.0]])
-        ev = velocity_errors(V, V, KEYS, 2)
+        ev = velocity_errors(V, V, 2)
         assert ev.global_relative == 0.0
         assert np.allclose(ev.relative[~np.isnan(ev.relative)], 0.0)
         assert np.allclose(ev.absolute, 0.0)
 
     def test_half_scale_gives_fifty_percent(self):
         V_ref = vdict([[2.0], [4.0], [-2.0], [6.0]])
-        V_mh = {k: 0.5 * v for k, v in V_ref.items()}
-        ev = velocity_errors(V_ref, V_mh, KEYS, 1)
+        ev = velocity_errors(V_ref, 0.5 * V_ref, 1)
         assert ev.relative[0] == pytest.approx(50.0, rel=1e-14)
         assert ev.global_relative == pytest.approx(50.0, rel=1e-14)
 
     def test_near_zero_continuum_uses_absolute(self):
         V_ref = vdict([[1.0, 1e-12], [2.0, 0.0], [1.0, 0.0], [3.0, 1e-12]])
         V_mh = vdict([[1.0, 1e-3], [2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        ev = velocity_errors(V_ref, V_mh, KEYS, 2)
+        ev = velocity_errors(V_ref, V_mh, 2)
         assert ev.near_zero[1] and not ev.near_zero[0]
         assert np.isnan(ev.relative[1])
         assert ev.absolute[1] == pytest.approx(1e-3, rel=1e-9)
 
     def test_missing_edge_rejected(self):
         V = vdict([[1.0]] * 4)
-        short = {k: V[k] for k in KEYS[:-1]}
         with pytest.raises(ConfigError, match="misaligned"):
-            velocity_errors(V, short, KEYS, 1)
+            velocity_errors(V, V[:-1], 1)
 
 
 class TestConcentrationErrors:
@@ -87,14 +83,14 @@ def make_series(scale_mh=1.0, shift_between=0.0):
         V = vdict(g.random((4, 2)) + 0.5)
         ref.append(FakeState(t, C, V))
         mrv.append(FakeState(t, C * (1.0 + shift_between), V))
-        mmv.append(FakeState(t, C, {k: scale_mh * v for k, v in V.items()}))
+        mmv.append(FakeState(t, C, scale_mh * V))
     return ref, mrv, mmv
 
 
 class TestComputeErrors:
     def test_aligned_identical_series(self):
         ref, mrv, mmv = make_series()
-        rep = compute_errors(ref, mrv, mmv, 2, edge_keys=KEYS)
+        rep = compute_errors(ref, mrv, mmv, 2)
         assert rep.eV.global_relative == 0.0
         assert np.allclose(rep.eC_mh_vel, 0.0)
         assert rep.ordering_ok
@@ -102,12 +98,21 @@ class TestComputeErrors:
 
     def test_velocity_scale_propagates(self):
         ref, mrv, mmv = make_series(scale_mh=0.9)
-        rep = compute_errors(ref, mrv, mmv, 2, edge_keys=KEYS)
+        rep = compute_errors(ref, mrv, mmv, 2)
         assert rep.eV.global_relative == pytest.approx(10.0, rel=1e-12)
+
+    def test_edge_selection_restricts_norm(self):
+        ref, mrv, mmv = make_series()
+        for s in mmv:
+            s.V = s.V.copy()
+            s.V[0] *= 2.0  # error only outside the selection
+        assert compute_errors(ref, mrv, mmv, 2).eV.global_relative > 0
+        rep = compute_errors(ref, mrv, mmv, 2, edge_sel=np.s_[1:])
+        assert rep.eV.global_relative == 0.0
 
     def test_ordering_flag_reflects_final_errors(self):
         ref, mrv, mmv = make_series(shift_between=0.05)
-        rep = compute_errors(ref, mrv, mmv, 2, edge_keys=KEYS)
+        rep = compute_errors(ref, mrv, mmv, 2)
         # mh(V_ref) carries error, mh(V_mh) none: ordering violated
         assert not rep.ordering_ok
         assert np.all(rep.eC_ref_vel > 0) and np.allclose(rep.eC_mh_vel, 0.0)
@@ -116,13 +121,13 @@ class TestComputeErrors:
         ref, mrv, mmv = make_series()
         mrv[-1].t = 0.3
         with pytest.raises(ConfigError, match="misaligned"):
-            compute_errors(ref, mrv, mmv, 2, edge_keys=KEYS)
+            compute_errors(ref, mrv, mmv, 2)
         with pytest.raises(ConfigError, match="misaligned"):
-            compute_errors(ref, mrv[:-1], mmv, 2, edge_keys=KEYS)
+            compute_errors(ref, mrv[:-1], mmv, 2)
 
     def test_rows_cover_all_metrics(self):
         ref, mrv, mmv = make_series()
-        rep = compute_errors(ref, mrv, mmv, 2, edge_keys=KEYS)
+        rep = compute_errors(ref, mrv, mmv, 2)
         names = [r[0] for r in rep.rows()]
         assert names.count("e_V_rel") == 2
         assert "ordering_ok" in names and "e_C_between" in names
@@ -133,7 +138,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "errors_golden.csv")
 
 def test_error_csv_matches_golden_bytes(tmp_path):
     ref, mrv, mmv = make_series(scale_mh=0.875, shift_between=0.01)
-    rep = compute_errors(ref, mrv, mmv, 2, edge_keys=KEYS)
+    rep = compute_errors(ref, mrv, mmv, 2)
     out = tmp_path / "errors.csv"
     io.write_errors_csv(str(out), rep)
     if not os.path.exists(GOLDEN):  # pragma: no cover - first generation
