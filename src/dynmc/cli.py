@@ -81,7 +81,8 @@ def _cmd_run_fine(args) -> int:
         iomod.write_pgm(os.path.join(args.out, "c_final.pgm"), last.c)
         iomod.write_manifest(os.path.join(args.out, "manifest.json"), cfg,
                              {"status": "ok", "mode": "fine-only",
-                              "max_fine_cfl": run.max_cfl})
+                              "max_fine_cfl": run.max_cfl,
+                              "fine_flow_reused": sum(run.flow_reused)})
         print(f"artifacts in {args.out}")
     return 0
 

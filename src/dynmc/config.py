@@ -102,6 +102,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"approach {self.approach!r} needs bc_kind="
                 f"{_APPROACH_BC[self.approach]!r}, got {self.bc_kind!r}")
+        if self.Nx < 1 or self.nx % self.Nx:
+            raise ConfigError(
+                f"Nx={self.Nx} coarse blocks do not divide fine nx={self.nx}")
         refined = self.Nx * self.flow_refine
         if self.approach == "galerkin" and (refined < 1 or self.nx % refined):
             raise ConfigError(
@@ -114,7 +117,7 @@ class ExperimentConfig:
         return ContinuumSpec(thresholds=tuple(self.thresholds))
 
     def layout(self) -> DomainLayout:
-        return build_layout(self.L1, self.L2, self.nx, self.ny, self.Nx,
+        return build_layout(self.L1, self.L2, self.nx, self.ny,
                             extension=self.extension,
                             ext_margin=self.ext_margin)
 

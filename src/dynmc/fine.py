@@ -10,6 +10,7 @@ reuse it.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -168,10 +169,50 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
     return rhs.ravel()
 
 
+@dataclass
+class LastSolve:
+    """Caller-owned one-entry memo of :func:`solve_flow`.
+
+    ``key`` is a blake2b digest of everything the last result depends on
+    and ``result`` its list of read-only (p, vx, vy); ``reused`` tells
+    whether the latest call returned that result without solving.
+    """
+
+    key: bytes | None = None
+    result: list | None = None
+    reused: bool = False
+
+
+def _flow_digest(grid: FineGrid, lam: np.ndarray, loads) -> bytes:
+    """Digest of the geometry, lam and each load's gravity flag, boundary
+    data, c (with gravity on) and f (when given)."""
+    h = hashlib.blake2b(digest_size=32)
+
+    def add(a):
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+    h.update(f"{grid!r} loads={len(loads)}".encode())
+    add(lam)
+    for c, bc, gravity_on, f in loads:
+        kinds = tuple(bc.side(s)[0] for s in SIDES)
+        h.update(repr((bool(gravity_on), kinds, f is None)).encode())
+        for side in SIDES:
+            for value in bc.side(side)[1:]:
+                add(np.asarray(value, dtype=float))
+        if gravity_on:
+            add(c)
+        if f is not None:
+            add(f)
+    return h.digest()
+
+
 def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
                bc: FlowBC | None = None, gravity_on: bool = True,
                f: np.ndarray | None = None, *,
-               loads: list[FlowLoad] | None = None):
+               loads: list[FlowLoad] | None = None,
+               memo: LastSolve | None = None):
     """Solve -div(lam (grad p - c e1)) = f; return (p, vx, vy).
 
     Face flux density is -lam_face (dp/dn - c_face [x-face]) with harmonic
@@ -182,6 +223,10 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
     load is solved against it; the loads must share their pressure sides
     (the only part of the boundary data in the matrix), and the result is
     the list of their (p, vx, vy).
+
+    With ``memo`` a call whose inputs digest to the memo's key returns the
+    stored arrays with no assembly, factorization or solve; otherwise the
+    new result, made read-only, replaces the stored one.
     """
     single = loads is None
     if single:
@@ -196,6 +241,11 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
             "loads solved against one factorization must share their "
             f"pressure sides, got {sorted(pressure)}")
     pressure = pressure.pop()
+    if memo is not None:
+        key = _flow_digest(grid, lam, loads)
+        memo.reused = key == memo.key
+        if memo.reused:
+            return memo.result[0] if single else list(memo.result)
     A = assemble_stiffness(grid, lam)
     rhss = [_load_rhs(grid, lam, load) for load in loads]
 
@@ -233,7 +283,12 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
                        rhs)
         p = p_vec.reshape(nx, ny)
         out.append((p, *flux_from_pressure(grid, p, lam, c, bc, gravity_on)))
-    return out[0] if single else out
+    if memo is not None:
+        for arrays in out:
+            for a in arrays:
+                a.flags.writeable = False
+        memo.key, memo.result = key, out
+    return out[0] if single else list(out)
 
 
 def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
@@ -471,6 +526,9 @@ class FineRun:
     c0: np.ndarray  # initial concentration
     max_cfl: float = 0.0  # largest CFL over every solved step
     snapshots: list[Snapshot] = field(default_factory=list)
+    # per flow solve, steps 0..steps: True where the previous step's
+    # solution was returned because its inputs repeated
+    flow_reused: list[bool] = field(default_factory=list)
 
 
 def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
@@ -481,8 +539,10 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
     """Sequential flow/transport loop with lagged mobility.
 
     Each step solves flow with lam(c^n) and advances transport to c^{n+1};
-    snapshots are kept at the fine steps in ``keep`` (default: every step)
-    and always at the final step.
+    a step whose flow inputs repeat the previous step's (same lam, and c
+    too with gravity on) reuses its solution.  Snapshots are kept at the
+    fine steps in ``keep`` (default: every step) and always at the final
+    step.
     """
     if scheme not in ("upwind", "particles"):
         raise ConfigError(f"unknown transport scheme {scheme!r}")
@@ -497,9 +557,13 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
     store = [np.empty((kept,) + shape) for shape in
              ((nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny))]
 
+    memo = LastSolve()
+
     def solve(c):
-        p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on)
-        run.max_cfl = max(run.max_cfl, cfl(grid, vx, vy, tau))
+        p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on, memo=memo)
+        run.flow_reused.append(memo.reused)
+        if not memo.reused:  # a reused vx, vy has its CFL counted already
+            run.max_cfl = max(run.max_cfl, cfl(grid, vx, vy, tau))
         return p, vx, vy
 
     def record(n, *fields):

@@ -265,16 +265,15 @@ class DomainLayout:
 
     target_fine: FineGrid
     extended_fine: FineGrid
-    coarse: CoarseGrid  # coarse grid over the target domain
     extension: str  # 'none' | 'two-sided' | 'right'
     ext_margin: float
     offset_x: int
 
 
-def build_layout(L1: float, L2: float, nx: int, ny: int, Nx: int,
+def build_layout(L1: float, L2: float, nx: int, ny: int,
                  extension: str = "none",
                  ext_margin: float = 0.0) -> DomainLayout:
-    """Construct the target/extended grids and the coarse partition.
+    """Construct the target and extended fine grids.
 
     ``nx, ny`` count fine cells of the *target* domain.  With extension
     'two-sided' the fine grid grows by ``ext_margin`` on both x sides, with
@@ -301,7 +300,6 @@ def build_layout(L1: float, L2: float, nx: int, ny: int, Nx: int,
         else:
             ext = FineGrid(nx + 2 * mc, ny, L1 + 2 * ext_margin, L2)
             off = 0
-    coarse = CoarseGrid(target, Nx, 1)
-    return DomainLayout(target_fine=target, extended_fine=ext, coarse=coarse,
+    return DomainLayout(target_fine=target, extended_fine=ext,
                         extension=extension, ext_margin=ext_margin,
                         offset_x=off)

@@ -237,7 +237,8 @@ class MixedSolution:
 
 
 def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
-                            labels: np.ndarray, n: int, Chat: np.ndarray,
+                            labels: np.ndarray, n: int,
+                            Chat: np.ndarray | None,
                             edge_labels: np.ndarray, variant: str = "gravity",
                             g_in: float | None = None,
                             p_out: float | None = None,
@@ -249,7 +250,8 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     one pressure per block, buoyancy drive from Chat (continuum mean
     concentrations per block).  variant 'viscous': continuum-wise sources
     and pressures, prescribed inflow ``g_in`` on the left boundary, fixed
-    pressure ``p_out`` on the right (one-sided edge bases there).
+    pressure ``p_out`` on the right (one-sided edge bases there); it does
+    not read Chat, which may be None.
     ``edge_labels[I]`` holds the continuum label of every face of edge I.
     """
     if variant not in ("gravity", "viscous"):
@@ -258,6 +260,8 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
         raise ConfigError("mixed coarse flow expects a one-block-tall grid")
     fine = coarse.fine
     gravity = variant == "gravity"
+    if gravity and Chat is None:
+        raise ConfigError("the gravity variant needs Chat")
 
     bases, gravity_support, inflow_supports = mixed_bases(
         coarse, lam, labels, n, edge_labels, gravity, inflow_labels)
@@ -610,10 +614,12 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             elif model.approach == "galerkin":
                 V, P, ops = _galerkin_velocity(model, lam, labels, n)
             else:
-                Cfine = averages(coarse, snap.p, snap.c, snap.vx, labels,
-                                 n).C
-                Chat = np.zeros_like(Cfine)
-                np.divide(Cfine, masses, out=Chat, where=masses > 0)
+                Chat = None  # read only by the gravity variant
+                if model.approach == "mixed-gravity":
+                    Cfine = averages(coarse, snap.p, snap.c, snap.vx, labels,
+                                     n).C
+                    Chat = np.zeros_like(Cfine)
+                    np.divide(Cfine, masses, out=Chat, where=masses > 0)
                 elab = coarse.edge_donor_labels(labels,
                                                 coarse.edge_flux(snap.vx))
                 inflow_lab = None

@@ -3,6 +3,7 @@
 import numpy as np
 
 from dynmc import cells
+from dynmc.fine import advance_upwind, cfl, solve_flow
 from dynmc.continua import classify, ContinuumSpec
 from dynmc.exceptions import InvariantError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
@@ -138,3 +139,19 @@ def step_macro_concentration_loops(coarse, C, masses, V, tau,
             if hi is not None:
                 out[hi[0], hi[1], k] += tau * F * val
     return out, skipped
+
+
+def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,
+                               inflow_c=None):
+    """The fine upwind loop with a fresh flow solve at every step.
+
+    Returns the (p, vx, vy, c) of steps 0..steps and the largest CFL.
+    """
+    c, states, worst = c0.copy(), [], 0.0
+    for n in range(steps + 1):
+        p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on)
+        worst = max(worst, cfl(grid, vx, vy, tau))
+        states.append((p, vx, vy, c))
+        if n < steps:
+            c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c)
+    return states, worst

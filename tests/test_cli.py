@@ -1,5 +1,7 @@
 """Command-line entry points: exit codes, artifacts, printed reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,9 @@ def test_run_fine_smoke_writes_artifacts(tmp_path, capsys):
     assert c.shape == (8, 4)
     vx, vy = io.read_face_csv(str(out / "v_final.csv"))
     assert vx.shape == (9, 4) and vy.shape == (8, 5)
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    # smoke has gravity on and c moves every step: no solve repeats
+    assert manifest["fine_flow_reused"] == 0
     assert (out / "c_final.pgm").exists()
 
 

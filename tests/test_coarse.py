@@ -82,12 +82,18 @@ class TestMixedGravity:
                                     np.zeros((2, 2, 1)),
                                     np.zeros((3, 4), dtype=np.int8))
 
+    def test_missing_chat_rejected(self):
+        fine, coarse, c, labels, lam = striped_setup()
+        with pytest.raises(ConfigError, match="needs Chat"):
+            solve_coarse_flow_mixed(coarse, lam, labels, 2, None,
+                                    edge_labels_still(coarse, labels),
+                                    variant="gravity")
+
 
 class TestMixedViscous:
     def solve(self, nblocks=2, g_in=-1.0):
         fine, coarse, c, labels, lam = striped_setup(nblocks=nblocks)
-        ms = solve_coarse_flow_mixed(coarse, lam, labels, 2,
-                                     np.zeros((nblocks, 1, 2)),
+        ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, None,
                                      edge_labels_still(coarse, labels),
                                      variant="viscous", g_in=g_in, p_out=0.0,
                                      inflow_labels=labels[0, :])
@@ -494,6 +500,35 @@ class TestRunCoarse:
         aba[1] = dataclasses.replace(aba[1], c=np.full((24, 6), 0.71))
         run_coarse(model, aba, 2, 0.05, velocity="mh")
         assert len(calls) == 3
+
+    def test_mh_viscous_averages_only_the_first_snapshot(self, monkeypatch):
+        # the viscous coarse flow reads no Chat, so no per-step averages
+        fine, coarse, c, labels, lam = striped_setup(nblocks=3)
+        model = CoarseModel(coarse=coarse,
+                            spec=ContinuumSpec(DUAL_THRESHOLDS),
+                            approach="mixed-viscous",
+                            lam_of=lambda cc: np.where(cc >= 0.5, 100.0, 1.0),
+                            g_in=-1.0, p_out=0.0,
+                            inflow_conc=np.array([1.0, 0.0]))
+        counts = {"averages": 0, "solves": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(macro, "averages",
+                            counted("averages", macro.averages))
+        monkeypatch.setattr(macro, "solve_coarse_flow_mixed",
+                            counted("solves", solve_coarse_flow_mixed))
+        vx = np.zeros((fine.nx + 1, fine.ny))
+        snaps = self.make_snapshots(fine, 2, c, vx)
+        moved = c.copy()
+        moved[0, 0] = 0.0  # a new label: no reuse of the coarse flow
+        snaps[1] = dataclasses.replace(snaps[1], c=moved)
+        run_coarse(model, snaps, 2, 1e-3, velocity="mh")
+        assert counts == {"averages": 1, "solves": 3}
 
     def test_mh_gravity_quiescent_keeps_concentration(self):
         # globally uniform concentration: hydrostatic, nothing moves

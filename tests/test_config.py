@@ -91,6 +91,12 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="unknown key 'Ny'"):
             from_ini("[geometry]\nNy = 2\n", base=get_preset("smoke"))
 
+    @pytest.mark.parametrize("Nx", [0, 3])
+    def test_coarse_blocks_must_divide_fine_nx(self, Nx):
+        # smoke has 8 fine columns
+        with pytest.raises(ConfigError, match="do not divide fine nx=8"):
+            dataclasses.replace(get_preset("smoke"), Nx=Nx)
+
     def test_viscous_needs_two_continua(self):
         with pytest.raises(ConfigError, match="exactly 2 continua"):
             dataclasses.replace(get_preset("viscous"), thresholds=(0.8, 0.4))

@@ -1,6 +1,7 @@
 """End-to-end driver: which fine steps feed which coarse time points."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -48,3 +49,22 @@ def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch):
     with pytest.raises(ConfigError, match="flow_refine = 70"):
         run_experiment(apply_overrides(get_preset("interface"),
                                        ["flow_refine=7"]))
+
+
+def test_coarse_block_count_checked_before_the_fine_run(monkeypatch):
+    def no_fine_run(*args, **kwargs):
+        raise AssertionError("run_fine called")
+
+    monkeypatch.setattr(experiment, "run_fine", no_fine_run)
+    # 120 fine columns do not split into 7 coarse blocks
+    with pytest.raises(ConfigError, match="Nx=7 coarse blocks"):
+        run_experiment(apply_overrides(get_preset("gravity-dual"), ["Nx=7"]))
+
+
+def test_manifest_counts_reused_fine_flow_solves(tmp_path):
+    cfg = dataclasses.replace(get_preset("interface"), steps=30,
+                              coarse_steps=3)
+    res = run_experiment(cfg, outdir=str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(res.fine.flow_reused) == cfg.steps + 1
+    assert manifest["fine_flow_reused"] == sum(res.fine.flow_reused) > 0

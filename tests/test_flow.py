@@ -6,7 +6,8 @@ import pytest
 from conftest import random_mobility, rng
 from dynmc import fine
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import FlowBC, FlowLoad, cfl, divergence, solve_flow
+from dynmc.fine import (FlowBC, FlowLoad, LastSolve, cfl, divergence,
+                        solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -265,6 +266,81 @@ def test_tpfa_factor_fill_stays_small(monkeypatch):
     solve_flow(grid, lam, None, bc, gravity_on=False)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 160_000
+
+
+class TestLastSolve:
+    """The one-entry memo returns the stored solve only for equal inputs."""
+
+    def setup_method(self):
+        self.grid = FineGrid(10, 6, 2.0, 1.0)
+        self.lam = random_mobility(10, 6, 31, 1000.0)
+        self.c = rng(32).random((10, 6))
+        self.f = rng(33).random((10, 6))
+        self.bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
+
+    def spy(self, monkeypatch):
+        calls = []
+        splu = fine.splu
+
+        def counting(A, **kw):
+            calls.append(A)
+            return splu(A, **kw)
+
+        monkeypatch.setattr(fine, "splu", counting)
+        return calls
+
+    def solve(self, memo, lam=None, c=None, bc=None, gravity_on=True,
+              f=None):
+        return solve_flow(self.grid, self.lam if lam is None else lam,
+                          self.c if c is None else c, bc or self.bc,
+                          gravity_on, self.f if f is None else f, memo=memo)
+
+    def test_hit_is_bit_identical_and_factors_nothing(self, monkeypatch):
+        memo = LastSolve()
+        self.solve(memo)
+        assert not memo.reused
+        calls = self.spy(monkeypatch)
+        hit = self.solve(memo, c=self.c.copy())
+        assert memo.reused and calls == []
+        fresh = solve_flow(self.grid, self.lam, self.c, self.bc, True,
+                           self.f)
+        for a, b in zip(hit, fresh):
+            assert (a == b).all()
+
+    def test_hit_arrays_are_read_only(self):
+        memo = LastSolve()
+        self.solve(memo)
+        p, vx, vy = self.solve(memo)
+        assert memo.reused
+        for a in (p, vx, vy):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    @pytest.mark.parametrize("change", ["lam", "c", "bc", "f"])
+    def test_changed_input_factors_again(self, monkeypatch, change):
+        memo = LastSolve()
+        self.solve(memo)
+        calls = self.spy(monkeypatch)
+        lam, c, f = self.lam.copy(), self.c.copy(), self.f.copy()
+        bc = self.bc
+        if change == "lam":
+            lam[4, 3] *= 2.0
+        elif change == "c":
+            c[4, 3] += 0.25
+        elif change == "bc":
+            bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.5))
+        else:
+            f[4, 3] += 0.25
+        self.solve(memo, lam=lam, c=c, bc=bc, f=f)
+        assert not memo.reused and len(calls) == 1
+
+    def test_c_without_gravity_still_hits(self, monkeypatch):
+        memo = LastSolve()
+        first = self.solve(memo, gravity_on=False)
+        calls = self.spy(monkeypatch)
+        again = self.solve(memo, c=self.c + 0.25, gravity_on=False)
+        assert memo.reused and calls == []
+        assert all(a is b for a, b in zip(first, again))
 
 
 class TestCfl:

@@ -139,7 +139,7 @@ class TestOversample:
 
 class TestDomainLayout:
     def test_paper_scale_extension_counts(self):
-        lay = build_layout(9.0, 3.0, 280, 90, 10,
+        lay = build_layout(9.0, 3.0, 280, 90,
                            extension="two-sided", ext_margin=1.8)
         assert lay.extended_fine.nx == 392
         assert lay.extended_fine.ny == 90
@@ -147,12 +147,15 @@ class TestDomainLayout:
         assert lay.extended_fine.x0 == pytest.approx(-1.8)
 
     def test_minimal_single_block(self):
-        lay = build_layout(1.0, 1.0, 2, 2, 1)
-        assert lay.coarse.blocks() == [(0, 0)]
-        assert lay.coarse.mx * lay.coarse.my == 4
+        lay = build_layout(1.0, 1.0, 2, 2)
+        assert lay.extended_fine is lay.target_fine
+        assert lay.offset_x == 0
+        coarse = CoarseGrid(lay.target_fine, 1, 1)
+        assert coarse.blocks() == [(0, 0)]
+        assert coarse.mx * coarse.my == 4
 
     def test_right_extension_grows_only_right(self):
-        lay = build_layout(9.0, 3.0, 120, 36, 5,
+        lay = build_layout(9.0, 3.0, 120, 36,
                            extension="right", ext_margin=1.8)
         assert lay.extended_fine.x0 == 0.0
         assert lay.extended_fine.nx == 120 + 2 * 24
@@ -160,12 +163,12 @@ class TestDomainLayout:
 
     def test_fractional_margin_rejected(self):
         with pytest.raises(ConfigError, match="whole number"):
-            build_layout(9.0, 3.0, 120, 36, 5,
+            build_layout(9.0, 3.0, 120, 36,
                          extension="two-sided", ext_margin=1.7)
 
     def test_unknown_extension_rejected(self):
         with pytest.raises(ConfigError):
-            build_layout(1.0, 1.0, 4, 4, 2, extension="left")
+            build_layout(1.0, 1.0, 4, 4, extension="left")
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,15 @@
 """Upwind and particle transport: exactness, conservation, monotonicity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import run_fine_upwind_unmemoized
 from conftest import rng
+from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, InvariantError
 from dynmc.fine import (ParticleCloud, advance_particles, advance_upwind,
                         cfl, deposit, interp_velocity, run_fine,
@@ -301,3 +305,37 @@ class TestRunFine:
         b = run_fine(grid, lam_of, c0, 0.005, 5, scheme="particles", seed=2)
         for sa, sb in zip(a.snapshots, b.snapshots):
             assert (sa.c == sb.c).all() and (sa.p == sb.p).all()
+
+
+class TestFlowReuse:
+    """run_fine reuses the previous step's flow solution when its inputs
+    repeat; on a Galerkin config lam changes only at threshold crossings."""
+
+    def setup_method(self):
+        cfg = dataclasses.replace(get_preset("interface"), nx=40, ny=16,
+                                  tau=1e-2, tau_coarse=0.1, steps=60,
+                                  coarse_steps=6)
+        self.grid = cfg.layout().extended_fine
+        self.c0 = cfg.initial_condition(self.grid)
+        self.args = (self.grid, cfg.mobility(self.grid), self.c0, cfg.tau,
+                     cfg.steps)
+        self.kw = dict(bc=cfg.flow_bc(self.grid), gravity_on=cfg.gravity,
+                       inflow_c={"left": self.c0[0, :].copy()})
+
+    def test_snapshots_match_a_fresh_solve_every_step(self):
+        run = run_fine(*self.args, **self.kw)
+        # a hit at step 1, and a miss after hits: lam changed mid-run
+        assert run.flow_reused[:2] == [False, True]
+        assert not all(run.flow_reused[2:])
+        states, worst = run_fine_upwind_unmemoized(*self.args, **self.kw)
+        assert len(run.snapshots) == len(states)
+        for s, (p, vx, vy, c) in zip(run.snapshots, states):
+            assert (s.p == p).all() and (s.vx == vx).all()
+            assert (s.vy == vy).all() and (s.c == c).all()
+        assert run.max_cfl == worst
+
+    def test_reuse_flags_repeat_across_runs(self):
+        a = run_fine(*self.args, **self.kw, keep=())
+        b = run_fine(*self.args, **self.kw, keep=())
+        assert len(a.flow_reused) == self.args[-1] + 1
+        assert a.flow_reused == b.flow_reused
