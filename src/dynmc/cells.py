@@ -1,11 +1,13 @@
 """Constrained local (cell) problems.
 
-Every family reduces to one engine: the TPFA stiffness of
-:mod:`dynmc.fine` on the (oversampled) region plus linear moment
-constraints, solved as one symmetric indefinite saddle system.  Families
-differ only in constraint targets, source terms, and boundary data.
-Flux-type bases (edge, gravity, interface) reuse the fine flow solver on
-block-local grids.
+Every Galerkin family reduces to one engine: the TPFA stiffness of
+:mod:`dynmc.fine` on the oversampled region plus linear moment
+constraints, solved as one symmetric indefinite saddle system that is
+factored once with the sparse recipe of :mod:`dynmc.fine`.  Families
+differ only in constraint targets, source terms, and boundary data; the
+gradient family is driven along x, the only axis any coarse model
+reads.  Flux-type bases (edge, gravity, interface) reuse the fine flow
+solver on block-local grids.
 """
 
 from __future__ import annotations
@@ -22,29 +24,20 @@ from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, assemble_stiffness,
                    check_residual, gravity_volume_source, solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
-DENSE_LIMIT = 3000
-
 
 # --- sources and saddle engine -----------------------------------------
 
 
-def gradient_boundary_source(grid: FineGrid, lam: np.ndarray,
-                             direction: int) -> np.ndarray:
-    """Natural-BC source for a unit mean gradient along ``direction``.
+def gradient_boundary_source(grid: FineGrid, lam: np.ndarray) -> np.ndarray:
+    """Natural-BC source for a unit mean gradient along x.
 
-    Imposes lam grad(phi).n = lam n_m on the region boundary so a linear
+    Imposes lam grad(phi).n = lam n_x on the region boundary so a linear
     profile is exact for constant lam; suppresses the zero-Neumann
     boundary artifact of oversampled gradient problems.
     """
     b = np.zeros((grid.nx, grid.ny))
-    if direction == 0:
-        b[0, :] -= lam[0, :] * grid.hy
-        b[-1, :] += lam[-1, :] * grid.hy
-    elif direction == 1:
-        b[:, 0] -= lam[:, 0] * grid.hx
-        b[:, -1] += lam[:, -1] * grid.hx
-    else:
-        raise ConfigError(f"direction must be 0 or 1, got {direction}")
+    b[0, :] -= lam[0, :] * grid.hy
+    b[-1, :] += lam[-1, :] * grid.hy
     return b
 
 
@@ -63,30 +56,17 @@ class SaddleSolver:
         self.m = C.shape[0]
         if self.m == 0:
             raise SolverError("constraint set is empty after dropping")
-        K = sparse.bmat([[A, C.T], [C, None]], format="csc")
+        self._K = sparse.bmat([[A, C.T], [C, None]], format="csc")
         self.C = C.tocsr()
-        self._norm = float(abs(K).sum(axis=1).max())  # ||K||_inf
-        if self.n + self.m <= DENSE_LIMIT:
-            self._K = K.toarray()
-            self._lu = None
-        else:
-            self._K = K
-            try:
-                self._lu = splu(K, **SPLU_OPTIONS)
-            except RuntimeError as exc:
-                raise SolverError(f"saddle factorization failed: {exc}") from exc
+        self._norm = float(abs(self._K).sum(axis=1).max())  # ||K||_inf
+        try:
+            self._lu = splu(self._K, **SPLU_OPTIONS)
+        except RuntimeError as exc:
+            raise SolverError(f"saddle factorization failed: {exc}") from exc
 
     def solve(self, b: np.ndarray, g: np.ndarray) -> SaddleSolution:
         rhs = np.concatenate([b, g])
-        if self._lu is None:
-            try:
-                sol = np.linalg.solve(self._K, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"singular saddle system (rank-deficient constraints?): "
-                    f"{exc}") from exc
-        else:
-            sol = self._lu.solve(rhs)
+        sol = self._lu.solve(rhs)
         gap = np.abs(self._K @ sol - rhs).max()
         u = sol[:self.n]
         mu = sol[self.n:]
@@ -137,11 +117,11 @@ def region_moment_matrix(ov: Oversample, labels_local: np.ndarray, n: int):
     return C, rows
 
 
-def gradient_centers(ov: Oversample, labels_local: np.ndarray, n: int,
-                     direction: int) -> np.ndarray:
-    """Per-continuum centering points from the central region's zero-mean
+def gradient_centers(ov: Oversample, labels_local: np.ndarray,
+                     n: int) -> np.ndarray:
+    """Per-continuum centering x from the central region's zero-mean
     condition; continua absent centrally fall back to the block centroid."""
-    coord = ov.grid.cell_centers()[direction]
+    coord = ov.grid.cell_centers()[0]
     cen = ov.central
     blk_lab = labels_local[cen.sx, cen.sy]
     blk_x = coord[cen.sx, cen.sy]
@@ -154,11 +134,11 @@ def gradient_centers(ov: Oversample, labels_local: np.ndarray, n: int,
 
 def moment_targets(ov: Oversample, labels_local: np.ndarray,
                    rows: list[MomentRow], basis_continuum: int,
-                   kind: str, direction: int = 0,
-                   centers: np.ndarray | None = None) -> np.ndarray:
+                   kind: str, centers: np.ndarray | None = None
+                   ) -> np.ndarray:
     """Targets delta_ij * m_jl (average) or delta_ij * int (x - x~) psi (gradient)."""
     g = np.zeros(len(rows))
-    coord = ov.grid.cell_centers()[direction] if kind == "gradient" else None
+    coord = ov.grid.cell_centers()[0] if kind == "gradient" else None
     area = ov.grid.cell_area
     for r, row in enumerate(rows):
         if row.continuum != basis_continuum:
@@ -182,7 +162,6 @@ class CellBasis:
     scalar: np.ndarray | None = None  # (nx, ny) on the local grid
     fx: np.ndarray | None = None
     fy: np.ndarray | None = None
-    multipliers: dict = field(default_factory=dict)
     residual: float = 0.0
     flag: str | None = None
     extras: dict = field(default_factory=dict)
@@ -190,22 +169,14 @@ class CellBasis:
 
 @dataclass
 class CellBasisSet:
-    family: str
     grid: FineGrid
     bases: list[CellBasis]
-    meta: dict = field(default_factory=dict)
 
     def by_continuum(self, k: int) -> CellBasis:
         for b in self.bases:
             if b.continuum == k:
                 return b
         raise KeyError(f"no basis for continuum {k}")
-
-
-def _beta_report(rows: list[MomentRow], mu: np.ndarray) -> dict:
-    """Per-region constant sources implied by the multipliers."""
-    return {(r.region, r.continuum): -m * r.mass
-            for r, m in zip(rows, mu)}
 
 
 # --- Galerkin families -------------------------------------------------
@@ -229,12 +200,12 @@ def build_region_engine(ov: Oversample, lam_local: np.ndarray,
 
 def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
                                labels_local: np.ndarray, n: int,
-                               family: str, direction: int = 0,
+                               family: str,
                                engine: RegionEngine | None = None) -> CellBasisSet:
     """Galerkin cell problems on an oversampled region.
 
     family: 'average' (unit continuum averages), 'gradient' (linear moment
-    targets along ``direction`` with natural unit-gradient boundary data),
+    targets along x with natural unit-gradient boundary data),
     or 'concentration' (buoyancy source chi_i psi_i e1, zero moments).
     """
     if family not in ("average", "gradient", "concentration"):
@@ -246,10 +217,9 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
     present = sorted({r.continuum for r in rows})
     centers = None
     if family == "gradient":
-        centers = gradient_centers(ov, labels_local, n, direction)
+        centers = gradient_centers(ov, labels_local, n)
 
-    out = CellBasisSet(family=f"galerkin-{family}", grid=grid,
-                       bases=[], meta={"rows": rows, "direction": direction})
+    out = CellBasisSet(grid=grid, bases=[])
     for i in range(n):
         if i not in present:
             out.bases.append(CellBasis(continuum=i, scalar=grid.zeros(),
@@ -263,9 +233,8 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
             # high-mobility neighbour continuum on the region rim must not
             # inject its (contrast-sized) natural flux into this basis
             lam_i = lam_local * indicator(labels_local, i)
-            b = gradient_boundary_source(grid, lam_i, direction).ravel()
-            g = moment_targets(ov, labels_local, rows, i, "gradient",
-                               direction, centers)
+            b = gradient_boundary_source(grid, lam_i).ravel()
+            g = moment_targets(ov, labels_local, rows, i, "gradient", centers)
         else:
             psi = indicator(labels_local, i)
             mass = psi[ov.central.sx, ov.central.sy].sum() * grid.cell_area
@@ -274,7 +243,6 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
             g = np.zeros(len(rows))
         sol = solver.solve(b, g)
         basis = CellBasis(continuum=i, scalar=sol.u.reshape(grid.nx, grid.ny),
-                          multipliers=_beta_report(rows, sol.multipliers),
                           residual=float(np.abs(sol.residuals).max()))
         if family == "gradient":
             basis.extras["center"] = float(centers[i])
@@ -365,10 +333,8 @@ def edge_flux_family(coarse: CoarseGrid, edge: int,
     grid = _omega_grid(coarse, blocks)
     if S == 0.0:
         fx, fy = grid.zero_faces()
-        return CellBasisSet(family=f"edge-{variant}", grid=grid,
-                            bases=[CellBasis(continuum=continuum, fx=fx,
-                                             fy=fy, flag="absent")],
-                            meta={"edge": edge})
+        return CellBasisSet(grid=grid, bases=[CellBasis(
+            continuum=continuum, fx=fx, fy=fy, flag="absent")])
 
     sources = {}
     loads = []
@@ -403,10 +369,8 @@ def edge_flux_family(coarse: CoarseGrid, edge: int,
         # shared edge column was written twice (identical data)
         fx[mx, :] = psi_edge
     basis = CellBasis(continuum=continuum, scalar=pr, fx=fx, fy=fy,
-                      extras={"sources": sources, "edge_flux": S,
-                              "psi_edge": psi_edge})
-    return CellBasisSet(family=f"edge-{variant}", grid=grid, bases=[basis],
-                        meta={"edge": edge, "blocks": blocks})
+                      extras={"sources": sources, "edge_flux": S})
+    return CellBasisSet(grid=grid, bases=[basis])
 
 
 def _omega_grid(coarse: CoarseGrid, blocks: list) -> FineGrid:
@@ -434,15 +398,11 @@ def gravity_family(coarse: CoarseGrid, block: tuple[int, int],
     psi = indicator(_block_field(coarse, *block, labels), continuum)
     if psi.sum() == 0:
         fx, fy = bg.zero_faces()
-        return CellBasisSet(family="gravity", grid=bg,
-                            bases=[CellBasis(continuum=continuum, fx=fx,
-                                             fy=fy, flag="absent")],
-                            meta={"block": block})
+        return CellBasisSet(grid=bg, bases=[CellBasis(
+            continuum=continuum, fx=fx, fy=fy, flag="absent")])
     [(p, fx, fy)] = yield [(block, FlowLoad(psi, FlowBC(), True))]
-    return CellBasisSet(family="gravity", grid=bg,
-                        bases=[CellBasis(continuum=continuum, scalar=p,
-                                         fx=fx, fy=fy)],
-                        meta={"block": block, "psi": psi})
+    return CellBasisSet(grid=bg, bases=[CellBasis(
+        continuum=continuum, scalar=p, fx=fx, fy=fy)])
 
 
 def solve_interface_basis(coarse: CoarseGrid, block: tuple[int, int],
@@ -462,14 +422,11 @@ def interface_family(coarse: CoarseGrid, block: tuple[int, int],
     m1, m2 = psi1.sum(), psi2.sum()
     if m1 == 0 or m2 == 0:
         fx, fy = bg.zero_faces()
-        return CellBasisSet(family="interface", grid=bg,
-                            bases=[CellBasis(continuum=None, fx=fx, fy=fy,
-                                             flag="absent")],
-                            meta={"block": block})
+        return CellBasisSet(grid=bg, bases=[CellBasis(
+            continuum=None, fx=fx, fy=fy, flag="absent")])
     theta = m1 / m2
     div = psi1 - theta * psi2
     [(p, fx, fy)] = yield [(block, FlowLoad(None, FlowBC(), False, div))]
     basis = CellBasis(continuum=None, scalar=p, fx=fx, fy=fy,
                       extras={"theta": theta, "div": div})
-    return CellBasisSet(family="interface", grid=bg, bases=[basis],
-                        meta={"block": block})
+    return CellBasisSet(grid=bg, bases=[basis])

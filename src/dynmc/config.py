@@ -13,7 +13,7 @@ from . import ic as icmod
 from .continua import ContinuumSpec, classify_values
 from .exceptions import ConfigError
 from .fine import FlowBC
-from .grids import CoarseGrid, DomainLayout, build_layout
+from .grids import CoarseGrid, DomainLayout, _parse_rule, build_layout
 
 _APPROACH_BC = {"mixed-gravity": "noflow", "mixed-viscous": "inflow-outlet",
                 "galerkin": "dirichlet-x"}
@@ -84,6 +84,13 @@ class ExperimentConfig:
     particle_seed: int = 0
 
     def __post_init__(self):
+        if not self.tau > 0:
+            raise ConfigError(f"tau={self.tau} must be positive")
+        if self.substeps < 1:
+            raise ConfigError(f"substeps={self.substeps} must be >= 1")
+        if self.layers < 0:
+            raise ConfigError(f"layers={self.layers} must be >= 0")
+        _parse_rule(self.extension_rule)
         if self.pre_steps + self.coarse_steps * self.substeps > self.steps:
             raise ConfigError(
                 "coarse horizon exceeds the fine horizon: "

@@ -165,7 +165,6 @@ class Oversample:
     src_ix: np.ndarray
     src_iy: np.ndarray
     regions: tuple[OversampleRegion, ...]
-    truncated: bool = False
 
     @property
     def central(self) -> OversampleRegion:
@@ -195,7 +194,7 @@ def oversample_block(coarse: CoarseGrid, block: tuple[int, int], layers: int,
 
     Out-of-domain columns are mapped periodically (left) or mirrored
     (right) when the rule allows; otherwise the region is truncated to the
-    domain and flagged.  The y direction always truncates (all target
+    domain.  The y direction always truncates (all target
     geometries are no-flow top/bottom).
     """
     I, J = block
@@ -207,25 +206,12 @@ def oversample_block(coarse: CoarseGrid, block: tuple[int, int], layers: int,
     fine = coarse.fine
     mx, my = coarse.mx, coarse.my
 
-    truncated = False
-    bI = []
-    for dI in range(-layers, layers + 1):
-        gI = I + dI
-        if 0 <= gI < coarse.Nx:
-            bI.append(gI)
-        elif gI < 0 and "periodic-left" in parts:
-            bI.append(gI)
-        elif gI >= coarse.Nx and "reflect-right" in parts:
-            bI.append(gI)
-        else:
-            truncated = True
-    bJ = []
-    for dJ in range(-layers, layers + 1):
-        gJ = J + dJ
-        if 0 <= gJ < coarse.Ny:
-            bJ.append(gJ)
-        else:
-            truncated = True
+    bI = [gI for gI in range(I - layers, I + layers + 1)
+          if 0 <= gI < coarse.Nx
+          or (gI < 0 and "periodic-left" in parts)
+          or (gI >= coarse.Nx and "reflect-right" in parts)]
+    bJ = [gJ for gJ in range(J - layers, J + layers + 1)
+          if 0 <= gJ < coarse.Ny]
 
     nxl = len(bI) * mx
     nyl = len(bJ) * my
@@ -252,7 +238,7 @@ def oversample_block(coarse: CoarseGrid, block: tuple[int, int], layers: int,
                 sy=slice(kJ * my, (kJ + 1) * my)))
     return Oversample(coarse=coarse, block=block, layers=layers, rule=rule,
                       grid=grid, src_ix=src_ix, src_iy=src_iy,
-                      regions=tuple(regions), truncated=truncated)
+                      regions=tuple(regions))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,29 +30,6 @@ log = logging.getLogger(__name__)
 # --- effective coefficients (Galerkin form) ---------------------------
 
 
-def _region_face_weights(ov: Oversample):
-    """Interior-face weights of the central region: half per adjacent cell."""
-    grid = ov.grid
-    mask = np.zeros((grid.nx, grid.ny))
-    cen = ov.central
-    mask[cen.sx, cen.sy] = 1.0
-    wx = 0.5 * (mask[:-1, :] + mask[1:, :])
-    wy = 0.5 * (mask[:, :-1] + mask[:, 1:])
-    return wx, wy
-
-
-def region_energy(ov: Oversample, lam_local: np.ndarray, u: np.ndarray,
-                  v: np.ndarray) -> float:
-    """(1/|R|) int_R lam grad(u).grad(v) as a weighted interior-face sum."""
-    grid = ov.grid
-    tx, ty = transmissibilities(grid, lam_local)
-    wx, wy = _region_face_weights(ov)
-    ex = wx * tx * (u[1:, :] - u[:-1, :]) * (v[1:, :] - v[:-1, :])
-    ey = wy * ty * (u[:, 1:] - u[:, :-1]) * (v[:, 1:] - v[:, :-1])
-    area = ov.coarse.block_area
-    return float(ex.sum() + ey.sum()) / area
-
-
 @dataclass
 class EffectiveOperators:
     """Per-block effective coefficient matrices over continuum indices.
@@ -66,39 +43,46 @@ class EffectiveOperators:
     alpha: np.ndarray  # (n, n)
     beta: np.ndarray  # (n, n)
     present: np.ndarray  # (n,) bool
-    meta: dict = field(default_factory=dict)
 
 
 def assemble_effective(ov: Oversample, lam_local: np.ndarray,
                        labels_local: np.ndarray, n: int,
                        avg: cells.CellBasisSet, grad: cells.CellBasisSet
                        ) -> EffectiveOperators:
-    """Energy integrals of the solved bases over the central region."""
+    """Energy integrals (1/|K|) int_K lam grad(u).grad(v) of the solved bases
+    over the central block K.
+
+    Each is a weighted sum over the interior faces of the local grid: a
+    face takes its transmissibility times half a weight per adjacent
+    central cell.  With G stacking the face differences of the present
+    continua's bases, a family's energies are (G w) G^T / |K|.
+    """
+    grid = ov.grid
     cen = ov.central
-    blk = labels_local[cen.sx, cen.sy]
-    present = np.array([(blk == i).any() for i in range(n)])
-    alpha = np.zeros((n, n))
-    beta = np.zeros((n, n))
-    for i in range(n):
-        if not present[i]:
-            continue
-        gi = grad.by_continuum(i).scalar
-        ai = avg.by_continuum(i).scalar
-        for j in range(n):
-            if not present[j]:
-                continue
-            alpha[i, j] = region_energy(ov, lam_local, gi,
-                                        grad.by_continuum(j).scalar)
-            beta[i, j] = region_energy(ov, lam_local, ai,
-                                       avg.by_continuum(j).scalar)
+    present = np.array([(labels_local[cen.sx, cen.sy] == i).any()
+                        for i in range(n)])
+    here = np.flatnonzero(present)
+    mask = grid.zeros()
+    mask[cen.sx, cen.sy] = 1.0
+    tx, ty = transmissibilities(grid, lam_local)
+    w = np.concatenate([(0.5 * (mask[:-1, :] + mask[1:, :]) * tx).ravel(),
+                        (0.5 * (mask[:, :-1] + mask[:, 1:]) * ty).ravel()])
+
+    def energies(bset):
+        G = np.array([np.concatenate([np.diff(u, axis=0).ravel(),
+                                      np.diff(u, axis=1).ravel()])
+                      for u in (bset.by_continuum(i).scalar for i in here)])
+        E = np.zeros((n, n))
+        E[np.ix_(here, here)] = (G * w) @ G.T / ov.coarse.block_area
+        return E
+
+    alpha = energies(grad)
+    beta = energies(avg)
     # exchange conserves mass: each row balances over the continua that
     # exist in the block, so single-continuum blocks carry no exchange
-    for i in range(n):
-        if present[i]:
-            beta[i, i] = -sum(beta[i, j] for j in range(n)
-                              if j != i and present[j])
-    return EffectiveOperators(n=n, alpha=alpha, beta=beta, present=present,
-                              meta={"block": ov.block})
+    beta[here, here] = 0.0
+    beta[here, here] = -beta[here].sum(axis=1)
+    return EffectiveOperators(n=n, alpha=alpha, beta=beta, present=present)
 
 
 # --- mixed coarse flow -------------------------------------------------
@@ -148,13 +132,16 @@ def _face_indicator_x(psi: np.ndarray):
     return out
 
 
-def _split_edge_support(coarse: CoarseGrid, bset: cells.CellBasisSet):
-    """Per-block face fields of an edge basis built on its 2-block strip."""
+def _split_edge_support(coarse: CoarseGrid, edge: int,
+                        bset: cells.CellBasisSet):
+    """Per-block face fields of the basis of ``edge``, built on the blocks
+    next to it (minus side first)."""
     basis = bset.bases[0]
     mx = coarse.mx
+    blocks = [b for b in coarse.edge_neighbors(edge) if b is not None]
     return {blk: _faces(basis.fx[k * mx:(k + 1) * mx + 1, :],
                         basis.fy[k * mx:(k + 1) * mx, :])
-            for k, blk in enumerate(bset.meta["blocks"])}
+            for k, blk in enumerate(blocks)}
 
 
 def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
@@ -206,7 +193,7 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
             if b0.flag != "absent":
                 bases.append(MixedBasis(
                     edge=I, continuum=i, S=b0.extras["edge_flux"],
-                    support=_split_edge_support(coarse, bset)))
+                    support=_split_edge_support(coarse, I, bset)))
     gravity_support = {}
     inflow_supports = []
     if gravity:
@@ -225,7 +212,7 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
                                         support={blk: _faces(w.fx, w.fy)}))
         for iset in sets:  # a continuum absent from the inlet has no lift
             if iset.bases[0].flag != "absent":
-                inflow_supports.append(_split_edge_support(coarse, iset))
+                inflow_supports.append(_split_edge_support(coarse, 0, iset))
     return bases, gravity_support, inflow_supports
 
 
@@ -510,7 +497,6 @@ class CoarseState:
     V: np.ndarray  # (Nx + 1, n) edge fluxes
     P: dict | np.ndarray | None = None
     present: np.ndarray | None = None
-    ops: list | None = None  # per-block EffectiveOperators (Galerkin mode)
 
 
 @dataclass
@@ -550,12 +536,11 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
         avg = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "average",
                                                engine=engine)
         grad = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n,
-                                                "gradient", direction=0,
-                                                engine=engine)
+                                                "gradient", engine=engine)
         ops.append(assemble_effective(ov, lam_l, lab_l, n, avg, grad))
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
                                           model.p_in, model.p_out)
-    return V, P, ops
+    return V, P
 
 
 def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
@@ -581,7 +566,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, labels, n)
     C = ref0.C.copy()
     states = []
-    last = None  # (key, V, P, ops) of the previous homogenized solve
+    last = None  # (key, V, P) of the previous homogenized solve
     total_removed = 0.0
 
     for k in range(steps + 1):
@@ -596,7 +581,6 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             C = np.where(gone, 0.0, C)
         lam = model.lam_of(snap.c)
 
-        ops = None
         if velocity == "ref":
             V = averages(coarse, snap.p, snap.c, snap.vx, labels, n).V
             P = None
@@ -610,9 +594,9 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                 h.update(snap.c.tobytes())
             key = h.digest()
             if last is not None and last[0] == key:
-                _, V, P, ops = last
+                _, V, P = last
             elif model.approach == "galerkin":
-                V, P, ops = _galerkin_velocity(model, lam, labels, n)
+                V, P = _galerkin_velocity(model, lam, labels, n)
             else:
                 Chat = None  # read only by the gravity variant
                 if model.approach == "mixed-gravity":
@@ -632,10 +616,10 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                     g_in=model.g_in, p_out=model.p_out,
                     inflow_labels=inflow_lab)
                 V, P = ms.V, ms.P
-            last = (key, V, P, ops)
+            last = (key, V, P)
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
-                                  present=(masses > 0), ops=ops))
+                                  present=(masses > 0)))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

@@ -41,13 +41,13 @@ def dense_kkt_solve(A, C, b, g):
     return sol[:n], sol[n:]
 
 
-def elliptic_oracle(ov, lam_local, labels_local, n, family, direction=0):
+def elliptic_oracle(ov, lam_local, labels_local, n, family):
     """Replays one constrained elliptic family through the dense path."""
     A = cells.assemble_stiffness(ov.grid, lam_local)
     C, rows = cells.region_moment_matrix(ov, labels_local, n)
     centers = None
     if family == "gradient":
-        centers = cells.gradient_centers(ov, labels_local, n, direction)
+        centers = cells.gradient_centers(ov, labels_local, n)
     out = {}
     present = sorted({r.continuum for r in rows})
     for i in present:
@@ -56,10 +56,9 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, direction=0):
             g = cells.moment_targets(ov, labels_local, rows, i, "average")
         elif family == "gradient":
             lam_i = lam_local * (labels_local == i)
-            b = cells.gradient_boundary_source(ov.grid, lam_i,
-                                               direction).ravel()
+            b = cells.gradient_boundary_source(ov.grid, lam_i).ravel()
             g = cells.moment_targets(ov, labels_local, rows, i, "gradient",
-                                     direction, centers)
+                                     centers)
         else:
             psi = (labels_local == i).astype(float)
             mass = psi[ov.central.sx, ov.central.sy].sum() * ov.grid.cell_area
@@ -72,10 +71,10 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, direction=0):
 
 
 def moment_residuals(ov, labels_local, rows, basis_continuum, field,
-                     family, direction=0, centers=None):
+                     family, centers=None):
     """Achieved region moments minus their targets, one value per row."""
     area = ov.grid.cell_area
-    coord = ov.grid.cell_centers()[direction]
+    coord = ov.grid.cell_centers()[0]
     res = []
     for row in rows:
         reg = ov.regions[row.region]

@@ -95,9 +95,9 @@ def test_criterion_02_cell_problem_constraints(capsys):
                                                      contrast, thr)
         for family in ("average", "gradient", "concentration"):
             out = cells.solve_constrained_elliptic(ov, lam, labels, n,
-                                                   family, direction=0)
+                                                   family)
             oracle, rows = elliptic_oracle(ov, lam, labels, n, family)
-            centers = (cells.gradient_centers(ov, labels, n, 0)
+            centers = (cells.gradient_centers(ov, labels, n)
                        if family == "gradient" else None)
             for i, expect in oracle.items():
                 b = out.by_continuum(i)
@@ -107,7 +107,7 @@ def test_criterion_02_cell_problem_constraints(capsys):
                                    np.abs(b.scalar - expect).max() / scale)
                 if family != "concentration":
                     res = moment_residuals(ov, labels, rows, i, b.scalar,
-                                           family, 0, centers)
+                                           family, centers)
                     worst_con = max(worst_con, np.abs(res).max())
     ok = worst_con <= 1e-9 and worst_oracle <= 1e-10
     emit(capsys, 2, "cell-problem constraint suite", ok,

@@ -37,12 +37,10 @@ class TestGalerkinFamilies:
         out = cells.solve_constrained_elliptic(ov, lam, labels, 1, "average")
         b = out.by_continuum(0)
         assert np.allclose(b.scalar, 1.0, atol=1e-10)
-        assert max(abs(v) for v in b.multipliers.values()) < 1e-9
 
     def test_single_continuum_gradient_is_linear(self):
         ov, lam, labels = single_continuum_region()
-        out = cells.solve_constrained_elliptic(ov, lam, labels, 1, "gradient",
-                                               direction=0)
+        out = cells.solve_constrained_elliptic(ov, lam, labels, 1, "gradient")
         b = out.by_continuum(0)
         xg, _ = ov.grid.cell_centers()
         assert np.allclose(b.scalar, xg - b.extras["center"], atol=1e-9)
@@ -54,10 +52,9 @@ class TestGalerkinFamilies:
                                           family):
         ov, lam, labels, n = random_partition_region(nx, nx, bx, bx, seed,
                                                      contrast, thr)
-        out = cells.solve_constrained_elliptic(ov, lam, labels, n, family,
-                                               direction=0)
+        out = cells.solve_constrained_elliptic(ov, lam, labels, n, family)
         oracle, rows = elliptic_oracle(ov, lam, labels, n, family)
-        centers = (cells.gradient_centers(ov, labels, n, 0)
+        centers = (cells.gradient_centers(ov, labels, n)
                    if family == "gradient" else None)
         for i, expect in oracle.items():
             b = out.by_continuum(i)
@@ -66,7 +63,7 @@ class TestGalerkinFamilies:
             assert np.abs(b.scalar - expect).max() <= 1e-10 * scale
             if family != "concentration":
                 res = moment_residuals(ov, labels, rows, i, b.scalar,
-                                       family, 0, centers)
+                                       family, centers)
                 assert np.abs(res).max() <= 1e-9
 
     def test_unknown_family_rejected(self):
@@ -81,13 +78,12 @@ class TestGalerkinFamilies:
 
 
 class TestSaddleSolver:
-    def check_dense_oracle(self, sparse_path):
+    def test_matches_dense_oracle_directly(self):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
                                                      DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
         solver = cells.SaddleSolver(A, C)
-        assert (solver._lu is not None) == sparse_path
         b = rng(10).standard_normal(ov.grid.n_cells)
         g = rng(11).standard_normal(len(rows))
         sol = solver.solve(b, g)
@@ -96,17 +92,7 @@ class TestSaddleSolver:
         assert np.abs(sol.multipliers - mu).max() <= 1e-10 * max(
             np.abs(mu).max(), 1.0)
 
-    def test_matches_dense_oracle_directly(self):
-        self.check_dense_oracle(sparse_path=False)
-
-    def test_sparse_path_matches_dense_oracle(self, monkeypatch):
-        monkeypatch.setattr(cells, "DENSE_LIMIT", 0)
-        self.check_dense_oracle(sparse_path=True)
-
-    @pytest.mark.parametrize("sparse_path", [False, True])
-    def test_large_kkt_residual_rejected(self, monkeypatch, sparse_path):
-        if sparse_path:
-            monkeypatch.setattr(cells, "DENSE_LIMIT", 0)
+    def test_large_kkt_residual_rejected(self, monkeypatch):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
                                                      DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
@@ -124,12 +110,9 @@ class TestSaddleSolver:
                 return sol
             return wrapper
 
-        if sparse_path:
-            monkeypatch.setattr(solver, "_lu", type(
-                "ShiftedLU", (), {"solve": staticmethod(
-                    shifted(solver._lu.solve))})())
-        else:
-            monkeypatch.setattr(np.linalg, "solve", shifted(np.linalg.solve))
+        monkeypatch.setattr(solver, "_lu", type(
+            "ShiftedLU", (), {"solve": staticmethod(
+                shifted(solver._lu.solve))})())
         with pytest.raises(SolverError, match="KKT residual"):
             solver.solve(b, g)
 
@@ -138,7 +121,6 @@ class TestSaddleSolver:
         # the first Galerkin region of the interface preset at t = 0: a
         # 78x40 region with 15 moment rows, K 3135x3135 (L + U 108,052
         # nonzeros with the recipe, 394,470 with SuperLU's default COLAMD)
-        monkeypatch.setattr(cells, "DENSE_LIMIT", 0)
         cfg = get_preset("interface")
         layout = cfg.layout()
         ext = layout.extended_fine

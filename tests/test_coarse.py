@@ -194,7 +194,8 @@ class TestMixedBases:
                                                    elab[I], variant)
                 if bset.bases[0].flag != "absent":
                     want.append((I, i, bset.bases[0].extras[
-                        "edge_flux"], macro._split_edge_support(coarse, bset)))
+                        "edge_flux"], macro._split_edge_support(coarse, I,
+                                                                 bset)))
         want_g, want_i = {}, []
         for blk in coarse.blocks():
             if gravity:
@@ -214,7 +215,7 @@ class TestMixedBases:
                 iset = cells.solve_edge_flux_basis(coarse, 0, lam, labels, i,
                                                    inflow, "psi")
                 if iset.bases[0].flag != "absent":
-                    want_i.append(macro._split_edge_support(coarse, iset))
+                    want_i.append(macro._split_edge_support(coarse, 0, iset))
 
         def same(a, b):
             assert a.keys() == b.keys()

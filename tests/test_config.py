@@ -97,6 +97,24 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="do not divide fine nx=8"):
             dataclasses.replace(get_preset("smoke"), Nx=Nx)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.01])
+    def test_tau_must_be_positive(self, tau):
+        with pytest.raises(ConfigError, match=f"tau={tau} must be positive"):
+            dataclasses.replace(get_preset("smoke"), tau=tau, tau_coarse=tau)
+
+    def test_substeps_must_be_positive(self):
+        with pytest.raises(ConfigError, match="substeps=0 must be >= 1"):
+            dataclasses.replace(get_preset("smoke"), substeps=0)
+
+    def test_layers_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match="layers=-1 must be >= 0"):
+            dataclasses.replace(get_preset("interface"), layers=-1)
+
+    def test_unknown_extension_rule_rejected(self):
+        with pytest.raises(ConfigError, match="unknown extension rule"):
+            dataclasses.replace(get_preset("interface"),
+                                extension_rule="periodic-left,bogus")
+
     def test_viscous_needs_two_continua(self):
         with pytest.raises(ConfigError, match="exactly 2 continua"):
             dataclasses.replace(get_preset("viscous"), thresholds=(0.8, 0.4))

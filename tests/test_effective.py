@@ -35,8 +35,25 @@ def solve_ops(ov, lam, labels, n):
     avg = cells.solve_constrained_elliptic(ov, lam, labels, n, "average",
                                            engine=engine)
     grad = cells.solve_constrained_elliptic(ov, lam, labels, n, "gradient",
-                                            direction=0, engine=engine)
+                                            engine=engine)
     return macro.assemble_effective(ov, lam, labels, n, avg, grad), avg, grad
+
+
+def check_against_oracle(ov, lam, labels, n):
+    """Every alpha entry and every off-diagonal beta entry between present
+    continua equals the scalar face loop over the solved bases."""
+    ops, avg, grad = solve_ops(ov, lam, labels, n)
+    for coef, bset in ((ops.alpha, grad), (ops.beta, avg)):
+        for i in np.flatnonzero(ops.present):
+            for j in np.flatnonzero(ops.present):
+                if coef is ops.beta and i == j:
+                    continue
+                expect = region_energy_oracle(ov, lam,
+                                              bset.by_continuum(i).scalar,
+                                              bset.by_continuum(j).scalar)
+                assert coef[i, j] == pytest.approx(expect, rel=1e-12,
+                                                   abs=1e-12)
+    return ops
 
 
 class TestAssembleEffective:
@@ -53,16 +70,22 @@ class TestAssembleEffective:
     def test_matches_direct_summation_oracle(self):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 21, 10.0,
                                                      (0.5,))
-        ops, avg, grad = solve_ops(ov, lam, labels, n)
-        for i in range(n):
-            for j in range(n):
-                if not (ops.present[i] and ops.present[j]):
-                    continue
-                expect = region_energy_oracle(ov, lam,
-                                              grad.by_continuum(i).scalar,
-                                              grad.by_continuum(j).scalar)
-                assert ops.alpha[i, j] == pytest.approx(expect, rel=1e-12,
-                                                        abs=1e-12)
+        check_against_oracle(ov, lam, labels, n)
+
+    def test_continuum_absent_from_central_block_has_no_coefficients(self):
+        fine = FineGrid(12, 12, 12.0, 12.0)
+        coarse = CoarseGrid(fine, 3, 3)
+        gen = np.random.Generator(np.random.Philox(25))
+        labels = gen.integers(0, 3, (12, 12)).astype(np.int8)
+        labels[4:8, 4:8] = gen.integers(0, 2, (4, 4))  # no continuum 2
+        lam = np.where(gen.random((12, 12)) < 0.5, 10.0, 1.0)
+        ov = oversample_block(coarse, (1, 1), 1, rule="none")
+        lam_l, lab_l = ov.sample(lam), ov.sample(labels)
+        ops = check_against_oracle(ov, lam_l, lab_l, 3)
+        assert ops.present.tolist() == [True, True, False]
+        for coef in (ops.alpha, ops.beta):
+            assert not coef[2, :].any() and not coef[:, 2].any()
+            assert (coef[:2, :2] != 0.0).all()
 
     def test_alpha_symmetric_and_psd_under_contrast(self):
         ov, lam, labels, n = random_partition_region(12, 12, 3, 3, 22, 1000.0,

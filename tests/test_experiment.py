@@ -40,15 +40,20 @@ def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
     assert np.isfinite(res.report.eV.global_relative)
 
 
-def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch):
+@pytest.mark.parametrize("override,match", [
+    # 120 fine columns do not split into Nx x flow_refine = 70 blocks
+    ("flow_refine=7", "flow_refine = 70"),
+    ("layers=-1", "layers=-1"),
+    ("extension_rule=bogus", "unknown extension rule"),
+], ids=["flow_refine", "layers", "extension_rule"])
+def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch, override,
+                                                        match):
     def no_fine_run(*args, **kwargs):
         raise AssertionError("run_fine called")
 
     monkeypatch.setattr(experiment, "run_fine", no_fine_run)
-    # 120 fine columns do not split into Nx x flow_refine = 70 blocks
-    with pytest.raises(ConfigError, match="flow_refine = 70"):
-        run_experiment(apply_overrides(get_preset("interface"),
-                                       ["flow_refine=7"]))
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(apply_overrides(get_preset("interface"), [override]))
 
 
 def test_coarse_block_count_checked_before_the_fine_run(monkeypatch):

