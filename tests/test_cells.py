@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, SuperLU
 
 from _oracles import (dense_kkt_solve, elliptic_oracle, moment_residuals,
                       random_partition_region)
@@ -92,7 +92,27 @@ class TestSaddleSolver:
         assert np.abs(sol.multipliers - mu).max() <= 1e-10 * max(
             np.abs(mu).max(), 1.0)
 
-    def test_large_kkt_residual_rejected(self, monkeypatch):
+    def test_sparse_path_matches_dense_oracle(self):
+        # one splu factorization serves several right-hand sides on a
+        # high-contrast three-continuum region
+        ov, lam, labels, n = random_partition_region(12, 12, 3, 3, 4, 1000.0,
+                                                     TRIPLE)
+        A = cells.assemble_stiffness(ov.grid, lam)
+        C, rows = cells.region_moment_matrix(ov, labels, n)
+        solver = cells.SaddleSolver(A, C)
+        assert isinstance(solver._lu, SuperLU)
+        for seed in (20, 21, 22):
+            b = rng(seed).standard_normal(ov.grid.n_cells)
+            g = rng(seed + 10).standard_normal(len(rows))
+            sol = solver.solve(b, g)
+            u, mu = dense_kkt_solve(A, C, b, g)
+            assert np.abs(sol.u - u).max() <= 1e-10 * max(np.abs(u).max(),
+                                                          1.0)
+            assert np.abs(sol.multipliers - mu).max() <= 1e-10 * max(
+                np.abs(mu).max(), 1.0)
+
+    @pytest.mark.parametrize("shift_primal", [False, True])
+    def test_large_kkt_residual_rejected(self, monkeypatch, shift_primal):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
                                                      DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
@@ -102,11 +122,19 @@ class TestSaddleSolver:
         g = rng(11).standard_normal(len(rows))
         solver.solve(b, g)
 
-        # shifted multipliers leave C u - g at zero but break A u + C^T mu = b
+        # either shift leaves C u - g at zero but breaks A u + C^T mu = b:
+        # the multipliers by a constant, or u along the null space of C
+        Cd = C.toarray()
+        r = rng(12).standard_normal(solver.n)
+        null_shift = r - Cd.T @ np.linalg.solve(Cd @ Cd.T, Cd @ r)
+
         def shifted(solve):
             def wrapper(*args):
                 sol = solve(*args).copy()
-                sol[solver.n:] += 1.0
+                if shift_primal:
+                    sol[:solver.n] += null_shift
+                else:
+                    sol[solver.n:] += 1.0
                 return sol
             return wrapper
 
