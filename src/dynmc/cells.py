@@ -102,10 +102,10 @@ def region_moment_matrix(ov: Oversample, labels_local: np.ndarray, n: int):
     data_rows = []
     rows: list[MomentRow] = []
     for li, reg in enumerate(ov.regions):
-        blk = labels_local[reg.sx, reg.sy]
+        blk = labels_local[reg.sx]
         for j in range(n):
             w = np.zeros((nxl, nyl))
-            w[reg.sx, reg.sy] = (blk == j) * area
+            w[reg.sx] = (blk == j) * area
             mass = w.sum()
             if mass <= 0:
                 continue
@@ -123,8 +123,8 @@ def gradient_centers(ov: Oversample, labels_local: np.ndarray,
     condition; continua absent centrally fall back to the block centroid."""
     coord = ov.grid.cell_centers()[0]
     cen = ov.central
-    blk_lab = labels_local[cen.sx, cen.sy]
-    blk_x = coord[cen.sx, cen.sy]
+    blk_lab = labels_local[cen.sx]
+    blk_x = coord[cen.sx]
     out = np.empty(n)
     for j in range(n):
         sel = blk_lab == j
@@ -147,8 +147,8 @@ def moment_targets(ov: Oversample, labels_local: np.ndarray,
             g[r] = row.mass
         else:
             reg = ov.regions[row.region]
-            blk = labels_local[reg.sx, reg.sy] == row.continuum
-            x = coord[reg.sx, reg.sy]
+            blk = labels_local[reg.sx] == row.continuum
+            x = coord[reg.sx]
             g[r] = ((x - centers[row.continuum]) * blk).sum() * area
     return g
 
@@ -237,7 +237,7 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
             g = moment_targets(ov, labels_local, rows, i, "gradient", centers)
         else:
             psi = indicator(labels_local, i)
-            mass = psi[ov.central.sx, ov.central.sy].sum() * grid.cell_area
+            mass = psi[ov.central.sx].sum() * grid.cell_area
             s = psi / mass if mass > 0 else psi
             b = gravity_volume_source(grid, lam_local, s).ravel()
             g = np.zeros(len(rows))
@@ -253,17 +253,8 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
 # --- block-local flux bases (simplified mixed cell problems) ----------
 
 
-def _block_grid(coarse: CoarseGrid, I: int, J: int) -> FineGrid:
-    fine = coarse.fine
-    mx, my = coarse.mx, coarse.my
-    return FineGrid(mx, my, mx * fine.hx, my * fine.hy,
-                    x0=fine.x0 + I * mx * fine.hx,
-                    y0=fine.y0 + J * my * fine.hy)
-
-
-def _block_field(coarse: CoarseGrid, I: int, J: int, f: np.ndarray):
-    sx, sy = coarse.block_slices(I, J)
-    return f[sx, sy]
+def _block_field(coarse: CoarseGrid, block: int, f: np.ndarray):
+    return f[coarse.block_slice(block)]
 
 
 def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
@@ -279,7 +270,7 @@ def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
     """
     out: list[CellBasisSet | None] = [None] * len(families)
     waiting = []  # (family index, generator, number of loads)
-    per_block: dict[tuple, list] = {}  # block -> [(family, slot, load)]
+    per_block: dict[int, list] = {}  # block -> [(family, slot, load)]
     for k, fam in enumerate(families):
         try:
             loads = next(fam)
@@ -291,8 +282,8 @@ def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
             per_block.setdefault(blk, []).append((k, slot, load))
     solved: dict[int, list] = {k: [None] * m for k, _fam, m in waiting}
     for blk, items in per_block.items():
-        sols = solve_flow(_block_grid(coarse, *blk),
-                          _block_field(coarse, *blk, lam),
+        sols = solve_flow(_omega_grid(coarse, [blk]),
+                          _block_field(coarse, blk, lam),
                           loads=[load for _k, _slot, load in items])
         for (k, slot, _load), sol in zip(items, sols):
             solved[k][slot] = sol
@@ -346,7 +337,7 @@ def edge_flux_family(coarse: CoarseGrid, edge: int,
         bc = FlowBC(**{side: ("flux", sgn * psi_edge)})
         mass = 0.0
         if variant != "uniform":
-            psi_b = indicator(_block_field(coarse, *blk, labels), continuum)
+            psi_b = indicator(_block_field(coarse, blk, labels), continuum)
             mass = psi_b.sum() * fine.cell_area
         if mass == 0.0:
             # 'uniform', or a continuum that only touches the edge here
@@ -373,17 +364,16 @@ def edge_flux_family(coarse: CoarseGrid, edge: int,
     return CellBasisSet(grid=grid, bases=[basis])
 
 
-def _omega_grid(coarse: CoarseGrid, blocks: list) -> FineGrid:
-    """Local grid over the blocks next to an edge, minus side first."""
-    I0, J0 = blocks[0]
+def _omega_grid(coarse: CoarseGrid, blocks: list[int]) -> FineGrid:
+    """Local grid over consecutive blocks, the leftmost first."""
     fine = coarse.fine
-    mx, my = coarse.mx, coarse.my
-    return FineGrid(len(blocks) * mx, my, len(blocks) * mx * fine.hx,
-                    my * fine.hy, x0=fine.x0 + I0 * mx * fine.hx,
-                    y0=fine.y0 + J0 * my * fine.hy)
+    mx = coarse.mx
+    return FineGrid(len(blocks) * mx, fine.ny, len(blocks) * mx * fine.hx,
+                    fine.ny * fine.hy, x0=fine.x0 + blocks[0] * mx * fine.hx,
+                    y0=fine.y0)
 
 
-def solve_gravity_basis(coarse: CoarseGrid, block: tuple[int, int],
+def solve_gravity_basis(coarse: CoarseGrid, block: int,
                         lam: np.ndarray, labels: np.ndarray,
                         continuum: int) -> CellBasisSet:
     """Divergence-free recirculation driven by psi_i e1 in one block."""
@@ -391,11 +381,11 @@ def solve_gravity_basis(coarse: CoarseGrid, block: tuple[int, int],
         coarse, block, labels, continuum)])[0]
 
 
-def gravity_family(coarse: CoarseGrid, block: tuple[int, int],
+def gravity_family(coarse: CoarseGrid, block: int,
                    labels: np.ndarray, continuum: int):
     """Block family of :func:`solve_gravity_basis`."""
-    bg = _block_grid(coarse, *block)
-    psi = indicator(_block_field(coarse, *block, labels), continuum)
+    bg = _omega_grid(coarse, [block])
+    psi = indicator(_block_field(coarse, block, labels), continuum)
     if psi.sum() == 0:
         fx, fy = bg.zero_faces()
         return CellBasisSet(grid=bg, bases=[CellBasis(
@@ -405,18 +395,18 @@ def gravity_family(coarse: CoarseGrid, block: tuple[int, int],
         continuum=continuum, scalar=p, fx=fx, fy=fy)])
 
 
-def solve_interface_basis(coarse: CoarseGrid, block: tuple[int, int],
+def solve_interface_basis(coarse: CoarseGrid, block: int,
                           lam: np.ndarray, labels: np.ndarray) -> CellBasisSet:
     """Inter-continuum exchange basis: div = psi_1 - theta psi_2 in a block."""
     return solve_block_families(coarse, lam, [interface_family(
         coarse, block, labels)])[0]
 
 
-def interface_family(coarse: CoarseGrid, block: tuple[int, int],
+def interface_family(coarse: CoarseGrid, block: int,
                      labels: np.ndarray):
     """Block family of :func:`solve_interface_basis`."""
-    bg = _block_grid(coarse, *block)
-    lab_b = _block_field(coarse, *block, labels)
+    bg = _omega_grid(coarse, [block])
+    lab_b = _block_field(coarse, block, labels)
     psi1 = indicator(lab_b, 0)
     psi2 = indicator(lab_b, 1)
     m1, m2 = psi1.sum(), psi2.sum()

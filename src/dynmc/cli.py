@@ -119,7 +119,7 @@ def _cmd_cells_solve(args) -> int:
     c0 = cfg.initial_condition(ext)
     labels = classify(c0, spec)
     lam = cfg.mobility(ext)(c0)
-    block = (args.block if args.block is not None else coarse.Nx // 2, 0)
+    block = args.block if args.block is not None else coarse.Nx // 2
     ov = oversample_block(coarse, block, args.layers
                           if args.layers is not None else cfg.layers,
                           rule=cfg.extension_rule)
@@ -144,7 +144,7 @@ def _cmd_cells_solve(args) -> int:
 def _cmd_compare(args) -> int:
     series = [iomod.read_averages_csv(p) for p in args.series]
     ref = series[0]
-    n = ref[0].C.shape[2]
+    n = ref[0].C.shape[1]
     if len(series) == 3:
         rep = compute_errors(ref, series[1], series[2], n)
         for name, k, v in rep.rows():
@@ -152,7 +152,7 @@ def _cmd_compare(args) -> int:
         return 0
     other = series[1]
     ev = velocity_errors(ref[-1].V, other[-1].V, n)
-    ec = concentration_errors(other[-1].C, ref[-1].C, np.s_[:, :])
+    ec = concentration_errors(other[-1].C, ref[-1].C, np.s_[:])
     for k in range(n):
         rel = ev.relative[k]
         shown = f"{rel:.3f}%" if np.isfinite(rel) else f"abs {ev.absolute[k]:.3e}"

@@ -29,7 +29,7 @@ class ExperimentConfig:
     L2: float = 3.0
     nx: int = 120
     ny: int = 36
-    Nx: int = 5  # coarse blocks along x; every coarse model is one block tall
+    Nx: int = 5  # coarse blocks along x, each one full height
     extension: str = "none"  # none | two-sided | right
     ext_margin: float = 0.0
     flow_refine: int = 2
@@ -137,7 +137,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"extension margin {self.ext_margin} is not a whole number "
                 f"of coarse blocks (width {width})")
-        return CoarseGrid(ext, int(round(total)), 1)
+        return CoarseGrid(ext, int(round(total)))
 
     def target_block_offset(self, layout: DomainLayout) -> int:
         width = self.L1 / self.Nx

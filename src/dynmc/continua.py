@@ -70,14 +70,13 @@ def indicator(labels: np.ndarray, k: int) -> np.ndarray:
 
 def continuum_masses(labels: np.ndarray, coarse: CoarseGrid,
                      n: int) -> np.ndarray:
-    """Area of continuum k inside each block; shape (Nx, Ny, n)."""
-    out = np.zeros((coarse.Nx, coarse.Ny, n))
+    """Area of continuum k inside each block; shape (Nx, n)."""
+    out = np.zeros((coarse.Nx, n))
     area = coarse.fine.cell_area
-    for I, J in coarse.blocks():
-        sx, sy = coarse.block_slices(I, J)
-        blk = labels[sx, sy]
+    for I in coarse.blocks():
+        blk = labels[coarse.block_slice(I)]
         for k in range(n):
-            out[I, J, k] = np.count_nonzero(blk == k) * area
+            out[I, k] = np.count_nonzero(blk == k) * area
     return out
 
 
@@ -86,16 +85,13 @@ class MacroAverages:
     """Block/edge averages of fine fields split by continuum.
 
     P is the per-continuum volume mean of pressure (NaN where the continuum
-    is absent), C the unnormalized integral of c over the continuum, mass
-    the continuum area per block.  V holds the per-continuum edge-integrated
-    donor-side fluxes, one row per coarse edge (see :class:`CoarseGrid`).
+    is absent), C the unnormalized integral of c over the continuum.  V
+    holds the per-continuum edge-integrated donor-side fluxes, one row per
+    coarse edge (see :class:`CoarseGrid`).
     """
 
-    coarse: CoarseGrid
-    n: int
-    P: np.ndarray  # (Nx, Ny, n), NaN marks absent continua
-    C: np.ndarray  # (Nx, Ny, n)
-    mass: np.ndarray  # (Nx, Ny, n)
+    P: np.ndarray  # (Nx, n), NaN marks absent continua
+    C: np.ndarray  # (Nx, n)
     V: np.ndarray  # (Nx + 1, n)
 
 
@@ -109,26 +105,22 @@ def averages(coarse: CoarseGrid, p: np.ndarray, c: np.ndarray,
     """
     fine = coarse.fine
     area = fine.cell_area
-    P = np.full((coarse.Nx, coarse.Ny, n), np.nan)
-    C = np.zeros((coarse.Nx, coarse.Ny, n))
-    mass = np.zeros((coarse.Nx, coarse.Ny, n))
-    for I, J in coarse.blocks():
-        sx, sy = coarse.block_slices(I, J)
-        blk_l = labels[sx, sy]
-        blk_p = p[sx, sy]
-        blk_c = c[sx, sy]
+    P = np.full((coarse.Nx, n), np.nan)
+    C = np.zeros((coarse.Nx, n))
+    for I in coarse.blocks():
+        sx = coarse.block_slice(I)
+        blk_l, blk_p, blk_c = labels[sx], p[sx], c[sx]
         for k in range(n):
             sel = blk_l == k
             cnt = np.count_nonzero(sel)
             if cnt:
-                P[I, J, k] = blk_p[sel].sum() / cnt
-                C[I, J, k] = blk_c[sel].sum() * area
-                mass[I, J, k] = cnt * area
+                P[I, k] = blk_p[sel].sum() / cnt
+                C[I, k] = blk_c[sel].sum() * area
     flux = coarse.edge_flux(vx)
     lab = coarse.edge_donor_labels(labels, flux)
     V = np.where(lab[..., None] == np.arange(n), flux[..., None],
                  0.0).sum(axis=1) * fine.hy
-    return MacroAverages(coarse=coarse, n=n, P=P, C=C, mass=mass, V=V)
+    return MacroAverages(P=P, C=C, V=V)
 
 
 # --- label advection (consistency oracle) ------------------------------

@@ -30,7 +30,7 @@ def reference_states(coarse: CoarseGrid, snapshots: list[Snapshot],
         labels = classify(snap.c, spec)
         av = averages(coarse, snap.p, snap.c, snap.vx, labels, n)
         out.append(CoarseState(step=k, t=k * tau_coarse, C=av.C, V=av.V,
-                               P=av.P, present=av.mass > 0))
+                               P=av.P))
     return out
 
 
@@ -131,7 +131,7 @@ def _run(cfg: ExperimentConfig, outdir: str | None,
                           velocity="mh")
 
     report = compute_errors(reference, mh_refvel, mh_mhvel, n,
-                            block_sel=np.s_[off:off + cfg.Nx, :],
+                            block_sel=np.s_[off:off + cfg.Nx],
                             edge_sel=np.s_[off:off + cfg.Nx + 1])
 
     wall = time.monotonic() - t0

@@ -2,7 +2,9 @@
 
 Fine fields are cell centered with shape ``(nx, ny)``.  Face-normal data
 lives on staggered arrays: x-faces ``(nx + 1, ny)``, y-faces ``(nx, ny + 1)``,
-with positive orientation along +x / +y.
+with positive orientation along +x / +y.  The coarse grid is a chain of
+full-height blocks along x, so block arrays are ``(Nx, n)`` and edge
+arrays ``(Nx + 1, n)``.
 """
 
 from __future__ import annotations
@@ -67,19 +69,20 @@ class FineGrid:
 
 @dataclass(frozen=True)
 class CoarseGrid:
-    """Partition of a fine grid into Nx x Ny rectangular blocks."""
+    """Partition of a fine grid into a chain of Nx full-height blocks.
+
+    Every coarse model runs on this chain with no-flow top and bottom, so
+    the edges that carry flux are the Nx + 1 x-face columns: edge I is
+    fine face column I * mx, between blocks I-1 and I.
+    """
 
     fine: FineGrid
     Nx: int
-    Ny: int
 
     def __post_init__(self):
         if self.fine.nx % self.Nx:
             raise ConfigError(
                 f"fine nx={self.fine.nx} not divisible by coarse Nx={self.Nx}")
-        if self.fine.ny % self.Ny:
-            raise ConfigError(
-                f"fine ny={self.fine.ny} not divisible by coarse Ny={self.Ny}")
 
     @property
     def mx(self) -> int:
@@ -88,37 +91,27 @@ class CoarseGrid:
 
     @property
     def my(self) -> int:
-        return self.fine.ny // self.Ny
+        return self.fine.ny
 
     @property
     def block_area(self) -> float:
         return self.mx * self.my * self.fine.cell_area
 
-    def blocks(self) -> list[tuple[int, int]]:
-        return [(i, j) for j in range(self.Ny) for i in range(self.Nx)]
+    def blocks(self) -> range:
+        return range(self.Nx)
 
-    def block_slices(self, I: int, J: int) -> tuple[slice, slice]:
-        return (slice(I * self.mx, (I + 1) * self.mx),
-                slice(J * self.my, (J + 1) * self.my))
+    def block_slice(self, I: int) -> slice:
+        """Fine columns of block I."""
+        return slice(I * self.mx, (I + 1) * self.mx)
 
-    # --- edges ---------------------------------------------------------
-    # Every coarse model runs on a one-block-tall chain with no-flow top
-    # and bottom, so the edges that carry flux are the Nx + 1 x-face
-    # columns: edge I is fine face column I * mx, between blocks I-1 and I.
-
-    def edge_neighbors(self, I: int) -> tuple[tuple[int, int] | None,
-                                              tuple[int, int] | None]:
+    def edge_neighbors(self, I: int) -> tuple[int | None, int | None]:
         """Blocks on the minus and plus side of edge I (None outside)."""
         if not 0 <= I <= self.Nx:
             raise ConfigError(f"edge {I} outside 0..{self.Nx}")
-        return ((I - 1, 0) if I > 0 else None,
-                (I, 0) if I < self.Nx else None)
+        return (I - 1 if I > 0 else None, I if I < self.Nx else None)
 
     def edge_flux(self, vx: np.ndarray) -> np.ndarray:
         """Fine x-face fluxes on the coarse edges, shape (Nx + 1, ny)."""
-        if self.Ny != 1:
-            raise ConfigError(
-                f"coarse edges need a one-block-tall grid, got Ny={self.Ny}")
         return vx[::self.mx]
 
     def edge_donor_labels(self, labels: np.ndarray,
@@ -136,34 +129,30 @@ class CoarseGrid:
 
 @dataclass(frozen=True)
 class OversampleRegion:
-    """One constituent block of an oversampled region, in local indices."""
+    """One constituent block of an oversampled region, in local columns."""
 
-    offset: tuple[int, int]  # block offset relative to the central block
+    offset: int  # block offset relative to the central block
     sx: slice
-    sy: slice
 
     @property
     def is_central(self) -> bool:
-        return self.offset == (0, 0)
+        return self.offset == 0
 
 
 @dataclass(frozen=True)
 class Oversample:
-    """Block K extended by ``layers`` rings, with out-of-domain source maps.
+    """Block K extended by neighbor blocks along x, with out-of-domain
+    source maps.
 
-    ``src_ix``/``src_iy`` map each local cell column/row to the fine-grid
-    cell it samples (periodic or mirror image for extended cells).  Local
+    ``src_ix`` maps each local cell column to the fine-grid column it
+    samples (periodic or mirror image for extended cells).  Local
     coordinates continue the uniform spacing beyond the domain so gradient
     moments see the virtual positions.
     """
 
     coarse: CoarseGrid
-    block: tuple[int, int]
-    layers: int
-    rule: str
     grid: FineGrid  # local grid (origin at the virtual lower-left corner)
     src_ix: np.ndarray
-    src_iy: np.ndarray
     regions: tuple[OversampleRegion, ...]
 
     @property
@@ -175,7 +164,7 @@ class Oversample:
 
     def sample(self, fine_field: np.ndarray) -> np.ndarray:
         """Pull a fine cell field onto the local grid through the source map."""
-        return fine_field[np.ix_(self.src_ix, self.src_iy)]
+        return fine_field[self.src_ix]
 
 
 def _parse_rule(rule: str) -> set[str]:
@@ -188,57 +177,38 @@ def _parse_rule(rule: str) -> set[str]:
     return parts
 
 
-def oversample_block(coarse: CoarseGrid, block: tuple[int, int], layers: int,
+def oversample_block(coarse: CoarseGrid, K: int, layers: int,
                      rule: str = "none") -> Oversample:
-    """Build K+ = K plus ``layers`` rings of neighbor blocks.
+    """Build K+ = K plus ``layers`` neighbor blocks on each side.
 
     Out-of-domain columns are mapped periodically (left) or mirrored
     (right) when the rule allows; otherwise the region is truncated to the
-    domain.  The y direction always truncates (all target
-    geometries are no-flow top/bottom).
+    domain.  Blocks are full height, so the region spans all fine rows.
     """
-    I, J = block
-    if not (0 <= I < coarse.Nx and 0 <= J < coarse.Ny):
-        raise ConfigError(f"block {block} outside coarse grid")
+    if not 0 <= K < coarse.Nx:
+        raise ConfigError(f"block {K} outside coarse grid")
     if layers < 0:
         raise ConfigError("layers must be >= 0")
     parts = _parse_rule(rule)
     fine = coarse.fine
-    mx, my = coarse.mx, coarse.my
+    mx = coarse.mx
 
-    bI = [gI for gI in range(I - layers, I + layers + 1)
+    bI = [gI for gI in range(K - layers, K + layers + 1)
           if 0 <= gI < coarse.Nx
           or (gI < 0 and "periodic-left" in parts)
           or (gI >= coarse.Nx and "reflect-right" in parts)]
-    bJ = [gJ for gJ in range(J - layers, J + layers + 1)
-          if 0 <= gJ < coarse.Ny]
+    cols = (np.asarray(bI)[:, None] * mx + np.arange(mx)).ravel()
+    cols = np.where(cols < 0, cols % fine.nx, cols)
+    src_ix = np.where(cols >= fine.nx, 2 * fine.nx - 1 - cols, cols)
 
     nxl = len(bI) * mx
-    nyl = len(bJ) * my
-    src_ix = np.empty(nxl, dtype=int)
-    for k, gI in enumerate(bI):
-        cols = gI * mx + np.arange(mx)
-        cols = np.where(cols < 0, cols % fine.nx, cols)
-        cols = np.where(cols >= fine.nx, 2 * fine.nx - 1 - cols, cols)
-        src_ix[k * mx:(k + 1) * mx] = cols
-    src_iy = np.empty(nyl, dtype=int)
-    for k, gJ in enumerate(bJ):
-        src_iy[k * my:(k + 1) * my] = gJ * my + np.arange(my)
-
-    x0l = fine.x0 + bI[0] * mx * fine.hx
-    y0l = fine.y0 + bJ[0] * my * fine.hy
-    grid = FineGrid(nxl, nyl, nxl * fine.hx, nyl * fine.hy, x0=x0l, y0=y0l)
-
-    regions = []
-    for kJ, gJ in enumerate(bJ):
-        for kI, gI in enumerate(bI):
-            regions.append(OversampleRegion(
-                offset=(gI - I, gJ - J),
-                sx=slice(kI * mx, (kI + 1) * mx),
-                sy=slice(kJ * my, (kJ + 1) * my)))
-    return Oversample(coarse=coarse, block=block, layers=layers, rule=rule,
-                      grid=grid, src_ix=src_ix, src_iy=src_iy,
-                      regions=tuple(regions))
+    grid = FineGrid(nxl, fine.ny, nxl * fine.hx, fine.ny * fine.hy,
+                    x0=fine.x0 + bI[0] * mx * fine.hx, y0=fine.y0)
+    regions = tuple(OversampleRegion(offset=gI - K,
+                                     sx=slice(k * mx, (k + 1) * mx))
+                    for k, gI in enumerate(bI))
+    return Oversample(coarse=coarse, grid=grid, src_ix=src_ix,
+                      regions=regions)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ from .exceptions import ConfigError
 from .macro import CoarseState
 
 _F = "%.17g"
-_EDGE_LOCATION = re.compile(r"x:(\d+):0")
+# per row kind: location pattern, its name and its written form
+_BLOCK = (re.compile(r"(\d+):0"), "block", "I:0")
+_LOCATIONS = {"C": _BLOCK, "P": _BLOCK,
+              "V": (re.compile(r"x:(\d+):0"), "edge", "x:I:0")}
 
 
 def _fmt(v) -> str:
@@ -109,7 +112,7 @@ def read_face_csv(path: str):
 def write_averages_csv(path: str, states, n: int) -> None:
     """Coarse state series: ``time,kind,location,continuum,value`` rows.
 
-    kind is P, C, or V; location is ``I:J`` for blocks and ``x:I:0`` for
+    kind is P, C, or V; location is ``I:0`` for block I and ``x:I:0`` for
     coarse edge I (row I of V, the x-face column between blocks I-1 and I).
     """
     with open(path, "w", newline="") as fh:
@@ -117,21 +120,18 @@ def write_averages_csv(path: str, states, n: int) -> None:
         w.writerow(["time", "kind", "location", "continuum", "value"])
         for s in states:
             t = _fmt(s.t)
-            Nx, Ny, _ = s.C.shape
             P = getattr(s, "P", None)
             p_grid = (isinstance(P, np.ndarray) and P.shape == s.C.shape)
-            for I in range(Nx):
-                for J in range(Ny):
-                    for k in range(n):
-                        if p_grid and np.isfinite(P[I, J, k]):
-                            w.writerow([t, "P", f"{I}:{J}", k,
-                                        _fmt(P[I, J, k])])
-                        w.writerow([t, "C", f"{I}:{J}", k, _fmt(s.C[I, J, k])])
+            for I, row in enumerate(s.C):
+                for k in range(n):
+                    if p_grid and np.isfinite(P[I, k]):
+                        w.writerow([t, "P", f"{I}:0", k, _fmt(P[I, k])])
+                    w.writerow([t, "C", f"{I}:0", k, _fmt(row[k])])
             if isinstance(P, dict):
                 # mixed-model multipliers: one row per block or (block, k)
                 for key in sorted(P):
-                    (I, J), k = (key[0], -1) if len(key) == 1 else key
-                    w.writerow([t, "P", f"{I}:{J}", k, _fmt(P[key])])
+                    I, k = (key[0], -1) if len(key) == 1 else key
+                    w.writerow([t, "P", f"{I}:0", k, _fmt(P[key])])
             for I, v in enumerate(s.V):
                 for k in range(n):
                     w.writerow([t, "V", f"x:{I}:0", k, _fmt(v[k])])
@@ -150,43 +150,37 @@ def read_averages_csv(path: str) -> list[CoarseState]:
         for line in r:
             if not line:
                 continue
-            loc = line[2]
-            if line[1] == "V":  # coarse edge I as its row index
-                hit = _EDGE_LOCATION.fullmatch(loc)
-                if hit is None:
-                    raise ConfigError(
-                        f"{path}: edge location {loc!r} is not x:I:0")
-                loc = int(hit[1])
-            rows.append((float(line[0]), line[1], loc, int(line[3]),
+            kind, loc = line[1], line[2]
+            if kind not in _LOCATIONS:
+                raise ConfigError(f"{path}: unknown kind {kind!r}")
+            pattern, what, form = _LOCATIONS[kind]
+            hit = pattern.fullmatch(loc)
+            if hit is None:
+                raise ConfigError(
+                    f"{path}: {what} location {loc!r} is not {form}")
+            rows.append((float(line[0]), kind, int(hit[1]), int(line[3]),
                          float(line[4])))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     times = sorted({t for t, *_ in rows})
     n = 1 + max(k for _t, kind, _loc, k, _v in rows if kind == "C")
-    NI = 1 + max(int(loc.split(":")[0]) for _t, kind, loc, _k, _v in rows
-                 if kind == "C")
-    NJ = 1 + max(int(loc.split(":")[1]) for _t, kind, loc, _k, _v in rows
-                 if kind == "C")
+    NI = 1 + max(loc for _t, kind, loc, _k, _v in rows if kind != "V")
     NE = 1 + max((loc for _t, kind, loc, _k, _v in rows if kind == "V"),
                  default=-1)
     out = []
     for step, t in enumerate(times):
-        C = np.zeros((NI, NJ, n))
-        P = np.full((NI, NJ, n), np.nan)
+        C = np.zeros((NI, n))
+        P = np.full((NI, n), np.nan)
         V = np.zeros((NE, n))
         for tt, kind, loc, k, v in rows:
             if tt != t:
                 continue
-            if kind in ("C", "P"):
-                I, J = (int(s) for s in loc.split(":"))
-                if kind == "C":
-                    C[I, J, k] = v
-                elif 0 <= k < n:
-                    P[I, J, k] = v
+            if kind == "C":
+                C[loc, k] = v
             elif kind == "V":
                 V[loc, k] = v
-            else:
-                raise ConfigError(f"{path}: unknown kind {kind!r}")
+            elif 0 <= k < n:
+                P[loc, k] = v
         out.append(CoarseState(step=step, t=t, C=C, V=V, P=P))
     return out
 

@@ -59,11 +59,11 @@ def assemble_effective(ov: Oversample, lam_local: np.ndarray,
     """
     grid = ov.grid
     cen = ov.central
-    present = np.array([(labels_local[cen.sx, cen.sy] == i).any()
+    present = np.array([(labels_local[cen.sx] == i).any()
                         for i in range(n)])
     here = np.flatnonzero(present)
     mask = grid.zeros()
-    mask[cen.sx, cen.sy] = 1.0
+    mask[cen.sx] = 1.0
     tx, ty = transmissibilities(grid, lam_local)
     w = np.concatenate([(0.5 * (mask[:-1, :] + mask[1:, :]) * tx).ravel(),
                         (0.5 * (mask[:, :-1] + mask[:, 1:]) * ty).ravel()])
@@ -171,7 +171,7 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
     families = [cells.edge_flux_family(coarse, I, labels, i, edge_labels[I],
                                        variant)
                 for I in edges for i in range(n)]
-    blocks = list(coarse.blocks())
+    blocks = coarse.blocks()
     if gravity:
         families += [cells.gravity_family(coarse, blk, labels, i)
                      for blk in blocks for i in range(n)]
@@ -243,8 +243,6 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     """
     if variant not in ("gravity", "viscous"):
         raise ConfigError(f"unknown mixed variant {variant!r}")
-    if coarse.Ny != 1:
-        raise ConfigError("mixed coarse flow expects a one-block-tall grid")
     fine = coarse.fine
     gravity = variant == "gravity"
     if gravity and Chat is None:
@@ -264,15 +262,15 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
         here = [a for a in range(nb) if blk in bases[a].support]
         if not here:
             continue
-        sx, sy = coarse.block_slices(*blk)
-        wx, w = _block_face_quadrature(coarse, lam[sx, sy])
+        sx = coarse.block_slice(blk)
+        wx, w = _block_face_quadrature(coarse, lam[sx])
         F = np.array([bases[a].support[blk] for a in here])
         M[np.ix_(here, here)] += (F * w) @ F.T
         zero = np.zeros_like(w)
         if gravity:
             # buoyancy drive minus the gravity-basis projections
             ci = np.where(np.isfinite(Chat[blk]), Chat[blk], 0.0)
-            rho = _face_indicator_x(ci[labels[sx, sy]])
+            rho = _face_indicator_x(ci[labels[sx]])
             proj = sum((ci[i] * gravity_support[(blk, i)] for i in range(n)
                         if (blk, i) in gravity_support), zero)
             r = _faces(wx * rho, zero[wx.size:]) - w * proj
@@ -285,18 +283,18 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     # balance rows: one per block (gravity), else one per present
     # (block, continuum); row_of[I, j] is the row of block I, continuum j
     if gravity:
-        rows = [(blk,) for blk in coarse.blocks()]
+        rows = [(I,) for I in coarse.blocks()]
         row_of = np.repeat(np.arange(coarse.Nx)[:, None], n, axis=1)
     else:
-        present = continuum_masses(labels, coarse, n)[:, 0, :] > 0
-        rows = [((int(I), 0), int(j)) for I, j in zip(*np.nonzero(present))]
+        present = continuum_masses(labels, coarse, n) > 0
+        rows = [(int(I), int(j)) for I, j in zip(*np.nonzero(present))]
         row_of = np.full((coarse.Nx, n), -1)
         row_of[present] = np.arange(len(rows))
     D = np.zeros((len(rows), nb))
     f = np.zeros(len(rows))
     for a, ba in enumerate(bases):
         if ba.edge is None:  # interface: div = psi1 - theta psi2
-            ((I, _J),) = ba.support
+            (I,) = ba.support
             D[row_of[I, 0], a], D[row_of[I, 1], a] = ba.S, -ba.S
             continue
         for I, sgn in ((ba.edge - 1, 1.0), (ba.edge, -1.0)):
@@ -361,8 +359,6 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
     boundary edges use the one-sided Dirichlet face flux.
     """
     NX = flow_coarse.Nx
-    if flow_coarse.Ny != 1 or base_coarse.Ny != 1:
-        raise ConfigError("the refined coarse flow model is one-dimensional")
     if NX % base_coarse.Nx:
         raise ConfigError("flow grid does not refine the base coarse grid")
     refine = NX // base_coarse.Nx
@@ -441,7 +437,7 @@ def coarse_cfl(coarse: CoarseGrid, V: np.ndarray, masses: np.ndarray,
     # right edge I + 1 when V[I + 1] >= 0
     A = np.abs(V)
     out = (np.where(V[:-1] >= 0, 0.0, A[:-1])
-           + np.where(V[1:] >= 0, A[1:], 0.0))[:, None, :]
+           + np.where(V[1:] >= 0, A[1:], 0.0))
     nu = np.zeros_like(masses)
     np.divide(out * tau, masses, out=nu, where=masses > 0)
     return float(nu.max())
@@ -467,19 +463,19 @@ def step_macro_concentration(coarse: CoarseGrid, C: np.ndarray,
     inside = (donor >= 0) & (donor < coarse.Nx)
     donor = donor.clip(0, coarse.Nx - 1)
     k = np.arange(V.shape[1])
-    m = masses[donor, 0, k]
+    m = masses[donor, k]
     moving = V != 0.0
     if inflow_conc is None and (moving & ~inside).any():
         I, j = np.argwhere(moving & ~inside)[0]
         raise InvariantError(f"inflow through edge {I} (continuum {j}) "
                              "without boundary data")
     skipped = moving & inside & (m <= 0)
-    val = np.divide(C[donor, 0, k], m, out=np.zeros_like(V), where=m > 0)
+    val = np.divide(C[donor, k], m, out=np.zeros_like(V), where=m > 0)
     if inflow_conc is not None:
         val = np.where(inside, val, inflow_conc)
     # block I gains the flux of edge I, then loses that of edge I + 1
-    flux = (tau * V * val)[:, None, :]
-    live = (moving & ~skipped)[:, None, :]
+    flux = tau * V * val
+    live = moving & ~skipped
     out = C.copy()
     np.add(out, flux[:-1], out=out, where=live[:-1])
     np.subtract(out, flux[1:], out=out, where=live[1:])
@@ -493,10 +489,9 @@ def step_macro_concentration(coarse: CoarseGrid, C: np.ndarray,
 class CoarseState:
     step: int
     t: float
-    C: np.ndarray  # (Nx, Ny, n) unnormalized
+    C: np.ndarray  # (Nx, n) unnormalized
     V: np.ndarray  # (Nx + 1, n) edge fluxes
     P: dict | np.ndarray | None = None
-    present: np.ndarray | None = None
 
 
 @dataclass
@@ -524,11 +519,10 @@ class CoarseModel:
 
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
                        labels: np.ndarray, n: int):
-    flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine,
-                      model.coarse.Ny)
+    flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
     ops = []
-    for K in range(flow.Nx):
-        ov = oversample_block(flow, (K, 0), model.layers,
+    for K in flow.blocks():
+        ov = oversample_block(flow, K, model.layers,
                               rule=model.extension_rule)
         lam_l = ov.sample(lam)
         lab_l = ov.sample(labels)
@@ -562,7 +556,6 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
 
     snap0 = snapshots[0]
     labels = classify(snap0.c, model.spec)
-    masses = continuum_masses(labels, coarse, n)
     ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, labels, n)
     C = ref0.C.copy()
     states = []
@@ -618,8 +611,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                 V, P = ms.V, ms.P
             last = (key, V, P)
 
-        states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
-                                  present=(masses > 0)))
+        states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

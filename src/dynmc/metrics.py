@@ -87,7 +87,8 @@ class ErrorReport:
 
 
 def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
-                   n: int, block_sel=(), edge_sel=np.s_[:]) -> ErrorReport:
+                   n: int, block_sel=np.s_[:], edge_sel=np.s_[:]
+                   ) -> ErrorReport:
     """Full report over aligned coarse state series.
 
     ``reference`` carries the averaged fine solution; the other two are the
@@ -103,7 +104,6 @@ def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
             missing = sorted(set(np.round(times_r, 12))
                              - set(np.round(times_o, 12)))
             raise ConfigError(f"series {tag} misaligned; missing {missing[:5]}")
-    block_sel = block_sel if block_sel != () else np.s_[:, :]
 
     eV_series = [velocity_errors(r.V[edge_sel], m.V[edge_sel], n)
                  for r, m in zip(reference, mh_mhvel)]

@@ -9,8 +9,7 @@ from dynmc.exceptions import InvariantError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 
-def random_partition_region(nx, ny, blocks_x, blocks_y, seed, contrast,
-                            thresholds):
+def random_partition_region(nx, ny, blocks_x, seed, contrast, thresholds):
     """An oversampled region covering a randomized labeled grid.
 
     Returns (ov, lam_local, labels_local, n) for the central block with one
@@ -18,13 +17,12 @@ def random_partition_region(nx, ny, blocks_x, blocks_y, seed, contrast,
     """
     rng = np.random.Generator(np.random.Philox(seed))
     fine = FineGrid(nx, ny, float(nx), float(ny))
-    coarse = CoarseGrid(fine, blocks_x, blocks_y)
+    coarse = CoarseGrid(fine, blocks_x)
     c = rng.random((nx, ny))
     spec = ContinuumSpec(thresholds)
     labels = classify(c, spec)
     lam = np.where(rng.random((nx, ny)) < 0.5, float(contrast), 1.0)
-    ov = oversample_block(coarse, (blocks_x // 2, blocks_y // 2), 1,
-                          rule="none")
+    ov = oversample_block(coarse, blocks_x // 2, 1, rule="none")
     return ov, ov.sample(lam), ov.sample(labels), spec.count
 
 
@@ -61,7 +59,7 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family):
                                      centers)
         else:
             psi = (labels_local == i).astype(float)
-            mass = psi[ov.central.sx, ov.central.sy].sum() * ov.grid.cell_area
+            mass = psi[ov.central.sx].sum() * ov.grid.cell_area
             s = psi / mass if mass > 0 else psi
             b = cells.gravity_volume_source(ov.grid, lam_local, s).ravel()
             g = np.zeros(len(rows))
@@ -78,14 +76,14 @@ def moment_residuals(ov, labels_local, rows, basis_continuum, field,
     res = []
     for row in rows:
         reg = ov.regions[row.region]
-        sel = labels_local[reg.sx, reg.sy] == row.continuum
-        got = (field[reg.sx, reg.sy] * sel).sum() * area
+        sel = labels_local[reg.sx] == row.continuum
+        got = (field[reg.sx] * sel).sum() * area
         if row.continuum != basis_continuum:
             target = 0.0
         elif family == "average":
             target = row.mass
         else:
-            x = coord[reg.sx, reg.sy]
+            x = coord[reg.sx]
             target = ((x - centers[row.continuum]) * sel).sum() * area
         res.append(got - target)
     return np.array(res)
@@ -93,7 +91,7 @@ def moment_residuals(ov, labels_local, rows, basis_continuum, field,
 
 def coarse_cfl_loops(coarse, V, masses, tau):
     """Per-edge, per-continuum loop form of ``macro.coarse_cfl``."""
-    n = masses.shape[2]
+    n = masses.shape[1]
     out = np.zeros_like(masses)
     for I in range(coarse.Nx + 1):
         lo, hi = coarse.edge_neighbors(I)
@@ -102,7 +100,7 @@ def coarse_cfl_loops(coarse, V, masses, tau):
             donor = lo if F >= 0 else hi
             if donor is None:
                 continue
-            out[donor[0], donor[1], k] += abs(F)
+            out[donor, k] += abs(F)
     nu = np.zeros_like(masses)
     np.divide(out * tau, masses, out=nu, where=masses > 0)
     return float(nu.max())
@@ -112,7 +110,7 @@ def step_macro_concentration_loops(coarse, C, masses, V, tau,
                                    inflow_conc=None):
     """Per-edge, per-continuum loop form of
     ``macro.step_macro_concentration`` after its CFL guard."""
-    n = C.shape[2]
+    n = C.shape[1]
     out = C.copy()
     skipped = np.zeros(V.shape, dtype=bool)
     for I in range(coarse.Nx + 1):
@@ -128,15 +126,15 @@ def step_macro_concentration_loops(coarse, C, masses, V, tau,
                         f"inflow through edge {I} without boundary data")
                 val = inflow_conc[k]
             else:
-                m = masses[donor[0], donor[1], k]
+                m = masses[donor, k]
                 if m <= 0:
                     skipped[I, k] = True
                     continue
-                val = C[donor[0], donor[1], k] / m
+                val = C[donor, k] / m
             if lo is not None:
-                out[lo[0], lo[1], k] -= tau * F * val
+                out[lo, k] -= tau * F * val
             if hi is not None:
-                out[hi[0], hi[1], k] += tau * F * val
+                out[hi, k] += tau * F * val
     return out, skipped
 
 

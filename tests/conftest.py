@@ -27,6 +27,6 @@ def unit_grid():
 
 @pytest.fixture
 def strip_coarse():
-    """Four-block strip: 16x4 fine cells, 4x1 blocks."""
+    """Four-block strip: 16x4 fine cells, 4 full-height blocks."""
     fine = FineGrid(16, 4, 4.0, 1.0)
-    return CoarseGrid(fine, 4, 1)
+    return CoarseGrid(fine, 4)

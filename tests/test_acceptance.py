@@ -66,10 +66,10 @@ def test_criterion_01_hydrostatic_exactness(capsys):
     _p, vx, vy = solve_flow(grid, lam, c, gravity_on=True)
     vmax = max(np.abs(vx).max(), np.abs(vy).max())
 
-    coarse = CoarseGrid(grid, 4, 1)
+    coarse = CoarseGrid(grid, 4)
     labels = classify(c, ContinuumSpec(DUAL))
-    Chat = np.zeros((4, 1, 2))
-    Chat[:, :, 0] = 0.7
+    Chat = np.zeros((4, 2))
+    Chat[:, 0] = 0.7
     from test_coarse import edge_labels_still
     elab = edge_labels_still(coarse, labels)
     ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat, elab,
@@ -91,7 +91,7 @@ def test_criterion_02_cell_problem_constraints(capsys):
     worst_con = 0.0
     worst_oracle = 0.0
     for nx, bx, seed, contrast, thr in cases:
-        ov, lam, labels, n = random_partition_region(nx, nx, bx, bx, seed,
+        ov, lam, labels, n = random_partition_region(nx, nx, bx, seed,
                                                      contrast, thr)
         for family in ("average", "gradient", "concentration"):
             out = cells.solve_constrained_elliptic(ov, lam, labels, n,
@@ -121,7 +121,7 @@ def test_criterion_02_cell_problem_constraints(capsys):
 
 def test_criterion_03_compatibility_identities(capsys):
     fine = FineGrid(16, 4, 4.0, 1.0)
-    coarse = CoarseGrid(fine, 4, 1)
+    coarse = CoarseGrid(fine, 4)
     c = rng(4).random((16, 4))
     labels = classify(c, ContinuumSpec(DUAL))
     lam = np.where(labels == 0, 1000.0, 1.0)
@@ -139,24 +139,24 @@ def test_criterion_03_compatibility_identities(capsys):
                 continue
             S = b.extras["edge_flux"]
             for blk, src in b.extras["sources"].items():
-                sx, sy = coarse.block_slices(*blk)
+                sx = coarse.block_slice(blk)
                 if variant == "uniform":
                     total = src * coarse.mx * coarse.my * area
                 else:
-                    total = src * indicator(labels[sx, sy], k).sum() * area
+                    total = src * indicator(labels[sx], k).sum() * area
                 worst = max(worst, abs(abs(total) - S) / max(S, 1.0))
 
     # interface basis: zero-mean divergence and the mass-ratio weight
-    sx, sy = coarse.block_slices(1, 0)
+    sx = coarse.block_slice(1)
     lab = np.ones((16, 4), dtype=np.int8)
-    lab[sx, sy][:2, :2] = 0  # quarter of the block in continuum 0
-    wset = cells.solve_interface_basis(coarse, (1, 0), np.ones((16, 4)), lab)
+    lab[sx][:2, :2] = 0  # quarter of the block in continuum 0
+    wset = cells.solve_interface_basis(coarse, 1, np.ones((16, 4)), lab)
     b = wset.bases[0]
     worst = max(worst, abs(b.extras["div"].sum()) * area)
     worst = max(worst, abs(b.extras["theta"] - 1.0 / 3.0))
 
     # gravity recirculation basis: closed and globally balanced
-    gset = cells.solve_gravity_basis(coarse, (2, 0), lam, labels, 0)
+    gset = cells.solve_gravity_basis(coarse, 2, lam, labels, 0)
     g = gset.bases[0]
     worst = max(worst, abs(divergence(gset.grid, g.fx, g.fy).sum()))
 
@@ -171,7 +171,7 @@ def test_criterion_03_compatibility_identities(capsys):
 
 def test_criterion_04_conservation_ledger(capsys):
     grid = FineGrid(24, 12, 3.0, 1.5)
-    coarse = CoarseGrid(grid, 4, 1)
+    coarse = CoarseGrid(grid, 4)
     spec = ContinuumSpec(DUAL)
     c0 = np.where(rng(5).random((24, 12)) < 0.4, 1.0, 0.333)
     lam_of = lambda c: np.where(classify(c, spec) == 0, 1000.0, 1.0)
@@ -186,9 +186,9 @@ def test_criterion_04_conservation_ledger(capsys):
         labels = classify(s.c, spec)
         av = averages(coarse, s.p, s.c, s.vx, labels, 2)
         for I in range(4):
-            sx, sy = coarse.block_slices(I, 0)
-            fine_mass = s.c[sx, sy].sum() * grid.cell_area
-            worst = max(worst, abs(av.C[I, 0].sum() - fine_mass)
+            sx = coarse.block_slice(I)
+            fine_mass = s.c[sx].sum() * grid.cell_area
+            worst = max(worst, abs(av.C[I].sum() - fine_mass)
                         / max(abs(fine_mass), 1.0))
 
     # coarse stepping in a closed box conserves the ledger
@@ -214,7 +214,7 @@ def test_criterion_04_conservation_ledger(capsys):
 
 def test_criterion_05_single_continuum_reduction(capsys):
     fine = FineGrid(40, 8, 5.0, 1.0)
-    coarse = CoarseGrid(fine, 5, 1)
+    coarse = CoarseGrid(fine, 5)
     spec = single_continuum()
     xg, _ = fine.cell_centers()
     c0 = 0.2 + 0.6 * (1.0 - xg / fine.L1)  # smooth decreasing profile
@@ -235,7 +235,7 @@ def test_criterion_05_single_continuum_reduction(capsys):
     # direct coarse Darcy transport: exact flux and donor upwinding
     F = (1.0 - 0.0) * fine.L2 / fine.L1
     masses = np.full(5, coarse.block_area)
-    C = states[0].C[:, 0, 0].copy()
+    C = states[0].C[:, 0].copy()
     worst_v = np.abs(states[0].V[:, 0] - F).max()
     worst_c = 0.0
     for k in range(steps):
@@ -244,7 +244,7 @@ def test_criterion_05_single_continuum_reduction(capsys):
         flux[1:] = F * (C / masses)
         C = C + 0.5 * (flux[:-1] - flux[1:])
         worst_c = max(worst_c,
-                      np.abs(states[k + 1].C[:, 0, 0] - C).max())
+                      np.abs(states[k + 1].C[:, 0] - C).max())
     ok = worst_v <= 1e-10 and worst_c <= 1e-10
     emit(capsys, 5, "single-continuum reduction", ok,
          f"max flux diff {worst_v:.2e}, max per-step C diff {worst_c:.2e} "

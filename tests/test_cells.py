@@ -24,8 +24,8 @@ CASES = [(8, 2, 0, 1.0, DUAL), (8, 2, 1, 10.0, DUAL),
 
 def single_continuum_region(nx=8):
     fine = FineGrid(nx, nx, float(nx), float(nx))
-    coarse = CoarseGrid(fine, 2, 2)
-    ov = oversample_block(coarse, (1, 1), 1, rule="none")
+    coarse = CoarseGrid(fine, 2)
+    ov = oversample_block(coarse, 1, 1, rule="none")
     lam = np.ones((nx, nx))
     labels = np.zeros((nx, nx), dtype=np.int8)
     return ov, ov.sample(lam), ov.sample(labels)
@@ -50,7 +50,7 @@ class TestGalerkinFamilies:
                                         "concentration"])
     def test_constraints_and_dense_oracle(self, nx, bx, seed, contrast, thr,
                                           family):
-        ov, lam, labels, n = random_partition_region(nx, nx, bx, bx, seed,
+        ov, lam, labels, n = random_partition_region(nx, nx, bx, seed,
                                                      contrast, thr)
         out = cells.solve_constrained_elliptic(ov, lam, labels, n, family)
         oracle, rows = elliptic_oracle(ov, lam, labels, n, family)
@@ -79,8 +79,7 @@ class TestGalerkinFamilies:
 
 class TestSaddleSolver:
     def test_matches_dense_oracle_directly(self):
-        ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
-                                                     DUAL)
+        ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
         solver = cells.SaddleSolver(A, C)
@@ -95,7 +94,7 @@ class TestSaddleSolver:
     def test_sparse_path_matches_dense_oracle(self):
         # one splu factorization serves several right-hand sides on a
         # high-contrast three-continuum region
-        ov, lam, labels, n = random_partition_region(12, 12, 3, 3, 4, 1000.0,
+        ov, lam, labels, n = random_partition_region(12, 12, 3, 4, 1000.0,
                                                      TRIPLE)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
@@ -113,8 +112,7 @@ class TestSaddleSolver:
 
     @pytest.mark.parametrize("shift_primal", [False, True])
     def test_large_kkt_residual_rejected(self, monkeypatch, shift_primal):
-        ov, lam, labels, n = random_partition_region(8, 8, 2, 2, 9, 10.0,
-                                                     DUAL)
+        ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
         solver = cells.SaddleSolver(A, C)
@@ -157,8 +155,8 @@ class TestSaddleSolver:
         c0 = cfg.initial_condition(ext)
         labels = classify(c0, spec)
         lam = cfg.mobility(ext)(c0)
-        flow = CoarseGrid(ext, coarse.Nx * cfg.flow_refine, coarse.Ny)
-        ov = oversample_block(flow, (0, 0), cfg.layers,
+        flow = CoarseGrid(ext, coarse.Nx * cfg.flow_refine)
+        ov = oversample_block(flow, 0, cfg.layers,
                               rule=cfg.extension_rule)
         factored = []
 
@@ -182,7 +180,7 @@ class TestSaddleSolver:
 
 def strip_setup(nx=16, ny=4, Nx=4, seed=0, contrast=1.0, thresholds=DUAL):
     fine = FineGrid(nx, ny, float(nx) / 4, 1.0)
-    coarse = CoarseGrid(fine, Nx, 1)
+    coarse = CoarseGrid(fine, Nx)
     c = rng(seed).random((nx, ny))
     labels = classify(c, ContinuumSpec(thresholds))
     lam = np.where(rng(seed + 100).random((nx, ny)) < 0.5, contrast, 1.0)
@@ -224,11 +222,10 @@ class TestEdgeFluxBasis:
         S = b.extras["edge_flux"]
         area = coarse.fine.cell_area
         for blk, src in b.extras["sources"].items():
-            sx, sy = coarse.block_slices(*blk)
             if variant == "uniform":
                 total = src * coarse.mx * coarse.my * area
             else:
-                psi = indicator(labels[sx, sy], 0)
+                psi = indicator(labels[coarse.block_slice(blk)], 0)
                 total = src * psi.sum() * area
             assert abs(abs(total) - S) <= 1e-12 * max(S, 1.0)
 
@@ -250,14 +247,14 @@ class TestGravityBasis:
     def test_full_continuum_constant_lam_is_hydrostatic(self):
         coarse, _, _ = strip_setup()
         labels = np.zeros((16, 4), dtype=np.int8)
-        out = cells.solve_gravity_basis(coarse, (1, 0), np.ones((16, 4)),
+        out = cells.solve_gravity_basis(coarse, 1, np.ones((16, 4)),
                                         labels, 0)
         b = out.bases[0]
         assert np.abs(b.fx).max() <= 1e-10 and np.abs(b.fy).max() <= 1e-10
 
     def test_recirculation_is_divergence_free_and_closed(self):
         coarse, lam, labels = strip_setup(seed=6, contrast=10.0)
-        out = cells.solve_gravity_basis(coarse, (2, 0), lam, labels, 0)
+        out = cells.solve_gravity_basis(coarse, 2, lam, labels, 0)
         b = out.bases[0]
         assert b.flag is None
         assert np.abs(b.fx[0, :]).max() == 0.0
@@ -271,7 +268,7 @@ class TestGravityBasis:
     def test_absent_continuum_flagged(self):
         coarse, lam, _ = strip_setup()
         labels = np.zeros((16, 4), dtype=np.int8)
-        out = cells.solve_gravity_basis(coarse, (0, 0), lam, labels, 1)
+        out = cells.solve_gravity_basis(coarse, 0, lam, labels, 1)
         assert out.bases[0].flag == "absent"
 
 
@@ -279,20 +276,20 @@ class TestInterfaceBasis:
     def test_theta_is_mass_ratio(self):
         coarse, lam, _ = strip_setup()
         labels = np.ones((16, 4), dtype=np.int8)
-        sx, sy = coarse.block_slices(1, 0)
-        labels[sx, sy][:, :2] = 0  # half the block -> theta = 1
-        out = cells.solve_interface_basis(coarse, (1, 0), np.ones((16, 4)),
+        sx = coarse.block_slice(1)
+        labels[sx, :2] = 0  # half the block -> theta = 1
+        out = cells.solve_interface_basis(coarse, 1, np.ones((16, 4)),
                                           labels)
         assert out.bases[0].extras["theta"] == pytest.approx(1.0)
         labels2 = np.ones((16, 4), dtype=np.int8)
-        labels2[sx, sy][:2, :2] = 0  # quarter of the block -> theta = 1/3
-        out2 = cells.solve_interface_basis(coarse, (1, 0), np.ones((16, 4)),
+        labels2[sx][:2, :2] = 0  # quarter of the block -> theta = 1/3
+        out2 = cells.solve_interface_basis(coarse, 1, np.ones((16, 4)),
                                            labels2)
         assert out2.bases[0].extras["theta"] == pytest.approx(1.0 / 3.0)
 
     def test_divergence_and_no_flow_contract(self):
         coarse, lam, labels = strip_setup(seed=7, contrast=1000.0)
-        out = cells.solve_interface_basis(coarse, (2, 0), lam, labels)
+        out = cells.solve_interface_basis(coarse, 2, lam, labels)
         b = out.bases[0]
         if b.flag == "absent":
             pytest.skip("random partition left one continuum empty")
@@ -305,5 +302,5 @@ class TestInterfaceBasis:
     def test_single_continuum_block_flagged(self):
         coarse, lam, _ = strip_setup()
         labels = np.zeros((16, 4), dtype=np.int8)
-        out = cells.solve_interface_basis(coarse, (0, 0), lam, labels)
+        out = cells.solve_interface_basis(coarse, 0, lam, labels)
         assert out.bases[0].flag == "absent"

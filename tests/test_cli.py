@@ -78,7 +78,7 @@ def test_compare_two_series(tmp_path, capsys):
             self.t, self.C, self.V = t, C, V
 
     g = np.random.default_rng(0)
-    ref = [S(0.1 * k, g.random((2, 1, 1)) + 1, g.random((3, 1)) + 1)
+    ref = [S(0.1 * k, g.random((2, 1)) + 1, g.random((3, 1)) + 1)
            for k in range(2)]
     other = [S(s.t, 1.1 * s.C, 0.9 * s.V) for s in ref]
     pa, pb = tmp_path / "ref.csv", tmp_path / "other.csv"

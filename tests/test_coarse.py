@@ -28,7 +28,7 @@ def striped_setup(nblocks=2, mx=8, my=6):
     """Horizontal two-continuum stripes present in every block and edge."""
     nx = nblocks * mx
     fine = FineGrid(nx, my, float(nx), float(my))
-    coarse = CoarseGrid(fine, nblocks, 1)
+    coarse = CoarseGrid(fine, nblocks)
     c = np.zeros((nx, my))
     c[:, : my // 2] = 1.0
     labels = classify(c, ContinuumSpec(DUAL_THRESHOLDS))
@@ -40,7 +40,7 @@ class TestMixedGravity:
     def test_uniform_concentration_is_quiescent(self):
         fine, coarse, c, labels, lam = striped_setup(nblocks=4)
         # equal concentrations everywhere: no buoyancy contrast at all
-        Chat = np.full((4, 1, 2), 0.7)
+        Chat = np.full((4, 2), 0.7)
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
                                      edge_labels_still(coarse, labels),
                                      variant="gravity")
@@ -49,8 +49,8 @@ class TestMixedGravity:
 
     def test_buoyancy_contrast_drives_exchange_loop(self):
         fine, coarse, c, labels, lam = striped_setup(nblocks=4)
-        Chat = np.zeros((4, 1, 2))
-        Chat[:, :, 0] = [[1.0], [0.8], [0.6], [0.4]]  # heavy fluid on the left
+        Chat = np.zeros((4, 2))
+        Chat[:, 0] = [1.0, 0.8, 0.6, 0.4]  # heavy fluid on the left
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
                                      edge_labels_still(coarse, labels),
                                      variant="gravity")
@@ -62,9 +62,9 @@ class TestMixedGravity:
 
     def test_balance_rows_conserve_each_block(self):
         fine, coarse, c, labels, lam = striped_setup(nblocks=4)
-        Chat = np.zeros((4, 1, 2))
-        Chat[:, :, 0] = rng(0).random((4, 1))
-        Chat[:, :, 1] = rng(1).random((4, 1))
+        Chat = np.zeros((4, 2))
+        Chat[:, 0] = rng(0).random(4)
+        Chat[:, 1] = rng(1).random(4)
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
                                      edge_labels_still(coarse, labels),
                                      variant="gravity")
@@ -72,15 +72,6 @@ class TestMixedGravity:
             inflow = ms.V[I].sum()
             outflow = ms.V[I + 1].sum()
             assert abs(inflow - outflow) <= 1e-10
-
-    def test_tall_grid_rejected(self):
-        fine = FineGrid(8, 8, 1.0, 1.0)
-        coarse = CoarseGrid(fine, 2, 2)
-        with pytest.raises(ConfigError):
-            solve_coarse_flow_mixed(coarse, np.ones((8, 8)),
-                                    np.zeros((8, 8), dtype=np.int8), 1,
-                                    np.zeros((2, 2, 1)),
-                                    np.zeros((3, 4), dtype=np.int8))
 
     def test_missing_chat_rejected(self):
         fine, coarse, c, labels, lam = striped_setup()
@@ -136,8 +127,8 @@ def shift_first_unknown(monkeypatch):
 
 def test_large_mixed_kkt_residual_rejected(monkeypatch):
     fine, coarse, c, labels, lam = striped_setup(nblocks=3)
-    Chat = np.zeros((3, 1, 2))
-    Chat[:, :, 0] = [[1.0], [0.6], [0.2]]
+    Chat = np.zeros((3, 2))
+    Chat[:, 0] = [1.0, 0.6, 0.2]
     args = (coarse, lam, labels, 2, Chat, edge_labels_still(coarse, labels))
     solve_coarse_flow_mixed(*args, variant="gravity")
     shift_first_unknown(monkeypatch)
@@ -150,7 +141,7 @@ def random_mixed_setup(seed, nblocks=3, mx=8, my=6):
     the last block hold continuum 0 only, so some bases are absent."""
     nx = nblocks * mx
     fine = FineGrid(nx, my, float(nx), float(my))
-    coarse = CoarseGrid(fine, nblocks, 1)
+    coarse = CoarseGrid(fine, nblocks)
     labels = classify(rng(seed).random((nx, my)),
                       ContinuumSpec(DUAL_THRESHOLDS))
     labels[-mx:, :] = 0
@@ -173,7 +164,7 @@ class TestMixedBases:
 
         monkeypatch.setattr(cells, "solve_flow", counted)
         solve_coarse_flow_mixed(coarse, lam, labels, 2,
-                                rng(41).random((coarse.Nx, 1, 2)), elab,
+                                rng(41).random((coarse.Nx, 2)), elab,
                                 variant=variant, g_in=-1.0, p_out=0.0,
                                 inflow_labels=labels[0, :])
         assert len(blocks) == len(set(blocks)) == coarse.Nx
@@ -249,7 +240,7 @@ class TestGalerkinFlow:
 
     def test_homogeneous_column_linear_pressure_uniform_flux(self):
         fine = FineGrid(20, 4, 5.0, 1.0)
-        coarse = CoarseGrid(fine, 5, 1)
+        coarse = CoarseGrid(fine, 5)
         P, V, U = solve_coarse_flow_galerkin(coarse, coarse,
                                              self.unit_ops(5), 1,
                                              p_in=1.0, p_out=0.0)
@@ -264,8 +255,8 @@ class TestGalerkinFlow:
 
     def test_refined_flow_grid_restricts_to_base_edges(self):
         fine = FineGrid(24, 4, 6.0, 1.0)
-        base = CoarseGrid(fine, 3, 1)
-        flow = CoarseGrid(fine, 6, 1)
+        base = CoarseGrid(fine, 3)
+        flow = CoarseGrid(fine, 6)
         P, V, U = solve_coarse_flow_galerkin(flow, base, self.unit_ops(6), 1,
                                              p_in=2.0, p_out=0.0)
         flux = 2.0 * fine.L2 / fine.L1
@@ -287,7 +278,7 @@ class TestGalerkinFlow:
             o.beta = np.array([[0.5, -0.5], [-0.5, 0.5]]) \
                 if o.present.all() else np.zeros((2, 2))
         fine = FineGrid(16, 4, 4.0, 1.0)
-        coarse = CoarseGrid(fine, 4, 1)
+        coarse = CoarseGrid(fine, 4)
         P, V, U = solve_coarse_flow_galerkin(coarse, coarse, ops, 2,
                                              p_in=1.0, p_out=0.0)
         assert np.isnan(P[2, 1]) and np.isnan(P[3, 1])
@@ -296,7 +287,7 @@ class TestGalerkinFlow:
 
     def test_large_residual_rejected(self, monkeypatch):
         fine = FineGrid(20, 4, 5.0, 1.0)
-        coarse = CoarseGrid(fine, 5, 1)
+        coarse = CoarseGrid(fine, 5)
         args = (coarse, coarse, self.unit_ops(5), 1, 1.0, 0.0)
         solve_coarse_flow_galerkin(*args)
         shift_first_unknown(monkeypatch)
@@ -306,46 +297,46 @@ class TestGalerkinFlow:
     def test_mismatched_refinement_rejected(self):
         fine = FineGrid(12, 4, 3.0, 1.0)
         with pytest.raises(ConfigError):
-            solve_coarse_flow_galerkin(CoarseGrid(fine, 3, 1),
-                                       CoarseGrid(fine, 2, 1),
+            solve_coarse_flow_galerkin(CoarseGrid(fine, 3),
+                                       CoarseGrid(fine, 2),
                                        self.unit_ops(3), 1, 1.0, 0.0)
 
 
 def chain(nblocks, F):
     """1D single-continuum chain with a uniform interior flux F."""
     fine = FineGrid(nblocks * 4, 4, float(nblocks), 1.0)
-    coarse = CoarseGrid(fine, nblocks, 1)
+    coarse = CoarseGrid(fine, nblocks)
     V = np.zeros((nblocks + 1, 1))
     V[1:-1] = F
-    masses = np.full((nblocks, 1, 1), coarse.block_area)
+    masses = np.full((nblocks, 1), coarse.block_area)
     return coarse, V, masses
 
 
 class TestMacroTransport:
     def test_zero_velocity_is_identity(self):
         coarse, V, masses = chain(4, 0.0)
-        C = rng(0).random((4, 1, 1))
+        C = rng(0).random((4, 1))
         out, skipped = step_macro_concentration(coarse, C, masses, V, 0.1)
         assert (out == C).all() and not skipped.any()
 
     def test_unit_courant_shifts_one_block(self):
         coarse, V, masses = chain(4, 1.0)
-        C = np.zeros((4, 1, 1))
-        C[0, 0, 0] = 1.0
+        C = np.zeros((4, 1))
+        C[0, 0] = 1.0
         tau = float(coarse.block_area)  # one full donor mass per step
         out, _ = step_macro_concentration(coarse, C, masses, V, tau)
-        assert out[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert out[1, 0, 0] == pytest.approx(1.0, rel=1e-15)
+        assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert out[1, 0] == pytest.approx(1.0, rel=1e-15)
 
     def test_conserves_total_mass(self):
         coarse, V, masses = chain(5, 0.7)
-        C = rng(1).random((5, 1, 1))
+        C = rng(1).random((5, 1))
         out, _ = step_macro_concentration(coarse, C, masses, V, 0.2)
         assert out.sum() == pytest.approx(C.sum(), rel=1e-14)
 
     def test_cfl_guard_reports_required_tau(self):
         coarse, V, masses = chain(3, 1.0)
-        C = np.ones((3, 1, 1))
+        C = np.ones((3, 1))
         with pytest.raises(InvariantError, match="reduce tau"):
             step_macro_concentration(coarse, C, masses, V,
                                      tau=10.0 * coarse.block_area)
@@ -353,12 +344,12 @@ class TestMacroTransport:
     def test_boundary_inflow_requires_data(self):
         coarse, V, masses = chain(3, 0.0)
         V[0] = 1.0
-        C = np.zeros((3, 1, 1))
+        C = np.zeros((3, 1))
         with pytest.raises(InvariantError, match="inflow"):
             step_macro_concentration(coarse, C, masses, V, 0.1)
         out, _ = step_macro_concentration(coarse, C, masses, V, 0.1,
                                           inflow_conc=np.array([0.5]))
-        assert out[0, 0, 0] == pytest.approx(0.05)
+        assert out[0, 0] == pytest.approx(0.05)
 
     def test_coarse_cfl_formula(self):
         coarse, V, masses = chain(3, 2.0)
@@ -372,13 +363,13 @@ def transport_case(seed, nblocks=6, n=3):
     continuum 1 and donates it through both of its edges."""
     g = rng(seed)
     coarse = CoarseGrid(FineGrid(2 * nblocks, 2, float(nblocks), 1.0),
-                        nblocks, 1)
+                        nblocks)
     V = 0.05 * g.standard_normal((nblocks + 1, n))
     V[g.random(V.shape) < 0.25] = 0.0
     V[2, 1], V[3, 1] = -0.03, 0.02
-    masses = coarse.block_area * (0.5 + g.random((nblocks, 1, n)))
-    masses[2, 0, 1] = 0.0
-    C = masses * g.random((nblocks, 1, n))
+    masses = coarse.block_area * (0.5 + g.random((nblocks, n)))
+    masses[2, 1] = 0.0
+    C = masses * g.random((nblocks, n))
     return coarse, C, masses, V, g.random(n)
 
 
@@ -413,8 +404,8 @@ class TestTransportMatchesLoops:
         V[edge] = 0.0
         closed, _ = step_macro_concentration(coarse, C, masses, V, 0.7,
                                              inflow_conc=inflow)
-        assert (out[blk, 0, [0, 2]] > closed[blk, 0, [0, 2]]).all()
-        assert out[blk, 0, 1] == closed[blk, 0, 1]
+        assert (out[blk, [0, 2]] > closed[blk, [0, 2]]).all()
+        assert out[blk, 1] == closed[blk, 1]
 
     @pytest.mark.parametrize("edge,sign", [(0, 1.0), (6, -1.0)])
     def test_missing_inflow_conc_raises(self, edge, sign):
@@ -436,7 +427,7 @@ class TestRunCoarse:
 
     def test_ref_velocity_single_continuum_matches_hand_upwind(self):
         grid = FineGrid(16, 4, 4.0, 1.0)
-        coarse = CoarseGrid(grid, 4, 1)
+        coarse = CoarseGrid(grid, 4)
         c = rng(2).random((16, 4))
         vx = np.zeros((17, 4))
         vx[1:-1, :] = 0.3
@@ -448,18 +439,18 @@ class TestRunCoarse:
 
         # hand-rolled coarse donor upwind on the block means
         labels = np.zeros((16, 4), dtype=np.int8)
-        masses = continuum_masses(labels, coarse, 1)[:, :, 0]
-        C = states[0].C[:, :, 0].copy()
+        masses = continuum_masses(labels, coarse, 1)
+        C = states[0].C.copy()
         F = 0.3 * grid.L2  # interior-edge flux
         for _ in range(6):
             flux = np.zeros(5)
             flux[1:-1] = F * (C[:-1, 0] / masses[:-1, 0])
             C[:, 0] += tau * (flux[:-1] - flux[1:])
-        assert np.allclose(states[-1].C[:, :, 0], C, atol=1e-10)
+        assert np.allclose(states[-1].C, C, atol=1e-10)
 
     def test_missing_snapshots_rejected(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
-        coarse = CoarseGrid(grid, 2, 1)
+        coarse = CoarseGrid(grid, 2)
         snaps = self.make_snapshots(grid, 2, np.full((8, 4), 0.4),
                                     np.zeros((9, 4)))
         model = CoarseModel(coarse=coarse, spec=single_continuum(),
@@ -469,7 +460,7 @@ class TestRunCoarse:
 
     def test_unknown_velocity_mode_and_approach(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
-        coarse = CoarseGrid(grid, 2, 1)
+        coarse = CoarseGrid(grid, 2)
         model = CoarseModel(coarse=coarse, spec=single_continuum(),
                             approach="mixed-gravity", lam_of=np.ones_like)
         with pytest.raises(ConfigError):
@@ -480,7 +471,7 @@ class TestRunCoarse:
 
     def test_coarse_flow_reuses_only_the_previous_step(self, monkeypatch):
         fine = FineGrid(24, 6, 3.0, 0.75)
-        coarse = CoarseGrid(fine, 3, 1)
+        coarse = CoarseGrid(fine, 3)
         model = CoarseModel(coarse=coarse,
                             spec=ContinuumSpec(DUAL_THRESHOLDS),
                             approach="mixed-gravity",
@@ -534,7 +525,7 @@ class TestRunCoarse:
     def test_mh_gravity_quiescent_keeps_concentration(self):
         # globally uniform concentration: hydrostatic, nothing moves
         fine = FineGrid(24, 6, 3.0, 0.75)
-        coarse = CoarseGrid(fine, 3, 1)
+        coarse = CoarseGrid(fine, 3)
         c = np.full((24, 6), 0.7)
         snaps = self.make_snapshots(fine, 3, c,
                                     np.zeros((fine.nx + 1, fine.ny)))

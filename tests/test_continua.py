@@ -68,7 +68,7 @@ def test_partition_completeness(seed, nthr):
 class TestAverages:
     def setup_method(self):
         self.fine = FineGrid(8, 4, 2.0, 1.0)
-        self.coarse = CoarseGrid(self.fine, 2, 1)
+        self.coarse = CoarseGrid(self.fine, 2)
         self.spec = ContinuumSpec(DUAL_THRESHOLDS)
 
     def test_single_continuum_block_means(self):
@@ -77,10 +77,10 @@ class TestAverages:
         p = rng(2).random((8, 4))
         vx, _ = self.fine.zero_faces()
         av = averages(self.coarse, p, c, vx, classify(c, spec), 1)
-        sx, sy = self.coarse.block_slices(0, 0)
-        assert av.C[0, 0, 0] == pytest.approx(
-            c[sx, sy].sum() * self.fine.cell_area, rel=1e-14)
-        assert av.P[0, 0, 0] == pytest.approx(p[sx, sy].mean(), rel=1e-14)
+        sx = self.coarse.block_slice(0)
+        assert av.C[0, 0] == pytest.approx(
+            c[sx].sum() * self.fine.cell_area, rel=1e-14)
+        assert av.P[0, 0] == pytest.approx(p[sx].mean(), rel=1e-14)
 
     def test_half_block_plateau(self):
         c = np.zeros((8, 4))
@@ -89,9 +89,9 @@ class TestAverages:
         av = averages(self.coarse, np.zeros_like(c), c, vx,
                       classify(c, self.spec), 2)
         block_area = self.coarse.block_area
-        assert av.C[0, 0, 0] == pytest.approx(0.5 * block_area)
-        assert av.C[0, 0, 1] == 0.0  # c = 0 contributes nothing
-        assert np.isnan(av.P[1, 0, 0])  # continuum absent in block 1
+        assert av.C[0, 0] == pytest.approx(0.5 * block_area)
+        assert av.C[0, 1] == 0.0  # c = 0 contributes nothing
+        assert np.isnan(av.P[1, 0])  # continuum absent in block 1
 
     def test_matches_direct_summation_oracle(self):
         c = rng(3).random((8, 4))
@@ -109,9 +109,9 @@ class TestAverages:
                             tot += c[i, j] * area
                             ptot += p[i, j]
                             cnt += 1
-                assert av.C[I, 0, k] == pytest.approx(tot, abs=1e-14)
+                assert av.C[I, k] == pytest.approx(tot, abs=1e-14)
                 if cnt:
-                    assert av.P[I, 0, k] == pytest.approx(ptot / cnt, rel=1e-13)
+                    assert av.P[I, k] == pytest.approx(ptot / cnt, rel=1e-13)
 
     def test_mass_ledger_exact(self):
         c = rng(5).random((8, 4))
@@ -136,7 +136,7 @@ class TestAverages:
         c = rng(8).random((8, 4))
         labels = classify(c, self.spec)
         m = continuum_masses(labels, self.coarse, 2)
-        assert np.allclose(m.sum(axis=2), self.coarse.block_area)
+        assert np.allclose(m.sum(axis=1), self.coarse.block_area)
 
 
 class TestAdvectLabels:

@@ -36,37 +36,34 @@ class TestCoarseGrid:
     def test_non_divisible_counts_named(self):
         fine = FineGrid(10, 4, 1.0, 1.0)
         with pytest.raises(ConfigError, match="nx=10"):
-            CoarseGrid(fine, 4, 2)
+            CoarseGrid(fine, 4)
 
     def test_block_partition_covers_all_cells(self):
-        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 2)
+        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4)
         seen = np.zeros((8, 4), dtype=int)
-        for I, J in coarse.blocks():
-            sx, sy = coarse.block_slices(I, J)
-            seen[sx, sy] += 1
+        for I in coarse.blocks():
+            seen[coarse.block_slice(I)] += 1
         assert (seen == 1).all()
 
     def test_edge_faces_partition_edge_lines(self):
-        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 1)
+        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4)
         vx = np.arange(9 * 4, dtype=float).reshape(9, 4)
         # edge I reads exactly the fine x-face column I * mx
         assert (coarse.edge_flux(vx) == vx[[0, 2, 4, 6, 8]]).all()
-        with pytest.raises(ConfigError, match="one-block-tall"):
-            CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 2).edge_flux(vx)
 
     def test_edge_neighbors_boundary(self):
-        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 1)
+        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4)
         lo, hi = coarse.edge_neighbors(0)
-        assert lo is None and hi == (0, 0)
-        assert coarse.edge_neighbors(2) == ((1, 0), (2, 0))
+        assert lo is None and hi == 0
+        assert coarse.edge_neighbors(2) == (1, 2)
         lo, hi = coarse.edge_neighbors(4)
-        assert lo == (3, 0) and hi is None
+        assert lo == 3 and hi is None
         for I in (-1, 5):
             with pytest.raises(ConfigError, match="outside"):
                 coarse.edge_neighbors(I)
 
     def test_edge_donor_cells_follow_sign(self):
-        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4, 1)
+        coarse = CoarseGrid(FineGrid(8, 4, 1.0, 1.0), 4)
         labels = np.arange(8 * 4).reshape(8, 4)
         flux = np.array([[-1.0, 1.0, -1.0, 1.0]] * 5)
         flux[2] = [1.0, -1.0, 1.0, -1.0]
@@ -79,24 +76,24 @@ class TestCoarseGrid:
 
 class TestOversample:
     def setup_method(self):
-        self.coarse = CoarseGrid(FineGrid(20, 2, 10.0, 1.0), 10, 1)
+        self.coarse = CoarseGrid(FineGrid(20, 2, 10.0, 1.0), 10)
 
     def test_zero_layers_is_the_block(self):
-        ov = oversample_block(self.coarse, (4, 0), 0)
+        ov = oversample_block(self.coarse, 4, 0)
         assert ov.grid.nx == self.coarse.mx
         assert len(ov.regions) == 1 and ov.regions[0].is_central
 
     def test_middle_block_two_layers_five_blocks(self):
-        ov = oversample_block(self.coarse, (5, 0), 2, rule="none")
+        ov = oversample_block(self.coarse, 5, 2, rule="none")
         assert len(ov.regions) == 5
-        assert sorted(r.offset[0] for r in ov.regions) == [-2, -1, 0, 1, 2]
+        assert sorted(r.offset for r in ov.regions) == [-2, -1, 0, 1, 2]
 
     def test_truncation_without_rule(self):
-        ov = oversample_block(self.coarse, (0, 0), 1, rule="none")
+        ov = oversample_block(self.coarse, 0, 1, rule="none")
         assert len(ov.regions) == 2
 
     def test_periodic_left_maps_to_right_columns(self):
-        ov = oversample_block(self.coarse, (0, 0), 1, rule="periodic-left")
+        ov = oversample_block(self.coarse, 0, 1, rule="periodic-left")
         field = np.arange(40, dtype=float).reshape(20, 2)
         local = ov.sample(field)
         # left neighbor block samples the rightmost fine columns
@@ -104,7 +101,7 @@ class TestOversample:
         assert (local[2:4, :] == field[0:2, :]).all()
 
     def test_reflect_right_maps_to_mirror_columns(self):
-        ov = oversample_block(self.coarse, (9, 0), 1, rule="reflect-right")
+        ov = oversample_block(self.coarse, 9, 1, rule="reflect-right")
         field = np.arange(40, dtype=float).reshape(20, 2)
         local = ov.sample(field)
         # right neighbor block mirrors the last fine columns
@@ -113,7 +110,7 @@ class TestOversample:
         assert (local[5, :] == field[18, :]).all()
 
     def test_mirror_map_is_involution_on_its_image(self):
-        ov = oversample_block(self.coarse, (9, 0), 1, rule="reflect-right")
+        ov = oversample_block(self.coarse, 9, 1, rule="reflect-right")
         n = self.coarse.fine.nx
         for k, src in enumerate(ov.src_ix):
             virtual = 16 + k  # global column of local index k
@@ -122,18 +119,18 @@ class TestOversample:
                 assert 2 * n - 1 - src == virtual
 
     def test_virtual_coordinates_continue_spacing(self):
-        ov = oversample_block(self.coarse, (9, 0), 1, rule="reflect-right")
+        ov = oversample_block(self.coarse, 9, 1, rule="reflect-right")
         xs = ov.grid.xc()
         assert np.allclose(np.diff(xs), self.coarse.fine.hx)
         assert xs[-1] > self.coarse.fine.L1  # extends past the boundary
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown extension rule"):
-            oversample_block(self.coarse, (0, 0), 1, rule="wrap-both")
+            oversample_block(self.coarse, 0, 1, rule="wrap-both")
 
     def test_invalid_block_rejected(self):
         with pytest.raises(ConfigError):
-            oversample_block(self.coarse, (10, 0), 1)
+            oversample_block(self.coarse, 10, 1)
 
 
 class TestDomainLayout:
@@ -149,8 +146,8 @@ class TestDomainLayout:
         lay = build_layout(1.0, 1.0, 2, 2)
         assert lay.extended_fine is lay.target_fine
         assert lay.offset_x == 0
-        coarse = CoarseGrid(lay.target_fine, 1, 1)
-        assert coarse.blocks() == [(0, 0)]
+        coarse = CoarseGrid(lay.target_fine, 1)
+        assert list(coarse.blocks()) == [0]
         assert coarse.mx * coarse.my == 4
 
     def test_right_extension_grows_only_right(self):
@@ -171,13 +168,11 @@ class TestDomainLayout:
 
 
 @settings(max_examples=40, deadline=None)
-@given(nx=st.integers(1, 6), ny=st.integers(1, 6),
-       mx=st.integers(1, 4), my=st.integers(1, 4))
-def test_partition_property(nx, ny, mx, my):
-    fine = FineGrid(nx * mx, ny * my, 2.0, 1.0)
-    coarse = CoarseGrid(fine, nx, ny)
-    total = sum((s.stop - s.start) * (t.stop - t.start)
-                for s, t in (coarse.block_slices(I, J)
-                             for I, J in coarse.blocks()))
+@given(nx=st.integers(1, 6), mx=st.integers(1, 4), ny=st.integers(1, 6))
+def test_partition_property(nx, mx, ny):
+    fine = FineGrid(nx * mx, ny, 2.0, 1.0)
+    coarse = CoarseGrid(fine, nx)
+    total = sum((s.stop - s.start) * coarse.my
+                for s in map(coarse.block_slice, coarse.blocks()))
     assert total == fine.nx * fine.ny
-    assert len(coarse.blocks()) == nx * ny
+    assert len(coarse.blocks()) == nx

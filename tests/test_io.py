@@ -1,6 +1,7 @@
 """Artifact writers and readers: exact round trips and validation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestAveragesCsv:
         g = rng(4)
         states = []
         for k in range(3):
-            C = g.random((2, 1, 2))
+            C = g.random((2, 2))
             V = g.standard_normal((3, 2))
             states.append(FakeState(0.1 * k, C, V))
         return states
@@ -108,9 +109,40 @@ class TestAveragesCsv:
         with pytest.raises(ConfigError, match=f"old.csv.*{loc}"):
             io.read_averages_csv(str(path))
 
+    @pytest.mark.parametrize("kind", ["C", "P"])
+    @pytest.mark.parametrize("loc", ["-1:0", "0:1", "3", "a:0", "1:0:0"])
+    def test_other_block_locations_rejected(self, tmp_path, kind, loc):
+        path = tmp_path / "old.csv"
+        path.write_text("time,kind,location,continuum,value\n"
+                        "0,C,0:0,0,1\n0,C,1:0,0,2\n0,V,x:0:0,0,1\n"
+                        f"0,{kind},{loc},0,9\n")
+        with pytest.raises(ConfigError, match=f"old.csv.*{loc}"):
+            io.read_averages_csv(str(path))
+
+    def test_golden_bytes(self, tmp_path):
+        """Block rows stay I:0 for P arrays with absent continua and for
+        mixed-model multipliers keyed per block or per (block, continuum)."""
+        g = rng(7)
+        C = g.random((3, 3, 2)) * np.pi
+        V = g.standard_normal((3, 4, 2))
+        P_arr = g.standard_normal((3, 2))
+        P_arr[1, 0] = P_arr[2, 1] = np.nan
+        per_block = g.standard_normal(3)
+        per_pair = g.standard_normal((3, 2))
+        Ps = [P_arr, {(I,): per_block[I] for I in range(3)},
+              {(I, j): per_pair[I, j] for I in range(3) for j in range(2)
+               if (I, j) != (1, 1)}]
+        states = [FakeState(0.125 * k, C[k], V[k], Ps[k]) for k in range(3)]
+        out = tmp_path / "avg.csv"
+        io.write_averages_csv(str(out), states, 2)
+        golden = os.path.join(os.path.dirname(__file__), "data",
+                              "averages_golden.csv")
+        with open(golden, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_pressure_dict_rows_written(self, tmp_path):
         states = self.make_states()
-        states[0].P = {((0, 0),): 1.5, ((1, 0),): -0.5}
+        states[0].P = {(0,): 1.5, (1,): -0.5}
         path = tmp_path / "avg.csv"
         io.write_averages_csv(str(path), states, 2)
         text = path.read_text()
