@@ -21,7 +21,8 @@ from scipy.sparse.linalg import splu
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
 from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, assemble_stiffness,
-                   check_residual, gravity_volume_source, solve_flow)
+                   check_residual, gravity_volume_source, operator_key,
+                   solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -259,18 +260,23 @@ def _block_field(coarse: CoarseGrid, block: int, f: np.ndarray):
 
 def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
                          families: list) -> list[CellBasisSet]:
-    """Run block cell-problem families with one factorization per block.
+    """Run block cell-problem families with one factorization per distinct
+    block matrix.
 
     A family is a generator that yields its ``[(block, FlowLoad), ...]``
     (or returns at once when it has nothing to solve), is sent the
     solutions in the same order and returns its :class:`CellBasisSet`.
-    Every load on a block solves the same no-flow lam_b operator, so each
-    block's loads, across all families, go to one :func:`solve_flow` call.
-    Returns the sets in the order of ``families``.
+    A load on a block solves the lam_b operator of that block, and every
+    block has the same cell size, so loads whose lam_b and pressure sides
+    digest alike (:func:`~dynmc.fine.operator_key`) share one matrix: they
+    go, across all families and blocks, to one :func:`solve_flow` call on
+    the grid of the first such block (without a memo, solve_flow never
+    reads the grid's origin).  Returns the sets in the order of
+    ``families``.
     """
     out: list[CellBasisSet | None] = [None] * len(families)
     waiting = []  # (family index, generator, number of loads)
-    per_block: dict[int, list] = {}  # block -> [(family, slot, load)]
+    groups: dict[bytes, tuple[int, list]] = {}  # key -> (block, items)
     for k, fam in enumerate(families):
         try:
             loads = next(fam)
@@ -279,9 +285,10 @@ def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
             continue
         waiting.append((k, fam, len(loads)))
         for slot, (blk, load) in enumerate(loads):
-            per_block.setdefault(blk, []).append((k, slot, load))
+            key = operator_key(_block_field(coarse, blk, lam), [load])
+            groups.setdefault(key, (blk, []))[1].append((k, slot, load))
     solved: dict[int, list] = {k: [None] * m for k, _fam, m in waiting}
-    for blk, items in per_block.items():
+    for blk, items in groups.values():
         sols = solve_flow(_omega_grid(coarse, [blk]),
                           _block_field(coarse, blk, lam),
                           loads=[load for _k, _slot, load in items])

@@ -149,10 +149,12 @@ def advect_labels(grid: FineGrid, labels0: np.ndarray,
             h = tau / substeps
             for _ in range(substeps):
                 ux, uy = interp_velocity(grid, vx, vy, px, py)
-                xm, ym = _reflect(grid, px - 0.5 * h * ux, py - 0.5 * h * uy)
+                xm, ym = px - 0.5 * h * ux, py - 0.5 * h * uy
+                _reflect(grid, xm, ym)
                 xm, ym = np.clip(xm, x1, x2), np.clip(ym, y1, y2)
                 ux, uy = interp_velocity(grid, vx, vy, xm, ym)
-                px, py = _reflect(grid, px - h * ux, py - h * uy)
+                px, py = px - h * ux, py - h * uy
+                _reflect(grid, px, py)
                 px, py = np.clip(px, x1, x2), np.clip(py, y1, y2)
         ii = np.clip(((px - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
         jj = np.clip(((py - grid.y0) / grid.hy).astype(int), 0, grid.ny - 1)

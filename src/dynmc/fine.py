@@ -183,6 +183,23 @@ class LastSolve:
     reused: bool = False
 
 
+def _pressure_sides(loads) -> set[tuple]:
+    """The distinct tuples of pressure sides among the loads' boundaries."""
+    return {tuple(s for s in SIDES if bc.side(s)[0] == "pressure")
+            for _c, bc, _g, _f in loads}
+
+
+def operator_key(lam: np.ndarray, loads) -> bytes:
+    """blake2b digest of what the matrix of :func:`solve_flow` depends on
+    besides the grid's cell counts and sizes: lam and the loads' pressure
+    sides."""
+    h = hashlib.blake2b(digest_size=32)
+    h.update(f"{lam.dtype.str}{lam.shape}".encode())
+    h.update(lam.tobytes())
+    h.update(repr(sorted(_pressure_sides(loads))).encode())
+    return h.digest()
+
+
 def _flow_digest(grid: FineGrid, lam: np.ndarray, loads) -> bytes:
     """Digest of the geometry, lam and each load's gravity flag, boundary
     data, c (with gravity on) and f (when given)."""
@@ -234,8 +251,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
     nx, ny = grid.nx, grid.ny
     if lam.shape != (nx, ny):
         raise ConfigError(f"lam shape {lam.shape} != grid {(nx, ny)}")
-    pressure = {tuple(s for s in SIDES if bc.side(s)[0] == "pressure")
-                for _c, bc, _g, _f in loads}
+    pressure = _pressure_sides(loads)
     if len(pressure) != 1:
         raise ConfigError(
             "loads solved against one factorization must share their "
@@ -426,68 +442,121 @@ def seed_particles(grid: FineGrid, c: np.ndarray, per_cell: int,
     return ParticleCloud(x=x, y=y, val=c[ci, cj].copy())
 
 
+# Particles are interpolated in slices of this many, so the work arrays of
+# one slice (a dozen of them) stay cache-sized whatever the cloud size.
+PARTICLE_CHUNK = 8192
+
+
+def _bilin(flat, nx_nodes, ny_nodes, gx, gy, out, work):
+    """Clamped bilinear interpolation of the raveled (nx_nodes, ny_nodes)
+    node array ``flat`` at node coordinates (gx, gy), written to ``out``
+    through the ``work`` arrays (six float, then two int, of its length).
+
+    Each step is the whole-array formula's, so the result is bit-identical
+    to ``(1-fx)(1-fy) t00 + fx(1-fy) t10 + (1-fx) fy t01 + fx fy t11``
+    summed and multiplied left to right.
+    """
+    cx, cy, ax, ay, t, s, i0, j0 = work
+    np.clip(gx, 0.0, nx_nodes - 1.0, out=cx)
+    np.clip(gy, 0.0, ny_nodes - 1.0, out=cy)
+    np.copyto(i0, cx, casting="unsafe")  # astype(int)
+    np.copyto(j0, cy, casting="unsafe")
+    np.minimum(i0, nx_nodes - 2, out=i0)
+    np.minimum(j0, ny_nodes - 2, out=j0)
+    fx, fy = np.subtract(cx, i0, out=cx), np.subtract(cy, j0, out=cy)
+    np.subtract(1, fx, out=ax)
+    np.subtract(1, fy, out=ay)
+    k = np.multiply(i0, ny_nodes, out=i0)
+    k += j0  # corner (i, j) is flat[i * ny_nodes + j]
+    # the indices are in range, and mode="clip" lets take write straight
+    # into t where mode="raise" would buffer
+    np.multiply(ax, ay, out=out)
+    out *= flat.take(k, out=t, mode="clip")
+    for step, wx, wy in ((ny_nodes, fx, ay), (1 - ny_nodes, ax, fy),
+                         (ny_nodes, fx, fy)):  # t10, t01, t11
+        k += step
+        np.multiply(wx, wy, out=s)
+        s *= flat.take(k, out=t, mode="clip")
+        out += s
+
+
 def interp_velocity(grid: FineGrid, vx: np.ndarray, vy: np.ndarray,
                     px: np.ndarray, py: np.ndarray):
-    """Clamped bilinear interpolation of the staggered velocity field."""
+    """Clamped bilinear interpolation of the staggered velocity field.
 
-    def bilin(arr, gx, gy, nx_nodes, ny_nodes):
-        gx = np.clip(gx, 0.0, nx_nodes - 1.0)
-        gy = np.clip(gy, 0.0, ny_nodes - 1.0)
-        i0 = np.minimum(gx.astype(int), nx_nodes - 2)
-        j0 = np.minimum(gy.astype(int), ny_nodes - 2)
-        fx = gx - i0
-        fy = gy - j0
-        # one flat gather per corner: arr[i, j] is flat[i * ny_nodes + j]
-        flat = arr.ravel()
-        k = i0 * ny_nodes + j0
-        return ((1 - fx) * (1 - fy) * flat.take(k)
-                + fx * (1 - fy) * flat.take(k + ny_nodes)
-                + (1 - fx) * fy * flat.take(k + 1)
-                + fx * fy * flat.take(k + ny_nodes + 1))
+    Positions may have any shape; the velocities come back in that shape.
+    The particles are walked in slices of :data:`PARTICLE_CHUNK` through
+    work arrays allocated once per call.
+    """
+    shape = np.shape(px)
+    px, py = np.ravel(px), np.ravel(py)
+    n = px.size
+    ux, uy = np.empty(n), np.empty(n)
+    m = min(n, PARTICLE_CHUNK)
+    gx, gy, shifted = np.empty(m), np.empty(m), np.empty(m)
+    work = [np.empty(m) for _ in range(6)] + [np.empty(m, dtype=int)
+                                              for _ in range(2)]
+    fvx, fvy = np.ravel(vx), np.ravel(vy)
+    for lo in range(0, n, PARTICLE_CHUNK):
+        hi = min(lo + PARTICLE_CHUNK, n)
+        x, y, sh = gx[:hi - lo], gy[:hi - lo], shifted[:hi - lo]
+        w = [a[:hi - lo] for a in work]
+        np.subtract(px[lo:hi], grid.x0, out=x)
+        x /= grid.hx
+        np.subtract(py[lo:hi], grid.y0, out=y)
+        y /= grid.hy
+        # vx nodes at (i*hx, (j+1/2)*hy); vy nodes at ((i+1/2)*hx, j*hy)
+        _bilin(fvx, grid.nx + 1, grid.ny, x, np.subtract(y, 0.5, out=sh),
+               ux[lo:hi], w)
+        _bilin(fvy, grid.nx, grid.ny + 1, np.subtract(x, 0.5, out=sh), y,
+               uy[lo:hi], w)
+    return ux.reshape(shape), uy.reshape(shape)
 
-    # vx nodes at (i*hx, (j+1/2)*hy); vy nodes at ((i+1/2)*hx, j*hy)
-    ux = bilin(vx, (px - grid.x0) / grid.hx, (py - grid.y0) / grid.hy - 0.5,
-               grid.nx + 1, grid.ny)
-    uy = bilin(vy, (px - grid.x0) / grid.hx - 0.5, (py - grid.y0) / grid.hy,
-               grid.nx, grid.ny + 1)
-    return ux, uy
 
-
-def _reflect(grid: FineGrid, x, y):
-    x1, x2 = grid.x0, grid.x0 + grid.L1
-    y1, y2 = grid.y0, grid.y0 + grid.L2
-    x = np.where(x < x1, 2 * x1 - x, x)
-    x = np.where(x > x2, 2 * x2 - x, x)
-    y = np.where(y < y1, 2 * y1 - y, y)
-    y = np.where(y > y2, 2 * y2 - y, y)
-    return x, y
+def _reflect(grid: FineGrid, x: np.ndarray, y: np.ndarray) -> None:
+    """Mirror, in place, the entries of x and y beyond a domain wall."""
+    for a, lo, hi in ((x, grid.x0, grid.x0 + grid.L1),
+                      (y, grid.y0, grid.y0 + grid.L2)):
+        for wall, beyond in ((lo, np.less), (hi, np.greater)):
+            out = beyond(a, wall)
+            if out.any():
+                a[out] = 2 * wall - a[out]
 
 
 def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
                       vy: np.ndarray, tau: float) -> ParticleCloud:
-    """Three-stage SSP Runge-Kutta advection through the interpolated field."""
+    """Three-stage SSP Runge-Kutta advection through the interpolated field.
+
+    The stages run in place on the position arrays (x, y) of the new cloud
+    and keep the operation order of x1 = x0 + tau u(x0),
+    x2 = 0.75 x0 + 0.25 (x1 + tau u(x1)) and
+    xn = x0 / 3 + 2/3 (x2 + tau u(x2)), each reflected at the walls.
+    """
     if cloud.count == 0:
         raise ConfigError("empty particle cloud")
-
-    def vel(x, y):
-        return interp_velocity(grid, vx, vy, x, y)
-
     x0, y0 = cloud.x, cloud.y
-    u1, v1 = vel(x0, y0)
-    x1, y1 = _reflect(grid, x0 + tau * u1, y0 + tau * v1)
-    u2, v2 = vel(x1, y1)
-    x2 = 0.75 * x0 + 0.25 * (x1 + tau * u2)
-    y2 = 0.75 * y0 + 0.25 * (y1 + tau * v2)
-    x2, y2 = _reflect(grid, x2, y2)
-    u3, v3 = vel(x2, y2)
-    xn = x0 / 3.0 + 2.0 / 3.0 * (x2 + tau * u3)
-    yn = y0 / 3.0 + 2.0 / 3.0 * (y2 + tau * v3)
-    xn, yn = _reflect(grid, xn, yn)
-    if (np.any(xn < grid.x0) or np.any(xn > grid.x0 + grid.L1)
-            or np.any(yn < grid.y0) or np.any(yn > grid.y0 + grid.L2)):
+    x, y = interp_velocity(grid, vx, vy, x0, y0)  # u(x0), made into x1
+    for p, p0 in ((x, x0), (y, y0)):
+        p *= tau
+        p += p0
+    _reflect(grid, x, y)
+    # x2 = np.multiply(x0, 0.75) + ..., then xn = np.divide(x0, 3.0) + ...
+    for weight, start, c in ((0.25, np.multiply, 0.75),
+                             (2.0 / 3.0, np.divide, 3.0)):
+        u, v = interp_velocity(grid, vx, vy, x, y)
+        for s, p, p0 in ((u, x, x0), (v, y, y0)):
+            s *= tau
+            s += p
+            s *= weight
+            start(p0, c, out=p)
+            p += s
+        del u, v, s  # free the stage velocities before the next call
+        _reflect(grid, x, y)
+    if (np.any(x < grid.x0) or np.any(x > grid.x0 + grid.L1)
+            or np.any(y < grid.y0) or np.any(y > grid.y0 + grid.L2)):
         raise InvariantError(
             "particle left the domain after reflection; velocity BCs broken")
-    return ParticleCloud(x=xn, y=yn, val=cloud.val)
+    return ParticleCloud(x=x, y=y, val=cloud.val)
 
 
 def deposit(grid: FineGrid, cloud: ParticleCloud) -> np.ndarray:

@@ -138,7 +138,12 @@ def write_averages_csv(path: str, states, n: int) -> None:
 
 
 def read_averages_csv(path: str) -> list[CoarseState]:
-    """Coarse state series written by :func:`write_averages_csv`."""
+    """Coarse state series written by :func:`write_averages_csv`.
+
+    Every continuum must be one of the C rows' 0..n-1, except that a P row
+    may carry -1 (a per-block multiplier, which is not read back).  A
+    malformed row raises :class:`ConfigError` naming the file and line.
+    """
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -150,39 +155,51 @@ def read_averages_csv(path: str) -> list[CoarseState]:
         for line in r:
             if not line:
                 continue
-            kind, loc = line[1], line[2]
+            where = f"{path}, line {r.line_num}"
+            if len(line) != 5:
+                raise ConfigError(f"{where}: {len(line)} fields, expected 5")
+            t, kind, loc, k, v = line
             if kind not in _LOCATIONS:
-                raise ConfigError(f"{path}: unknown kind {kind!r}")
+                raise ConfigError(f"{where}: unknown kind {kind!r}")
             pattern, what, form = _LOCATIONS[kind]
             hit = pattern.fullmatch(loc)
             if hit is None:
                 raise ConfigError(
-                    f"{path}: {what} location {loc!r} is not {form}")
-            rows.append((float(line[0]), kind, int(hit[1]), int(line[3]),
-                         float(line[4])))
+                    f"{where}: {what} location {loc!r} is not {form}")
+            try:
+                t, k, v = float(t), int(k), float(v)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if k < (-1 if kind == "P" else 0):
+                raise ConfigError(f"{where}: {kind} row of continuum {k}")
+            rows.append((t, kind, int(hit[1]), k, v, where))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    times = sorted({t for t, *_ in rows})
-    n = 1 + max(k for _t, kind, _loc, k, _v in rows if kind == "C")
-    NI = 1 + max(loc for _t, kind, loc, _k, _v in rows if kind != "V")
-    NE = 1 + max((loc for _t, kind, loc, _k, _v in rows if kind == "V"),
+    n = 1 + max((k for _t, kind, _loc, k, _v, _w in rows if kind == "C"),
+                default=-1)
+    if n == 0:
+        raise ConfigError(f"{path}: no C rows")
+    NI = 1 + max(loc for _t, kind, loc, _k, _v, _w in rows if kind != "V")
+    NE = 1 + max((loc for _t, kind, loc, _k, _v, _w in rows if kind == "V"),
                  default=-1)
-    out = []
-    for step, t in enumerate(times):
-        C = np.zeros((NI, n))
-        P = np.full((NI, n), np.nan)
-        V = np.zeros((NE, n))
-        for tt, kind, loc, k, v in rows:
-            if tt != t:
-                continue
-            if kind == "C":
-                C[loc, k] = v
-            elif kind == "V":
-                V[loc, k] = v
-            elif 0 <= k < n:
-                P[loc, k] = v
-        out.append(CoarseState(step=step, t=t, C=C, V=V, P=P))
-    return out
+    times = sorted({t for t, *_ in rows})
+    step_of = {t: step for step, t in enumerate(times)}
+    Cs = [np.zeros((NI, n)) for _ in times]
+    Ps = [np.full((NI, n), np.nan) for _ in times]
+    Vs = [np.zeros((NE, n)) for _ in times]
+    for t, kind, loc, k, v, where in rows:
+        if k >= n:
+            raise ConfigError(
+                f"{where}: continuum {k} has no C rows (they cover 0..{n - 1})")
+        step = step_of[t]
+        if kind == "C":
+            Cs[step][loc, k] = v
+        elif kind == "V":
+            Vs[step][loc, k] = v
+        elif k >= 0:
+            Ps[step][loc, k] = v
+    return [CoarseState(step=step, t=t, C=C, V=V, P=P)
+            for step, (t, C, V, P) in enumerate(zip(times, Cs, Vs, Ps))]
 
 
 def write_errors_csv(path: str, report) -> None:

@@ -152,3 +152,57 @@ def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,
         if n < steps:
             c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c)
     return states, worst
+
+
+def interp_velocity_whole(grid, vx, vy, px, py):
+    """Whole-array clamped bilinear interpolation of the staggered field,
+    one temporary per operation (the reference of the chunked kernel)."""
+
+    def bilin(arr, gx, gy, nx_nodes, ny_nodes):
+        gx = np.clip(gx, 0.0, nx_nodes - 1.0)
+        gy = np.clip(gy, 0.0, ny_nodes - 1.0)
+        i0 = np.minimum(gx.astype(int), nx_nodes - 2)
+        j0 = np.minimum(gy.astype(int), ny_nodes - 2)
+        fx = gx - i0
+        fy = gy - j0
+        flat = arr.ravel()
+        k = i0 * ny_nodes + j0
+        return ((1 - fx) * (1 - fy) * flat.take(k)
+                + fx * (1 - fy) * flat.take(k + ny_nodes)
+                + (1 - fx) * fy * flat.take(k + 1)
+                + fx * fy * flat.take(k + ny_nodes + 1))
+
+    ux = bilin(vx, (px - grid.x0) / grid.hx, (py - grid.y0) / grid.hy - 0.5,
+               grid.nx + 1, grid.ny)
+    uy = bilin(vy, (px - grid.x0) / grid.hx - 0.5, (py - grid.y0) / grid.hy,
+               grid.nx, grid.ny + 1)
+    return ux, uy
+
+
+def reflect_whole(grid, x, y):
+    """Mirror at the walls with four full-array passes."""
+    x1, x2 = grid.x0, grid.x0 + grid.L1
+    y1, y2 = grid.y0, grid.y0 + grid.L2
+    x = np.where(x < x1, 2 * x1 - x, x)
+    x = np.where(x > x2, 2 * x2 - x, x)
+    y = np.where(y < y1, 2 * y1 - y, y)
+    y = np.where(y > y2, 2 * y2 - y, y)
+    return x, y
+
+
+def advance_particles_whole(grid, x0, y0, vx, vy, tau):
+    """SSP-RK3 particle step on whole arrays; returns the new (x, y)."""
+
+    def vel(x, y):
+        return interp_velocity_whole(grid, vx, vy, x, y)
+
+    u1, v1 = vel(x0, y0)
+    x1, y1 = reflect_whole(grid, x0 + tau * u1, y0 + tau * v1)
+    u2, v2 = vel(x1, y1)
+    x2 = 0.75 * x0 + 0.25 * (x1 + tau * u2)
+    y2 = 0.75 * y0 + 0.25 * (y1 + tau * v2)
+    x2, y2 = reflect_whole(grid, x2, y2)
+    u3, v3 = vel(x2, y2)
+    xn = x0 / 3.0 + 2.0 / 3.0 * (x2 + tau * u3)
+    yn = y0 / 3.0 + 2.0 / 3.0 * (y2 + tau * v3)
+    return reflect_whole(grid, xn, yn)

@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu, SuperLU
 from _oracles import (dense_kkt_solve, elliptic_oracle, moment_residuals,
                       random_partition_region)
 from conftest import rng
-from dynmc import cells
+from dynmc import cells, fine
 from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
@@ -304,3 +304,64 @@ class TestInterfaceBasis:
         labels = np.zeros((16, 4), dtype=np.int8)
         out = cells.solve_interface_basis(coarse, 0, lam, labels)
         assert out.bases[0].flag == "absent"
+
+
+class TestBlockFamilies:
+    """Blocks with equal lam share one solve_flow call and one splu."""
+
+    def spy(self, monkeypatch):
+        calls = {"solve_flow": 0, "splu": 0}
+        inside = []
+        real_flow, real_splu = cells.solve_flow, fine.splu
+
+        def flow(*args, **kwargs):
+            calls["solve_flow"] += 1
+            inside.append(True)
+            try:
+                return real_flow(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def factor(*args, **kwargs):
+            assert inside, "splu reached outside cells.solve_flow"
+            calls["splu"] += 1
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(cells, "solve_flow", flow)
+        monkeypatch.setattr(fine, "splu", factor)
+        return calls
+
+    def families(self, coarse, labels):
+        elab = labels[coarse.mx]
+        return ([cells.gravity_family(coarse, I, labels, k)
+                 for I in coarse.blocks() for k in (0, 1)]
+                + [cells.interface_family(coarse, I, labels)
+                   for I in coarse.blocks()]
+                + [cells.edge_flux_family(coarse, 1, labels, 0, elab)])
+
+    def one_per_family(self, coarse, lam, labels):
+        return [cells.solve_block_families(coarse, lam, [fam])[0]
+                for fam in self.families(coarse, labels)]
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_one_factorization_per_distinct_block(self, monkeypatch, split):
+        coarse, _, labels = strip_setup(seed=8)
+        lam = np.full((16, 4), 3.0)
+        if split:
+            lam[coarse.block_slice(2)][1, 2] = 30.0
+        want = self.one_per_family(coarse, lam, labels)
+        calls = self.spy(monkeypatch)
+        got = cells.solve_block_families(coarse, lam,
+                                         self.families(coarse, labels))
+        assert calls == {"solve_flow": 1 + split, "splu": 1 + split}
+        solved = 0
+        for g, w in zip(got, want):
+            for bg, bw in zip(g.bases, w.bases):
+                assert bg.flag == bw.flag
+                for name in ("scalar", "fx", "fy"):
+                    a, b = getattr(bg, name), getattr(bw, name)
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert np.array_equal(a, b)
+                solved += bg.flag is None
+        assert solved >= 8

@@ -95,3 +95,11 @@ def test_compare_wrong_arity(tmp_path, capsys):
     path.write_text("time,kind,location,continuum,value\n0,C,0:0,0,1\n")
     assert main(["compare", str(path)]) == 2
     assert "two or three" in capsys.readouterr().err
+
+
+def test_compare_rejects_a_malformed_series(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("time,kind,location,continuum,value\n0,C,0:0,0,1\n")
+    bad.write_text("time,kind,location,continuum,value\n0,C,0:0,-1,1\n")
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert "bad.csv, line 2: C row of continuum -1" in capsys.readouterr().err

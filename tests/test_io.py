@@ -148,6 +148,44 @@ class TestAveragesCsv:
         text = path.read_text()
         assert ",P,0:0,-1,1.5" in text
 
+    @pytest.mark.parametrize("row, match", [
+        ("0,C,0:0,-1,9", "line 4: C row of continuum -1"),
+        ("0,V,x:0:0,-1,9", "line 4: V row of continuum -1"),
+        ("0,P,0:0,-2,9", "line 4: P row of continuum -2"),
+        ("0,V,x:0:0,2,9", "line 4: continuum 2 has no C rows"),
+        ("0,C,0:0,1.5,9", "line 4: invalid literal"),
+        ("0,C,0:0,one,9", "line 4: invalid literal"),
+        ("0,C,0:0,1,nine", "line 4: could not convert"),
+        ("zero,C,0:0,1,9", "line 4: could not convert"),
+        ("0,C,0:0,1", "line 4: 4 fields, expected 5"),
+    ], ids=["C-minus-one", "V-minus-one", "P-minus-two", "V-beyond-C",
+            "float-continuum", "word-continuum", "word-value", "word-time",
+            "short-row"])
+    def test_bad_continuum_or_number_rejected(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,kind,location,continuum,value\n"
+                        f"0,C,0:0,0,1\n0,C,0:0,1,2\n{row}\n")
+        with pytest.raises(ConfigError, match=f"bad.csv, {match}"):
+            io.read_averages_csv(str(path))
+
+    def test_series_without_c_rows_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,kind,location,continuum,value\n"
+                        "0,V,x:0:0,0,1\n0,V,x:1:0,0,2\n")
+        with pytest.raises(ConfigError, match="bad.csv: no C rows"):
+            io.read_averages_csv(str(path))
+
+    def test_states_follow_their_time_rows(self, tmp_path):
+        """Rows of several times, interleaved, land in their own state."""
+        path = tmp_path / "avg.csv"
+        path.write_text("time,kind,location,continuum,value\n"
+                        "0.5,C,0:0,0,5\n0,C,0:0,0,1\n0.5,V,x:0:0,0,6\n"
+                        "0,P,0:0,-1,7\n0,V,x:0:0,0,2\n0.5,P,0:0,0,8\n")
+        a, b = io.read_averages_csv(str(path))
+        assert (a.step, a.t, b.step, b.t) == (0, 0.0, 1, 0.5)
+        assert (a.C, a.V, b.C, b.V) == (1, 2, 5, 6)
+        assert np.isnan(a.P).all() and b.P[0, 0] == 8
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "avg.csv"
         path.write_text("t,kind,loc,k,v\n")

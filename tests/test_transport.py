@@ -1,19 +1,22 @@
 """Upwind and particle transport: exactness, conservation, monotonicity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import run_fine_upwind_unmemoized
+from _oracles import (advance_particles_whole, interp_velocity_whole,
+                      run_fine_upwind_unmemoized)
 from conftest import rng
+from dynmc import fine
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, InvariantError
-from dynmc.fine import (ParticleCloud, advance_particles, advance_upwind,
-                        cfl, deposit, interp_velocity, run_fine,
-                        seed_particles, solve_flow)
+from dynmc.fine import (PARTICLE_CHUNK, ParticleCloud, advance_particles,
+                        advance_upwind, cfl, deposit, interp_velocity,
+                        run_fine, seed_particles, solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -235,6 +238,93 @@ class TestParticles:
         vx, vy = grid.zero_faces()
         with pytest.raises(ConfigError):
             advance_particles(grid, cloud, vx, vy, 0.1)
+
+
+def chunked_cloud():
+    """A cloud of three chunks and a ragged tail, with particles on every
+    wall and corner, in a random field strong enough to reflect."""
+    grid = FineGrid(13, 9, 2.6, 1.35, x0=-0.4, y0=0.7)
+    n = 3 * PARTICLE_CHUNK + 517
+    u = rng(40).random((2, n))
+    x1, x2 = grid.x0, grid.x0 + grid.L1
+    y1, y2 = grid.y0, grid.y0 + grid.L2
+    px, py = x1 + u[0] * grid.L1, y1 + u[1] * grid.L2
+    for at in (0, PARTICLE_CHUNK - 2, n - 404):  # a chunk seam and the tail
+        px[at:at + 100] = x1
+        px[at + 100:at + 200] = x2
+        py[at + 200:at + 300] = y1
+        py[at + 300:at + 400] = y2
+        px[at + 400:at + 404] = [x1, x1, x2, x2]
+        py[at + 400:at + 404] = [y1, y2, y1, y2]
+    vx = rng(41).standard_normal((grid.nx + 1, grid.ny))
+    vy = rng(42).standard_normal((grid.nx, grid.ny + 1))
+    return grid, px, py, vx, vy
+
+
+class TestChunkedKernel:
+    """The chunked, in-place particle kernel against the whole-array one."""
+
+    def test_interpolation_is_bit_identical(self):
+        grid, px, py, vx, vy = chunked_cloud()
+        got = interp_velocity(grid, vx, vy, px, py)
+        want = interp_velocity_whole(grid, vx, vy, px, py)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_two_dimensional_positions_keep_their_shape(self, order):
+        grid, px, py, vx, vy = chunked_cloud()
+        m = 2 * PARTICLE_CHUNK + 100
+        qx = np.asarray(px[:m].reshape(4, -1), order=order)
+        qy = np.asarray(py[:m].reshape(4, -1), order=order)
+        got = interp_velocity(grid, vx, vy, qx, qy)
+        want = interp_velocity_whole(grid, vx, vy, qx, qy)
+        for g, w in zip(got, want):
+            assert g.shape == qx.shape
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.2])
+    def test_step_is_bit_identical_and_reflects(self, tau):
+        grid, px, py, vx, vy = chunked_cloud()
+        u, v = interp_velocity_whole(grid, vx, vy, px, py)
+        rx, ry = px + tau * u, py + tau * v
+        assert (rx < grid.x0).any() and (rx > grid.x0 + grid.L1).any()
+        assert (ry < grid.y0).any() and (ry > grid.y0 + grid.L2).any()
+        cloud = ParticleCloud(x=px.copy(), y=py.copy(), val=np.zeros(px.size))
+        out = advance_particles(grid, cloud, vx, vy, tau)
+        want = advance_particles_whole(grid, px, py, vx, vy, tau)
+        assert np.array_equal(out.x, want[0])
+        assert np.array_equal(out.y, want[1])
+        assert np.array_equal(cloud.x, px) and np.array_equal(cloud.y, py)
+
+    def test_step_interpolates_three_times(self, monkeypatch):
+        """Through the module binding the tracer wraps."""
+        calls = []
+        real = fine.interp_velocity
+
+        def spy(*args):
+            calls.append(args[3].shape)
+            return real(*args)
+
+        monkeypatch.setattr(fine, "interp_velocity", spy)
+        grid, px, py, vx, vy = chunked_cloud()
+        cloud = ParticleCloud(x=px, y=py, val=np.zeros(px.size))
+        advance_particles(grid, cloud, vx, vy, 0.05)
+        assert calls == [px.shape] * 3
+
+    def test_step_memory_is_bounded(self):
+        grid = FineGrid(60, 32, 1.0, 1.0)
+        cloud = seed_particles(grid, grid.zeros(), 64, seed=0)
+        n = cloud.count  # 122,880
+        vx, vy = rotation_field(grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            advance_particles(grid, cloud, vx, vy, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n, f"peak {peak / (8 * n):.1f} x 8N bytes"
 
 
 class TestRunFine:
