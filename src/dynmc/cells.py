@@ -2,16 +2,19 @@
 
 Every Galerkin family reduces to one engine: the TPFA stiffness of
 :mod:`dynmc.fine` on the oversampled region plus linear moment
-constraints, solved as one symmetric indefinite saddle system that is
-factored once with the sparse recipe of :mod:`dynmc.fine`.  Families
-differ only in constraint targets, source terms, and boundary data; the
-gradient family is driven along x, the only axis any coarse model
-reads.  Flux-type bases (edge, gravity, interface) reuse the fine flow
-solver on block-local grids.
+constraints, solved as one symmetric indefinite saddle system factored
+with the sparse recipe of :mod:`dynmc.fine`.  The engine serves every
+family of its region, and a caller-owned memo hands it on to the next
+region when that region's content is the same.  Families differ only in
+constraint targets, source terms, and boundary data; the gradient family
+is driven along x, the only axis any coarse model reads.  Flux-type bases
+(edge, gravity, interface) reuse the fine flow solver on block-local
+grids.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +23,9 @@ from scipy.sparse.linalg import splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, assemble_stiffness,
-                   check_residual, gravity_volume_source, operator_key,
-                   solve_flow)
+from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, LastSolve, add_array,
+                   assemble_stiffness, check_residual, gravity_volume_source,
+                   operator_key, solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -50,14 +53,23 @@ class SaddleSolution:
 
 
 class SaddleSolver:
-    """Factorized KKT system [A C^T; C 0] reusable across right-hand sides."""
+    """Factorized KKT system [A C^T; C 0] reusable across right-hand sides.
+
+    K is assembled from the COO triplets of A, C^T and C; converting them
+    to CSC sorts them into the same arrays ``sparse.bmat`` gives.
+    """
 
     def __init__(self, A: sparse.spmatrix, C: sparse.spmatrix):
-        self.n = A.shape[0]
+        self.n = n = A.shape[0]
         self.m = C.shape[0]
         if self.m == 0:
             raise SolverError("constraint set is empty after dropping")
-        self._K = sparse.bmat([[A, C.T], [C, None]], format="csc")
+        A, Cc = A.tocoo(), C.tocoo()
+        self._K = sparse.coo_matrix(
+            (np.concatenate([A.data, Cc.data, Cc.data]),
+             (np.concatenate([A.row, Cc.col, Cc.row + n]),
+              np.concatenate([A.col, Cc.row + n, Cc.col]))),
+            shape=(n + self.m, n + self.m)).tocsc()
         self.C = C.tocsr()
         self._norm = float(abs(self._K).sum(axis=1).max())  # ||K||_inf
         try:
@@ -97,24 +109,33 @@ def region_moment_matrix(ov: Oversample, labels_local: np.ndarray, n: int):
 
     Returns (C sparse, rows: list[MomentRow]).  The same matrix serves the
     average and gradient families (their targets differ, not the rows).
+    Each row holds ``cell_area`` at its cells; its mass is summed over the
+    whole local grid, zeros included, which fixes the summation order.
     """
-    area = ov.grid.cell_area
-    nxl, nyl = ov.grid.nx, ov.grid.ny
-    data_rows = []
+    grid = ov.grid
+    area = grid.cell_area
+    idx = np.arange(grid.n_cells).reshape(grid.nx, grid.ny)
+    w = grid.zeros()  # the dense row of the pair being summed
+    cols = []
     rows: list[MomentRow] = []
     for li, reg in enumerate(ov.regions):
         blk = labels_local[reg.sx]
         for j in range(n):
-            w = np.zeros((nxl, nyl))
-            w[reg.sx] = (blk == j) * area
+            sel = blk == j
+            w[reg.sx] = sel * area
             mass = w.sum()
             if mass <= 0:
                 continue
-            data_rows.append(w.ravel())
+            cols.append(idx[reg.sx][sel])
             rows.append(MomentRow(region=li, continuum=j, mass=mass))
-    if not data_rows:
+        w[reg.sx] = 0.0
+    if not rows:
         raise SolverError("no continuum present anywhere in the region")
-    C = sparse.csr_matrix(np.vstack(data_rows))
+    counts = [c.size for c in cols]
+    C = sparse.csr_matrix(
+        (np.full(sum(counts), area),
+         (np.repeat(np.arange(len(rows)), counts), np.concatenate(cols))),
+        shape=(len(rows), grid.n_cells))
     return C, rows
 
 
@@ -122,7 +143,7 @@ def gradient_centers(ov: Oversample, labels_local: np.ndarray,
                      n: int) -> np.ndarray:
     """Per-continuum centering x from the central region's zero-mean
     condition; continua absent centrally fall back to the block centroid."""
-    coord = ov.grid.cell_centers()[0]
+    coord = ov.x_centers
     cen = ov.central
     blk_lab = labels_local[cen.sx]
     blk_x = coord[cen.sx]
@@ -139,7 +160,6 @@ def moment_targets(ov: Oversample, labels_local: np.ndarray,
                    ) -> np.ndarray:
     """Targets delta_ij * m_jl (average) or delta_ij * int (x - x~) psi (gradient)."""
     g = np.zeros(len(rows))
-    coord = ov.grid.cell_centers()[0] if kind == "gradient" else None
     area = ov.grid.cell_area
     for r, row in enumerate(rows):
         if row.continuum != basis_continuum:
@@ -149,7 +169,7 @@ def moment_targets(ov: Oversample, labels_local: np.ndarray,
         else:
             reg = ov.regions[row.region]
             blk = labels_local[reg.sx] == row.continuum
-            x = coord[reg.sx]
+            x = ov.x_centers[reg.sx]
             g[r] = ((x - centers[row.continuum]) * blk).sum() * area
     return g
 
@@ -192,11 +212,43 @@ class RegionEngine:
     rows: list[MomentRow]
 
 
+def _region_digest(ov: Oversample, lam_local: np.ndarray,
+                   labels_local: np.ndarray, n: int) -> bytes:
+    """blake2b digest of everything a :class:`RegionEngine` depends on: the
+    local grid's counts and spacings, each region's (offset, slice), n,
+    lam and the labels.  The local grid's origin is not part of it: the
+    engine never reads it."""
+    grid = ov.grid
+    h = hashlib.blake2b(digest_size=32)
+    h.update(repr((grid.nx, grid.ny, grid.hx, grid.hy, n,
+                   [(r.offset, r.sx) for r in ov.regions])).encode())
+    add_array(h, lam_local)
+    add_array(h, labels_local)
+    return h.digest()
+
+
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,
-                        labels_local: np.ndarray, n: int) -> RegionEngine:
+                        labels_local: np.ndarray, n: int, *,
+                        memo: LastSolve | None = None) -> RegionEngine:
+    """Assemble and factor the saddle system of one oversampled region.
+
+    With ``memo`` a region whose content digests to the memo's key gets
+    the stored engine back with no assembly or factorization; otherwise
+    the new engine replaces the stored one, which is dropped before the
+    new factorization so that at most one factor stays alive.
+    """
+    if memo is not None:
+        key = _region_digest(ov, lam_local, labels_local, n)
+        memo.reused = key == memo.key
+        if memo.reused:
+            return memo.result
+        memo.key = memo.result = None
     A = assemble_stiffness(ov.grid, lam_local)
     C, rows = region_moment_matrix(ov, labels_local, n)
-    return RegionEngine(solver=SaddleSolver(A, C), rows=rows)
+    engine = RegionEngine(solver=SaddleSolver(A, C), rows=rows)
+    if memo is not None:
+        memo.key, memo.result = key, engine
+    return engine
 
 
 def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,

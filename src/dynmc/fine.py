@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import splu
 
 from .exceptions import ConfigError, InvariantError, SolverError
@@ -171,11 +170,13 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
 
 @dataclass
 class LastSolve:
-    """Caller-owned one-entry memo of :func:`solve_flow`.
+    """Caller-owned one-entry memo of :func:`solve_flow` (and of
+    :func:`dynmc.cells.build_region_engine`).
 
     ``key`` is a blake2b digest of everything the last result depends on
-    and ``result`` its list of read-only (p, vx, vy); ``reused`` tells
-    whether the latest call returned that result without solving.
+    and ``result`` that result (for solve_flow its list of read-only
+    (p, vx, vy)); ``reused`` tells whether the latest call returned it
+    without solving.
     """
 
     key: bytes | None = None
@@ -189,13 +190,19 @@ def _pressure_sides(loads) -> set[tuple]:
             for _c, bc, _g, _f in loads}
 
 
+def add_array(h, a) -> None:
+    """Feed an array's dtype, shape and bytes to the blake2b object h."""
+    a = np.asarray(a)
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
 def operator_key(lam: np.ndarray, loads) -> bytes:
     """blake2b digest of what the matrix of :func:`solve_flow` depends on
     besides the grid's cell counts and sizes: lam and the loads' pressure
     sides."""
     h = hashlib.blake2b(digest_size=32)
-    h.update(f"{lam.dtype.str}{lam.shape}".encode())
-    h.update(lam.tobytes())
+    add_array(h, lam)
     h.update(repr(sorted(_pressure_sides(loads))).encode())
     return h.digest()
 
@@ -204,24 +211,18 @@ def _flow_digest(grid: FineGrid, lam: np.ndarray, loads) -> bytes:
     """Digest of the geometry, lam and each load's gravity flag, boundary
     data, c (with gravity on) and f (when given)."""
     h = hashlib.blake2b(digest_size=32)
-
-    def add(a):
-        a = np.asarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
-
     h.update(f"{grid!r} loads={len(loads)}".encode())
-    add(lam)
+    add_array(h, lam)
     for c, bc, gravity_on, f in loads:
         kinds = tuple(bc.side(s)[0] for s in SIDES)
         h.update(repr((bool(gravity_on), kinds, f is None)).encode())
         for side in SIDES:
             for value in bc.side(side)[1:]:
-                add(np.asarray(value, dtype=float))
+                add_array(h, np.asarray(value, dtype=float))
         if gravity_on:
-            add(c)
+            add_array(h, c)
         if f is not None:
-            add(f)
+            add_array(h, f)
     return h.digest()
 
 
@@ -450,24 +451,28 @@ PARTICLE_CHUNK = 8192
 def _bilin(flat, nx_nodes, ny_nodes, gx, gy, out, work):
     """Clamped bilinear interpolation of the raveled (nx_nodes, ny_nodes)
     node array ``flat`` at node coordinates (gx, gy), written to ``out``
-    through the ``work`` arrays (six float, then two int, of its length).
+    through the ``work`` arrays (eight float, then one int, of its length).
 
     Each step is the whole-array formula's, so the result is bit-identical
     to ``(1-fx)(1-fy) t00 + fx(1-fy) t10 + (1-fx) fy t01 + fx fy t11``
-    summed and multiplied left to right.
+    summed and multiplied left to right.  The corner indices stay floats
+    until the flat index: truncating the clipped (non-negative)
+    coordinates gives astype(int)'s values, and every index is an integer
+    far below 2**53, so the float arithmetic on them is exact.
     """
-    cx, cy, ax, ay, t, s, i0, j0 = work
+    cx, cy, ax, ay, t, s, i0, j0, k = work
     np.clip(gx, 0.0, nx_nodes - 1.0, out=cx)
     np.clip(gy, 0.0, ny_nodes - 1.0, out=cy)
-    np.copyto(i0, cx, casting="unsafe")  # astype(int)
-    np.copyto(j0, cy, casting="unsafe")
+    np.trunc(cx, out=i0)
+    np.trunc(cy, out=j0)
     np.minimum(i0, nx_nodes - 2, out=i0)
     np.minimum(j0, ny_nodes - 2, out=j0)
     fx, fy = np.subtract(cx, i0, out=cx), np.subtract(cy, j0, out=cy)
     np.subtract(1, fx, out=ax)
     np.subtract(1, fy, out=ay)
-    k = np.multiply(i0, ny_nodes, out=i0)
-    k += j0  # corner (i, j) is flat[i * ny_nodes + j]
+    i0 *= ny_nodes
+    i0 += j0  # corner (i, j) is flat[i * ny_nodes + j]
+    np.copyto(k, i0, casting="unsafe")
     # the indices are in range, and mode="clip" lets take write straight
     # into t where mode="raise" would buffer
     np.multiply(ax, ay, out=out)
@@ -494,8 +499,7 @@ def interp_velocity(grid: FineGrid, vx: np.ndarray, vy: np.ndarray,
     ux, uy = np.empty(n), np.empty(n)
     m = min(n, PARTICLE_CHUNK)
     gx, gy, shifted = np.empty(m), np.empty(m), np.empty(m)
-    work = [np.empty(m) for _ in range(6)] + [np.empty(m, dtype=int)
-                                              for _ in range(2)]
+    work = [np.empty(m) for _ in range(8)] + [np.empty(m, dtype=int)]
     fvx, fvy = np.ravel(vx), np.ravel(vy)
     for lo in range(0, n, PARTICLE_CHUNK):
         hi = min(lo + PARTICLE_CHUNK, n)
@@ -571,6 +575,9 @@ def deposit(grid: FineGrid, cloud: ParticleCloud) -> np.ndarray:
     c = c.reshape(grid.nx, grid.ny)
     empty = (cnts == 0).reshape(grid.nx, grid.ny)
     if empty.any():
+        # imported here: scipy.ndimage is slow to import, and only
+        # particle runs that leave cells empty need it
+        from scipy.ndimage import distance_transform_edt
         _, (ii, jj) = distance_transform_edt(
             empty, sampling=(grid.hx, grid.hy), return_indices=True)
         c = c[ii, jj]

@@ -10,6 +10,7 @@ arrays ``(Nx + 1, n)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,13 @@ class Oversample:
     grid: FineGrid  # local grid (origin at the virtual lower-left corner)
     src_ix: np.ndarray
     regions: tuple[OversampleRegion, ...]
+
+    @cached_property
+    def x_centers(self) -> np.ndarray:
+        """Read-only cell-centre x of the local grid, shape (nx, ny)."""
+        x = self.grid.cell_centers()[0]
+        x.flags.writeable = False
+        return x
 
     @property
     def central(self) -> OversampleRegion:

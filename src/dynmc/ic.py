@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .exceptions import ConfigError
 from .grids import FineGrid
@@ -105,6 +104,7 @@ def smooth_log_uniform_field(grid: FineGrid, seed: int, vmin: float,
     """Seeded smooth positive field, log-uniform between vmin and vmax."""
     if not 0 < vmin <= vmax:
         raise ConfigError(f"need 0 < vmin <= vmax, got {vmin}, {vmax}")
+    from scipy.ndimage import gaussian_filter  # slow import, rarely needed
     noise = _rng(seed).standard_normal((grid.nx, grid.ny))
     smooth = gaussian_filter(noise, sigma=corr_cells, mode="reflect")
     lo, hi = smooth.min(), smooth.max()

@@ -20,8 +20,8 @@ import numpy as np
 from . import cells
 from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import (Snapshot, check_residual, harmonic_face_mobility,
-                   transmissibilities)
+from .fine import (LastSolve, Snapshot, check_residual,
+                   harmonic_face_mobility, transmissibilities)
 from .grids import CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
@@ -492,6 +492,8 @@ class CoarseState:
     C: np.ndarray  # (Nx, n) unnormalized
     V: np.ndarray  # (Nx + 1, n) edge fluxes
     P: dict | np.ndarray | None = None
+    # Galerkin region engines (built, reused) by this step's coarse solve
+    engines: tuple[int, int] = (0, 0)
 
 
 @dataclass
@@ -519,14 +521,21 @@ class CoarseModel:
 
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
                        labels: np.ndarray, n: int):
+    """Galerkin coarse flow: returns V, P and the region engines (built,
+    reused).  A region whose content repeats the previous region's reuses
+    its engine; the memo lives for this call only, so at most one engine
+    is kept."""
     flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
+    memo = LastSolve()
+    reused = 0
     ops = []
     for K in flow.blocks():
         ov = oversample_block(flow, K, model.layers,
                               rule=model.extension_rule)
         lam_l = ov.sample(lam)
         lab_l = ov.sample(labels)
-        engine = cells.build_region_engine(ov, lam_l, lab_l, n)
+        engine = cells.build_region_engine(ov, lam_l, lab_l, n, memo=memo)
+        reused += memo.reused
         avg = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "average",
                                                engine=engine)
         grad = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n,
@@ -534,7 +543,7 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
         ops.append(assemble_effective(ov, lam_l, lab_l, n, avg, grad))
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
                                           model.p_in, model.p_out)
-    return V, P
+    return V, P, (flow.Nx - reused, reused)
 
 
 def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
@@ -563,6 +572,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     total_removed = 0.0
 
     for k in range(steps + 1):
+        engines = (0, 0)
         snap = snapshots[k]
         labels = classify(snap.c, model.spec)
         masses = continuum_masses(labels, coarse, n)
@@ -589,7 +599,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             if last is not None and last[0] == key:
                 _, V, P = last
             elif model.approach == "galerkin":
-                V, P = _galerkin_velocity(model, lam, labels, n)
+                V, P, engines = _galerkin_velocity(model, lam, labels, n)
             else:
                 Chat = None  # read only by the gravity variant
                 if model.approach == "mixed-gravity":
@@ -611,7 +621,8 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                 V, P = ms.V, ms.P
             last = (key, V, P)
 
-        states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P))
+        states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
+                                  engines=engines))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

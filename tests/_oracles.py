@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
 import numpy as np
+from scipy import sparse
 
 from dynmc import cells
 from dynmc.fine import advance_upwind, cfl, solve_flow
@@ -37,6 +38,25 @@ def dense_kkt_solve(A, C, b, g):
     K[n:, :n] = Cd
     sol = np.linalg.solve(K, np.concatenate([b, g]))
     return sol[:n], sol[n:]
+
+
+def kkt_bmat(ov, lam_local, labels_local, n):
+    """The region KKT matrix [[A, C^T], [C, 0]] through ``sparse.bmat``,
+    with C stacked from dense moment rows; also returns C and the
+    (region, continuum, mass) of its rows."""
+    A = cells.assemble_stiffness(ov.grid, lam_local)
+    area = ov.grid.cell_area
+    dense, rows = [], []
+    for li, reg in enumerate(ov.regions):
+        blk = labels_local[reg.sx]
+        for j in range(n):
+            w = np.zeros((ov.grid.nx, ov.grid.ny))
+            w[reg.sx] = (blk == j) * area
+            if w.sum() > 0:
+                dense.append(w.ravel())
+                rows.append((li, j, w.sum()))
+    C = sparse.csr_matrix(np.vstack(dense))
+    return sparse.bmat([[A, C.T], [C, None]], format="csc"), C, rows
 
 
 def elliptic_oracle(ov, lam_local, labels_local, n, family):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, SuperLU
 
-from _oracles import (dense_kkt_solve, elliptic_oracle, moment_residuals,
-                      random_partition_region)
+from _oracles import (dense_kkt_solve, elliptic_oracle, kkt_bmat,
+                      moment_residuals, random_partition_region)
 from conftest import rng
-from dynmc import cells, fine
+from dynmc import cells, fine, macro
 from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import divergence
+from dynmc.fine import LastSolve, divergence
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 DUAL = (0.5,)
@@ -20,6 +20,27 @@ TRIPLE = (0.8, 0.4)
 CASES = [(8, 2, 0, 1.0, DUAL), (8, 2, 1, 10.0, DUAL),
          (8, 2, 2, 1000.0, DUAL), (12, 3, 3, 10.0, TRIPLE),
          (12, 3, 4, 1000.0, TRIPLE), (12, 3, 5, 1.0, TRIPLE)]
+
+
+def interface_start():
+    """The Galerkin coarse model of the interface preset with its lam and
+    labels at t = 0."""
+    cfg = get_preset("interface")
+    layout = cfg.layout()
+    ext = layout.extended_fine
+    spec = cfg.continuum_spec()
+    c0 = cfg.initial_condition(ext)
+    model = macro.CoarseModel(
+        coarse=cfg.extended_coarse(layout), spec=spec,
+        approach=cfg.approach, lam_of=cfg.mobility(ext),
+        flow_refine=cfg.flow_refine, layers=cfg.layers,
+        extension_rule=cfg.extension_rule, p_in=cfg.p_in, p_out=cfg.p_out)
+    return model, model.lam_of(c0), classify(c0, spec)
+
+
+def flow_region(model, K):
+    flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
+    return oversample_block(flow, K, model.layers, rule=model.extension_rule)
 
 
 def single_continuum_region(nx=8):
@@ -147,17 +168,8 @@ class TestSaddleSolver:
         # the first Galerkin region of the interface preset at t = 0: a
         # 78x40 region with 15 moment rows, K 3135x3135 (L + U 108,052
         # nonzeros with the recipe, 394,470 with SuperLU's default COLAMD)
-        cfg = get_preset("interface")
-        layout = cfg.layout()
-        ext = layout.extended_fine
-        coarse = cfg.extended_coarse(layout)
-        spec = cfg.continuum_spec()
-        c0 = cfg.initial_condition(ext)
-        labels = classify(c0, spec)
-        lam = cfg.mobility(ext)(c0)
-        flow = CoarseGrid(ext, coarse.Nx * cfg.flow_refine)
-        ov = oversample_block(flow, 0, cfg.layers,
-                              rule=cfg.extension_rule)
+        model, lam, labels = interface_start()
+        ov = flow_region(model, 0)
         factored = []
 
         def spy(K, **kw):
@@ -166,7 +178,7 @@ class TestSaddleSolver:
 
         monkeypatch.setattr(cells, "splu", spy)
         cells.build_region_engine(ov, ov.sample(lam), ov.sample(labels),
-                                  spec.count)
+                                  model.spec.count)
         ((K, lu),) = factored
         default = splu(K)
         assert 2 * (lu.L.nnz + lu.U.nnz) <= default.L.nnz + default.U.nnz
@@ -176,6 +188,111 @@ class TestSaddleSolver:
         A = cells.assemble_stiffness(ov.grid, lam)
         with pytest.raises(SolverError):
             cells.SaddleSolver(A, A[:0, :])
+
+    @pytest.mark.parametrize("case", CASES + ["interface"])
+    def test_kkt_and_moments_equal_the_bmat_oracle_bit_for_bit(self, case):
+        if case == "interface":
+            model, lam, labels = interface_start()
+            ov, n = flow_region(model, 3), model.spec.count
+            lam, labels = ov.sample(lam), ov.sample(labels)
+        else:
+            nx, bx, seed, contrast, thr = case
+            ov, lam, labels, n = random_partition_region(nx, nx, bx, seed,
+                                                         contrast, thr)
+        K_want, C_want, rows_want = kkt_bmat(ov, lam, labels, n)
+        C, rows = cells.region_moment_matrix(ov, labels, n)
+        K = cells.SaddleSolver(cells.assemble_stiffness(ov.grid, lam), C)._K
+        assert [(r.region, r.continuum, r.mass) for r in rows] == rows_want
+        for got, want in ((C, C_want), (K, K_want)):
+            assert got.format == want.format and got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def tiled_strip(nbx=6, mx=4, ny=6, seed=0):
+    """A strip of nbx blocks whose lam and labels repeat block by block:
+    with one layer and no extension, blocks 1..nbx-2 see the same region
+    content at different positions."""
+    lab_b = (rng(seed).random((mx, ny)) < 0.5).astype(np.int8)
+    lam_b = np.where(lab_b == 0, 10.0, 1.0)
+    fine_grid = FineGrid(nbx * mx, ny, float(nbx * mx) / 8, 1.0, x0=0.3)
+    return (CoarseGrid(fine_grid, nbx), np.tile(lam_b, (nbx, 1)),
+            np.tile(lab_b, (nbx, 1)))
+
+
+class TestRegionEngineMemo:
+    """A region whose content repeats the previous one's reuses its engine."""
+
+    def build(self, coarse, K, lam, labels, memo=None):
+        ov = oversample_block(coarse, K, 1, rule="none")
+        return ov, cells.build_region_engine(ov, ov.sample(lam),
+                                             ov.sample(labels), 2, memo=memo)
+
+    def count_splu(self, monkeypatch):
+        calls = []
+        real = cells.splu
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cells, "splu", spy)
+        return calls
+
+    def test_same_content_returns_the_same_engine(self, monkeypatch):
+        coarse, lam, labels = tiled_strip()
+        calls = self.count_splu(monkeypatch)
+        memo = LastSolve()
+        _ov, first = self.build(coarse, 1, lam, labels, memo)
+        ov, engine = self.build(coarse, 3, lam, labels, memo)
+        assert engine is first and memo.reused and len(calls) == 1
+        _ov, fresh = self.build(coarse, 3, lam, labels)
+        b = rng(1).standard_normal(ov.grid.n_cells)
+        g = rng(2).standard_normal(len(fresh.rows))
+        got, want = engine.solver.solve(b, g), fresh.solver.solve(b, g)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.multipliers.tobytes() == want.multipliers.tobytes()
+        for family in ("average", "gradient", "concentration"):
+            args = (ov, ov.sample(lam), ov.sample(labels), 2, family)
+            a = cells.solve_constrained_elliptic(*args, engine=engine)
+            w = cells.solve_constrained_elliptic(*args, engine=fresh)
+            for ba, bw in zip(a.bases, w.bases):
+                assert ba.scalar.tobytes() == bw.scalar.tobytes()
+
+    @pytest.mark.parametrize("change", ["lam", "label", "boundary",
+                                        "offsets"])
+    def test_changed_content_factors_again(self, monkeypatch, change):
+        coarse, lam, labels = tiled_strip()
+        first, K = 2, 3
+        if change == "boundary":  # the same content on fewer region slices
+            K = 0
+        elif change == "offsets":  # the same slices, central block mirrored
+            first, K = 0, coarse.Nx - 1
+        else:
+            cell = (K * coarse.mx + 1, 2)
+            field = lam if change == "lam" else labels
+            field[cell] = 3.0 if change == "lam" else 1 - field[cell]
+        calls = self.count_splu(monkeypatch)
+        memo = LastSolve()
+        self.build(coarse, first, lam, labels, memo)
+        _ov, engine = self.build(coarse, K, lam, labels, memo)
+        assert not memo.reused and len(calls) == 2
+        assert memo.result is engine
+
+    def test_galerkin_velocity_equals_a_memoless_run(self, monkeypatch):
+        model, lam, labels = interface_start()
+        n = model.spec.count
+        V, P, (built, reused) = macro._galerkin_velocity(model, lam, labels,
+                                                         n)
+        assert reused > 0 and built + reused == flow_region(
+            model, 0).coarse.Nx
+        real = cells.build_region_engine
+        monkeypatch.setattr(cells, "build_region_engine",
+                            lambda *args, memo: real(*args))
+        V0, P0, engines = macro._galerkin_velocity(model, lam, labels, n)
+        assert engines == (built + reused, 0)
+        assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
 
 
 def strip_setup(nx=16, ny=4, Nx=4, seed=0, contrast=1.0, thresholds=DUAL):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,3 +75,25 @@ def test_manifest_counts_reused_fine_flow_solves(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert len(res.fine.flow_reused) == cfg.steps + 1
     assert manifest["fine_flow_reused"] == sum(res.fine.flow_reused) > 0
+
+
+def test_manifest_counts_reused_region_engines(tmp_path):
+    cfg = dataclasses.replace(get_preset("interface"), steps=30,
+                              coarse_steps=3)
+    res = run_experiment(cfg, outdir=str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    regions = cfg.Nx * cfg.flow_refine
+    # every step solves the coarse flow or reuses the previous solve whole
+    assert all(sum(s.engines) in (0, regions) for s in res.mh_mhvel)
+    assert sum(s.engines[0] for s in res.mh_mhvel) > 0
+    assert manifest["region_engines_reused"] == sum(
+        s.engines[1] for s in res.mh_mhvel) > 0
+    assert all(s.engines == (0, 0) for s in res.mh_refvel)
+
+
+def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
+    code = ("import sys, dynmc.experiment, dynmc.cli; "
+            "print('scipy.ndimage' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -178,6 +178,32 @@ def test_interp_velocity_matches_fancy_index_gather():
     assert np.array_equal(got[1], want[1])
 
 
+def test_interp_velocity_clamps_outside_points_like_the_whole_array_formula():
+    # points beyond every wall and corner clamp to the outermost nodes,
+    # where the truncated float index meets the minimum against n - 2
+    grid = FineGrid(6, 4, 1.5, 1.0, x0=-0.2, y0=0.3)
+    vx = rng(33).standard_normal((7, 4))
+    vy = rng(34).standard_normal((6, 5))
+    x1, x2 = grid.x0, grid.x0 + grid.L1
+    y1, y2 = grid.y0, grid.y0 + grid.L2
+    u = rng(35).random((2, 40))
+    xs, ys = x1 + u[0] * grid.L1, y1 + u[1] * grid.L2
+    out = rng(36).random(40) * 0.3 + 1e-3  # distance beyond the wall
+    px = np.concatenate([x1 - out, x2 + out, xs, xs,
+                         x1 - out[:4], x2 + out[:4], x1 - out[:4],
+                         x2 + out[:4], [x1 - 1e9, x2 + 1e9, x2, x2],
+                         x1 + grid.hx * np.arange(7)])
+    py = np.concatenate([ys, ys, y1 - out, y2 + out,
+                         y1 - out[:4], y1 - out[:4], y2 + out[:4],
+                         y2 + out[:4], [y1 - 1e9, y2 + 1e9, y2 - 1e-15, y2],
+                         y1 + grid.hy * np.arange(7) % grid.L2])
+    got = interp_velocity(grid, vx, vy, px, py)
+    for want in (interp_velocity_whole(grid, vx, vy, px, py),
+                 interp_reference(grid, vx, vy, px, py)):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestParticles:
     def test_seed_is_deterministic(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
