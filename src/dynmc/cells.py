@@ -14,7 +14,6 @@ grids.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +22,9 @@ from scipy.sparse.linalg import splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, LastSolve, add_array,
-                   assemble_stiffness, check_residual, gravity_volume_source,
-                   operator_key, solve_flow)
+from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, LastSolve,
+                   assemble_stiffness, check_residual, content_digest,
+                   gravity_volume_source, operator_key, solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -214,17 +213,14 @@ class RegionEngine:
 
 def _region_digest(ov: Oversample, lam_local: np.ndarray,
                    labels_local: np.ndarray, n: int) -> bytes:
-    """blake2b digest of everything a :class:`RegionEngine` depends on: the
-    local grid's counts and spacings, each region's (offset, slice), n,
-    lam and the labels.  The local grid's origin is not part of it: the
-    engine never reads it."""
+    """Digest of everything a :class:`RegionEngine` depends on: the local
+    grid's counts and spacings, each region's (offset, slice), n, lam and
+    the labels.  The local grid's origin is not part of it: the engine
+    never reads it."""
     grid = ov.grid
-    h = hashlib.blake2b(digest_size=32)
-    h.update(repr((grid.nx, grid.ny, grid.hx, grid.hy, n,
-                   [(r.offset, r.sx) for r in ov.regions])).encode())
-    add_array(h, lam_local)
-    add_array(h, labels_local)
-    return h.digest()
+    return content_digest((grid.nx, grid.ny, grid.hx, grid.hy, n,
+                           [(r.offset, r.sx) for r in ov.regions]),
+                          lam_local, labels_local)
 
 
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,

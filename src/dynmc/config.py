@@ -91,6 +91,19 @@ class ExperimentConfig:
         if self.layers < 0:
             raise ConfigError(f"layers={self.layers} must be >= 0")
         _parse_rule(self.extension_rule)
+        for name in ("pre_steps", "coarse_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)} must be >= 0")
+        if not self.plateaus:
+            raise ConfigError("plateaus must name at least one value")
+        if self.ic_kind == "stripe-fingers" and not self.ic_centers:
+            raise ConfigError("stripe-fingers needs its finger tip in "
+                              "ic_centers")
+        if not 1 <= self.band_lo <= self.band_hi:
+            raise ConfigError(
+                f"band heights need 1 <= band_lo <= band_hi, got "
+                f"{self.band_lo}, {self.band_hi}")
         if self.pre_steps + self.coarse_steps * self.substeps > self.steps:
             raise ConfigError(
                 "coarse horizon exceeds the fine horizon: "

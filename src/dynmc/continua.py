@@ -71,13 +71,9 @@ def indicator(labels: np.ndarray, k: int) -> np.ndarray:
 def continuum_masses(labels: np.ndarray, coarse: CoarseGrid,
                      n: int) -> np.ndarray:
     """Area of continuum k inside each block; shape (Nx, n)."""
-    out = np.zeros((coarse.Nx, n))
-    area = coarse.fine.cell_area
-    for I in coarse.blocks():
-        blk = labels[coarse.block_slice(I)]
-        for k in range(n):
-            out[I, k] = np.count_nonzero(blk == k) * area
-    return out
+    blocks = labels.reshape(coarse.Nx, -1, 1)  # block I's cells in row I
+    return (np.count_nonzero(blocks == np.arange(n), axis=1)
+            * coarse.fine.cell_area)
 
 
 @dataclass

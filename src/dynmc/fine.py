@@ -135,12 +135,14 @@ def check_residual(what: str, gap: float, norm: float, x: np.ndarray,
 
 
 def _boundary_sides(grid: FineGrid) -> dict:
-    """side -> (boundary cells, normal spacing, face length, x-normal sign)."""
+    """side -> (boundary cells, normal spacing, face length, outward normal
+    sign, normal axis).  The cell slice also picks the side's faces out of
+    the face array of the normal axis (vx for 0, vy for 1)."""
     hx, hy = grid.hx, grid.hy
-    return {"left": (np.s_[0, :], hx, hy, -1.0),
-            "right": (np.s_[-1, :], hx, hy, +1.0),
-            "bottom": (np.s_[:, 0], hy, hx, 0.0),
-            "top": (np.s_[:, -1], hy, hx, 0.0)}
+    return {"left": (np.s_[0, :], hx, hy, -1.0, 0),
+            "right": (np.s_[-1, :], hx, hy, +1.0, 0),
+            "bottom": (np.s_[:, 0], hy, hx, -1.0, 1),
+            "top": (np.s_[:, -1], hy, hx, +1.0, 1)}
 
 
 def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
@@ -154,15 +156,15 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
         kind = bc.side(side)[0]
         if kind == "noflow":
             continue
-        sl, h, ln, gsgn = sides[side]
+        sl, h, ln, out, axis = sides[side]
         if kind == "flux":
             rhs[sl] -= _side_values(bc.side(side)[1], rhs[sl].size) * ln
         elif kind == "pressure":
             pb = _side_values(bc.side(side)[1], rhs[sl].size)
             rhs[sl] += 2.0 * lam[sl] * ln / h * pb  # Dirichlet face term
-            if gravity_on and gsgn != 0.0:
+            if gravity_on and axis == 0:
                 # outgoing gravity flux lam*c*(n.e1) at the boundary face
-                rhs[sl] -= gsgn * lam[sl] * c[sl] * ln
+                rhs[sl] -= out * lam[sl] * c[sl] * ln
         else:
             raise ConfigError(f"unknown BC kind {kind!r} on {side}")
     return rhs.ravel()
@@ -190,40 +192,38 @@ def _pressure_sides(loads) -> set[tuple]:
             for _c, bc, _g, _f in loads}
 
 
-def add_array(h, a) -> None:
-    """Feed an array's dtype, shape and bytes to the blake2b object h."""
-    a = np.asarray(a)
-    h.update(f"{a.dtype.str}{a.shape}".encode())
-    h.update(a.tobytes())
+def content_digest(meta, *arrays) -> bytes:
+    """blake2b digest of ``repr(meta)`` and of each array's dtype, shape and
+    bytes: the key of every one-entry reuse memo."""
+    h = hashlib.blake2b(digest_size=32)
+    h.update(repr(meta).encode())
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.digest()
 
 
 def operator_key(lam: np.ndarray, loads) -> bytes:
-    """blake2b digest of what the matrix of :func:`solve_flow` depends on
-    besides the grid's cell counts and sizes: lam and the loads' pressure
-    sides."""
-    h = hashlib.blake2b(digest_size=32)
-    add_array(h, lam)
-    h.update(repr(sorted(_pressure_sides(loads))).encode())
-    return h.digest()
+    """Digest of what the matrix of :func:`solve_flow` depends on besides
+    the grid's cell counts and sizes: lam and the loads' pressure sides."""
+    return content_digest(sorted(_pressure_sides(loads)), lam)
 
 
 def _flow_digest(grid: FineGrid, lam: np.ndarray, loads) -> bytes:
     """Digest of the geometry, lam and each load's gravity flag, boundary
     data, c (with gravity on) and f (when given)."""
-    h = hashlib.blake2b(digest_size=32)
-    h.update(f"{grid!r} loads={len(loads)}".encode())
-    add_array(h, lam)
+    meta, arrays = [repr(grid)], [lam]
     for c, bc, gravity_on, f in loads:
         kinds = tuple(bc.side(s)[0] for s in SIDES)
-        h.update(repr((bool(gravity_on), kinds, f is None)).encode())
-        for side in SIDES:
-            for value in bc.side(side)[1:]:
-                add_array(h, np.asarray(value, dtype=float))
+        meta.append((bool(gravity_on), kinds, f is None))
+        arrays += [np.asarray(value, dtype=float)
+                   for s in SIDES for value in bc.side(s)[1:]]
         if gravity_on:
-            add_array(h, c)
+            arrays.append(c)
         if f is not None:
-            add_array(h, f)
-    return h.digest()
+            arrays.append(f)
+    return content_digest(meta, *arrays)
 
 
 def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
@@ -270,7 +270,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         sides = _boundary_sides(grid)
         diag_extra = np.zeros((nx, ny))
         for side in pressure:
-            sl, h, ln, _gsgn = sides[side]
+            sl, h, ln, _out, _axis = sides[side]
             diag_extra[sl] += 2.0 * lam[sl] * ln / h
         A = A + sparse.diags(diag_extra.ravel())
     else:
@@ -311,7 +311,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
 def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
                        c: np.ndarray, bc: FlowBC, gravity_on: bool):
     """Face flux densities consistent with :func:`solve_flow`."""
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    hx, hy = grid.hx, grid.hy
     lamx, lamy = harmonic_face_mobility(lam)
     vx, vy = grid.zero_faces()
     dpx = (p[1:, :] - p[:-1, :]) / hx
@@ -320,34 +320,18 @@ def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
     vx[1:-1, :] = -lamx * dpx
     vy[:, 1:-1] = -lamy * (p[:, 1:] - p[:, :-1]) / hy
 
-    for side in SIDES:
+    faces = (vx, vy)
+    for side, (sl, h, _ln, out, axis) in _boundary_sides(grid).items():
         kind = bc.side(side)[0]
         if kind == "noflow":
             continue
+        v = faces[axis]
+        val = _side_values(bc.side(side)[1], v[sl].size)
         if kind == "flux":
-            if side == "left":
-                vx[0, :] = -_side_values(bc.side(side)[1], ny)
-            elif side == "right":
-                vx[-1, :] = _side_values(bc.side(side)[1], ny)
-            elif side == "bottom":
-                vy[:, 0] = -_side_values(bc.side(side)[1], nx)
-            else:
-                vy[:, -1] = _side_values(bc.side(side)[1], nx)
-        else:  # pressure
-            if side == "left":
-                pb = _side_values(bc.side(side)[1], ny)
-                g = c[0, :] if gravity_on else 0.0
-                vx[0, :] = -lam[0, :] * ((p[0, :] - pb) / (hx / 2) - g)
-            elif side == "right":
-                pb = _side_values(bc.side(side)[1], ny)
-                g = c[-1, :] if gravity_on else 0.0
-                vx[-1, :] = -lam[-1, :] * ((pb - p[-1, :]) / (hx / 2) - g)
-            elif side == "bottom":
-                pb = _side_values(bc.side(side)[1], nx)
-                vy[:, 0] = -lam[:, 0] * (p[:, 0] - pb) / (hy / 2)
-            else:
-                pb = _side_values(bc.side(side)[1], nx)
-                vy[:, -1] = -lam[:, -1] * (pb - p[:, -1]) / (hy / 2)
+            v[sl] = out * val
+        else:  # pressure; buoyancy acts along x only
+            g = c[sl] if gravity_on and axis == 0 else 0.0
+            v[sl] = -lam[sl] * (out * (val - p[sl]) / (h / 2) - g)
     return vx, vy
 
 

@@ -11,7 +11,6 @@ Both feed the same donor-block Forward-Euler concentration step.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import cells
 from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import (LastSolve, Snapshot, check_residual,
+from .fine import (LastSolve, Snapshot, check_residual, content_digest,
                    harmonic_face_mobility, transmissibilities)
 from .grids import CoarseGrid, Oversample, oversample_block
 
@@ -365,65 +364,49 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
     L2 = flow_coarse.fine.L2
     dx = flow_coarse.fine.L1 / NX
     vol = dx * L2
-
-    dof = {}
-    for K in range(NX):
-        for i in range(n):
-            if ops[K].present[i]:
-                dof[(K, i)] = len(dof)
-    if not dof:
+    alpha = np.array([o.alpha for o in ops])  # (NX, n, n)
+    beta = np.array([o.beta for o in ops])
+    present = np.array([o.present for o in ops])  # (NX, n)
+    dofs = np.flatnonzero(present)  # unknown (K, i) sits at K * n + i
+    if not dofs.size:
         raise SolverError("no continua present anywhere on the flow grid")
-    A = np.zeros((len(dof), len(dof)))
-    rhs = np.zeros(len(dof))
 
-    def face_alpha(K, Kn):
-        if Kn < 0 or Kn >= NX:
-            return ops[K].alpha * 2.0  # half-cell distance to the boundary
-        return 0.5 * (ops[K].alpha + ops[Kn].alpha)
+    # face f lies between refined blocks f - 1 and f; the boundary faces
+    # are half a block from the block centre
+    al = np.empty((NX + 1, n, n))
+    al[0], al[-1] = alpha[0] * 2.0, alpha[-1] * 2.0
+    al[1:-1] = 0.5 * (alpha[:-1] + alpha[1:])
+    al = al * L2 / dx
+    # continuum j crosses face f only where it is present on both sides;
+    # where it ends, conversion happens via the exchange terms
+    through = np.empty((NX + 1, n), dtype=bool)
+    through[0], through[-1] = present[0], present[-1]
+    through[1:-1] = present[:-1] & present[1:]
+    wal = np.where(through[:, None, :], al, 0.0)
 
-    for (K, i), r in dof.items():
-        for Kn, pb in ((K - 1, p_in), (K + 1, p_out)):
-            al = face_alpha(K, Kn) * L2 / dx
-            for j in range(n):
-                if not ops[K].present[j]:
-                    continue
-                if 0 <= Kn < NX:
-                    if not ops[Kn].present[j]:
-                        # continuum ends at this face: no through-flow;
-                        # conversion happens via the exchange terms
-                        continue
-                    A[r, dof[(K, j)]] += al[i, j]
-                    A[r, dof[(Kn, j)]] -= al[i, j]
-                else:
-                    A[r, dof[(K, j)]] += al[i, j]
-                    rhs[r] += al[i, j] * pb
-        for j in range(n):
-            if ops[K].present[j]:
-                A[r, dof[(K, j)]] += vol * ops[K].beta[i, j]
-
-    sol, _norm = _dense_solve(A, rhs, "coarse Galerkin")
+    A = np.zeros((NX, n, NX, n))
+    K = np.arange(NX)
+    A[K, :, K, :] = wal[:-1] + wal[1:] + vol * beta
+    A[K[1:], :, K[:-1], :] = -wal[1:-1]
+    A[K[:-1], :, K[1:], :] = -wal[1:-1]
+    rhs = np.zeros((NX, n))
+    rhs[0] += (wal[0] * p_in).sum(axis=1)
+    rhs[-1] += (wal[-1] * p_out).sum(axis=1)
+    A = A.reshape(NX * n, NX * n)[np.ix_(dofs, dofs)]
+    sol, _norm = _dense_solve(A, rhs.ravel()[dofs], "coarse Galerkin")
     P = np.full((NX, n), np.nan)
-    for (K, i), r in dof.items():
-        P[K, i] = sol[r]
+    P.flat[dofs] = sol
 
-    def face_flux(Kl, Kr):
-        """Per-continuum flux through the face between refined blocks."""
-        K = Kl if 0 <= Kl < NX else Kr
-        Kn = Kr if K == Kl else Kl
-        al = face_alpha(K, Kn) * L2 / dx
-        pl = P[Kl] if 0 <= Kl < NX else np.full(n, p_in)
-        pr = P[Kr] if 0 <= Kr < NX else np.full(n, p_out)
-        dP = pr - pl
-        dP[np.isnan(dP)] = 0.0  # continuum ends at this face: no through-flow
-        return -(al @ dP)
-
-    U = np.zeros((NX, n))
-    for K in range(NX):
-        U[K] = 0.5 * (face_flux(K - 1, K) + face_flux(K, K + 1))
+    # per-continuum flux through every face; a continuum that ends at a
+    # face (NaN pressure on one side) has no through-flow
+    dP = np.diff(np.vstack([np.full(n, p_in), P, np.full(n, p_out)]), axis=0)
+    dP[np.isnan(dP)] = 0.0
+    F = -(al @ dP[:, :, None])[:, :, 0]
+    U = 0.5 * (F[:-1] + F[1:])
     V = np.empty((base_coarse.Nx + 1, n))
-    V[0] = face_flux(-1, 0)
+    V[0] = F[0]
     V[1:-1] = 0.5 * (U[refine - 1:NX - 1:refine] + U[refine:NX:refine])
-    V[-1] = face_flux(NX - 1, NX)
+    V[-1] = F[-1]
     return P, V, U
 
 
@@ -591,11 +574,10 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             # all coarse-flow coefficients, including the buoyancy drive,
             # are rebuilt from the fine snapshot each step; a step whose
             # inputs equal the previous step's reuses its solution
-            h = hashlib.blake2b(labels.tobytes())
-            h.update(lam.tobytes())
+            inputs = [labels, lam]
             if model.approach == "mixed-gravity":
-                h.update(snap.c.tobytes())
-            key = h.digest()
+                inputs.append(snap.c)
+            key = content_digest(model.approach, *inputs)
             if last is not None and last[0] == key:
                 _, V, P = last
             elif model.approach == "galerkin":

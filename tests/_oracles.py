@@ -8,6 +8,7 @@ from dynmc.fine import advance_upwind, cfl, solve_flow
 from dynmc.continua import classify, ContinuumSpec
 from dynmc.exceptions import InvariantError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
+from dynmc.macro import _dense_solve
 
 
 def random_partition_region(nx, ny, blocks_x, seed, contrast, thresholds):
@@ -156,6 +157,82 @@ def step_macro_concentration_loops(coarse, C, masses, V, tau,
             if hi is not None:
                 out[hi, k] += tau * F * val
     return out, skipped
+
+
+def galerkin_loops(flow_coarse, base_coarse, ops, n, p_in, p_out):
+    """Per-(block, continuum) loop form of
+    ``macro.solve_coarse_flow_galerkin``: the same (P, V, U)."""
+    NX = flow_coarse.Nx
+    refine = NX // base_coarse.Nx
+    L2 = flow_coarse.fine.L2
+    dx = flow_coarse.fine.L1 / NX
+    vol = dx * L2
+
+    dof = {}
+    for K in range(NX):
+        for i in range(n):
+            if ops[K].present[i]:
+                dof[(K, i)] = len(dof)
+    A = np.zeros((len(dof), len(dof)))
+    rhs = np.zeros(len(dof))
+
+    def face_alpha(K, Kn):
+        if Kn < 0 or Kn >= NX:
+            return ops[K].alpha * 2.0  # half-cell distance to the boundary
+        return 0.5 * (ops[K].alpha + ops[Kn].alpha)
+
+    for (K, i), r in dof.items():
+        for Kn, pb in ((K - 1, p_in), (K + 1, p_out)):
+            al = face_alpha(K, Kn) * L2 / dx
+            for j in range(n):
+                if not ops[K].present[j]:
+                    continue
+                if 0 <= Kn < NX:
+                    if not ops[Kn].present[j]:
+                        continue
+                    A[r, dof[(K, j)]] += al[i, j]
+                    A[r, dof[(Kn, j)]] -= al[i, j]
+                else:
+                    A[r, dof[(K, j)]] += al[i, j]
+                    rhs[r] += al[i, j] * pb
+        for j in range(n):
+            if ops[K].present[j]:
+                A[r, dof[(K, j)]] += vol * ops[K].beta[i, j]
+
+    sol, _norm = _dense_solve(A, rhs, "coarse Galerkin")
+    P = np.full((NX, n), np.nan)
+    for (K, i), r in dof.items():
+        P[K, i] = sol[r]
+
+    def face_flux(Kl, Kr):
+        K = Kl if 0 <= Kl < NX else Kr
+        Kn = Kr if K == Kl else Kl
+        al = face_alpha(K, Kn) * L2 / dx
+        pl = P[Kl] if 0 <= Kl < NX else np.full(n, p_in)
+        pr = P[Kr] if 0 <= Kr < NX else np.full(n, p_out)
+        dP = pr - pl
+        dP[np.isnan(dP)] = 0.0
+        return -(al @ dP)
+
+    U = np.zeros((NX, n))
+    for K in range(NX):
+        U[K] = 0.5 * (face_flux(K - 1, K) + face_flux(K, K + 1))
+    V = np.empty((base_coarse.Nx + 1, n))
+    V[0] = face_flux(-1, 0)
+    V[1:-1] = 0.5 * (U[refine - 1:NX - 1:refine] + U[refine:NX:refine])
+    V[-1] = face_flux(NX - 1, NX)
+    return P, V, U
+
+
+def continuum_masses_loops(labels, coarse, n):
+    """Per-block, per-continuum cell count form of
+    ``continua.continuum_masses``."""
+    out = np.zeros((coarse.Nx, n))
+    for I in coarse.blocks():
+        blk = labels[coarse.block_slice(I)]
+        for k in range(n):
+            out[I, k] = np.count_nonzero(blk == k) * coarse.fine.cell_area
+    return out
 
 
 def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,

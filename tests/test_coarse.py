@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _oracles import coarse_cfl_loops, step_macro_concentration_loops
+from _oracles import (coarse_cfl_loops, galerkin_loops,
+                      step_macro_concentration_loops)
 from conftest import rng
 from dynmc import cells, macro
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, classify,
@@ -300,6 +301,60 @@ class TestGalerkinFlow:
             solve_coarse_flow_galerkin(CoarseGrid(fine, 3),
                                        CoarseGrid(fine, 2),
                                        self.unit_ops(3), 1, 1.0, 0.0)
+
+
+def random_galerkin_ops(seed, n, NX):
+    """Random energies on a random presence pattern in which every block
+    holds a continuum and shares one with each neighbour, so every unknown
+    connects to a Dirichlet face.  Absent continua carry zero energies, as
+    from :func:`macro.assemble_effective`."""
+    r = rng(seed)
+    while True:
+        present = r.random((NX, n)) < 0.6
+        present[np.arange(NX), r.integers(0, n, NX)] = True
+        if (present[:-1] & present[1:]).any(axis=1).all():
+            break
+    ops = []
+    for here in present:
+        on = np.outer(here, here)
+        M = r.standard_normal((n, n))
+        off = r.random((n, n))
+        beta = np.where(on, -(off + off.T), 0.0)
+        beta[here, here] = 0.0
+        beta[here, here] = -beta[here].sum(axis=1)
+        ops.append(EffectiveOperators(
+            n=n, alpha=np.where(on, M @ M.T + np.eye(n), 0.0), beta=beta,
+            present=here))
+    return ops
+
+
+class TestGalerkinMatchesLoops:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_random_presence_bit_for_bit(self, seed, refine):
+        for n in (1, 2, 3):
+            for NX in range(2, 9, refine):
+                ops = random_galerkin_ops(100 * seed + 10 * n + NX, n, NX)
+                fine = FineGrid(4 * NX, 3, 1.5 * NX, 2.0)
+                args = (CoarseGrid(fine, NX), CoarseGrid(fine, NX // refine),
+                        ops, n, 1.3, -0.2)
+                for got, ref in zip(solve_coarse_flow_galerkin(*args),
+                                    galerkin_loops(*args)):
+                    assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_block_within_roundoff(self, n):
+        # both faces of a lone block are boundary faces: the right-hand
+        # side sums the two faces' terms in another order
+        for seed in range(20):
+            ops = random_galerkin_ops(seed, n, 1)
+            coarse = CoarseGrid(FineGrid(4, 3, 1.5, 2.0), 1)
+            args = (coarse, coarse, ops, n, 1.3, -0.2)
+            for got, ref in zip(solve_coarse_flow_galerkin(*args),
+                                galerkin_loops(*args)):
+                assert np.array_equal(np.isnan(got), np.isnan(ref))
+                np.testing.assert_allclose(
+                    got, ref, rtol=0, atol=1e-15 * np.nanmax(np.abs(ref)))
 
 
 def chain(nblocks, F):

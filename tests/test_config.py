@@ -123,6 +123,23 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="needs bc_kind='dirichlet-x'"):
             dataclasses.replace(get_preset("interface"), bc_kind="noflow")
 
+    @pytest.mark.parametrize("preset, overrides, match", [
+        ("smoke", ["coarse_steps=-1"], "coarse_steps=-1 must be >= 0"),
+        ("viscous", ["pre_steps=-3"], "pre_steps=-3 must be >= 0"),
+        ("viscous", ["ic_centers="], "stripe-fingers needs"),
+        ("viscous", ["plateaus="], "plateaus must name"),
+        ("smoke", ["plateaus="], "plateaus must name"),
+        ("smoke", ["band_lo=3", "band_hi=2"], "got 3, 2"),
+        ("smoke", ["band_lo=0", "band_hi=0"], "got 0, 0"),
+    ])
+    def test_bad_value_rejected_before_any_run(self, preset, overrides,
+                                               match):
+        # unchecked, each fails late (after the fine run) or as a bare
+        # IndexError or ValueError; zero-height bands never finish drawing
+        # the initial condition
+        with pytest.raises(ConfigError, match=match):
+            apply_overrides(get_preset(preset), overrides)
+
     def test_frozen(self):
         cfg = get_preset("smoke")
         with pytest.raises(dataclasses.FrozenInstanceError):

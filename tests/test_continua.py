@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import continuum_masses_loops
 from conftest import rng
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, TRIPLE_THRESHOLDS,
                             advect_labels, averages, classify, classify_values,
@@ -137,6 +138,19 @@ class TestAverages:
         labels = classify(c, self.spec)
         m = continuum_masses(labels, self.coarse, 2)
         assert np.allclose(m.sum(axis=1), self.coarse.block_area)
+
+    @pytest.mark.parametrize("thresholds", [(), DUAL_THRESHOLDS,
+                                            TRIPLE_THRESHOLDS])
+    @pytest.mark.parametrize("Nx", [1, 3, 6])
+    def test_continuum_masses_match_per_block_counts(self, thresholds, Nx):
+        spec = ContinuumSpec(thresholds)
+        coarse = CoarseGrid(FineGrid(12, 5, 3.0, 1.25), Nx)
+        c = rng(Nx).random((12, 5)) ** 2  # skews toward the low continua
+        c[:coarse.mx] = 0.0  # block 0 holds only the last continuum
+        labels = classify(c, spec)
+        got = continuum_masses(labels, coarse, spec.count)
+        assert np.array_equal(
+            got, continuum_masses_loops(labels, coarse, spec.count))
 
 
 class TestAdvectLabels:

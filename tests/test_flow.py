@@ -151,6 +151,29 @@ class TestConservation:
         assert np.abs(vy[:, 0]).max() == 0.0
         assert np.abs(vy[:, -1]).max() == 0.0
 
+    @pytest.mark.parametrize("y_kind", ["pressure", "flux"])
+    def test_boundary_faces_of_every_side_balance_each_cell(self, y_kind):
+        # pressure on the left and right (with buoyancy), pressure or flux
+        # on the bottom and top: every cell's boundary faces must carry
+        # what the right-hand side assembled for them
+        grid = FineGrid(6, 5, 2.0, 1.5)
+        lam = random_mobility(6, 5, 30, 100.0)
+        c = rng(31).random((6, 5))
+        r = rng(32)
+        bottom, top = r.standard_normal(6), r.standard_normal(6)
+        bc = FlowBC(left=("pressure", r.standard_normal(5)),
+                    right=("pressure", r.standard_normal(5)),
+                    bottom=(y_kind, bottom), top=(y_kind, top))
+        p, vx, vy = solve_flow(grid, lam, c, bc, gravity_on=True)
+        scale = max(np.abs(vx).max(), np.abs(vy).max()) * grid.hx
+        assert np.abs(divergence(grid, vx, vy)).max() <= 1e-12 * scale
+        if y_kind == "flux":  # outward densities
+            assert np.array_equal(vy[:, 0], -bottom)
+            assert np.array_equal(vy[:, -1], top)
+        else:
+            assert vy[:, 0] == pytest.approx(
+                -lam[:, 0] * (p[:, 0] - bottom) / (grid.hy / 2), rel=1e-14)
+
 
 class TestErrors:
     def test_nonpositive_mobility_rejected(self):

@@ -1,6 +1,7 @@
 """Error-norm reporting: relative/absolute rules, alignment, regression."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,4 +142,4 @@ def test_error_csv_matches_golden_bytes(tmp_path):
     rep = compute_errors(ref, mrv, mmv, 2)
     out = tmp_path / "errors.csv"
     io.write_errors_csv(str(out), rep)
-    assert out.read_bytes() == open(GOLDEN, "rb").read()
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
