@@ -7,9 +7,12 @@ with the sparse recipe of :mod:`dynmc.fine`.  The engine serves every
 family of its region, and a caller-owned memo hands it on to the next
 region when that region's content is the same.  Families differ only in
 constraint targets, source terms, and boundary data; the gradient family
-is driven along x, the only axis any coarse model reads.  Flux-type bases
-(edge, gravity, interface) reuse the fine flow solver on block-local
-grids.
+is driven along x, the only axis any coarse model reads.
+
+The flux-type bases of the mixed models (edge, gravity, interface) are
+plain TPFA loads on coarse blocks: their builders return ``(block,
+FlowLoad)`` pairs, and :func:`solve_block_loads` solves any list of them
+with the fine flow solver, one factorization per distinct block matrix.
 """
 
 from __future__ import annotations
@@ -306,89 +309,70 @@ def _block_field(coarse: CoarseGrid, block: int, f: np.ndarray):
     return f[coarse.block_slice(block)]
 
 
-def solve_block_families(coarse: CoarseGrid, lam: np.ndarray,
-                         families: list) -> list[CellBasisSet]:
-    """Run block cell-problem families with one factorization per distinct
-    block matrix.
+def _omega_grid(coarse: CoarseGrid, blocks: list[int]) -> FineGrid:
+    """Local grid over consecutive blocks, the leftmost first."""
+    fine = coarse.fine
+    mx = coarse.mx
+    return FineGrid(len(blocks) * mx, fine.ny, len(blocks) * mx * fine.hx,
+                    fine.ny * fine.hy, x0=fine.x0 + blocks[0] * mx * fine.hx,
+                    y0=fine.y0)
 
-    A family is a generator that yields its ``[(block, FlowLoad), ...]``
-    (or returns at once when it has nothing to solve), is sent the
-    solutions in the same order and returns its :class:`CellBasisSet`.
+
+def _absent(grid: FineGrid, continuum: int | None) -> CellBasisSet:
+    fx, fy = grid.zero_faces()
+    return CellBasisSet(grid=grid, bases=[CellBasis(
+        continuum=continuum, fx=fx, fy=fy, flag="absent")])
+
+
+def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray,
+                      items: list) -> list:
+    """Solve ``[(block, FlowLoad), ...]`` with one factorization per
+    distinct block matrix; returns their (p, vx, vy) in the same order.
+
     A load on a block solves the lam_b operator of that block, and every
     block has the same cell size, so loads whose lam_b and pressure sides
     digest alike (:func:`~dynmc.fine.operator_key`) share one matrix: they
-    go, across all families and blocks, to one :func:`solve_flow` call on
-    the grid of the first such block (without a memo, solve_flow never
-    reads the grid's origin).  Returns the sets in the order of
-    ``families``.
+    go to one :func:`solve_flow` call on the grid of the first such block
+    (without a memo, solve_flow never reads the grid's origin).
     """
-    out: list[CellBasisSet | None] = [None] * len(families)
-    waiting = []  # (family index, generator, number of loads)
-    groups: dict[bytes, tuple[int, list]] = {}  # key -> (block, items)
-    for k, fam in enumerate(families):
-        try:
-            loads = next(fam)
-        except StopIteration as done:
-            out[k] = done.value
-            continue
-        waiting.append((k, fam, len(loads)))
-        for slot, (blk, load) in enumerate(loads):
-            key = operator_key(_block_field(coarse, blk, lam), [load])
-            groups.setdefault(key, (blk, []))[1].append((k, slot, load))
-    solved: dict[int, list] = {k: [None] * m for k, _fam, m in waiting}
-    for blk, items in groups.values():
+    groups: dict[bytes, tuple[int, list]] = {}  # key -> (block, positions)
+    for k, (blk, load) in enumerate(items):
+        key = operator_key(_block_field(coarse, blk, lam), [load])
+        groups.setdefault(key, (blk, []))[1].append(k)
+    out = [None] * len(items)
+    for blk, ks in groups.values():
         sols = solve_flow(_omega_grid(coarse, [blk]),
                           _block_field(coarse, blk, lam),
-                          loads=[load for _k, _slot, load in items])
-        for (k, slot, _load), sol in zip(items, sols):
-            solved[k][slot] = sol
-    for k, fam, _m in waiting:
-        try:
-            fam.send(solved[k])
-        except StopIteration as done:
-            out[k] = done.value
+                          loads=[items[k][1] for k in ks])
+        for k, sol in zip(ks, sols):
+            out[k] = sol
     return out
 
 
-def solve_edge_flux_basis(coarse: CoarseGrid, edge: int,
-                          lam: np.ndarray, labels: np.ndarray,
-                          continuum: int, edge_labels: np.ndarray,
-                          variant: str = "uniform") -> CellBasisSet:
-    """Unit continuum flux through coarse edge ``edge``, balanced inside its
-    neighborhood.
+def edge_flux_loads(coarse: CoarseGrid, edge: int, labels: np.ndarray,
+                    continuum: int, edge_labels: np.ndarray,
+                    variant: str = "uniform"):
+    """Block loads of the unit continuum flux through coarse edge ``edge``.
 
-    ``edge_labels`` assigns each edge face a continuum (caller picks the
-    convention, typically the donor cell of the current fine velocity).
-    variant 'uniform' spreads the balancing divergence evenly over each
-    block; 'psi' concentrates it on the continuum (theta psi form).
+    Returns (S, sources, loads): S is the edge flux the continuum carries,
+    ``sources`` maps each block next to the edge to its balancing source
+    and ``loads`` holds one ``(block, FlowLoad)`` per such block, the minus
+    side first.  A continuum with no face on the edge has S = 0 and no
+    loads.  Each load prescribes the edge faces' flux, so a block's
+    solution carries the edge column as it is on the stitched basis.
     """
-    return solve_block_families(coarse, lam, [edge_flux_family(
-        coarse, edge, labels, continuum, edge_labels, variant)])[0]
-
-
-def edge_flux_family(coarse: CoarseGrid, edge: int,
-                     labels: np.ndarray, continuum: int,
-                     edge_labels: np.ndarray, variant: str = "uniform"):
-    """Block family of :func:`solve_edge_flux_basis`."""
     fine = coarse.fine
     mx, my = coarse.mx, coarse.my
     psi_edge = (edge_labels == continuum).astype(float)
     S = psi_edge.sum() * fine.hy  # edge flux carried by this continuum
-    lo, hi = coarse.edge_neighbors(edge)
-    blocks = [b for b in (lo, hi) if b is not None]
-    grid = _omega_grid(coarse, blocks)
+    sources, loads = {}, []
     if S == 0.0:
-        fx, fy = grid.zero_faces()
-        return CellBasisSet(grid=grid, bases=[CellBasis(
-            continuum=continuum, fx=fx, fy=fy, flag="absent")])
-
-    sources = {}
-    loads = []
-    for pos, blk in zip(("lo", "hi"), (lo, hi)):
+        return S, sources, loads
+    # minus side: the edge is its right side, flux leaves outward (+1)
+    for blk, side, sgn in zip(coarse.edge_neighbors(edge), ("right", "left"),
+                              (1.0, -1.0)):
         if blk is None:
             continue
-        sgn = 1.0 if pos == "lo" else -1.0  # outward flux sign through E_l
-        side = "right" if pos == "lo" else "left"
         bc = FlowBC(**{side: ("flux", sgn * psi_edge)})
         mass = 0.0
         if variant != "uniform":
@@ -402,50 +386,70 @@ def edge_flux_family(coarse: CoarseGrid, edge: int,
             sources[blk] = theta = sgn * S / mass
             f = theta * psi_b
         loads.append((blk, FlowLoad(None, bc, False, f)))
-    solved = yield loads
+    return S, sources, loads
 
+
+def gravity_load(coarse: CoarseGrid, block: int, labels: np.ndarray,
+                 continuum: int) -> FlowLoad | None:
+    """Load of the recirculation driven by psi_i e1 in one block, or None
+    when the continuum is absent from it."""
+    psi = indicator(_block_field(coarse, block, labels), continuum)
+    return FlowLoad(psi, FlowBC(), True) if psi.any() else None
+
+
+def interface_load(coarse: CoarseGrid, block: int, labels: np.ndarray):
+    """(theta, load) of the exchange basis div = psi_1 - theta psi_2 in one
+    block, theta = m_1 / m_2; None when either continuum is absent."""
+    lab_b = _block_field(coarse, block, labels)
+    psi1 = indicator(lab_b, 0)
+    psi2 = indicator(lab_b, 1)
+    m1, m2 = psi1.sum(), psi2.sum()
+    if m1 == 0 or m2 == 0:
+        return None
+    theta = m1 / m2
+    return theta, FlowLoad(None, FlowBC(), False, psi1 - theta * psi2)
+
+
+def solve_edge_flux_basis(coarse: CoarseGrid, edge: int,
+                          lam: np.ndarray, labels: np.ndarray,
+                          continuum: int, edge_labels: np.ndarray,
+                          variant: str = "uniform") -> CellBasisSet:
+    """Unit continuum flux through coarse edge ``edge``, balanced inside its
+    neighborhood, on one grid over the blocks next to the edge.
+
+    ``edge_labels`` assigns each edge face a continuum (caller picks the
+    convention, typically the donor cell of the current fine velocity).
+    variant 'uniform' spreads the balancing divergence evenly over each
+    block; 'psi' concentrates it on the continuum (theta psi form).
+    """
+    S, sources, loads = edge_flux_loads(coarse, edge, labels, continuum,
+                                        edge_labels, variant)
+    grid = _omega_grid(coarse, [b for b in coarse.edge_neighbors(edge)
+                                if b is not None])
+    if not loads:
+        return _absent(grid, continuum)
+    mx = coarse.mx
     fx, fy = grid.zero_faces()
     pr = grid.zeros()
-    for k, (p, bfx, bfy) in enumerate(solved):
-        ox = k * mx
-        fx[ox:ox + mx + 1, :] += bfx
-        fy[ox:ox + mx, :] += bfy
-        pr[ox:ox + mx, :] = p
-    if len(blocks) == 2:
-        # shared edge column was written twice (identical data)
-        fx[mx, :] = psi_edge
+    for k, (p, bfx, bfy) in enumerate(solve_block_loads(coarse, lam, loads)):
+        # both blocks carry the shared edge column with the same values
+        fx[k * mx:(k + 1) * mx + 1, :] = bfx
+        fy[k * mx:(k + 1) * mx, :] = bfy
+        pr[k * mx:(k + 1) * mx, :] = p
     basis = CellBasis(continuum=continuum, scalar=pr, fx=fx, fy=fy,
                       extras={"sources": sources, "edge_flux": S})
     return CellBasisSet(grid=grid, bases=[basis])
-
-
-def _omega_grid(coarse: CoarseGrid, blocks: list[int]) -> FineGrid:
-    """Local grid over consecutive blocks, the leftmost first."""
-    fine = coarse.fine
-    mx = coarse.mx
-    return FineGrid(len(blocks) * mx, fine.ny, len(blocks) * mx * fine.hx,
-                    fine.ny * fine.hy, x0=fine.x0 + blocks[0] * mx * fine.hx,
-                    y0=fine.y0)
 
 
 def solve_gravity_basis(coarse: CoarseGrid, block: int,
                         lam: np.ndarray, labels: np.ndarray,
                         continuum: int) -> CellBasisSet:
     """Divergence-free recirculation driven by psi_i e1 in one block."""
-    return solve_block_families(coarse, lam, [gravity_family(
-        coarse, block, labels, continuum)])[0]
-
-
-def gravity_family(coarse: CoarseGrid, block: int,
-                   labels: np.ndarray, continuum: int):
-    """Block family of :func:`solve_gravity_basis`."""
     bg = _omega_grid(coarse, [block])
-    psi = indicator(_block_field(coarse, block, labels), continuum)
-    if psi.sum() == 0:
-        fx, fy = bg.zero_faces()
-        return CellBasisSet(grid=bg, bases=[CellBasis(
-            continuum=continuum, fx=fx, fy=fy, flag="absent")])
-    [(p, fx, fy)] = yield [(block, FlowLoad(psi, FlowBC(), True))]
+    load = gravity_load(coarse, block, labels, continuum)
+    if load is None:
+        return _absent(bg, continuum)
+    [(p, fx, fy)] = solve_block_loads(coarse, lam, [(block, load)])
     return CellBasisSet(grid=bg, bases=[CellBasis(
         continuum=continuum, scalar=p, fx=fx, fy=fy)])
 
@@ -453,25 +457,12 @@ def gravity_family(coarse: CoarseGrid, block: int,
 def solve_interface_basis(coarse: CoarseGrid, block: int,
                           lam: np.ndarray, labels: np.ndarray) -> CellBasisSet:
     """Inter-continuum exchange basis: div = psi_1 - theta psi_2 in a block."""
-    return solve_block_families(coarse, lam, [interface_family(
-        coarse, block, labels)])[0]
-
-
-def interface_family(coarse: CoarseGrid, block: int,
-                     labels: np.ndarray):
-    """Block family of :func:`solve_interface_basis`."""
     bg = _omega_grid(coarse, [block])
-    lab_b = _block_field(coarse, block, labels)
-    psi1 = indicator(lab_b, 0)
-    psi2 = indicator(lab_b, 1)
-    m1, m2 = psi1.sum(), psi2.sum()
-    if m1 == 0 or m2 == 0:
-        fx, fy = bg.zero_faces()
-        return CellBasisSet(grid=bg, bases=[CellBasis(
-            continuum=None, fx=fx, fy=fy, flag="absent")])
-    theta = m1 / m2
-    div = psi1 - theta * psi2
-    [(p, fx, fy)] = yield [(block, FlowLoad(None, FlowBC(), False, div))]
+    found = interface_load(coarse, block, labels)
+    if found is None:
+        return _absent(bg, None)
+    theta, load = found
+    [(p, fx, fy)] = solve_block_loads(coarse, lam, [(block, load)])
     basis = CellBasis(continuum=None, scalar=p, fx=fx, fy=fy,
-                      extras={"theta": theta, "div": div})
+                      extras={"theta": theta, "div": load.f})
     return CellBasisSet(grid=bg, bases=[basis])

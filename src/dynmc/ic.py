@@ -15,6 +15,22 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _bands(rng: np.random.Generator, ny: int, band_cells) -> list:
+    """Seeded horizontal bands [(j0, j1), ...] covering rows 0..ny, each
+    lo..hi cells high (the last one cut at ny)."""
+    lo, hi = band_cells
+    if not 1 <= lo <= hi:
+        raise ConfigError(
+            f"band heights need 1 <= lo <= hi, got {tuple(band_cells)}")
+    bands = []
+    j = 0
+    while j < ny:
+        h = int(rng.integers(lo, hi + 1))
+        bands.append((j, min(j + h, ny)))
+        j += h
+    return bands
+
+
 def finger_pattern(grid: FineGrid, plateaus=DUAL_PLATEAUS, seed: int = 0,
                    band_cells=(3, 7), wiggle: float = 0.45,
                    centers=None) -> np.ndarray:
@@ -39,12 +55,7 @@ def finger_pattern(grid: FineGrid, plateaus=DUAL_PLATEAUS, seed: int = 0,
         raise ConfigError(f"interface centers must increase: {centers}")
 
     # seeded horizontal bands; each band shifts every interface coherently
-    bands = []
-    j = 0
-    while j < grid.ny:
-        h = int(rng.integers(band_cells[0], band_cells[1] + 1))
-        bands.append((j, min(j + h, grid.ny)))
-        j += h
+    bands = _bands(rng, grid.ny, band_cells)
     offsets = rng.uniform(-wiggle, wiggle, size=(len(bands), npl - 1))
 
     c = np.empty((grid.nx, grid.ny))
@@ -72,12 +83,7 @@ def stripe_fingers(grid: FineGrid, high: float, low: float, seed: int = 0,
     present on every vertical line up to the shortest finger tip.
     """
     rng = _rng(seed)
-    bands = []
-    j = 0
-    while j < grid.ny:
-        h = int(rng.integers(band_cells[0], band_cells[1] + 1))
-        bands.append((j, min(j + h, grid.ny)))
-        j += h
+    bands = _bands(rng, grid.ny, band_cells)
     lengths = grid.x0 + grid.L1 * (
         tip + rng.uniform(-wiggle, wiggle, size=len(bands)))
     c = np.full((grid.nx, grid.ny), low)

@@ -42,29 +42,57 @@ def write_cell_csv(path: str, field: np.ndarray) -> None:
                 w.writerow([i, j, _fmt(field[i, j])])
 
 
-def read_cell_csv(path: str, nx: int | None = None,
-                  ny: int | None = None) -> np.ndarray:
-    rows = []
+def _data_rows(path: str, header: list[str]):
+    """(where, fields) of every non-blank row of a CSV file whose first row
+    is ``header``; ``where`` names the file and line for error messages."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header] != ["i", "j", "value"]:
-            raise ConfigError(f"{path}: expected header i,j,value")
+        head = next(r, None)
+        if head is None or [h.strip() for h in head] != header:
+            raise ConfigError(f"{path}: expected header {','.join(header)}")
         for line in r:
-            if not line:
-                continue
-            rows.append((int(line[0]), int(line[1]), float(line[2])))
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    mi = max(t[0] for t in rows) + 1
-    mj = max(t[1] for t in rows) + 1
-    if nx is not None and (mi, mj) != (nx, ny):
-        raise ConfigError(f"{path}: grid is {mi}x{mj}, expected {nx}x{ny}")
-    out = np.full((mi, mj), np.nan)
+            if line:
+                yield f"{path}, line {r.line_num}", line
+
+
+def _indexed_value(where: str, fields: list) -> tuple:
+    """(i, j, value) of one ``i,j,value`` row; a malformed row raises
+    :class:`ConfigError` naming ``where``."""
+    if len(fields) != 3:
+        raise ConfigError(f"{where}: {len(fields)} fields for i,j,value")
+    try:
+        i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if i < 0 or j < 0:
+        raise ConfigError(f"{where}: negative index ({i}, {j})")
+    return i, j, v
+
+
+def _filled(path: str, rows: list, what: str) -> np.ndarray:
+    """Array of the (i, j, value) rows, sized by their largest indices;
+    every entry must have a row."""
+    out = np.full((max(t[0] for t in rows) + 1, max(t[1] for t in rows) + 1),
+                  np.nan)
     for i, j, v in rows:
         out[i, j] = v
     if np.isnan(out).any():
-        raise ConfigError(f"{path}: missing cells")
+        raise ConfigError(f"{path}: missing {what}")
+    return out
+
+
+def read_cell_csv(path: str, nx: int | None = None,
+                  ny: int | None = None) -> np.ndarray:
+    """Cell field written by :func:`write_cell_csv`; a malformed row raises
+    :class:`ConfigError` naming the file and line."""
+    rows = [_indexed_value(where, line)
+            for where, line in _data_rows(path, ["i", "j", "value"])]
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    out = _filled(path, rows, "cells")
+    if nx is not None and out.shape != (nx, ny):
+        raise ConfigError(f"{path}: grid is {out.shape[0]}x{out.shape[1]}, "
+                          f"expected {nx}x{ny}")
     return out
 
 
@@ -82,28 +110,16 @@ def write_face_csv(path: str, vx: np.ndarray, vy: np.ndarray) -> None:
 
 
 def read_face_csv(path: str):
+    """Face fluxes written by :func:`write_face_csv`; a malformed row raises
+    :class:`ConfigError` naming the file and line."""
     xs, ys = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header] != [
-                "orientation", "i", "j", "flux"]:
-            raise ConfigError(f"{path}: expected header orientation,i,j,flux")
-        for line in r:
-            if not line:
-                continue
-            (xs if line[0] == "x" else ys).append(
-                (int(line[1]), int(line[2]), float(line[3])))
-    def build(rows):
-        mi = max(t[0] for t in rows) + 1
-        mj = max(t[1] for t in rows) + 1
-        out = np.zeros((mi, mj))
-        for i, j, v in rows:
-            out[i, j] = v
-        return out
+    for where, line in _data_rows(path, ["orientation", "i", "j", "flux"]):
+        if line[0] not in ("x", "y"):
+            raise ConfigError(f"{where}: orientation {line[0]!r} is not x or y")
+        (xs if line[0] == "x" else ys).append(_indexed_value(where, line[1:]))
     if not xs or not ys:
         raise ConfigError(f"{path}: missing face orientation rows")
-    return build(xs), build(ys)
+    return _filled(path, xs, "x faces"), _filled(path, ys, "y faces")
 
 
 # --- macroscopic series -------------------------------------------------
@@ -145,34 +161,25 @@ def read_averages_csv(path: str) -> list[CoarseState]:
     malformed row raises :class:`ConfigError` naming the file and line.
     """
     rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header] != [
-                "time", "kind", "location", "continuum", "value"]:
+    for where, line in _data_rows(
+            path, ["time", "kind", "location", "continuum", "value"]):
+        if len(line) != 5:
+            raise ConfigError(f"{where}: {len(line)} fields, expected 5")
+        t, kind, loc, k, v = line
+        if kind not in _LOCATIONS:
+            raise ConfigError(f"{where}: unknown kind {kind!r}")
+        pattern, what, form = _LOCATIONS[kind]
+        hit = pattern.fullmatch(loc)
+        if hit is None:
             raise ConfigError(
-                f"{path}: expected header time,kind,location,continuum,value")
-        for line in r:
-            if not line:
-                continue
-            where = f"{path}, line {r.line_num}"
-            if len(line) != 5:
-                raise ConfigError(f"{where}: {len(line)} fields, expected 5")
-            t, kind, loc, k, v = line
-            if kind not in _LOCATIONS:
-                raise ConfigError(f"{where}: unknown kind {kind!r}")
-            pattern, what, form = _LOCATIONS[kind]
-            hit = pattern.fullmatch(loc)
-            if hit is None:
-                raise ConfigError(
-                    f"{where}: {what} location {loc!r} is not {form}")
-            try:
-                t, k, v = float(t), int(k), float(v)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if k < (-1 if kind == "P" else 0):
-                raise ConfigError(f"{where}: {kind} row of continuum {k}")
-            rows.append((t, kind, int(hit[1]), k, v, where))
+                f"{where}: {what} location {loc!r} is not {form}")
+        try:
+            t, k, v = float(t), int(k), float(v)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if k < (-1 if kind == "P" else 0):
+            raise ConfigError(f"{where}: {kind} row of continuum {k}")
+        rows.append((t, kind, int(hit[1]), k, v, where))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     n = 1 + max((k for _t, kind, _loc, k, _v, _w in rows if kind == "C"),

@@ -131,18 +131,6 @@ def _face_indicator_x(psi: np.ndarray):
     return out
 
 
-def _split_edge_support(coarse: CoarseGrid, edge: int,
-                        bset: cells.CellBasisSet):
-    """Per-block face fields of the basis of ``edge``, built on the blocks
-    next to it (minus side first)."""
-    basis = bset.bases[0]
-    mx = coarse.mx
-    blocks = [b for b in coarse.edge_neighbors(edge) if b is not None]
-    return {blk: _faces(basis.fx[k * mx:(k + 1) * mx + 1, :],
-                        basis.fy[k * mx:(k + 1) * mx, :])
-            for k, blk in enumerate(blocks)}
-
-
 def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
     """LU solve of a small dense system with its residual checked; returns
     the solution and ||K||_inf."""
@@ -162,56 +150,56 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
 
     Returns (bases, gravity supports, inflow supports).  Bases come edge by
     edge, continua inner, then the interface bases block by block; the Gram
-    matrix and its roundoff depend on this order.
+    matrix and its roundoff depend on this order.  Each block load's
+    solution is stored as the support of its basis on that block.
     """
     # no-flow outer boundary in gravity mode; the inflow edge is data
     edges = range(1, coarse.Nx if gravity else coarse.Nx + 1)
     variant = "uniform" if gravity else "psi"
-    families = [cells.edge_flux_family(coarse, I, labels, i, edge_labels[I],
-                                       variant)
-                for I in edges for i in range(n)]
-    blocks = coarse.blocks()
-    if gravity:
-        families += [cells.gravity_family(coarse, blk, labels, i)
-                     for blk in blocks for i in range(n)]
-    else:
-        # the lift carries the prescribed inflow; its energy projects onto
-        # the unknown bases so the system stays consistent near the inlet
-        families += [cells.interface_family(coarse, blk, labels)
-                     for blk in blocks]
-        families += [cells.edge_flux_family(coarse, 0, labels, i,
-                                            inflow_labels, "psi")
-                     for i in range(n)]
-    sets = iter(cells.solve_block_families(coarse, lam, families))
+    area = coarse.fine.cell_area
+    items, homes = [], []  # (block, FlowLoad); (dict, key) of its faces
+
+    def add(home, key, blk, load):
+        items.append((blk, load))
+        homes.append((home, key))
 
     bases: list[MixedBasis] = []
     for I in edges:
         for i in range(n):
-            bset = next(sets)
-            b0 = bset.bases[0]
-            if b0.flag != "absent":
-                bases.append(MixedBasis(
-                    edge=I, continuum=i, S=b0.extras["edge_flux"],
-                    support=_split_edge_support(coarse, I, bset)))
-    gravity_support = {}
-    inflow_supports = []
+            S, _sources, loads = cells.edge_flux_loads(
+                coarse, I, labels, i, edge_labels[I], variant)
+            if loads:
+                bases.append(MixedBasis(edge=I, continuum=i, S=S, support={}))
+            for blk, load in loads:
+                add(bases[-1].support, blk, blk, load)
+    gravity_support, inflow_supports = {}, []
     if gravity:
-        for blk in blocks:
+        for blk in coarse.blocks():
             for i in range(n):
-                g = next(sets).bases[0]
-                if g.flag != "absent":
-                    gravity_support[(blk, i)] = _faces(g.fx, g.fy)
+                load = cells.gravity_load(coarse, blk, labels, i)
+                if load is not None:
+                    add(gravity_support, (blk, i), blk, load)
     else:
-        area = coarse.fine.cell_area
-        for blk in blocks:
-            w = next(sets).bases[0]
-            if w.flag != "absent":
-                m1 = float(w.extras["div"].clip(min=0.0).sum()) * area
+        for blk in coarse.blocks():
+            found = cells.interface_load(coarse, blk, labels)
+            if found is not None:
+                load = found[1]
+                m1 = float(load.f.clip(min=0.0).sum()) * area
                 bases.append(MixedBasis(edge=None, continuum=None, S=m1,
-                                        support={blk: _faces(w.fx, w.fy)}))
-        for iset in sets:  # a continuum absent from the inlet has no lift
-            if iset.bases[0].flag != "absent":
-                inflow_supports.append(_split_edge_support(coarse, 0, iset))
+                                        support={}))
+                add(bases[-1].support, blk, blk, load)
+        # the lift carries the prescribed inflow; its energy projects onto
+        # the unknown bases so the system stays consistent near the inlet
+        for i in range(n):  # a continuum absent from the inlet has no lift
+            _S, _sources, loads = cells.edge_flux_loads(
+                coarse, 0, labels, i, inflow_labels, "psi")
+            if loads:
+                inflow_supports.append({})
+            for blk, load in loads:
+                add(inflow_supports[-1], blk, blk, load)
+    for (home, key), (_p, fx, fy) in zip(
+            homes, cells.solve_block_loads(coarse, lam, items)):
+        home[key] = _faces(fx, fy)
     return bases, gravity_support, inflow_supports
 
 

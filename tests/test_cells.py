@@ -448,17 +448,14 @@ class TestBlockFamilies:
         monkeypatch.setattr(fine, "splu", factor)
         return calls
 
-    def families(self, coarse, labels):
+    def loads(self, coarse, labels):
         elab = labels[coarse.mx]
-        return ([cells.gravity_family(coarse, I, labels, k)
+        items = [(I, cells.gravity_load(coarse, I, labels, k))
                  for I in coarse.blocks() for k in (0, 1)]
-                + [cells.interface_family(coarse, I, labels)
-                   for I in coarse.blocks()]
-                + [cells.edge_flux_family(coarse, 1, labels, 0, elab)])
-
-    def one_per_family(self, coarse, lam, labels):
-        return [cells.solve_block_families(coarse, lam, [fam])[0]
-                for fam in self.families(coarse, labels)]
+        items += [(I, found[1]) for I in coarse.blocks()
+                  if (found := cells.interface_load(coarse, I, labels))]
+        items += cells.edge_flux_loads(coarse, 1, labels, 0, elab)[2]
+        return [(I, load) for I, load in items if load is not None]
 
     @pytest.mark.parametrize("split", [False, True])
     def test_one_factorization_per_distinct_block(self, monkeypatch, split):
@@ -466,19 +463,13 @@ class TestBlockFamilies:
         lam = np.full((16, 4), 3.0)
         if split:
             lam[coarse.block_slice(2)][1, 2] = 30.0
-        want = self.one_per_family(coarse, lam, labels)
+        items = self.loads(coarse, labels)
+        want = [cells.solve_block_loads(coarse, lam, [item])[0]
+                for item in items]
         calls = self.spy(monkeypatch)
-        got = cells.solve_block_families(coarse, lam,
-                                         self.families(coarse, labels))
+        got = cells.solve_block_loads(coarse, lam, items)
         assert calls == {"solve_flow": 1 + split, "splu": 1 + split}
-        solved = 0
+        assert len(got) == len(want) >= 8
         for g, w in zip(got, want):
-            for bg, bw in zip(g.bases, w.bases):
-                assert bg.flag == bw.flag
-                for name in ("scalar", "fx", "fy"):
-                    a, b = getattr(bg, name), getattr(bw, name)
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        assert np.array_equal(a, b)
-                solved += bg.flag is None
-        assert solved >= 8
+            for a, b in zip(g, w, strict=True):
+                assert np.array_equal(a, b)

@@ -48,6 +48,17 @@ class TestFingerPattern:
                            centers=(0.7, 0.4))
 
 
+@pytest.mark.parametrize("band_cells", [(0, 0), (0, 3), (-1, 2), (4, 3)])
+@pytest.mark.parametrize("generator", [
+    lambda grid, bands: finger_pattern(grid, band_cells=bands),
+    lambda grid, bands: stripe_fingers(grid, 0.8, 0.2, band_cells=bands)],
+    ids=["finger_pattern", "stripe_fingers"])
+def test_band_heights_below_one_or_reversed_rejected(generator, band_cells):
+    # a zero-height band never advances the band loop
+    with pytest.raises(ConfigError, match="band heights"):
+        generator(FineGrid(8, 4, 2.0, 1.0), band_cells)
+
+
 class TestStripeFingers:
     def test_both_plateaus_touch_left_boundary(self):
         c = stripe_fingers(GRID, high=0.8, low=0.2, seed=4)

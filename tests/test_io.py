@@ -46,6 +46,16 @@ class TestCellCsv:
             io.read_cell_csv(str(path))
 
 
+    @pytest.mark.parametrize("row", ["-1,1,99", "0,-1,99", "x,1,99",
+                                     "0,1,nan?", "0,1", "0,1,2,3"])
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, row):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"i,j,value\n0,0,1.0\n1,0,1.0\n{row}\n"
+                        "0,1,1.0\n1,1,1.0\n")
+        with pytest.raises(ConfigError, match=f"{path.name}, line 4"):
+            io.read_cell_csv(str(path), 2, 2)
+
+
 class TestFaceCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         vx = rng(2).standard_normal((5, 3))
@@ -59,6 +69,23 @@ class TestFaceCsv:
         path = tmp_path / "faces.csv"
         path.write_text("orientation,i,j,flux\nx,0,0,1.0\n")
         with pytest.raises(ConfigError, match="orientation"):
+            io.read_face_csv(str(path))
+
+
+    def test_missing_face_rejected(self, tmp_path):
+        path = tmp_path / "faces.csv"
+        path.write_text("orientation,i,j,flux\nx,0,0,1.0\nx,1,1,1.0\n"
+                        "y,0,0,1.0\n")
+        with pytest.raises(ConfigError, match="missing x faces"):
+            io.read_face_csv(str(path))
+
+    @pytest.mark.parametrize("row", ["z,0,0,1.0", ",0,0,1.0", "x,-1,0,1.0",
+                                     "y,0,a,1.0", "x,0,0", "x,0,0,1.0,2"])
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, row):
+        path = tmp_path / "faces.csv"
+        path.write_text(f"orientation,i,j,flux\nx,0,0,1.0\n{row}\n"
+                        "y,0,0,1.0\n")
+        with pytest.raises(ConfigError, match=f"{path.name}, line 3"):
             io.read_face_csv(str(path))
 
 

@@ -3,7 +3,8 @@
 Every factorization or dense solve in ``src/dynmc`` is one of three paths:
 the TPFA operator (``fine.solve_flow``), the Galerkin KKT engine
 (``cells.SaddleSolver``) and the small dense coarse systems
-(``macro._dense_solve``).  A new call site elsewhere is a new path.
+(``macro._dense_solve``).  A new call site elsewhere is a new path.  Inside
+``cells`` every block cell problem goes through one grouped block solve.
 """
 
 import ast
@@ -33,23 +34,33 @@ def _callee(node: ast.Call) -> str | None:
     return ast.unparse(f)
 
 
-def solve_call_sites() -> dict:
-    """{(module, enclosing function qualname): {callee, ...}} over the package."""
-    sites: dict = {}
+def scoped_nodes(tree: ast.AST):
+    """(enclosing function qualname, node) for every node below ``tree``."""
 
-    def visit(node, module, scope):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                visit(child, module, scope + [child.name])
+                yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and _callee(child) is not None:
-                sites.setdefault((module, ".".join(scope)), set()).add(
-                    _callee(child))
-            visit(child, module, scope)
+            yield ".".join(scope), child
+            yield from visit(child, scope)
 
+    return visit(tree, [])
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def solve_call_sites() -> dict:
+    """{(module, enclosing function qualname): {callee, ...}} over the package."""
+    sites: dict = {}
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, [])
+        for scope, node in scoped_nodes(parse(path.stem)):
+            if isinstance(node, ast.Call) and _callee(node) is not None:
+                sites.setdefault((path.stem, scope), set()).add(
+                    _callee(node))
     return sites
 
 
@@ -67,3 +78,14 @@ def test_finder_sees_the_call_forms_it_counts():
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
     assert [_callee(c) for c in calls] == [
         "splu", "np.linalg.solve", None, "scipy.sparse.linalg.spsolve"]
+
+
+def test_cells_solves_block_loads_in_one_place():
+    tree = parse("cells")
+    callers = {scope for scope, node in scoped_nodes(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id",
+                           getattr(node.func, "attr", None)) == "solve_flow"}
+    assert callers == {"solve_block_loads"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Yield, ast.YieldFrom))]
