@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,12 @@ class ExperimentConfig:
     particle_seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if f.type == "tuple" else (value,)
+            if f.type in ("int", "float", "tuple") and not all(
+                    isinstance(v, int) or math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name}={value} must be finite")
         if not self.tau > 0:
             raise ConfigError(f"tau={self.tau} must be positive")
         if self.substeps < 1:
@@ -269,7 +276,7 @@ def _parse_value(name: str, raw: str):
         for p in parts:
             try:
                 v = float(p)
-                out.append(int(v) if v == int(v) and "." not in p else v)
+                out.append(int(v) if v.is_integer() and "." not in p else v)
             except ValueError as exc:
                 raise ConfigError(f"{name}: bad tuple entry {p!r}") from exc
         return tuple(out)

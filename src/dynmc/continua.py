@@ -127,35 +127,34 @@ def advect_labels(grid: FineGrid, labels0: np.ndarray,
                   tau: float, substeps: int = 1) -> list[np.ndarray]:
     """Transport labels along trajectories by backward cell-center tracing.
 
-    ``velocity_history[n]`` is the (vx, vy) field driving step n.  For each
-    output time the cell centers are traced back through the full history
-    (midpoint rule per step) and the label is read off at the foot point.
-    Traces reflect at the boundary.  Returns labels at steps 0..len(history).
+    ``velocity_history[n]`` is the (vx, vy) field driving step n.  The label
+    at each output time is read off at the foot of the cell centers traced
+    back through the history (midpoint rule per step).  The history is
+    walked once from the last step down: each step starts the trace of its
+    own output time, and all open traces step back together.  Traces
+    reflect at the boundary.  Returns labels at steps 0..len(history).
     """
     x1, x2 = grid.x0, grid.x0 + grid.L1
     y1, y2 = grid.y0, grid.y0 + grid.L2
     xg, yg = grid.cell_centers()
-    out = [labels0.copy()]
-    px, py = xg.copy(), yg.copy()
-    for n in range(len(velocity_history)):
-        # trace back through steps n, n-1, ..., 0 starting fresh each time
-        px, py = xg.copy(), yg.copy()
-        for m in range(n, -1, -1):
-            vx, vy = velocity_history[m]
-            h = tau / substeps
-            for _ in range(substeps):
-                ux, uy = interp_velocity(grid, vx, vy, px, py)
-                xm, ym = px - 0.5 * h * ux, py - 0.5 * h * uy
-                _reflect(grid, xm, ym)
-                xm, ym = np.clip(xm, x1, x2), np.clip(ym, y1, y2)
-                ux, uy = interp_velocity(grid, vx, vy, xm, ym)
-                px, py = px - h * ux, py - h * uy
-                _reflect(grid, px, py)
-                px, py = np.clip(px, x1, x2), np.clip(py, y1, y2)
-        ii = np.clip(((px - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
-        jj = np.clip(((py - grid.y0) / grid.hy).astype(int), 0, grid.ny - 1)
-        out.append(labels0[ii, jj])
-    return out
+    h = tau / substeps
+    # px[k], py[k]: the trace of output time k + 1, open once step k starts
+    px = py = np.empty((0,) + xg.shape)
+    for m in range(len(velocity_history) - 1, -1, -1):
+        px, py = np.concatenate([xg[None], px]), np.concatenate([yg[None], py])
+        vx, vy = velocity_history[m]
+        for _ in range(substeps):
+            ux, uy = interp_velocity(grid, vx, vy, px, py)
+            xm, ym = px - 0.5 * h * ux, py - 0.5 * h * uy
+            _reflect(grid, xm, ym)
+            xm, ym = np.clip(xm, x1, x2), np.clip(ym, y1, y2)
+            ux, uy = interp_velocity(grid, vx, vy, xm, ym)
+            px, py = px - h * ux, py - h * uy
+            _reflect(grid, px, py)
+            px, py = np.clip(px, x1, x2), np.clip(py, y1, y2)
+    ii = np.clip(((px - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
+    jj = np.clip(((py - grid.y0) / grid.hy).astype(int), 0, grid.ny - 1)
+    return [labels0.copy(), *labels0[ii, jj]]
 
 
 def label_agreement(a: np.ndarray, b: np.ndarray,

@@ -77,8 +77,8 @@ def transmissibilities(grid: FineGrid, lam: np.ndarray):
 
 def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
     """Pure-Neumann TPFA stiffness (SPSD, constants in the null space)."""
-    if np.any(lam <= 0):
-        raise ConfigError("mobility must be positive")
+    if not (np.isfinite(lam) & (lam > 0)).all():
+        raise ConfigError("mobility must be finite and positive")
     tx, ty = transmissibilities(grid, lam)
     nx, ny = grid.nx, grid.ny
     idx = np.arange(nx * ny).reshape(nx, ny)
@@ -366,28 +366,16 @@ def advance_upwind(grid: FineGrid, c: np.ndarray, vx: np.ndarray,
         warnings.warn(f"CFL {nu:.3f} close to the stability limit")
     inflow_c = inflow_c or {}
     nx, ny = grid.nx, grid.ny
-
     cxd = np.empty((nx + 1, ny))
     cxd[1:-1, :] = np.where(vx[1:-1, :] >= 0, c[:-1, :], c[1:, :])
-    left = inflow_c.get("left")
-    cxd[0, :] = np.where(vx[0, :] > 0,
-                         _side_values(left, ny) if left is not None else c[0, :],
-                         c[0, :])
-    right = inflow_c.get("right")
-    cxd[-1, :] = np.where(vx[-1, :] < 0,
-                          _side_values(right, ny) if right is not None else c[-1, :],
-                          c[-1, :])
-
     cyd = np.empty((nx, ny + 1))
     cyd[:, 1:-1] = np.where(vy[:, 1:-1] >= 0, c[:, :-1], c[:, 1:])
-    bottom = inflow_c.get("bottom")
-    cyd[:, 0] = np.where(vy[:, 0] > 0,
-                         _side_values(bottom, nx) if bottom is not None else c[:, 0],
-                         c[:, 0])
-    top = inflow_c.get("top")
-    cyd[:, -1] = np.where(vy[:, -1] < 0,
-                          _side_values(top, nx) if top is not None else c[:, -1],
-                          c[:, -1])
+    # a boundary face lets fluid in where out . v < 0
+    donors, faces = (cxd, cyd), (vx, vy)
+    for side, (sl, _h, _ln, out, axis) in _boundary_sides(grid).items():
+        given = inflow_c.get(side)
+        donors[axis][sl] = c[sl] if given is None else np.where(
+            out * faces[axis][sl] < 0, _side_values(given, c[sl].size), c[sl])
 
     fx = vx * cxd
     fy = vy * cyd

@@ -87,14 +87,6 @@ def assemble_effective(ov: Oversample, lam_local: np.ndarray,
 # --- mixed coarse flow -------------------------------------------------
 
 
-@dataclass
-class MixedBasis:
-    edge: int | None  # coarse edge; None for the interface basis of a block
-    continuum: int | None
-    S: float  # edge flux per unit coefficient; masked psi1 mass (interface)
-    support: dict  # block -> block-local face fluxes, see _faces
-
-
 def _faces(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """Block-local face field as one vector: x-faces, then y-faces."""
     return np.concatenate([fx.ravel(), fy.ravel()])
@@ -146,61 +138,60 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
 def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
                 n: int, edge_labels: np.ndarray, gravity: bool,
                 inflow_labels: np.ndarray | None):
-    """Every cell problem of one mixed solve, one factorization per block.
+    """Every cell problem of one mixed solve, one factorization per block
+    matrix.
 
-    Returns (bases, gravity supports, inflow supports).  Bases come edge by
-    edge, continua inner, then the interface bases block by block; the Gram
-    matrix and its roundoff depend on this order.  Each block load's
-    solution is stored as the support of its basis on that block.
+    Returns (bases, table).  ``bases`` holds one (edge, continuum, S) per
+    basis: edge by edge, continua inner, with S the edge flux it carries;
+    then the interface bases block by block, with edge and continuum None
+    and S the psi_1 mass of their divergence.  The Gram matrix and its
+    roundoff depend on this order.  ``table[K]`` holds what was solved on
+    block K as three lists of (key, faces), faces in :func:`_faces` order:
+    the bases supported there keyed by basis index, the gravity loads
+    (gravity mode) and the inflow lifts (otherwise) keyed by continuum,
+    each ascending.
     """
     # no-flow outer boundary in gravity mode; the inflow edge is data
     edges = range(1, coarse.Nx if gravity else coarse.Nx + 1)
     variant = "uniform" if gravity else "psi"
     area = coarse.fine.cell_area
-    items, homes = [], []  # (block, FlowLoad); (dict, key) of its faces
-
-    def add(home, key, blk, load):
-        items.append((blk, load))
-        homes.append((home, key))
-
-    bases: list[MixedBasis] = []
+    bases, queued = [], []  # queued: (table slot, key, [(block, FlowLoad)])
     for I in edges:
         for i in range(n):
             S, _sources, loads = cells.edge_flux_loads(
                 coarse, I, labels, i, edge_labels[I], variant)
             if loads:
-                bases.append(MixedBasis(edge=I, continuum=i, S=S, support={}))
-            for blk, load in loads:
-                add(bases[-1].support, blk, blk, load)
-    gravity_support, inflow_supports = {}, []
-    if gravity:
-        for blk in coarse.blocks():
+                queued.append((0, len(bases), loads))
+                bases.append((I, i, S))
+    for blk in coarse.blocks():
+        if gravity:
             for i in range(n):
                 load = cells.gravity_load(coarse, blk, labels, i)
                 if load is not None:
-                    add(gravity_support, (blk, i), blk, load)
-    else:
-        for blk in coarse.blocks():
-            found = cells.interface_load(coarse, blk, labels)
-            if found is not None:
-                load = found[1]
-                m1 = float(load.f.clip(min=0.0).sum()) * area
-                bases.append(MixedBasis(edge=None, continuum=None, S=m1,
-                                        support={}))
-                add(bases[-1].support, blk, blk, load)
+                    queued.append((1, i, [(blk, load)]))
+            continue
+        found = cells.interface_load(coarse, blk, labels)
+        if found is not None:
+            load = found[1]
+            queued.append((0, len(bases), [(blk, load)]))
+            bases.append((None, None,
+                          float(load.f.clip(min=0.0).sum()) * area))
+    if not gravity:
         # the lift carries the prescribed inflow; its energy projects onto
         # the unknown bases so the system stays consistent near the inlet
         for i in range(n):  # a continuum absent from the inlet has no lift
             _S, _sources, loads = cells.edge_flux_loads(
                 coarse, 0, labels, i, inflow_labels, "psi")
-            if loads:
-                inflow_supports.append({})
-            for blk, load in loads:
-                add(inflow_supports[-1], blk, blk, load)
-    for (home, key), (_p, fx, fy) in zip(
-            homes, cells.solve_block_loads(coarse, lam, items)):
-        home[key] = _faces(fx, fy)
-    return bases, gravity_support, inflow_supports
+            queued.append((2, i, loads))
+    solved = iter(cells.solve_block_loads(
+        coarse, lam, [item for _slot, _key, loads in queued
+                      for item in loads]))
+    table = [([], [], []) for _ in coarse.blocks()]
+    for slot, key, loads in queued:
+        for blk, _load in loads:
+            _p, fx, fy = next(solved)
+            table[blk][slot].append((key, _faces(fx, fy)))
+    return bases, table
 
 
 @dataclass
@@ -230,42 +221,15 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     """
     if variant not in ("gravity", "viscous"):
         raise ConfigError(f"unknown mixed variant {variant!r}")
-    fine = coarse.fine
     gravity = variant == "gravity"
     if gravity and Chat is None:
         raise ConfigError("the gravity variant needs Chat")
 
-    bases, gravity_support, inflow_supports = mixed_bases(
-        coarse, lam, labels, n, edge_labels, gravity, inflow_labels)
-
+    bases, table = mixed_bases(coarse, lam, labels, n, edge_labels, gravity,
+                               inflow_labels)
     nb = len(bases)
     if nb == 0:
         raise SolverError("no edge bases: every continuum absent on edges")
-    # per block, F stacks the face fluxes of the bases supported there:
-    # the Gram block is (F W) F^T and each drive is F times a face field
-    M = np.zeros((nb, nb))
-    b = np.zeros(nb)
-    for blk in coarse.blocks():
-        here = [a for a in range(nb) if blk in bases[a].support]
-        if not here:
-            continue
-        sx = coarse.block_slice(blk)
-        wx, w = _block_face_quadrature(coarse, lam[sx])
-        F = np.array([bases[a].support[blk] for a in here])
-        M[np.ix_(here, here)] += (F * w) @ F.T
-        zero = np.zeros_like(w)
-        if gravity:
-            # buoyancy drive minus the gravity-basis projections
-            ci = np.where(np.isfinite(Chat[blk]), Chat[blk], 0.0)
-            rho = _face_indicator_x(ci[labels[sx]])
-            proj = sum((ci[i] * gravity_support[(blk, i)] for i in range(n)
-                        if (blk, i) in gravity_support), zero)
-            r = _faces(wx * rho, zero[wx.size:]) - w * proj
-        else:
-            lift = sum((sup[blk] for sup in inflow_supports if blk in sup),
-                       zero)
-            r = g_in * w * lift
-        b[here] += F @ r
 
     # balance rows: one per block (gravity), else one per present
     # (block, continuum); row_of[I, j] is the row of block I, continuum j
@@ -277,46 +241,66 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
         rows = [(int(I), int(j)) for I, j in zip(*np.nonzero(present))]
         row_of = np.full((coarse.Nx, n), -1)
         row_of[present] = np.arange(len(rows))
-    D = np.zeros((len(rows), nb))
-    f = np.zeros(len(rows))
-    for a, ba in enumerate(bases):
-        if ba.edge is None:  # interface: div = psi1 - theta psi2
-            (I,) = ba.support
-            D[row_of[I, 0], a], D[row_of[I, 1], a] = ba.S, -ba.S
-            continue
-        for I, sgn in ((ba.edge - 1, 1.0), (ba.edge, -1.0)):
-            if 0 <= I < coarse.Nx and row_of[I, ba.continuum] >= 0:
-                D[row_of[I, ba.continuum], a] = sgn * ba.S
-        if not gravity and ba.edge == coarse.Nx:
-            # fixed outlet pressure enters the velocity equations
-            b[a] -= p_out * ba.S
-
     V = np.zeros((coarse.Nx + 1, n))
+    f = np.zeros(len(rows))
     if not gravity:
         # prescribed inflow through the left boundary edge
-        V[0] = np.bincount(inflow_labels, minlength=n)[:n] * fine.hy * (-g_in)
+        V[0] = (np.bincount(inflow_labels, minlength=n)[:n] * coarse.fine.hy
+                * (-g_in))
         f[row_of[0, present[0]]] = V[0, present[0]]
 
+    # one pass over the blocks: F stacks the face fluxes of the bases
+    # supported on the block; it adds the Gram block (F W) F^T, the drive
+    # F r and the block's own balance entries of D
+    M = np.zeros((nb, nb))
+    b = np.zeros(nb)
+    D = np.zeros((len(rows), nb))
+    for blk, (own, grav, lifts) in enumerate(table):
+        if not own:
+            continue
+        here = [a for a, _faces in own]
+        F = np.array([faces for _a, faces in own])
+        sx = coarse.block_slice(blk)
+        wx, w = _block_face_quadrature(coarse, lam[sx])
+        M[np.ix_(here, here)] += (F * w) @ F.T
+        zero = np.zeros_like(w)
+        if gravity:
+            # buoyancy drive minus the gravity-basis projections
+            ci = np.where(np.isfinite(Chat[blk]), Chat[blk], 0.0)
+            rho = _face_indicator_x(ci[labels[sx]])
+            proj = sum((ci[i] * g for i, g in grav), zero)
+            r = _faces(wx * rho, zero[wx.size:]) - w * proj
+        else:
+            r = g_in * w * sum((g for _i, g in lifts), zero)
+        b[here] += F @ r
+        for a in here:
+            edge, i, S = bases[a]
+            if edge is None:  # interface: div = psi1 - theta psi2
+                D[row_of[blk, 0], a], D[row_of[blk, 1], a] = S, -S
+                continue
+            if row_of[blk, i] >= 0:  # +S out through the right edge
+                D[row_of[blk, i], a] = S if edge == blk + 1 else -S
+            if edge == coarse.Nx:
+                # fixed outlet pressure enters the velocity equations
+                b[a] -= p_out * S
+
+    # drop the balance rows no basis reaches; in the gravity variant (pure
+    # Neumann) the last balance is implied and dropping it sets the gauge
     live = np.abs(D).max(axis=1) > 1e-13
-    for row, ok, fr in zip(rows, live, f):
-        if not ok and abs(fr) > 1e-12:
-            raise SolverError(f"balance row {row} has data but no basis")
-    dropped = [row for row, ok in zip(rows, live) if not ok]
-    if dropped:
+    stray = np.flatnonzero(~live & (np.abs(f) > 1e-12))
+    if stray.size:
+        raise SolverError(
+            f"balance row {rows[stray[0]]} has data but no basis")
+    if not live.all():
+        dropped = [rows[r] for r in np.flatnonzero(~live)]
         log.info("dropped %d empty balance rows: %s", len(dropped), dropped)
-    D = D[live]
-    f = f[live]
-    rows = [row for row, ok in zip(rows, live) if ok]
+    keep = np.flatnonzero(live)
     if gravity:
-        # pure Neumann: the last balance is implied; dropping it sets the
-        # pressure gauge
-        D, f, rows = D[:-1], f[:-1], rows[:-1]
+        keep = keep[:-1]
+    D, f, rows = D[keep], f[keep], [rows[r] for r in keep]
 
     m = len(rows)
-    K = np.zeros((nb + m, nb + m))
-    K[:nb, :nb] = M
-    K[:nb, nb:] = D.T
-    K[nb:, :nb] = D
+    K = np.block([[M, D.T], [D, np.zeros((m, m))]])
     rhs = np.concatenate([b, f])
     sol, norm = _dense_solve(K, rhs, "coarse mixed")
     u = sol[:nb]
@@ -324,10 +308,9 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     resid = float(np.abs(D @ u - f).max()) if m else 0.0
     check_residual("coarse mixed balance", resid, norm, sol, rhs)
 
-    on_edge = [a for a, ba in enumerate(bases) if ba.edge is not None]
-    V[[bases[a].edge for a in on_edge],
-      [bases[a].continuum for a in on_edge]] += [u[a] * bases[a].S
-                                                 for a in on_edge]
+    for a, (edge, i, S) in enumerate(bases):
+        if edge is not None:
+            V[edge, i] += u[a] * S
     return MixedSolution(V=V, P=P, balance_residual=resid)
 
 
@@ -517,6 +500,30 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
     return V, P, (flow.Nx - reused, reused)
 
 
+def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
+                    labels: np.ndarray, masses: np.ndarray, n: int):
+    """Mixed coarse flow of one snapshot: returns V and P.
+
+    Each edge face takes the continuum of its donor cell under the fine
+    velocity.  Only the gravity variant reads Chat, the per-block continuum
+    means of the snapshot's concentration; only the viscous one reads the
+    inflow labels, those of the inlet column.
+    """
+    coarse = model.coarse
+    gravity = model.approach == "mixed-gravity"
+    Chat = None
+    if gravity:
+        Cfine = averages(coarse, snap.p, snap.c, snap.vx, labels, n).C
+        Chat = np.zeros_like(Cfine)
+        np.divide(Cfine, masses, out=Chat, where=masses > 0)
+    ms = solve_coarse_flow_mixed(
+        coarse, lam, labels, n, Chat,
+        coarse.edge_donor_labels(labels, coarse.edge_flux(snap.vx)),
+        variant="gravity" if gravity else "viscous", g_in=model.g_in,
+        p_out=model.p_out, inflow_labels=None if gravity else labels[0, :])
+    return ms.V, ms.P
+
+
 def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                tau: float, velocity: str = "mh") -> list[CoarseState]:
     """Coarse time loop: classify -> coarse velocities -> transport step.
@@ -571,24 +578,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             elif model.approach == "galerkin":
                 V, P, engines = _galerkin_velocity(model, lam, labels, n)
             else:
-                Chat = None  # read only by the gravity variant
-                if model.approach == "mixed-gravity":
-                    Cfine = averages(coarse, snap.p, snap.c, snap.vx, labels,
-                                     n).C
-                    Chat = np.zeros_like(Cfine)
-                    np.divide(Cfine, masses, out=Chat, where=masses > 0)
-                elab = coarse.edge_donor_labels(labels,
-                                                coarse.edge_flux(snap.vx))
-                inflow_lab = None
-                if model.approach == "mixed-viscous":
-                    inflow_lab = labels[0, :]
-                ms = solve_coarse_flow_mixed(
-                    coarse, lam, labels, n, Chat, elab,
-                    variant=("gravity" if model.approach == "mixed-gravity"
-                             else "viscous"),
-                    g_in=model.g_in, p_out=model.p_out,
-                    inflow_labels=inflow_lab)
-                V, P = ms.V, ms.P
+                V, P = _mixed_velocity(model, snap, lam, labels, masses, n)
             last = (key, V, P)
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,

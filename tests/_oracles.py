@@ -4,11 +4,13 @@ import numpy as np
 from scipy import sparse
 
 from dynmc import cells
-from dynmc.fine import advance_upwind, cfl, solve_flow
-from dynmc.continua import classify, ContinuumSpec
-from dynmc.exceptions import InvariantError
+from dynmc.fine import (_reflect, _side_values, advance_upwind, cfl,
+                        check_residual, interp_velocity, solve_flow)
+from dynmc.continua import classify, continuum_masses, ContinuumSpec
+from dynmc.exceptions import InvariantError, SolverError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
-from dynmc.macro import _dense_solve
+from dynmc.macro import (MixedSolution, _block_face_quadrature, _dense_solve,
+                         _face_indicator_x, _faces)
 
 
 def random_partition_region(nx, ny, blocks_x, seed, contrast, thresholds):
@@ -224,6 +226,128 @@ def galerkin_loops(flow_coarse, base_coarse, ops, n, p_in, p_out):
     return P, V, U
 
 
+def mixed_loops(coarse, lam, labels, n, Chat, edge_labels, variant,
+                g_in=None, p_out=None, inflow_labels=None):
+    """Per-basis form of ``macro.solve_coarse_flow_mixed``: each basis keeps
+    a support dict (block -> faces), every block scans all bases for its
+    Gram block, and D is filled in a second loop over the bases."""
+    gravity = variant == "gravity"
+    area = coarse.fine.cell_area
+    edges = range(1, coarse.Nx if gravity else coarse.Nx + 1)
+    bases, items, homes = [], [], []  # bases: [edge, continuum, S, support]
+    for I in edges:
+        for i in range(n):
+            S, _src, loads = cells.edge_flux_loads(
+                coarse, I, labels, i, edge_labels[I],
+                "uniform" if gravity else "psi")
+            if loads:
+                bases.append([I, i, S, {}])
+            for blk, load in loads:
+                items.append((blk, load))
+                homes.append((bases[-1][3], blk))
+    gravity_support, inflow_supports = {}, []
+    for blk in coarse.blocks():
+        if gravity:
+            for i in range(n):
+                load = cells.gravity_load(coarse, blk, labels, i)
+                if load is not None:
+                    items.append((blk, load))
+                    homes.append((gravity_support, (blk, i)))
+            continue
+        found = cells.interface_load(coarse, blk, labels)
+        if found is not None:
+            m1 = float(found[1].f.clip(min=0.0).sum()) * area
+            bases.append([None, None, m1, {}])
+            items.append((blk, found[1]))
+            homes.append((bases[-1][3], blk))
+    if not gravity:
+        for i in range(n):
+            _S, _src, loads = cells.edge_flux_loads(
+                coarse, 0, labels, i, inflow_labels, "psi")
+            if loads:
+                inflow_supports.append({})
+            for blk, load in loads:
+                items.append((blk, load))
+                homes.append((inflow_supports[-1], blk))
+    for (home, key), (_p, fx, fy) in zip(
+            homes, cells.solve_block_loads(coarse, lam, items)):
+        home[key] = _faces(fx, fy)
+
+    nb = len(bases)
+    M = np.zeros((nb, nb))
+    b = np.zeros(nb)
+    for blk in coarse.blocks():
+        here = [a for a in range(nb) if blk in bases[a][3]]
+        if not here:
+            continue
+        sx = coarse.block_slice(blk)
+        wx, w = _block_face_quadrature(coarse, lam[sx])
+        F = np.array([bases[a][3][blk] for a in here])
+        M[np.ix_(here, here)] += (F * w) @ F.T
+        zero = np.zeros_like(w)
+        if gravity:
+            ci = np.where(np.isfinite(Chat[blk]), Chat[blk], 0.0)
+            rho = _face_indicator_x(ci[labels[sx]])
+            proj = sum((ci[i] * gravity_support[(blk, i)] for i in range(n)
+                        if (blk, i) in gravity_support), zero)
+            r = _faces(wx * rho, zero[wx.size:]) - w * proj
+        else:
+            lift = sum((sup[blk] for sup in inflow_supports if blk in sup),
+                       zero)
+            r = g_in * w * lift
+        b[here] += F @ r
+
+    if gravity:
+        rows = [(I,) for I in coarse.blocks()]
+        row_of = np.repeat(np.arange(coarse.Nx)[:, None], n, axis=1)
+    else:
+        present = continuum_masses(labels, coarse, n) > 0
+        rows = [(int(I), int(j)) for I, j in zip(*np.nonzero(present))]
+        row_of = np.full((coarse.Nx, n), -1)
+        row_of[present] = np.arange(len(rows))
+    D = np.zeros((len(rows), nb))
+    f = np.zeros(len(rows))
+    for a, (edge, i, S, support) in enumerate(bases):
+        if edge is None:
+            (I,) = support
+            D[row_of[I, 0], a], D[row_of[I, 1], a] = S, -S
+            continue
+        for I, sgn in ((edge - 1, 1.0), (edge, -1.0)):
+            if 0 <= I < coarse.Nx and row_of[I, i] >= 0:
+                D[row_of[I, i], a] = sgn * S
+        if not gravity and edge == coarse.Nx:
+            b[a] -= p_out * S
+
+    V = np.zeros((coarse.Nx + 1, n))
+    if not gravity:
+        V[0] = (np.bincount(inflow_labels, minlength=n)[:n] * coarse.fine.hy
+                * (-g_in))
+        f[row_of[0, present[0]]] = V[0, present[0]]
+    live = np.abs(D).max(axis=1) > 1e-13
+    for row, ok, fr in zip(rows, live, f):
+        if not ok and abs(fr) > 1e-12:
+            raise SolverError(f"balance row {row} has data but no basis")
+    D, f = D[live], f[live]
+    rows = [row for row, ok in zip(rows, live) if ok]
+    if gravity:
+        D, f, rows = D[:-1], f[:-1], rows[:-1]
+    m = len(rows)
+    K = np.zeros((nb + m, nb + m))
+    K[:nb, :nb] = M
+    K[:nb, nb:] = D.T
+    K[nb:, :nb] = D
+    rhs = np.concatenate([b, f])
+    sol, norm = _dense_solve(K, rhs, "coarse mixed")
+    u = sol[:nb]
+    resid = float(np.abs(D @ u - f).max()) if m else 0.0
+    check_residual("coarse mixed balance", resid, norm, sol, rhs)
+    on_edge = [a for a in range(nb) if bases[a][0] is not None]
+    V[[bases[a][0] for a in on_edge],
+      [bases[a][1] for a in on_edge]] += [u[a] * bases[a][2] for a in on_edge]
+    return MixedSolution(V=V, P={r: -mu for r, mu in zip(rows, sol[nb:])},
+                         balance_residual=resid)
+
+
 def continuum_masses_loops(labels, coarse, n):
     """Per-block, per-continuum cell count form of
     ``continua.continuum_masses``."""
@@ -303,3 +427,60 @@ def advance_particles_whole(grid, x0, y0, vx, vy, tau):
     xn = x0 / 3.0 + 2.0 / 3.0 * (x2 + tau * u3)
     yn = y0 / 3.0 + 2.0 / 3.0 * (y2 + tau * v3)
     return reflect_whole(grid, xn, yn)
+
+
+def advance_upwind_sides(grid, c, vx, vy, tau, inflow_c=None):
+    """``fine.advance_upwind`` after its CFL guard, one block per side."""
+    inflow_c = inflow_c or {}
+    nx, ny = grid.nx, grid.ny
+    cxd = np.empty((nx + 1, ny))
+    cxd[1:-1, :] = np.where(vx[1:-1, :] >= 0, c[:-1, :], c[1:, :])
+    left = inflow_c.get("left")
+    cxd[0, :] = np.where(vx[0, :] > 0,
+                         _side_values(left, ny) if left is not None
+                         else c[0, :], c[0, :])
+    right = inflow_c.get("right")
+    cxd[-1, :] = np.where(vx[-1, :] < 0,
+                          _side_values(right, ny) if right is not None
+                          else c[-1, :], c[-1, :])
+    cyd = np.empty((nx, ny + 1))
+    cyd[:, 1:-1] = np.where(vy[:, 1:-1] >= 0, c[:, :-1], c[:, 1:])
+    bottom = inflow_c.get("bottom")
+    cyd[:, 0] = np.where(vy[:, 0] > 0,
+                         _side_values(bottom, nx) if bottom is not None
+                         else c[:, 0], c[:, 0])
+    top = inflow_c.get("top")
+    cyd[:, -1] = np.where(vy[:, -1] < 0,
+                          _side_values(top, nx) if top is not None
+                          else c[:, -1], c[:, -1])
+    fx = vx * cxd
+    fy = vy * cyd
+    return c - tau / grid.cell_area * (
+        (fx[1:, :] - fx[:-1, :]) * grid.hy + (fy[:, 1:] - fy[:, :-1]) * grid.hx)
+
+
+def advect_labels_retrace(grid, labels0, velocity_history, tau, substeps=1):
+    """``continua.advect_labels`` re-tracing every output time from the cell
+    centres through the whole history: n(n+1) interpolations per substep."""
+    x1, x2 = grid.x0, grid.x0 + grid.L1
+    y1, y2 = grid.y0, grid.y0 + grid.L2
+    xg, yg = grid.cell_centers()
+    out = [labels0.copy()]
+    h = tau / substeps
+    for n in range(len(velocity_history)):
+        px, py = xg.copy(), yg.copy()
+        for m in range(n, -1, -1):
+            vx, vy = velocity_history[m]
+            for _ in range(substeps):
+                ux, uy = interp_velocity(grid, vx, vy, px, py)
+                xm, ym = px - 0.5 * h * ux, py - 0.5 * h * uy
+                _reflect(grid, xm, ym)
+                xm, ym = np.clip(xm, x1, x2), np.clip(ym, y1, y2)
+                ux, uy = interp_velocity(grid, vx, vy, xm, ym)
+                px, py = px - h * ux, py - h * uy
+                _reflect(grid, px, py)
+                px, py = np.clip(px, x1, x2), np.clip(py, y1, y2)
+        ii = np.clip(((px - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
+        jj = np.clip(((py - grid.y0) / grid.hy).astype(int), 0, grid.ny - 1)
+        out.append(labels0[ii, jj])
+    return out

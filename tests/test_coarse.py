@@ -1,11 +1,12 @@
 """Coarse flow solves and the donor-block transport step."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from _oracles import (coarse_cfl_loops, galerkin_loops,
+from _oracles import (coarse_cfl_loops, galerkin_loops, mixed_loops,
                       step_macro_concentration_loops)
 from conftest import rng
 from dynmc import cells, macro
@@ -174,8 +175,8 @@ class TestMixedBases:
     def test_bases_equal_one_solve_per_basis(self, gravity):
         coarse, labels, lam, elab = random_mixed_setup(42)
         inflow = None if gravity else labels[0, :]
-        bases, gsup, isup = macro.mixed_bases(coarse, lam, labels, 2, elab,
-                                              gravity, inflow)
+        bases, table = macro.mixed_bases(coarse, lam, labels, 2, elab,
+                                         gravity, inflow)
         # one public basis call per basis, in the order the Gram matrix
         # is assembled
         variant = "uniform" if gravity else "psi"
@@ -229,15 +230,73 @@ class TestMixedBases:
             assert len(want_g) == 2 * coarse.Nx - 1
         else:
             assert sum(w[1] is None for w in want) == coarse.Nx - 1
-        assert [(b.edge, b.continuum) for b in bases] == [w[:2] for w in want]
-        for b, (_key, _i, S, support) in zip(bases, want):
+        assert [b[:2] for b in bases] == [w[:2] for w in want]
+        # each block lists its solutions by ascending key
+        for own, grav, lifts in table:
+            for kind in (own, grav, lifts):
+                keys = [key for key, _faces in kind]
+                assert keys == sorted(set(keys))
+        for a, (b, (_key, _i, S, support)) in enumerate(zip(bases, want)):
             if S is not None:
-                assert b.S == S
-            same(b.support, support)
-        same(gsup, want_g)
-        assert len(isup) == len(want_i) == (0 if gravity else 1)
-        for got, ref in zip(isup, want_i):
+                assert b[2] == S
+            same({blk: faces for blk, (own, _g, _l) in enumerate(table)
+                  for key, faces in own if key == a}, support)
+        same({(blk, i): faces for blk, (_o, grav, _l) in enumerate(table)
+              for i, faces in grav}, want_g)
+        lifts = {}
+        for blk, (_o, _g, lift) in enumerate(table):
+            for i, faces in lift:
+                lifts.setdefault(i, {})[blk] = faces
+        assert len(lifts) == len(want_i) == (0 if gravity else 1)
+        for got, ref in zip(lifts.values(), want_i):
             same(got, ref)
+
+
+def random_presence_setup(seed, n=2):
+    """Random labels over 2-4 blocks; some blocks, and sometimes the inlet
+    column, hold one continuum only; random donor edge labels."""
+    g = rng(seed)
+    nblocks, mx, my = int(g.integers(2, 5)), 6, 5
+    fine = FineGrid(nblocks * mx, my, float(nblocks * mx), float(my))
+    coarse = CoarseGrid(fine, nblocks)
+    labels = g.integers(0, n, size=(fine.nx, fine.ny)).astype(np.int8)
+    for blk in coarse.blocks():
+        if g.random() < 0.3:
+            labels[coarse.block_slice(blk)] = g.integers(0, n)
+    if g.random() < 0.5:
+        labels[0, :] = g.integers(0, n)
+    lam = np.where(labels == 0, 1000.0, 1.0)
+    vx = g.standard_normal((fine.nx + 1, fine.ny))
+    return coarse, labels, lam, coarse.edge_donor_labels(
+        labels, coarse.edge_flux(vx))
+
+
+@pytest.mark.parametrize("variant", ["gravity", "viscous"])
+def test_one_block_pass_equals_per_basis_loops(variant):
+    gravity = variant == "gravity"
+    solved = missing = 0
+    for seed in range(40):
+        n = 2 + seed % 2 if gravity else 2
+        coarse, labels, lam, elab = random_presence_setup(seed, n)
+        Chat = rng(100 + seed).random((coarse.Nx, n))
+        Chat[seed % coarse.Nx, -1] = np.nan  # an absent continuum's mean
+        args = (coarse, lam, labels, n, Chat, elab, variant)
+        kwargs = dict(g_in=-1.3, p_out=0.4, inflow_labels=labels[0, :])
+        try:
+            ref = mixed_loops(*args, **kwargs)
+        except SolverError as exc:
+            with pytest.raises(SolverError, match=re.escape(str(exc))):
+                solve_coarse_flow_mixed(*args, **kwargs)
+            continue
+        got = solve_coarse_flow_mixed(*args, **kwargs)
+        assert np.array_equal(got.V, ref.V)
+        assert list(got.P) == list(ref.P)
+        assert all(got.P[k] == ref.P[k] for k in ref.P)
+        assert got.balance_residual == ref.balance_residual
+        solved += 1
+        present = continuum_masses(labels, coarse, n) > 0
+        missing += (not present.all()) + (len(set(labels[0, :])) < n)
+    assert solved >= 30 and missing >= 10
 
 
 class TestGalerkinFlow:

@@ -131,12 +131,20 @@ class TestInvariants:
         ("smoke", ["plateaus="], "plateaus must name"),
         ("smoke", ["band_lo=3", "band_hi=2"], "got 3, 2"),
         ("smoke", ["band_lo=0", "band_hi=0"], "got 0, 0"),
+        ("smoke", ["thresholds=inf"], r"thresholds=\(inf,\) must be finite"),
+        ("smoke", ["plateaus=1e400,0.2"], "plateaus=.* must be finite"),
+        ("smoke", ["tau=inf"], "tau=inf must be finite"),
+        ("smoke", ["L1=inf"], "L1=inf must be finite"),
+        ("smoke", ["lam_value=nan"], "lam_value=nan must be finite"),
+        ("viscous", ["g_in=nan"], "g_in=nan must be finite"),
+        ("viscous", ["ic_centers=0.8,-inf"], "ic_centers=.* must be finite"),
     ])
     def test_bad_value_rejected_before_any_run(self, preset, overrides,
                                                match):
         # unchecked, each fails late (after the fine run) or as a bare
-        # IndexError or ValueError; zero-height bands never finish drawing
-        # the initial condition
+        # IndexError, ValueError or OverflowError; zero-height bands never
+        # finish drawing the initial condition, and tau=inf passes the
+        # tau_coarse check (inf > inf is false)
         with pytest.raises(ConfigError, match=match):
             apply_overrides(get_preset(preset), overrides)
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import continuum_masses_loops
+from _oracles import advect_labels_retrace, continuum_masses_loops
 from conftest import rng
+from dynmc import continua
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, TRIPLE_THRESHOLDS,
                             advect_labels, averages, classify, classify_values,
                             continuum_masses, indicator, label_agreement,
                             single_continuum)
 from dynmc.exceptions import ConfigError
+from dynmc.fine import interp_velocity
 from dynmc.grids import CoarseGrid, FineGrid
 
 
@@ -173,6 +175,30 @@ class TestAdvectLabels:
         # the front reflect at the left boundary and keep its label)
         assert (series[1][:4, 0] == 1).all() and (series[1][4:, 0] == 0).all()
         assert (series[2][:5, 0] == 1).all() and (series[2][5:, 0] == 0).all()
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_one_backward_walk_equals_retracing(self, monkeypatch, substeps):
+        grid = FineGrid(8, 8, 1.0, 1.0)
+        labels0 = (rng(3).random((8, 8)) * 3).astype(np.int8)
+        history = [tuple(2.0 * rng(10 + k).random(s) - 1.0
+                         for s in ((9, 8), (8, 9))) for k in range(20)]
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return interp_velocity(*args)
+
+        monkeypatch.setattr(continua, "interp_velocity", counted)
+        series = advect_labels(grid, labels0, history, tau=0.03,
+                               substeps=substeps)
+        # two interpolations per substep of each step, not per output
+        # time and step (20 * 21 of them)
+        assert len(calls) == 2 * 20 * substeps
+        ref = advect_labels_retrace(grid, labels0, history, tau=0.03,
+                                    substeps=substeps)
+        assert len(series) == len(ref) == 21
+        for got, want in zip(series, ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_agreement_metric(self):
         a = np.zeros((6, 6), dtype=np.int8)

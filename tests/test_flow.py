@@ -183,6 +183,15 @@ class TestErrors:
         with pytest.raises(ConfigError, match="positive"):
             solve_flow(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mobility_not_finite_rejected(self, bad):
+        # NaN passes a `lam <= 0` test and used to reach the factorization
+        grid = FineGrid(4, 4, 1.0, 1.0)
+        lam = np.ones((4, 4))
+        lam[2, 1] = bad
+        with pytest.raises(ConfigError, match="finite and positive"):
+            solve_flow(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
+
     def test_incompatible_pure_neumann_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
         f = np.ones((4, 4))  # net source with no outlet

@@ -4,7 +4,9 @@ Every factorization or dense solve in ``src/dynmc`` is one of three paths:
 the TPFA operator (``fine.solve_flow``), the Galerkin KKT engine
 (``cells.SaddleSolver``) and the small dense coarse systems
 (``macro._dense_solve``).  A new call site elsewhere is a new path.  Inside
-``cells`` every block cell problem goes through one grouped block solve.
+``cells`` every block cell problem goes through one grouped block solve,
+and inside ``macro`` each coarse model has one call path from
+``run_coarse``.
 """
 
 import ast
@@ -64,6 +66,14 @@ def solve_call_sites() -> dict:
     return sites
 
 
+def callers(tree: ast.AST, name: str) -> list[str]:
+    """Enclosing function of every call of ``name`` (bare or attribute)."""
+    return [scope for scope, node in scoped_nodes(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == name]
+
+
 def test_three_solve_paths():
     assert solve_call_sites() == {
         ("fine", "solve_flow"): {"splu"},
@@ -82,10 +92,16 @@ def test_finder_sees_the_call_forms_it_counts():
 
 def test_cells_solves_block_loads_in_one_place():
     tree = parse("cells")
-    callers = {scope for scope, node in scoped_nodes(tree)
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id",
-                           getattr(node.func, "attr", None)) == "solve_flow"}
-    assert callers == {"solve_block_loads"}
+    assert set(callers(tree, "solve_flow")) == {"solve_block_loads"}
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, (ast.Yield, ast.YieldFrom))]
+
+
+def test_macro_has_one_call_path_per_coarse_model():
+    tree = parse("macro")
+    assert callers(tree, "solve_coarse_flow_mixed") == ["_mixed_velocity"]
+    assert callers(tree, "_mixed_velocity") == ["run_coarse"]
+    assert callers(tree, "_galerkin_velocity") == ["run_coarse"]
+    dense = [scope for scope, node in scoped_nodes(tree)
+             if isinstance(node, ast.Call) and _callee(node) is not None]
+    assert dense == ["_dense_solve"]

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (advance_particles_whole, interp_velocity_whole,
-                      run_fine_upwind_unmemoized)
+from _oracles import (advance_particles_whole, advance_upwind_sides,
+                      interp_velocity_whole, run_fine_upwind_unmemoized)
 from conftest import rng
 from dynmc import fine
 from dynmc.config import get_preset
@@ -114,6 +114,30 @@ class TestUpwind:
         out = advance_upwind(grid, c, vx, vy, tau=0.05,
                              inflow_c={"left": 1.0})
         assert out[0, 0] > 0 and np.abs(out[1:, :]).max() == 0.0
+
+
+def test_upwind_boundary_table_matches_per_side_blocks():
+    # random grids and face velocities with exact zeros and -0.0 on the
+    # rim, random inflow sides given as scalars or per-face arrays
+    sides = ("left", "right", "bottom", "top")
+    for seed in range(300):
+        g = rng(seed)
+        nx, ny = (int(k) for k in g.integers(1, 7, size=2))
+        grid = FineGrid(nx, ny, float(g.uniform(0.5, 2.0)),
+                        float(g.uniform(0.5, 2.0)))
+        c = g.random((nx, ny))
+        vx, vy = (g.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+                  * g.random(shape) for shape in ((nx + 1, ny), (nx, ny + 1)))
+        inflow = {}
+        for side in sides:
+            if g.random() < 0.5:
+                size = ny if side in ("left", "right") else nx
+                inflow[side] = (float(g.random()) if g.random() < 0.5
+                                else g.random(size))
+        tau = 0.2 * min(grid.hx, grid.hy)
+        got = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow)
+        ref = advance_upwind_sides(grid, c, vx, vy, tau, inflow_c=inflow)
+        assert np.array_equal(got, ref)
 
 
 @settings(max_examples=25, deadline=None)
