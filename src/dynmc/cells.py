@@ -234,7 +234,11 @@ def build_region_engine(ov: Oversample, lam_local: np.ndarray,
     With ``memo`` a region whose content digests to the memo's key gets
     the stored engine back with no assembly or factorization; otherwise
     the new engine replaces the stored one, which is dropped before the
-    new factorization so that at most one factor stays alive.
+    new factorization so that at most one factor stays alive.  That holds
+    only if the caller drops the returned engine when it is done with the
+    region: one it still holds when it builds the next region is a second
+    LU factor alive through that factorization, and the freed factors then
+    fragment the heap instead of being reused.
     """
     if memo is not None:
         key = _region_digest(ov, lam_local, labels_local, n)

@@ -97,7 +97,7 @@ class ExperimentConfig:
             raise ConfigError(f"substeps={self.substeps} must be >= 1")
         if self.layers < 0:
             raise ConfigError(f"layers={self.layers} must be >= 0")
-        _parse_rule(self.extension_rule)
+        rule = _parse_rule(self.extension_rule)
         for name in ("pre_steps", "coarse_steps"):
             if getattr(self, name) < 0:
                 raise ConfigError(
@@ -137,6 +137,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"Galerkin flow grid of Nx x flow_refine = {refined} blocks "
                 f"does not divide fine nx={self.nx}")
+        if self.approach == "galerkin" and "reflect-right" in rule:
+            # the mirror image beyond the right wall is one domain wide
+            blocks = self.extended_coarse(self.layout()).Nx * self.flow_refine
+            if self.layers > blocks:
+                raise ConfigError(
+                    f"layers={self.layers} reach past the reflect-right mirror "
+                    f"image of the {blocks}-block Galerkin flow grid")
 
     # --- derived objects ----------------------------------------------
 

@@ -179,6 +179,11 @@ class LastSolve:
     and ``result`` that result (for solve_flow its list of read-only
     (p, vx, vy)); ``reused`` tells whether the latest call returned it
     without solving.
+
+    A caller must not hold a returned region engine past its region: the
+    memo drops its own engine before it factors the next one, but one
+    held elsewhere keeps a second LU factor alive through that
+    factorization, and the heap grows instead of reusing the freed factor.
     """
 
     key: bytes | None = None
@@ -358,13 +363,17 @@ def advance_upwind(grid: FineGrid, c: np.ndarray, vx: np.ndarray,
     ``inflow_c`` maps side names to the concentration carried by entering
     boundary fluxes; sides without a value reuse the adjacent cell.
     """
+    inflow_c = inflow_c or {}
+    unknown = sorted(set(inflow_c) - set(SIDES))
+    if unknown:
+        raise ConfigError(f"inflow_c key(s) {unknown} name no side of "
+                          f"{SIDES}")
     nu = cfl(grid, vx, vy, tau)
     if nu > 1.0:
         raise InvariantError(
             f"CFL {nu:.3f} > 1; reduce tau to <= {tau / nu:.3e}")
     if nu > 0.9:
         warnings.warn(f"CFL {nu:.3f} close to the stability limit")
-    inflow_c = inflow_c or {}
     nx, ny = grid.nx, grid.ny
     cxd = np.empty((nx + 1, ny))
     cxd[1:-1, :] = np.where(vx[1:-1, :] >= 0, c[:-1, :], c[1:, :])
@@ -489,14 +498,25 @@ def interp_velocity(grid: FineGrid, vx: np.ndarray, vy: np.ndarray,
     return ux.reshape(shape), uy.reshape(shape)
 
 
-def _reflect(grid: FineGrid, x: np.ndarray, y: np.ndarray) -> None:
-    """Mirror, in place, the entries of x and y beyond a domain wall."""
+def _reflect(grid: FineGrid, x: np.ndarray, y: np.ndarray) -> bool:
+    """Mirror, in place, the entries of x and y beyond a domain wall.
+
+    Returns whether a mirrored entry is still outside the domain, which
+    takes a step of more than one domain width.  Only the entries mirrored
+    off the high wall can be: an entry mirrored off the low wall lands
+    above it, and if it lands beyond the high wall it is mirrored again.
+    """
+    escaped = False
     for a, lo, hi in ((x, grid.x0, grid.x0 + grid.L1),
                       (y, grid.y0, grid.y0 + grid.L2)):
-        for wall, beyond in ((lo, np.less), (hi, np.greater)):
-            out = beyond(a, wall)
-            if out.any():
-                a[out] = 2 * wall - a[out]
+        below = a < lo
+        if below.any():
+            a[below] = 2 * lo - a[below]
+        above = a > hi
+        if above.any():
+            a[above] = back = 2 * hi - a[above]
+            escaped |= bool((back < lo).any())
+    return escaped
 
 
 def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
@@ -515,7 +535,7 @@ def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
     for p, p0 in ((x, x0), (y, y0)):
         p *= tau
         p += p0
-    _reflect(grid, x, y)
+    _reflect(grid, x, y)  # interpolation clamps: only the last must hold
     # x2 = np.multiply(x0, 0.75) + ..., then xn = np.divide(x0, 3.0) + ...
     for weight, start, c in ((0.25, np.multiply, 0.75),
                              (2.0 / 3.0, np.divide, 3.0)):
@@ -527,9 +547,8 @@ def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
             start(p0, c, out=p)
             p += s
         del u, v, s  # free the stage velocities before the next call
-        _reflect(grid, x, y)
-    if (np.any(x < grid.x0) or np.any(x > grid.x0 + grid.L1)
-            or np.any(y < grid.y0) or np.any(y > grid.y0 + grid.L2)):
+        escaped = _reflect(grid, x, y)
+    if escaped:
         raise InvariantError(
             "particle left the domain after reflection; velocity BCs broken")
     return ParticleCloud(x=x, y=y, val=cloud.val)

@@ -191,7 +191,9 @@ def oversample_block(coarse: CoarseGrid, K: int, layers: int,
 
     Out-of-domain columns are mapped periodically (left) or mirrored
     (right) when the rule allows; otherwise the region is truncated to the
-    domain.  Blocks are full height, so the region spans all fine rows.
+    domain.  A mirror image holds one domain width: a region reaching
+    beyond it (``layers > coarse.Nx``) raises :class:`ConfigError`.
+    Blocks are full height, so the region spans all fine rows.
     """
     if not 0 <= K < coarse.Nx:
         raise ConfigError(f"block {K} outside coarse grid")
@@ -208,6 +210,10 @@ def oversample_block(coarse: CoarseGrid, K: int, layers: int,
     cols = (np.asarray(bI)[:, None] * mx + np.arange(mx)).ravel()
     cols = np.where(cols < 0, cols % fine.nx, cols)
     src_ix = np.where(cols >= fine.nx, 2 * fine.nx - 1 - cols, cols)
+    if src_ix.min() < 0:  # mirrored past the left wall: needs layers <= Nx
+        raise ConfigError(
+            f"block {K} with {layers} layers reaches past the mirror image "
+            f"of the {coarse.Nx}-block domain")
 
     nxl = len(bI) * mx
     grid = FineGrid(nxl, fine.ny, nxl * fine.hx, fine.ny * fine.hy,

@@ -473,28 +473,41 @@ class CoarseModel:
             raise ConfigError(f"unknown coarse approach {self.approach!r}")
 
 
+def _region_ops(flow: CoarseGrid, K: int, model: CoarseModel,
+                lam: np.ndarray, labels: np.ndarray, n: int,
+                memo: LastSolve) -> tuple[EffectiveOperators, bool]:
+    """Effective operators of flow block K from its oversampled region, and
+    whether the region reused the memo's engine.
+
+    The engine and the cell bases die with this call, so when the next
+    region is factored the memo's engine is the only one alive, and
+    build_region_engine drops that one before it factors.
+    """
+    ov = oversample_block(flow, K, model.layers, rule=model.extension_rule)
+    lam_l = ov.sample(lam)
+    lab_l = ov.sample(labels)
+    engine = cells.build_region_engine(ov, lam_l, lab_l, n, memo=memo)
+    avg = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "average",
+                                           engine=engine)
+    grad = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "gradient",
+                                            engine=engine)
+    return assemble_effective(ov, lam_l, lab_l, n, avg, grad), memo.reused
+
+
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
                        labels: np.ndarray, n: int):
     """Galerkin coarse flow: returns V, P and the region engines (built,
     reused).  A region whose content repeats the previous region's reuses
-    its engine; the memo lives for this call only, so at most one engine
-    is kept."""
+    its engine; the memo lives for this call only, and :func:`_region_ops`
+    holds no engine past its region, so at most one LU factor is alive."""
     flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
     memo = LastSolve()
     reused = 0
     ops = []
     for K in flow.blocks():
-        ov = oversample_block(flow, K, model.layers,
-                              rule=model.extension_rule)
-        lam_l = ov.sample(lam)
-        lab_l = ov.sample(labels)
-        engine = cells.build_region_engine(ov, lam_l, lab_l, n, memo=memo)
-        reused += memo.reused
-        avg = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "average",
-                                               engine=engine)
-        grad = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n,
-                                                "gradient", engine=engine)
-        ops.append(assemble_effective(ov, lam_l, lab_l, n, avg, grad))
+        op, hit = _region_ops(flow, K, model, lam, labels, n, memo)
+        reused += hit
+        ops.append(op)
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
                                           model.p_in, model.p_out)
     return V, P, (flow.Nx - reused, reused)

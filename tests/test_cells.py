@@ -1,5 +1,7 @@
 """Constrained cell problems: constraints, oracles, and flux-basis contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, SuperLU
@@ -293,6 +295,29 @@ class TestRegionEngineMemo:
         V0, P0, engines = macro._galerkin_velocity(model, lam, labels, n)
         assert engines == (built + reused, 0)
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
+
+    def test_no_earlier_engine_alive_at_a_factorization(self, monkeypatch):
+        """One LU factor at a time: every engine a Galerkin coarse solve
+        built before is gone when it factors the next region."""
+        model, lam, labels = interface_start()
+        engines, alive = [], []
+        real_build, real_splu = cells.build_region_engine, cells.splu
+
+        def build(*args, **kwargs):
+            engine = real_build(*args, **kwargs)
+            engines.append(weakref.ref(engine))
+            return engine
+
+        def factor(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in engines))
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(cells, "build_region_engine", build)
+        monkeypatch.setattr(cells, "splu", factor)
+        _V, _P, (built, reused) = macro._galerkin_velocity(
+            model, lam, labels, model.spec.count)
+        assert len(engines) == built + reused and reused > 0
+        assert alive == [0] * built
 
 
 def strip_setup(nx=16, ny=4, Nx=4, seed=0, contrast=1.0, thresholds=DUAL):

@@ -110,6 +110,15 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="layers=-1 must be >= 0"):
             dataclasses.replace(get_preset("interface"), layers=-1)
 
+    def test_galerkin_layers_must_stay_inside_the_mirror_image(self):
+        # interface: Nx x flow_refine = 20 flow blocks, reflect-right
+        cfg = get_preset("interface")
+        assert dataclasses.replace(cfg, layers=20).layers == 20
+        with pytest.raises(ConfigError, match="layers=21 reach past"):
+            dataclasses.replace(cfg, layers=21)
+        assert dataclasses.replace(cfg, layers=21,
+                                   extension_rule="periodic-left").layers == 21
+
     def test_unknown_extension_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown extension rule"):
             dataclasses.replace(get_preset("interface"),

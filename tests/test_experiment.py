@@ -47,7 +47,9 @@ def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
     ("flow_refine=7", "flow_refine = 70"),
     ("layers=-1", "layers=-1"),
     ("extension_rule=bogus", "unknown extension rule"),
-], ids=["flow_refine", "layers", "extension_rule"])
+    # 21 layers reach past the mirror image of the 20 flow blocks
+    ("layers=21", "layers=21 reach past"),
+], ids=["flow_refine", "layers", "extension_rule", "layers_past_mirror"])
 def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch, override,
                                                         match):
     def no_fine_run(*args, **kwargs):

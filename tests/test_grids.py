@@ -128,6 +128,19 @@ class TestOversample:
         with pytest.raises(ConfigError, match="unknown extension rule"):
             oversample_block(self.coarse, 0, 1, rule="wrap-both")
 
+    def test_mirror_past_one_domain_width_rejected(self):
+        coarse = CoarseGrid(FineGrid(8, 2, 8.0, 2.0), 4)
+        rule = "periodic-left,reflect-right"
+        # layers = Nx: the last block's region ends on the mirror's far wall
+        ov = oversample_block(coarse, 3, 4, rule=rule)
+        assert list(ov.src_ix[-8:]) == [7, 6, 5, 4, 3, 2, 1, 0]
+        for layers in (5, 6):
+            with pytest.raises(ConfigError, match="past the mirror image"):
+                oversample_block(coarse, 3, layers, rule=rule)
+        # periodic wrapping never leaves the domain, however deep
+        assert oversample_block(coarse, 0, 6, rule="periodic-left"
+                                ).src_ix.min() >= 0
+
     def test_invalid_block_rejected(self):
         with pytest.raises(ConfigError):
             oversample_block(self.coarse, 10, 1)

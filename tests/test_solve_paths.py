@@ -5,8 +5,9 @@ the TPFA operator (``fine.solve_flow``), the Galerkin KKT engine
 (``cells.SaddleSolver``) and the small dense coarse systems
 (``macro._dense_solve``).  A new call site elsewhere is a new path.  Inside
 ``cells`` every block cell problem goes through one grouped block solve,
-and inside ``macro`` each coarse model has one call path from
-``run_coarse``.
+inside ``macro`` each coarse model has one call path from
+``run_coarse``, and only the per-region helper of the Galerkin solve builds
+region engines.
 """
 
 import ast
@@ -95,6 +96,13 @@ def test_cells_solves_block_loads_in_one_place():
     assert set(callers(tree, "solve_flow")) == {"solve_block_loads"}
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, (ast.Yield, ast.YieldFrom))]
+
+
+def test_region_engines_live_in_one_region_helper():
+    # _region_ops returns no engine, so none outlives its region
+    tree = parse("macro")
+    assert callers(tree, "build_region_engine") == ["_region_ops"]
+    assert callers(tree, "_region_ops") == ["_galerkin_velocity"]
 
 
 def test_macro_has_one_call_path_per_coarse_model():

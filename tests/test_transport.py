@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (advance_particles_whole, advance_upwind_sides,
-                      interp_velocity_whole, run_fine_upwind_unmemoized)
+                      interp_velocity_whole, reflect_whole,
+                      run_fine_upwind_unmemoized)
 from conftest import rng
 from dynmc import fine
 from dynmc.config import get_preset
@@ -114,6 +115,17 @@ class TestUpwind:
         out = advance_upwind(grid, c, vx, vy, tau=0.05,
                              inflow_c={"left": 1.0})
         assert out[0, 0] > 0 and np.abs(out[1:, :]).max() == 0.0
+
+    def test_inflow_key_naming_no_side_rejected(self):
+        grid = FineGrid(5, 2, 1.0, 1.0)
+        c = np.zeros((5, 2))
+        vx, vy = grid.zero_faces()
+        vx[:, :] = 1.0
+        out = advance_upwind(grid, c, vx, vy, tau=0.05,
+                             inflow_c={"left": 1.0})
+        assert out[0, 0] == 0.25
+        with pytest.raises(ConfigError, match="'Left'"):
+            advance_upwind(grid, c, vx, vy, tau=0.05, inflow_c={"Left": 1.0})
 
 
 def test_upwind_boundary_table_matches_per_side_blocks():
@@ -255,6 +267,33 @@ class TestParticles:
         out = advance_particles(grid, cloud, vx, vy, 0.5)
         assert np.allclose(out.x, cloud.x + 0.5, atol=1e-14)
         assert np.allclose(out.y, cloud.y, atol=1e-14)
+
+    def test_step_longer_than_the_domain_raises(self):
+        # x1 = x0 + 3 mirrors to -1 - x0 (left unchecked: interpolation
+        # clamps), x2 = 0.5 + x0 / 2, and xn = 7/3 + 2 x0 / 3 mirrors to
+        # below the left wall
+        grid = FineGrid(8, 4, 1.0, 1.0)
+        cloud = seed_particles(grid, grid.zeros(), 2, seed=0)
+        vx, vy = grid.zero_faces()
+        vx[:, :] = 3.0
+        with pytest.raises(InvariantError, match="left the domain"):
+            advance_particles(grid, cloud, vx, vy, 1.0)
+        vx[:, :] = 0.5  # a step within one width reflects and stays inside
+        advance_particles(grid, cloud, vx, vy, 1.0)
+
+    def test_reflect_flags_exactly_the_entries_left_outside(self):
+        grid = FineGrid(6, 3, 1.5, 0.75, x0=-0.2, y0=0.1)
+        walls = ((grid.x0, grid.x0 + grid.L1), (grid.y0, grid.y0 + grid.L2))
+        for seed in range(200):
+            g = rng(seed)
+            span = float(g.choice([0.5, 1.0, 2.0, 3.5]))
+            x, y = (lo + (hi - lo) * g.uniform(-span, 1 + span, 50)
+                    for lo, hi in walls)
+            want = reflect_whole(grid, x, y)
+            outside = any(((w < lo) | (w > hi)).any()
+                          for w, (lo, hi) in zip(want, walls))
+            assert fine._reflect(grid, x, y) == outside
+            assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
 
     def test_deposit_clamps_and_fills_empty_cells(self):
         grid = FineGrid(4, 1, 4.0, 1.0)
