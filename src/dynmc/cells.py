@@ -1,13 +1,22 @@
 """Constrained local (cell) problems.
 
-Every Galerkin family reduces to one engine: the TPFA stiffness of
-:mod:`dynmc.fine` on the oversampled region plus linear moment
-constraints, solved as one symmetric indefinite saddle system factored
-with the sparse recipe of :mod:`dynmc.fine`.  The engine serves every
-family of its region, and a caller-owned memo hands it on to the next
-region when that region's content is the same.  Families differ only in
-constraint targets, source terms, and boundary data; the gradient family
-is driven along x, the only axis any coarse model reads.
+Every Galerkin family reduces to one engine per oversampled region: the
+TPFA stiffness of :mod:`dynmc.fine` on the region plus linear moment
+constraints, a symmetric indefinite saddle system solved by block
+substructuring.  Each x-face between two blocks of the region gets one
+face-pressure unknown per fine row, joined to each side by its one-sided
+half transmissibility 2 lam hy / hx; in series the two halves give back
+the harmonic TPFA value, so the operator is unchanged up to roundoff.  A
+block's piece then depends on its own cells only: the sparse factor of its
+interior (its cells and its own moment rows, with the recipe of
+:mod:`dynmc.fine`) and its Schur complement on its two face columns.
+Pieces are keyed by content, so a caller-owned :class:`PieceMemo` serves a
+block to every region and coarse solve that holds it.  A region adds its
+pieces into one banded SPD face system, factors it with a banded
+Cholesky, and solves every family right-hand side at once, back through
+the block interiors.  Families differ only in constraint targets, source
+terms and boundary data; the gradient family is driven along x, the only
+axis any coarse model reads.
 
 The flux-type bases of the mixed models (edge, gravity, interface) are
 plain TPFA loads on coarse blocks: their builders return ``(block,
@@ -21,17 +30,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import SuperLU, splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, LastSolve,
+from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, apply_stiffness,
                    assemble_stiffness, check_residual, content_digest,
-                   gravity_volume_source, operator_key, solve_flow)
+                   gravity_volume_source, operator_key, pressure_diagonal,
+                   solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
-# --- sources and saddle engine -----------------------------------------
+# --- sources -----------------------------------------------------------
 
 
 def gradient_boundary_source(grid: FineGrid, lam: np.ndarray) -> np.ndarray:
@@ -49,49 +60,11 @@ def gradient_boundary_source(grid: FineGrid, lam: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SaddleSolution:
-    u: np.ndarray  # (n_cells,) flattened (nx, ny)
-    multipliers: np.ndarray
-    residuals: np.ndarray  # achieved constraint residuals Cu - g
+    """Solution of a region saddle system, one column per right-hand side."""
 
-
-class SaddleSolver:
-    """Factorized KKT system [A C^T; C 0] reusable across right-hand sides.
-
-    K is assembled from the COO triplets of A, C^T and C; converting them
-    to CSC sorts them into the same arrays ``sparse.bmat`` gives.
-    """
-
-    def __init__(self, A: sparse.spmatrix, C: sparse.spmatrix):
-        self.n = n = A.shape[0]
-        self.m = C.shape[0]
-        if self.m == 0:
-            raise SolverError("constraint set is empty after dropping")
-        A, Cc = A.tocoo(), C.tocoo()
-        self._K = sparse.coo_matrix(
-            (np.concatenate([A.data, Cc.data, Cc.data]),
-             (np.concatenate([A.row, Cc.col, Cc.row + n]),
-              np.concatenate([A.col, Cc.row + n, Cc.col]))),
-            shape=(n + self.m, n + self.m)).tocsc()
-        self.C = C.tocsr()
-        self._norm = float(abs(self._K).sum(axis=1).max())  # ||K||_inf
-        try:
-            self._lu = splu(self._K, **SPLU_OPTIONS)
-        except RuntimeError as exc:
-            raise SolverError(f"saddle factorization failed: {exc}") from exc
-
-    def solve(self, b: np.ndarray, g: np.ndarray) -> SaddleSolution:
-        rhs = np.concatenate([b, g])
-        sol = self._lu.solve(rhs)
-        gap = np.abs(self._K @ sol - rhs).max()
-        u = sol[:self.n]
-        mu = sol[self.n:]
-        res = self.C @ u - g
-        scale = max(np.abs(g).max(), np.abs(u).max(), 1.0)
-        if np.abs(res).max() > 1e-8 * scale:
-            raise SolverError(
-                f"constraint residual {np.abs(res).max():.3e} too large")
-        check_residual("KKT", gap, self._norm, sol, rhs)
-        return SaddleSolution(u=u, multipliers=mu, residuals=res)
+    u: np.ndarray  # (n_cells, k), cells flattened (nx, ny)
+    multipliers: np.ndarray  # (m, k)
+    residuals: np.ndarray  # achieved constraint residuals Cu - g, (m, k)
 
 
 # --- constraint construction ------------------------------------------
@@ -202,108 +175,321 @@ class CellBasisSet:
         raise KeyError(f"no basis for continuum {k}")
 
 
-# --- Galerkin families -------------------------------------------------
+# --- Galerkin region engines by block substructuring -------------------
+
+
+def piece_kkt(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
+              n: int):
+    """Interior KKT matrix [[A_b + D_b, C_b^T], [C_b, 0]] of one block and
+    the half transmissibilities of its (left, right) face rows, (2, ny).
+
+    A_b is the block's pure-Neumann TPFA stiffness, D_b joins its first and
+    last cell columns to the face unknowns, and C_b holds its moment rows,
+    one per continuum present, ascending.  K is assembled from the COO
+    triplets of A_b + D_b, C_b^T and C_b; converting them to CSC sorts
+    them into the same arrays ``sparse.bmat`` gives.
+    """
+    t = 2.0 * lam_b[[0, -1]] * grid_b.hy / grid_b.hx
+    A = (assemble_stiffness(grid_b, lam_b) + sparse.diags(
+        pressure_diagonal(grid_b, lam_b, ("left", "right")).ravel())).tocoo()
+    members = [np.flatnonzero(labels_b == j) for j in range(n)]
+    members = [c for c in members if c.size]
+    m = len(members)
+    rows = np.repeat(np.arange(m), [c.size for c in members])
+    cols = np.concatenate(members)
+    vals = np.full(cols.size, grid_b.cell_area)
+    nc = grid_b.n_cells
+    K = sparse.coo_matrix(
+        (np.concatenate([A.data, vals, vals]),
+         (np.concatenate([A.row, cols, rows + nc]),
+          np.concatenate([A.col, rows + nc, cols]))),
+        shape=(nc + m, nc + m)).tocsc()
+    return K, t
+
+
+@dataclass
+class BlockPiece:
+    """One block of a region between its two face columns.
+
+    ``lu`` factors the block's interior KKT (:func:`piece_kkt`), ``m``
+    counts its moment rows, ``t`` holds the half transmissibilities of its
+    (left, right) face rows, and ``band`` its (2 ny, 2 ny) Schur piece on
+    those face columns, left then right, in lower banded storage
+    (``band[d, q]`` is entry (q + d, q)).
+    """
+
+    lu: SuperLU
+    m: int
+    t: np.ndarray
+    band: np.ndarray
+
+
+# face columns of a block piece condensed per triangular solve: a few at a
+# time keeps the dense temporaries small, so they do not fragment the heap
+# around the pieces that stay alive
+SCHUR_CHUNK = 8
+
+
+def factor_piece(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
+                 n: int) -> BlockPiece:
+    """Factor one block's interior and condense it onto its face columns:
+    S_b = diag(t) - E^T K_b^-1 E, with E holding t at each face's cell."""
+    K, t = piece_kkt(grid_b, lam_b, labels_b, n)
+    try:
+        lu = splu(K, **SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise SolverError(f"block piece factorization failed: {exc}") from exc
+    ny = grid_b.ny
+    w = 2 * ny
+    cell = np.concatenate([np.arange(ny), (grid_b.nx - 1) * ny + np.arange(ny)])
+    tt = t.ravel()
+    band = np.zeros((w, w))
+    for c0 in range(0, w, SCHUR_CHUNK):
+        cols = np.arange(c0, min(c0 + SCHUR_CHUNK, w))
+        k = np.arange(cols.size)
+        E = np.zeros((K.shape[0], cols.size))
+        E[cell[cols], k] = tt[cols]
+        S = -tt[:, None] * lu.solve(E)[cell]
+        S[cols, k] += tt[cols]
+        for j, c in enumerate(cols):
+            band[:w - c, c] = S[c:, j]
+    return BlockPiece(lu=lu, m=K.shape[0] - grid_b.n_cells, t=t, band=band)
+
+
+@dataclass
+class PieceMemo:
+    """Caller-owned memo of factored block pieces, keyed by content.
+
+    A piece's key digests (ny, mx, hx, hy, n), lam_b and labels_b, so a
+    periodic copy of a block finds the piece of its original and a
+    mirrored one keys by its own content.  ``used`` holds the keys looked
+    up since the last :meth:`settle`; ``factored`` and ``reused`` count
+    those lookups that factored a piece or found one.
+    """
+
+    pieces: dict = field(default_factory=dict)
+    used: set = field(default_factory=set)
+    factored: int = 0
+    reused: int = 0
+
+    def piece(self, grid_b: FineGrid, lam_b: np.ndarray,
+              labels_b: np.ndarray, n: int) -> BlockPiece:
+        key = content_digest((grid_b.ny, grid_b.nx, grid_b.hx, grid_b.hy, n),
+                             lam_b, labels_b)
+        self.used.add(key)
+        found = self.pieces.get(key)
+        if found is None:
+            found = self.pieces[key] = factor_piece(grid_b, lam_b, labels_b,
+                                                    n)
+            self.factored += 1
+        else:
+            self.reused += 1
+        return found
+
+    def settle(self) -> tuple[int, int]:
+        """Drop every piece no lookup since the last settle used; return
+        the (factored, reused) counts of those lookups and start anew."""
+        for key in set(self.pieces) - self.used:
+            del self.pieces[key]
+        counts = (self.factored, self.reused)
+        self.used, self.factored, self.reused = set(), 0, 0
+        return counts
 
 
 @dataclass
 class RegionEngine:
-    """Factorized saddle system of one oversampled region, shared across
-    the families that differ only in right-hand sides and targets."""
+    """Block-substructured saddle solver of one oversampled region, shared
+    across the families that differ only in right-hand sides and targets.
 
-    solver: SaddleSolver
+    ``chol`` is the banded Cholesky factor of the face Schur complement;
+    ``grid``, ``lam`` and the moment matrix ``C`` give the region's full
+    KKT system, against which every solve is checked.
+    """
+
     rows: list[MomentRow]
+    pieces: list[BlockPiece]
+    chol: np.ndarray
+    grid: FineGrid
+    lam: np.ndarray
+    C: sparse.csr_matrix
 
+    def solve(self, B: np.ndarray, G: np.ndarray) -> SaddleSolution:
+        """Solve A u + C^T mu = b, C u = g for each column of B (cells)
+        and G (moment targets); every column's full KKT residual and its
+        constraint residual are checked."""
+        ny = self.grid.ny
+        nc = B.shape[0] // len(self.pieces)  # cells per block
+        last = nc - ny  # first cell of a block's last column
+        locs, r = [], np.zeros((self.chol.shape[1], B.shape[1]))
+        m0 = 0
+        for k, pc in enumerate(self.pieces):
+            loc = np.vstack([B[k * nc:(k + 1) * nc], G[m0:m0 + pc.m]])
+            y = pc.lu.solve(loc)
+            r[k * ny:(k + 1) * ny] += pc.t[0][:, None] * y[:ny]
+            r[(k + 1) * ny:(k + 2) * ny] += pc.t[1][:, None] * y[last:nc]
+            locs.append(loc)
+            m0 += pc.m
+        f = cho_solve_banded((self.chol, True), r, overwrite_b=True,
+                             check_finite=False)
+        U, MU = np.empty(B.shape, order="F"), np.empty_like(G)
+        m0 = 0
+        for k, (pc, loc) in enumerate(zip(self.pieces, locs)):
+            loc[:ny] += pc.t[0][:, None] * f[k * ny:(k + 1) * ny]
+            loc[last:nc] += pc.t[1][:, None] * f[(k + 1) * ny:(k + 2) * ny]
+            x = pc.lu.solve(loc)
+            U[k * nc:(k + 1) * nc] = x[:nc]
+            MU[m0:m0 + pc.m] = x[nc:]
+            m0 += pc.m
+        return SaddleSolution(u=U, multipliers=MU,
+                              residuals=self.check(B, G, U, MU))
 
-def _region_digest(ov: Oversample, lam_local: np.ndarray,
-                   labels_local: np.ndarray, n: int) -> bytes:
-    """Digest of everything a :class:`RegionEngine` depends on: the local
-    grid's counts and spacings, each region's (offset, slice), n, lam and
-    the labels.  The local grid's origin is not part of it: the engine
-    never reads it."""
-    grid = ov.grid
-    return content_digest((grid.nx, grid.ny, grid.hx, grid.hy, n,
-                           [(r.offset, r.sx) for r in ov.regions]),
-                          lam_local, labels_local)
+    def check(self, B, G, U, MU) -> np.ndarray:
+        """Reject a solution whose constraint residual exceeds 1e-8 of its
+        scale, or whose full KKT residual fails :func:`check_residual` on
+        the rows of any block (its cells and moment rows) against their
+        own ||K rows||_inf; return the constraint residuals C u - g.  The
+        per-block bound is stricter than one over all rows, which at
+        contrast 1000 cannot see an error in a block of the low mobility."""
+        grid, C = self.grid, self.C
+        nb, k = len(self.pieces), B.shape[1]
+        AU, rowsum = apply_stiffness(grid, self.lam,
+                                     U.reshape(grid.nx, grid.ny, k))
+        res = C @ U - G
+        scale = np.maximum(np.abs(G).max(axis=0), np.abs(U).max(axis=0))
+        bad = np.abs(res).max(axis=0) > 1e-8 * np.maximum(scale, 1.0)
+        if bad.any():
+            raise SolverError(f"constraint residual "
+                              f"{np.abs(res).max():.3e} too large")
+        # per block: the largest residual, row norm and load of its rows;
+        # the entries of C are positive cell areas
+        starts = np.cumsum([0] + [pc.m for pc in self.pieces[:-1]])
+
+        def per_block(cell_part, row_part):
+            return np.maximum(
+                cell_part.reshape(nb, -1, *cell_part.shape[1:]).max(axis=1),
+                np.maximum.reduceat(row_part, starts, axis=0))
+
+        R = AU.reshape(U.shape)  # the cell rows, in place
+        R += C.T @ MU
+        R -= B
+        gap = per_block(np.abs(R, out=R), np.abs(res))
+        norm = per_block(rowsum.ravel() + C.T @ np.ones(C.shape[0]),
+                         C @ np.ones(C.shape[1]))
+        load = per_block(np.abs(B, out=R), np.abs(G))
+        xmax = np.maximum(np.abs(U).max(axis=0), np.abs(MU).max(axis=0))
+        den = norm[:, None] * xmax + load
+        worst = np.argmax(np.divide(gap, den, where=den > 0,
+                                    out=np.where(gap > 0, np.inf, 0.0)),
+                          axis=0)
+        for j, b in enumerate(worst):  # x and rhs enter by their max
+            check_residual("KKT", gap[b, j], norm[b], xmax[j:j + 1],
+                           load[b, j:j + 1])
+        return res
 
 
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,
                         labels_local: np.ndarray, n: int, *,
-                        memo: LastSolve | None = None) -> RegionEngine:
-    """Assemble and factor the saddle system of one oversampled region.
+                        pieces: PieceMemo | None = None) -> RegionEngine:
+    """Gather the block pieces of one oversampled region and factor its
+    face system.
 
-    With ``memo`` a region whose content digests to the memo's key gets
-    the stored engine back with no assembly or factorization; otherwise
-    the new engine replaces the stored one, which is dropped before the
-    new factorization so that at most one factor stays alive.  That holds
-    only if the caller drops the returned engine when it is done with the
-    region: one it still holds when it builds the next region is a second
-    LU factor alive through that factorization, and the freed factors then
-    fragment the heap instead of being reused.
+    Pieces come from ``pieces`` when it holds their content and are
+    factored into it otherwise; without a memo the region factors each
+    distinct block content once.  The face system has (blocks + 1) ny
+    unknowns and bandwidth 2 ny - 1; its outer face columns join one block
+    each, which is the zero-flux edge of the region.
     """
-    if memo is not None:
-        key = _region_digest(ov, lam_local, labels_local, n)
-        memo.reused = key == memo.key
-        if memo.reused:
-            return memo.result
-        memo.key = memo.result = None
-    A = assemble_stiffness(ov.grid, lam_local)
+    grid = ov.grid
+    memo = PieceMemo() if pieces is None else pieces
+    mx, ny = ov.coarse.mx, grid.ny
+    grid_b = FineGrid(mx, ny, mx * grid.hx, grid.L2)
+    blocks = [memo.piece(grid_b, lam_local[reg.sx], labels_local[reg.sx], n)
+              for reg in ov.regions]
+    ab = np.zeros((2 * ny, (len(blocks) + 1) * ny), order="F")
+    for k, pc in enumerate(blocks):
+        ab[:, k * ny:(k + 2) * ny] += pc.band
+    try:
+        chol = cholesky_banded(ab, overwrite_ab=True, lower=True,
+                               check_finite=False)
+    except LinAlgError as exc:
+        raise SolverError(f"region face system not SPD: {exc}") from exc
     C, rows = region_moment_matrix(ov, labels_local, n)
-    engine = RegionEngine(solver=SaddleSolver(A, C), rows=rows)
-    if memo is not None:
-        memo.key, memo.result = key, engine
-    return engine
+    return RegionEngine(rows=rows, pieces=blocks, chol=chol, grid=grid,
+                        lam=lam_local, C=C)
+
+
+FAMILIES = ("average", "gradient", "concentration")
+
+
+def _family_load(ov: Oversample, lam_local: np.ndarray,
+                 labels_local: np.ndarray, rows: list[MomentRow],
+                 family: str, i: int, centers: np.ndarray | None):
+    """Cell load b and moment targets g of continuum i's basis."""
+    grid = ov.grid
+    if family == "average":
+        return (np.zeros(grid.n_cells),
+                moment_targets(ov, labels_local, rows, i, "average"))
+    if family == "gradient":
+        # drive only this continuum's boundary cells: a sliver of a
+        # high-mobility neighbour continuum on the region rim must not
+        # inject its (contrast-sized) natural flux into this basis
+        lam_i = lam_local * indicator(labels_local, i)
+        return (gradient_boundary_source(grid, lam_i).ravel(),
+                moment_targets(ov, labels_local, rows, i, "gradient",
+                               centers))
+    psi = indicator(labels_local, i)
+    mass = psi[ov.central.sx].sum() * grid.cell_area
+    s = psi / mass if mass > 0 else psi
+    return (gravity_volume_source(grid, lam_local, s).ravel(),
+            np.zeros(len(rows)))
 
 
 def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
                                labels_local: np.ndarray, n: int,
-                               family: str,
-                               engine: RegionEngine | None = None) -> CellBasisSet:
+                               family: str | tuple[str, ...],
+                               engine: RegionEngine | None = None):
     """Galerkin cell problems on an oversampled region.
 
     family: 'average' (unit continuum averages), 'gradient' (linear moment
     targets along x with natural unit-gradient boundary data),
     or 'concentration' (buoyancy source chi_i psi_i e1, zero moments).
+    Returns a :class:`CellBasisSet`; with a tuple of families every
+    right-hand side of all of them goes to one engine solve, and a list of
+    sets comes back in the tuple's order.
     """
-    if family not in ("average", "gradient", "concentration"):
-        raise ConfigError(f"unknown elliptic family {family!r}")
+    names = (family,) if isinstance(family, str) else tuple(family)
+    for name in names:
+        if name not in FAMILIES:
+            raise ConfigError(f"unknown elliptic family {name!r}")
     grid = ov.grid
     if engine is None:
         engine = build_region_engine(ov, lam_local, labels_local, n)
-    solver, rows = engine.solver, engine.rows
+    rows = engine.rows
     present = sorted({r.continuum for r in rows})
-    centers = None
-    if family == "gradient":
-        centers = gradient_centers(ov, labels_local, n)
-
-    out = CellBasisSet(grid=grid, bases=[])
-    for i in range(n):
-        if i not in present:
-            out.bases.append(CellBasis(continuum=i, scalar=grid.zeros(),
-                                       flag="absent"))
-            continue
-        if family == "average":
-            b = np.zeros(grid.n_cells)
-            g = moment_targets(ov, labels_local, rows, i, "average")
-        elif family == "gradient":
-            # drive only this continuum's boundary cells: a sliver of a
-            # high-mobility neighbour continuum on the region rim must not
-            # inject its (contrast-sized) natural flux into this basis
-            lam_i = lam_local * indicator(labels_local, i)
-            b = gradient_boundary_source(grid, lam_i).ravel()
-            g = moment_targets(ov, labels_local, rows, i, "gradient", centers)
-        else:
-            psi = indicator(labels_local, i)
-            mass = psi[ov.central.sx].sum() * grid.cell_area
-            s = psi / mass if mass > 0 else psi
-            b = gravity_volume_source(grid, lam_local, s).ravel()
-            g = np.zeros(len(rows))
-        sol = solver.solve(b, g)
-        basis = CellBasis(continuum=i, scalar=sol.u.reshape(grid.nx, grid.ny),
-                          residual=float(np.abs(sol.residuals).max()))
-        if family == "gradient":
-            basis.extras["center"] = float(centers[i])
-        out.bases.append(basis)
-    return out
+    centers = (gradient_centers(ov, labels_local, n)
+               if "gradient" in names else None)
+    loads = [_family_load(ov, lam_local, labels_local, rows, name, i,
+                          centers) for name in names for i in present]
+    sol = engine.solve(np.column_stack([b for b, _g in loads]),
+                       np.column_stack([g for _b, g in loads]))
+    res = np.abs(sol.residuals).max(axis=0)
+    out, col = [], 0
+    for name in names:
+        bset = CellBasisSet(grid=grid, bases=[])
+        for i in range(n):
+            if i not in present:
+                bset.bases.append(CellBasis(continuum=i, scalar=grid.zeros(),
+                                            flag="absent"))
+                continue
+            basis = CellBasis(continuum=i,
+                              scalar=sol.u[:, col].reshape(grid.nx, grid.ny),
+                              residual=float(res[col]))
+            if name == "gradient":
+                basis.extras["center"] = float(centers[i])
+            bset.bases.append(basis)
+            col += 1
+        out.append(bset)
+    return out[0] if isinstance(family, str) else out
 
 
 # --- block-local flux bases (simplified mixed cell problems) ----------

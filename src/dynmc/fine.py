@@ -103,6 +103,30 @@ def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
         shape=(nx * ny, nx * ny)).tocsr()
 
 
+def apply_stiffness(grid: FineGrid, lam: np.ndarray, u: np.ndarray):
+    """``assemble_stiffness(grid, lam) @ u`` by the face stencil, for a
+    stack u of shape (nx, ny, k), and the row sums of |A| as (nx, ny); A is
+    never assembled."""
+    tx, ty = transmissibilities(grid, lam)
+    out = np.zeros_like(u)
+    # face fluxes from the low to the high cell, one axis at a time
+    f = np.subtract(u[:-1], u[1:])
+    f *= tx[:, :, None]
+    out[:-1] += f
+    out[1:] -= f
+    del f
+    f = np.subtract(u[:, :-1], u[:, 1:])
+    f *= ty[:, :, None]
+    out[:, :-1] += f
+    out[:, 1:] -= f
+    diag = grid.zeros()
+    diag[:-1] += tx
+    diag[1:] += tx
+    diag[:, :-1] += ty
+    diag[:, 1:] += ty
+    return out, 2.0 * diag
+
+
 def gravity_volume_source(grid: FineGrid, lam: np.ndarray,
                           s: np.ndarray) -> np.ndarray:
     """Weak-form RHS of the buoyancy term div(lam s e1), interior faces."""
@@ -145,6 +169,19 @@ def _boundary_sides(grid: FineGrid) -> dict:
             "top": (np.s_[:, -1], hy, hx, +1.0, 1)}
 
 
+def pressure_diagonal(grid: FineGrid, lam: np.ndarray,
+                      sides) -> np.ndarray:
+    """(nx, ny) diagonal that pressure data on ``sides`` adds to the
+    stiffness: the half transmissibility 2 lam ln / h of each boundary
+    face, from its cell centre to the face."""
+    out = grid.zeros()
+    table = _boundary_sides(grid)
+    for side in sides:
+        sl, h, ln, _out, _axis = table[side]
+        out[sl] += 2.0 * lam[sl] * ln / h
+    return out
+
+
 def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
     """Flattened right-hand side of one load (before the gauge)."""
     c, bc, gravity_on, f = load
@@ -172,18 +209,11 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
 
 @dataclass
 class LastSolve:
-    """Caller-owned one-entry memo of :func:`solve_flow` (and of
-    :func:`dynmc.cells.build_region_engine`).
+    """Caller-owned one-entry memo of :func:`solve_flow`.
 
     ``key`` is a blake2b digest of everything the last result depends on
-    and ``result`` that result (for solve_flow its list of read-only
-    (p, vx, vy)); ``reused`` tells whether the latest call returned it
-    without solving.
-
-    A caller must not hold a returned region engine past its region: the
-    memo drops its own engine before it factors the next one, but one
-    held elsewhere keeps a second LU factor alive through that
-    factorization, and the heap grows instead of reusing the freed factor.
+    and ``result`` that result, the list of read-only (p, vx, vy);
+    ``reused`` tells whether the latest call returned it without solving.
     """
 
     key: bytes | None = None
@@ -272,12 +302,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
     rhss = [_load_rhs(grid, lam, load) for load in loads]
 
     if pressure:
-        sides = _boundary_sides(grid)
-        diag_extra = np.zeros((nx, ny))
-        for side in pressure:
-            sl, h, ln, _out, _axis = sides[side]
-            diag_extra[sl] += 2.0 * lam[sl] * ln / h
-        A = A + sparse.diags(diag_extra.ravel())
+        A = A + sparse.diags(pressure_diagonal(grid, lam, pressure).ravel())
     else:
         for rhs in rhss:
             scale = max(np.abs(rhs).max(), 1.0)

@@ -19,7 +19,7 @@ import numpy as np
 from . import cells
 from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import (LastSolve, Snapshot, check_residual, content_digest,
+from .fine import (Snapshot, check_residual, content_digest,
                    harmonic_face_mobility, transmissibilities)
 from .grids import CoarseGrid, Oversample, oversample_block
 
@@ -446,8 +446,8 @@ class CoarseState:
     C: np.ndarray  # (Nx, n) unnormalized
     V: np.ndarray  # (Nx + 1, n) edge fluxes
     P: dict | np.ndarray | None = None
-    # Galerkin region engines (built, reused) by this step's coarse solve
-    engines: tuple[int, int] = (0, 0)
+    # Galerkin block pieces (factored, reused) by this step's coarse solve
+    pieces: tuple[int, int] = (0, 0)
 
 
 @dataclass
@@ -475,42 +475,33 @@ class CoarseModel:
 
 def _region_ops(flow: CoarseGrid, K: int, model: CoarseModel,
                 lam: np.ndarray, labels: np.ndarray, n: int,
-                memo: LastSolve) -> tuple[EffectiveOperators, bool]:
-    """Effective operators of flow block K from its oversampled region, and
-    whether the region reused the memo's engine.
+                pieces: cells.PieceMemo) -> EffectiveOperators:
+    """Effective operators of flow block K from its oversampled region.
 
-    The engine and the cell bases die with this call, so when the next
-    region is factored the memo's engine is the only one alive, and
-    build_region_engine drops that one before it factors.
+    The region engine (its face factor) and the cell bases die with this
+    call; only the block pieces live on, in ``pieces``.
     """
     ov = oversample_block(flow, K, model.layers, rule=model.extension_rule)
     lam_l = ov.sample(lam)
     lab_l = ov.sample(labels)
-    engine = cells.build_region_engine(ov, lam_l, lab_l, n, memo=memo)
-    avg = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "average",
-                                           engine=engine)
-    grad = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, "gradient",
-                                            engine=engine)
-    return assemble_effective(ov, lam_l, lab_l, n, avg, grad), memo.reused
+    engine = cells.build_region_engine(ov, lam_l, lab_l, n, pieces=pieces)
+    avg, grad = cells.solve_constrained_elliptic(
+        ov, lam_l, lab_l, n, ("average", "gradient"), engine=engine)
+    return assemble_effective(ov, lam_l, lab_l, n, avg, grad)
 
 
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
-                       labels: np.ndarray, n: int):
-    """Galerkin coarse flow: returns V, P and the region engines (built,
-    reused).  A region whose content repeats the previous region's reuses
-    its engine; the memo lives for this call only, and :func:`_region_ops`
-    holds no engine past its region, so at most one LU factor is alive."""
+                       labels: np.ndarray, n: int,
+                       pieces: cells.PieceMemo):
+    """Galerkin coarse flow: returns V, P and the block pieces (factored,
+    reused) of its regions.  ``pieces`` carries the pieces from solve to
+    solve; afterwards it keeps only those this solve used."""
     flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
-    memo = LastSolve()
-    reused = 0
-    ops = []
-    for K in flow.blocks():
-        op, hit = _region_ops(flow, K, model, lam, labels, n, memo)
-        reused += hit
-        ops.append(op)
+    ops = [_region_ops(flow, K, model, lam, labels, n, pieces)
+           for K in flow.blocks()]
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
                                           model.p_in, model.p_out)
-    return V, P, (flow.Nx - reused, reused)
+    return V, P, pieces.settle()
 
 
 def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
@@ -560,10 +551,11 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     C = ref0.C.copy()
     states = []
     last = None  # (key, V, P) of the previous homogenized solve
+    pieces = cells.PieceMemo()  # Galerkin block pieces, for this run
     total_removed = 0.0
 
     for k in range(steps + 1):
-        engines = (0, 0)
+        counts = (0, 0)
         snap = snapshots[k]
         labels = classify(snap.c, model.spec)
         masses = continuum_masses(labels, coarse, n)
@@ -589,13 +581,14 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             if last is not None and last[0] == key:
                 _, V, P = last
             elif model.approach == "galerkin":
-                V, P, engines = _galerkin_velocity(model, lam, labels, n)
+                V, P, counts = _galerkin_velocity(model, lam, labels, n,
+                                                  pieces)
             else:
                 V, P = _mixed_velocity(model, snap, lam, labels, masses, n)
             last = (key, V, P)
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
-                                  engines=engines))
+                                  pieces=counts))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

@@ -1,11 +1,15 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from dynmc import cells
-from dynmc.fine import (_reflect, _side_values, advance_upwind, cfl,
-                        check_residual, interp_velocity, solve_flow)
+from dynmc.fine import (SPLU_OPTIONS, _reflect, _side_values, advance_upwind,
+                        cfl, check_residual, interp_velocity,
+                        pressure_diagonal, solve_flow)
 from dynmc.continua import classify, continuum_masses, ContinuumSpec
 from dynmc.exceptions import InvariantError, SolverError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
@@ -43,6 +47,67 @@ def dense_kkt_solve(A, C, b, g):
     return sol[:n], sol[n:]
 
 
+@dataclass
+class SaddleSolution:
+    u: np.ndarray  # (n_cells,) flattened (nx, ny)
+    multipliers: np.ndarray
+    residuals: np.ndarray  # achieved constraint residuals Cu - g
+
+
+class SaddleSolver:
+    """Factorized KKT system [A C^T; C 0] reusable across right-hand sides:
+    the monolithic region solve that the block-substructured engine
+    replaced, kept as its oracle.
+
+    K is assembled from the COO triplets of A, C^T and C; converting them
+    to CSC sorts them into the same arrays ``sparse.bmat`` gives.
+    """
+
+    def __init__(self, A: sparse.spmatrix, C: sparse.spmatrix):
+        self.n = n = A.shape[0]
+        self.m = C.shape[0]
+        if self.m == 0:
+            raise SolverError("constraint set is empty after dropping")
+        A, Cc = A.tocoo(), C.tocoo()
+        self._K = sparse.coo_matrix(
+            (np.concatenate([A.data, Cc.data, Cc.data]),
+             (np.concatenate([A.row, Cc.col, Cc.row + n]),
+              np.concatenate([A.col, Cc.row + n, Cc.col]))),
+            shape=(n + self.m, n + self.m)).tocsc()
+        self.C = C.tocsr()
+        self._norm = float(abs(self._K).sum(axis=1).max())  # ||K||_inf
+        try:
+            self._lu = splu(self._K, **SPLU_OPTIONS)
+        except RuntimeError as exc:
+            raise SolverError(f"saddle factorization failed: {exc}") from exc
+
+    def solve(self, b: np.ndarray, g: np.ndarray) -> SaddleSolution:
+        rhs = np.concatenate([b, g])
+        sol = self._lu.solve(rhs)
+        gap = np.abs(self._K @ sol - rhs).max()
+        u = sol[:self.n]
+        mu = sol[self.n:]
+        res = self.C @ u - g
+        scale = max(np.abs(g).max(), np.abs(u).max(), 1.0)
+        if np.abs(res).max() > 1e-8 * scale:
+            raise SolverError(
+                f"constraint residual {np.abs(res).max():.3e} too large")
+        check_residual("KKT", gap, self._norm, sol, rhs)
+        return SaddleSolution(u=u, multipliers=mu, residuals=res)
+
+
+def piece_kkt_bmat(grid_b, lam_b, labels_b, n):
+    """One block's interior KKT [[A_b + D_b, C_b^T], [C_b, 0]] through
+    ``sparse.bmat``, with D_b from the pressure diagonal of its left and
+    right sides and C_b stacked from dense moment rows."""
+    A = cells.assemble_stiffness(grid_b, lam_b) + sparse.diags(
+        pressure_diagonal(grid_b, lam_b, ("left", "right")).ravel())
+    dense = [(labels_b == j).ravel() * grid_b.cell_area for j in range(n)
+             if (labels_b == j).any()]
+    C = sparse.csr_matrix(np.vstack(dense))
+    return sparse.bmat([[A, C.T], [C, None]], format="csc")
+
+
 def kkt_bmat(ov, lam_local, labels_local, n):
     """The region KKT matrix [[A, C^T], [C, 0]] through ``sparse.bmat``,
     with C stacked from dense moment rows; also returns C and the
@@ -62,10 +127,17 @@ def kkt_bmat(ov, lam_local, labels_local, n):
     return sparse.bmat([[A, C.T], [C, None]], format="csc"), C, rows
 
 
-def elliptic_oracle(ov, lam_local, labels_local, n, family):
-    """Replays one constrained elliptic family through the dense path."""
+def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
+    """Replays one constrained elliptic family through the monolithic
+    region KKT: a dense solve (``kkt="dense"``), or ``kkt_bmat`` factored
+    with the splu recipe and one step of iterative refinement
+    (``kkt="splu"``; unrefined, that solve is up to 5e-12 relative from its
+    refined one on the desk interface regions)."""
     A = cells.assemble_stiffness(ov.grid, lam_local)
     C, rows = cells.region_moment_matrix(ov, labels_local, n)
+    if kkt == "splu":
+        K = kkt_bmat(ov, lam_local, labels_local, n)[0]
+        lu = splu(K, **SPLU_OPTIONS)
     centers = None
     if family == "gradient":
         centers = cells.gradient_centers(ov, labels_local, n)
@@ -86,7 +158,12 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family):
             s = psi / mass if mass > 0 else psi
             b = cells.gravity_volume_source(ov.grid, lam_local, s).ravel()
             g = np.zeros(len(rows))
-        u, _mu = dense_kkt_solve(A, C, b, g)
+        if kkt == "splu":
+            rhs = np.concatenate([b, g])
+            x = lu.solve(rhs)
+            u = (x + lu.solve(rhs - K @ x))[:ov.grid.n_cells]
+        else:
+            u, _mu = dense_kkt_solve(A, C, b, g)
         out[i] = u.reshape(ov.grid.nx, ov.grid.ny)
     return out, rows
 

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, SuperLU
 
-from _oracles import (dense_kkt_solve, elliptic_oracle, kkt_bmat,
-                      moment_residuals, random_partition_region)
+from _oracles import (SaddleSolver, dense_kkt_solve, elliptic_oracle,
+                      kkt_bmat, moment_residuals, piece_kkt_bmat,
+                      random_partition_region)
 from conftest import rng
 from dynmc import cells, fine, macro
 from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import LastSolve, divergence
+from dynmc.fine import divergence
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 DUAL = (0.5,)
@@ -100,12 +101,21 @@ class TestGalerkinFamilies:
         assert out.by_continuum(1).flag == "absent"
 
 
+def block_grid(ov):
+    """The grid of one block of the region, as the engine builds it."""
+    mx = ov.coarse.mx
+    return FineGrid(mx, ov.grid.ny, mx * ov.grid.hx, ov.grid.L2)
+
+
 class TestSaddleSolver:
+    """KKT systems: the monolithic region solver kept as the oracle, and
+    the block-piece interiors the region engine factors."""
+
     def test_matches_dense_oracle_directly(self):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
-        solver = cells.SaddleSolver(A, C)
+        solver = SaddleSolver(A, C)
         b = rng(10).standard_normal(ov.grid.n_cells)
         g = rng(11).standard_normal(len(rows))
         sol = solver.solve(b, g)
@@ -121,7 +131,7 @@ class TestSaddleSolver:
                                                      TRIPLE)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
-        solver = cells.SaddleSolver(A, C)
+        solver = SaddleSolver(A, C)
         assert isinstance(solver._lu, SuperLU)
         for seed in (20, 21, 22):
             b = rng(seed).standard_normal(ov.grid.n_cells)
@@ -138,9 +148,11 @@ class TestSaddleSolver:
         ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
         C, rows = cells.region_moment_matrix(ov, labels, n)
-        solver = cells.SaddleSolver(A, C)
+        engine = cells.build_region_engine(ov, lam, labels, n)
+        solver = SaddleSolver(A, C)
         b = rng(10).standard_normal(ov.grid.n_cells)
         g = rng(11).standard_normal(len(rows))
+        sol = engine.solve(b[:, None], g[:, None])
         solver.solve(b, g)
 
         # either shift leaves C u - g at zero but breaks A u + C^T mu = b:
@@ -148,6 +160,13 @@ class TestSaddleSolver:
         Cd = C.toarray()
         r = rng(12).standard_normal(solver.n)
         null_shift = r - Cd.T @ np.linalg.solve(Cd @ Cd.T, Cd @ r)
+        u, mu = sol.u.copy(), sol.multipliers.copy()
+        if shift_primal:
+            u[:, 0] += null_shift
+        else:
+            mu += 1.0
+        with pytest.raises(SolverError, match="KKT residual"):
+            engine.check(b[:, None], g[:, None], u, mu)
 
         def shifted(solve):
             def wrapper(*args):
@@ -167,11 +186,19 @@ class TestSaddleSolver:
 
     def test_sparse_kkt_fill_is_at_most_half_of_default_ordering(
             self, monkeypatch):
-        # the first Galerkin region of the interface preset at t = 0: a
-        # 78x40 region with 15 moment rows, K 3135x3135 (L + U 108,052
-        # nonzeros with the recipe, 394,470 with SuperLU's default COLAMD)
+        # the first Galerkin region of the interface preset at t = 0: on
+        # its whole 3135-row KKT, which only the oracle factors now, the
+        # recipe leaves 0.27 of the fill of SuperLU's default COLAMD
+        # (L + U 108,052 against 394,470 nonzeros); on its 4 distinct
+        # block pieces, each a 6x40 block with 1-2 moment rows, which the
+        # engine factors, 0.34-0.86 each and 0.59 in total (13,284 against
+        # 22,698)
         model, lam, labels = interface_start()
         ov = flow_region(model, 0)
+        K = kkt_bmat(ov, ov.sample(lam), ov.sample(labels),
+                     model.spec.count)[0]
+        lu, default = splu(K, **fine.SPLU_OPTIONS), splu(K)
+        assert 2 * (lu.L.nnz + lu.U.nnz) <= default.L.nnz + default.U.nnz
         factored = []
 
         def spy(K, **kw):
@@ -181,15 +208,18 @@ class TestSaddleSolver:
         monkeypatch.setattr(cells, "splu", spy)
         cells.build_region_engine(ov, ov.sample(lam), ov.sample(labels),
                                   model.spec.count)
-        ((K, lu),) = factored
-        default = splu(K)
-        assert 2 * (lu.L.nnz + lu.U.nnz) <= default.L.nnz + default.U.nnz
+        assert len(factored) == 4
+        ours = sum(lu.L.nnz + lu.U.nnz for _K, lu in factored)
+        default = [splu(K) for K, _lu in factored]
+        assert ours <= 0.6 * sum(d.L.nnz + d.U.nnz for d in default)
+        for (_K, lu), d in zip(factored, default):
+            assert lu.L.nnz + lu.U.nnz <= 0.9 * (d.L.nnz + d.U.nnz)
 
     def test_empty_constraints_rejected(self):
         ov, lam, labels = single_continuum_region()
         A = cells.assemble_stiffness(ov.grid, lam)
         with pytest.raises(SolverError):
-            cells.SaddleSolver(A, A[:0, :])
+            SaddleSolver(A, A[:0, :])
 
     @pytest.mark.parametrize("case", CASES + ["interface"])
     def test_kkt_and_moments_equal_the_bmat_oracle_bit_for_bit(self, case):
@@ -203,9 +233,14 @@ class TestSaddleSolver:
                                                          contrast, thr)
         K_want, C_want, rows_want = kkt_bmat(ov, lam, labels, n)
         C, rows = cells.region_moment_matrix(ov, labels, n)
-        K = cells.SaddleSolver(cells.assemble_stiffness(ov.grid, lam), C)._K
+        K = SaddleSolver(cells.assemble_stiffness(ov.grid, lam), C)._K
         assert [(r.region, r.continuum, r.mass) for r in rows] == rows_want
-        for got, want in ((C, C_want), (K, K_want)):
+        pairs = [(C, C_want), (K, K_want)]
+        grid_b = block_grid(ov)
+        for reg in ov.regions:
+            args = (grid_b, lam[reg.sx], labels[reg.sx], n)
+            pairs.append((cells.piece_kkt(*args)[0], piece_kkt_bmat(*args)))
+        for got, want in pairs:
             assert got.format == want.format and got.shape == want.shape
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -223,39 +258,46 @@ def tiled_strip(nbx=6, mx=4, ny=6, seed=0):
             np.tile(lab_b, (nbx, 1)))
 
 
+def count_calls(monkeypatch, module, name):
+    """Spy on ``module.name``; returns the list its calls append to."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 class TestRegionEngineMemo:
-    """A region whose content repeats the previous one's reuses its engine."""
+    """Block pieces are memoized by content across regions and solves."""
 
-    def build(self, coarse, K, lam, labels, memo=None):
-        ov = oversample_block(coarse, K, 1, rule="none")
+    def build(self, coarse, K, lam, labels, memo=None, rule="none"):
+        ov = oversample_block(coarse, K, 1, rule=rule)
         return ov, cells.build_region_engine(ov, ov.sample(lam),
-                                             ov.sample(labels), 2, memo=memo)
-
-    def count_splu(self, monkeypatch):
-        calls = []
-        real = cells.splu
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cells, "splu", spy)
-        return calls
+                                             ov.sample(labels), 2,
+                                             pieces=memo)
 
     def test_same_content_returns_the_same_engine(self, monkeypatch):
+        # a region whose blocks the memo holds factors no piece and holds
+        # the very pieces of the first; its solves equal a memoless one's
         coarse, lam, labels = tiled_strip()
-        calls = self.count_splu(monkeypatch)
-        memo = LastSolve()
+        calls = count_calls(monkeypatch, cells, "splu")
+        memo = cells.PieceMemo()
         _ov, first = self.build(coarse, 1, lam, labels, memo)
         ov, engine = self.build(coarse, 3, lam, labels, memo)
-        assert engine is first and memo.reused and len(calls) == 1
+        assert len(calls) == 1 and len(memo.pieces) == 1
+        assert all(p is first.pieces[0] for p in first.pieces + engine.pieces)
+        assert (memo.factored, memo.reused) == (1, 5)
         _ov, fresh = self.build(coarse, 3, lam, labels)
-        b = rng(1).standard_normal(ov.grid.n_cells)
-        g = rng(2).standard_normal(len(fresh.rows))
-        got, want = engine.solver.solve(b, g), fresh.solver.solve(b, g)
+        b = rng(1).standard_normal((ov.grid.n_cells, 2))
+        g = rng(2).standard_normal((len(fresh.rows), 2))
+        got, want = engine.solve(b, g), fresh.solve(b, g)
         assert got.u.tobytes() == want.u.tobytes()
         assert got.multipliers.tobytes() == want.multipliers.tobytes()
-        for family in ("average", "gradient", "concentration"):
+        for family in cells.FAMILIES:
             args = (ov, ov.sample(lam), ov.sample(labels), 2, family)
             a = cells.solve_constrained_elliptic(*args, engine=engine)
             w = cells.solve_constrained_elliptic(*args, engine=fresh)
@@ -265,59 +307,190 @@ class TestRegionEngineMemo:
     @pytest.mark.parametrize("change", ["lam", "label", "boundary",
                                         "offsets"])
     def test_changed_content_factors_again(self, monkeypatch, change):
+        # every region factors its own face system; a piece is factored
+        # again only for a block whose content is new: one changed lam or
+        # label cell, or the mirror image of a block (its own key); a
+        # region truncated at the domain edge reuses every piece
         coarse, lam, labels = tiled_strip()
-        first, K = 2, 3
-        if change == "boundary":  # the same content on fewer region slices
+        memo = cells.PieceMemo()
+        self.build(coarse, 2, lam, labels, memo)
+        K, rule = 3, "none"
+        if change == "boundary":
             K = 0
-        elif change == "offsets":  # the same slices, central block mirrored
-            first, K = 0, coarse.Nx - 1
+        elif change == "offsets":  # the block past the right edge mirrored
+            K, rule = coarse.Nx - 1, "reflect-right"
         else:
             cell = (K * coarse.mx + 1, 2)
             field = lam if change == "lam" else labels
             field[cell] = 3.0 if change == "lam" else 1 - field[cell]
-        calls = self.count_splu(monkeypatch)
-        memo = LastSolve()
-        self.build(coarse, first, lam, labels, memo)
-        _ov, engine = self.build(coarse, K, lam, labels, memo)
-        assert not memo.reused and len(calls) == 2
-        assert memo.result is engine
+        pieces = count_calls(monkeypatch, cells, "splu")
+        faces = count_calls(monkeypatch, cells, "cholesky_banded")
+        ov, engine = self.build(coarse, K, lam, labels, memo, rule)
+        new = 0 if change == "boundary" else 1
+        assert len(pieces) == new and len(faces) == 1
+        assert (memo.factored, memo.reused) == (1 + new, 2 + len(
+            ov.regions) - new)
+        fresh = cells.build_region_engine(ov, ov.sample(lam),
+                                          ov.sample(labels), 2)
+        b = rng(3).standard_normal((ov.grid.n_cells, 1))
+        g = rng(4).standard_normal((len(fresh.rows), 1))
+        assert engine.solve(b, g).u.tobytes() == fresh.solve(b, g).u.tobytes()
 
     def test_galerkin_velocity_equals_a_memoless_run(self, monkeypatch):
         model, lam, labels = interface_start()
         n = model.spec.count
-        V, P, (built, reused) = macro._galerkin_velocity(model, lam, labels,
-                                                         n)
-        assert reused > 0 and built + reused == flow_region(
-            model, 0).coarse.Nx
+        V, P, (factored, reused) = macro._galerkin_velocity(
+            model, lam, labels, n, cells.PieceMemo())
+        regions = flow_region(model, 0).coarse.Nx
+        assert 0 < factored < reused
+        assert factored + reused == regions * (2 * model.layers + 1)
         real = cells.build_region_engine
         monkeypatch.setattr(cells, "build_region_engine",
-                            lambda *args, memo: real(*args))
-        V0, P0, engines = macro._galerkin_velocity(model, lam, labels, n)
-        assert engines == (built + reused, 0)
+                            lambda *args, pieces: real(*args))
+        V0, P0, counts = macro._galerkin_velocity(model, lam, labels, n,
+                                                  cells.PieceMemo())
+        assert counts == (0, 0)  # no region looked into the run's memo
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
 
     def test_no_earlier_engine_alive_at_a_factorization(self, monkeypatch):
-        """One LU factor at a time: every engine a Galerkin coarse solve
-        built before is gone when it factors the next region."""
+        """Every region engine a Galerkin coarse solve built before is gone
+        when it factors a block piece or the next region's face system."""
         model, lam, labels = interface_start()
         engines, alive = [], []
-        real_build, real_splu = cells.build_region_engine, cells.splu
+        real_build = cells.build_region_engine
+        real_splu, real_chol = cells.splu, cells.cholesky_banded
 
         def build(*args, **kwargs):
             engine = real_build(*args, **kwargs)
             engines.append(weakref.ref(engine))
             return engine
 
-        def factor(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in engines))
-            return real_splu(*args, **kwargs)
+        def factor(real):
+            def spy(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in engines))
+                return real(*args, **kwargs)
+            return spy
 
         monkeypatch.setattr(cells, "build_region_engine", build)
-        monkeypatch.setattr(cells, "splu", factor)
-        _V, _P, (built, reused) = macro._galerkin_velocity(
-            model, lam, labels, model.spec.count)
-        assert len(engines) == built + reused and reused > 0
-        assert alive == [0] * built
+        monkeypatch.setattr(cells, "splu", factor(real_splu))
+        monkeypatch.setattr(cells, "cholesky_banded", factor(real_chol))
+        _V, _P, (factored, _reused) = macro._galerkin_velocity(
+            model, lam, labels, model.spec.count, cells.PieceMemo())
+        regions = flow_region(model, 0).coarse.Nx
+        assert len(engines) == regions
+        assert alive == [0] * (factored + regions)
+
+
+def interface_regions():
+    """Every Galerkin region of the interface preset at t = 0, including
+    the periodic-left and reflect-right ones."""
+    model, lam, labels = interface_start()
+    for K in range(model.coarse.Nx * model.flow_refine):
+        ov = flow_region(model, K)
+        yield ov, ov.sample(lam), ov.sample(labels), model.spec.count
+
+
+def edge_regions():
+    """A one-block region (no layers) and a region truncated at the domain
+    edge, on a random three-continuum strip at contrast 100."""
+    fine_grid = FineGrid(24, 10, 6.0, 2.5)
+    coarse = CoarseGrid(fine_grid, 6)
+    labels = classify(rng(31).random((24, 10)), ContinuumSpec(TRIPLE))
+    lam = np.where(rng(32).random((24, 10)) < 0.5, 100.0, 1.0)
+    for K, layers, rule in ((2, 0, "periodic-left,reflect-right"),
+                            (0, 2, "none")):
+        ov = oversample_block(coarse, K, layers, rule=rule)
+        yield ov, ov.sample(lam), ov.sample(labels), 3
+
+
+class TestBlockSubstructuring:
+    """The region engine against the monolithic KKT, and its checks."""
+
+    @pytest.mark.parametrize("regions", ["partitions", "interface",
+                                         "edges"])
+    def test_every_family_matches_the_monolithic_kkt(self, regions):
+        if regions == "partitions":  # criterion 2's
+            found = [random_partition_region(nx, nx, bx, seed, contrast,
+                                             thr)
+                     for nx, bx, seed, contrast, thr in CASES]
+        else:
+            found = list(interface_regions() if regions == "interface"
+                         else edge_regions())
+        if regions == "edges":
+            assert [len(ov.regions) for ov, *_ in found] == [1, 3]
+        worst = 0.0
+        for ov, lam, labels, n in found:
+            got = cells.solve_constrained_elliptic(ov, lam, labels, n,
+                                                   cells.FAMILIES)
+            for family, bset in zip(cells.FAMILIES, got):
+                want, _rows = elliptic_oracle(ov, lam, labels, n, family,
+                                              kkt="splu")
+                for i, u in want.items():
+                    gap = np.abs(bset.by_continuum(i).scalar - u).max()
+                    worst = max(worst, gap / max(np.abs(u).max(), 1.0))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("piece", range(4))
+    def test_scaled_schur_piece_rejected(self, piece):
+        # the families of a Galerkin solve, on the first interface region
+        # at t = 0 with one of its 4 cached pieces scaled by 1 + 1e-6
+        model, lam, labels = interface_start()
+        ov = flow_region(model, 0)
+        args = (ov, ov.sample(lam), ov.sample(labels), model.spec.count)
+        families = ("average", "gradient")
+        memo = cells.PieceMemo()
+        cells.solve_constrained_elliptic(*args, families,
+                                         engine=cells.build_region_engine(
+                                             *args, pieces=memo))
+        list(memo.pieces.values())[piece].band *= 1.0 + 1e-6
+        engine = cells.build_region_engine(*args, pieces=memo)
+        with pytest.raises(SolverError, match="KKT residual"):
+            cells.solve_constrained_elliptic(*args, families, engine=engine)
+
+    def test_memo_keeps_only_the_last_solves_pieces(self):
+        model, lam, labels = interface_start()
+        n = model.spec.count
+        memo = cells.PieceMemo()
+        macro._galerkin_velocity(model, lam, labels, n, memo)
+        first = set(memo.pieces)
+        # one changed lam cell changes the content of one flow block
+        lam2 = lam.copy()
+        lam2[5, 3] *= 2.0
+        _V, _P, (factored, _reused) = macro._galerkin_velocity(
+            model, lam2, labels, n, memo)
+        assert factored >= 1 and memo.used == set()
+        probe = cells.PieceMemo()
+        for K in range(model.coarse.Nx * model.flow_refine):
+            ov = flow_region(model, K)
+            cells.build_region_engine(ov, ov.sample(lam2),
+                                      ov.sample(labels), n, pieces=probe)
+        assert set(memo.pieces) == set(probe.pieces) != first
+
+    def test_repeat_solve_is_bit_identical(self):
+        model, lam, labels = interface_start()
+        n = model.spec.count
+        memo = cells.PieceMemo()
+        V, P, (factored, _reused) = macro._galerkin_velocity(
+            model, lam, labels, n, memo)
+        V2, P2, (again, _reused) = macro._galerkin_velocity(
+            model, lam, labels, n, memo)
+        assert factored > 0 and again == 0
+        assert V.tobytes() == V2.tobytes() and P.tobytes() == P2.tobytes()
+
+    def test_one_column_blocks(self):
+        # mx = 1: a block's first and last cell column coincide
+        fine_grid = FineGrid(6, 5, 3.0, 2.5)
+        coarse = CoarseGrid(fine_grid, 6)
+        labels = classify(rng(41).random((6, 5)), ContinuumSpec(DUAL))
+        lam = np.where(labels == 0, 10.0, 1.0)
+        ov = oversample_block(coarse, 2, 2, rule="none")
+        lam_l, lab_l = ov.sample(lam), ov.sample(labels)
+        got = cells.solve_constrained_elliptic(ov, lam_l, lab_l, 2,
+                                               "gradient")
+        want, _rows = elliptic_oracle(ov, lam_l, lab_l, 2, "gradient")
+        for i, u in want.items():
+            assert np.abs(got.by_continuum(i).scalar - u).max() <= 1e-12 * max(
+                np.abs(u).max(), 1.0)
 
 
 def strip_setup(nx=16, ny=4, Nx=4, seed=0, contrast=1.0, thresholds=DUAL):

@@ -79,18 +79,22 @@ def test_manifest_counts_reused_fine_flow_solves(tmp_path):
     assert manifest["fine_flow_reused"] == sum(res.fine.flow_reused) > 0
 
 
-def test_manifest_counts_reused_region_engines(tmp_path):
+def test_manifest_counts_factored_and_reused_block_pieces(tmp_path):
     cfg = dataclasses.replace(get_preset("interface"), steps=30,
                               coarse_steps=3)
     res = run_experiment(cfg, outdir=str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    regions = cfg.Nx * cfg.flow_refine
-    # every step solves the coarse flow or reuses the previous solve whole
-    assert all(sum(s.engines) in (0, regions) for s in res.mh_mhvel)
-    assert sum(s.engines[0] for s in res.mh_mhvel) > 0
-    assert manifest["region_engines_reused"] == sum(
-        s.engines[1] for s in res.mh_mhvel) > 0
-    assert all(s.engines == (0, 0) for s in res.mh_refvel)
+    lookups = cfg.Nx * cfg.flow_refine * (2 * cfg.layers + 1)
+    # every step solves the coarse flow, and looks up the pieces of every
+    # block of every region, or reuses the previous solve whole
+    assert all(sum(s.pieces) in (0, lookups) for s in res.mh_mhvel)
+    factored = sum(s.pieces[0] for s in res.mh_mhvel)
+    reused = sum(s.pieces[1] for s in res.mh_mhvel)
+    assert 0 < factored < reused
+    assert manifest["block_pieces_factored"] == factored
+    assert manifest["block_pieces_reused"] == reused
+    assert "region_engines_reused" not in manifest
+    assert all(s.pieces == (0, 0) for s in res.mh_refvel)
 
 
 def test_importing_the_cli_leaves_scipy_ndimage_unloaded():

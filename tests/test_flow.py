@@ -60,6 +60,29 @@ def dense_tpfa(grid, lam, sides, f=None):
     return np.linalg.solve(A, b).reshape(nx, ny)
 
 
+class TestStencil:
+    def test_apply_stiffness_equals_the_assembled_matrix(self):
+        grid = FineGrid(9, 7, 2.25, 1.4)
+        lam = random_mobility(9, 7, 51, 1000.0)
+        u = rng(52).standard_normal((9, 7, 3))
+        A = fine.assemble_stiffness(grid, lam)
+        Au, rowsum = fine.apply_stiffness(grid, lam, u)
+        want = A @ u.reshape(63, 3)
+        assert np.abs(Au.reshape(63, 3) - want).max() <= 1e-13 * np.abs(
+            want).max()
+        assert np.abs(rowsum.ravel() - abs(A).sum(axis=1).A1).max() <= (
+            1e-13 * rowsum.max())
+
+    def test_pressure_diagonal_is_the_half_transmissibility(self):
+        grid = FineGrid(5, 4, 2.5, 1.0)
+        lam = random_mobility(5, 4, 53, 10.0)
+        d = fine.pressure_diagonal(grid, lam, ("left", "top"))
+        want = np.zeros((5, 4))
+        want[0, :] += 2 * lam[0, :] * grid.hy / grid.hx
+        want[:, -1] += 2 * lam[:, -1] * grid.hx / grid.hy
+        assert np.allclose(d, want, rtol=1e-15, atol=0.0)
+
+
 class TestHydrostatic:
     @pytest.mark.parametrize("seed,contrast", [(0, 1.0), (1, 10.0), (2, 1000.0)])
     def test_constant_c_noflow_gives_zero_velocity(self, seed, contrast):

@@ -1,8 +1,10 @@
 """The linear-solve code paths of the package, found from its source.
 
-Every factorization or dense solve in ``src/dynmc`` is one of three paths:
-the TPFA operator (``fine.solve_flow``), the Galerkin KKT engine
-(``cells.SaddleSolver``) and the small dense coarse systems
+Every factorization or dense solve in ``src/dynmc`` is one of four paths:
+the TPFA operator (``fine.solve_flow``), the KKT of a Galerkin block piece
+(``cells.factor_piece``), the banded Cholesky of a Galerkin region's face
+system (factored in ``cells.build_region_engine``, solved in
+``cells.RegionEngine.solve``) and the small dense coarse systems
 (``macro._dense_solve``).  A new call site elsewhere is a new path.  Inside
 ``cells`` every block cell problem goes through one grouped block solve,
 inside ``macro`` each coarse model has one call path from
@@ -19,7 +21,8 @@ SRC = Path(dynmc.__file__).parent
 
 # entry points of scipy/numpy that factor or solve a linear system
 SOLVERS = {"splu", "spilu", "spsolve", "factorized", "lu_factor",
-           "cho_factor", "lstsq", "inv", "solve"}
+           "cho_factor", "cholesky_banded", "cho_solve_banded", "lstsq",
+           "inv", "solve"}
 
 
 def _callee(node: ast.Call) -> str | None:
@@ -75,20 +78,25 @@ def callers(tree: ast.AST, name: str) -> list[str]:
             == name]
 
 
-def test_three_solve_paths():
+def test_four_solve_paths():
     assert solve_call_sites() == {
         ("fine", "solve_flow"): {"splu"},
-        ("cells", "SaddleSolver.__init__"): {"splu"},
+        ("cells", "factor_piece"): {"splu"},
+        ("cells", "build_region_engine"): {"cholesky_banded"},
+        ("cells", "RegionEngine.solve"): {"cho_solve_banded"},
         ("macro", "_dense_solve"): {"np.linalg.solve"},
     }
 
 
 def test_finder_sees_the_call_forms_it_counts():
     tree = ast.parse("lu = splu(A)\nx = np.linalg.solve(K, b)\n"
-                     "y = lu.solve(b)\nz = scipy.sparse.linalg.spsolve(A, b)\n")
+                     "y = lu.solve(b)\nz = scipy.sparse.linalg.spsolve(A, b)\n"
+                     "c = cholesky_banded(ab, lower=True)\n"
+                     "w = cho_solve_banded((c, True), b)\n")
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
     assert [_callee(c) for c in calls] == [
-        "splu", "np.linalg.solve", None, "scipy.sparse.linalg.spsolve"]
+        "splu", "np.linalg.solve", None, "scipy.sparse.linalg.spsolve",
+        "cholesky_banded", "cho_solve_banded"]
 
 
 def test_cells_solves_block_loads_in_one_place():
@@ -99,10 +107,12 @@ def test_cells_solves_block_loads_in_one_place():
 
 
 def test_region_engines_live_in_one_region_helper():
-    # _region_ops returns no engine, so none outlives its region
+    # _region_ops returns no engine, so none outlives its region; only the
+    # block pieces do, in the memo run_coarse owns
     tree = parse("macro")
     assert callers(tree, "build_region_engine") == ["_region_ops"]
     assert callers(tree, "_region_ops") == ["_galerkin_velocity"]
+    assert callers(tree, "PieceMemo") == ["run_coarse"]
 
 
 def test_macro_has_one_call_path_per_coarse_model():
