@@ -3,16 +3,21 @@
 Every Galerkin family reduces to one engine per oversampled region: the
 TPFA stiffness of :mod:`dynmc.fine` on the region plus linear moment
 constraints, a symmetric indefinite saddle system solved by block
-substructuring.  Each x-face between two blocks of the region gets one
+substructuring.  The constraints are one per (block, continuum) present,
+and every fine cell lies in exactly one of them, the row of its block and
+its label; so one integer row index per cell (:func:`moment_rows`, per
+block) defines the moment matrix C: one entry, the cell area, in each
+column.  Each x-face between two blocks of the region gets one
 face-pressure unknown per fine row, joined to each side by its one-sided
 half transmissibility 2 lam hy / hx; in series the two halves give back
 the harmonic TPFA value, so the operator is unchanged up to roundoff.  A
-block's piece then depends on its own cells only: the sparse factor of its
-interior (its cells and its own moment rows, with the recipe of
-:mod:`dynmc.fine`) and its Schur complement on its two face columns.
-Pieces are keyed by content, so a caller-owned :class:`PieceMemo` serves a
-block to every region and coarse solve that holds it.  A region adds its
-pieces into one banded SPD face system, factors it with a banded
+block's piece then depends on its own cells only: its row index, the
+sparse factor of its interior (its cells and its own moment rows, with the
+recipe of :mod:`dynmc.fine`) and its Schur complement on its two face
+columns.  Pieces are keyed by content, so a caller-owned
+:class:`PieceMemo` serves a block to every region and coarse solve that
+holds it.  A region concatenates its pieces' row indices into its own,
+adds its pieces into one banded SPD face system, factors it with a banded
 Cholesky, and solves every family right-hand side at once, back through
 the block interiors.  Families differ only in constraint targets, source
 terms and boundary data; the gradient family is driven along x, the only
@@ -70,48 +75,17 @@ class SaddleSolution:
 # --- constraint construction ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    """One moment constraint: region l, continuum j (with its mass)."""
+def moment_rows(labels_b: np.ndarray, n: int):
+    """The moment rows of one block: each cell's row, flattened (nx, ny),
+    and each row's continuum, one row per continuum present, ascending.
 
-    region: int
-    continuum: int
-    mass: float
-
-
-def region_moment_matrix(ov: Oversample, labels_local: np.ndarray, n: int):
-    """Rows integrate u * psi_j over each region; drops empty pairs.
-
-    Returns (C sparse, rows: list[MomentRow]).  The same matrix serves the
-    average and gradient families (their targets differ, not the rows).
-    Each row holds ``cell_area`` at its cells; its mass is summed over the
-    whole local grid, zeros included, which fixes the summation order.
-    """
-    grid = ov.grid
-    area = grid.cell_area
-    idx = np.arange(grid.n_cells).reshape(grid.nx, grid.ny)
-    w = grid.zeros()  # the dense row of the pair being summed
-    cols = []
-    rows: list[MomentRow] = []
-    for li, reg in enumerate(ov.regions):
-        blk = labels_local[reg.sx]
-        for j in range(n):
-            sel = blk == j
-            w[reg.sx] = sel * area
-            mass = w.sum()
-            if mass <= 0:
-                continue
-            cols.append(idx[reg.sx][sel])
-            rows.append(MomentRow(region=li, continuum=j, mass=mass))
-        w[reg.sx] = 0.0
-    if not rows:
-        raise SolverError("no continuum present anywhere in the region")
-    counts = [c.size for c in cols]
-    C = sparse.csr_matrix(
-        (np.full(sum(counts), area),
-         (np.repeat(np.arange(len(rows)), counts), np.concatenate(cols))),
-        shape=(len(rows), grid.n_cells))
-    return C, rows
+    Labels outside [0, n) are rejected: such a cell would belong to no
+    continuum's row."""
+    if not 0 <= labels_b.min() <= labels_b.max() < n:
+        raise ConfigError(f"labels span [{labels_b.min()}, "
+                          f"{labels_b.max()}], outside [0, {n})")
+    continua, row = np.unique(labels_b.ravel(), return_inverse=True)
+    return row, continua
 
 
 def gradient_centers(ov: Oversample, labels_local: np.ndarray,
@@ -127,26 +101,6 @@ def gradient_centers(ov: Oversample, labels_local: np.ndarray,
         sel = blk_lab == j
         out[j] = blk_x[sel].mean() if sel.any() else blk_x.mean()
     return out
-
-
-def moment_targets(ov: Oversample, labels_local: np.ndarray,
-                   rows: list[MomentRow], basis_continuum: int,
-                   kind: str, centers: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """Targets delta_ij * m_jl (average) or delta_ij * int (x - x~) psi (gradient)."""
-    g = np.zeros(len(rows))
-    area = ov.grid.cell_area
-    for r, row in enumerate(rows):
-        if row.continuum != basis_continuum:
-            continue
-        if kind == "average":
-            g[r] = row.mass
-        else:
-            reg = ov.regions[row.region]
-            blk = labels_local[reg.sx] == row.continuum
-            x = ov.x_centers[reg.sx]
-            g[r] = ((x - centers[row.continuum]) * blk).sum() * area
-    return g
 
 
 # --- basis containers --------------------------------------------------
@@ -180,46 +134,44 @@ class CellBasisSet:
 
 def piece_kkt(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
               n: int):
-    """Interior KKT matrix [[A_b + D_b, C_b^T], [C_b, 0]] of one block and
-    the half transmissibilities of its (left, right) face rows, (2, ny).
+    """Interior KKT matrix [[A_b + D_b, C_b^T], [C_b, 0]] of one block, the
+    half transmissibilities of its (left, right) face rows, (2, ny), and
+    its :func:`moment_rows` (row, continua).
 
     A_b is the block's pure-Neumann TPFA stiffness, D_b joins its first and
-    last cell columns to the face unknowns, and C_b holds its moment rows,
-    one per continuum present, ascending.  K is assembled from the COO
-    triplets of A_b + D_b, C_b^T and C_b; converting them to CSC sorts
-    them into the same arrays ``sparse.bmat`` gives.
+    last cell columns to the face unknowns, and C_b holds ``cell_area`` at
+    (row of cell, cell).  K is assembled from the COO triplets of A_b +
+    D_b, C_b^T and C_b; converting them to CSC sorts them into the same
+    arrays ``sparse.bmat`` gives.
     """
     t = 2.0 * lam_b[[0, -1]] * grid_b.hy / grid_b.hx
     A = (assemble_stiffness(grid_b, lam_b) + sparse.diags(
         pressure_diagonal(grid_b, lam_b, ("left", "right")).ravel())).tocoo()
-    members = [np.flatnonzero(labels_b == j) for j in range(n)]
-    members = [c for c in members if c.size]
-    m = len(members)
-    rows = np.repeat(np.arange(m), [c.size for c in members])
-    cols = np.concatenate(members)
-    vals = np.full(cols.size, grid_b.cell_area)
-    nc = grid_b.n_cells
+    row, continua = moment_rows(labels_b, n)
+    nc, m = grid_b.n_cells, continua.size
+    cells, vals = np.arange(nc), np.full(nc, grid_b.cell_area)
     K = sparse.coo_matrix(
         (np.concatenate([A.data, vals, vals]),
-         (np.concatenate([A.row, cols, rows + nc]),
-          np.concatenate([A.col, rows + nc, cols]))),
+         (np.concatenate([A.row, cells, row + nc]),
+          np.concatenate([A.col, row + nc, cells]))),
         shape=(nc + m, nc + m)).tocsc()
-    return K, t
+    return K, t, row, continua
 
 
 @dataclass
 class BlockPiece:
     """One block of a region between its two face columns.
 
-    ``lu`` factors the block's interior KKT (:func:`piece_kkt`), ``m``
-    counts its moment rows, ``t`` holds the half transmissibilities of its
-    (left, right) face rows, and ``band`` its (2 ny, 2 ny) Schur piece on
-    those face columns, left then right, in lower banded storage
-    (``band[d, q]`` is entry (q + d, q)).
+    ``lu`` factors the block's interior KKT (:func:`piece_kkt`), ``row``
+    and ``continua`` are its :func:`moment_rows`, ``t`` holds the half
+    transmissibilities of its (left, right) face rows, and ``band`` its
+    (2 ny, 2 ny) Schur piece on those face columns, left then right, in
+    lower banded storage (``band[d, q]`` is entry (q + d, q)).
     """
 
     lu: SuperLU
-    m: int
+    row: np.ndarray
+    continua: np.ndarray
     t: np.ndarray
     band: np.ndarray
 
@@ -234,7 +186,7 @@ def factor_piece(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
                  n: int) -> BlockPiece:
     """Factor one block's interior and condense it onto its face columns:
     S_b = diag(t) - E^T K_b^-1 E, with E holding t at each face's cell."""
-    K, t = piece_kkt(grid_b, lam_b, labels_b, n)
+    K, t, row, continua = piece_kkt(grid_b, lam_b, labels_b, n)
     try:
         lu = splu(K, **SPLU_OPTIONS)
     except RuntimeError as exc:
@@ -253,7 +205,7 @@ def factor_piece(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
         S[cols, k] += tt[cols]
         for j, c in enumerate(cols):
             band[:w - c, c] = S[c:, j]
-    return BlockPiece(lu=lu, m=K.shape[0] - grid_b.n_cells, t=t, band=band)
+    return BlockPiece(lu=lu, row=row, continua=continua, t=t, band=band)
 
 
 @dataclass
@@ -303,15 +255,20 @@ class RegionEngine:
 
     ``chol`` is the banded Cholesky factor of the face Schur complement;
     ``grid``, ``lam`` and the moment matrix ``C`` give the region's full
-    KKT system, against which every solve is checked.
+    KKT system, against which every solve is checked.  The moment rows
+    are the pieces' rows in block order: block k holds rows
+    ``starts[k]:starts[k + 1]``, and ``continua`` and ``mass`` give each
+    row's continuum and mass.
     """
 
-    rows: list[MomentRow]
     pieces: list[BlockPiece]
     chol: np.ndarray
     grid: FineGrid
     lam: np.ndarray
     C: sparse.csr_matrix
+    continua: np.ndarray
+    mass: np.ndarray
+    starts: np.ndarray
 
     def solve(self, B: np.ndarray, G: np.ndarray) -> SaddleSolution:
         """Solve A u + C^T mu = b, C u = g for each column of B (cells)
@@ -320,26 +277,23 @@ class RegionEngine:
         ny = self.grid.ny
         nc = B.shape[0] // len(self.pieces)  # cells per block
         last = nc - ny  # first cell of a block's last column
+        s = self.starts
         locs, r = [], np.zeros((self.chol.shape[1], B.shape[1]))
-        m0 = 0
         for k, pc in enumerate(self.pieces):
-            loc = np.vstack([B[k * nc:(k + 1) * nc], G[m0:m0 + pc.m]])
+            loc = np.vstack([B[k * nc:(k + 1) * nc], G[s[k]:s[k + 1]]])
             y = pc.lu.solve(loc)
             r[k * ny:(k + 1) * ny] += pc.t[0][:, None] * y[:ny]
             r[(k + 1) * ny:(k + 2) * ny] += pc.t[1][:, None] * y[last:nc]
             locs.append(loc)
-            m0 += pc.m
         f = cho_solve_banded((self.chol, True), r, overwrite_b=True,
                              check_finite=False)
         U, MU = np.empty(B.shape, order="F"), np.empty_like(G)
-        m0 = 0
         for k, (pc, loc) in enumerate(zip(self.pieces, locs)):
             loc[:ny] += pc.t[0][:, None] * f[k * ny:(k + 1) * ny]
             loc[last:nc] += pc.t[1][:, None] * f[(k + 1) * ny:(k + 2) * ny]
             x = pc.lu.solve(loc)
             U[k * nc:(k + 1) * nc] = x[:nc]
-            MU[m0:m0 + pc.m] = x[nc:]
-            m0 += pc.m
+            MU[s[k]:s[k + 1]] = x[nc:]
         return SaddleSolution(u=U, multipliers=MU,
                               residuals=self.check(B, G, U, MU))
 
@@ -360,21 +314,18 @@ class RegionEngine:
         if bad.any():
             raise SolverError(f"constraint residual "
                               f"{np.abs(res).max():.3e} too large")
-        # per block: the largest residual, row norm and load of its rows;
-        # the entries of C are positive cell areas
-        starts = np.cumsum([0] + [pc.m for pc in self.pieces[:-1]])
-
+        # per block: the largest residual, row norm and load of its rows
         def per_block(cell_part, row_part):
             return np.maximum(
                 cell_part.reshape(nb, -1, *cell_part.shape[1:]).max(axis=1),
-                np.maximum.reduceat(row_part, starts, axis=0))
+                np.maximum.reduceat(row_part, self.starts[:-1], axis=0))
 
         R = AU.reshape(U.shape)  # the cell rows, in place
         R += C.T @ MU
         R -= B
         gap = per_block(np.abs(R, out=R), np.abs(res))
-        norm = per_block(rowsum.ravel() + C.T @ np.ones(C.shape[0]),
-                         C @ np.ones(C.shape[1]))
+        # C holds one cell area per column: |C^T| 1 = area, |C| 1 = mass
+        norm = per_block(rowsum.ravel() + grid.cell_area, self.mass)
         load = per_block(np.abs(B, out=R), np.abs(G))
         xmax = np.maximum(np.abs(U).max(axis=0), np.abs(MU).max(axis=0))
         den = norm[:, None] * xmax + load
@@ -395,9 +346,11 @@ def build_region_engine(ov: Oversample, lam_local: np.ndarray,
 
     Pieces come from ``pieces`` when it holds their content and are
     factored into it otherwise; without a memo the region factors each
-    distinct block content once.  The face system has (blocks + 1) ny
-    unknowns and bandwidth 2 ny - 1; its outer face columns join one block
-    each, which is the zero-flux edge of the region.
+    distinct block content once.  The region's row index is the pieces'
+    rows, each offset by the rows of the blocks before it.  The face
+    system has (blocks + 1) ny unknowns and bandwidth 2 ny - 1; its outer
+    face columns join one block each, which is the zero-flux edge of the
+    region.
     """
     grid = ov.grid
     memo = PieceMemo() if pieces is None else pieces
@@ -413,35 +366,40 @@ def build_region_engine(ov: Oversample, lam_local: np.ndarray,
                                check_finite=False)
     except LinAlgError as exc:
         raise SolverError(f"region face system not SPD: {exc}") from exc
-    C, rows = region_moment_matrix(ov, labels_local, n)
-    return RegionEngine(rows=rows, pieces=blocks, chol=chol, grid=grid,
-                        lam=lam_local, C=C)
+    starts = np.cumsum([0] + [pc.continua.size for pc in blocks])
+    row = np.concatenate([pc.row + s for pc, s in zip(blocks, starts)])
+    C = sparse.csr_matrix((np.full(row.size, grid.cell_area),
+                           (row, np.arange(row.size))),
+                          shape=(starts[-1], row.size))
+    return RegionEngine(
+        pieces=blocks, chol=chol, grid=grid, lam=lam_local, C=C,
+        continua=np.concatenate([pc.continua for pc in blocks]),
+        mass=np.bincount(row) * grid.cell_area, starts=starts)
 
 
 FAMILIES = ("average", "gradient", "concentration")
 
 
 def _family_load(ov: Oversample, lam_local: np.ndarray,
-                 labels_local: np.ndarray, rows: list[MomentRow],
+                 labels_local: np.ndarray, engine: RegionEngine,
                  family: str, i: int, centers: np.ndarray | None):
-    """Cell load b and moment targets g of continuum i's basis."""
+    """Cell load b and moment targets g of continuum i's basis: delta_ij
+    m_j (average), delta_ij int (x - x~_i) psi_i (gradient) or zero."""
     grid = ov.grid
+    psi = indicator(labels_local, i)
     if family == "average":
         return (np.zeros(grid.n_cells),
-                moment_targets(ov, labels_local, rows, i, "average"))
+                np.where(engine.continua == i, engine.mass, 0.0))
     if family == "gradient":
         # drive only this continuum's boundary cells: a sliver of a
         # high-mobility neighbour continuum on the region rim must not
         # inject its (contrast-sized) natural flux into this basis
-        lam_i = lam_local * indicator(labels_local, i)
-        return (gradient_boundary_source(grid, lam_i).ravel(),
-                moment_targets(ov, labels_local, rows, i, "gradient",
-                               centers))
-    psi = indicator(labels_local, i)
+        return (gradient_boundary_source(grid, lam_local * psi).ravel(),
+                engine.C @ ((ov.x_centers - centers[i]) * psi).ravel())
     mass = psi[ov.central.sx].sum() * grid.cell_area
     s = psi / mass if mass > 0 else psi
     return (gravity_volume_source(grid, lam_local, s).ravel(),
-            np.zeros(len(rows)))
+            np.zeros(engine.continua.size))
 
 
 def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
@@ -464,11 +422,10 @@ def solve_constrained_elliptic(ov: Oversample, lam_local: np.ndarray,
     grid = ov.grid
     if engine is None:
         engine = build_region_engine(ov, lam_local, labels_local, n)
-    rows = engine.rows
-    present = sorted({r.continuum for r in rows})
+    present = np.unique(engine.continua)
     centers = (gradient_centers(ov, labels_local, n)
                if "gradient" in names else None)
-    loads = [_family_load(ov, lam_local, labels_local, rows, name, i,
+    loads = [_family_load(ov, lam_local, labels_local, engine, name, i,
                           centers) for name in names for i in present]
     sol = engine.solve(np.column_stack([b for b, _g in loads]),
                        np.column_stack([g for _b, g in loads]))

@@ -3,9 +3,11 @@
 Cell-centered two-point flux Darcy flow with gravity, donor-cell upwind
 transport, and an optional particle advection scheme with clamped mean
 deposition.  All face arrays follow the staggered layout of
-:mod:`dynmc.grids`.  The TPFA operator (stiffness, gravity source,
-pure-Neumann gauge and factorization) lives here only; the cell problems
-reuse it.
+:mod:`dynmc.grids`.  The TPFA operator (stiffness, gravity source and
+pure-Neumann gauge) and the one SuperLU recipe live here only.  The fine
+flow and the block loads of the mixed cell problems are factored here;
+the Galerkin block pieces of :mod:`dynmc.cells` factor their KKT systems
+from the same stiffness with the same recipe.
 """
 
 from __future__ import annotations
@@ -229,7 +231,9 @@ def _pressure_sides(loads) -> set[tuple]:
 
 def content_digest(meta, *arrays) -> bytes:
     """blake2b digest of ``repr(meta)`` and of each array's dtype, shape and
-    bytes: the key of every one-entry reuse memo."""
+    bytes: the key of every reuse memo, the one-entry ones of the fine flow
+    and the coarse solves and the many-entry Galerkin ``PieceMemo``, and of
+    the block-matrix groups of the mixed cell problems."""
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(meta).encode())
     for a in arrays:

@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -108,23 +109,50 @@ def piece_kkt_bmat(grid_b, lam_b, labels_b, n):
     return sparse.bmat([[A, C.T], [C, None]], format="csc")
 
 
+class KKTRow(NamedTuple):
+    """One moment row of :func:`kkt_bmat`: block ``region`` of the
+    oversampled region, ``continuum`` and its mass (count * cell area)."""
+
+    region: int
+    continuum: int
+    mass: float
+
+
 def kkt_bmat(ov, lam_local, labels_local, n):
     """The region KKT matrix [[A, C^T], [C, 0]] through ``sparse.bmat``,
-    with C stacked from dense moment rows; also returns C and the
-    (region, continuum, mass) of its rows."""
+    with C stacked from dense moment rows, one per (block, continuum)
+    present; also returns C and its rows as :class:`KKTRow`."""
     A = cells.assemble_stiffness(ov.grid, lam_local)
     area = ov.grid.cell_area
     dense, rows = [], []
     for li, reg in enumerate(ov.regions):
         blk = labels_local[reg.sx]
         for j in range(n):
-            w = np.zeros((ov.grid.nx, ov.grid.ny))
-            w[reg.sx] = (blk == j) * area
-            if w.sum() > 0:
+            count = np.count_nonzero(blk == j)
+            if count:
+                w = np.zeros((ov.grid.nx, ov.grid.ny))
+                w[reg.sx] = (blk == j) * area
                 dense.append(w.ravel())
-                rows.append((li, j, w.sum()))
+                rows.append(KKTRow(li, j, count * area))
     C = sparse.csr_matrix(np.vstack(dense))
     return sparse.bmat([[A, C.T], [C, None]], format="csc"), C, rows
+
+
+def oracle_targets(ov, labels_local, rows, i, family, centers=None):
+    """Moment targets of continuum i's basis on ``rows``: delta_ij m_jl
+    (average) or delta_ij int (x - x~_j) psi_j over block l (gradient)."""
+    g = np.zeros(len(rows))
+    for r, row in enumerate(rows):
+        if row.continuum != i:
+            continue
+        if family == "average":
+            g[r] = row.mass
+        else:
+            reg = ov.regions[row.region]
+            sel = labels_local[reg.sx] == i
+            x = ov.x_centers[reg.sx]
+            g[r] = ((x - centers[i]) * sel).sum() * ov.grid.cell_area
+    return g
 
 
 def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
@@ -132,11 +160,11 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
     region KKT: a dense solve (``kkt="dense"``), or ``kkt_bmat`` factored
     with the splu recipe and one step of iterative refinement
     (``kkt="splu"``; unrefined, that solve is up to 5e-12 relative from its
-    refined one on the desk interface regions)."""
+    refined one on the desk interface regions).  The moment rows and
+    targets come from ``kkt_bmat``, none from the engine's row index."""
     A = cells.assemble_stiffness(ov.grid, lam_local)
-    C, rows = cells.region_moment_matrix(ov, labels_local, n)
+    K, C, rows = kkt_bmat(ov, lam_local, labels_local, n)
     if kkt == "splu":
-        K = kkt_bmat(ov, lam_local, labels_local, n)[0]
         lu = splu(K, **SPLU_OPTIONS)
     centers = None
     if family == "gradient":
@@ -146,12 +174,12 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
     for i in present:
         if family == "average":
             b = np.zeros(ov.grid.n_cells)
-            g = cells.moment_targets(ov, labels_local, rows, i, "average")
+            g = oracle_targets(ov, labels_local, rows, i, "average")
         elif family == "gradient":
             lam_i = lam_local * (labels_local == i)
             b = cells.gradient_boundary_source(ov.grid, lam_i).ravel()
-            g = cells.moment_targets(ov, labels_local, rows, i, "gradient",
-                                     centers)
+            g = oracle_targets(ov, labels_local, rows, i, "gradient",
+                               centers)
         else:
             psi = (labels_local == i).astype(float)
             mass = psi[ov.central.sx].sum() * ov.grid.cell_area
@@ -170,23 +198,15 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
 
 def moment_residuals(ov, labels_local, rows, basis_continuum, field,
                      family, centers=None):
-    """Achieved region moments minus their targets, one value per row."""
-    area = ov.grid.cell_area
-    coord = ov.grid.cell_centers()[0]
-    res = []
-    for row in rows:
-        reg = ov.regions[row.region]
-        sel = labels_local[reg.sx] == row.continuum
-        got = (field[reg.sx] * sel).sum() * area
-        if row.continuum != basis_continuum:
-            target = 0.0
-        elif family == "average":
-            target = row.mass
-        else:
-            x = coord[reg.sx]
-            target = ((x - centers[row.continuum]) * sel).sum() * area
-        res.append(got - target)
-    return np.array(res)
+    """Achieved region moments minus their :func:`oracle_targets`, one
+    value per row."""
+    got = np.zeros(len(rows))
+    for r, row in enumerate(rows):
+        sx = ov.regions[row.region].sx
+        sel = labels_local[sx] == row.continuum
+        got[r] = (field[sx] * sel).sum() * ov.grid.cell_area
+    return got - oracle_targets(ov, labels_local, rows, basis_continuum,
+                                family, centers)
 
 
 def coarse_cfl_loops(coarse, V, masses, tau):

@@ -100,6 +100,19 @@ class TestGalerkinFamilies:
         out = cells.solve_constrained_elliptic(ov, lam, labels, 2, "average")
         assert out.by_continuum(1).flag == "absent"
 
+    @pytest.mark.parametrize("bad", ["n", -1])
+    def test_label_outside_the_continua_rejected(self, monkeypatch, bad):
+        # a label n or -1 would belong to no continuum's moment row; the
+        # block that holds it raises before its piece is factored, here
+        # the region's first block, so before any factorization
+        ov, lam, labels, n = random_partition_region(8, 8, 2, 0, 10.0, DUAL)
+        labels = labels.copy()
+        labels[1, 3] = n if bad == "n" else bad
+        factored = count_calls(monkeypatch, cells, "splu")
+        with pytest.raises(ConfigError, match="outside"):
+            cells.solve_constrained_elliptic(ov, lam, labels, n, "average")
+        assert factored == []
+
 
 def block_grid(ov):
     """The grid of one block of the region, as the engine builds it."""
@@ -114,7 +127,7 @@ class TestSaddleSolver:
     def test_matches_dense_oracle_directly(self):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
-        C, rows = cells.region_moment_matrix(ov, labels, n)
+        _K, C, rows = kkt_bmat(ov, lam, labels, n)
         solver = SaddleSolver(A, C)
         b = rng(10).standard_normal(ov.grid.n_cells)
         g = rng(11).standard_normal(len(rows))
@@ -130,7 +143,7 @@ class TestSaddleSolver:
         ov, lam, labels, n = random_partition_region(12, 12, 3, 4, 1000.0,
                                                      TRIPLE)
         A = cells.assemble_stiffness(ov.grid, lam)
-        C, rows = cells.region_moment_matrix(ov, labels, n)
+        _K, C, rows = kkt_bmat(ov, lam, labels, n)
         solver = SaddleSolver(A, C)
         assert isinstance(solver._lu, SuperLU)
         for seed in (20, 21, 22):
@@ -147,7 +160,7 @@ class TestSaddleSolver:
     def test_large_kkt_residual_rejected(self, monkeypatch, shift_primal):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
         A = cells.assemble_stiffness(ov.grid, lam)
-        C, rows = cells.region_moment_matrix(ov, labels, n)
+        _K, C, rows = kkt_bmat(ov, lam, labels, n)
         engine = cells.build_region_engine(ov, lam, labels, n)
         solver = SaddleSolver(A, C)
         b = rng(10).standard_normal(ov.grid.n_cells)
@@ -221,21 +234,30 @@ class TestSaddleSolver:
         with pytest.raises(SolverError):
             SaddleSolver(A, A[:0, :])
 
-    @pytest.mark.parametrize("case", CASES + ["interface"])
+    @pytest.mark.parametrize("case", CASES + ["interface", "one-block",
+                                              "truncated"])
     def test_kkt_and_moments_equal_the_bmat_oracle_bit_for_bit(self, case):
         if case == "interface":
             model, lam, labels = interface_start()
             ov, n = flow_region(model, 3), model.spec.count
             lam, labels = ov.sample(lam), ov.sample(labels)
+        elif case in ("one-block", "truncated"):
+            ov, lam, labels, n = dict(zip(("one-block", "truncated"),
+                                          edge_regions()))[case]
         else:
             nx, bx, seed, contrast, thr = case
             ov, lam, labels, n = random_partition_region(nx, nx, bx, seed,
                                                          contrast, thr)
         K_want, C_want, rows_want = kkt_bmat(ov, lam, labels, n)
-        C, rows = cells.region_moment_matrix(ov, labels, n)
-        K = SaddleSolver(cells.assemble_stiffness(ov.grid, lam), C)._K
-        assert [(r.region, r.continuum, r.mass) for r in rows] == rows_want
-        pairs = [(C, C_want), (K, K_want)]
+        engine = cells.build_region_engine(ov, lam, labels, n)
+        K = SaddleSolver(cells.assemble_stiffness(ov.grid, lam), engine.C)._K
+        # each row's block, continuum and mass, in the oracle's row order
+        blocks = np.repeat(np.arange(len(ov.regions)), np.diff(engine.starts))
+        assert blocks.tolist() == [r.region for r in rows_want]
+        assert engine.continua.tolist() == [r.continuum for r in rows_want]
+        mass_want = np.array([r.mass for r in rows_want])
+        assert engine.mass.tobytes() == mass_want.tobytes()
+        pairs = [(engine.C, C_want), (K, K_want)]
         grid_b = block_grid(ov)
         for reg in ov.regions:
             args = (grid_b, lam[reg.sx], labels[reg.sx], n)
@@ -293,7 +315,7 @@ class TestRegionEngineMemo:
         assert (memo.factored, memo.reused) == (1, 5)
         _ov, fresh = self.build(coarse, 3, lam, labels)
         b = rng(1).standard_normal((ov.grid.n_cells, 2))
-        g = rng(2).standard_normal((len(fresh.rows), 2))
+        g = rng(2).standard_normal((fresh.continua.size, 2))
         got, want = engine.solve(b, g), fresh.solve(b, g)
         assert got.u.tobytes() == want.u.tobytes()
         assert got.multipliers.tobytes() == want.multipliers.tobytes()
@@ -333,7 +355,7 @@ class TestRegionEngineMemo:
         fresh = cells.build_region_engine(ov, ov.sample(lam),
                                           ov.sample(labels), 2)
         b = rng(3).standard_normal((ov.grid.n_cells, 1))
-        g = rng(4).standard_normal((len(fresh.rows), 1))
+        g = rng(4).standard_normal((fresh.continua.size, 1))
         assert engine.solve(b, g).u.tobytes() == fresh.solve(b, g).u.tobytes()
 
     def test_galerkin_velocity_equals_a_memoless_run(self, monkeypatch):

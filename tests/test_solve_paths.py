@@ -6,7 +6,9 @@ the TPFA operator (``fine.solve_flow``), the KKT of a Galerkin block piece
 system (factored in ``cells.build_region_engine``, solved in
 ``cells.RegionEngine.solve``) and the small dense coarse systems
 (``macro._dense_solve``).  A new call site elsewhere is a new path.  Inside
-``cells`` every block cell problem goes through one grouped block solve,
+``cells`` every block cell problem goes through one grouped block solve
+and the moment rows of a Galerkin region are laid out in one place, the
+block piece's KKT (``cells.piece_kkt`` calling ``cells.moment_rows``);
 inside ``macro`` each coarse model has one call path from
 ``run_coarse``, and only the per-region helper of the Galerkin solve builds
 region engines.
@@ -104,6 +106,15 @@ def test_cells_solves_block_loads_in_one_place():
     assert set(callers(tree, "solve_flow")) == {"solve_block_loads"}
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, (ast.Yield, ast.YieldFrom))]
+
+
+def test_moment_rows_are_laid_out_in_one_place():
+    # the region's row index is its pieces' rows, so the engine, its
+    # targets and its checks read the layout of piece_kkt
+    assert callers(parse("cells"), "moment_rows") == ["piece_kkt"]
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "cells":
+            assert callers(parse(path.stem), "moment_rows") == []
 
 
 def test_region_engines_live_in_one_region_helper():
