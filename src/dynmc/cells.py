@@ -208,6 +208,42 @@ def factor_piece(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
     return BlockPiece(lu=lu, row=row, continua=continua, t=t, band=band)
 
 
+def piece_key(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
+              n: int) -> bytes:
+    """Content key of a block piece: (ny, mx, hx, hy, n), lam_b, labels_b."""
+    return content_digest((grid_b.ny, grid_b.nx, grid_b.hx, grid_b.hy, n),
+                          lam_b, labels_b)
+
+
+def _piece_grid(ov: Oversample) -> FineGrid:
+    """The local grid of each block of region ``ov``."""
+    mx, grid = ov.coarse.mx, ov.grid
+    return FineGrid(mx, grid.ny, mx * grid.hx, grid.L2)
+
+
+def region_keys(ov: Oversample, lam_local: np.ndarray,
+                labels_local: np.ndarray, n: int, seen: dict) -> list:
+    """The :func:`piece_key` of each block of region ``ov``, digesting
+    each source block once per ``seen``.
+
+    A region block samples one run of source columns (``ov.src_ix``): a
+    block of the domain, its periodic copy, or its mirror image, read
+    backwards.  ``seen`` maps each run met so far, as its (first, last)
+    column, to its key, so it holds only for the lam and labels it was
+    filled from: a caller makes one per coarse solve and drops it after.
+    """
+    grid_b = _piece_grid(ov)
+    out = []
+    for reg in ov.regions:
+        src = ov.src_ix[reg.sx]
+        run = (int(src[0]), int(src[-1]))
+        if run not in seen:
+            seen[run] = piece_key(grid_b, lam_local[reg.sx],
+                                  labels_local[reg.sx], n)
+        out.append(seen[run])
+    return out
+
+
 @dataclass
 class PieceMemo:
     """Caller-owned memo of factored block pieces, keyed by content.
@@ -225,9 +261,12 @@ class PieceMemo:
     reused: int = 0
 
     def piece(self, grid_b: FineGrid, lam_b: np.ndarray,
-              labels_b: np.ndarray, n: int) -> BlockPiece:
-        key = content_digest((grid_b.ny, grid_b.nx, grid_b.hx, grid_b.hy, n),
-                             lam_b, labels_b)
+              labels_b: np.ndarray, n: int,
+              key: bytes | None = None) -> BlockPiece:
+        """The piece of this content, factored on a miss; ``key``, when
+        given, must be its :func:`piece_key`."""
+        if key is None:
+            key = piece_key(grid_b, lam_b, labels_b, n)
         self.used.add(key)
         found = self.pieces.get(key)
         if found is None:
@@ -339,25 +378,29 @@ class RegionEngine:
 
 
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,
-                        labels_local: np.ndarray, n: int, *,
+                        labels_local: np.ndarray, n: int,
+                        keys: list | None = None, *,
                         pieces: PieceMemo | None = None) -> RegionEngine:
     """Gather the block pieces of one oversampled region and factor its
     face system.
 
     Pieces come from ``pieces`` when it holds their content and are
     factored into it otherwise; without a memo the region factors each
-    distinct block content once.  The region's row index is the pieces'
-    rows, each offset by the rows of the blocks before it.  The face
+    distinct block content once.  ``keys``, when given, holds each block's
+    :func:`piece_key` (:func:`region_keys`); otherwise each block's content
+    is digested here.  The region's row index is the pieces' rows, each
+    offset by the rows of the blocks before it.  The face
     system has (blocks + 1) ny unknowns and bandwidth 2 ny - 1; its outer
     face columns join one block each, which is the zero-flux edge of the
     region.
     """
     grid = ov.grid
     memo = PieceMemo() if pieces is None else pieces
-    mx, ny = ov.coarse.mx, grid.ny
-    grid_b = FineGrid(mx, ny, mx * grid.hx, grid.L2)
-    blocks = [memo.piece(grid_b, lam_local[reg.sx], labels_local[reg.sx], n)
-              for reg in ov.regions]
+    ny = grid.ny
+    grid_b = _piece_grid(ov)
+    keys = [None] * len(ov.regions) if keys is None else keys
+    blocks = [memo.piece(grid_b, lam_local[reg.sx], labels_local[reg.sx], n,
+                         key) for reg, key in zip(ov.regions, keys)]
     ab = np.zeros((2 * ny, (len(blocks) + 1) * ny), order="F")
     for k, pc in enumerate(blocks):
         ab[:, k * ny:(k + 2) * ny] += pc.band

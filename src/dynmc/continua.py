@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .fine import _reflect, interp_velocity
+from .fine import _reflect, interp_velocity, velocity_table
 from .grids import CoarseGrid, FineGrid
 
 DUAL_THRESHOLDS = (0.5,)
@@ -143,12 +143,13 @@ def advect_labels(grid: FineGrid, labels0: np.ndarray,
     for m in range(len(velocity_history) - 1, -1, -1):
         px, py = np.concatenate([xg[None], px]), np.concatenate([yg[None], py])
         vx, vy = velocity_history[m]
+        table = velocity_table(grid, vx, vy)
         for _ in range(substeps):
-            ux, uy = interp_velocity(grid, vx, vy, px, py)
+            ux, uy = interp_velocity(grid, vx, vy, px, py, table)
             xm, ym = px - 0.5 * h * ux, py - 0.5 * h * uy
             _reflect(grid, xm, ym)
             xm, ym = np.clip(xm, x1, x2), np.clip(ym, y1, y2)
-            ux, uy = interp_velocity(grid, vx, vy, xm, ym)
+            ux, uy = interp_velocity(grid, vx, vy, xm, ym, table)
             px, py = px - h * ux, py - h * uy
             _reflect(grid, px, py)
             px, py = np.clip(px, x1, x2), np.clip(py, y1, y2)

@@ -475,16 +475,19 @@ class CoarseModel:
 
 def _region_ops(flow: CoarseGrid, K: int, model: CoarseModel,
                 lam: np.ndarray, labels: np.ndarray, n: int,
-                pieces: cells.PieceMemo) -> EffectiveOperators:
+                pieces: cells.PieceMemo, seen: dict) -> EffectiveOperators:
     """Effective operators of flow block K from its oversampled region.
 
     The region engine (its face factor) and the cell bases die with this
-    call; only the block pieces live on, in ``pieces``.
+    call; only the block pieces live on, in ``pieces``.  ``seen`` holds
+    the piece keys of the solve's blocks met so far (``cells.region_keys``).
     """
     ov = oversample_block(flow, K, model.layers, rule=model.extension_rule)
     lam_l = ov.sample(lam)
     lab_l = ov.sample(labels)
-    engine = cells.build_region_engine(ov, lam_l, lab_l, n, pieces=pieces)
+    engine = cells.build_region_engine(
+        ov, lam_l, lab_l, n, cells.region_keys(ov, lam_l, lab_l, n, seen),
+        pieces=pieces)
     avg, grad = cells.solve_constrained_elliptic(
         ov, lam_l, lab_l, n, ("average", "gradient"), engine=engine)
     return assemble_effective(ov, lam_l, lab_l, n, avg, grad)
@@ -495,9 +498,12 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
                        pieces: cells.PieceMemo):
     """Galerkin coarse flow: returns V, P and the block pieces (factored,
     reused) of its regions.  ``pieces`` carries the pieces from solve to
-    solve; afterwards it keeps only those this solve used."""
+    solve; afterwards it keeps only those this solve used.  Each distinct
+    block content is digested once per solve: the digests of this lam and
+    labels are kept by source columns until the solve returns."""
     flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
-    ops = [_region_ops(flow, K, model, lam, labels, n, pieces)
+    seen: dict = {}
+    ops = [_region_ops(flow, K, model, lam, labels, n, pieces, seen)
            for K in flow.blocks()]
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
                                           model.p_in, model.p_out)

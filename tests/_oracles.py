@@ -497,6 +497,61 @@ def interp_velocity_whole(grid, vx, vy, px, py):
     return ux, uy
 
 
+def _midpoints(v, axis, lo, hi):
+    """0.5 (v[lo] + v[hi]) along ``axis``, whole arrays."""
+    return 0.5 * (np.take(v, lo, axis=axis) + np.take(v, hi, axis=axis))
+
+
+def velocity_table_whole(grid, vx, vy):
+    """The quarter-cell tables (A, B, C, D) of ``fine.velocity_table``, each
+    (2 nx + 1, 2 ny + 1) complex.
+
+    Half node m of an axis lies between the node positions floor and ceil
+    of (m - shift) / 2, clamped to the node range: shift 1 on the axis
+    where the component's nodes sit at half cells, 0 on the other.  Every
+    half-node value is the mean of those two nodes, equal ones included;
+    vx is averaged along y first, vy along x first.  The tables are
+    differences of the half-node values padded by their last row and
+    column, which makes B, C and D zero on the top and right walls.
+    """
+    nx, ny = grid.nx, grid.ny
+
+    def ends(count, shift, nodes):
+        m = np.arange(count) - shift
+        return (np.clip(np.floor(m / 2), 0, nodes - 1).astype(int),
+                np.clip(np.ceil(m / 2), 0, nodes - 1).astype(int))
+
+    ux = _midpoints(vx, 1, *ends(2 * ny + 1, 1, ny))
+    ux = _midpoints(ux, 0, *ends(2 * nx + 1, 0, nx + 1))
+    uy = _midpoints(vy, 0, *ends(2 * nx + 1, 1, nx))
+    uy = _midpoints(uy, 1, *ends(2 * ny + 1, 0, ny + 1))
+    W = ux + 1j * uy
+    Wp = np.pad(W, ((0, 1), (0, 1)), mode="edge")
+    B = Wp[1:, :-1] - Wp[:-1, :-1]
+    C = Wp[:-1, 1:] - Wp[:-1, :-1]
+    D = (Wp[1:, 1:] - Wp[1:, :-1]) - (Wp[:-1, 1:] - Wp[:-1, :-1])
+    return W, B, C, D
+
+
+def interp_velocity_table_whole(grid, vx, vy, px, py):
+    """The quarter-cell table formula on whole arrays, one temporary per
+    operation (the reference of the chunked kernel ``fine.interp_velocity``).
+
+    Positions are clamped to the domain in half-cell units; each lies in
+    quarter cell (trunc t, trunc s) at offsets (sx, sy), and its velocity is
+    ((D sy + B) sx + C sy) + A, x in the real and y in the imaginary part.
+    """
+    A, B, C, D = velocity_table_whole(grid, vx, vy)
+    t = np.clip((px - grid.x0) * (2.0 / grid.hx), 0.0, 2.0 * grid.nx)
+    s = np.clip((py - grid.y0) * (2.0 / grid.hy), 0.0, 2.0 * grid.ny)
+    a, b = np.trunc(t), np.trunc(s)
+    sx, sy = t - a, s - b
+    k = (a * (2 * grid.ny + 1) + b).astype(int)
+    A, B, C, D = (T.ravel().take(k) for T in (A, B, C, D))
+    u = ((D * sy + B) * sx + C * sy) + A
+    return u.real.copy(), u.imag.copy()
+
+
 def reflect_whole(grid, x, y):
     """Mirror at the walls with four full-array passes."""
     x1, x2 = grid.x0, grid.x0 + grid.L1
@@ -509,10 +564,11 @@ def reflect_whole(grid, x, y):
 
 
 def advance_particles_whole(grid, x0, y0, vx, vy, tau):
-    """SSP-RK3 particle step on whole arrays; returns the new (x, y)."""
+    """SSP-RK3 particle step on whole arrays through the quarter-cell table
+    formula; returns the new (x, y)."""
 
     def vel(x, y):
-        return interp_velocity_whole(grid, vx, vy, x, y)
+        return interp_velocity_table_whole(grid, vx, vy, x, y)
 
     u1, v1 = vel(x0, y0)
     x1, y1 = reflect_whole(grid, x0 + tau * u1, y0 + tau * v1)

@@ -374,6 +374,33 @@ class TestRegionEngineMemo:
         assert counts == (0, 0)  # no region looked into the run's memo
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
 
+    def test_each_block_is_digested_once_per_solve(self, monkeypatch):
+        # a region block is a flow block, its periodic copy or its mirror
+        # image: one digest per distinct run of source columns, not one per
+        # region that holds it
+        model, lam, labels = interface_start()
+        n = model.spec.count
+        regions = [flow_region(model, K)
+                   for K in range(model.coarse.Nx * model.flow_refine)]
+        runs = {(int(ov.src_ix[r.sx][0]), int(ov.src_ix[r.sx][-1]))
+                for ov in regions for r in ov.regions}
+        assert len(runs) < sum(len(ov.regions) for ov in regions)
+        digests = count_calls(monkeypatch, cells, "content_digest")
+        V, P, _counts = macro._galerkin_velocity(model, lam, labels, n,
+                                                 cells.PieceMemo())
+        assert len(digests) == len(runs) <= 2 * len(regions)
+        # every key is its block's own content key
+        for ov in regions:
+            lam_l, lab_l = ov.sample(lam), ov.sample(labels)
+            assert cells.region_keys(ov, lam_l, lab_l, n, {}) == [
+                cells.piece_key(cells._piece_grid(ov), lam_l[r.sx],
+                                lab_l[r.sx], n) for r in ov.regions]
+        # and digesting every block of every region gives the same solve
+        monkeypatch.setattr(cells, "region_keys", lambda *args: None)
+        V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
+                                                   cells.PieceMemo())
+        assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
+
     def test_no_earlier_engine_alive_at_a_factorization(self, monkeypatch):
         """Every region engine a Galerkin coarse solve built before is gone
         when it factors a block piece or the next region's face system."""

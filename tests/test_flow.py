@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_mobility, rng
 from dynmc import fine
+from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, SolverError
 from dynmc.fine import (FlowBC, FlowLoad, LastSolve, cfl, divergence,
-                        solve_flow)
+                        run_fine, solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -234,9 +235,9 @@ class TestManyLoads:
     """Several loads against one factorization equal one call per load."""
 
     def block_loads(self, nx=24, ny=36):
-        """Edge-flux, gravity and interface loads of one cell block (the
-        block size of the gravity presets, where a 2-D triangular solve of
-        the stacked loads rounds differently from one solve per load)."""
+        """Edge-flux, gravity and interface loads of one cell block, the
+        block size of the gravity presets (their stacked loads go to one
+        2-D triangular solve, which must round as one solve per load)."""
         grid = FineGrid(nx, ny, 2.0, 1.5)
         lam = random_mobility(nx, ny, 20, 1000.0)
         psi = (rng(21).random((nx, ny)) < 0.5).astype(float)
@@ -396,6 +397,98 @@ class TestLastSolve:
         again = self.solve(memo, c=self.c + 0.25, gravity_on=False)
         assert memo.reused and calls == []
         assert all(a is b for a, b in zip(first, again))
+
+
+def preset_flow(name):
+    """Fine grid, lam, c, boundary and gravity switch of a desk preset at
+    t = 0."""
+    cfg = get_preset(name)
+    grid = cfg.layout().extended_fine
+    c = cfg.initial_condition(grid)
+    return (grid, cfg.mobility(grid)(c), c, cfg.flow_bc(grid), cfg.gravity,
+            None)
+
+
+def block_flow():
+    """A 24x36 cell block with an edge-flux boundary and its balancing
+    source (gauged), contrast 1000."""
+    grid = FineGrid(24, 36, 2.0, 1.5)
+    edge = (rng(50).random(36) < 0.5).astype(float)
+    f = np.full((24, 36), edge.sum() * grid.hy / (24 * 36 * grid.cell_area))
+    return (grid, random_mobility(24, 36, 51, 1000.0), None,
+            FlowBC(right=("flux", edge)), False, f)
+
+
+class TestStoredColumnOrder:
+    """A pattern factored before is factored in its stored column order."""
+
+    def spy(self, monkeypatch):
+        calls = []  # (permc_spec, SuperLU) per factorization
+        splu = fine.splu
+
+        def recording(A, **kw):
+            calls.append((kw["permc_spec"], splu(A, **kw)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fine, "splu", recording)
+        return calls
+
+    @pytest.mark.parametrize("problem", [
+        "gravity-dual", "gravity-triple", "viscous", "interface", "block"])
+    def test_solution_equals_a_fresh_factorization(self, monkeypatch,
+                                                   problem):
+        # gauged closed boxes, flux plus pressure, Dirichlet-x, a block
+        grid, lam, c, bc, gravity, f = (block_flow() if problem == "block"
+                                        else preset_flow(problem))
+        memo = LastSolve()
+        calls = self.spy(monkeypatch)
+        solve_flow(grid, lam, c, bc, gravity, f, memo=memo)
+        # new values on the same pattern: lam changes, and c too if read
+        lam2 = lam * (1.0 + rng(52).random(lam.shape))
+        c2 = None if c is None else np.roll(c, 5, axis=0)
+        got = solve_flow(grid, lam2, c2, bc, gravity, f, memo=memo)
+        assert [spec for spec, _lu in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+        n = grid.n_cells
+        assert np.array_equal(calls[1][1].perm_c, np.arange(n))
+        assert calls[1][1].L.nnz == calls[0][1].L.nnz
+        assert calls[1][1].U.nnz == calls[0][1].U.nnz
+        fresh = solve_flow(grid, lam2, c2, bc, gravity, f)
+        assert calls[2][0] == "MMD_AT_PLUS_A"
+        assert not np.array_equal(calls[2][1].perm_c, np.arange(n))
+        for a, b in zip(got, fresh):
+            assert np.array_equal(a, b)
+
+    def test_new_pressure_sides_or_grid_store_a_new_order(self, monkeypatch):
+        grid = FineGrid(10, 6, 2.0, 1.0)
+        dirichlet = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
+        outlet = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
+        memo = LastSolve()
+        calls = self.spy(monkeypatch)
+        wider = FineGrid(12, 6, 2.4, 1.0)
+        for seed, (g, bc) in enumerate((
+                (grid, dirichlet), (grid, dirichlet), (grid, outlet),
+                (grid, outlet), (grid, FlowBC()), (grid, FlowBC()),
+                (wider, FlowBC()), (wider, FlowBC()), (grid, FlowBC()))):
+            solve_flow(g, random_mobility(g.nx, g.ny, 60 + seed, 1000.0),
+                       rng(70 + seed).random((g.nx, g.ny)), bc, memo=memo)
+            # the store holds one pattern: the last one met
+            _pattern, order = memo.order
+            assert order.shape == (g.n_cells,)
+        # each new pattern is ordered afresh, then reused once; the last
+        # call meets the 10x6 closed box again after the wider grid
+        assert [spec for spec, _lu in calls] == [
+            "MMD_AT_PLUS_A", "NATURAL"] * 4 + ["MMD_AT_PLUS_A"]
+
+    def test_run_fine_orders_the_fine_matrix_once(self, monkeypatch):
+        grid = FineGrid(16, 8, 2.0, 1.0)
+        c0 = rng(57).random((16, 8))
+        calls = self.spy(monkeypatch)
+        run = run_fine(grid, lambda c: np.where(c > 0.5, 10.0, 1.0), c0,
+                       2e-3, 6, scheme="particles", particles_per_cell=4)
+        solved = run.flow_reused.count(False)
+        assert solved == len(calls) > 2
+        assert [spec for spec, _lu in calls] == (
+            ["MMD_AT_PLUS_A"] + ["NATURAL"] * (solved - 1))
 
 
 class TestCfl:

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (advance_particles_whole, advance_upwind_sides,
-                      interp_velocity_whole, reflect_whole,
-                      run_fine_upwind_unmemoized)
+                      interp_velocity_table_whole, interp_velocity_whole,
+                      reflect_whole, run_fine_upwind_unmemoized)
 from conftest import rng
 from dynmc import fine
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, InvariantError
 from dynmc.fine import (PARTICLE_CHUNK, ParticleCloud, advance_particles,
                         advance_upwind, cfl, deposit, interp_velocity,
-                        run_fine, seed_particles, solve_flow)
+                        run_fine, seed_particles, solve_flow, velocity_table)
 from dynmc.grids import FineGrid
 
 
@@ -192,6 +192,13 @@ def interp_reference(grid, vx, vy, px, py):
                   (py - grid.y0) / grid.hy, grid.nx, grid.ny + 1))
 
 
+def assert_close_to_bilinear(got, want, vx, vy):
+    """Within 1e-13 of the largest face velocity, componentwise."""
+    scale = max(np.abs(vx).max(), np.abs(vy).max())
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * scale
+
+
 def test_interp_velocity_matches_fancy_index_gather():
     grid = FineGrid(7, 5, 3.5, 2.0, x0=0.5, y0=-0.25)
     vx = rng(30).standard_normal((8, 5))
@@ -209,9 +216,11 @@ def test_interp_velocity_matches_fancy_index_gather():
                          np.full(50, y2), [y1, y2, y1, y2],
                          y1 + grid.hy * np.arange(8) % grid.L2])
     got = interp_velocity(grid, vx, vy, px, py)
-    want = interp_reference(grid, vx, vy, px, py)
+    want = interp_velocity_table_whole(grid, vx, vy, px, py)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+    assert_close_to_bilinear(got, interp_reference(grid, vx, vy, px, py),
+                             vx, vy)
 
 
 def test_interp_velocity_clamps_outside_points_like_the_whole_array_formula():
@@ -234,10 +243,42 @@ def test_interp_velocity_clamps_outside_points_like_the_whole_array_formula():
                          y2 + out[:4], [y1 - 1e9, y2 + 1e9, y2 - 1e-15, y2],
                          y1 + grid.hy * np.arange(7) % grid.L2])
     got = interp_velocity(grid, vx, vy, px, py)
+    want = interp_velocity_table_whole(grid, vx, vy, px, py)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
     for want in (interp_velocity_whole(grid, vx, vy, px, py),
                  interp_reference(grid, vx, vy, px, py)):
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        assert_close_to_bilinear(got, want, vx, vy)
+
+
+def test_interp_velocity_is_the_bilinear_field_to_roundoff():
+    # the table formula against the clamped bilinear one: inside, on every
+    # wall, corner and chunk seam, and beyond every wall
+    grid, px, py, vx, vy = chunked_cloud()
+    u = rng(43).random((2, 5000)) * 1.6 - 0.3  # reaches 0.3 widths beyond
+    qx = np.concatenate([px, grid.x0 + u[0] * grid.L1])
+    qy = np.concatenate([py, grid.y0 + u[1] * grid.L2])
+    got = interp_velocity(grid, vx, vy, qx, qy)
+    assert_close_to_bilinear(got, interp_velocity_whole(grid, vx, vy, qx, qy),
+                             vx, vy)
+
+
+def test_interp_velocity_is_exact_at_the_velocity_nodes():
+    # binary spacings and origin: each node's position maps exactly onto
+    # its half-node, walls and corners included
+    grid = FineGrid(12, 7, 3.0, 3.5, x0=-0.5, y0=0.25)
+    vx = rng(44).standard_normal((13, 7))
+    vy = rng(45).standard_normal((12, 8))
+    x_faces = grid.x0 + grid.hx * np.arange(13)
+    y_faces = grid.y0 + grid.hy * np.arange(8)
+    xs, ys = np.meshgrid(x_faces, grid.yc(), indexing="ij")
+    assert np.array_equal(interp_velocity(grid, vx, vy, xs, ys)[0], vx)
+    xs, ys = np.meshgrid(grid.xc(), y_faces, indexing="ij")
+    assert np.array_equal(interp_velocity(grid, vx, vy, xs, ys)[1], vy)
+    # the table's A holds each node's value at the node's half node
+    A = velocity_table(grid, vx, vy)[0].reshape(25, 15)
+    assert np.array_equal(A.real[::2, 1::2], vx)
+    assert np.array_equal(A.imag[1::2, ::2], vy)
 
 
 class TestParticles:
@@ -303,6 +344,24 @@ class TestParticles:
         assert c.min() >= 0.2 and c.max() <= 0.8
         assert c[2, 0] == 0.8 and c[3, 0] == 0.8  # nearest populated cell
 
+    def test_deposit_clips_to_the_seeded_bounds(self):
+        grid = FineGrid(4, 1, 4.0, 1.0)
+        c0 = np.array([[0.2], [0.5], [0.8], [0.4]])
+        cloud = seed_particles(grid, c0, 3, seed=0)
+        assert cloud.bounds == (0.2, 0.8)
+        vx, vy = grid.zero_faces()
+        vx[1:-1] = 0.5
+        out = advance_particles(grid, cloud, vx, vy, 0.5)
+        assert out.bounds is cloud.bounds
+        assert np.array_equal(deposit(grid, out),
+                              np.clip(deposit_means(grid, out), 0.2, 0.8))
+        # the clip reads the bounds the cloud carries, not its values
+        narrow = dataclasses.replace(out, bounds=(0.3, 0.6))
+        assert np.array_equal(deposit(grid, narrow),
+                              np.clip(deposit_means(grid, out), 0.3, 0.6))
+        assert deposit(grid, narrow).min() == 0.3
+        assert deposit(grid, narrow).max() == 0.6
+
     def test_rotation_beats_upwind_on_one_revolution(self):
         grid = FineGrid(24, 24, 1.0, 1.0)
         vx, vy = rotation_field(grid)
@@ -327,6 +386,17 @@ class TestParticles:
         vx, vy = grid.zero_faces()
         with pytest.raises(ConfigError):
             advance_particles(grid, cloud, vx, vy, 0.1)
+
+
+def deposit_means(grid, cloud):
+    """Unclamped per-cell mean of the particle values, every cell filled."""
+    ci = ((cloud.x - grid.x0) / grid.hx).astype(int).clip(0, grid.nx - 1)
+    cj = ((cloud.y - grid.y0) / grid.hy).astype(int).clip(0, grid.ny - 1)
+    sums, cnts = grid.zeros(), grid.zeros()
+    np.add.at(sums, (ci, cj), cloud.val)
+    np.add.at(cnts, (ci, cj), 1.0)
+    assert cnts.all()
+    return sums / cnts
 
 
 def chunked_cloud():
@@ -356,7 +426,7 @@ class TestChunkedKernel:
     def test_interpolation_is_bit_identical(self):
         grid, px, py, vx, vy = chunked_cloud()
         got = interp_velocity(grid, vx, vy, px, py)
-        want = interp_velocity_whole(grid, vx, vy, px, py)
+        want = interp_velocity_table_whole(grid, vx, vy, px, py)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -367,7 +437,7 @@ class TestChunkedKernel:
         qx = np.asarray(px[:m].reshape(4, -1), order=order)
         qy = np.asarray(py[:m].reshape(4, -1), order=order)
         got = interp_velocity(grid, vx, vy, qx, qy)
-        want = interp_velocity_whole(grid, vx, vy, qx, qy)
+        want = interp_velocity_table_whole(grid, vx, vy, qx, qy)
         for g, w in zip(got, want):
             assert g.shape == qx.shape
             assert np.array_equal(g, w)
@@ -375,7 +445,7 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("tau", [0.05, 0.2])
     def test_step_is_bit_identical_and_reflects(self, tau):
         grid, px, py, vx, vy = chunked_cloud()
-        u, v = interp_velocity_whole(grid, vx, vy, px, py)
+        u, v = interp_velocity_table_whole(grid, vx, vy, px, py)
         rx, ry = px + tau * u, py + tau * v
         assert (rx < grid.x0).any() and (rx > grid.x0 + grid.L1).any()
         assert (ry < grid.y0).any() and (ry > grid.y0 + grid.L2).any()
