@@ -40,7 +40,7 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, apply_stiffness,
+from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, apply_stiffness,
                    assemble_stiffness, check_residual, content_digest,
                    gravity_volume_source, operator_key, pressure_diagonal,
                    solve_flow)
@@ -260,13 +260,10 @@ class PieceMemo:
     factored: int = 0
     reused: int = 0
 
-    def piece(self, grid_b: FineGrid, lam_b: np.ndarray,
-              labels_b: np.ndarray, n: int,
-              key: bytes | None = None) -> BlockPiece:
-        """The piece of this content, factored on a miss; ``key``, when
-        given, must be its :func:`piece_key`."""
-        if key is None:
-            key = piece_key(grid_b, lam_b, labels_b, n)
+    def piece(self, key: bytes, grid_b: FineGrid, lam_b: np.ndarray,
+              labels_b: np.ndarray, n: int) -> BlockPiece:
+        """The piece of this content, whose :func:`piece_key` is ``key``,
+        factored on a miss."""
         self.used.add(key)
         found = self.pieces.get(key)
         if found is None:
@@ -379,28 +376,29 @@ class RegionEngine:
 
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,
                         labels_local: np.ndarray, n: int,
-                        keys: list | None = None, *,
+                        seen: dict | None = None, *,
                         pieces: PieceMemo | None = None) -> RegionEngine:
     """Gather the block pieces of one oversampled region and factor its
     face system.
 
     Pieces come from ``pieces`` when it holds their content and are
     factored into it otherwise; without a memo the region factors each
-    distinct block content once.  ``keys``, when given, holds each block's
-    :func:`piece_key` (:func:`region_keys`); otherwise each block's content
-    is digested here.  The region's row index is the pieces' rows, each
-    offset by the rows of the blocks before it.  The face
-    system has (blocks + 1) ny unknowns and bandwidth 2 ny - 1; its outer
-    face columns join one block each, which is the zero-flux edge of the
-    region.
+    distinct block content once.  Blocks are keyed by :func:`region_keys`
+    with ``seen``, the keys its caller met so far in regions sampled from
+    the same lam and labels (a fresh dict when not given).  The region's
+    row index is the pieces' rows, each offset by the rows of the blocks
+    before it.  The face system has (blocks + 1) ny unknowns and bandwidth
+    2 ny - 1; its outer face columns join one block each, which is the
+    zero-flux edge of the region.
     """
     grid = ov.grid
     memo = PieceMemo() if pieces is None else pieces
     ny = grid.ny
     grid_b = _piece_grid(ov)
-    keys = [None] * len(ov.regions) if keys is None else keys
-    blocks = [memo.piece(grid_b, lam_local[reg.sx], labels_local[reg.sx], n,
-                         key) for reg, key in zip(ov.regions, keys)]
+    keys = region_keys(ov, lam_local, labels_local, n,
+                       {} if seen is None else seen)
+    blocks = [memo.piece(key, grid_b, lam_local[reg.sx], labels_local[reg.sx],
+                         n) for reg, key in zip(ov.regions, keys)]
     ab = np.zeros((2 * ny, (len(blocks) + 1) * ny), order="F")
     for k, pc in enumerate(blocks):
         ab[:, k * ny:(k + 2) * ny] += pc.band
@@ -521,14 +519,18 @@ def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray,
 
     A load on a block solves the lam_b operator of that block, and every
     block has the same cell size, so loads whose lam_b and pressure sides
-    digest alike (:func:`~dynmc.fine.operator_key`) share one matrix: they
-    go to one :func:`solve_flow` call on the grid of the first such block
-    (without a memo, solve_flow never reads the grid's origin).
+    digest alike (:func:`~dynmc.fine.operator_key`, taken once per block
+    and boundary kinds) share one matrix: they go to one :func:`solve_flow`
+    call on the grid of the first such block (without a memo, solve_flow
+    never reads the grid's origin).
     """
     groups: dict[bytes, tuple[int, list]] = {}  # key -> (block, positions)
+    keys: dict[tuple, bytes] = {}  # (block, side kinds) -> key
     for k, (blk, load) in enumerate(items):
-        key = operator_key(_block_field(coarse, blk, lam), [load])
-        groups.setdefault(key, (blk, []))[1].append(k)
+        kinds = (blk, *(load.bc.side(s)[0] for s in SIDES))
+        if kinds not in keys:
+            keys[kinds] = operator_key(_block_field(coarse, blk, lam), [load])
+        groups.setdefault(keys[kinds], (blk, []))[1].append(k)
     out = [None] * len(items)
     for blk, ks in groups.values():
         sols = solve_flow(_omega_grid(coarse, [blk]),

@@ -5,12 +5,12 @@ transport, and an optional particle advection scheme with clamped mean
 deposition.  All face arrays follow the staggered layout of
 :mod:`dynmc.grids`.  The TPFA operator (stiffness, gravity source and
 pure-Neumann gauge) and the one SuperLU recipe live here only.  The fine
-flow and the block loads of the mixed cell problems are factored here, and
-all loads of one call go to one multi-column solve; a caller's memo keeps
-the column order of a sparsity pattern's first factorization for the later
-ones.  The Galerkin block pieces of :mod:`dynmc.cells` factor their KKT
-systems from the same stiffness with the same recipe.  Particles read the
-velocity from quarter-cell coefficient tables, built once per step.
+flow and the block loads of the mixed cell problems are factored here, one
+triangular solve per load; a caller's memo keeps the column order of a
+sparsity pattern's first factorization for the later ones.  The Galerkin
+block pieces of :mod:`dynmc.cells` factor their KKT systems from the same
+stiffness with the same recipe.  Particles read the velocity from
+quarter-cell coefficient tables, built once per step.
 """
 
 from __future__ import annotations
@@ -222,10 +222,10 @@ class LastSolve:
     ``key`` is a blake2b digest of everything the last result depends on
     and ``result`` that result, the list of read-only (p, vx, vy);
     ``reused`` tells whether the latest call returned it without solving.
-    ``order`` holds the digest of the last sparsity pattern (with its
-    pressure sides) factored with the full recipe and that factorization's
-    column order, ``argsort(perm_c)``, which a later matrix of the same
-    pattern and sides reuses.
+    ``order`` holds the digest of the last sparsity pattern factored with
+    the full recipe and that factorization's column order,
+    ``argsort(perm_c)``, which a later matrix of the same pattern reuses:
+    the ordering reads the pattern only.
     """
 
     key: bytes | None = None
@@ -333,11 +333,10 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         A.data[row0] = np.where(A.indices[row0] == 0, 1.0, 0.0)
         A.eliminate_zeros()
 
-    # the memo's stored column order, when A has the pattern and pressure
-    # sides it was made for
+    # the memo's stored column order, when A has the pattern it was made for
     q = None
     if memo is not None:
-        pattern = content_digest(pressure, A.indptr, A.indices)
+        pattern = content_digest((), A.indptr, A.indices)
         if memo.order is not None and memo.order[0] == pattern:
             q = memo.order[1]
     if q is None:
@@ -349,17 +348,21 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         # factorization of A, so the solution is the same to the bit
         lu = splu(A.tocsc()[:, q], **dict(SPLU_OPTIONS, permc_spec="NATURAL"))
     norm = float(abs(A).sum(axis=1).max())  # ||A||_inf
-    R = np.column_stack(rhss)  # every load solved at once
-    P = _solve(lu, q, R)
-    # one step of iterative refinement: high-contrast lam amplifies the
-    # factorization roundoff into spurious face fluxes otherwise
-    P += _solve(lu, q, R - A @ P)
-    gaps = np.abs(A @ P - R).max(axis=0)
+    faces = harmonic_face_mobility(lam)
     out = []
-    for j, (c, bc, gravity_on, _f) in enumerate(loads):
-        check_residual("flow", gaps[j], norm, P[:, j], R[:, j])
-        p = P[:, j].reshape(nx, ny)
-        out.append((p, *flux_from_pressure(grid, p, lam, c, bc, gravity_on)))
+    # one triangular solve per load: a multi-column solve goes through the
+    # BLAS, whose kernels round a column differently from a lone one on
+    # some CPUs
+    for (c, bc, gravity_on, _f), rhs in zip(loads, rhss):
+        p_vec = _solve(lu, q, rhs)
+        # one step of iterative refinement: high-contrast lam amplifies the
+        # factorization roundoff into spurious face fluxes otherwise
+        p_vec += _solve(lu, q, rhs - A @ p_vec)
+        check_residual("flow", np.abs(A @ p_vec - rhs).max(), norm, p_vec,
+                       rhs)
+        p = p_vec.reshape(nx, ny)
+        out.append((p, *flux_from_pressure(grid, p, lam, faces, c, bc,
+                                           gravity_on)))
     if memo is not None:
         for arrays in out:
             for a in arrays:
@@ -379,10 +382,12 @@ def _solve(lu, q: np.ndarray | None, b: np.ndarray) -> np.ndarray:
 
 
 def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
-                       c: np.ndarray, bc: FlowBC, gravity_on: bool):
-    """Face flux densities consistent with :func:`solve_flow`."""
+                       faces: tuple, c: np.ndarray, bc: FlowBC,
+                       gravity_on: bool):
+    """Face flux densities consistent with :func:`solve_flow`; ``faces`` is
+    ``harmonic_face_mobility(lam)``, shared by the loads of one matrix."""
     hx, hy = grid.hx, grid.hy
-    lamx, lamy = harmonic_face_mobility(lam)
+    lamx, lamy = faces
     vx, vy = grid.zero_faces()
     dpx = (p[1:, :] - p[:-1, :]) / hx
     if gravity_on:

@@ -480,14 +480,14 @@ def _region_ops(flow: CoarseGrid, K: int, model: CoarseModel,
 
     The region engine (its face factor) and the cell bases die with this
     call; only the block pieces live on, in ``pieces``.  ``seen`` holds
-    the piece keys of the solve's blocks met so far (``cells.region_keys``).
+    the piece keys of the solve's blocks met so far (``cells.region_keys``),
+    shared by the regions of one solve.
     """
     ov = oversample_block(flow, K, model.layers, rule=model.extension_rule)
     lam_l = ov.sample(lam)
     lab_l = ov.sample(labels)
-    engine = cells.build_region_engine(
-        ov, lam_l, lab_l, n, cells.region_keys(ov, lam_l, lab_l, n, seen),
-        pieces=pieces)
+    engine = cells.build_region_engine(ov, lam_l, lab_l, n, seen,
+                                       pieces=pieces)
     avg, grad = cells.solve_constrained_elliptic(
         ov, lam_l, lab_l, n, ("average", "gradient"), engine=engine)
     return assemble_effective(ov, lam_l, lab_l, n, avg, grad)

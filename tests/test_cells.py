@@ -395,10 +395,18 @@ class TestRegionEngineMemo:
             assert cells.region_keys(ov, lam_l, lab_l, n, {}) == [
                 cells.piece_key(cells._piece_grid(ov), lam_l[r.sx],
                                 lab_l[r.sx], n) for r in ov.regions]
-        # and digesting every block of every region gives the same solve
-        monkeypatch.setattr(cells, "region_keys", lambda *args: None)
+        # and digesting the blocks of each region afresh gives the same solve
+        real = cells.build_region_engine
+        monkeypatch.setattr(cells, "build_region_engine",
+                            lambda ov, lam_l, lab_l, n, seen, pieces: real(
+                                ov, lam_l, lab_l, n, pieces=pieces))
+        digests.clear()
         V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
                                                    cells.PieceMemo())
+        per_region = sum(len({(int(ov.src_ix[r.sx][0]),
+                               int(ov.src_ix[r.sx][-1])) for r in ov.regions})
+                         for ov in regions)
+        assert len(digests) == per_region > len(runs)
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
 
     def test_no_earlier_engine_alive_at_a_factorization(self, monkeypatch):

@@ -235,9 +235,10 @@ class TestManyLoads:
     """Several loads against one factorization equal one call per load."""
 
     def block_loads(self, nx=24, ny=36):
-        """Edge-flux, gravity and interface loads of one cell block, the
-        block size of the gravity presets (their stacked loads go to one
-        2-D triangular solve, which must round as one solve per load)."""
+        """Edge-flux, gravity and interface loads of one cell block (the
+        block size of the gravity presets, where a 2-D triangular solve of
+        the stacked loads rounds differently from one solve per load on
+        some BLAS kernels)."""
         grid = FineGrid(nx, ny, 2.0, 1.5)
         lam = random_mobility(nx, ny, 20, 1000.0)
         psi = (rng(21).random((nx, ny)) < 0.5).astype(float)
@@ -458,26 +459,33 @@ class TestStoredColumnOrder:
         for a, b in zip(got, fresh):
             assert np.array_equal(a, b)
 
-    def test_new_pressure_sides_or_grid_store_a_new_order(self, monkeypatch):
+    def test_a_new_pattern_stores_a_new_order(self, monkeypatch):
+        # the order reads the sparsity pattern only: new pressure sides keep
+        # it, the gauge of a closed box and a wider grid store a new one
         grid = FineGrid(10, 6, 2.0, 1.0)
+        wider = FineGrid(12, 6, 2.4, 1.0)
         dirichlet = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
         outlet = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
         memo = LastSolve()
         calls = self.spy(monkeypatch)
-        wider = FineGrid(12, 6, 2.4, 1.0)
+        specs = []
         for seed, (g, bc) in enumerate((
                 (grid, dirichlet), (grid, dirichlet), (grid, outlet),
-                (grid, outlet), (grid, FlowBC()), (grid, FlowBC()),
-                (wider, FlowBC()), (wider, FlowBC()), (grid, FlowBC()))):
-            solve_flow(g, random_mobility(g.nx, g.ny, 60 + seed, 1000.0),
-                       rng(70 + seed).random((g.nx, g.ny)), bc, memo=memo)
+                (grid, FlowBC()), (grid, FlowBC()), (wider, FlowBC()),
+                (wider, FlowBC()), (grid, FlowBC()))):
+            args = (g, random_mobility(g.nx, g.ny, 60 + seed, 1000.0),
+                    rng(70 + seed).random((g.nx, g.ny)), bc)
+            got = solve_flow(*args, memo=memo)
+            specs.append(calls[-1][0])
             # the store holds one pattern: the last one met
             _pattern, order = memo.order
             assert order.shape == (g.n_cells,)
-        # each new pattern is ordered afresh, then reused once; the last
-        # call meets the 10x6 closed box again after the wider grid
-        assert [spec for spec, _lu in calls] == [
-            "MMD_AT_PLUS_A", "NATURAL"] * 4 + ["MMD_AT_PLUS_A"]
+            for a, b in zip(got, solve_flow(*args)):
+                assert np.array_equal(a, b)
+        # each new pattern is ordered afresh, then reused; the last call
+        # meets the 10x6 closed box again after the wider grid
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"] + [
+            "MMD_AT_PLUS_A", "NATURAL"] * 2 + ["MMD_AT_PLUS_A"]
 
     def test_run_fine_orders_the_fine_matrix_once(self, monkeypatch):
         grid = FineGrid(16, 8, 2.0, 1.0)
