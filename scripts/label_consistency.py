@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Compare advected continuum labels against threshold re-classification.
 
-Runs a short particle-transport gravity experiment, advects the initial
-labels through the stored velocity fields, and reports the fraction of
-cells (outside a one-cell interface band) where the advected labels agree
-with re-classifying the transported concentration.
+Runs a short fine experiment of any preset, with the preset's boundary
+condition, inflow and transport scheme, advects the initial labels through
+the stored velocity fields, and reports the fraction of cells (outside a
+one-cell interface band) where the advected labels agree with
+re-classifying the transported concentration.
 
 Usage: python3 scripts/label_consistency.py [--preset gravity-dual]
        [--steps 20] [--band 1]
@@ -15,7 +16,8 @@ import sys
 
 from dynmc.config import apply_overrides, get_preset
 from dynmc.continua import advect_labels, classify, label_agreement
-from dynmc.fine import run_fine
+from dynmc.exceptions import DynmcError
+from dynmc.experiment import fine_reference
 
 
 def main(argv=None) -> int:
@@ -26,15 +28,15 @@ def main(argv=None) -> int:
                     help="interface band half-width excluded from the score")
     args = ap.parse_args(argv)
 
-    cfg = apply_overrides(get_preset(args.preset),
-                          [f"steps={args.steps}",
-                           f"coarse_steps={args.steps}"])
-    ext = cfg.layout().extended_fine
-    c0 = cfg.initial_condition(ext)
-    run = run_fine(ext, cfg.mobility(ext), c0, cfg.tau, cfg.steps,
-                   gravity_on=cfg.gravity, scheme="particles",
-                   particles_per_cell=cfg.particles_per_cell,
-                   seed=cfg.particle_seed)
+    try:
+        # no coarse run reads the fine snapshots, so no coarse horizon
+        cfg = apply_overrides(get_preset(args.preset),
+                              [f"steps={args.steps}", "pre_steps=0",
+                               "coarse_steps=0"])
+        ext, _, _, run = fine_reference(cfg)
+    except DynmcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     spec = cfg.continuum_spec()
     labels = classify(run.snapshots[0].c, spec)

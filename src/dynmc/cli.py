@@ -15,8 +15,7 @@ from . import io as iomod
 from .config import (ExperimentConfig, apply_overrides, from_ini, get_preset,
                      presets)
 from .exceptions import ConfigError, DynmcError
-from .experiment import run_experiment
-from .fine import run_fine
+from .experiment import fine_reference, run_experiment
 from .grids import oversample_block
 from .continua import classify
 from .metrics import compute_errors, concentration_errors, velocity_errors
@@ -57,18 +56,7 @@ def _cmd_list_presets(_args) -> int:
 
 def _cmd_run_fine(args) -> int:
     cfg = _load_config(args)
-    layout = cfg.layout()
-    ext = layout.extended_fine
-    c0 = cfg.initial_condition(ext)
-    lam_of = cfg.mobility(ext)
-    inflow = None
-    if cfg.bc_kind in ("inflow-outlet", "dirichlet-x"):
-        inflow = {"left": c0[0, :].copy()}
-    run = run_fine(ext, lam_of, c0, cfg.tau, cfg.steps,
-                   bc=cfg.flow_bc(ext), gravity_on=cfg.gravity,
-                   scheme=cfg.scheme, inflow_c=inflow, keep=(),
-                   particles_per_cell=cfg.particles_per_cell,
-                   seed=cfg.particle_seed)
+    ext, _, _, run = fine_reference(cfg, keep=())
     last = run.snapshots[-1]
     print(f"{cfg.name}: {cfg.steps} fine steps on {ext.nx}x{ext.ny}, "
           f"max CFL {run.max_cfl:.3f}")

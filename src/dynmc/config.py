@@ -16,10 +16,6 @@ from .exceptions import ConfigError
 from .fine import FlowBC
 from .grids import CoarseGrid, DomainLayout, _parse_rule, build_layout
 
-_APPROACH_BC = {"mixed-gravity": "noflow", "mixed-viscous": "inflow-outlet",
-                "galerkin": "dirichlet-x"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str = "custom"
@@ -51,9 +47,7 @@ class ExperimentConfig:
     lam_corr_cells: float = 5.0
     lam_file: str = ""
 
-    # boundary conditions / gravity
-    gravity: bool = True
-    bc_kind: str = "noflow"  # noflow | inflow-outlet | dirichlet-x
+    # boundary data (the approach picks the boundary condition)
     g_in: float = -1.0
     p_in: float = 1.0
     p_out: float = 0.0
@@ -123,12 +117,9 @@ class ExperimentConfig:
         if self.approach == "mixed-viscous" and len(self.thresholds) != 1:
             raise ConfigError("mixed-viscous interface bases need exactly 2 "
                               f"continua, got {len(self.thresholds) + 1}")
-        if self.approach not in _APPROACH_BC:
+        if self.approach not in ("mixed-gravity", "mixed-viscous",
+                                 "galerkin"):
             raise ConfigError(f"unknown approach {self.approach!r}")
-        if self.bc_kind != _APPROACH_BC[self.approach]:
-            raise ConfigError(
-                f"approach {self.approach!r} needs bc_kind="
-                f"{_APPROACH_BC[self.approach]!r}, got {self.bc_kind!r}")
         if self.Nx < 1 or self.nx % self.Nx:
             raise ConfigError(
                 f"Nx={self.Nx} coarse blocks do not divide fine nx={self.nx}")
@@ -146,6 +137,11 @@ class ExperimentConfig:
                     f"image of the {blocks}-block Galerkin flow grid")
 
     # --- derived objects ----------------------------------------------
+
+    @property
+    def gravity(self) -> bool:
+        """Buoyancy drives the flow in the closed box of mixed-gravity only."""
+        return self.approach == "mixed-gravity"
 
     def continuum_spec(self) -> ContinuumSpec:
         return ContinuumSpec(thresholds=tuple(self.thresholds))
@@ -167,11 +163,10 @@ class ExperimentConfig:
         return CoarseGrid(ext, int(round(total)))
 
     def target_block_offset(self, layout: DomainLayout) -> int:
-        width = self.L1 / self.Nx
-        off = -layout.extended_fine.x0 / width
-        if abs(off - round(off)) > 1e-9:
+        mx = self.nx // self.Nx
+        if layout.offset_x % mx:
             raise ConfigError("target domain not aligned with coarse blocks")
-        return int(round(off))
+        return layout.offset_x // mx
 
     def mobility(self, grid):
         """Callable c -> lam field on ``grid``."""
@@ -218,15 +213,16 @@ class ExperimentConfig:
         raise ConfigError(f"unknown IC kind {self.ic_kind!r}")
 
     def flow_bc(self, grid) -> FlowBC:
-        if self.bc_kind == "noflow":
-            return FlowBC()
-        if self.bc_kind == "inflow-outlet":
+        """The approach's flow problem: a closed box (mixed-gravity), an
+        inflow flux with an outlet pressure (mixed-viscous) or a pressure
+        drop along x (galerkin)."""
+        if self.approach == "mixed-viscous":
             return FlowBC(left=("flux", self.g_in),
                           right=("pressure", self.p_out))
-        if self.bc_kind == "dirichlet-x":
+        if self.approach == "galerkin":
             return FlowBC(left=("pressure", self.p_in),
                           right=("pressure", self.p_out))
-        raise ConfigError(f"unknown BC kind {self.bc_kind!r}")
+        return FlowBC()
 
     def config_hash(self) -> str:
         text = repr(sorted(dataclasses.asdict(self).items()))
@@ -242,7 +238,7 @@ _SECTIONS = {
     "continua": ("thresholds",),
     "mobility": ("lam_kind", "lam_value", "lam_hi", "lam_lo", "lam_seed",
                  "lam_min", "lam_max", "lam_corr_cells", "lam_file"),
-    "bc": ("gravity", "bc_kind", "g_in", "p_in", "p_out"),
+    "bc": ("g_in", "p_in", "p_out"),
     "ic": ("ic_kind", "plateaus", "ic_seed", "band_lo", "band_hi", "wiggle",
            "ic_centers", "wave_x0", "wave_amplitude", "wave_periods",
            "wave_high", "wave_low", "ic_file"),
@@ -254,28 +250,21 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_value(name: str, raw: str):
-    f = _FIELDS[name]
-    tp = f.type if not isinstance(f.type, str) else f.type
+    tp = _FIELDS[name].type
     raw = raw.strip()
-    if tp in ("bool", bool):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if tp in ("int", int):
+    if tp == "int":
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{name}: expected an integer, got {raw!r}"
                               ) from exc
-    if tp in ("float", float):
+    if tp == "float":
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"{name}: expected a number, got {raw!r}"
                               ) from exc
-    if tp in ("tuple", tuple):
+    if tp == "tuple":
         if not raw:
             return ()
         parts = [p for p in raw.split(",") if p.strip()]
@@ -349,7 +338,6 @@ def _gravity(name, *, triple=False, hetero=False, paper=False):
         extension="two-sided", ext_margin=1.8,
         thresholds=(0.8, 0.4) if triple else (0.5,),
         lam_kind="random-field" if hetero else "constant",
-        gravity=True, bc_kind="noflow",
         ic_kind="finger-pattern",
         plateaus=icmod.TRIPLE_PLATEAUS if triple else icmod.DUAL_PLATEAUS,
         ic_seed=17 if triple else 1,
@@ -370,7 +358,7 @@ def _viscous(name, *, paper=False):
         extension="right", ext_margin=1.8,
         thresholds=(0.5,),
         lam_kind="contrast", lam_hi=1000.0, lam_lo=1.0,
-        gravity=False, bc_kind="inflow-outlet", g_in=-1.0, p_out=0.0,
+        g_in=-1.0, p_out=0.0,
         ic_kind="stripe-fingers", plateaus=icmod.DUAL_PLATEAUS,
         ic_centers=(0.8,), wiggle=0.05, band_lo=7, band_hi=11, ic_seed=4,
         tau=1.88e-3, steps=270, pre_steps=120,
@@ -386,7 +374,7 @@ def _interface(name, *, paper=False):
         extension="none",
         thresholds=(0.5,),
         lam_kind="contrast", lam_hi=1000.0, lam_lo=1.0,
-        gravity=False, bc_kind="dirichlet-x", p_in=1.0, p_out=0.0,
+        p_in=1.0, p_out=0.0,
         ic_kind="wave-interface", wave_x0=3.0, wave_amplitude=0.6,
         wave_periods=3.0,
         tau=1.5e-4, steps=1000,
@@ -399,7 +387,6 @@ def _smoke():
         name="smoke", approach="mixed-gravity",
         nx=8, ny=4, Nx=2, extension="none",
         thresholds=(0.5,), lam_kind="constant",
-        gravity=True, bc_kind="noflow",
         ic_kind="finger-pattern",
         tau=2e-2, steps=5, tau_coarse=2e-2, coarse_steps=5,
         band_lo=1, band_hi=2, scheme="upwind")

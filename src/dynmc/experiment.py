@@ -34,9 +34,8 @@ def reference_states(coarse: CoarseGrid, snapshots: list[Snapshot],
     return out
 
 
-def inflow_concentrations(c0: np.ndarray, spec) -> np.ndarray:
+def inflow_concentrations(col: np.ndarray, spec) -> np.ndarray:
     """Per-continuum mean of the left-boundary inflow concentration."""
-    col = c0[0, :]
     labels = classify(col, spec)
     out = np.zeros(spec.count)
     for k in range(spec.count):
@@ -44,6 +43,31 @@ def inflow_concentrations(c0: np.ndarray, spec) -> np.ndarray:
         if sel.any():
             out[k] = float(col[sel].mean())
     return out
+
+
+def fine_reference(cfg: ExperimentConfig, keep: range | tuple | None = None):
+    """Build the fine problem of ``cfg`` and run it.
+
+    The approach fixes the physics: mixed-gravity is a closed box driven
+    by buoyancy, and every other approach injects the left column of c0
+    through the boundary condition of :meth:`ExperimentConfig.flow_bc`.
+    Snapshots are kept as :func:`run_fine` keeps them.  Returns the fine
+    grid, the mobility c -> lam, the inflow column (None without inflow)
+    and the run.
+    """
+    grid = cfg.layout().extended_fine
+    c0 = cfg.initial_condition(grid)
+    lam_of = cfg.mobility(grid)
+    inflow = None if cfg.gravity else c0[0, :].copy()
+    log.info("%s: fine run %dx%d, %d steps", cfg.name, grid.nx, grid.ny,
+             cfg.steps)
+    run = run_fine(grid, lam_of, c0, cfg.tau, cfg.steps,
+                   bc=cfg.flow_bc(grid), gravity_on=cfg.gravity,
+                   scheme=cfg.scheme,
+                   inflow_c=None if inflow is None else {"left": inflow},
+                   keep=keep, particles_per_cell=cfg.particles_per_cell,
+                   seed=cfg.particle_seed)
+    return grid, lam_of, inflow, run
 
 
 @dataclass
@@ -88,39 +112,23 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | None = None
 def _run(cfg: ExperimentConfig, outdir: str | None,
          t0: float) -> ExperimentResult:
     layout = cfg.layout()
-    ext = layout.extended_fine
     coarse = cfg.extended_coarse(layout)
     off = cfg.target_block_offset(layout)
     spec = cfg.continuum_spec()
     n = spec.count
 
-    c0 = cfg.initial_condition(ext)
-    lam_of = cfg.mobility(ext)
-    bc = cfg.flow_bc(ext)
-    gravity = cfg.gravity
-    inflow_c = None
-    inflow_conc = None
-    if cfg.bc_kind in ("inflow-outlet", "dirichlet-x"):
-        inflow_c = {"left": c0[0, :].copy()}
-        inflow_conc = inflow_concentrations(c0, spec)
-
-    log.info("%s: fine run %dx%d, %d steps", cfg.name, ext.nx, ext.ny,
-             cfg.steps)
     # the coarse runs read the fine field at the coarse time points only
     end = cfg.pre_steps + cfg.coarse_steps * cfg.substeps
-    fine = run_fine(ext, lam_of, c0, cfg.tau, cfg.steps, bc=bc,
-                    gravity_on=gravity, scheme=cfg.scheme,
-                    inflow_c=inflow_c,
-                    keep=range(cfg.pre_steps, end + 1, cfg.substeps),
-                    particles_per_cell=cfg.particles_per_cell,
-                    seed=cfg.particle_seed)
+    _, lam_of, inflow, fine = fine_reference(
+        cfg, keep=range(cfg.pre_steps, end + 1, cfg.substeps))
     snaps = fine.snapshots[:cfg.coarse_steps + 1]
 
     reference = reference_states(coarse, snaps, spec, cfg.tau_coarse)
 
     model = CoarseModel(coarse=coarse, spec=spec, approach=cfg.approach,
                         lam_of=lam_of, g_in=cfg.g_in, p_out=cfg.p_out,
-                        inflow_conc=inflow_conc,
+                        inflow_conc=None if inflow is None
+                        else inflow_concentrations(inflow, spec),
                         flow_refine=cfg.flow_refine, layers=cfg.layers,
                         extension_rule=cfg.extension_rule, p_in=cfg.p_in)
     log.info("%s: coarse run with reference velocities", cfg.name)

@@ -227,23 +227,20 @@ def oversample_block(coarse: CoarseGrid, K: int, layers: int,
 
 @dataclass(frozen=True)
 class DomainLayout:
-    """Target domain plus the (possibly identical) extended fine grid.
+    """The (possibly extended) fine grid around the target domain.
 
     The target fine grid is an exact cell-for-cell restriction of the
     extended grid; ``offset_x`` counts the extension cells on the left.
     """
 
-    target_fine: FineGrid
     extended_fine: FineGrid
-    extension: str  # 'none' | 'two-sided' | 'right'
-    ext_margin: float
     offset_x: int
 
 
 def build_layout(L1: float, L2: float, nx: int, ny: int,
                  extension: str = "none",
                  ext_margin: float = 0.0) -> DomainLayout:
-    """Construct the target and extended fine grids.
+    """Construct the extended fine grid around the target domain.
 
     ``nx, ny`` count fine cells of the *target* domain.  With extension
     'two-sided' the fine grid grows by ``ext_margin`` on both x sides, with
@@ -270,6 +267,4 @@ def build_layout(L1: float, L2: float, nx: int, ny: int,
         else:
             ext = FineGrid(nx + 2 * mc, ny, L1 + 2 * ext_margin, L2)
             off = 0
-    return DomainLayout(target_fine=target, extended_fine=ext,
-                        extension=extension, ext_margin=ext_margin,
-                        offset_x=off)
+    return DomainLayout(extended_fine=ext, offset_x=off)

@@ -571,7 +571,6 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
         if gone.any():
             total_removed += float(np.abs(C[gone]).sum())
             C = np.where(gone, 0.0, C)
-        lam = model.lam_of(snap.c)
 
         if velocity == "ref":
             V = averages(coarse, snap.p, snap.c, snap.vx, labels, n).V
@@ -580,6 +579,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             # all coarse-flow coefficients, including the buoyancy drive,
             # are rebuilt from the fine snapshot each step; a step whose
             # inputs equal the previous step's reuses its solution
+            lam = model.lam_of(snap.c)
             inputs = [labels, lam]
             if model.approach == "mixed-gravity":
                 inputs.append(snap.c)

@@ -571,6 +571,25 @@ class TestRunCoarse:
             C[:, 0] += tau * (flux[:-1] - flux[1:])
         assert np.allclose(states[-1].C, C, atol=1e-10)
 
+    def test_ref_velocity_never_evaluates_the_mobility(self):
+        # lam feeds only the homogenized coarse flow
+        grid = FineGrid(16, 4, 4.0, 1.0)
+        calls = []
+
+        def lam_of(c):
+            calls.append(1)
+            return np.ones_like(c)
+
+        model = CoarseModel(coarse=CoarseGrid(grid, 4),
+                            spec=single_continuum(),
+                            approach="mixed-gravity", lam_of=lam_of)
+        snaps = self.make_snapshots(grid, 3, rng(3).random((16, 4)),
+                                    np.zeros((17, 4)))
+        run_coarse(model, snaps, 3, 0.05, velocity="ref")
+        assert calls == []
+        run_coarse(model, snaps, 3, 0.05, velocity="mh")
+        assert len(calls) == 4
+
     def test_missing_snapshots_rejected(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
         coarse = CoarseGrid(grid, 2)

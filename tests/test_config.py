@@ -7,6 +7,7 @@ import pytest
 from dynmc.config import (ExperimentConfig, apply_overrides, from_ini,
                           get_preset, presets, to_ini)
 from dynmc.exceptions import ConfigError
+from dynmc.fine import FlowBC
 
 
 class TestPresets:
@@ -34,6 +35,22 @@ class TestPresets:
             lam = cfg.mobility(grid)(ic)
             assert lam.shape == ic.shape and (lam > 0).all()
 
+    def test_target_block_offset_counts_whole_blocks(self):
+        # two-sided margins of 24 fine cells: one desk block of 24 columns,
+        # two paper blocks of 28
+        want = {"gravity-dual": 1, "gravity-dual-paper": 2, "viscous": 0,
+                "interface": 0}
+        for name, off in want.items():
+            cfg = get_preset(name)
+            assert cfg.target_block_offset(cfg.layout()) == off, name
+        # a 12-cell margin on both sides adds one whole block in all, but
+        # the target domain starts half way into the first
+        cfg = dataclasses.replace(get_preset("gravity-dual"), ext_margin=0.9)
+        layout = cfg.layout()
+        assert cfg.extended_coarse(layout).Nx == cfg.Nx + 1
+        with pytest.raises(ConfigError, match="not aligned"):
+            cfg.target_block_offset(layout)
+
     def test_unknown_preset_lists_available(self):
         with pytest.raises(ConfigError, match="available"):
             get_preset("gravity")
@@ -51,11 +68,11 @@ class TestIniAndOverrides:
         assert out.steps == 10 and out.tau == 0.005
         assert out.name == cfg.name
 
-    def test_tuple_and_bool_parsing(self):
+    def test_tuple_parsing(self):
         cfg = apply_overrides(get_preset("smoke"),
-                              ["thresholds=0.8,0.4", "gravity=false"])
+                              ["thresholds=0.8,0.4", "ic_centers="])
         assert cfg.thresholds == (0.8, 0.4)
-        assert cfg.gravity is False
+        assert cfg.ic_centers == ()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -128,9 +145,32 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="exactly 2 continua"):
             dataclasses.replace(get_preset("viscous"), thresholds=(0.8, 0.4))
 
-    def test_bc_kind_must_match_approach(self):
-        with pytest.raises(ConfigError, match="needs bc_kind='dirichlet-x'"):
-            dataclasses.replace(get_preset("interface"), bc_kind="noflow")
+    @pytest.mark.parametrize("key", ["gravity", "bc_kind"])
+    def test_gravity_and_bc_kind_are_unknown_keys(self, key):
+        # the approach fixes the physics; a config may not restate it
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            apply_overrides(get_preset("interface"), [f"{key}=noflow"])
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in"):
+            from_ini(f"[bc]\n{key} = false\n", base=get_preset("smoke"))
+
+    def test_approach_fixes_gravity_and_flow_bc(self):
+        # the gravity and bc_kind fields every preset used to set
+        closed = (True, FlowBC())
+        inflow = (False, FlowBC(left=("flux", -1.0),
+                                right=("pressure", 0.0)))
+        drop = (False, FlowBC(left=("pressure", 1.0),
+                              right=("pressure", 0.0)))
+        want = {"smoke": closed, "gravity-dual": closed,
+                "gravity-triple": closed, "gravity-dual-hetero": closed,
+                "gravity-triple-hetero": closed, "gravity-dual-paper": closed,
+                "gravity-triple-paper": closed, "viscous": inflow,
+                "viscous-paper": inflow, "interface": drop,
+                "interface-paper": drop}
+        table = presets()
+        assert set(table) == set(want)
+        for name, cfg in table.items():
+            ext = cfg.layout().extended_fine
+            assert (cfg.gravity, cfg.flow_bc(ext)) == want[name], name
 
     @pytest.mark.parametrize("preset, overrides, match", [
         ("smoke", ["coarse_steps=-1"], "coarse_steps=-1 must be >= 0"),

@@ -1,19 +1,25 @@
 """End-to-end driver: which fine steps feed which coarse time points."""
 
+import ast
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dynmc import experiment
-from dynmc.config import apply_overrides, get_preset
+from dynmc.config import ExperimentConfig, apply_overrides, get_preset
 from dynmc.continua import averages, classify
 from dynmc.exceptions import ConfigError
 from dynmc.experiment import run_experiment
 from dynmc.fine import run_fine
+from test_solve_paths import callers
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
@@ -103,3 +109,65 @@ def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_every_fine_run_is_set_up_in_one_place():
+    files = sorted((ROOT / "src" / "dynmc").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py"))
+    sites = {path.relative_to(ROOT).as_posix():
+             callers(ast.parse(path.read_text()), "run_fine")
+             for path in files}
+    assert {k: v for k, v in sites.items() if v} == {
+        "src/dynmc/experiment.py": ["fine_reference"]}
+
+
+def test_mobility_and_initial_condition_built_once_per_experiment(
+        monkeypatch):
+    calls = []
+    for name in ("mobility", "initial_condition"):
+        method = getattr(ExperimentConfig, name)
+
+        def counted(self, grid, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, grid)
+
+        monkeypatch.setattr(ExperimentConfig, name, counted)
+    run_experiment(get_preset("smoke"))
+    assert sorted(calls) == ["initial_condition", "mobility"]
+
+
+def label_consistency():
+    spec = importlib.util.spec_from_file_location(
+        "label_consistency", ROOT / "scripts" / "label_consistency.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("preset", ["viscous", "interface"])
+def test_label_consistency_runs_the_preset_flow(monkeypatch, capsys, preset):
+    seen = []
+
+    def spy(*args, **kwargs):
+        run = run_fine(*args, **kwargs)
+        seen.append((kwargs["bc"], kwargs["inflow_c"], run))
+        return run
+
+    monkeypatch.setattr(experiment, "run_fine", spy)
+    assert label_consistency().main(
+        ["--preset", preset, "--steps", "2"]) == 0
+    cfg = get_preset(preset)
+    [(bc, inflow, run)] = seen
+    assert bc == cfg.flow_bc(cfg.layout().extended_fine)
+    assert (inflow["left"] == run.c0[0, :]).all()
+    assert all(np.abs(s.vx).max() > 0 for s in run.snapshots)
+    assert f"{preset}: 2 steps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["--preset", "bogus"], "error: unknown preset 'bogus'"),
+    (["--preset", "viscous", "--steps", "-1"], "error: coarse horizon"),
+], ids=["unknown-preset", "negative-steps"])
+def test_label_consistency_reports_a_bad_config(capsys, argv, match):
+    assert label_consistency().main(argv) == ConfigError.exit_code
+    assert capsys.readouterr().err.startswith(match)

@@ -157,9 +157,9 @@ class TestDomainLayout:
 
     def test_minimal_single_block(self):
         lay = build_layout(1.0, 1.0, 2, 2)
-        assert lay.extended_fine is lay.target_fine
+        assert lay.extended_fine == FineGrid(2, 2, 1.0, 1.0)
         assert lay.offset_x == 0
-        coarse = CoarseGrid(lay.target_fine, 1)
+        coarse = CoarseGrid(lay.extended_fine, 1)
         assert list(coarse.blocks()) == [0]
         assert coarse.mx * coarse.my == 4
 
