@@ -16,7 +16,7 @@ from .config import (ExperimentConfig, apply_overrides, from_ini, get_preset,
                      presets)
 from .exceptions import ConfigError, DynmcError
 from .experiment import fine_reference, run_experiment
-from .grids import oversample_block
+from .grids import CoarseGrid, oversample_block
 from .continua import classify
 from .metrics import compute_errors, concentration_errors, velocity_errors
 
@@ -37,8 +37,12 @@ def _load_config(args) -> ExperimentConfig:
     if args.preset:
         cfg = get_preset(args.preset)
     elif args.config:
-        with open(args.config) as fh:
-            cfg = from_ini(fh.read())
+        try:
+            with open(args.config) as fh:
+                cfg = from_ini(fh.read())
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read {args.config!r}: {exc.strerror}") from None
     else:
         raise ConfigError("one of --preset or --config is required")
     return apply_overrides(cfg, args.overrides)
@@ -101,14 +105,15 @@ def _cmd_cells_solve(args) -> int:
     cfg = _load_config(args)
     layout = cfg.layout()
     ext = layout.extended_fine
-    coarse = cfg.extended_coarse(layout)
+    # the regions of the Galerkin model: blocks of its refined flow grid
+    flow = CoarseGrid(ext, cfg.extended_coarse(layout).Nx * cfg.flow_refine)
     spec = cfg.continuum_spec()
     n = spec.count
     c0 = cfg.initial_condition(ext)
     labels = classify(c0, spec)
     lam = cfg.mobility(ext)(c0)
-    block = args.block if args.block is not None else coarse.Nx // 2
-    ov = oversample_block(coarse, block, args.layers
+    block = args.block if args.block is not None else flow.Nx // 2
+    ov = oversample_block(flow, block, args.layers
                           if args.layers is not None else cfg.layers,
                           rule=cfg.extension_rule)
     lam_l, lab_l = ov.sample(lam), ov.sample(labels)
@@ -177,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="average",
                     choices=["average", "gradient", "concentration"])
     sp.add_argument("--block", type=int, default=None,
-                    help="block index along x (default: middle)")
+                    help="block of the Nx x flow_refine flow grid "
+                         "(default: middle)")
     sp.add_argument("--layers", type=int, default=None)
     sp.set_defaults(func=_cmd_cells_solve)
 

@@ -39,11 +39,9 @@ class ExperimentConfig:
     # mobility
     lam_kind: str = "constant"  # constant | contrast | random-field | file
     lam_value: float = 1.0
-    lam_hi: float = 1000.0
-    lam_lo: float = 1.0
+    lam_hi: float = 1000.0  # contrast: lam of continuum 0; random-field: top
+    lam_lo: float = 1.0  # contrast: lam of the others; random-field: bottom
     lam_seed: int = 7
-    lam_min: float = 0.3
-    lam_max: float = 3.0
     lam_corr_cells: float = 5.0
     lam_file: str = ""
 
@@ -63,8 +61,6 @@ class ExperimentConfig:
     wave_x0: float = 3.0
     wave_amplitude: float = 0.6
     wave_periods: float = 3.0
-    wave_high: float = 1.0
-    wave_low: float = 0.333
     ic_file: str = ""
 
     # time stepping
@@ -73,7 +69,6 @@ class ExperimentConfig:
     pre_steps: int = 0
     tau_coarse: float = 3.33e-2
     coarse_steps: int = 120
-    substeps: int = 1
     scheme: str = "particles"
     particles_per_cell: int = 32
     particle_seed: int = 0
@@ -85,10 +80,16 @@ class ExperimentConfig:
             if f.type in ("int", "float", "tuple") and not all(
                     isinstance(v, int) or math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name}={value} must be finite")
-        if not self.tau > 0:
-            raise ConfigError(f"tau={self.tau} must be positive")
-        if self.substeps < 1:
-            raise ConfigError(f"substeps={self.substeps} must be >= 1")
+        for name in ("tau", "lam_value", "lam_lo", "lam_hi"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)} must be positive")
+        whole = math.isfinite(self.tau_coarse / self.tau) and self.substeps >= 1
+        if not whole or (abs(self.tau_coarse - self.substeps * self.tau)
+                         > 1e-12 * self.tau):
+            raise ConfigError(
+                f"tau_coarse={self.tau_coarse} must be a whole multiple "
+                f"(>= 1) of tau={self.tau}")
         if self.layers < 0:
             raise ConfigError(f"layers={self.layers} must be >= 0")
         rule = _parse_rule(self.extension_rule)
@@ -96,6 +97,9 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} must be >= 0")
+        for kind, path in (("lam_kind", "lam_file"), ("ic_kind", "ic_file")):
+            if getattr(self, kind) == "file" and not getattr(self, path):
+                raise ConfigError(f"{kind}=file needs {path}")
         if not self.plateaus:
             raise ConfigError("plateaus must name at least one value")
         if self.ic_kind == "stripe-fingers" and not self.ic_centers:
@@ -110,10 +114,6 @@ class ExperimentConfig:
                 "coarse horizon exceeds the fine horizon: "
                 f"{self.pre_steps} + {self.coarse_steps} x {self.substeps} "
                 f"> {self.steps}")
-        if abs(self.tau_coarse - self.substeps * self.tau) > 1e-12 * self.tau:
-            raise ConfigError(
-                f"tau_coarse={self.tau_coarse} != substeps x tau "
-                f"= {self.substeps * self.tau}")
         if self.approach == "mixed-viscous" and len(self.thresholds) != 1:
             raise ConfigError("mixed-viscous interface bases need exactly 2 "
                               f"continua, got {len(self.thresholds) + 1}")
@@ -137,6 +137,11 @@ class ExperimentConfig:
                     f"image of the {blocks}-block Galerkin flow grid")
 
     # --- derived objects ----------------------------------------------
+
+    @property
+    def substeps(self) -> int:
+        """Fine steps per coarse step, the whole number tau_coarse / tau."""
+        return round(self.tau_coarse / self.tau)
 
     @property
     def gravity(self) -> bool:
@@ -180,7 +185,7 @@ class ExperimentConfig:
                 lambda c: classify_values(c, spec))
         if self.lam_kind == "random-field":
             lam = icmod.smooth_log_uniform_field(
-                grid, self.lam_seed, self.lam_min, self.lam_max,
+                grid, self.lam_seed, self.lam_lo, self.lam_hi,
                 corr_cells=self.lam_corr_cells)
             return lambda c: lam
         if self.lam_kind == "file":
@@ -205,8 +210,8 @@ class ExperimentConfig:
             return icmod.wave_interface(grid, self.wave_x0,
                                         self.wave_amplitude,
                                         self.wave_periods,
-                                        high=self.wave_high,
-                                        low=self.wave_low)
+                                        high=self.plateaus[0],
+                                        low=self.plateaus[-1])
         if self.ic_kind == "file":
             from .io import read_cell_csv
             return read_cell_csv(self.ic_file, grid.nx, grid.ny)
@@ -237,13 +242,13 @@ _SECTIONS = {
                  "ext_margin", "flow_refine", "layers", "extension_rule"),
     "continua": ("thresholds",),
     "mobility": ("lam_kind", "lam_value", "lam_hi", "lam_lo", "lam_seed",
-                 "lam_min", "lam_max", "lam_corr_cells", "lam_file"),
+                 "lam_corr_cells", "lam_file"),
     "bc": ("g_in", "p_in", "p_out"),
     "ic": ("ic_kind", "plateaus", "ic_seed", "band_lo", "band_hi", "wiggle",
            "ic_centers", "wave_x0", "wave_amplitude", "wave_periods",
-           "wave_high", "wave_low", "ic_file"),
+           "ic_file"),
     "time": ("tau", "steps", "pre_steps", "tau_coarse", "coarse_steps",
-             "substeps", "scheme", "particles_per_cell", "particle_seed"),
+             "scheme", "particles_per_cell", "particle_seed"),
 }
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -338,6 +343,7 @@ def _gravity(name, *, triple=False, hetero=False, paper=False):
         extension="two-sided", ext_margin=1.8,
         thresholds=(0.8, 0.4) if triple else (0.5,),
         lam_kind="random-field" if hetero else "constant",
+        **({"lam_lo": 0.3, "lam_hi": 3.0} if hetero else {}),
         ic_kind="finger-pattern",
         plateaus=icmod.TRIPLE_PLATEAUS if triple else icmod.DUAL_PLATEAUS,
         ic_seed=17 if triple else 1,
@@ -378,7 +384,7 @@ def _interface(name, *, paper=False):
         ic_kind="wave-interface", wave_x0=3.0, wave_amplitude=0.6,
         wave_periods=3.0,
         tau=1.5e-4, steps=1000,
-        tau_coarse=1.5e-3, coarse_steps=100, substeps=10,
+        tau_coarse=1.5e-3, coarse_steps=100,
         scheme="upwind")
 
 

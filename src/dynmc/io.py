@@ -44,8 +44,13 @@ def write_cell_csv(path: str, field: np.ndarray) -> None:
 
 def _data_rows(path: str, header: list[str]):
     """(where, fields) of every non-blank row of a CSV file whose first row
-    is ``header``; ``where`` names the file and line for error messages."""
-    with open(path, newline="") as fh:
+    is ``header``; ``where`` names the file and line for error messages.
+    A file that cannot be opened raises :class:`ConfigError` naming it."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from None
+    with fh:
         r = csv.reader(fh)
         head = next(r, None)
         if head is None or [h.strip() for h in head] != header:
@@ -130,6 +135,10 @@ def write_averages_csv(path: str, states, n: int) -> None:
 
     kind is P, C, or V; location is ``I:0`` for block I and ``x:I:0`` for
     coarse edge I (row I of V, the x-face column between blocks I-1 and I).
+    P rows are written only for a pressure per block and continuum, such as
+    the reference's, or for the mixed models' multipliers.  A Galerkin
+    coarse pressure lives on the refined flow grid (Nx * flow_refine blocks),
+    not on the transport blocks, and is not written.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -1,13 +1,17 @@
 """Command-line entry points: exit codes, artifacts, printed reports."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from dynmc import io
+from dynmc import cli, io, macro
 from dynmc.cli import main
+from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError
+from dynmc.experiment import run_experiment
+from dynmc.grids import oversample_block
 
 
 def test_list_presets(capsys):
@@ -55,12 +59,40 @@ def test_run_coarse_smoke_reports_errors(tmp_path, capsys):
 
 
 def test_config_file_source(tmp_path, capsys):
-    from dynmc.config import get_preset, to_ini
+    from dynmc.config import to_ini
     path = tmp_path / "cfg.ini"
     path.write_text(to_ini(get_preset("smoke")))
     assert main(["run-fine", "--config", str(path)]) == 0
     assert main(["run-fine", "--config", str(path),
                  "--preset", "smoke"]) == ConfigError.exit_code
+
+
+def test_run_fine_reports_a_missing_config_file(tmp_path, capsys):
+    path = str(tmp_path / "nope.ini")
+    assert main(["run-fine", "--config", path]) == ConfigError.exit_code
+    assert f"cannot read '{path}'" in capsys.readouterr().err
+
+
+def test_run_coarse_reports_a_missing_mobility_file(tmp_path, capsys):
+    assert main(["run-coarse", "--preset", "smoke", "--set",
+                 "lam_kind=file"]) == ConfigError.exit_code
+    assert "lam_kind=file needs lam_file" in capsys.readouterr().err
+    path = str(tmp_path / "lam.csv")
+    assert main(["run-coarse", "--preset", "smoke", "--set", "lam_kind=file",
+                 "--set", f"lam_file={path}"]) == ConfigError.exit_code
+    assert f"cannot read '{path}'" in capsys.readouterr().err
+
+
+def test_cells_solve_reports_an_unreadable_ic_file(tmp_path, capsys):
+    assert main(["cells-solve", "--preset", "smoke", "--set", "ic_kind=file",
+                 "--set", f"ic_file={tmp_path}"]) == ConfigError.exit_code
+    assert f"cannot read '{tmp_path}'" in capsys.readouterr().err
+
+
+def test_compare_reports_a_missing_series(tmp_path, capsys):
+    a, b = str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")
+    assert main(["compare", a, b]) == ConfigError.exit_code
+    assert f"cannot read '{a}'" in capsys.readouterr().err
 
 
 def test_cells_solve_smoke(tmp_path, capsys):
@@ -70,6 +102,26 @@ def test_cells_solve_smoke(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "residual" in text
     assert (out / "residuals.txt").exists()
+
+
+def test_cells_solve_oversamples_a_galerkin_region(tmp_path, monkeypatch,
+                                                   capsys):
+    # the CLI's region is one the Galerkin model solves: a block of the
+    # refined flow grid (Nx x flow_refine blocks), by default the middle one
+    calls = {cli: [], macro: []}
+    for module in calls:
+        def spy(grid, K, layers, rule="none", seen=calls[module]):
+            seen.append((grid.Nx, K, layers, rule))
+            return oversample_block(grid, K, layers, rule=rule)
+        monkeypatch.setattr(module, "oversample_block", spy)
+    assert main(["cells-solve", "--preset", "interface", "--out",
+                 str(tmp_path)]) == 0
+    cfg = get_preset("interface")
+    run_experiment(dataclasses.replace(cfg, steps=10, coarse_steps=1))
+    flow_blocks = cfg.Nx * cfg.flow_refine
+    assert calls[cli] == [(flow_blocks, flow_blocks // 2, cfg.layers,
+                           cfg.extension_rule)]
+    assert calls[cli][0] in calls[macro]
 
 
 def test_compare_two_series(tmp_path, capsys):

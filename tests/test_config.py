@@ -2,10 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from dynmc.config import (ExperimentConfig, apply_overrides, from_ini,
-                          get_preset, presets, to_ini)
+from dynmc.config import (_SECTIONS, ExperimentConfig, apply_overrides,
+                          from_ini, get_preset, presets, to_ini)
 from dynmc.exceptions import ConfigError
 from dynmc.fine import FlowBC
 
@@ -59,6 +60,21 @@ class TestPresets:
         hashes = {cfg.config_hash() for cfg in presets().values()}
         assert len(hashes) == len(presets())
 
+    def test_one_field_sets_each_plateau_pair_and_mobility_range(self):
+        # the wave reads its plateaus and the random field its range from
+        # the fields that finger patterns and contrasts read
+        cfg = get_preset("interface")
+        c0 = cfg.initial_condition(cfg.layout().extended_fine)
+        assert set(np.unique(c0)) == {cfg.plateaus[0], cfg.plateaus[-1]}
+        cfg = get_preset("gravity-dual-hetero")
+        assert (cfg.lam_lo, cfg.lam_hi) == (0.3, 3.0)
+        grid = cfg.layout().extended_fine
+        lam = cfg.mobility(grid)(cfg.initial_condition(grid))
+        # the field spans the range end to end
+        assert (lam.min(), lam.max()) == pytest.approx((0.3, 3.0))
+        wider = dataclasses.replace(cfg, lam_hi=30.0)
+        assert wider.mobility(grid)(None).max() == pytest.approx(30.0)
+
 
 class TestIniAndOverrides:
     def test_override_changes_named_field(self):
@@ -86,6 +102,12 @@ class TestIniAndOverrides:
         with pytest.raises(ConfigError):
             apply_overrides(get_preset("smoke"), ["steps=soon"])
 
+    def test_sections_list_every_field_once(self):
+        # a field missing here would drop out of config.ini silently
+        listed = [name for names in _SECTIONS.values() for name in names]
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(listed) == sorted(fields)
+
     def test_ini_base_merge(self):
         base = get_preset("smoke")
         text = "[time]\nsteps = 7\ncoarse_steps = 7\n"
@@ -95,13 +117,23 @@ class TestIniAndOverrides:
 
 class TestInvariants:
     def test_coarse_horizon_cannot_exceed_fine(self):
-        with pytest.raises(ConfigError, match="horizon"):
-            ExperimentConfig(steps=10, coarse_steps=20, substeps=1)
+        with pytest.raises(ConfigError, match=r"horizon.*0 \+ 20 x 1 > 10"):
+            ExperimentConfig(steps=10, coarse_steps=20)
+        with pytest.raises(ConfigError, match=r"horizon.*0 \+ 6 x 2 > 10"):
+            ExperimentConfig(tau=0.01, tau_coarse=0.02, steps=10,
+                             coarse_steps=6)
 
     def test_tau_coarse_must_match_substeps(self):
-        with pytest.raises(ConfigError, match="tau_coarse"):
-            ExperimentConfig(tau=0.01, tau_coarse=0.03, substeps=2,
-                             steps=10, coarse_steps=5)
+        # substeps is read off tau_coarse / tau, which must be whole
+        assert ExperimentConfig(tau=0.01, tau_coarse=0.03, steps=15,
+                                coarse_steps=5).substeps == 3
+        assert get_preset("interface").substeps == 10
+        with pytest.raises(ConfigError, match="tau_coarse=0.025 must be a "
+                                              "whole multiple"):
+            ExperimentConfig(tau=0.01, tau_coarse=0.025, steps=10,
+                             coarse_steps=4)
+        with pytest.raises(ConfigError, match="whole multiple"):
+            ExperimentConfig(tau=1e-10, tau_coarse=1e300)  # ratio overflows
 
     def test_multi_row_coarse_grid_rejected(self):
         # every coarse model is one block tall, so Ny is no longer a key
@@ -120,8 +152,14 @@ class TestInvariants:
             dataclasses.replace(get_preset("smoke"), tau=tau, tau_coarse=tau)
 
     def test_substeps_must_be_positive(self):
-        with pytest.raises(ConfigError, match="substeps=0 must be >= 1"):
-            dataclasses.replace(get_preset("smoke"), substeps=0)
+        # smoke's tau is 0.02: a coarse step below one fine step is no
+        # whole multiple, not even where the rounding gap is tiny
+        smoke = get_preset("smoke")
+        for tau_coarse in (0.01, 1e-16, 0.0, -0.02):
+            with pytest.raises(ConfigError, match=r"whole multiple \(>= 1\)"):
+                dataclasses.replace(smoke, tau_coarse=tau_coarse)
+        with pytest.raises(TypeError, match="substeps"):
+            dataclasses.replace(smoke, substeps=2)
 
     def test_layers_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="layers=-1 must be >= 0"):
@@ -144,6 +182,16 @@ class TestInvariants:
     def test_viscous_needs_two_continua(self):
         with pytest.raises(ConfigError, match="exactly 2 continua"):
             dataclasses.replace(get_preset("viscous"), thresholds=(0.8, 0.4))
+
+    @pytest.mark.parametrize("section, key", [
+        ("ic", "wave_high"), ("ic", "wave_low"), ("mobility", "lam_min"),
+        ("mobility", "lam_max"), ("time", "substeps")])
+    def test_merged_keys_are_unknown_keys(self, section, key):
+        # plateaus, lam_lo / lam_hi and tau_coarse / tau set these
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            apply_overrides(get_preset("interface"), [f"{key}=1"])
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in"):
+            from_ini(f"[{section}]\n{key} = 1\n", base=get_preset("smoke"))
 
     @pytest.mark.parametrize("key", ["gravity", "bc_kind"])
     def test_gravity_and_bc_kind_are_unknown_keys(self, key):
@@ -187,13 +235,18 @@ class TestInvariants:
         ("smoke", ["lam_value=nan"], "lam_value=nan must be finite"),
         ("viscous", ["g_in=nan"], "g_in=nan must be finite"),
         ("viscous", ["ic_centers=0.8,-inf"], "ic_centers=.* must be finite"),
+        ("viscous", ["lam_lo=0"], "lam_lo=0.0 must be positive"),
+        ("smoke", ["lam_value=-1"], "lam_value=-1.0 must be positive"),
+        ("gravity-dual-hetero", ["lam_hi=-3"], "lam_hi=-3.0 must be positive"),
+        ("smoke", ["lam_kind=file"], "lam_kind=file needs lam_file"),
+        ("smoke", ["ic_kind=file"], "ic_kind=file needs ic_file"),
     ])
     def test_bad_value_rejected_before_any_run(self, preset, overrides,
                                                match):
-        # unchecked, each fails late (after the fine run) or as a bare
-        # IndexError, ValueError or OverflowError; zero-height bands never
-        # finish drawing the initial condition, and tau=inf passes the
-        # tau_coarse check (inf > inf is false)
+        # unchecked, each fails late (after the fine run or in its first
+        # flow solve) or as a bare IndexError, ValueError, OverflowError or
+        # FileNotFoundError; zero-height bands never finish drawing the
+        # initial condition
         with pytest.raises(ConfigError, match=match):
             apply_overrides(get_preset(preset), overrides)
 

@@ -17,6 +17,7 @@ from dynmc.continua import averages, classify
 from dynmc.exceptions import ConfigError
 from dynmc.experiment import run_experiment
 from dynmc.fine import run_fine
+from dynmc.io import write_cell_csv
 from test_solve_paths import callers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,7 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
     cfg = dataclasses.replace(get_preset("smoke"), steps=7, pre_steps=2,
-                              substeps=2, tau_coarse=4e-2, coarse_steps=2)
+                              tau_coarse=4e-2, coarse_steps=2)
+    assert cfg.substeps == 2  # smoke's tau is 2e-2
     res = run_experiment(cfg)
     assert [s.step for s in res.fine.snapshots] == [2, 4, 6, 7]
 
@@ -74,6 +76,36 @@ def test_coarse_block_count_checked_before_the_fine_run(monkeypatch):
     # 120 fine columns do not split into 7 coarse blocks
     with pytest.raises(ConfigError, match="Nx=7 coarse blocks"):
         run_experiment(apply_overrides(get_preset("gravity-dual"), ["Nx=7"]))
+
+
+@pytest.mark.parametrize("kind", ["lam", "ic"])
+def test_file_fields_read_back_bit_for_bit(tmp_path, kind):
+    # a field written by write_cell_csv comes back as lam or c0 exactly
+    cfg = get_preset("gravity-dual-hetero")
+    grid = cfg.layout().extended_fine
+    c0 = cfg.initial_condition(grid)
+    field = cfg.mobility(grid)(c0) if kind == "lam" else c0
+    path = str(tmp_path / f"{kind}.csv")
+    write_cell_csv(path, field)
+    cfg = apply_overrides(cfg, [f"{kind}_kind=file", f"{kind}_file={path}"])
+    got = cfg.mobility(grid)(c0) if kind == "lam" else cfg.initial_condition(
+        grid)
+    assert got.tobytes() == field.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lam", "ic"])
+def test_file_of_the_wrong_shape_fails_before_the_fine_run(monkeypatch,
+                                                           tmp_path, kind):
+    def no_fine_run(*args, **kwargs):
+        raise AssertionError("run_fine called")
+
+    monkeypatch.setattr(experiment, "run_fine", no_fine_run)
+    path = str(tmp_path / f"{kind}.csv")
+    write_cell_csv(path, np.ones((8, 3)))  # smoke's fine grid is 8x4
+    cfg = apply_overrides(get_preset("smoke"),
+                          [f"{kind}_kind=file", f"{kind}_file={path}"])
+    with pytest.raises(ConfigError, match="grid is 8x3, expected 8x4"):
+        run_experiment(cfg)
 
 
 def test_manifest_counts_reused_fine_flow_solves(tmp_path):
