@@ -103,6 +103,9 @@ def _cmd_run_coarse(args) -> int:
 
 def _cmd_cells_solve(args) -> int:
     cfg = _load_config(args)
+    if cfg.approach != "galerkin":
+        raise ConfigError(f"cells-solve shows a Galerkin region; approach "
+                          f"{cfg.approach!r} solves none")
     layout = cfg.layout()
     ext = layout.extended_fine
     # the regions of the Galerkin model: blocks of its refined flow grid

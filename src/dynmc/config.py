@@ -16,14 +16,20 @@ from .exceptions import ConfigError
 from .fine import FlowBC
 from .grids import CoarseGrid, DomainLayout, _parse_rule, build_layout
 
+# Every model problem of the paper shares these values, so none is a key.
+L1, L2 = 9.0, 3.0  # the target domain
+G_IN, P_IN, P_OUT = -1.0, 1.0, 0.0  # viscous inflow; galerkin inlet; outlet
+# the wave interface x = x0 + A sin(2 pi k y / L2)
+WAVE_X0, WAVE_AMPLITUDE, WAVE_PERIODS = 3.0, 0.6, 3.0
+LAM_SEED, LAM_CORR_CELLS = 7, 5.0  # the random field's texture
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str = "custom"
     approach: str = "mixed-gravity"  # mixed-gravity | mixed-viscous | galerkin
 
-    # geometry (target domain)
-    L1: float = 9.0
-    L2: float = 3.0
+    # geometry (target domain L1 x L2)
     nx: int = 120
     ny: int = 36
     Nx: int = 5  # coarse blocks along x, each one full height
@@ -37,18 +43,10 @@ class ExperimentConfig:
     thresholds: tuple = (0.5,)
 
     # mobility
-    lam_kind: str = "constant"  # constant | contrast | random-field | file
-    lam_value: float = 1.0
+    lam_kind: str = "constant"  # constant (1) | contrast | random-field | file
     lam_hi: float = 1000.0  # contrast: lam of continuum 0; random-field: top
     lam_lo: float = 1.0  # contrast: lam of the others; random-field: bottom
-    lam_seed: int = 7
-    lam_corr_cells: float = 5.0
     lam_file: str = ""
-
-    # boundary data (the approach picks the boundary condition)
-    g_in: float = -1.0
-    p_in: float = 1.0
-    p_out: float = 0.0
 
     # initial condition
     ic_kind: str = "finger-pattern"  # finger-pattern | wave-interface | file
@@ -58,9 +56,6 @@ class ExperimentConfig:
     band_hi: int = 7
     wiggle: float = 0.45
     ic_centers: tuple = ()
-    wave_x0: float = 3.0
-    wave_amplitude: float = 0.6
-    wave_periods: float = 3.0
     ic_file: str = ""
 
     # time stepping
@@ -80,7 +75,7 @@ class ExperimentConfig:
             if f.type in ("int", "float", "tuple") and not all(
                     isinstance(v, int) or math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name}={value} must be finite")
-        for name in ("tau", "lam_value", "lam_lo", "lam_hi"):
+        for name in ("tau", "lam_lo", "lam_hi"):
             if not getattr(self, name) > 0:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} must be positive")
@@ -100,8 +95,7 @@ class ExperimentConfig:
         for kind, path in (("lam_kind", "lam_file"), ("ic_kind", "ic_file")):
             if getattr(self, kind) == "file" and not getattr(self, path):
                 raise ConfigError(f"{kind}=file needs {path}")
-        if not self.plateaus:
-            raise ConfigError("plateaus must name at least one value")
+        icmod.check_plateaus(self.plateaus)
         if self.ic_kind == "stripe-fingers" and not self.ic_centers:
             raise ConfigError("stripe-fingers needs its finger tip in "
                               "ic_centers")
@@ -152,14 +146,14 @@ class ExperimentConfig:
         return ContinuumSpec(thresholds=tuple(self.thresholds))
 
     def layout(self) -> DomainLayout:
-        return build_layout(self.L1, self.L2, self.nx, self.ny,
+        return build_layout(L1, L2, self.nx, self.ny,
                             extension=self.extension,
                             ext_margin=self.ext_margin)
 
     def extended_coarse(self, layout: DomainLayout) -> CoarseGrid:
         """Coarse grid covering the full (possibly extended) fine domain."""
         ext = layout.extended_fine
-        width = self.L1 / self.Nx
+        width = L1 / self.Nx
         total = ext.L1 / width
         if abs(total - round(total)) > 1e-9:
             raise ConfigError(
@@ -177,7 +171,7 @@ class ExperimentConfig:
         """Callable c -> lam field on ``grid``."""
         spec = self.continuum_spec()
         if self.lam_kind == "constant":
-            lam = np.full((grid.nx, grid.ny), self.lam_value)
+            lam = np.ones((grid.nx, grid.ny))
             return lambda c: lam
         if self.lam_kind == "contrast":
             return icmod.two_valued_mobility(
@@ -185,8 +179,8 @@ class ExperimentConfig:
                 lambda c: classify_values(c, spec))
         if self.lam_kind == "random-field":
             lam = icmod.smooth_log_uniform_field(
-                grid, self.lam_seed, self.lam_lo, self.lam_hi,
-                corr_cells=self.lam_corr_cells)
+                grid, LAM_SEED, self.lam_lo, self.lam_hi,
+                corr_cells=LAM_CORR_CELLS)
             return lambda c: lam
         if self.lam_kind == "file":
             from .io import read_cell_csv
@@ -207,10 +201,8 @@ class ExperimentConfig:
                 band_cells=(self.band_lo, self.band_hi),
                 tip=self.ic_centers[0], wiggle=self.wiggle)
         if self.ic_kind == "wave-interface":
-            return icmod.wave_interface(grid, self.wave_x0,
-                                        self.wave_amplitude,
-                                        self.wave_periods,
-                                        high=self.plateaus[0],
+            return icmod.wave_interface(grid, WAVE_X0, WAVE_AMPLITUDE,
+                                        WAVE_PERIODS, high=self.plateaus[0],
                                         low=self.plateaus[-1])
         if self.ic_kind == "file":
             from .io import read_cell_csv
@@ -222,11 +214,9 @@ class ExperimentConfig:
         inflow flux with an outlet pressure (mixed-viscous) or a pressure
         drop along x (galerkin)."""
         if self.approach == "mixed-viscous":
-            return FlowBC(left=("flux", self.g_in),
-                          right=("pressure", self.p_out))
+            return FlowBC(left=("flux", G_IN), right=("pressure", P_OUT))
         if self.approach == "galerkin":
-            return FlowBC(left=("pressure", self.p_in),
-                          right=("pressure", self.p_out))
+            return FlowBC(left=("pressure", P_IN), right=("pressure", P_OUT))
         return FlowBC()
 
     def config_hash(self) -> str:
@@ -238,15 +228,12 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "experiment": ("name", "approach"),
-    "geometry": ("L1", "L2", "nx", "ny", "Nx", "extension",
-                 "ext_margin", "flow_refine", "layers", "extension_rule"),
+    "geometry": ("nx", "ny", "Nx", "extension", "ext_margin", "flow_refine",
+                 "layers", "extension_rule"),
     "continua": ("thresholds",),
-    "mobility": ("lam_kind", "lam_value", "lam_hi", "lam_lo", "lam_seed",
-                 "lam_corr_cells", "lam_file"),
-    "bc": ("g_in", "p_in", "p_out"),
+    "mobility": ("lam_kind", "lam_hi", "lam_lo", "lam_file"),
     "ic": ("ic_kind", "plateaus", "ic_seed", "band_lo", "band_hi", "wiggle",
-           "ic_centers", "wave_x0", "wave_amplitude", "wave_periods",
-           "ic_file"),
+           "ic_centers", "ic_file"),
     "time": ("tau", "steps", "pre_steps", "tau_coarse", "coarse_steps",
              "scheme", "particles_per_cell", "particle_seed"),
 }
@@ -364,7 +351,6 @@ def _viscous(name, *, paper=False):
         extension="right", ext_margin=1.8,
         thresholds=(0.5,),
         lam_kind="contrast", lam_hi=1000.0, lam_lo=1.0,
-        g_in=-1.0, p_out=0.0,
         ic_kind="stripe-fingers", plateaus=icmod.DUAL_PLATEAUS,
         ic_centers=(0.8,), wiggle=0.05, band_lo=7, band_hi=11, ic_seed=4,
         tau=1.88e-3, steps=270, pre_steps=120,
@@ -380,9 +366,7 @@ def _interface(name, *, paper=False):
         extension="none",
         thresholds=(0.5,),
         lam_kind="contrast", lam_hi=1000.0, lam_lo=1.0,
-        p_in=1.0, p_out=0.0,
-        ic_kind="wave-interface", wave_x0=3.0, wave_amplitude=0.6,
-        wave_periods=3.0,
+        ic_kind="wave-interface",
         tau=1.5e-4, steps=1000,
         tau_coarse=1.5e-3, coarse_steps=100,
         scheme="upwind")

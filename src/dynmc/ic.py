@@ -31,6 +31,14 @@ def _bands(rng: np.random.Generator, ny: int, band_cells) -> list:
     return bands
 
 
+def check_plateaus(plateaus) -> None:
+    """Raise ConfigError unless ``plateaus`` names concentrations in [0, 1]."""
+    if not plateaus:
+        raise ConfigError("plateaus must name at least one value")
+    if any(not 0.0 <= p <= 1.0 for p in plateaus):
+        raise ConfigError(f"plateau values must lie in [0, 1]: {plateaus}")
+
+
 def finger_pattern(grid: FineGrid, plateaus=DUAL_PLATEAUS, seed: int = 0,
                    band_cells=(3, 7), wiggle: float = 0.45,
                    centers=None) -> np.ndarray:
@@ -42,8 +50,7 @@ def finger_pattern(grid: FineGrid, plateaus=DUAL_PLATEAUS, seed: int = 0,
     peak interface shift as a fraction of a slab width; ``centers``
     optionally overrides the nominal interface positions (fractions of L1).
     """
-    if any(not 0.0 <= p <= 1.0 for p in plateaus):
-        raise ConfigError(f"plateau values must lie in [0, 1]: {plateaus}")
+    check_plateaus(plateaus)
     npl = len(plateaus)
     if npl < 2:
         return np.full((grid.nx, grid.ny), plateaus[0])

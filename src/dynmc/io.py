@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from .config import LAM_SEED
 from .exceptions import ConfigError
 from .macro import CoarseState
 
@@ -233,7 +234,7 @@ def write_manifest(path: str, cfg, extra: dict | None = None) -> None:
     data = {
         "name": cfg.name,
         "config_hash": cfg.config_hash(),
-        "seeds": {"ic": cfg.ic_seed, "mobility": cfg.lam_seed,
+        "seeds": {"ic": cfg.ic_seed, "mobility": LAM_SEED,
                   "particles": cfg.particle_seed},
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }

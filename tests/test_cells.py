@@ -11,7 +11,7 @@ from _oracles import (SaddleSolver, dense_kkt_solve, elliptic_oracle,
                       random_partition_region)
 from conftest import rng
 from dynmc import cells, fine, macro
-from dynmc.config import get_preset
+from dynmc.config import P_IN, P_OUT, get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
 from dynmc.fine import divergence
@@ -37,7 +37,7 @@ def interface_start():
         coarse=cfg.extended_coarse(layout), spec=spec,
         approach=cfg.approach, lam_of=cfg.mobility(ext),
         flow_refine=cfg.flow_refine, layers=cfg.layers,
-        extension_rule=cfg.extension_rule, p_in=cfg.p_in, p_out=cfg.p_out)
+        extension_rule=cfg.extension_rule, p_in=P_IN, p_out=P_OUT)
     return model, model.lam_of(c0), classify(c0, spec)
 
 

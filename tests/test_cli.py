@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dynmc import cli, io, macro
+from dynmc import cells, cli, io, macro
 from dynmc.cli import main
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError
@@ -84,8 +84,9 @@ def test_run_coarse_reports_a_missing_mobility_file(tmp_path, capsys):
 
 
 def test_cells_solve_reports_an_unreadable_ic_file(tmp_path, capsys):
-    assert main(["cells-solve", "--preset", "smoke", "--set", "ic_kind=file",
-                 "--set", f"ic_file={tmp_path}"]) == ConfigError.exit_code
+    assert main(["cells-solve", "--preset", "interface", "--set",
+                 "ic_kind=file", "--set",
+                 f"ic_file={tmp_path}"]) == ConfigError.exit_code
     assert f"cannot read '{tmp_path}'" in capsys.readouterr().err
 
 
@@ -97,11 +98,26 @@ def test_compare_reports_a_missing_series(tmp_path, capsys):
 
 def test_cells_solve_smoke(tmp_path, capsys):
     out = tmp_path / "cells"
-    assert main(["cells-solve", "--preset", "smoke", "--family", "average",
+    assert main(["cells-solve", "--preset", "interface", "--family", "average",
                  "--layers", "1", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "residual" in text
     assert (out / "residuals.txt").exists()
+
+
+@pytest.mark.parametrize("preset", ["gravity-dual", "viscous"])
+def test_cells_solve_rejects_an_approach_without_galerkin_regions(
+        tmp_path, monkeypatch, capsys, preset):
+    # no mixed model solves an oversampled region, so its fields would
+    # describe no step of the run
+    calls = []
+    monkeypatch.setattr(cells, "solve_constrained_elliptic",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "cells"
+    assert main(["cells-solve", "--preset", preset, "--out",
+                 str(out)]) == ConfigError.exit_code
+    assert repr(get_preset(preset).approach) in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_cells_solve_oversamples_a_galerkin_region(tmp_path, monkeypatch,

@@ -199,7 +199,23 @@ class TestInvariants:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             apply_overrides(get_preset("interface"), [f"{key}=noflow"])
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in"):
-            from_ini(f"[bc]\n{key} = false\n", base=get_preset("smoke"))
+            from_ini(f"[experiment]\n{key} = false\n",
+                     base=get_preset("smoke"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("geometry", "L1"), ("geometry", "L2"), ("mobility", "lam_value"),
+        ("mobility", "lam_seed"), ("mobility", "lam_corr_cells"),
+        ("bc", "g_in"), ("bc", "p_in"), ("bc", "p_out"), ("ic", "wave_x0"),
+        ("ic", "wave_amplitude"), ("ic", "wave_periods")])
+    def test_shared_values_are_unknown_keys(self, section, key):
+        # every model problem has the same domain, boundary data, wave and
+        # random-field texture, so config.py fixes them as constants
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            apply_overrides(get_preset("interface"), [f"{key}=1"])
+        match = (r"unknown config section \[bc\]" if section == "bc"
+                 else f"unknown key '{key}' in")
+        with pytest.raises(ConfigError, match=match):
+            from_ini(f"[{section}]\n{key} = 1\n", base=get_preset("smoke"))
 
     def test_approach_fixes_gravity_and_flow_bc(self):
         # the gravity and bc_kind fields every preset used to set
@@ -231,22 +247,25 @@ class TestInvariants:
         ("smoke", ["thresholds=inf"], r"thresholds=\(inf,\) must be finite"),
         ("smoke", ["plateaus=1e400,0.2"], "plateaus=.* must be finite"),
         ("smoke", ["tau=inf"], "tau=inf must be finite"),
-        ("smoke", ["L1=inf"], "L1=inf must be finite"),
-        ("smoke", ["lam_value=nan"], "lam_value=nan must be finite"),
-        ("viscous", ["g_in=nan"], "g_in=nan must be finite"),
+        ("smoke", ["L1=inf"], "unknown config key 'L1'"),
+        ("smoke", ["lam_value=nan"], "unknown config key 'lam_value'"),
+        ("viscous", ["g_in=nan"], "unknown config key 'g_in'"),
         ("viscous", ["ic_centers=0.8,-inf"], "ic_centers=.* must be finite"),
         ("viscous", ["lam_lo=0"], "lam_lo=0.0 must be positive"),
-        ("smoke", ["lam_value=-1"], "lam_value=-1.0 must be positive"),
+        ("smoke", ["lam_value=-1"], "unknown config key 'lam_value'"),
         ("gravity-dual-hetero", ["lam_hi=-3"], "lam_hi=-3.0 must be positive"),
         ("smoke", ["lam_kind=file"], "lam_kind=file needs lam_file"),
         ("smoke", ["ic_kind=file"], "ic_kind=file needs ic_file"),
+        ("viscous", ["plateaus=1.5,0.3"], "plateau values must lie in"),
+        ("interface", ["plateaus=-0.2,0.3"], "plateau values must lie in"),
     ])
     def test_bad_value_rejected_before_any_run(self, preset, overrides,
                                                match):
         # unchecked, each fails late (after the fine run or in its first
         # flow solve) or as a bare IndexError, ValueError, OverflowError or
         # FileNotFoundError; zero-height bands never finish drawing the
-        # initial condition
+        # initial condition, and plateaus outside [0, 1] give a c0 outside
+        # them; the values every preset shares are no keys at all
         with pytest.raises(ConfigError, match=match):
             apply_overrides(get_preset(preset), overrides)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynmc import experiment
+from dynmc import experiment, macro
 from dynmc.config import ExperimentConfig, apply_overrides, get_preset
 from dynmc.continua import averages, classify
 from dynmc.exceptions import ConfigError
@@ -133,6 +133,36 @@ def test_manifest_counts_factored_and_reused_block_pieces(tmp_path):
     assert manifest["block_pieces_reused"] == reused
     assert "region_engines_reused" not in manifest
     assert all(s.pieces == (0, 0) for s in res.mh_refvel)
+
+
+@pytest.mark.parametrize("preset, shorten", [
+    ("smoke", {}),
+    ("viscous", {"steps": 2, "pre_steps": 0, "coarse_steps": 2}),
+    ("interface", {"steps": 10, "coarse_steps": 1}),
+])
+def test_coarse_model_has_the_fine_boundary_data(monkeypatch, preset,
+                                                  shorten):
+    # the fine run reads its boundary data from cfg.flow_bc and the coarse
+    # model from _run; the inflow flux and the pressures must agree
+    models = []
+
+    def spy(model, *args, **kwargs):
+        models.append(model)
+        return macro.run_coarse(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_coarse", spy)
+    cfg = dataclasses.replace(get_preset(preset), **shorten)
+    run_experiment(cfg)
+    bc = cfg.flow_bc(cfg.layout().extended_fine)
+    assert len(models) == 2  # reference and homogenized velocities
+    for model in models:
+        # a closed box (mixed-gravity) reads none of them
+        want = {"mixed-gravity": (("noflow",), ("noflow",)),
+                "mixed-viscous": (("flux", model.g_in),
+                                  ("pressure", model.p_out)),
+                "galerkin": (("pressure", model.p_in),
+                             ("pressure", model.p_out))}[model.approach]
+        assert (bc.left, bc.right) == want
 
 
 def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
