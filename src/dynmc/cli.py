@@ -18,6 +18,7 @@ from .exceptions import ConfigError, DynmcError
 from .experiment import fine_reference, run_experiment
 from .grids import CoarseGrid, oversample_block
 from .continua import classify
+from .macro import EXTENSION_RULE, FLOW_REFINE, LAYERS
 from .metrics import compute_errors, concentration_errors, velocity_errors
 
 log = logging.getLogger(__name__)
@@ -60,12 +61,13 @@ def _cmd_list_presets(_args) -> int:
 
 def _cmd_run_fine(args) -> int:
     cfg = _load_config(args)
+    if args.out:
+        iomod.ensure_dir(args.out)
     ext, _, _, run = fine_reference(cfg, keep=())
     last = run.snapshots[-1]
     print(f"{cfg.name}: {cfg.steps} fine steps on {ext.nx}x{ext.ny}, "
           f"max CFL {run.max_cfl:.3f}")
     if args.out:
-        iomod.ensure_dir(args.out)
         iomod.write_cell_csv(os.path.join(args.out, "c_final.csv"), last.c)
         iomod.write_cell_csv(os.path.join(args.out, "p_final.csv"), last.p)
         iomod.write_face_csv(os.path.join(args.out, "v_final.csv"),
@@ -109,19 +111,19 @@ def _cmd_cells_solve(args) -> int:
     layout = cfg.layout()
     ext = layout.extended_fine
     # the regions of the Galerkin model: blocks of its refined flow grid
-    flow = CoarseGrid(ext, cfg.extended_coarse(layout).Nx * cfg.flow_refine)
+    flow = CoarseGrid(ext, cfg.extended_coarse(layout).Nx * FLOW_REFINE)
     spec = cfg.continuum_spec()
     n = spec.count
     c0 = cfg.initial_condition(ext)
     labels = classify(c0, spec)
     lam = cfg.mobility(ext)(c0)
     block = args.block if args.block is not None else flow.Nx // 2
-    ov = oversample_block(flow, block, args.layers
-                          if args.layers is not None else cfg.layers,
-                          rule=cfg.extension_rule)
+    ov = oversample_block(flow, block, LAYERS, rule=EXTENSION_RULE)
+    # after every input is read, so a bad one leaves no directory behind,
+    # and before the solve
+    outdir = iomod.ensure_dir(args.out or f"cells_{args.family}")
     lam_l, lab_l = ov.sample(lam), ov.sample(labels)
     bset = cells.solve_constrained_elliptic(ov, lam_l, lab_l, n, args.family)
-    outdir = iomod.ensure_dir(args.out or f"cells_{args.family}")
     lines = []
     for b in bset.bases:
         tag = f"{args.family}_c{b.continuum}"
@@ -185,9 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="average",
                     choices=["average", "gradient", "concentration"])
     sp.add_argument("--block", type=int, default=None,
-                    help="block of the Nx x flow_refine flow grid "
+                    help=f"block of the Nx x {FLOW_REFINE} flow grid "
                          "(default: middle)")
-    sp.add_argument("--layers", type=int, default=None)
     sp.set_defaults(func=_cmd_cells_solve)
 
     sp = sub.add_parser("compare",

@@ -13,15 +13,25 @@ import numpy as np
 from . import ic as icmod
 from .continua import ContinuumSpec, classify_values
 from .exceptions import ConfigError
-from .fine import FlowBC
-from .grids import CoarseGrid, DomainLayout, _parse_rule, build_layout
+from .fine import PARTICLES_PER_CELL, FlowBC
+from .grids import EXTENSION_KINDS, CoarseGrid, DomainLayout, build_layout
+from .macro import FLOW_REFINE, LAYERS
 
 # Every model problem of the paper shares these values, so none is a key.
 L1, L2 = 9.0, 3.0  # the target domain
+EXT_MARGIN = 1.8  # an extension's width per side ('right' takes both)
 G_IN, P_IN, P_OUT = -1.0, 1.0, 0.0  # viscous inflow; galerkin inlet; outlet
 # the wave interface x = x0 + A sin(2 pi k y / L2)
 WAVE_X0, WAVE_AMPLITUDE, WAVE_PERIODS = 3.0, 0.6, 3.0
 LAM_SEED, LAM_CORR_CELLS = 7, 5.0  # the random field's texture
+
+# the names each kind field accepts
+_KINDS = (("approach", ("mixed-gravity", "mixed-viscous", "galerkin")),
+          ("extension", EXTENSION_KINDS),
+          ("lam_kind", ("constant", "contrast", "random-field", "file")),
+          ("ic_kind", ("finger-pattern", "stripe-fingers", "wave-interface",
+                       "file")),
+          ("scheme", ("upwind", "particles")))
 
 
 @dataclass(frozen=True)
@@ -34,10 +44,6 @@ class ExperimentConfig:
     ny: int = 36
     Nx: int = 5  # coarse blocks along x, each one full height
     extension: str = "none"  # none | two-sided | right
-    ext_margin: float = 0.0
-    flow_refine: int = 2
-    layers: int = 6
-    extension_rule: str = "periodic-left,reflect-right"
 
     # continua
     thresholds: tuple = (0.5,)
@@ -65,7 +71,6 @@ class ExperimentConfig:
     tau_coarse: float = 3.33e-2
     coarse_steps: int = 120
     scheme: str = "particles"
-    particles_per_cell: int = 32
     particle_seed: int = 0
 
     def __post_init__(self):
@@ -75,6 +80,10 @@ class ExperimentConfig:
             if f.type in ("int", "float", "tuple") and not all(
                     isinstance(v, int) or math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name}={value} must be finite")
+        for name, known in _KINDS:
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"known: {', '.join(known)}")
         for name in ("tau", "lam_lo", "lam_hi"):
             if not getattr(self, name) > 0:
                 raise ConfigError(
@@ -85,10 +94,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tau_coarse={self.tau_coarse} must be a whole multiple "
                 f"(>= 1) of tau={self.tau}")
-        if self.layers < 0:
-            raise ConfigError(f"layers={self.layers} must be >= 0")
-        rule = _parse_rule(self.extension_rule)
-        for name in ("pre_steps", "coarse_steps"):
+        for name in ("pre_steps", "coarse_steps", "wiggle", "ic_seed",
+                     "particle_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} must be >= 0")
@@ -111,23 +118,20 @@ class ExperimentConfig:
         if self.approach == "mixed-viscous" and len(self.thresholds) != 1:
             raise ConfigError("mixed-viscous interface bases need exactly 2 "
                               f"continua, got {len(self.thresholds) + 1}")
-        if self.approach not in ("mixed-gravity", "mixed-viscous",
-                                 "galerkin"):
-            raise ConfigError(f"unknown approach {self.approach!r}")
         if self.Nx < 1 or self.nx % self.Nx:
             raise ConfigError(
                 f"Nx={self.Nx} coarse blocks do not divide fine nx={self.nx}")
-        refined = self.Nx * self.flow_refine
-        if self.approach == "galerkin" and (refined < 1 or self.nx % refined):
-            raise ConfigError(
-                f"Galerkin flow grid of Nx x flow_refine = {refined} blocks "
-                f"does not divide fine nx={self.nx}")
-        if self.approach == "galerkin" and "reflect-right" in rule:
-            # the mirror image beyond the right wall is one domain wide
-            blocks = self.extended_coarse(self.layout()).Nx * self.flow_refine
-            if self.layers > blocks:
+        if self.approach == "galerkin":
+            refined = self.Nx * FLOW_REFINE
+            if self.nx % refined:
                 raise ConfigError(
-                    f"layers={self.layers} reach past the reflect-right mirror "
+                    f"Galerkin flow grid of Nx x {FLOW_REFINE} = {refined} "
+                    f"blocks does not divide fine nx={self.nx}")
+            # EXTENSION_RULE mirrors past the right wall, one domain wide
+            blocks = self.extended_coarse(self.layout()).Nx * FLOW_REFINE
+            if LAYERS > blocks:
+                raise ConfigError(
+                    f"{LAYERS} layers reach past the reflect-right mirror "
                     f"image of the {blocks}-block Galerkin flow grid")
 
     # --- derived objects ----------------------------------------------
@@ -136,6 +140,16 @@ class ExperimentConfig:
     def substeps(self) -> int:
         """Fine steps per coarse step, the whole number tau_coarse / tau."""
         return round(self.tau_coarse / self.tau)
+
+    @property
+    def flow_refine(self) -> int:
+        """Galerkin flow blocks per coarse block, ``macro.FLOW_REFINE``."""
+        return FLOW_REFINE
+
+    @property
+    def particles_per_cell(self) -> int:
+        """The seeding of a particle run, ``fine.PARTICLES_PER_CELL``."""
+        return PARTICLES_PER_CELL
 
     @property
     def gravity(self) -> bool:
@@ -148,7 +162,7 @@ class ExperimentConfig:
     def layout(self) -> DomainLayout:
         return build_layout(L1, L2, self.nx, self.ny,
                             extension=self.extension,
-                            ext_margin=self.ext_margin)
+                            ext_margin=EXT_MARGIN)
 
     def extended_coarse(self, layout: DomainLayout) -> CoarseGrid:
         """Coarse grid covering the full (possibly extended) fine domain."""
@@ -157,7 +171,7 @@ class ExperimentConfig:
         total = ext.L1 / width
         if abs(total - round(total)) > 1e-9:
             raise ConfigError(
-                f"extension margin {self.ext_margin} is not a whole number "
+                f"extension margin {EXT_MARGIN} is not a whole number "
                 f"of coarse blocks (width {width})")
         return CoarseGrid(ext, int(round(total)))
 
@@ -182,11 +196,9 @@ class ExperimentConfig:
                 grid, LAM_SEED, self.lam_lo, self.lam_hi,
                 corr_cells=LAM_CORR_CELLS)
             return lambda c: lam
-        if self.lam_kind == "file":
-            from .io import read_cell_csv
-            lam = read_cell_csv(self.lam_file, grid.nx, grid.ny)
-            return lambda c: lam
-        raise ConfigError(f"unknown mobility kind {self.lam_kind!r}")
+        from .io import read_cell_csv  # lam_kind == "file"
+        lam = read_cell_csv(self.lam_file, grid.nx, grid.ny)
+        return lambda c: lam
 
     def initial_condition(self, grid) -> np.ndarray:
         if self.ic_kind == "finger-pattern":
@@ -204,10 +216,8 @@ class ExperimentConfig:
             return icmod.wave_interface(grid, WAVE_X0, WAVE_AMPLITUDE,
                                         WAVE_PERIODS, high=self.plateaus[0],
                                         low=self.plateaus[-1])
-        if self.ic_kind == "file":
-            from .io import read_cell_csv
-            return read_cell_csv(self.ic_file, grid.nx, grid.ny)
-        raise ConfigError(f"unknown IC kind {self.ic_kind!r}")
+        from .io import read_cell_csv  # ic_kind == "file"
+        return read_cell_csv(self.ic_file, grid.nx, grid.ny)
 
     def flow_bc(self, grid) -> FlowBC:
         """The approach's flow problem: a closed box (mixed-gravity), an
@@ -228,14 +238,13 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "experiment": ("name", "approach"),
-    "geometry": ("nx", "ny", "Nx", "extension", "ext_margin", "flow_refine",
-                 "layers", "extension_rule"),
+    "geometry": ("nx", "ny", "Nx", "extension"),
     "continua": ("thresholds",),
     "mobility": ("lam_kind", "lam_hi", "lam_lo", "lam_file"),
     "ic": ("ic_kind", "plateaus", "ic_seed", "band_lo", "band_hi", "wiggle",
            "ic_centers", "ic_file"),
     "time": ("tau", "steps", "pre_steps", "tau_coarse", "coarse_steps",
-             "scheme", "particles_per_cell", "particle_seed"),
+             "scheme", "particle_seed"),
 }
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -327,7 +336,7 @@ def _gravity(name, *, triple=False, hetero=False, paper=False):
         name=name, approach="mixed-gravity",
         nx=280 if paper else 120, ny=90 if paper else 36,
         Nx=10 if paper else 5,
-        extension="two-sided", ext_margin=1.8,
+        extension="two-sided",
         thresholds=(0.8, 0.4) if triple else (0.5,),
         lam_kind="random-field" if hetero else "constant",
         **({"lam_lo": 0.3, "lam_hi": 3.0} if hetero else {}),
@@ -348,7 +357,7 @@ def _viscous(name, *, paper=False):
         name=name, approach="mixed-viscous",
         nx=280 if paper else 120, ny=90 if paper else 36,
         Nx=10 if paper else 5,
-        extension="right", ext_margin=1.8,
+        extension="right",
         thresholds=(0.5,),
         lam_kind="contrast", lam_hi=1000.0, lam_lo=1.0,
         ic_kind="stripe-fingers", plateaus=icmod.DUAL_PLATEAUS,
@@ -362,8 +371,7 @@ def _interface(name, *, paper=False):
     return ExperimentConfig(
         name=name, approach="galerkin",
         nx=280 if paper else 120, ny=90 if paper else 40,
-        Nx=10, flow_refine=2, layers=6,
-        extension="none",
+        Nx=10, extension="none",
         thresholds=(0.5,),
         lam_kind="contrast", lam_hi=1000.0, lam_lo=1.0,
         ic_kind="wave-interface",

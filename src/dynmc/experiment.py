@@ -65,8 +65,7 @@ def fine_reference(cfg: ExperimentConfig, keep: range | tuple | None = None):
                    bc=cfg.flow_bc(grid), gravity_on=cfg.gravity,
                    scheme=cfg.scheme,
                    inflow_c=None if inflow is None else {"left": inflow},
-                   keep=keep, particles_per_cell=cfg.particles_per_cell,
-                   seed=cfg.particle_seed)
+                   keep=keep, seed=cfg.particle_seed)
     return grid, lam_of, inflow, run
 
 
@@ -128,9 +127,7 @@ def _run(cfg: ExperimentConfig, outdir: str | None,
     model = CoarseModel(coarse=coarse, spec=spec, approach=cfg.approach,
                         lam_of=lam_of, g_in=G_IN, p_out=P_OUT,
                         inflow_conc=None if inflow is None
-                        else inflow_concentrations(inflow, spec),
-                        flow_refine=cfg.flow_refine, layers=cfg.layers,
-                        extension_rule=cfg.extension_rule, p_in=P_IN)
+                        else inflow_concentrations(inflow, spec), p_in=P_IN)
     log.info("%s: coarse run with reference velocities", cfg.name)
     mh_refvel = run_coarse(model, snaps, cfg.coarse_steps, cfg.tau_coarse,
                            velocity="ref")

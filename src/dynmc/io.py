@@ -257,5 +257,9 @@ def write_pgm(path: str, field: np.ndarray, vmin: float = 0.0,
 
 
 def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    """Create ``path``; one that cannot be a directory raises ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {path!r}: {exc.strerror}") from None
     return path

@@ -450,6 +450,11 @@ class CoarseState:
     pieces: tuple[int, int] = (0, 0)
 
 
+# the Galerkin regions: each block of a flow grid FLOW_REFINE times finer
+# than the transport grid, oversampled by LAYERS blocks either side
+FLOW_REFINE, LAYERS, EXTENSION_RULE = 2, 6, "periodic-left,reflect-right"
+
+
 @dataclass
 class CoarseModel:
     """Everything the coarse driver needs besides the fine snapshots."""
@@ -463,9 +468,9 @@ class CoarseModel:
     p_out: float | None = None
     inflow_conc: np.ndarray | None = None
     # galerkin settings
-    flow_refine: int = 2
-    layers: int = 6
-    extension_rule: str = "periodic-left,reflect-right"
+    flow_refine: int = FLOW_REFINE
+    layers: int = LAYERS
+    extension_rule: str = EXTENSION_RULE
     p_in: float | None = None
 
     def __post_init__(self):

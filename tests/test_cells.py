@@ -35,9 +35,8 @@ def interface_start():
     c0 = cfg.initial_condition(ext)
     model = macro.CoarseModel(
         coarse=cfg.extended_coarse(layout), spec=spec,
-        approach=cfg.approach, lam_of=cfg.mobility(ext),
-        flow_refine=cfg.flow_refine, layers=cfg.layers,
-        extension_rule=cfg.extension_rule, p_in=P_IN, p_out=P_OUT)
+        approach=cfg.approach, lam_of=cfg.mobility(ext), p_in=P_IN,
+        p_out=P_OUT)
     return model, model.lam_of(c0), classify(c0, spec)
 
 

@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from dynmc import cells, cli, io, macro
+from dynmc import cells, cli, experiment, io, macro
 from dynmc.cli import main
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError
 from dynmc.experiment import run_experiment
 from dynmc.grids import oversample_block
+from dynmc.macro import EXTENSION_RULE, FLOW_REFINE, LAYERS
 
 
 def test_list_presets(capsys):
@@ -99,10 +100,37 @@ def test_compare_reports_a_missing_series(tmp_path, capsys):
 def test_cells_solve_smoke(tmp_path, capsys):
     out = tmp_path / "cells"
     assert main(["cells-solve", "--preset", "interface", "--family", "average",
-                 "--layers", "1", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "residual" in text
     assert (out / "residuals.txt").exists()
+
+
+def test_cells_solve_has_no_layers_option(tmp_path, capsys):
+    # the region is the model's own: LAYERS blocks either side
+    with pytest.raises(SystemExit) as exc:
+        main(["cells-solve", "--preset", "interface", "--layers", "1",
+              "--out", str(tmp_path / "cells")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --layers 1" in capsys.readouterr().err
+    assert not (tmp_path / "cells").exists()
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("run-fine", "smoke"), ("run-coarse", "smoke"),
+    ("cells-solve", "interface")])
+def test_an_out_that_cannot_be_a_directory_fails_before_any_compute(
+        tmp_path, monkeypatch, capsys, command, preset):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output directory")
+
+    monkeypatch.setattr(experiment, "run_fine", never)
+    monkeypatch.setattr(cells, "solve_constrained_elliptic", never)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main([command, "--preset", preset, "--out",
+                 str(taken)]) == ConfigError.exit_code
+    assert f"error: cannot create '{taken}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("preset", ["gravity-dual", "viscous"])
@@ -134,9 +162,9 @@ def test_cells_solve_oversamples_a_galerkin_region(tmp_path, monkeypatch,
                  str(tmp_path)]) == 0
     cfg = get_preset("interface")
     run_experiment(dataclasses.replace(cfg, steps=10, coarse_steps=1))
-    flow_blocks = cfg.Nx * cfg.flow_refine
-    assert calls[cli] == [(flow_blocks, flow_blocks // 2, cfg.layers,
-                           cfg.extension_rule)]
+    flow_blocks = cfg.Nx * FLOW_REFINE
+    assert calls[cli] == [(flow_blocks, flow_blocks // 2, LAYERS,
+                           EXTENSION_RULE)]
     assert calls[cli][0] in calls[macro]
 
 

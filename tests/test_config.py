@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dynmc.config import (_SECTIONS, ExperimentConfig, apply_overrides,
-                          from_ini, get_preset, presets, to_ini)
+from dynmc.config import (_SECTIONS, L1, L2, ExperimentConfig,
+                          apply_overrides, from_ini, get_preset, presets,
+                          to_ini)
 from dynmc.exceptions import ConfigError
 from dynmc.fine import FlowBC
+from dynmc.grids import build_layout
 
 
 class TestPresets:
@@ -46,8 +48,9 @@ class TestPresets:
             assert cfg.target_block_offset(cfg.layout()) == off, name
         # a 12-cell margin on both sides adds one whole block in all, but
         # the target domain starts half way into the first
-        cfg = dataclasses.replace(get_preset("gravity-dual"), ext_margin=0.9)
-        layout = cfg.layout()
+        cfg = get_preset("gravity-dual")
+        layout = build_layout(L1, L2, cfg.nx, cfg.ny, extension="two-sided",
+                              ext_margin=0.9)
         assert cfg.extended_coarse(layout).Nx == cfg.Nx + 1
         with pytest.raises(ConfigError, match="not aligned"):
             cfg.target_block_offset(layout)
@@ -161,23 +164,14 @@ class TestInvariants:
         with pytest.raises(TypeError, match="substeps"):
             dataclasses.replace(smoke, substeps=2)
 
-    def test_layers_must_be_non_negative(self):
-        with pytest.raises(ConfigError, match="layers=-1 must be >= 0"):
-            dataclasses.replace(get_preset("interface"), layers=-1)
-
     def test_galerkin_layers_must_stay_inside_the_mirror_image(self):
-        # interface: Nx x flow_refine = 20 flow blocks, reflect-right
+        # 6 layers either side, reflect-right: Nx = 3 gives Nx x 2 = 6 flow
+        # blocks, which the mirror image just holds; Nx = 2 gives 4
         cfg = get_preset("interface")
-        assert dataclasses.replace(cfg, layers=20).layers == 20
-        with pytest.raises(ConfigError, match="layers=21 reach past"):
-            dataclasses.replace(cfg, layers=21)
-        assert dataclasses.replace(cfg, layers=21,
-                                   extension_rule="periodic-left").layers == 21
-
-    def test_unknown_extension_rule_rejected(self):
-        with pytest.raises(ConfigError, match="unknown extension rule"):
-            dataclasses.replace(get_preset("interface"),
-                                extension_rule="periodic-left,bogus")
+        assert dataclasses.replace(cfg, Nx=3).Nx == 3
+        with pytest.raises(ConfigError, match="6 layers reach past .* "
+                                              "4-block Galerkin flow grid"):
+            dataclasses.replace(cfg, Nx=2)
 
     def test_viscous_needs_two_continua(self):
         with pytest.raises(ConfigError, match="exactly 2 continua"):
@@ -206,10 +200,15 @@ class TestInvariants:
         ("geometry", "L1"), ("geometry", "L2"), ("mobility", "lam_value"),
         ("mobility", "lam_seed"), ("mobility", "lam_corr_cells"),
         ("bc", "g_in"), ("bc", "p_in"), ("bc", "p_out"), ("ic", "wave_x0"),
-        ("ic", "wave_amplitude"), ("ic", "wave_periods")])
+        ("ic", "wave_amplitude"), ("ic", "wave_periods"),
+        ("geometry", "ext_margin"), ("geometry", "flow_refine"),
+        ("geometry", "layers"), ("geometry", "extension_rule"),
+        ("time", "particles_per_cell")])
     def test_shared_values_are_unknown_keys(self, section, key):
         # every model problem has the same domain, boundary data, wave and
-        # random-field texture, so config.py fixes them as constants
+        # random-field texture, so config.py fixes them as constants; no
+        # preset varies the extension margin (config.py), the Galerkin
+        # regions (macro.py) or the particle seeding (fine.py) either
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             apply_overrides(get_preset("interface"), [f"{key}=1"])
         match = (r"unknown config section \[bc\]" if section == "bc"
@@ -258,6 +257,16 @@ class TestInvariants:
         ("smoke", ["ic_kind=file"], "ic_kind=file needs ic_file"),
         ("viscous", ["plateaus=1.5,0.3"], "plateau values must lie in"),
         ("interface", ["plateaus=-0.2,0.3"], "plateau values must lie in"),
+        ("smoke", ["wiggle=-3"], r"wiggle=-3.0 must be >= 0"),
+        ("gravity-dual", ["ic_seed=-1"], "ic_seed=-1 must be >= 0"),
+        ("gravity-dual", ["particle_seed=-1"],
+         "particle_seed=-1 must be >= 0"),
+        ("smoke", ["approach=galerkin-mixed"],
+         "unknown approach 'galerkin-mixed'"),
+        ("smoke", ["scheme=particle"], "unknown scheme 'particle'"),
+        ("smoke", ["lam_kind=random"], "unknown lam_kind 'random'"),
+        ("smoke", ["ic_kind=wave"], "unknown ic_kind 'wave'"),
+        ("smoke", ["extension=left"], "unknown extension 'left'"),
     ])
     def test_bad_value_rejected_before_any_run(self, preset, overrides,
                                                match):
@@ -265,7 +274,9 @@ class TestInvariants:
         # flow solve) or as a bare IndexError, ValueError, OverflowError or
         # FileNotFoundError; zero-height bands never finish drawing the
         # initial condition, and plateaus outside [0, 1] give a c0 outside
-        # them; the values every preset shares are no keys at all
+        # them; the values every preset shares are no keys at all; a
+        # negative wiggle or seed ends in a bare ValueError, and a kind
+        # that names nothing fails only where it is read
         with pytest.raises(ConfigError, match=match):
             apply_overrides(get_preset(preset), overrides)
 

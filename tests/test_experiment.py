@@ -18,6 +18,7 @@ from dynmc.exceptions import ConfigError
 from dynmc.experiment import run_experiment
 from dynmc.fine import run_fine
 from dynmc.io import write_cell_csv
+from dynmc.macro import FLOW_REFINE, LAYERS
 from test_solve_paths import callers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,12 +52,14 @@ def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
 
 
 @pytest.mark.parametrize("override,match", [
-    # 120 fine columns do not split into Nx x flow_refine = 70 blocks
-    ("flow_refine=7", "flow_refine = 70"),
-    ("layers=-1", "layers=-1"),
-    ("extension_rule=bogus", "unknown extension rule"),
-    # 21 layers reach past the mirror image of the 20 flow blocks
-    ("layers=21", "layers=21 reach past"),
+    # 120 fine columns do not split into Nx x 2 = 16 flow blocks
+    ("Nx=8", "16 blocks does not divide fine nx=120"),
+    # the Galerkin region settings are fixed, no keys
+    ("layers=-1", "unknown config key 'layers'"),
+    ("extension_rule=bogus", "unknown config key 'extension_rule'"),
+    # 6 layers reach past the mirror image of the Nx x 2 = 4 flow blocks
+    ("Nx=2", "6 layers reach past the reflect-right mirror image of the "
+             "4-block"),
 ], ids=["flow_refine", "layers", "extension_rule", "layers_past_mirror"])
 def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch, override,
                                                         match):
@@ -76,6 +79,18 @@ def test_coarse_block_count_checked_before_the_fine_run(monkeypatch):
     # 120 fine columns do not split into 7 coarse blocks
     with pytest.raises(ConfigError, match="Nx=7 coarse blocks"):
         run_experiment(apply_overrides(get_preset("gravity-dual"), ["Nx=7"]))
+
+
+@pytest.mark.parametrize("preset", ["gravity-dual", "viscous"])
+def test_extension_margin_checked_before_the_fine_run(monkeypatch, preset):
+    def no_fine_run(*args, **kwargs):
+        raise AssertionError("run_fine called")
+
+    monkeypatch.setattr(experiment, "run_fine", no_fine_run)
+    # the 1.8-wide margins add 3.6 to the domain: 1.6 blocks of 9 / 4
+    with pytest.raises(ConfigError, match="extension margin 1.8 is not a "
+                                          "whole number of coarse blocks"):
+        run_experiment(apply_overrides(get_preset(preset), ["Nx=4"]))
 
 
 @pytest.mark.parametrize("kind", ["lam", "ic"])
@@ -122,7 +137,7 @@ def test_manifest_counts_factored_and_reused_block_pieces(tmp_path):
                               coarse_steps=3)
     res = run_experiment(cfg, outdir=str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    lookups = cfg.Nx * cfg.flow_refine * (2 * cfg.layers + 1)
+    lookups = cfg.Nx * FLOW_REFINE * (2 * LAYERS + 1)
     # every step solves the coarse flow, and looks up the pieces of every
     # block of every region, or reuses the previous solve whole
     assert all(sum(s.pieces) in (0, lookups) for s in res.mh_mhvel)
