@@ -16,10 +16,9 @@ from .config import (ExperimentConfig, apply_overrides, from_ini, get_preset,
                      presets)
 from .exceptions import ConfigError, DynmcError
 from .experiment import fine_reference, run_experiment
-from .grids import CoarseGrid, oversample_block
 from .continua import classify
-from .macro import EXTENSION_RULE, FLOW_REFINE, LAYERS
-from .metrics import compute_errors, concentration_errors, velocity_errors
+from .macro import galerkin_flow, galerkin_region
+from .metrics import compute_errors
 
 log = logging.getLogger(__name__)
 
@@ -111,14 +110,14 @@ def _cmd_cells_solve(args) -> int:
     layout = cfg.layout()
     ext = layout.extended_fine
     # the regions of the Galerkin model: blocks of its refined flow grid
-    flow = CoarseGrid(ext, cfg.extended_coarse(layout).Nx * FLOW_REFINE)
+    flow = galerkin_flow(cfg.extended_coarse(layout))
     spec = cfg.continuum_spec()
     n = spec.count
     c0 = cfg.initial_condition(ext)
     labels = classify(c0, spec)
     lam = cfg.mobility(ext)(c0)
     block = args.block if args.block is not None else flow.Nx // 2
-    ov = oversample_block(flow, block, LAYERS, rule=EXTENSION_RULE)
+    ov = galerkin_region(flow, block)
     # after every input is read, so a bad one leaves no directory behind,
     # and before the solve
     outdir = iomod.ensure_dir(args.out or f"cells_{args.family}")
@@ -143,14 +142,13 @@ def _cmd_compare(args) -> int:
     series = [iomod.read_averages_csv(p) for p in args.series]
     ref = series[0]
     n = ref[0].C.shape[1]
+    # of two series, the other one fills both homogenized slots
+    rep = compute_errors(ref, series[1], series[-1], n)
     if len(series) == 3:
-        rep = compute_errors(ref, series[1], series[2], n)
         for name, k, v in rep.rows():
             print(f"{name}[{k}]: {v:.6g}" if k >= 0 else f"{name}: {v:.6g}")
         return 0
-    other = series[1]
-    ev = velocity_errors(ref[-1].V, other[-1].V, n)
-    ec = concentration_errors(other[-1].C, ref[-1].C, np.s_[:])
+    ev, ec = rep.eV, rep.eC_mh_vel
     for k in range(n):
         rel = ev.relative[k]
         shown = f"{rel:.3f}%" if np.isfinite(rel) else f"abs {ev.absolute[k]:.3e}"
@@ -187,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="average",
                     choices=["average", "gradient", "concentration"])
     sp.add_argument("--block", type=int, default=None,
-                    help=f"block of the Nx x {FLOW_REFINE} flow grid "
-                         "(default: middle)")
+                    help="block of the Galerkin flow grid (default: middle)")
     sp.set_defaults(func=_cmd_cells_solve)
 
     sp = sub.add_parser("compare",

@@ -15,12 +15,11 @@ from .continua import ContinuumSpec, classify_values
 from .exceptions import ConfigError
 from .fine import PARTICLES_PER_CELL, FlowBC
 from .grids import EXTENSION_KINDS, CoarseGrid, DomainLayout, build_layout
-from .macro import FLOW_REFINE, LAYERS
+from .macro import FLOW_REFINE, G_IN, P_IN, P_OUT, galerkin_flow
 
 # Every model problem of the paper shares these values, so none is a key.
 L1, L2 = 9.0, 3.0  # the target domain
 EXT_MARGIN = 1.8  # an extension's width per side ('right' takes both)
-G_IN, P_IN, P_OUT = -1.0, 1.0, 0.0  # viscous inflow; galerkin inlet; outlet
 # the wave interface x = x0 + A sin(2 pi k y / L2)
 WAVE_X0, WAVE_AMPLITUDE, WAVE_PERIODS = 3.0, 0.6, 3.0
 LAM_SEED, LAM_CORR_CELLS = 7, 5.0  # the random field's texture
@@ -122,17 +121,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"Nx={self.Nx} coarse blocks do not divide fine nx={self.nx}")
         if self.approach == "galerkin":
-            refined = self.Nx * FLOW_REFINE
-            if self.nx % refined:
-                raise ConfigError(
-                    f"Galerkin flow grid of Nx x {FLOW_REFINE} = {refined} "
-                    f"blocks does not divide fine nx={self.nx}")
-            # EXTENSION_RULE mirrors past the right wall, one domain wide
-            blocks = self.extended_coarse(self.layout()).Nx * FLOW_REFINE
-            if LAYERS > blocks:
-                raise ConfigError(
-                    f"{LAYERS} layers reach past the reflect-right mirror "
-                    f"image of the {blocks}-block Galerkin flow grid")
+            galerkin_flow(self.extended_coarse(self.layout()))
 
     # --- derived objects ----------------------------------------------
 

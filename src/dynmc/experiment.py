@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as iomod
-from .config import G_IN, P_IN, P_OUT, ExperimentConfig, to_ini
+from .config import ExperimentConfig, to_ini
 from .continua import averages, classify
 from .exceptions import DynmcError
 from .fine import FineRun, Snapshot, run_fine
@@ -125,9 +125,8 @@ def _run(cfg: ExperimentConfig, outdir: str | None,
     reference = reference_states(coarse, snaps, spec, cfg.tau_coarse)
 
     model = CoarseModel(coarse=coarse, spec=spec, approach=cfg.approach,
-                        lam_of=lam_of, g_in=G_IN, p_out=P_OUT,
-                        inflow_conc=None if inflow is None
-                        else inflow_concentrations(inflow, spec), p_in=P_IN)
+                        lam_of=lam_of, inflow_conc=None if inflow is None
+                        else inflow_concentrations(inflow, spec))
     log.info("%s: coarse run with reference velocities", cfg.name)
     mh_refvel = run_coarse(model, snaps, cfg.coarse_steps, cfg.tau_coarse,
                            velocity="ref")

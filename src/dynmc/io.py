@@ -138,8 +138,8 @@ def write_averages_csv(path: str, states, n: int) -> None:
     coarse edge I (row I of V, the x-face column between blocks I-1 and I).
     P rows are written only for a pressure per block and continuum, such as
     the reference's, or for the mixed models' multipliers.  A Galerkin
-    coarse pressure lives on the refined flow grid (Nx * flow_refine blocks),
-    not on the transport blocks, and is not written.
+    coarse pressure lives on the refined flow grid (Nx * ``macro.FLOW_REFINE``
+    blocks), not on the transport blocks, and is not written.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -168,7 +168,9 @@ def read_averages_csv(path: str) -> list[CoarseState]:
 
     Every continuum must be one of the C rows' 0..n-1, except that a P row
     may carry -1 (a per-block multiplier, which is not read back).  A
-    malformed row raises :class:`ConfigError` naming the file and line.
+    malformed row raises :class:`ConfigError` naming the file and line; a
+    missing C or V entry, or edges other than the blocks + 1, one naming
+    the file.
     """
     rows = []
     for where, line in _data_rows(
@@ -201,20 +203,32 @@ def read_averages_csv(path: str) -> list[CoarseState]:
                  default=-1)
     times = sorted({t for t, *_ in rows})
     step_of = {t: step for step, t in enumerate(times)}
-    Cs = [np.zeros((NI, n)) for _ in times]
-    Ps = [np.full((NI, n), np.nan) for _ in times]
-    Vs = [np.zeros((NE, n)) for _ in times]
+    Cs = np.zeros((len(times), NI, n))
+    Ps = np.full((len(times), NI, n), np.nan)
+    Vs = np.zeros((len(times), NE, n))
+    seen = {"C": np.zeros(Cs.shape, bool), "V": np.zeros(Vs.shape, bool)}
     for t, kind, loc, k, v, where in rows:
         if k >= n:
             raise ConfigError(
                 f"{where}: continuum {k} has no C rows (they cover 0..{n - 1})")
         step = step_of[t]
         if kind == "C":
-            Cs[step][loc, k] = v
+            Cs[step, loc, k] = v
         elif kind == "V":
-            Vs[step][loc, k] = v
+            Vs[step, loc, k] = v
         elif k >= 0:
-            Ps[step][loc, k] = v
+            Ps[step, loc, k] = v
+        if kind in seen:
+            seen[kind][step, loc, k] = True
+    if NE != NI + 1:
+        raise ConfigError(f"{path}: {NE} edges for {NI} blocks, "
+                          f"expected {NI + 1}")
+    for kind, got in seen.items():
+        if not got.all():
+            step, loc, k = np.argwhere(~got)[0]
+            where = _LOCATIONS[kind][2].replace("I", str(loc))
+            raise ConfigError(f"{path}: no {kind} row at time "
+                              f"{_fmt(times[step])}, {where}, continuum {k}")
     return [CoarseState(step=step, t=t, C=C, V=V, P=P)
             for step, (t, C, V, P) in enumerate(zip(times, Cs, Vs, Ps))]
 

@@ -450,9 +450,31 @@ class CoarseState:
     pieces: tuple[int, int] = (0, 0)
 
 
+# the boundary data of the fine and coarse flows: the viscous inflow flux,
+# the Galerkin inlet pressure and the outlet pressure of both
+G_IN, P_IN, P_OUT = -1.0, 1.0, 0.0
 # the Galerkin regions: each block of a flow grid FLOW_REFINE times finer
 # than the transport grid, oversampled by LAYERS blocks either side
 FLOW_REFINE, LAYERS, EXTENSION_RULE = 2, 6, "periodic-left,reflect-right"
+
+
+def galerkin_flow(coarse: CoarseGrid) -> CoarseGrid:
+    """The Galerkin flow grid over ``coarse``; its regions reach at most
+    one domain width into EXTENSION_RULE's mirror image."""
+    blocks = coarse.Nx * FLOW_REFINE
+    if coarse.fine.nx % blocks:
+        raise ConfigError(
+            f"Galerkin flow grid of Nx x {FLOW_REFINE} = {blocks} "
+            f"blocks does not divide fine nx={coarse.fine.nx}")
+    if LAYERS > blocks:
+        raise ConfigError(
+            f"{LAYERS} layers reach past the reflect-right mirror "
+            f"image of the {blocks}-block Galerkin flow grid")
+    return CoarseGrid(coarse.fine, blocks)
+
+
+def galerkin_region(flow: CoarseGrid, K: int) -> Oversample:
+    return oversample_block(flow, K, LAYERS, rule=EXTENSION_RULE)
 
 
 @dataclass
@@ -463,24 +485,16 @@ class CoarseModel:
     spec: ContinuumSpec
     approach: str  # 'mixed-gravity' | 'mixed-viscous' | 'galerkin'
     lam_of: object  # callable c -> lam field on coarse.fine
-    # viscous boundary data
-    g_in: float | None = None
-    p_out: float | None = None
-    inflow_conc: np.ndarray | None = None
-    # galerkin settings
-    flow_refine: int = FLOW_REFINE
-    layers: int = LAYERS
-    extension_rule: str = EXTENSION_RULE
-    p_in: float | None = None
+    inflow_conc: np.ndarray | None = None  # through-flow runs
 
     def __post_init__(self):
         if self.approach not in ("mixed-gravity", "mixed-viscous", "galerkin"):
             raise ConfigError(f"unknown coarse approach {self.approach!r}")
 
 
-def _region_ops(flow: CoarseGrid, K: int, model: CoarseModel,
-                lam: np.ndarray, labels: np.ndarray, n: int,
-                pieces: cells.PieceMemo, seen: dict) -> EffectiveOperators:
+def _region_ops(flow: CoarseGrid, K: int, lam: np.ndarray,
+                labels: np.ndarray, n: int, pieces: cells.PieceMemo,
+                seen: dict) -> EffectiveOperators:
     """Effective operators of flow block K from its oversampled region.
 
     The region engine (its face factor) and the cell bases die with this
@@ -488,7 +502,7 @@ def _region_ops(flow: CoarseGrid, K: int, model: CoarseModel,
     the piece keys of the solve's blocks met so far (``cells.region_keys``),
     shared by the regions of one solve.
     """
-    ov = oversample_block(flow, K, model.layers, rule=model.extension_rule)
+    ov = galerkin_region(flow, K)
     lam_l = ov.sample(lam)
     lab_l = ov.sample(labels)
     engine = cells.build_region_engine(ov, lam_l, lab_l, n, seen,
@@ -506,12 +520,12 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
     solve; afterwards it keeps only those this solve used.  Each distinct
     block content is digested once per solve: the digests of this lam and
     labels are kept by source columns until the solve returns."""
-    flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
+    flow = galerkin_flow(model.coarse)
     seen: dict = {}
-    ops = [_region_ops(flow, K, model, lam, labels, n, pieces, seen)
+    ops = [_region_ops(flow, K, lam, labels, n, pieces, seen)
            for K in flow.blocks()]
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
-                                          model.p_in, model.p_out)
+                                          P_IN, P_OUT)
     return V, P, pieces.settle()
 
 
@@ -534,8 +548,8 @@ def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
     ms = solve_coarse_flow_mixed(
         coarse, lam, labels, n, Chat,
         coarse.edge_donor_labels(labels, coarse.edge_flux(snap.vx)),
-        variant="gravity" if gravity else "viscous", g_in=model.g_in,
-        p_out=model.p_out, inflow_labels=None if gravity else labels[0, :])
+        variant="gravity" if gravity else "viscous", g_in=G_IN,
+        p_out=P_OUT, inflow_labels=None if gravity else labels[0, :])
     return ms.V, ms.P
 
 

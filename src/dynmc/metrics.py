@@ -43,6 +43,9 @@ def velocity_errors(V_ref: np.ndarray, V_mh: np.ndarray,
 def concentration_errors(C_a: np.ndarray, C_b: np.ndarray,
                          block_sel) -> np.ndarray:
     """Relative block-L2 errors of C_a against C_b, percent per continuum."""
+    if C_a.shape != C_b.shape:
+        raise ConfigError(f"block series misaligned: C shapes {C_a.shape} "
+                          f"and {C_b.shape}")
     a = C_a[block_sel]
     b = C_b[block_sel]
     n = a.shape[-1]
@@ -101,8 +104,8 @@ def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
         times_o = [s.t for s in other]
         if len(times_o) != len(times_r) or np.max(
                 np.abs(np.asarray(times_o) - np.asarray(times_r))) > 1e-12:
-            missing = sorted(set(np.round(times_r, 12))
-                             - set(np.round(times_o, 12)))
+            missing = sorted(set(np.round(times_r, 12).tolist())
+                             - set(np.round(times_o, 12).tolist()))
             raise ConfigError(f"series {tag} misaligned; missing {missing[:5]}")
 
     eV_series = [velocity_errors(r.V[edge_sel], m.V[edge_sel], n)

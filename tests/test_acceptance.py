@@ -226,10 +226,7 @@ def test_criterion_05_single_continuum_reduction(capsys):
     snaps = [Snapshot(k, 0.5 * k, np.zeros_like(c0), vx, vy, c0)
              for k in range(steps + 1)]
     model = CoarseModel(coarse=coarse, spec=spec, approach="galerkin",
-                        lam_of=np.ones_like, flow_refine=1, layers=1,
-                        extension_rule="periodic-left,reflect-right",
-                        p_in=1.0, p_out=0.0,
-                        inflow_conc=np.array([0.8]))
+                        lam_of=np.ones_like, inflow_conc=np.array([0.8]))
     states = run_coarse(model, snaps, steps, 0.5, velocity="mh")
 
     # direct coarse Darcy transport: exact flux and donor upwinding

@@ -11,7 +11,7 @@ from _oracles import (SaddleSolver, dense_kkt_solve, elliptic_oracle,
                       random_partition_region)
 from conftest import rng
 from dynmc import cells, fine, macro
-from dynmc.config import P_IN, P_OUT, get_preset
+from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
 from dynmc.fine import divergence
@@ -35,14 +35,13 @@ def interface_start():
     c0 = cfg.initial_condition(ext)
     model = macro.CoarseModel(
         coarse=cfg.extended_coarse(layout), spec=spec,
-        approach=cfg.approach, lam_of=cfg.mobility(ext), p_in=P_IN,
-        p_out=P_OUT)
+        approach=cfg.approach, lam_of=cfg.mobility(ext))
     return model, model.lam_of(c0), classify(c0, spec)
 
 
 def flow_region(model, K):
-    flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * model.flow_refine)
-    return oversample_block(flow, K, model.layers, rule=model.extension_rule)
+    flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * macro.FLOW_REFINE)
+    return oversample_block(flow, K, macro.LAYERS, rule=macro.EXTENSION_RULE)
 
 
 def single_continuum_region(nx=8):
@@ -364,7 +363,7 @@ class TestRegionEngineMemo:
             model, lam, labels, n, cells.PieceMemo())
         regions = flow_region(model, 0).coarse.Nx
         assert 0 < factored < reused
-        assert factored + reused == regions * (2 * model.layers + 1)
+        assert factored + reused == regions * (2 * macro.LAYERS + 1)
         real = cells.build_region_engine
         monkeypatch.setattr(cells, "build_region_engine",
                             lambda *args, pieces: real(*args))
@@ -380,7 +379,7 @@ class TestRegionEngineMemo:
         model, lam, labels = interface_start()
         n = model.spec.count
         regions = [flow_region(model, K)
-                   for K in range(model.coarse.Nx * model.flow_refine)]
+                   for K in range(model.coarse.Nx * macro.FLOW_REFINE)]
         runs = {(int(ov.src_ix[r.sx][0]), int(ov.src_ix[r.sx][-1]))
                 for ov in regions for r in ov.regions}
         assert len(runs) < sum(len(ov.regions) for ov in regions)
@@ -441,7 +440,7 @@ def interface_regions():
     """Every Galerkin region of the interface preset at t = 0, including
     the periodic-left and reflect-right ones."""
     model, lam, labels = interface_start()
-    for K in range(model.coarse.Nx * model.flow_refine):
+    for K in range(model.coarse.Nx * macro.FLOW_REFINE):
         ov = flow_region(model, K)
         yield ov, ov.sample(lam), ov.sample(labels), model.spec.count
 
@@ -516,7 +515,7 @@ class TestBlockSubstructuring:
             model, lam2, labels, n, memo)
         assert factored >= 1 and memo.used == set()
         probe = cells.PieceMemo()
-        for K in range(model.coarse.Nx * model.flow_refine):
+        for K in range(model.coarse.Nx * macro.FLOW_REFINE):
             ov = flow_region(model, K)
             cells.build_region_engine(ov, ov.sample(lam2),
                                       ov.sample(labels), n, pieces=probe)

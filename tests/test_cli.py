@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dynmc import cells, cli, experiment, io, macro
+from dynmc import cells, experiment, io, macro
 from dynmc.cli import main
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError
@@ -151,21 +151,22 @@ def test_cells_solve_rejects_an_approach_without_galerkin_regions(
 def test_cells_solve_oversamples_a_galerkin_region(tmp_path, monkeypatch,
                                                    capsys):
     # the CLI's region is one the Galerkin model solves: a block of the
-    # refined flow grid (Nx x flow_refine blocks), by default the middle one
-    calls = {cli: [], macro: []}
-    for module in calls:
-        def spy(grid, K, layers, rule="none", seen=calls[module]):
-            seen.append((grid.Nx, K, layers, rule))
-            return oversample_block(grid, K, layers, rule=rule)
-        monkeypatch.setattr(module, "oversample_block", spy)
+    # refined flow grid (Nx x FLOW_REFINE blocks), by default the middle one
+    calls = []
+
+    def spy(grid, K, layers, rule="none"):
+        calls.append((grid.Nx, K, layers, rule))
+        return oversample_block(grid, K, layers, rule=rule)
+
+    monkeypatch.setattr(macro, "oversample_block", spy)
     assert main(["cells-solve", "--preset", "interface", "--out",
                  str(tmp_path)]) == 0
+    shown = calls[:]
     cfg = get_preset("interface")
     run_experiment(dataclasses.replace(cfg, steps=10, coarse_steps=1))
     flow_blocks = cfg.Nx * FLOW_REFINE
-    assert calls[cli] == [(flow_blocks, flow_blocks // 2, LAYERS,
-                           EXTENSION_RULE)]
-    assert calls[cli][0] in calls[macro]
+    assert shown == [(flow_blocks, flow_blocks // 2, LAYERS, EXTENSION_RULE)]
+    assert shown[0] in calls[1:]
 
 
 def test_compare_two_series(tmp_path, capsys):
@@ -181,9 +182,37 @@ def test_compare_two_series(tmp_path, capsys):
     io.write_averages_csv(str(pa), ref, 1)
     io.write_averages_csv(str(pb), other, 1)
     assert main(["compare", str(pa), str(pb)]) == 0
-    text = capsys.readouterr().out
-    assert "e_V[0]: 10.000%" in text
-    assert "e_C[0]: 10.000%" in text
+    assert capsys.readouterr().out == (
+        "e_V[0]: 10.000%\ne_V global: 10.000%\ne_C[0]: 10.000%\n")
+
+
+class _State:
+    def __init__(self, t, C, V):
+        self.t, self.C, self.V = t, C, V
+
+
+def write_series(path, steps, blocks, seed=0, edges=None):
+    """A one-continuum averages file of ``steps`` times 0, 0.1, ..."""
+    g = np.random.default_rng(seed)
+    io.write_averages_csv(str(path), [
+        _State(0.1 * k, g.random((blocks, 1)) + 1,
+               g.random((edges or blocks + 1, 1)) + 1)
+        for k in range(steps)], 1)
+    return str(path)
+
+
+@pytest.mark.parametrize("other, error", [
+    ({"steps": 3, "blocks": 5}, "series mh(V_ref) misaligned; missing [0.3"),
+    ({"steps": 5, "blocks": 3, "edges": 6}, "b.csv: 6 edges for 3 blocks"),
+], ids=["times", "blocks"])
+def test_compare_two_series_must_line_up(tmp_path, capsys, other, error):
+    # unchecked, 5 against 3 times compared t = 0.4 with t = 0.2, and C
+    # rows for 3 blocks against 5 ended in a numpy traceback
+    a = write_series(tmp_path / "a.csv", 5, 5)
+    b = write_series(tmp_path / "b.csv", seed=1, **other)
+    assert main(["compare", a, b]) == ConfigError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == "" and error in captured.err
 
 
 def test_compare_wrong_arity(tmp_path, capsys):
@@ -195,7 +224,8 @@ def test_compare_wrong_arity(tmp_path, capsys):
 
 def test_compare_rejects_a_malformed_series(tmp_path, capsys):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_text("time,kind,location,continuum,value\n0,C,0:0,0,1\n")
+    good.write_text("time,kind,location,continuum,value\n0,C,0:0,0,1\n"
+                    "0,V,x:0:0,0,1\n0,V,x:1:0,0,1\n")
     bad.write_text("time,kind,location,continuum,value\n0,C,0:0,-1,1\n")
     assert main(["compare", str(good), str(bad)]) == 2
     assert "bad.csv, line 2: C row of continuum -1" in capsys.readouterr().err

@@ -642,7 +642,6 @@ class TestRunCoarse:
                             spec=ContinuumSpec(DUAL_THRESHOLDS),
                             approach="mixed-viscous",
                             lam_of=lambda cc: np.where(cc >= 0.5, 100.0, 1.0),
-                            g_in=-1.0, p_out=0.0,
                             inflow_conc=np.array([1.0, 0.0]))
         counts = {"averages": 0, "solves": 0}
 

@@ -158,7 +158,8 @@ def test_manifest_counts_factored_and_reused_block_pieces(tmp_path):
 def test_coarse_model_has_the_fine_boundary_data(monkeypatch, preset,
                                                   shorten):
     # the fine run reads its boundary data from cfg.flow_bc and the coarse
-    # model from _run; the inflow flux and the pressures must agree
+    # models from macro's constants; the inflow flux and the pressures must
+    # agree
     models = []
 
     def spy(model, *args, **kwargs):
@@ -173,10 +174,10 @@ def test_coarse_model_has_the_fine_boundary_data(monkeypatch, preset,
     for model in models:
         # a closed box (mixed-gravity) reads none of them
         want = {"mixed-gravity": (("noflow",), ("noflow",)),
-                "mixed-viscous": (("flux", model.g_in),
-                                  ("pressure", model.p_out)),
-                "galerkin": (("pressure", model.p_in),
-                             ("pressure", model.p_out))}[model.approach]
+                "mixed-viscous": (("flux", macro.G_IN),
+                                  ("pressure", macro.P_OUT)),
+                "galerkin": (("pressure", macro.P_IN),
+                             ("pressure", macro.P_OUT))}[model.approach]
         assert (bc.left, bc.right) == want
 
 

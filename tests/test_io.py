@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -202,15 +203,43 @@ class TestAveragesCsv:
         with pytest.raises(ConfigError, match="bad.csv: no C rows"):
             io.read_averages_csv(str(path))
 
+    @pytest.mark.parametrize("kind, loc, k", [("C", "1:0", 1),
+                                              ("V", "x:2:0", 0)])
+    def test_missing_entry_rejected(self, tmp_path, kind, loc, k):
+        # unchecked, a missing entry read back as 0.0
+        path = tmp_path / "avg.csv"
+        io.write_averages_csv(str(path), self.make_states(), 2)
+        t = "0.20000000000000001"  # the last time
+        lines = path.read_text().splitlines(keepends=True)
+        kept = [line for line in lines
+                if not line.startswith(f"{t},{kind},{loc},{k},")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"avg.csv: no {kind} row at time {t}, {loc}, continuum {k}")):
+            io.read_averages_csv(str(path))
+
+    @pytest.mark.parametrize("edges", [2, 4])
+    def test_edges_must_be_blocks_plus_one(self, tmp_path, edges):
+        path = tmp_path / "avg.csv"
+        path.write_text("time,kind,location,continuum,value\n0,C,0:0,0,1\n"
+                        "0,C,1:0,0,2\n" + "".join(
+                            f"0,V,x:{I}:0,0,1\n" for I in range(edges)))
+        with pytest.raises(ConfigError, match=f"avg.csv: {edges} edges for "
+                           "2 blocks, expected 3"):
+            io.read_averages_csv(str(path))
+
     def test_states_follow_their_time_rows(self, tmp_path):
         """Rows of several times, interleaved, land in their own state."""
         path = tmp_path / "avg.csv"
         path.write_text("time,kind,location,continuum,value\n"
                         "0.5,C,0:0,0,5\n0,C,0:0,0,1\n0.5,V,x:0:0,0,6\n"
-                        "0,P,0:0,-1,7\n0,V,x:0:0,0,2\n0.5,P,0:0,0,8\n")
+                        "0,P,0:0,-1,7\n0,V,x:1:0,0,3\n0,V,x:0:0,0,2\n"
+                        "0.5,P,0:0,0,8\n0.5,V,x:1:0,0,9\n")
         a, b = io.read_averages_csv(str(path))
         assert (a.step, a.t, b.step, b.t) == (0, 0.0, 1, 0.5)
-        assert (a.C, a.V, b.C, b.V) == (1, 2, 5, 6)
+        assert [s.C.ravel().tolist() + s.V.ravel().tolist()
+                for s in (a, b)] == [[1, 2, 3], [5, 6, 9]]
         assert np.isnan(a.P).all() and b.P[0, 0] == 8
 
     def test_bad_header_rejected(self, tmp_path):

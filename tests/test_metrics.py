@@ -1,6 +1,7 @@
 """Error-norm reporting: relative/absolute rules, alignment, regression."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,14 @@ class TestConcentrationErrors:
         out = concentration_errors(C, C_ref, np.s_[1:])
         assert out[0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 1), (5, 2)])
+    def test_other_block_shape_rejected(self, shape):
+        # checked before the selection, which could hide it
+        C = np.ones((5, 1))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"misaligned: C shapes (5, 1) and {shape}")):
+            concentration_errors(C, np.ones(shape), np.s_[:3])
+
 
 def make_series(scale_mh=1.0, shift_between=0.0):
     times = [0.0, 0.1, 0.2]
@@ -123,7 +132,8 @@ class TestComputeErrors:
         mrv[-1].t = 0.3
         with pytest.raises(ConfigError, match="misaligned"):
             compute_errors(ref, mrv, mmv, 2)
-        with pytest.raises(ConfigError, match="misaligned"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "series mh(V_ref) misaligned; missing [0.2]")):
             compute_errors(ref, mrv[:-1], mmv, 2)
 
     def test_rows_cover_all_metrics(self):

@@ -1,0 +1,65 @@
+"""Each fixed decision of the coarse model has one owner, found from the
+source: ``macro`` cuts every Galerkin region and holds the region recipe
+(``FLOW_REFINE``, ``LAYERS``, ``EXTENSION_RULE``) and the boundary data
+(``G_IN``, ``P_IN``, ``P_OUT``); ``CoarseModel`` carries only what differs
+from run to run.
+"""
+
+import ast
+import dataclasses
+
+from dynmc.macro import CoarseModel
+from test_solve_paths import SRC, callers, parse
+
+RECIPE = {"FLOW_REFINE", "LAYERS", "EXTENSION_RULE"}
+BOUNDARY = {"G_IN", "P_IN", "P_OUT"}
+
+
+def modules() -> list[str]:
+    return sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, imports or assigns, bare or attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def assigned(tree: ast.Module) -> set[str]:
+    """Module-level names bound by assignment."""
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets
+            for target in (t.elts if isinstance(t, ast.Tuple) else [t])
+            if isinstance(target, ast.Name)}
+
+
+def test_coarse_model_holds_only_what_varies():
+    assert [f.name for f in dataclasses.fields(CoarseModel)] == [
+        "coarse", "spec", "approach", "lam_of", "inflow_conc"]
+
+
+def test_macro_alone_cuts_galerkin_regions():
+    sites = {m: callers(parse(m), "oversample_block") for m in modules()}
+    assert {m: s for m, s in sites.items() if s} == {
+        "macro": ["galerkin_region"]}
+    assert callers(parse("macro"), "galerkin_region") == ["_region_ops"]
+    assert callers(parse("cli"), "galerkin_region") == ["_cmd_cells_solve"]
+
+
+def test_the_region_recipe_and_boundary_data_live_in_macro():
+    readers = {m: names(parse(m)) & (RECIPE | BOUNDARY) for m in modules()}
+    assert readers["macro"] == RECIPE | BOUNDARY
+    # config's read-only flow_refine, which the benchmark reads, and
+    # flow_bc, which sets the fine run's boundary data
+    assert readers.pop("config") == {"FLOW_REFINE"} | BOUNDARY
+    del readers["macro"]
+    assert {m: r for m, r in readers.items() if r} == {}
+    assert [m for m in modules()
+            if assigned(parse(m)) & (RECIPE | BOUNDARY)] == ["macro"]
