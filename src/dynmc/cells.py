@@ -246,19 +246,27 @@ def region_keys(ov: Oversample, lam_local: np.ndarray,
 
 @dataclass
 class PieceMemo:
-    """Caller-owned memo of factored block pieces, keyed by content.
+    """Caller-owned memo of factored block pieces, keyed by content, and of
+    what the caller derived from each region of the last solve.
 
     A piece's key digests (ny, mx, hx, hy, n), lam_b and labels_b, so a
     periodic copy of a block finds the piece of its original and a
     mirrored one keys by its own content.  ``used`` holds the keys looked
     up since the last :meth:`settle`; ``factored`` and ``reused`` count
-    those lookups that factored a piece or found one.
+    those lookups that factored a piece or found one.  A region is keyed
+    by its position K and its blocks' piece keys (:func:`region_keys`):
+    ``regions`` holds the values :meth:`keep` stored in the last settled
+    solve, ``pending`` those of this one, and ``regions_reused`` counts
+    the :meth:`region` lookups that found one.
     """
 
     pieces: dict = field(default_factory=dict)
     used: set = field(default_factory=set)
     factored: int = 0
     reused: int = 0
+    regions: dict = field(default_factory=dict)
+    pending: dict = field(default_factory=dict)
+    regions_reused: int = 0
 
     def piece(self, key: bytes, grid_b: FineGrid, lam_b: np.ndarray,
               labels_b: np.ndarray, n: int) -> BlockPiece:
@@ -274,13 +282,33 @@ class PieceMemo:
             self.reused += 1
         return found
 
-    def settle(self) -> tuple[int, int]:
-        """Drop every piece no lookup since the last settle used; return
-        the (factored, reused) counts of those lookups and start anew."""
+    def region(self, K: int, keys: list):
+        """What :meth:`keep` stored for region K of blocks ``keys`` in the
+        last settled solve, kept for this one with its pieces marked used
+        (so the next solve still finds them); None when there is none."""
+        found = self.regions.get((K, tuple(keys)))
+        if found is None:
+            return None
+        self.used.update(keys)
+        self.regions_reused += 1
+        return self.keep(K, keys, found)
+
+    def keep(self, K: int, keys: list, value):
+        """Store ``value`` for region K of blocks ``keys``; returns it."""
+        self.pending[K, tuple(keys)] = value
+        return value
+
+    def settle(self) -> tuple[int, int, int]:
+        """Drop every piece no lookup since the last settle used, and every
+        region this solve did not keep; return the (factored, reused)
+        counts of the piece lookups and the regions reused, and start
+        anew."""
         for key in set(self.pieces) - self.used:
             del self.pieces[key]
-        counts = (self.factored, self.reused)
-        self.used, self.factored, self.reused = set(), 0, 0
+        counts = (self.factored, self.reused, self.regions_reused)
+        self.regions, self.pending = self.pending, {}
+        self.used, self.factored, self.reused, self.regions_reused = (
+            set(), 0, 0, 0)
         return counts
 
 
@@ -376,16 +404,16 @@ class RegionEngine:
 
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,
                         labels_local: np.ndarray, n: int,
-                        seen: dict | None = None, *,
+                        keys: list | None = None, *,
                         pieces: PieceMemo | None = None) -> RegionEngine:
     """Gather the block pieces of one oversampled region and factor its
     face system.
 
     Pieces come from ``pieces`` when it holds their content and are
     factored into it otherwise; without a memo the region factors each
-    distinct block content once.  Blocks are keyed by :func:`region_keys`
-    with ``seen``, the keys its caller met so far in regions sampled from
-    the same lam and labels (a fresh dict when not given).  The region's
+    distinct block content once.  Blocks are keyed by ``keys``, their
+    :func:`region_keys` as the caller took them (digested here when not
+    given).  The region's
     row index is the pieces' rows, each offset by the rows of the blocks
     before it.  The face system has (blocks + 1) ny unknowns and bandwidth
     2 ny - 1; its outer face columns join one block each, which is the
@@ -395,8 +423,8 @@ def build_region_engine(ov: Oversample, lam_local: np.ndarray,
     memo = PieceMemo() if pieces is None else pieces
     ny = grid.ny
     grid_b = _piece_grid(ov)
-    keys = region_keys(ov, lam_local, labels_local, n,
-                       {} if seen is None else seen)
+    if keys is None:
+        keys = region_keys(ov, lam_local, labels_local, n, {})
     blocks = [memo.piece(key, grid_b, lam_local[reg.sx], labels_local[reg.sx],
                          n) for reg, key in zip(ov.regions, keys)]
     ab = np.zeros((2 * ny, (len(blocks) + 1) * ny), order="F")

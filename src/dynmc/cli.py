@@ -18,7 +18,7 @@ from .exceptions import ConfigError, DynmcError
 from .experiment import fine_reference, run_experiment
 from .continua import classify
 from .macro import galerkin_flow, galerkin_region
-from .metrics import compute_errors
+from .metrics import check_times, compute_errors
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +141,8 @@ def _cmd_cells_solve(args) -> int:
 def _cmd_compare(args) -> int:
     series = [iomod.read_averages_csv(p) for p in args.series]
     ref = series[0]
+    for path, other in zip(args.series[1:], series[1:]):
+        check_times(ref, other, path)
     n = ref[0].C.shape[1]
     # of two series, the other one fills both homogenized slots
     rep = compute_errors(ref, series[1], series[-1], n)

@@ -175,6 +175,8 @@ def _write_artifacts(res: ExperimentResult, outdir: str) -> dict:
         "fine_flow_reused": sum(res.fine.flow_reused),
         "block_pieces_factored": sum(s.pieces[0] for s in res.mh_mhvel),
         "block_pieces_reused": sum(s.pieces[1] for s in res.mh_mhvel),
+        "galerkin_regions_reused": sum(s.regions_reused
+                                       for s in res.mh_mhvel),
         "e_V_global_percent": res.report.eV.global_relative,
         "e_C_mhvel_percent": [float(v) for v in res.report.eC_mh_vel],
         "ordering_ok": res.report.ordering_ok,

@@ -170,9 +170,11 @@ def read_averages_csv(path: str) -> list[CoarseState]:
     may carry -1 (a per-block multiplier, which is not read back).  A
     malformed row raises :class:`ConfigError` naming the file and line; a
     missing C or V entry, or edges other than the blocks + 1, one naming
-    the file.
+    the file; a second row for the same time, kind, location and
+    continuum, one naming both lines.
     """
     rows = []
+    first = {}  # (time, kind, location, continuum) -> where its row is
     for where, line in _data_rows(
             path, ["time", "kind", "location", "continuum", "value"]):
         if len(line) != 5:
@@ -191,7 +193,13 @@ def read_averages_csv(path: str) -> list[CoarseState]:
             raise ConfigError(f"{where}: {exc}") from None
         if k < (-1 if kind == "P" else 0):
             raise ConfigError(f"{where}: {kind} row of continuum {k}")
-        rows.append((t, kind, int(hit[1]), k, v, where))
+        entry = (t, kind, int(hit[1]), k)
+        if entry in first:
+            raise ConfigError(f"{where}: a second {kind} row at time "
+                              f"{_fmt(t)}, {loc}, continuum {k}; the first "
+                              f"is at {first[entry]}")
+        first[entry] = where
+        rows.append((*entry, v, where))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     n = 1 + max((k for _t, kind, _loc, k, _v, _w in rows if kind == "C"),

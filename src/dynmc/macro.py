@@ -446,8 +446,10 @@ class CoarseState:
     C: np.ndarray  # (Nx, n) unnormalized
     V: np.ndarray  # (Nx + 1, n) edge fluxes
     P: dict | np.ndarray | None = None
-    # Galerkin block pieces (factored, reused) by this step's coarse solve
+    # Galerkin block pieces (factored, reused) by this step's coarse solve,
+    # and its regions whose operators came from the previous solve
     pieces: tuple[int, int] = (0, 0)
+    regions_reused: int = 0
 
 
 # the boundary data of the fine and coarse flows: the viscous inflow flux,
@@ -497,29 +499,40 @@ def _region_ops(flow: CoarseGrid, K: int, lam: np.ndarray,
                 seen: dict) -> EffectiveOperators:
     """Effective operators of flow block K from its oversampled region.
 
-    The region engine (its face factor) and the cell bases die with this
-    call; only the block pieces live on, in ``pieces``.  ``seen`` holds
-    the piece keys of the solve's blocks met so far (``cells.region_keys``),
-    shared by the regions of one solve.
+    They depend only on the region's geometry, which K fixes, and on its
+    blocks' lam and labels, which their piece keys digest
+    (``cells.region_keys``; ``seen`` holds the keys of the solve's blocks
+    met so far, shared by the regions of one solve).  So a region whose K
+    and keys the previous solve held takes its operators from ``pieces``;
+    any other builds them and keeps them there.  The region engine (its
+    face factor) and the cell bases die with this call; only the block
+    pieces and the operators live on.
     """
     ov = galerkin_region(flow, K)
     lam_l = ov.sample(lam)
     lab_l = ov.sample(labels)
-    engine = cells.build_region_engine(ov, lam_l, lab_l, n, seen,
-                                       pieces=pieces)
-    avg, grad = cells.solve_constrained_elliptic(
-        ov, lam_l, lab_l, n, ("average", "gradient"), engine=engine)
-    return assemble_effective(ov, lam_l, lab_l, n, avg, grad)
+    keys = cells.region_keys(ov, lam_l, lab_l, n, seen)
+    ops = pieces.region(K, keys)
+    if ops is None:
+        engine = cells.build_region_engine(ov, lam_l, lab_l, n, keys,
+                                           pieces=pieces)
+        avg, grad = cells.solve_constrained_elliptic(
+            ov, lam_l, lab_l, n, ("average", "gradient"), engine=engine)
+        ops = pieces.keep(K, keys,
+                          assemble_effective(ov, lam_l, lab_l, n, avg, grad))
+    return ops
 
 
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
                        labels: np.ndarray, n: int,
                        pieces: cells.PieceMemo):
-    """Galerkin coarse flow: returns V, P and the block pieces (factored,
-    reused) of its regions.  ``pieces`` carries the pieces from solve to
-    solve; afterwards it keeps only those this solve used.  Each distinct
-    block content is digested once per solve: the digests of this lam and
-    labels are kept by source columns until the solve returns."""
+    """Galerkin coarse flow: returns V, P and the counts of its regions:
+    block pieces factored and reused, and regions reused whole.
+    ``pieces`` carries the pieces and the regions' operators from solve to
+    solve; afterwards it keeps only those this solve used, at most
+    ``Nx * FLOW_REFINE`` regions.  Each distinct block content is digested
+    once per solve: the digests of this lam and labels are kept by source
+    columns until the solve returns."""
     flow = galerkin_flow(model.coarse)
     seen: dict = {}
     ops = [_region_ops(flow, K, lam, labels, n, pieces, seen)
@@ -576,11 +589,11 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     C = ref0.C.copy()
     states = []
     last = None  # (key, V, P) of the previous homogenized solve
-    pieces = cells.PieceMemo()  # Galerkin block pieces, for this run
+    pieces = cells.PieceMemo()  # Galerkin pieces and regions, for this run
     total_removed = 0.0
 
     for k in range(steps + 1):
-        counts = (0, 0)
+        counts = (0, 0, 0)
         snap = snapshots[k]
         labels = classify(snap.c, model.spec)
         masses = continuum_masses(labels, coarse, n)
@@ -613,7 +626,8 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
             last = (key, V, P)
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
-                                  pieces=counts))
+                                  pieces=counts[:2],
+                                  regions_reused=counts[2]))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

@@ -89,6 +89,18 @@ class ErrorReport:
         yield ("ordering_ok", -1, float(self.ordering_ok))
 
 
+def check_times(reference: list, other: list, name: str) -> None:
+    """Reject a series ``other`` whose times are not those of
+    ``reference``, naming it and the first times it lacks."""
+    times_r = [s.t for s in reference]
+    times_o = [s.t for s in other]
+    if len(times_o) != len(times_r) or np.max(
+            np.abs(np.asarray(times_o) - np.asarray(times_r))) > 1e-12:
+        missing = sorted(set(np.round(times_r, 12).tolist())
+                         - set(np.round(times_o, 12).tolist()))
+        raise ConfigError(f"series {name} misaligned; missing {missing[:5]}")
+
+
 def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
                    n: int, block_sel=np.s_[:], edge_sel=np.s_[:]
                    ) -> ErrorReport:
@@ -99,14 +111,8 @@ def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
     ``block_sel`` (blocks) and ``edge_sel`` (rows of V) restrict the norms
     to the target region.
     """
-    times_r = [s.t for s in reference]
     for other, tag in ((mh_refvel, "mh(V_ref)"), (mh_mhvel, "mh(V_mh)")):
-        times_o = [s.t for s in other]
-        if len(times_o) != len(times_r) or np.max(
-                np.abs(np.asarray(times_o) - np.asarray(times_r))) > 1e-12:
-            missing = sorted(set(np.round(times_r, 12).tolist())
-                             - set(np.round(times_o, 12).tolist()))
-            raise ConfigError(f"series {tag} misaligned; missing {missing[:5]}")
+        check_times(reference, other, tag)
 
     eV_series = [velocity_errors(r.V[edge_sel], m.V[edge_sel], n)
                  for r, m in zip(reference, mh_mhvel)]
@@ -121,7 +127,7 @@ def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,
     final_refvel = eC_series["refvel"][-1]
     final_mhvel = eC_series["mhvel"][-1]
     ordering = bool(np.all(final_refvel <= final_mhvel + 1e-12))
-    return ErrorReport(n=n, times=times_r, eV=eV_series[-1],
+    return ErrorReport(n=n, times=[s.t for s in reference], eV=eV_series[-1],
                        eC_ref_vel=final_refvel, eC_mh_vel=final_mhvel,
                        eC_between=eC_series["between"][-1],
                        eV_series=eV_series, eC_series=eC_series,

@@ -359,7 +359,7 @@ class TestRegionEngineMemo:
     def test_galerkin_velocity_equals_a_memoless_run(self, monkeypatch):
         model, lam, labels = interface_start()
         n = model.spec.count
-        V, P, (factored, reused) = macro._galerkin_velocity(
+        V, P, (factored, reused, _regions) = macro._galerkin_velocity(
             model, lam, labels, n, cells.PieceMemo())
         regions = flow_region(model, 0).coarse.Nx
         assert 0 < factored < reused
@@ -369,7 +369,7 @@ class TestRegionEngineMemo:
                             lambda *args, pieces: real(*args))
         V0, P0, counts = macro._galerkin_velocity(model, lam, labels, n,
                                                   cells.PieceMemo())
-        assert counts == (0, 0)  # no region looked into the run's memo
+        assert counts == (0, 0, 0)  # no region looked into the run's memo
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
 
     def test_each_block_is_digested_once_per_solve(self, monkeypatch):
@@ -393,10 +393,11 @@ class TestRegionEngineMemo:
             assert cells.region_keys(ov, lam_l, lab_l, n, {}) == [
                 cells.piece_key(cells._piece_grid(ov), lam_l[r.sx],
                                 lab_l[r.sx], n) for r in ov.regions]
-        # and digesting the blocks of each region afresh gives the same solve
+        # and an engine that digests the blocks of its region afresh, not
+        # taking the keys its region was looked up by, gives the same solve
         real = cells.build_region_engine
         monkeypatch.setattr(cells, "build_region_engine",
-                            lambda ov, lam_l, lab_l, n, seen, pieces: real(
+                            lambda ov, lam_l, lab_l, n, keys, pieces: real(
                                 ov, lam_l, lab_l, n, pieces=pieces))
         digests.clear()
         V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
@@ -404,8 +405,78 @@ class TestRegionEngineMemo:
         per_region = sum(len({(int(ov.src_ix[r.sx][0]),
                                int(ov.src_ix[r.sx][-1])) for r in ov.regions})
                          for ov in regions)
-        assert len(digests) == per_region > len(runs)
+        assert per_region > len(runs)
+        assert len(digests) == len(runs) + per_region
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
+
+    @pytest.mark.parametrize("field", ["lam", "label"])
+    @pytest.mark.parametrize("block", [0, 9, 19])
+    def test_changed_block_rebuilds_only_the_regions_holding_it(
+            self, monkeypatch, field, block):
+        # one changed lam cell or flipped label in flow block ``block``
+        # (the first has periodic copies, the last a mirror image): the
+        # next solve rebuilds every region that samples that block and
+        # takes every other region's operators from the solve before
+        model, lam, labels = interface_start()
+        n = model.spec.count
+        regions = [flow_region(model, K)
+                   for K in range(model.coarse.Nx * macro.FLOW_REFINE)]
+        memo = cells.PieceMemo()
+        macro._galerkin_velocity(model, lam, labels, n, memo)
+        mx = regions[0].coarse.mx
+        cell = (block * mx + mx // 2, 3)
+        if field == "lam":
+            lam = lam.copy()
+            lam[cell] *= 2.0
+        else:
+            labels = labels.copy()
+            labels[cell] = 1 - labels[cell]
+        built = []
+        real = cells.build_region_engine
+
+        def spy(ov, *args, **kwargs):
+            built.append(int(ov.src_ix[ov.central.sx][0]) // mx)
+            return real(ov, *args, **kwargs)
+
+        monkeypatch.setattr(cells, "build_region_engine", spy)
+        V, P, (factored, _reused, reused) = macro._galerkin_velocity(
+            model, lam, labels, n, memo)
+        holding = [K for K, ov in enumerate(regions) if cell[0] in ov.src_ix]
+        assert 0 < len(holding) < len(regions)
+        assert built == holding and reused == len(regions) - len(holding)
+        # the changed block's own piece, and that of its mirror image
+        runs = {(int(src[0]), int(src[-1])) for ov in regions
+                for src in (ov.src_ix[r.sx] for r in ov.regions)
+                if cell[0] in src}
+        assert factored == len(runs) == (2 if block == 19 else 1)
+        monkeypatch.setattr(cells, "build_region_engine", real)
+        V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
+                                                   cells.PieceMemo())
+        assert np.array_equal(V, V0) and np.array_equal(P, P0,
+                                                        equal_nan=True)
+
+    def test_regions_are_looked_up_by_the_keys_their_engine_gets(
+            self, monkeypatch):
+        model, lam, labels = interface_start()
+        looked, handed = [], []
+        real_region = cells.PieceMemo.region
+        real_build = cells.build_region_engine
+
+        def region(memo, K, keys):
+            looked.append(keys)
+            return real_region(memo, K, keys)
+
+        def build(ov, lam_l, lab_l, n, keys, *, pieces):
+            handed.append(keys)
+            return real_build(ov, lam_l, lab_l, n, keys, pieces=pieces)
+
+        monkeypatch.setattr(cells.PieceMemo, "region", region)
+        monkeypatch.setattr(cells, "build_region_engine", build)
+        macro._galerkin_velocity(model, lam, labels, model.spec.count,
+                                 cells.PieceMemo())
+        assert len(handed) == model.coarse.Nx * macro.FLOW_REFINE
+        assert len(looked) == len(handed)
+        assert all(a is b for a, b in zip(looked, handed))
 
     def test_no_earlier_engine_alive_at_a_factorization(self, monkeypatch):
         """Every region engine a Galerkin coarse solve built before is gone
@@ -429,7 +500,7 @@ class TestRegionEngineMemo:
         monkeypatch.setattr(cells, "build_region_engine", build)
         monkeypatch.setattr(cells, "splu", factor(real_splu))
         monkeypatch.setattr(cells, "cholesky_banded", factor(real_chol))
-        _V, _P, (factored, _reused) = macro._galerkin_velocity(
+        _V, _P, (factored, _reused, _regions) = macro._galerkin_velocity(
             model, lam, labels, model.spec.count, cells.PieceMemo())
         regions = flow_region(model, 0).coarse.Nx
         assert len(engines) == regions
@@ -511,7 +582,7 @@ class TestBlockSubstructuring:
         # one changed lam cell changes the content of one flow block
         lam2 = lam.copy()
         lam2[5, 3] *= 2.0
-        _V, _P, (factored, _reused) = macro._galerkin_velocity(
+        _V, _P, (factored, _reused, _regions) = macro._galerkin_velocity(
             model, lam2, labels, n, memo)
         assert factored >= 1 and memo.used == set()
         probe = cells.PieceMemo()
@@ -525,11 +596,16 @@ class TestBlockSubstructuring:
         model, lam, labels = interface_start()
         n = model.spec.count
         memo = cells.PieceMemo()
-        V, P, (factored, _reused) = macro._galerkin_velocity(
+        V, P, (factored, _reused, _regions) = macro._galerkin_velocity(
             model, lam, labels, n, memo)
-        V2, P2, (again, _reused) = macro._galerkin_velocity(
-            model, lam, labels, n, memo)
-        assert factored > 0 and again == 0
+        pieces = set(memo.pieces)
+        # every region is taken whole from the solve before, and keeps its
+        # pieces alive for the next solve
+        V2, P2, counts = macro._galerkin_velocity(model, lam, labels, n,
+                                                  memo)
+        assert factored > 0
+        assert counts == (0, 0, model.coarse.Nx * macro.FLOW_REFINE)
+        assert set(memo.pieces) == pieces
         assert V.tobytes() == V2.tobytes() and P.tobytes() == P2.tobytes()
 
     def test_one_column_blocks(self):

@@ -202,7 +202,7 @@ def write_series(path, steps, blocks, seed=0, edges=None):
 
 
 @pytest.mark.parametrize("other, error", [
-    ({"steps": 3, "blocks": 5}, "series mh(V_ref) misaligned; missing [0.3"),
+    ({"steps": 3, "blocks": 5}, "b.csv misaligned; missing [0.3, 0.4]"),
     ({"steps": 5, "blocks": 3, "edges": 6}, "b.csv: 6 edges for 3 blocks"),
 ], ids=["times", "blocks"])
 def test_compare_two_series_must_line_up(tmp_path, capsys, other, error):

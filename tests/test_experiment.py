@@ -132,22 +132,101 @@ def test_manifest_counts_reused_fine_flow_solves(tmp_path):
     assert manifest["fine_flow_reused"] == sum(res.fine.flow_reused) > 0
 
 
-def test_manifest_counts_factored_and_reused_block_pieces(tmp_path):
-    cfg = dataclasses.replace(get_preset("interface"), steps=30,
-                              coarse_steps=3)
+def multi_solve_galerkin():
+    """The benchmark's shortened interface run: four Galerkin coarse flow
+    solves, whose later ones meet regions of the solve before."""
+    return dataclasses.replace(get_preset("interface"), steps=400,
+                               coarse_steps=40)
+
+
+def spy_galerkin_solves(monkeypatch, before=None):
+    """Record the memo of every Galerkin coarse flow solve after it;
+    ``before(memo)`` runs ahead of each."""
+    memos = []
+    real = macro._galerkin_velocity
+
+    def spy(model, lam, labels, n, pieces):
+        if before is not None:
+            before(pieces)
+        out = real(model, lam, labels, n, pieces)
+        memos.append((dict(pieces.regions), dict(pieces.pending),
+                      set(pieces.pieces)))
+        return out
+
+    monkeypatch.setattr(macro, "_galerkin_velocity", spy)
+    return memos
+
+
+def test_manifest_counts_factored_and_reused_block_pieces(monkeypatch,
+                                                          tmp_path):
+    cfg = multi_solve_galerkin()
+    solves = spy_galerkin_solves(monkeypatch)
     res = run_experiment(cfg, outdir=str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    lookups = cfg.Nx * FLOW_REFINE * (2 * LAYERS + 1)
-    # every step solves the coarse flow, and looks up the pieces of every
-    # block of every region, or reuses the previous solve whole
-    assert all(sum(s.pieces) in (0, lookups) for s in res.mh_mhvel)
+    regions = cfg.Nx * FLOW_REFINE
+    # a step that solves the coarse flow looks up the pieces of every
+    # block of each region it builds, (regions built) x (2 LAYERS + 1),
+    # and none of a region it reuses; a step that reuses the previous
+    # solve whole looks up nothing
+    solving = [s for s in res.mh_mhvel
+               if s.pieces != (0, 0) or s.regions_reused]
+    built = [regions - s.regions_reused for s in solving]
+    assert len(solving) == len(solves) == 4
+    assert built[0] == regions and min(built) > 0
+    assert sum(built) < 4 * regions
+    assert [sum(s.pieces) for s in solving] == [
+        b * (2 * LAYERS + 1) for b in built]
     factored = sum(s.pieces[0] for s in res.mh_mhvel)
     reused = sum(s.pieces[1] for s in res.mh_mhvel)
     assert 0 < factored < reused
     assert manifest["block_pieces_factored"] == factored
     assert manifest["block_pieces_reused"] == reused
+    assert manifest["galerkin_regions_reused"] == sum(
+        s.regions_reused for s in res.mh_mhvel) == 4 * regions - sum(built)
     assert "region_engines_reused" not in manifest
-    assert all(s.pieces == (0, 0) for s in res.mh_refvel)
+    assert all(s.pieces == (0, 0) and s.regions_reused == 0
+               for s in res.mh_refvel)
+
+
+def test_region_memo_changes_no_result(monkeypatch):
+    # a run whose region memo is emptied before every coarse solve
+    # rebuilds every region; its velocities, pressures, concentrations
+    # and every report value are bit for bit those of the run that reuses
+    cfg = multi_solve_galerkin()
+    memos = spy_galerkin_solves(monkeypatch)
+    res = run_experiment(cfg)
+    assert sum(s.regions_reused for s in res.mh_mhvel) > 0
+    # after each solve the memo holds that solve's regions, no others, and
+    # the pieces of every one of them, reused or built
+    regions = cfg.Nx * FLOW_REFINE
+    assert [(len(kept), pending) for kept, pending, _pieces in memos] == [
+        (regions, {})] * 4
+    assert [{K for K, _keys in kept} for kept, _p, _pieces in memos] == [
+        set(range(regions))] * 4
+    assert [pieces for _k, _p, pieces in memos] == [
+        {key for _K, keys in kept for key in keys} for kept, _p, _x in memos]
+
+    def forget(memo):
+        memo.regions = {}
+
+    spy_galerkin_solves(monkeypatch, before=forget)
+    fresh = run_experiment(cfg)
+    assert sum(s.regions_reused for s in fresh.mh_mhvel) == 0
+    for a, b in zip(res.mh_mhvel, fresh.mh_mhvel, strict=True):
+        for x, y in ((a.V, b.V), (a.P, b.P), (a.C, b.C)):
+            assert np.array_equal(x, y, equal_nan=True)
+    # a reused region keeps its pieces, so no later solve factors more
+    assert ([s.pieces[0] for s in res.mh_mhvel]
+            == [s.pieces[0] for s in fresh.mh_mhvel])
+    rows, fresh_rows = list(res.report.rows()), list(fresh.report.rows())
+    assert [r[:2] for r in rows] == [r[:2] for r in fresh_rows]
+    assert np.array_equal([r[2] for r in rows], [r[2] for r in fresh_rows],
+                          equal_nan=True)
+    for a, b in zip(res.report.eV_series, fresh.report.eV_series):
+        assert np.array_equal(a.relative, b.relative, equal_nan=True)
+        assert np.array_equal(a.absolute, b.absolute)
+    for key, series in res.report.eC_series.items():
+        assert np.array_equal(series, fresh.report.eC_series[key])
 
 
 @pytest.mark.parametrize("preset, shorten", [

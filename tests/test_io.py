@@ -219,6 +219,25 @@ class TestAveragesCsv:
                 f"avg.csv: no {kind} row at time {t}, {loc}, continuum {k}")):
             io.read_averages_csv(str(path))
 
+    @pytest.mark.parametrize("row, line", [
+        ("0,C,0:0,0,9", 2), ("0.0,V,x:1:0,0,9", 4), ("0,P,0:0,-1,9", 5)],
+        ids=["C", "V", "P"])
+    def test_repeated_entry_rejected(self, tmp_path, row, line):
+        # unchecked, the second row overwrote the first: C read back 9;
+        # "0.0" is the time "0" written another way
+        path = tmp_path / "avg.csv"
+        head = ("time,kind,location,continuum,value\n0,C,0:0,0,1\n"
+                "0,V,x:0:0,0,1\n0,V,x:1:0,0,1\n0,P,0:0,-1,1\n")
+        path.write_text(head)
+        [state] = io.read_averages_csv(str(path))
+        assert state.C.tolist() == [[1.0]]
+        path.write_text(head + row + "\n")
+        kind, loc, k = row.split(",")[1:4]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"avg.csv, line 6: a second {kind} row at time 0, {loc}, "
+                f"continuum {k}; the first is at {path}, line {line}")):
+            io.read_averages_csv(str(path))
+
     @pytest.mark.parametrize("edges", [2, 4])
     def test_edges_must_be_blocks_plus_one(self, tmp_path, edges):
         path = tmp_path / "avg.csv"
