@@ -14,14 +14,15 @@ the harmonic TPFA value, so the operator is unchanged up to roundoff.  A
 block's piece then depends on its own cells only: its row index, the
 sparse factor of its interior (its cells and its own moment rows, with the
 recipe of :mod:`dynmc.fine`) and its Schur complement on its two face
-columns.  Pieces are keyed by content, so a caller-owned
-:class:`PieceMemo` serves a block to every region and coarse solve that
-holds it.  A region concatenates its pieces' row indices into its own,
-adds its pieces into one banded SPD face system, factors it with a banded
-Cholesky, and solves every family right-hand side at once, back through
-the block interiors.  Families differ only in constraint targets, source
-terms and boundary data; the gradient family is driven along x, the only
-axis any coarse model reads.
+columns.  Pieces are keyed by content (:func:`piece_key`), so a
+caller-owned :class:`dynmc.fine.StepMemo` serves a block to every region
+of a coarse solve and to the next solve that holds it.  A region
+concatenates its pieces' row indices into its own, adds its pieces into
+one banded SPD face system, factors it with a banded Cholesky, and solves
+every family right-hand side at once, back through the block interiors.
+Families differ only in constraint targets, source terms and boundary
+data; the gradient family is driven along x, the only axis any coarse
+model reads.
 
 The flux-type bases of the mixed models (edge, gravity, interface) are
 plain TPFA loads on coarse blocks: their builders return ``(block,
@@ -40,10 +41,10 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, apply_stiffness,
-                   assemble_stiffness, check_residual, content_digest,
-                   gravity_volume_source, operator_key, pressure_diagonal,
-                   solve_flow)
+from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, StepMemo,
+                   apply_stiffness, assemble_stiffness, check_residual,
+                   content_digest, gravity_volume_source, operator_key,
+                   pressure_diagonal, solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -210,7 +211,8 @@ def factor_piece(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
 
 def piece_key(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
               n: int) -> bytes:
-    """Content key of a block piece: (ny, mx, hx, hy, n), lam_b, labels_b."""
+    """Content key of a block piece: (ny, mx, hx, hy, n), lam_b, labels_b;
+    a periodic copy finds its original's piece, a mirror image its own."""
     return content_digest((grid_b.ny, grid_b.nx, grid_b.hx, grid_b.hy, n),
                           lam_b, labels_b)
 
@@ -242,74 +244,6 @@ def region_keys(ov: Oversample, lam_local: np.ndarray,
                                   labels_local[reg.sx], n)
         out.append(seen[run])
     return out
-
-
-@dataclass
-class PieceMemo:
-    """Caller-owned memo of factored block pieces, keyed by content, and of
-    what the caller derived from each region of the last solve.
-
-    A piece's key digests (ny, mx, hx, hy, n), lam_b and labels_b, so a
-    periodic copy of a block finds the piece of its original and a
-    mirrored one keys by its own content.  ``used`` holds the keys looked
-    up since the last :meth:`settle`; ``factored`` and ``reused`` count
-    those lookups that factored a piece or found one.  A region is keyed
-    by its position K and its blocks' piece keys (:func:`region_keys`):
-    ``regions`` holds the values :meth:`keep` stored in the last settled
-    solve, ``pending`` those of this one, and ``regions_reused`` counts
-    the :meth:`region` lookups that found one.
-    """
-
-    pieces: dict = field(default_factory=dict)
-    used: set = field(default_factory=set)
-    factored: int = 0
-    reused: int = 0
-    regions: dict = field(default_factory=dict)
-    pending: dict = field(default_factory=dict)
-    regions_reused: int = 0
-
-    def piece(self, key: bytes, grid_b: FineGrid, lam_b: np.ndarray,
-              labels_b: np.ndarray, n: int) -> BlockPiece:
-        """The piece of this content, whose :func:`piece_key` is ``key``,
-        factored on a miss."""
-        self.used.add(key)
-        found = self.pieces.get(key)
-        if found is None:
-            found = self.pieces[key] = factor_piece(grid_b, lam_b, labels_b,
-                                                    n)
-            self.factored += 1
-        else:
-            self.reused += 1
-        return found
-
-    def region(self, K: int, keys: list):
-        """What :meth:`keep` stored for region K of blocks ``keys`` in the
-        last settled solve, kept for this one with its pieces marked used
-        (so the next solve still finds them); None when there is none."""
-        found = self.regions.get((K, tuple(keys)))
-        if found is None:
-            return None
-        self.used.update(keys)
-        self.regions_reused += 1
-        return self.keep(K, keys, found)
-
-    def keep(self, K: int, keys: list, value):
-        """Store ``value`` for region K of blocks ``keys``; returns it."""
-        self.pending[K, tuple(keys)] = value
-        return value
-
-    def settle(self) -> tuple[int, int, int]:
-        """Drop every piece no lookup since the last settle used, and every
-        region this solve did not keep; return the (factored, reused)
-        counts of the piece lookups and the regions reused, and start
-        anew."""
-        for key in set(self.pieces) - self.used:
-            del self.pieces[key]
-        counts = (self.factored, self.reused, self.regions_reused)
-        self.regions, self.pending = self.pending, {}
-        self.used, self.factored, self.reused, self.regions_reused = (
-            set(), 0, 0, 0)
-        return counts
 
 
 @dataclass
@@ -405,28 +339,29 @@ class RegionEngine:
 def build_region_engine(ov: Oversample, lam_local: np.ndarray,
                         labels_local: np.ndarray, n: int,
                         keys: list | None = None, *,
-                        pieces: PieceMemo | None = None) -> RegionEngine:
+                        pieces: StepMemo | None = None) -> RegionEngine:
     """Gather the block pieces of one oversampled region and factor its
     face system.
 
-    Pieces come from ``pieces`` when it holds their content and are
-    factored into it otherwise; without a memo the region factors each
-    distinct block content once.  Blocks are keyed by ``keys``, their
-    :func:`region_keys` as the caller took them (digested here when not
-    given).  The region's
-    row index is the pieces' rows, each offset by the rows of the blocks
-    before it.  The face system has (blocks + 1) ny unknowns and bandwidth
-    2 ny - 1; its outer face columns join one block each, which is the
-    zero-flux edge of the region.
+    Pieces come from ``pieces``, a memo by :func:`piece_key`, when it
+    holds their content and are factored into it otherwise; without a
+    memo the region factors each distinct block content once.  Blocks are
+    keyed by ``keys``, their :func:`region_keys` as the caller took them
+    (digested here when not given).  The region's row index is the
+    pieces' rows, each offset by the rows of the blocks before it.  The
+    face system has (blocks + 1) ny unknowns and bandwidth 2 ny - 1; its
+    outer face columns join one block each, which is the zero-flux edge
+    of the region.
     """
     grid = ov.grid
-    memo = PieceMemo() if pieces is None else pieces
+    memo = StepMemo() if pieces is None else pieces
     ny = grid.ny
     grid_b = _piece_grid(ov)
     if keys is None:
         keys = region_keys(ov, lam_local, labels_local, n, {})
-    blocks = [memo.piece(key, grid_b, lam_local[reg.sx], labels_local[reg.sx],
-                         n) for reg, key in zip(ov.regions, keys)]
+    blocks = [memo.get(key, lambda: factor_piece(
+        grid_b, lam_local[reg.sx], labels_local[reg.sx], n))
+        for reg, key in zip(ov.regions, keys)]
     ab = np.zeros((2 * ny, (len(blocks) + 1) * ny), order="F")
     for k, pc in enumerate(blocks):
         ab[:, k * ny:(k + 2) * ny] += pc.band

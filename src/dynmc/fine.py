@@ -242,9 +242,9 @@ def _pressure_sides(loads) -> set[tuple]:
 
 def content_digest(meta, *arrays) -> bytes:
     """blake2b digest of ``repr(meta)`` and of each array's dtype, shape and
-    bytes: the key of every reuse memo, the one-entry ones of the fine flow
-    and the coarse solves and the many-entry Galerkin ``PieceMemo``, and of
-    the block-matrix groups of the mixed cell problems."""
+    bytes: the key of every reuse memo (``LastSolve`` of the fine flow and
+    the :class:`StepMemo` of the coarse solves, Galerkin regions and block
+    pieces) and of the block-matrix groups of the mixed cell problems."""
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(meta).encode())
     for a in arrays:
@@ -252,6 +252,44 @@ def content_digest(meta, *arrays) -> bytes:
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.digest()
+
+
+@dataclass
+class StepMemo:
+    """Caller-owned memo of values by content key, one step at a time.
+
+    An entry lives as long as the step just settled got or touched it:
+    ``used`` holds the keys of this step so far, and ``made`` and
+    ``reused`` count its gets that made a value or found one.
+    """
+
+    entries: dict = field(default_factory=dict)
+    used: set = field(default_factory=set)
+    made: int = 0
+    reused: int = 0
+
+    def get(self, key, make):
+        """The value of ``key``, held or made by ``make()``."""
+        self.used.add(key)
+        if key in self.entries:
+            self.reused += 1
+            return self.entries[key]
+        value = self.entries[key] = make()
+        self.made += 1
+        return value
+
+    def touch(self, keys) -> None:
+        """Keep the entries of ``keys`` for the next step, uncounted."""
+        self.used.update(keys)
+
+    def settle(self) -> tuple[int, int]:
+        """Drop every entry this step neither got nor touched; return the
+        (made, reused) counts of its gets and start the next step."""
+        counts = (self.made, self.reused)
+        self.entries = {k: v for k, v in self.entries.items()
+                        if k in self.used}
+        self.used, self.made, self.reused = set(), 0, 0
+        return counts
 
 
 def operator_key(lam: np.ndarray, loads) -> bytes:

@@ -19,7 +19,7 @@ import numpy as np
 from . import cells
 from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import (Snapshot, check_residual, content_digest,
+from .fine import (Snapshot, StepMemo, check_residual, content_digest,
                    harmonic_face_mobility, transmissibilities)
 from .grids import CoarseGrid, Oversample, oversample_block
 
@@ -450,6 +450,7 @@ class CoarseState:
     # and its regions whose operators came from the previous solve
     pieces: tuple[int, int] = (0, 0)
     regions_reused: int = 0
+    flow_reused: bool = False  # the previous step's coarse flow, taken whole
 
 
 # the boundary data of the fine and coarse flows: the viscous inflow flux,
@@ -495,51 +496,49 @@ class CoarseModel:
 
 
 def _region_ops(flow: CoarseGrid, K: int, lam: np.ndarray,
-                labels: np.ndarray, n: int, pieces: cells.PieceMemo,
-                seen: dict) -> EffectiveOperators:
+                labels: np.ndarray, n: int, pieces: StepMemo,
+                regions: StepMemo, seen: dict) -> EffectiveOperators:
     """Effective operators of flow block K from its oversampled region.
 
     They depend only on the region's geometry, which K fixes, and on its
     blocks' lam and labels, which their piece keys digest
     (``cells.region_keys``; ``seen`` holds the keys of the solve's blocks
-    met so far, shared by the regions of one solve).  So a region whose K
-    and keys the previous solve held takes its operators from ``pieces``;
-    any other builds them and keeps them there.  The region engine (its
-    face factor) and the cell bases die with this call; only the block
-    pieces and the operators live on.
+    met so far, shared by the regions of one solve).  So ``regions`` keeps
+    them by K and those keys, and a region it holds keeps its block pieces
+    in ``pieces`` for the next solve.  The region engine (its face factor)
+    and the cell bases die with this call; only the block pieces and the
+    operators live on.
     """
     ov = galerkin_region(flow, K)
     lam_l = ov.sample(lam)
     lab_l = ov.sample(labels)
     keys = cells.region_keys(ov, lam_l, lab_l, n, seen)
-    ops = pieces.region(K, keys)
-    if ops is None:
-        engine = cells.build_region_engine(ov, lam_l, lab_l, n, keys,
-                                           pieces=pieces)
-        avg, grad = cells.solve_constrained_elliptic(
-            ov, lam_l, lab_l, n, ("average", "gradient"), engine=engine)
-        ops = pieces.keep(K, keys,
-                          assemble_effective(ov, lam_l, lab_l, n, avg, grad))
+    ops = regions.get((K, tuple(keys)), lambda: assemble_effective(
+        ov, lam_l, lab_l, n, *cells.solve_constrained_elliptic(
+            ov, lam_l, lab_l, n, ("average", "gradient"),
+            engine=cells.build_region_engine(ov, lam_l, lab_l, n, keys,
+                                             pieces=pieces))))
+    pieces.touch(keys)
     return ops
 
 
 def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
-                       labels: np.ndarray, n: int,
-                       pieces: cells.PieceMemo):
+                       labels: np.ndarray, n: int, pieces: StepMemo,
+                       regions: StepMemo):
     """Galerkin coarse flow: returns V, P and the counts of its regions:
     block pieces factored and reused, and regions reused whole.
-    ``pieces`` carries the pieces and the regions' operators from solve to
-    solve; afterwards it keeps only those this solve used, at most
-    ``Nx * FLOW_REFINE`` regions.  Each distinct block content is digested
-    once per solve: the digests of this lam and labels are kept by source
-    columns until the solve returns."""
+    ``regions`` carries the regions' operators and ``pieces`` their block
+    pieces from solve to solve; settled here, they keep only what this
+    solve used, at most ``Nx * FLOW_REFINE`` regions.  Each distinct block
+    content is digested once per solve: the digests of this lam and labels
+    are kept by source columns until the solve returns."""
     flow = galerkin_flow(model.coarse)
     seen: dict = {}
-    ops = [_region_ops(flow, K, lam, labels, n, pieces, seen)
+    ops = [_region_ops(flow, K, lam, labels, n, pieces, regions, seen)
            for K in flow.blocks()]
     P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
                                           P_IN, P_OUT)
-    return V, P, pieces.settle()
+    return V, P, (*pieces.settle(), regions.settle()[1])
 
 
 def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
@@ -588,12 +587,12 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, labels, n)
     C = ref0.C.copy()
     states = []
-    last = None  # (key, V, P) of the previous homogenized solve
-    pieces = cells.PieceMemo()  # Galerkin pieces and regions, for this run
+    # the coarse flow, Galerkin regions and block pieces of the last step
+    flows, regions, pieces = (StepMemo() for _ in range(3))
     total_removed = 0.0
 
     for k in range(steps + 1):
-        counts = (0, 0, 0)
+        counts, flow_reused = (0, 0, 0), False
         snap = snapshots[k]
         labels = classify(snap.c, model.spec)
         masses = continuum_masses(labels, coarse, n)
@@ -610,24 +609,24 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
         else:
             # all coarse-flow coefficients, including the buoyancy drive,
             # are rebuilt from the fine snapshot each step; a step whose
-            # inputs equal the previous step's reuses its solution
+            # inputs equal the previous step's reuses its solution whole
             lam = model.lam_of(snap.c)
             inputs = [labels, lam]
             if model.approach == "mixed-gravity":
                 inputs.append(snap.c)
             key = content_digest(model.approach, *inputs)
-            if last is not None and last[0] == key:
-                _, V, P = last
-            elif model.approach == "galerkin":
-                V, P, counts = _galerkin_velocity(model, lam, labels, n,
-                                                  pieces)
+            if model.approach == "galerkin":
+                V, P, counts = flows.get(key, lambda: _galerkin_velocity(
+                    model, lam, labels, n, pieces, regions))
             else:
-                V, P = _mixed_velocity(model, snap, lam, labels, masses, n)
-            last = (key, V, P)
+                V, P = flows.get(key, lambda: _mixed_velocity(
+                    model, snap, lam, labels, masses, n))
+            if flows.settle()[1]:
+                counts, flow_reused = (0, 0, 0), True
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
-                                  pieces=counts[:2],
-                                  regions_reused=counts[2]))
+                                  pieces=counts[:2], regions_reused=counts[2],
+                                  flow_reused=flow_reused))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

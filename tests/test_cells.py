@@ -14,7 +14,7 @@ from dynmc import cells, fine, macro
 from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import divergence
+from dynmc.fine import StepMemo, divergence
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 DUAL = (0.5,)
@@ -305,12 +305,12 @@ class TestRegionEngineMemo:
         # the very pieces of the first; its solves equal a memoless one's
         coarse, lam, labels = tiled_strip()
         calls = count_calls(monkeypatch, cells, "splu")
-        memo = cells.PieceMemo()
+        memo = StepMemo()
         _ov, first = self.build(coarse, 1, lam, labels, memo)
         ov, engine = self.build(coarse, 3, lam, labels, memo)
-        assert len(calls) == 1 and len(memo.pieces) == 1
+        assert len(calls) == 1 and len(memo.entries) == 1
         assert all(p is first.pieces[0] for p in first.pieces + engine.pieces)
-        assert (memo.factored, memo.reused) == (1, 5)
+        assert (memo.made, memo.reused) == (1, 5)
         _ov, fresh = self.build(coarse, 3, lam, labels)
         b = rng(1).standard_normal((ov.grid.n_cells, 2))
         g = rng(2).standard_normal((fresh.continua.size, 2))
@@ -332,7 +332,7 @@ class TestRegionEngineMemo:
         # label cell, or the mirror image of a block (its own key); a
         # region truncated at the domain edge reuses every piece
         coarse, lam, labels = tiled_strip()
-        memo = cells.PieceMemo()
+        memo = StepMemo()
         self.build(coarse, 2, lam, labels, memo)
         K, rule = 3, "none"
         if change == "boundary":
@@ -348,7 +348,7 @@ class TestRegionEngineMemo:
         ov, engine = self.build(coarse, K, lam, labels, memo, rule)
         new = 0 if change == "boundary" else 1
         assert len(pieces) == new and len(faces) == 1
-        assert (memo.factored, memo.reused) == (1 + new, 2 + len(
+        assert (memo.made, memo.reused) == (1 + new, 2 + len(
             ov.regions) - new)
         fresh = cells.build_region_engine(ov, ov.sample(lam),
                                           ov.sample(labels), 2)
@@ -360,7 +360,7 @@ class TestRegionEngineMemo:
         model, lam, labels = interface_start()
         n = model.spec.count
         V, P, (factored, reused, _regions) = macro._galerkin_velocity(
-            model, lam, labels, n, cells.PieceMemo())
+            model, lam, labels, n, StepMemo(), StepMemo())
         regions = flow_region(model, 0).coarse.Nx
         assert 0 < factored < reused
         assert factored + reused == regions * (2 * macro.LAYERS + 1)
@@ -368,7 +368,7 @@ class TestRegionEngineMemo:
         monkeypatch.setattr(cells, "build_region_engine",
                             lambda *args, pieces: real(*args))
         V0, P0, counts = macro._galerkin_velocity(model, lam, labels, n,
-                                                  cells.PieceMemo())
+                                                  StepMemo(), StepMemo())
         assert counts == (0, 0, 0)  # no region looked into the run's memo
         assert V.tobytes() == V0.tobytes() and P.tobytes() == P0.tobytes()
 
@@ -385,7 +385,7 @@ class TestRegionEngineMemo:
         assert len(runs) < sum(len(ov.regions) for ov in regions)
         digests = count_calls(monkeypatch, cells, "content_digest")
         V, P, _counts = macro._galerkin_velocity(model, lam, labels, n,
-                                                 cells.PieceMemo())
+                                                 StepMemo(), StepMemo())
         assert len(digests) == len(runs) <= 2 * len(regions)
         # every key is its block's own content key
         for ov in regions:
@@ -401,7 +401,7 @@ class TestRegionEngineMemo:
                                 ov, lam_l, lab_l, n, pieces=pieces))
         digests.clear()
         V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
-                                                   cells.PieceMemo())
+                                                   StepMemo(), StepMemo())
         per_region = sum(len({(int(ov.src_ix[r.sx][0]),
                                int(ov.src_ix[r.sx][-1])) for r in ov.regions})
                          for ov in regions)
@@ -421,8 +421,8 @@ class TestRegionEngineMemo:
         n = model.spec.count
         regions = [flow_region(model, K)
                    for K in range(model.coarse.Nx * macro.FLOW_REFINE)]
-        memo = cells.PieceMemo()
-        macro._galerkin_velocity(model, lam, labels, n, memo)
+        memos = StepMemo(), StepMemo()  # pieces, regions
+        macro._galerkin_velocity(model, lam, labels, n, *memos)
         mx = regions[0].coarse.mx
         cell = (block * mx + mx // 2, 3)
         if field == "lam":
@@ -440,7 +440,7 @@ class TestRegionEngineMemo:
 
         monkeypatch.setattr(cells, "build_region_engine", spy)
         V, P, (factored, _reused, reused) = macro._galerkin_velocity(
-            model, lam, labels, n, memo)
+            model, lam, labels, n, *memos)
         holding = [K for K, ov in enumerate(regions) if cell[0] in ov.src_ix]
         assert 0 < len(holding) < len(regions)
         assert built == holding and reused == len(regions) - len(holding)
@@ -451,32 +451,39 @@ class TestRegionEngineMemo:
         assert factored == len(runs) == (2 if block == 19 else 1)
         monkeypatch.setattr(cells, "build_region_engine", real)
         V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
-                                                   cells.PieceMemo())
+                                                   StepMemo(), StepMemo())
         assert np.array_equal(V, V0) and np.array_equal(P, P0,
                                                         equal_nan=True)
 
     def test_regions_are_looked_up_by_the_keys_their_engine_gets(
             self, monkeypatch):
+        # region K is looked up by (K, its engine's keys), and those very
+        # keys keep its pieces for the next solve
         model, lam, labels = interface_start()
-        looked, handed = [], []
-        real_region = cells.PieceMemo.region
+        looked, touched, handed = [], [], []
         real_build = cells.build_region_engine
 
-        def region(memo, K, keys):
-            looked.append(keys)
-            return real_region(memo, K, keys)
+        class Regions(StepMemo):
+            def get(self, key, make):
+                looked.append(key)
+                return super().get(key, make)
+
+        class Pieces(StepMemo):
+            def touch(self, keys):
+                touched.append(keys)
+                super().touch(keys)
 
         def build(ov, lam_l, lab_l, n, keys, *, pieces):
             handed.append(keys)
             return real_build(ov, lam_l, lab_l, n, keys, pieces=pieces)
 
-        monkeypatch.setattr(cells.PieceMemo, "region", region)
         monkeypatch.setattr(cells, "build_region_engine", build)
         macro._galerkin_velocity(model, lam, labels, model.spec.count,
-                                 cells.PieceMemo())
+                                 Pieces(), Regions())
         assert len(handed) == model.coarse.Nx * macro.FLOW_REFINE
-        assert len(looked) == len(handed)
-        assert all(a is b for a, b in zip(looked, handed))
+        assert looked == [(K, tuple(keys)) for K, keys in enumerate(handed)]
+        assert len(touched) == len(handed)
+        assert all(a is b for a, b in zip(touched, handed))
 
     def test_no_earlier_engine_alive_at_a_factorization(self, monkeypatch):
         """Every region engine a Galerkin coarse solve built before is gone
@@ -501,7 +508,7 @@ class TestRegionEngineMemo:
         monkeypatch.setattr(cells, "splu", factor(real_splu))
         monkeypatch.setattr(cells, "cholesky_banded", factor(real_chol))
         _V, _P, (factored, _reused, _regions) = macro._galerkin_velocity(
-            model, lam, labels, model.spec.count, cells.PieceMemo())
+            model, lam, labels, model.spec.count, StepMemo(), StepMemo())
         regions = flow_region(model, 0).coarse.Nx
         assert len(engines) == regions
         assert alive == [0] * (factored + regions)
@@ -564,11 +571,11 @@ class TestBlockSubstructuring:
         ov = flow_region(model, 0)
         args = (ov, ov.sample(lam), ov.sample(labels), model.spec.count)
         families = ("average", "gradient")
-        memo = cells.PieceMemo()
+        memo = StepMemo()
         cells.solve_constrained_elliptic(*args, families,
                                          engine=cells.build_region_engine(
                                              *args, pieces=memo))
-        list(memo.pieces.values())[piece].band *= 1.0 + 1e-6
+        list(memo.entries.values())[piece].band *= 1.0 + 1e-6
         engine = cells.build_region_engine(*args, pieces=memo)
         with pytest.raises(SolverError, match="KKT residual"):
             cells.solve_constrained_elliptic(*args, families, engine=engine)
@@ -576,36 +583,36 @@ class TestBlockSubstructuring:
     def test_memo_keeps_only_the_last_solves_pieces(self):
         model, lam, labels = interface_start()
         n = model.spec.count
-        memo = cells.PieceMemo()
-        macro._galerkin_velocity(model, lam, labels, n, memo)
-        first = set(memo.pieces)
+        memo = StepMemo()
+        macro._galerkin_velocity(model, lam, labels, n, memo, StepMemo())
+        first = set(memo.entries)
         # one changed lam cell changes the content of one flow block
         lam2 = lam.copy()
         lam2[5, 3] *= 2.0
         _V, _P, (factored, _reused, _regions) = macro._galerkin_velocity(
-            model, lam2, labels, n, memo)
+            model, lam2, labels, n, memo, StepMemo())
         assert factored >= 1 and memo.used == set()
-        probe = cells.PieceMemo()
+        probe = StepMemo()
         for K in range(model.coarse.Nx * macro.FLOW_REFINE):
             ov = flow_region(model, K)
             cells.build_region_engine(ov, ov.sample(lam2),
                                       ov.sample(labels), n, pieces=probe)
-        assert set(memo.pieces) == set(probe.pieces) != first
+        assert set(memo.entries) == set(probe.entries) != first
 
     def test_repeat_solve_is_bit_identical(self):
         model, lam, labels = interface_start()
         n = model.spec.count
-        memo = cells.PieceMemo()
+        memos = StepMemo(), StepMemo()  # pieces, regions
         V, P, (factored, _reused, _regions) = macro._galerkin_velocity(
-            model, lam, labels, n, memo)
-        pieces = set(memo.pieces)
+            model, lam, labels, n, *memos)
+        pieces = set(memos[0].entries)
         # every region is taken whole from the solve before, and keeps its
         # pieces alive for the next solve
         V2, P2, counts = macro._galerkin_velocity(model, lam, labels, n,
-                                                  memo)
+                                                  *memos)
         assert factored > 0
         assert counts == (0, 0, model.coarse.Nx * macro.FLOW_REFINE)
-        assert set(memo.pieces) == pieces
+        assert set(memos[0].entries) == pieces
         assert V.tobytes() == V2.tobytes() and P.tobytes() == P2.tobytes()
 
     def test_one_column_blocks(self):

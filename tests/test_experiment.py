@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynmc import experiment, macro
+from dynmc import cells, experiment, fine, macro
 from dynmc.config import ExperimentConfig, apply_overrides, get_preset
 from dynmc.continua import averages, classify
 from dynmc.exceptions import ConfigError
@@ -139,22 +139,70 @@ def multi_solve_galerkin():
                                coarse_steps=40)
 
 
-def spy_galerkin_solves(monkeypatch, before=None):
-    """Record the memo of every Galerkin coarse flow solve after it;
-    ``before(memo)`` runs ahead of each."""
+def spy_galerkin_solves(monkeypatch):
+    """Record the memos of every Galerkin coarse flow solve after it: the
+    regions' entries and keys in use, and the pieces' keys."""
     memos = []
     real = macro._galerkin_velocity
 
-    def spy(model, lam, labels, n, pieces):
-        if before is not None:
-            before(pieces)
-        out = real(model, lam, labels, n, pieces)
-        memos.append((dict(pieces.regions), dict(pieces.pending),
-                      set(pieces.pieces)))
+    def spy(model, lam, labels, n, pieces, regions):
+        out = real(model, lam, labels, n, pieces, regions)
+        memos.append((dict(regions.entries), set(regions.used),
+                      set(pieces.entries)))
         return out
 
     monkeypatch.setattr(macro, "_galerkin_velocity", spy)
     return memos
+
+
+class Forgetful(fine.StepMemo):
+    """A StepMemo that keeps nothing past the step it serves."""
+
+    def settle(self):
+        counts = super().settle()
+        self.entries = {}
+        return counts
+
+
+class Unkept(fine.LastSolve):
+    """A LastSolve that never keeps its key or column order."""
+
+    key = order = property(lambda self: None, lambda self, value: None)
+
+
+def memos_off(monkeypatch):
+    """Make every cross-step memo of a run forget: no step takes anything
+    from the step before."""
+    for module in (fine, cells, macro):
+        monkeypatch.setattr(module, "StepMemo", Forgetful)
+    monkeypatch.setattr(fine, "LastSolve", Unkept)
+
+
+def assert_same_result(res, fresh):
+    """Every state's C, V and P and every report row and per-step series
+    of two runs are equal bit for bit."""
+    for run in ("reference", "mh_refvel", "mh_mhvel"):
+        for a, b in zip(getattr(res, run), getattr(fresh, run), strict=True):
+            assert np.array_equal(a.C, b.C) and np.array_equal(a.V, b.V)
+            assert type(a.P) is type(b.P)
+            if isinstance(a.P, dict):
+                assert a.P.keys() == b.P.keys()
+                assert np.array_equal(list(a.P.values()),
+                                      list(b.P.values()))
+            elif a.P is not None:
+                assert np.array_equal(a.P, b.P, equal_nan=True)
+    rows, fresh_rows = list(res.report.rows()), list(fresh.report.rows())
+    assert [r[:2] for r in rows] == [r[:2] for r in fresh_rows]
+    assert np.array_equal([r[2] for r in rows], [r[2] for r in fresh_rows],
+                          equal_nan=True)
+    for a, b in zip(res.report.eV_series, fresh.report.eV_series,
+                    strict=True):
+        assert np.array_equal(a.relative, b.relative, equal_nan=True)
+        assert np.array_equal(a.absolute, b.absolute)
+    assert res.report.eC_series.keys() == fresh.report.eC_series.keys()
+    for key, series in res.report.eC_series.items():
+        assert np.array_equal(series, fresh.report.eC_series[key],
+                              equal_nan=True)
 
 
 def test_manifest_counts_factored_and_reused_block_pieces(monkeypatch,
@@ -188,10 +236,29 @@ def test_manifest_counts_factored_and_reused_block_pieces(monkeypatch,
                for s in res.mh_refvel)
 
 
+def test_manifest_counts_reused_coarse_flow_solves(monkeypatch, tmp_path):
+    # 4 of the 41 homogenized-velocity steps solve the coarse flow; every
+    # other one takes the previous step's V and P whole
+    cfg = multi_solve_galerkin()
+    solves = spy_galerkin_solves(monkeypatch)
+    res = run_experiment(cfg, outdir=str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    flags = [s.flow_reused for s in res.mh_mhvel]
+    assert len(flags) == cfg.coarse_steps + 1 and len(solves) == 4
+    assert manifest["coarse_flow_reused"] == sum(flags) == 37
+    assert not flags[0]
+    for before, s in zip(res.mh_mhvel, res.mh_mhvel[1:]):
+        assert (s.V is before.V and s.P is before.P) == s.flow_reused
+        if s.flow_reused:
+            assert s.pieces == (0, 0) and s.regions_reused == 0
+    assert not any(s.flow_reused for s in res.mh_refvel)
+
+
 def test_region_memo_changes_no_result(monkeypatch):
-    # a run whose region memo is emptied before every coarse solve
-    # rebuilds every region; its velocities, pressures, concentrations
-    # and every report value are bit for bit those of the run that reuses
+    # a run whose every memo forgets at each step (coarse flows, regions,
+    # block pieces and the fine flow's result and column order) solves and
+    # rebuilds everything; its states and every report value are bit for
+    # bit those of the run that reuses
     cfg = multi_solve_galerkin()
     memos = spy_galerkin_solves(monkeypatch)
     res = run_experiment(cfg)
@@ -199,34 +266,52 @@ def test_region_memo_changes_no_result(monkeypatch):
     # after each solve the memo holds that solve's regions, no others, and
     # the pieces of every one of them, reused or built
     regions = cfg.Nx * FLOW_REFINE
-    assert [(len(kept), pending) for kept, pending, _pieces in memos] == [
-        (regions, {})] * 4
-    assert [{K for K, _keys in kept} for kept, _p, _pieces in memos] == [
+    assert [(len(kept), used) for kept, used, _pieces in memos] == [
+        (regions, set())] * 4
+    assert [{K for K, _keys in kept} for kept, _u, _pieces in memos] == [
         set(range(regions))] * 4
-    assert [pieces for _k, _p, pieces in memos] == [
-        {key for _K, keys in kept for key in keys} for kept, _p, _x in memos]
+    assert [pieces for _k, _u, pieces in memos] == [
+        {key for _K, keys in kept for key in keys} for kept, _u, _x in memos]
+    # a reused region keeps its pieces, so a solve factors only the pieces
+    # the solve before did not hold
+    held = [set()] + [pieces for _k, _u, pieces in memos[:-1]]
+    assert [s.pieces[0] for s in res.mh_mhvel if sum(s.pieces)] == [
+        len(pieces - before)
+        for (_k, _u, pieces), before in zip(memos, held)]
 
-    def forget(memo):
-        memo.regions = {}
-
-    spy_galerkin_solves(monkeypatch, before=forget)
+    memos_off(monkeypatch)
     fresh = run_experiment(cfg)
-    assert sum(s.regions_reused for s in fresh.mh_mhvel) == 0
-    for a, b in zip(res.mh_mhvel, fresh.mh_mhvel, strict=True):
-        for x, y in ((a.V, b.V), (a.P, b.P), (a.C, b.C)):
-            assert np.array_equal(x, y, equal_nan=True)
-    # a reused region keeps its pieces, so no later solve factors more
-    assert ([s.pieces[0] for s in res.mh_mhvel]
-            == [s.pieces[0] for s in fresh.mh_mhvel])
-    rows, fresh_rows = list(res.report.rows()), list(fresh.report.rows())
-    assert [r[:2] for r in rows] == [r[:2] for r in fresh_rows]
-    assert np.array_equal([r[2] for r in rows], [r[2] for r in fresh_rows],
-                          equal_nan=True)
-    for a, b in zip(res.report.eV_series, fresh.report.eV_series):
-        assert np.array_equal(a.relative, b.relative, equal_nan=True)
-        assert np.array_equal(a.absolute, b.absolute)
-    for key, series in res.report.eC_series.items():
-        assert np.array_equal(series, fresh.report.eC_series[key])
+    assert len(memos) == 4 + cfg.coarse_steps + 1
+    assert not any(fresh.fine.flow_reused)
+    assert not any(s.flow_reused or s.regions_reused
+                   for s in fresh.mh_mhvel)
+    assert_same_result(res, fresh)
+
+
+@pytest.mark.parametrize("workload", ["gravity-dual", "viscous"])
+def test_memos_change_no_result(monkeypatch, workload):
+    # the benchmark's shortened runs of the mixed models, with and without
+    # cross-step reuse; test_region_memo_changes_no_result runs interface
+    short = {"gravity-dual": {"steps": 30, "coarse_steps": 30},
+             "viscous": {"pre_steps": 40, "steps": 70, "coarse_steps": 30}}
+    cfg = dataclasses.replace(get_preset(workload), **short[workload])
+    orders = []  # the column ordering of each fine factorization
+    real = fine.splu
+
+    def splu(A, **kwargs):
+        orders.append(kwargs["permc_spec"])
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(fine, "splu", splu)
+    res = run_experiment(cfg)
+    assert "NATURAL" in orders  # a stored column order was reused
+    memos_off(monkeypatch)
+    orders.clear()
+    fresh = run_experiment(cfg)
+    assert set(orders) == {fine.SPLU_OPTIONS["permc_spec"]}
+    assert not any(fresh.fine.flow_reused)
+    assert not any(s.flow_reused for s in fresh.mh_mhvel)
+    assert_same_result(res, fresh)
 
 
 @pytest.mark.parametrize("preset, shorten", [

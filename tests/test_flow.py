@@ -7,8 +7,8 @@ from conftest import random_mobility, rng
 from dynmc import fine
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import (FlowBC, FlowLoad, LastSolve, cfl, divergence,
-                        run_fine, solve_flow)
+from dynmc.fine import (FlowBC, FlowLoad, LastSolve, StepMemo, cfl,
+                        divergence, run_fine, solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -435,6 +435,65 @@ class TestLastSolve:
         again = self.solve(memo, c=self.c + 0.25, gravity_on=False)
         assert memo.reused and calls == []
         assert all(a is b for a, b in zip(first, again))
+
+
+class TestStepMemo:
+    """An entry lives as long as the step just settled used it."""
+
+    def make(self, value):
+        """A maker of ``value`` that records each call in ``self.made``."""
+        def make():
+            self.made.append(value)
+            return value
+        return make
+
+    def setup_method(self):
+        self.made = []
+
+    def test_key_got_in_a_step_is_reused_in_the_next(self):
+        memo = StepMemo()
+        first = memo.get(b"a", self.make([1.0]))
+        assert memo.settle() == (1, 0)
+        assert memo.get(b"a", self.make([2.0])) is first
+        assert memo.settle() == (0, 1) and self.made == [[1.0]]
+
+    def test_entry_neither_got_nor_touched_is_gone_next_step(self):
+        memo = StepMemo()
+        memo.get(b"a", self.make("a"))
+        memo.get(b"b", self.make("b"))
+        memo.settle()
+        memo.get(b"a", self.make("a2"))
+        assert memo.settle() == (0, 1)
+        assert set(memo.entries) == {b"a"}
+        assert memo.get(b"b", self.make("b2")) == "b2"
+        assert memo.settle() == (1, 0)
+        assert self.made == ["a", "b", "b2"]
+
+    def test_touch_keeps_only_held_keys_and_counts_nothing(self):
+        memo = StepMemo()
+        memo.get(b"a", self.make("a"))
+        memo.settle()
+        memo.touch([b"a", b"new"])
+        assert memo.settle() == (0, 0)
+        assert memo.entries == {b"a": "a"}
+        assert memo.get(b"new", self.make("n")) == "n"
+        assert memo.settle() == (1, 0)
+        assert memo.entries == {b"new": "n"}
+
+    def test_repeat_lookup_within_a_step_counts_as_reused(self):
+        memo = StepMemo()
+        for _ in range(3):
+            assert memo.get(b"a", self.make("a")) == "a"
+        assert (memo.made, memo.reused) == (1, 2)
+        assert memo.settle() == (1, 2) and self.made == ["a"]
+
+    def test_settle_returns_the_counts_and_resets_them(self):
+        memo = StepMemo()
+        memo.get(b"a", self.make("a"))
+        memo.get(b"a", self.make("a"))
+        assert memo.settle() == (1, 1)
+        assert (memo.made, memo.reused, memo.used) == (0, 0, set())
+        assert memo.settle() == (0, 0) and memo.entries == {}
 
 
 def preset_flow(name):

@@ -123,7 +123,7 @@ def test_region_engines_live_in_one_region_helper():
     tree = parse("macro")
     assert callers(tree, "build_region_engine") == ["_region_ops"]
     assert callers(tree, "_region_ops") == ["_galerkin_velocity"]
-    assert callers(tree, "PieceMemo") == ["run_coarse"]
+    assert callers(tree, "StepMemo") == ["run_coarse"]
 
 
 def test_macro_has_one_call_path_per_coarse_model():
