@@ -41,10 +41,10 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, StepMemo,
-                   apply_stiffness, assemble_stiffness, check_residual,
-                   content_digest, gravity_volume_source, operator_key,
-                   pressure_diagonal, solve_flow)
+from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, LastSolve,
+                   StepMemo, apply_stiffness, assemble_stiffness,
+                   check_residual, content_digest, gravity_volume_source,
+                   load_inputs, operator_key, pressure_diagonal, solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -475,33 +475,55 @@ def _absent(grid: FineGrid, continuum: int | None) -> CellBasisSet:
         continuum=continuum, fx=fx, fy=fy, flag="absent")])
 
 
-def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray,
-                      items: list) -> list:
+def load_key(operator: bytes, load: FlowLoad) -> bytes:
+    """Content key of a block load: the :func:`~dynmc.fine.operator_key`
+    of its block matrix and the load's :func:`~dynmc.fine.load_inputs`."""
+    meta, arrays = load_inputs(load)
+    return content_digest((operator, meta), *arrays)
+
+
+def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
+                      memo: StepMemo | None = None,
+                      orders: LastSolve | None = None) -> list:
     """Solve ``[(block, FlowLoad), ...]`` with one factorization per
     distinct block matrix; returns their (p, vx, vy) in the same order.
 
     A load on a block solves the lam_b operator of that block, and every
     block has the same cell size, so loads whose lam_b and pressure sides
     digest alike (:func:`~dynmc.fine.operator_key`, taken once per block
-    and boundary kinds) share one matrix: they go to one :func:`solve_flow`
-    call on the grid of the first such block (without a memo, solve_flow
-    never reads the grid's origin).
+    and boundary kinds) share one matrix, and loads of one matrix whose
+    data digest alike (:func:`load_key`) share one solution.  Each distinct
+    load is solved once: ``memo``, a caller's memo by load key, gives the
+    loads it holds, and the rest go to one :func:`solve_flow` call per
+    matrix on the grid of its first block (the result never depends on the
+    grid's origin), a matrix with no new load to none.  Without a memo the
+    call dedupes its own loads.  The results are read-only and shared by
+    every load of equal key.  ``orders``, a caller's memo of the calls,
+    orders each block shape and pressure-side set once; without it every
+    matrix is ordered afresh.
     """
-    groups: dict[bytes, tuple[int, list]] = {}  # key -> (block, positions)
-    keys: dict[tuple, bytes] = {}  # (block, side kinds) -> key
-    for k, (blk, load) in enumerate(items):
+    memo = StepMemo() if memo is None else memo
+    operators: dict[tuple, bytes] = {}  # (block, side kinds) -> key
+    keys, groups = [], {}  # groups: operator key -> (block, {key: load})
+    for blk, load in items:
         kinds = (blk, *(load.bc.side(s)[0] for s in SIDES))
-        if kinds not in keys:
-            keys[kinds] = operator_key(_block_field(coarse, blk, lam), [load])
-        groups.setdefault(keys[kinds], (blk, []))[1].append(k)
-    out = [None] * len(items)
-    for blk, ks in groups.values():
-        sols = solve_flow(_omega_grid(coarse, [blk]),
-                          _block_field(coarse, blk, lam),
-                          loads=[items[k][1] for k in ks])
-        for k, sol in zip(ks, sols):
-            out[k] = sol
-    return out
+        if kinds not in operators:
+            operators[kinds] = operator_key(_block_field(coarse, blk, lam),
+                                            [load])
+        key = load_key(operators[kinds], load)
+        keys.append(key)
+        if key not in memo.entries:
+            groups.setdefault(operators[kinds], (blk, {}))[1].setdefault(
+                key, load)
+    solved = {}
+    for blk, pending in groups.values():
+        solved.update(zip(pending, solve_flow(
+            _omega_grid(coarse, [blk]), _block_field(coarse, blk, lam),
+            loads=list(pending.values()), memo=orders)))
+    for sol in solved.values():
+        for a in sol:
+            a.flags.writeable = False
+    return [memo.get(key, lambda: solved[key]) for key in keys]
 
 
 def edge_flux_loads(coarse: CoarseGrid, edge: int, labels: np.ndarray,

@@ -177,6 +177,8 @@ def _write_artifacts(res: ExperimentResult, outdir: str) -> dict:
         "block_pieces_reused": sum(s.pieces[1] for s in res.mh_mhvel),
         "galerkin_regions_reused": sum(s.regions_reused
                                        for s in res.mh_mhvel),
+        "block_loads_solved": sum(s.loads[0] for s in res.mh_mhvel),
+        "block_loads_reused": sum(s.loads[1] for s in res.mh_mhvel),
         "coarse_flow_reused": sum(s.flow_reused for s in res.mh_mhvel),
         "e_V_global_percent": res.report.eV.global_relative,
         "e_C_mhvel_percent": [float(v) for v in res.report.eC_mh_vel],

@@ -4,13 +4,16 @@ Cell-centered two-point flux Darcy flow with gravity, donor-cell upwind
 transport, and an optional particle advection scheme with clamped mean
 deposition.  All face arrays follow the staggered layout of
 :mod:`dynmc.grids`.  The TPFA operator (stiffness, gravity source and
-pure-Neumann gauge) and the one SuperLU recipe live here only.  The fine
-flow and the block loads of the mixed cell problems are factored here, one
-triangular solve per load; a caller's memo keeps the column order of a
-sparsity pattern's first factorization for the later ones.  The Galerkin
-block pieces of :mod:`dynmc.cells` factor their KKT systems from the same
-stiffness with the same recipe.  Particles read the velocity from
-quarter-cell coefficient tables, built once per step.
+pure-Neumann gauge) and the one SuperLU recipe live here only; its
+matrices are built straight from five-point stencil values into their
+compressed arrays.  The fine flow and the block loads of the mixed cell
+problems are factored here, one triangular solve per load; a caller's memo
+keeps, per grid shape and pressure sides, the column order of the first
+factorization and the layout of the matrix the later ones receive.  The
+Galerkin block pieces of :mod:`dynmc.cells` factor their KKT systems from
+the same stiffness with the same recipe.  Particles read the velocity from
+quarter-cell coefficient tables, built once per step, and take all three
+Runge-Kutta stages one cache-sized slice of the cloud at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ SIDES = ("left", "right", "bottom", "top")
 # stays at SuperLU's default: the KKT matrices have a zero (2,2) block, and
 # with diagonal pivots (diag_pivot_thresh=0) the hydrostatic velocity of a
 # contrast-1000 closed box rises above 1e-10.  With a memo (``LastSolve``)
-# the ordering is computed once per sparsity pattern: later matrices of the
-# pattern are factored column-permuted in natural order, with the same
-# pivots, fill and bits and without the minimum-degree pass.
+# the ordering is computed once per grid shape and pressure sides, which fix
+# the sparsity pattern: later matrices of the pattern are factored
+# column-permuted in natural order, with the same pivots, fill and bits and
+# without the minimum-degree pass; a pivot tie that natural order may break
+# otherwise sends the matrix back to the full recipe (``_same_pivots``).
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
 
 
@@ -83,32 +88,89 @@ def transmissibilities(grid: FineGrid, lam: np.ndarray):
     return lamx * grid.hy / grid.hx, lamy * grid.hx / grid.hy
 
 
-def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
-    """Pure-Neumann TPFA stiffness (SPSD, constants in the null space)."""
+# Row i of every TPFA matrix holds at most the columns i - ny, i - 1, i,
+# i + 1 and i + ny, in that order: its five-point stencil slots.
+SLOTS = 5
+
+
+def _stencil(grid: FineGrid, lam: np.ndarray) -> np.ndarray:
+    """(nx, ny, 5) entries of the pure-Neumann stiffness by stencil slot,
+    0 where a slot leaves the grid.  The diagonal sums its faces in the
+    order of :func:`apply_stiffness`: x-faces, then y-faces."""
     if not (np.isfinite(lam) & (lam > 0)).all():
         raise ConfigError("mobility must be finite and positive")
     tx, ty = transmissibilities(grid, lam)
-    nx, ny = grid.nx, grid.ny
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    rows, cols, vals = [], [], []
+    v = np.zeros((grid.nx, grid.ny, SLOTS))
+    np.negative(tx, out=v[1:, :, 0])
+    np.negative(ty, out=v[:, 1:, 1])
+    np.negative(ty, out=v[:, :-1, 3])
+    np.negative(tx, out=v[:-1, :, 4])
+    diag = v[:, :, 2]
+    diag[:-1] += tx
+    diag[1:] += tx
+    diag[:, :-1] += ty
+    diag[:, 1:] += ty
+    return v
 
-    def add(r, cl, v):
-        rows.append(r.ravel())
-        cols.append(cl.ravel())
-        vals.append(v.ravel())
 
-    # interior x-faces couple (i-1,j)-(i,j), y-faces (i,j-1)-(i,j)
-    add(idx[:-1, :], idx[:-1, :], tx)
-    add(idx[1:, :], idx[1:, :], tx)
-    add(idx[:-1, :], idx[1:, :], -tx)
-    add(idx[1:, :], idx[:-1, :], -tx)
-    add(idx[:, :-1], idx[:, :-1], ty)
-    add(idx[:, 1:], idx[:, 1:], ty)
-    add(idx[:, :-1], idx[:, 1:], -ty)
-    add(idx[:, 1:], idx[:, :-1], -ty)
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * ny, nx * ny)).tocsr()
+class StencilLayout(NamedTuple):
+    """Where the compressed arrays of a five-point matrix come from: entry
+    k is entry ``take[k]`` of the raveled (nx, ny, 5) stencil; int32."""
+
+    take: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, nx: int, ny: int, gauged: bool = False,
+           diagonal: bool = True) -> "StencilLayout":
+        """The CSR layout of the slots inside an nx x ny grid; a gauged
+        matrix keeps only the diagonal of row 0, and ``diagonal=False``
+        drops every diagonal slot."""
+        here = np.ones((nx, ny, SLOTS), dtype=bool)
+        here[0, :, 0] = here[:, 0, 1] = here[:, -1, 3] = here[-1, :, 4] = 0
+        here[:, :, 2] = diagonal
+        if gauged:
+            here[0, 0] = [0, 0, 1, 0, 0]
+        take = np.flatnonzero(here).astype(np.int32)
+        row, slot = np.divmod(take, SLOTS)
+        indptr = np.zeros(nx * ny + 1, dtype=np.int32)
+        np.cumsum(here.sum(axis=2).ravel(), out=indptr[1:])
+        indices = row + np.array([-ny, -1, 0, 1, ny], dtype=np.int32)[slot]
+        return cls(take, indptr, indices)
+
+    def matrix(self, stencil: np.ndarray, kind=sparse.csr_matrix):
+        n = self.indptr.size - 1
+        return kind((stencil.ravel().take(self.take), self.indices,
+                     self.indptr), shape=(n, n))
+
+    def permuted(self, q: np.ndarray) -> "StencilLayout":
+        """The CSC layout of ``A[:, q]``, as ``A.tocsc()[:, q]`` lays it
+        out, for A of this CSR layout."""
+        n = self.indptr.size - 1
+        where = sparse.csr_matrix(
+            (np.arange(1, self.take.size + 1), self.indices, self.indptr),
+            shape=(n, n)).tocsc()[:, q]
+        return StencilLayout(self.take[where.data - 1],
+                             where.indptr.astype(np.int32),
+                             where.indices.astype(np.int32))
+
+
+class StoredOrder(NamedTuple):
+    """One TPFA pattern's CSR layout, the column order of its first
+    factorization, ``q = argsort(perm_c)``, and the CSC layout of the
+    ``A[:, q]`` that later matrices of the pattern are factored as."""
+
+    csr: StencilLayout
+    q: np.ndarray
+    factored: StencilLayout
+
+
+def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
+    """Pure-Neumann TPFA stiffness (SPSD, constants in the null space),
+    built straight into CSR; a one-cell grid has no faces and no entry."""
+    layout = StencilLayout.of(grid.nx, grid.ny, diagonal=grid.n_cells > 1)
+    return layout.matrix(_stencil(grid, lam))
 
 
 def apply_stiffness(grid: FineGrid, lam: np.ndarray, u: np.ndarray):
@@ -190,6 +252,20 @@ def pressure_diagonal(grid: FineGrid, lam: np.ndarray,
     return out
 
 
+def operator_stencil(grid: FineGrid, lam: np.ndarray,
+                     pressure: tuple) -> np.ndarray:
+    """The stencil of the :func:`solve_flow` matrix with pressure data on
+    the ``pressure`` sides: the stiffness plus their
+    :func:`pressure_diagonal`, or, with none, the pure-Neumann stiffness
+    gauged by making row 0 the identity row."""
+    stencil = _stencil(grid, lam)
+    if pressure:
+        stencil[:, :, 2] += pressure_diagonal(grid, lam, pressure)
+    else:
+        stencil[0, 0] = (0.0, 0.0, 1.0, 0.0, 0.0)
+    return stencil
+
+
 def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
     """Flattened right-hand side of one load (before the gauge)."""
     c, bc, gravity_on, f = load
@@ -217,21 +293,21 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
 
 @dataclass
 class LastSolve:
-    """Caller-owned one-entry memo of :func:`solve_flow`.
+    """Caller-owned memo of :func:`solve_flow`.
 
-    ``key`` is a blake2b digest of everything the last result depends on
-    and ``result`` that result, the list of read-only (p, vx, vy);
-    ``reused`` tells whether the latest call returned it without solving.
-    ``order`` holds the digest of the last sparsity pattern factored with
-    the full recipe and that factorization's column order,
-    ``argsort(perm_c)``, which a later matrix of the same pattern reuses:
-    the ordering reads the pattern only.
+    ``inputs`` holds copies of everything the last result depends on and
+    ``result`` that result, the list of read-only (p, vx, vy); ``reused``
+    tells whether the latest call returned it without solving.  ``orders``
+    maps each (nx, ny, pressure sides) factored with the full recipe to its
+    :class:`StoredOrder`, which a later matrix of that key reuses: the
+    ordering reads the sparsity pattern only, and the shape and the
+    pressure sides fix it.
     """
 
-    key: bytes | None = None
+    inputs: tuple | None = None
     result: list | None = None
     reused: bool = False
-    order: tuple[bytes, np.ndarray] | None = None
+    orders: dict = field(default_factory=dict)
 
 
 def _pressure_sides(loads) -> set[tuple]:
@@ -242,9 +318,9 @@ def _pressure_sides(loads) -> set[tuple]:
 
 def content_digest(meta, *arrays) -> bytes:
     """blake2b digest of ``repr(meta)`` and of each array's dtype, shape and
-    bytes: the key of every reuse memo (``LastSolve`` of the fine flow and
-    the :class:`StepMemo` of the coarse solves, Galerkin regions and block
-    pieces) and of the block-matrix groups of the mixed cell problems."""
+    bytes: the key of every :class:`StepMemo` (of the coarse solves,
+    Galerkin regions, block pieces and block loads) and of the block-matrix
+    groups of the mixed cell problems."""
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(meta).encode())
     for a in arrays:
@@ -298,20 +374,39 @@ def operator_key(lam: np.ndarray, loads) -> bytes:
     return content_digest(sorted(_pressure_sides(loads)), lam)
 
 
-def _flow_digest(grid: FineGrid, lam: np.ndarray, loads) -> bytes:
-    """Digest of the geometry, lam and each load's gravity flag, boundary
-    data, c (with gravity on) and f (when given)."""
-    meta, arrays = [repr(grid)], [lam]
-    for c, bc, gravity_on, f in loads:
-        kinds = tuple(bc.side(s)[0] for s in SIDES)
-        meta.append((bool(gravity_on), kinds, f is None))
-        arrays += [np.asarray(value, dtype=float)
-                   for s in SIDES for value in bc.side(s)[1:]]
-        if gravity_on:
-            arrays.append(c)
-        if f is not None:
-            arrays.append(f)
-    return content_digest(meta, *arrays)
+def load_inputs(load: FlowLoad) -> tuple:
+    """(meta, arrays) of what one load adds to a :func:`solve_flow` result:
+    its gravity flag, side kinds and whether f is given; its boundary
+    values, c (with gravity on) and f (when given)."""
+    c, bc, gravity_on, f = load
+    meta = (bool(gravity_on), tuple(bc.side(s)[0] for s in SIDES),
+            f is None)
+    arrays = [np.asarray(value, dtype=float)
+              for s in SIDES for value in bc.side(s)[1:]]
+    if gravity_on:
+        arrays.append(c)
+    if f is not None:
+        arrays.append(f)
+    return meta, arrays
+
+
+def _flow_inputs(grid: FineGrid, lam: np.ndarray, loads) -> tuple:
+    """(meta, arrays) of what a :func:`solve_flow` result depends on: the
+    geometry and lam, then each load's :func:`load_inputs`."""
+    meta, arrays = [grid], [lam]
+    for load in loads:
+        load_meta, load_arrays = load_inputs(load)
+        meta.append(load_meta)
+        arrays += load_arrays
+    return meta, arrays
+
+
+def _same_inputs(new: tuple, held: tuple | None) -> bool:
+    """Whether :func:`_flow_inputs` equal held ones, arrays byte for byte."""
+    return held is not None and new[0] == held[0] and len(new[1]) == len(
+        held[1]) and all(a.dtype == b.dtype and a.shape == b.shape
+                         and a.tobytes() == b.tobytes()
+                         for a, b in zip(new[1], held[1]))
 
 
 def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
@@ -330,9 +425,11 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
     (the only part of the boundary data in the matrix), and the result is
     the list of their (p, vx, vy).
 
-    With ``memo`` a call whose inputs digest to the memo's key returns the
-    stored arrays with no assembly, factorization or solve; otherwise the
-    new result, made read-only, replaces the stored one.
+    With ``memo`` a call whose inputs equal the memo's, byte for byte,
+    returns the stored arrays with no assembly, factorization or solve;
+    otherwise the new result, made read-only, replaces the stored one, and
+    the matrix is factored in the memo's stored order of its shape and
+    pressure sides, which the first such matrix stores.
     """
     single = loads is None
     if single:
@@ -347,45 +444,43 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
             f"pressure sides, got {sorted(pressure)}")
     pressure = pressure.pop()
     if memo is not None:
-        key = _flow_digest(grid, lam, loads)
-        memo.reused = key == memo.key
+        inputs = _flow_inputs(grid, lam, loads)
+        memo.reused = _same_inputs(inputs, memo.inputs)
         if memo.reused:
             return memo.result[0] if single else list(memo.result)
-    A = assemble_stiffness(grid, lam)
+    stencil = operator_stencil(grid, lam, pressure)
     rhss = [_load_rhs(grid, lam, load) for load in loads]
-
-    if pressure:
-        A = A + sparse.diags(pressure_diagonal(grid, lam, pressure).ravel())
-    else:
+    if not pressure:
         for rhs in rhss:
             scale = max(np.abs(rhs).max(), 1.0)
             if abs(rhs.sum()) > 1e-9 * scale * nx * ny:
                 raise SolverError(
                     f"pure-Neumann flow problem is incompatible: net source "
                     f"{rhs.sum():.3e}")
-            rhs[0] = 0.0
-        # gauge: row 0 becomes the identity row, in place in the CSR arrays
-        if A.nnz == 0:  # a one-cell grid has no face entries to overwrite
-            A = sparse.identity(1, format="csr")
-        row0 = slice(A.indptr[0], A.indptr[1])
-        A.data[row0] = np.where(A.indices[row0] == 0, 1.0, 0.0)
-        A.eliminate_zeros()
+            rhs[0] = 0.0  # the gauge
 
-    # the memo's stored column order, when A has the pattern it was made for
-    q = None
-    if memo is not None:
-        pattern = content_digest((), A.indptr, A.indices)
-        if memo.order is not None and memo.order[0] == pattern:
-            q = memo.order[1]
-    if q is None:
-        lu = splu(A.tocsc(), **SPLU_OPTIONS)
-        if memo is not None:
-            memo.order = pattern, np.argsort(lu.perm_c)
-    else:
+    key = (nx, ny, pressure)
+    stored = None if memo is None else memo.orders.get(key)
+    if stored is not None:
+        A, q = stored.csr.matrix(stencil), stored.q
         # A[:, q] in its natural order meets the pivots and fill of a fresh
-        # factorization of A, so the solution is the same to the bit
-        lu = splu(A.tocsc()[:, q], **dict(SPLU_OPTIONS, permc_spec="NATURAL"))
-    norm = float(abs(A).sum(axis=1).max())  # ||A||_inf
+        # factorization of A, so the solution is the same to the bit, unless
+        # a pivot tie may have been broken otherwise
+        lu = splu(stored.factored.matrix(stencil, sparse.csc_matrix),
+                  **dict(SPLU_OPTIONS, permc_spec="NATURAL"))
+        if not _same_pivots(lu, q):
+            stored = None
+    if stored is None:
+        layout = StencilLayout.of(nx, ny, gauged=not pressure)
+        A, q = layout.matrix(stencil), None
+        lu = splu(A.tocsc(), **SPLU_OPTIONS)
+        if memo is not None and key not in memo.orders:
+            order = np.argsort(lu.perm_c).astype(np.int32)
+            memo.orders[key] = StoredOrder(layout, order,
+                                           layout.permuted(order))
+    # ||A||_inf from A's data, as abs(A).sum(axis=1) sums it; no row is
+    # empty, each holds its diagonal
+    norm = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
     faces = harmonic_face_mobility(lam)
     out = []
     # one triangular solve per load: a multi-column solve goes through the
@@ -405,8 +500,35 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         for arrays in out:
             for a in arrays:
                 a.flags.writeable = False
-        memo.key, memo.result = key, out
+        meta, arrays = inputs
+        memo.inputs, memo.result = (meta, [a.copy() for a in arrays]), out
     return out[0] if single else list(out)
+
+
+def _same_pivots(lu, q: np.ndarray) -> bool:
+    """Whether ``lu``, the natural-order factorization of ``A[:, q]``,
+    surely took the pivots of a fresh factorization of A in the order q.
+
+    SuperLU pivots column j on the largest entry left in it, the first one
+    met of equal ones, but on the diagonal entry where that is as large; for
+    ``A[:, q]`` in natural order that is row j, for A itself row q[j].  So
+    the two can differ only at a tie, which leaves a multiplier of size 1 in
+    column j of L: when a tied row is q[j], or the pivot is row j, the
+    stored order is not trusted.
+    """
+    L = lu.L
+    at = np.flatnonzero(np.abs(L.data) >= 1.0)
+    if at.size == L.shape[0]:  # L stores its unit diagonal: no tie
+        return True
+    rows = L.indices[at]
+    cols = np.searchsorted(L.indptr, at, side="right") - 1
+    tie = rows != cols  # the unit diagonal of L is no tie
+    if not tie.any():
+        return True
+    rows, cols = rows[tie], cols[tie]
+    pivot = np.argsort(lu.perm_r)  # the row of A behind each row of L
+    return not ((pivot[rows] == q[cols]).any()
+                or ((pivot[cols] == cols) & (q[cols] != cols)).any())
 
 
 def _solve(lu, q: np.ndarray | None, b: np.ndarray) -> np.ndarray:
@@ -464,19 +586,21 @@ def cfl(grid: FineGrid, vx: np.ndarray, vy: np.ndarray, tau: float) -> float:
 
 
 def advance_upwind(grid: FineGrid, c: np.ndarray, vx: np.ndarray,
-                   vy: np.ndarray, tau: float,
-                   inflow_c: dict | None = None) -> np.ndarray:
+                   vy: np.ndarray, tau: float, inflow_c: dict | None = None,
+                   nu: float | None = None) -> np.ndarray:
     """One donor-cell step of c_t + div(v c) = 0.
 
     ``inflow_c`` maps side names to the concentration carried by entering
-    boundary fluxes; sides without a value reuse the adjacent cell.
+    boundary fluxes; sides without a value reuse the adjacent cell.  ``nu``
+    is :func:`cfl` of (vx, vy) at tau, measured here when not given.
     """
     inflow_c = inflow_c or {}
     unknown = sorted(set(inflow_c) - set(SIDES))
     if unknown:
         raise ConfigError(f"inflow_c key(s) {unknown} name no side of "
                           f"{SIDES}")
-    nu = cfl(grid, vx, vy, tau)
+    if nu is None:
+        nu = cfl(grid, vx, vy, tau)
     if nu > 1.0:
         raise InvariantError(
             f"CFL {nu:.3f} > 1; reduce tau to <= {tau / nu:.3e}")
@@ -541,11 +665,13 @@ def seed_particles(grid: FineGrid, c: np.ndarray, per_cell: int,
     return ParticleCloud(x=x, y=y, val=c[ci, cj].copy())
 
 
-# Particles are interpolated in slices of this many, so the work arrays of
-# one slice (four float, one int and two complex) stay cache-sized whatever
-# the cloud size.  On 193,536 particles 16,384 ran 4 % faster (1.19 against
-# 1.24 ms per call), but its work arrays add 0.6 MiB to the peak RSS.
-PARTICLE_CHUNK = 8192
+# Particles are stepped and interpolated in slices of this many, so the work
+# arrays of one slice (four float, one int, two complex and the two stage
+# velocities) stay cache-sized whatever the cloud size.  A step plus deposit
+# of 193,536 particles took a median 16.0-16.8 ms at 16,384 against
+# 17.2-17.3 ms at 8,192 (4,096: 20.3 ms, 32,768: 16.8 ms; 15 interleaved
+# repetitions, 2-vCPU Xeon VM, one BLAS thread).
+PARTICLE_CHUNK = 16384
 PARTICLES_PER_CELL = 32  # the seeding of every particle run
 
 
@@ -588,6 +714,52 @@ def velocity_table(grid: FineGrid, vx: np.ndarray, vy: np.ndarray):
     return W.ravel(), B.ravel(), C.ravel(), D.ravel()
 
 
+def _slice_work(m: int) -> tuple:
+    """Work arrays of :func:`_interp_slice` for slices of up to m
+    particles: four float, one index and two complex."""
+    return ([np.empty(m) for _ in range(4)], np.empty(m, dtype=np.intp),
+            np.empty(m, dtype=complex), np.empty(m, dtype=complex))
+
+
+def _interp_slice(grid: FineGrid, table: tuple, px: np.ndarray,
+                  py: np.ndarray, work: tuple, ux: np.ndarray,
+                  uy: np.ndarray) -> None:
+    """The velocity at one slice of positions (1-D, at most as long as the
+    arrays of ``work``, :func:`_slice_work`), written into ux and uy; the
+    formula of :func:`interp_velocity`."""
+    A, B, C, D = table
+    floats, index, acc, gathered = work
+    m = px.size
+    sx, sy, a, b = (w[:m] for w in floats)
+    k, u, t = index[:m], acc[:m], gathered[:m]
+    for s, p, origin, h, top in ((sx, px, grid.x0, grid.hx, grid.nx),
+                                 (sy, py, grid.y0, grid.hy, grid.ny)):
+        np.subtract(p, origin, out=s)
+        s *= 2.0 / h
+        np.clip(s, 0.0, 2.0 * top, out=s)
+    # the quarter-cell indices stay floats until the flat index: they are
+    # integers far below 2**53, so the arithmetic on them is exact
+    np.trunc(sx, out=a)
+    np.trunc(sy, out=b)
+    sx -= a
+    sy -= b
+    a *= 2 * grid.ny + 1
+    a += b
+    np.copyto(k, a, casting="unsafe")
+    # the indices are in range, and mode="clip" lets take write straight
+    # into its buffer where mode="raise" would copy
+    D.take(k, out=u, mode="clip")
+    u *= sy
+    u += B.take(k, out=t, mode="clip")
+    u *= sx
+    C.take(k, out=t, mode="clip")
+    t *= sy
+    u += t
+    u += A.take(k, out=t, mode="clip")
+    np.copyto(ux, u.real)
+    np.copyto(uy, u.imag)
+
+
 def interp_velocity(grid: FineGrid, vx: np.ndarray, vy: np.ndarray,
                     px: np.ndarray, py: np.ndarray,
                     table: tuple | None = None):
@@ -601,46 +773,16 @@ def interp_velocity(grid: FineGrid, vx: np.ndarray, vy: np.ndarray,
     one gather per table.  The particles are walked in slices of
     :data:`PARTICLE_CHUNK` through work arrays allocated once per call.
     """
-    A, B, C, D = velocity_table(grid, vx, vy) if table is None else table
+    table = velocity_table(grid, vx, vy) if table is None else table
     shape = np.shape(px)
     px, py = np.ravel(px), np.ravel(py)
     n = px.size
     ux, uy = np.empty(n), np.empty(n)
-    m = min(n, PARTICLE_CHUNK)
-    work = [np.empty(m) for _ in range(4)]
-    index = np.empty(m, dtype=np.intp)
-    acc, gathered = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-    stride = 2 * grid.ny + 1
+    work = _slice_work(min(n, PARTICLE_CHUNK))
     for lo in range(0, n, PARTICLE_CHUNK):
         hi = min(lo + PARTICLE_CHUNK, n)
-        sx, sy, a, b = (w[:hi - lo] for w in work)
-        k, u, t = index[:hi - lo], acc[:hi - lo], gathered[:hi - lo]
-        for s, p, origin, h, top in ((sx, px, grid.x0, grid.hx, grid.nx),
-                                     (sy, py, grid.y0, grid.hy, grid.ny)):
-            np.subtract(p[lo:hi], origin, out=s)
-            s *= 2.0 / h
-            np.clip(s, 0.0, 2.0 * top, out=s)
-        # the quarter-cell indices stay floats until the flat index: they
-        # are integers far below 2**53, so the arithmetic on them is exact
-        np.trunc(sx, out=a)
-        np.trunc(sy, out=b)
-        sx -= a
-        sy -= b
-        a *= stride
-        a += b
-        np.copyto(k, a, casting="unsafe")
-        # the indices are in range, and mode="clip" lets take write straight
-        # into its buffer where mode="raise" would copy
-        D.take(k, out=u, mode="clip")
-        u *= sy
-        u += B.take(k, out=t, mode="clip")
-        u *= sx
-        C.take(k, out=t, mode="clip")
-        t *= sy
-        u += t
-        u += A.take(k, out=t, mode="clip")
-        ux[lo:hi] = u.real
-        uy[lo:hi] = u.imag
+        _interp_slice(grid, table, px[lo:hi], py[lo:hi], work, ux[lo:hi],
+                      uy[lo:hi])
     return ux.reshape(shape), uy.reshape(shape)
 
 
@@ -669,8 +811,10 @@ def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
                       vy: np.ndarray, tau: float) -> ParticleCloud:
     """Three-stage SSP Runge-Kutta advection through the interpolated field.
 
-    The stages run in place on the position arrays (x, y) of the new cloud
-    and keep the operation order of x1 = x0 + tau u(x0),
+    The cloud is walked in slices of :data:`PARTICLE_CHUNK`, each taken
+    through all three stages before the next, on slice-sized work arrays.
+    The stages run in place on the slice of the new cloud's positions (x,
+    y) and keep the operation order of x1 = x0 + tau u(x0),
     x2 = 0.75 x0 + 0.25 (x1 + tau u(x1)) and
     xn = x0 / 3 + 2/3 (x2 + tau u(x2)), each reflected at the walls.
     """
@@ -678,23 +822,34 @@ def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
         raise ConfigError("empty particle cloud")
     table = velocity_table(grid, vx, vy)
     x0, y0 = cloud.x, cloud.y
-    x, y = interp_velocity(grid, vx, vy, x0, y0, table)  # u(x0), made into x1
-    for p, p0 in ((x, x0), (y, y0)):
-        p *= tau
-        p += p0
-    _reflect(grid, x, y)  # interpolation clamps: only the last must hold
-    # x2 = np.multiply(x0, 0.75) + ..., then xn = np.divide(x0, 3.0) + ...
-    for weight, start, c in ((0.25, np.multiply, 0.75),
-                             (2.0 / 3.0, np.divide, 3.0)):
-        u, v = interp_velocity(grid, vx, vy, x, y, table)
-        for s, p, p0 in ((u, x, x0), (v, y, y0)):
-            s *= tau
-            s += p
-            s *= weight
-            start(p0, c, out=p)
-            p += s
-        del u, v, s  # free the stage velocities before the next call
-        escaped = _reflect(grid, x, y)
+    n = cloud.count
+    x, y = np.empty(n), np.empty(n)
+    m = min(n, PARTICLE_CHUNK)
+    work = _slice_work(m)
+    stage = np.empty(m), np.empty(m)  # a slice's stage velocities
+    escaped = False
+    for lo in range(0, n, PARTICLE_CHUNK):
+        hi = min(lo + PARTICLE_CHUNK, n)
+        start = x0[lo:hi], y0[lo:hi]
+        now = x[lo:hi], y[lo:hi]
+        u = tuple(w[:hi - lo] for w in stage)
+        _interp_slice(grid, table, *start, work, *now)  # u(x0), made into x1
+        for p, p0 in zip(now, start):
+            p *= tau
+            p += p0
+        _reflect(grid, *now)  # interpolation clamps: only the last must hold
+        # x2 = np.multiply(x0, 0.75) + ..., then xn = np.divide(x0, 3.0) + ...
+        for weight, first, c in ((0.25, np.multiply, 0.75),
+                                 (2.0 / 3.0, np.divide, 3.0)):
+            _interp_slice(grid, table, *now, work, *u)
+            for s, p, p0 in zip(u, now, start):
+                s *= tau
+                s += p
+                s *= weight
+                first(p0, c, out=p)
+                p += s
+            last = _reflect(grid, *now)
+        escaped |= last
     if escaped:
         raise InvariantError(
             "particle left the domain after reflection; velocity BCs broken")
@@ -703,10 +858,26 @@ def advance_particles(grid: FineGrid, cloud: ParticleCloud, vx: np.ndarray,
 
 def deposit(grid: FineGrid, cloud: ParticleCloud) -> np.ndarray:
     """Per-cell mean of particle values, clamped to the cloud's bounds;
-    empty cells copy the nearest filled one."""
-    ci = np.clip(((cloud.x - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
-    cj = np.clip(((cloud.y - grid.y0) / grid.hy).astype(int), 0, grid.ny - 1)
-    flat = ci * grid.ny + cj
+    empty cells copy the nearest filled one.  The flat cell index is built
+    slice by slice, and one bincount over it keeps the summation order."""
+    n = cloud.count
+    flat = np.empty(n, dtype=np.intp)
+    m = min(n, PARTICLE_CHUNK)
+    t, k = np.empty(m), np.empty(m, dtype=np.intp)
+    for lo in range(0, n, PARTICLE_CHUNK):
+        hi = min(lo + PARTICLE_CHUNK, n)
+        # the cell index clip(int((x - x0) / hx), 0, nx - 1) along each axis,
+        # then the flat index ci * ny + cj
+        for out, p, origin, h, top in (
+                (flat[lo:hi], cloud.x, grid.x0, grid.hx, grid.nx),
+                (k[:hi - lo], cloud.y, grid.y0, grid.hy, grid.ny)):
+            s = t[:hi - lo]
+            np.subtract(p[lo:hi], origin, out=s)
+            s /= h
+            np.copyto(out, s, casting="unsafe")
+            np.clip(out, 0, top - 1, out=out)
+        flat[lo:hi] *= grid.ny
+        flat[lo:hi] += k[:hi - lo]
     sums = np.bincount(flat, weights=cloud.val, minlength=grid.n_cells)
     cnts = np.bincount(flat, minlength=grid.n_cells)
     c = np.zeros(grid.n_cells)
@@ -774,12 +945,15 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
              ((nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny))]
 
     memo = LastSolve()
+    nu = 0.0  # the CFL of the latest flow
 
     def solve(c):
+        nonlocal nu
         p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on, memo=memo)
         run.flow_reused.append(memo.reused)
-        if not memo.reused:  # a reused vx, vy has its CFL counted already
-            run.max_cfl = max(run.max_cfl, cfl(grid, vx, vy, tau))
+        if not memo.reused:  # a reused vx, vy keeps the CFL of its solve
+            nu = cfl(grid, vx, vy, tau)
+            run.max_cfl = max(run.max_cfl, nu)
         return p, vx, vy
 
     def record(n, *fields):
@@ -798,7 +972,8 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
         if n in keep:
             record(n, p, vx, vy, c)
         if scheme == "upwind":
-            c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c)
+            c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c,
+                               nu=nu)
         else:
             cloud = advance_particles(grid, cloud, vx, vy, tau)
             c = deposit(grid, cloud)

@@ -19,8 +19,9 @@ import numpy as np
 from . import cells
 from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import (Snapshot, StepMemo, check_residual, content_digest,
-                   harmonic_face_mobility, transmissibilities)
+from .fine import (LastSolve, Snapshot, StepMemo, check_residual,
+                   content_digest, harmonic_face_mobility,
+                   transmissibilities)
 from .grids import CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
@@ -137,9 +138,13 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
 
 def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
                 n: int, edge_labels: np.ndarray, gravity: bool,
-                inflow_labels: np.ndarray | None):
+                inflow_labels: np.ndarray | None,
+                loads: StepMemo | None = None,
+                orders: LastSolve | None = None):
     """Every cell problem of one mixed solve, one factorization per block
-    matrix.
+    matrix and one solve per distinct block load; ``loads`` and ``orders``
+    are the memos of ``cells.solve_block_loads``, which hand on the loads
+    solved and the column orders of the solves before.
 
     Returns (bases, table).  ``bases`` holds one (edge, continuum, S) per
     basis: edge by edge, continua inner, with S the edge flux it carries;
@@ -158,10 +163,10 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
     bases, queued = [], []  # queued: (table slot, key, [(block, FlowLoad)])
     for I in edges:
         for i in range(n):
-            S, _sources, loads = cells.edge_flux_loads(
+            S, _sources, items = cells.edge_flux_loads(
                 coarse, I, labels, i, edge_labels[I], variant)
-            if loads:
-                queued.append((0, len(bases), loads))
+            if items:
+                queued.append((0, len(bases), items))
                 bases.append((I, i, S))
     for blk in coarse.blocks():
         if gravity:
@@ -180,15 +185,15 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
         # the lift carries the prescribed inflow; its energy projects onto
         # the unknown bases so the system stays consistent near the inlet
         for i in range(n):  # a continuum absent from the inlet has no lift
-            _S, _sources, loads = cells.edge_flux_loads(
+            _S, _sources, items = cells.edge_flux_loads(
                 coarse, 0, labels, i, inflow_labels, "psi")
-            queued.append((2, i, loads))
+            queued.append((2, i, items))
     solved = iter(cells.solve_block_loads(
-        coarse, lam, [item for _slot, _key, loads in queued
-                      for item in loads]))
+        coarse, lam, [item for _slot, _key, items in queued
+                      for item in items], loads, orders))
     table = [([], [], []) for _ in coarse.blocks()]
-    for slot, key, loads in queued:
-        for blk, _load in loads:
+    for slot, key, items in queued:
+        for blk, _load in items:
             _p, fx, fy = next(solved)
             table[blk][slot].append((key, _faces(fx, fy)))
     return bases, table
@@ -207,7 +212,9 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
                             edge_labels: np.ndarray, variant: str = "gravity",
                             g_in: float | None = None,
                             p_out: float | None = None,
-                            inflow_labels: np.ndarray | None = None
+                            inflow_labels: np.ndarray | None = None,
+                            loads: StepMemo | None = None,
+                            orders: LastSolve | None = None
                             ) -> MixedSolution:
     """Edge-basis saddle solve for the multicontinuum velocities.
 
@@ -217,7 +224,8 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     and pressures, prescribed inflow ``g_in`` on the left boundary, fixed
     pressure ``p_out`` on the right (one-sided edge bases there); it does
     not read Chat, which may be None.
-    ``edge_labels[I]`` holds the continuum label of every face of edge I.
+    ``edge_labels[I]`` holds the continuum label of every face of edge I;
+    ``loads`` and ``orders`` carry the block solves (:func:`mixed_bases`).
     """
     if variant not in ("gravity", "viscous"):
         raise ConfigError(f"unknown mixed variant {variant!r}")
@@ -226,7 +234,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
         raise ConfigError("the gravity variant needs Chat")
 
     bases, table = mixed_bases(coarse, lam, labels, n, edge_labels, gravity,
-                               inflow_labels)
+                               inflow_labels, loads, orders)
     nb = len(bases)
     if nb == 0:
         raise SolverError("no edge bases: every continuum absent on edges")
@@ -450,6 +458,8 @@ class CoarseState:
     # and its regions whose operators came from the previous solve
     pieces: tuple[int, int] = (0, 0)
     regions_reused: int = 0
+    # mixed block loads (solved, reused) by this step's coarse solve
+    loads: tuple[int, int] = (0, 0)
     flow_reused: bool = False  # the previous step's coarse flow, taken whole
 
 
@@ -542,8 +552,12 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
 
 
 def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
-                    labels: np.ndarray, masses: np.ndarray, n: int):
-    """Mixed coarse flow of one snapshot: returns V and P.
+                    labels: np.ndarray, masses: np.ndarray, n: int,
+                    loads: StepMemo, orders: LastSolve):
+    """Mixed coarse flow of one snapshot: returns V, P and the (solved,
+    reused) counts of its block loads.  ``loads`` carries the solved block
+    loads from solve to solve; settled here, it keeps only this solve's.
+    ``orders`` keeps the column order of the block matrices.
 
     Each edge face takes the continuum of its donor cell under the fine
     velocity.  Only the gravity variant reads Chat, the per-block continuum
@@ -561,8 +575,9 @@ def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
         coarse, lam, labels, n, Chat,
         coarse.edge_donor_labels(labels, coarse.edge_flux(snap.vx)),
         variant="gravity" if gravity else "viscous", g_in=G_IN,
-        p_out=P_OUT, inflow_labels=None if gravity else labels[0, :])
-    return ms.V, ms.P
+        p_out=P_OUT, inflow_labels=None if gravity else labels[0, :],
+        loads=loads, orders=orders)
+    return ms.V, ms.P, loads.settle()
 
 
 def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
@@ -587,12 +602,14 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     ref0 = averages(coarse, snap0.p, snap0.c, snap0.vx, labels, n)
     C = ref0.C.copy()
     states = []
-    # the coarse flow, Galerkin regions and block pieces of the last step
-    flows, regions, pieces = (StepMemo() for _ in range(3))
+    # the coarse flow, Galerkin regions and block pieces and the mixed block
+    # loads of the last step, and the column order of the block matrices
+    flows, regions, pieces, loads = (StepMemo() for _ in range(4))
+    orders = LastSolve()
     total_removed = 0.0
 
     for k in range(steps + 1):
-        counts, flow_reused = (0, 0, 0), False
+        counts, solved, flow_reused = (0, 0, 0), (0, 0), False
         snap = snapshots[k]
         labels = classify(snap.c, model.spec)
         masses = continuum_masses(labels, coarse, n)
@@ -619,14 +636,14 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                 V, P, counts = flows.get(key, lambda: _galerkin_velocity(
                     model, lam, labels, n, pieces, regions))
             else:
-                V, P = flows.get(key, lambda: _mixed_velocity(
-                    model, snap, lam, labels, masses, n))
+                V, P, solved = flows.get(key, lambda: _mixed_velocity(
+                    model, snap, lam, labels, masses, n, loads, orders))
             if flows.settle()[1]:
-                counts, flow_reused = (0, 0, 0), True
+                counts, solved, flow_reused = (0, 0, 0), (0, 0), True
 
         states.append(CoarseState(step=k, t=k * tau, C=C.copy(), V=V, P=P,
                                   pieces=counts[:2], regions_reused=counts[2],
-                                  flow_reused=flow_reused))
+                                  loads=solved, flow_reused=flow_reused))
         if k == steps:
             break
         C, skipped = step_macro_concentration(

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 from dynmc import cells
 from dynmc.fine import (SPLU_OPTIONS, _reflect, _side_values, advance_upwind,
                         cfl, check_residual, interp_velocity,
-                        pressure_diagonal, solve_flow)
+                        pressure_diagonal, solve_flow, transmissibilities)
 from dynmc.continua import classify, continuum_masses, ContinuumSpec
 from dynmc.exceptions import InvariantError, SolverError
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
@@ -95,6 +95,49 @@ class SaddleSolver:
                 f"constraint residual {np.abs(res).max():.3e} too large")
         check_residual("KKT", gap, self._norm, sol, rhs)
         return SaddleSolution(u=u, multipliers=mu, residuals=res)
+
+
+def assemble_stiffness_coo(grid, lam):
+    """The pure-Neumann TPFA stiffness from COO triplets, duplicates summed
+    by ``tocsr`` (the assembly ``fine.assemble_stiffness`` replaced)."""
+    tx, ty = transmissibilities(grid, lam)
+    nx, ny = grid.nx, grid.ny
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    rows, cols, vals = [], [], []
+
+    def add(r, cl, v):
+        rows.append(r.ravel())
+        cols.append(cl.ravel())
+        vals.append(v.ravel())
+
+    # interior x-faces couple (i-1,j)-(i,j), y-faces (i,j-1)-(i,j)
+    add(idx[:-1, :], idx[:-1, :], tx)
+    add(idx[1:, :], idx[1:, :], tx)
+    add(idx[:-1, :], idx[1:, :], -tx)
+    add(idx[1:, :], idx[:-1, :], -tx)
+    add(idx[:, :-1], idx[:, :-1], ty)
+    add(idx[:, 1:], idx[:, 1:], ty)
+    add(idx[:, :-1], idx[:, 1:], -ty)
+    add(idx[:, 1:], idx[:, :-1], -ty)
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny)).tocsr()
+
+
+def flow_operator_coo(grid, lam, pressure):
+    """The ``fine.solve_flow`` matrix from :func:`assemble_stiffness_coo`:
+    plus the pressure diagonal of the ``pressure`` sides, or, with none,
+    gauged by overwriting row 0 in the CSR arrays and dropping its zeros (a
+    one-cell grid, which stores no entry, as the 1x1 identity)."""
+    A = assemble_stiffness_coo(grid, lam)
+    if pressure:
+        return A + sparse.diags(pressure_diagonal(grid, lam, pressure).ravel())
+    if A.nnz == 0:
+        A = sparse.identity(1, format="csr")
+    row0 = slice(A.indptr[0], A.indptr[1])
+    A.data[row0] = np.where(A.indices[row0] == 0, 1.0, 0.0)
+    A.eliminate_zeros()
+    return A
 
 
 def piece_kkt_bmat(grid_b, lam_b, labels_b, n):

@@ -13,7 +13,7 @@ from dynmc import cells, macro
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, classify,
                             continuum_masses, single_continuum)
 from dynmc.exceptions import ConfigError, InvariantError, SolverError
-from dynmc.fine import Snapshot, solve_flow
+from dynmc.fine import SIDES, LastSolve, Snapshot, StepMemo, solve_flow
 from dynmc.grids import CoarseGrid, FineGrid
 from dynmc.macro import (CoarseModel, EffectiveOperators, coarse_cfl,
                          run_coarse, solve_coarse_flow_galerkin,
@@ -250,6 +250,124 @@ class TestMixedBases:
         assert len(lifts) == len(want_i) == (0 if gravity else 1)
         for got, ref in zip(lifts.values(), want_i):
             same(got, ref)
+
+
+def same_load(a, b) -> bool:
+    """Whether two FlowLoads carry the same data, byte for byte."""
+    (ca, bca, ga, fa), (cb, bcb, gb, fb) = a, b
+    if ga != gb or (fa is None) != (fb is None):
+        return False
+    for side in SIDES:
+        sa, sb = bca.side(side), bcb.side(side)
+        if sa[0] != sb[0] or any(
+                np.asarray(x).tobytes() != np.asarray(y).tobytes()
+                for x, y in zip(sa[1:], sb[1:])):
+            return False
+    return ((not ga or ca.tobytes() == cb.tobytes())
+            and (fa is None or fa.tobytes() == fb.tobytes()))
+
+
+class TestBlockLoadMemo:
+    """Each distinct block load is solved once, and a load the memo holds
+    from the solve before is not solved again."""
+
+    def solve(self, monkeypatch, memo, coarse, lam, labels, elab):
+        """One viscous ``mixed_bases`` call through ``memo``: returns its
+        (block, load) items, the loads handed to ``cells.solve_flow`` and
+        the memo's (solved, reused) counts."""
+        items, solved = [], []
+        real_loads, real_flow = cells.solve_block_loads, cells.solve_flow
+
+        def block_loads(coarse, lam, its, *args):
+            items.extend(its)
+            return real_loads(coarse, lam, its, *args)
+
+        def flow(grid, lam_b, **kwargs):
+            solved.extend(kwargs["loads"])
+            return real_flow(grid, lam_b, **kwargs)
+
+        monkeypatch.setattr(cells, "solve_block_loads", block_loads)
+        monkeypatch.setattr(cells, "solve_flow", flow)
+        macro.mixed_bases(coarse, lam, labels, 2, elab, False, labels[0, :],
+                          memo, LastSolve())
+        monkeypatch.setattr(cells, "solve_block_loads", real_loads)
+        monkeypatch.setattr(cells, "solve_flow", real_flow)
+        return items, solved, memo.settle()
+
+    @pytest.mark.parametrize("change", ["lam", "label", "donor"])
+    def test_a_change_solves_exactly_the_loads_it_touches(self, monkeypatch,
+                                                          change):
+        coarse, labels, lam, elab = random_mixed_setup(44)
+        mx, b = coarse.mx, 1
+        memo = StepMemo()
+        first, solved, counts = self.solve(monkeypatch, memo, coarse, lam,
+                                           labels, elab)
+        assert counts == (len(solved), len(first) - len(solved))
+        lam2, labels2, elab2 = lam.copy(), labels.copy(), elab.copy()
+        cell = (b * mx + 3, 2)  # inside block 1, off its edge columns
+        if change == "lam":
+            lam2[cell] *= 2.0
+        elif change == "label":
+            labels2[cell] = 1 - labels2[cell]
+        else:  # a face of edge 2, between blocks 1 and 2
+            elab2[2, 3] = 1 - elab2[2, 3]
+        items, solved, counts = self.solve(monkeypatch, memo, coarse, lam2,
+                                           labels2, elab2)
+
+        def block_lam(field, blk):
+            return field[coarse.block_slice(blk)]
+
+        def equal(item, other, field):
+            (blk, load), (oblk, old) = item, other
+            return same_load(load, old) and np.array_equal(
+                block_lam(lam2, blk), block_lam(field, oblk))
+
+        new = [item for item in items
+               if not any(equal(item, old, lam) for old in first)]
+        distinct = [item for k, item in enumerate(new)
+                    if not any(equal(item, other, lam2)
+                               for other in new[:k])]
+        assert counts == (len(distinct), len(items) - len(distinct))
+        assert len(solved) == len(distinct) > 0
+        for load in solved:
+            assert any(load is item[1] for item in distinct)
+        touched = {blk for blk, _load in new}
+        if change == "donor":
+            assert touched == {1, 2}
+            edge = [item for item in items if any(
+                side[0] == "flux" for side in (item[1].bc.right,
+                                               item[1].bc.left))]
+            assert all(any(item is e for e in edge) for item in new)
+        else:  # every load the block carries, no other
+            assert touched == {b}
+            assert len(new) == sum(blk == b for blk, _load in items)
+
+    def test_a_solve_whose_loads_repeat_solves_nothing(self, monkeypatch):
+        coarse, labels, lam, elab = random_mixed_setup(45)
+        memo = StepMemo()
+        first, _solved, _counts = self.solve(monkeypatch, memo, coarse, lam,
+                                             labels, elab)
+        items, solved, counts = self.solve(monkeypatch, memo, coarse,
+                                           lam.copy(), labels.copy(), elab)
+        assert solved == [] and counts == (0, len(items))
+        assert len(items) == len(first) > 0
+
+    def test_shared_results_are_read_only(self):
+        coarse, labels, lam, _elab = random_mixed_setup(46)
+        load = cells.gravity_load(coarse, 0, labels, 0)
+        twin = cells.gravity_load(coarse, 0, labels, 0)
+        memo = StepMemo()
+        got = cells.solve_block_loads(coarse, lam, [(0, load), (0, twin)],
+                                      memo)
+        assert memo.settle() == (1, 1)
+        assert all(a is b for a, b in zip(*got))
+        for a in got[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        # without a memo the call still dedupes its loads
+        again = cells.solve_block_loads(coarse, lam, [(0, load), (0, twin)])
+        assert all(a is b for a, b in zip(*again))
+        assert not any(a.flags.writeable for a in again[0])
 
 
 def random_presence_setup(seed, n=2):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import assemble_stiffness_coo, flow_operator_coo
 from conftest import random_mobility, rng
 from dynmc import fine
 from dynmc.config import get_preset
@@ -298,7 +299,7 @@ class TestManyLoads:
         # a solve and a refinement solve per load
         assert ndims == [1] * (2 * len(loads))
         if memo is not None:  # the order is read through the proxy
-            assert memo.order is not None
+            assert list(memo.orders) == [(grid.nx, grid.ny, ())]
 
     def test_shared_pressure_sides_with_their_own_values(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
@@ -556,8 +557,9 @@ class TestStoredColumnOrder:
             assert np.array_equal(a, b)
 
     def test_a_new_pattern_stores_a_new_order(self, monkeypatch):
-        # the order reads the sparsity pattern only: new pressure sides keep
-        # it, the gauge of a closed box and a wider grid store a new one
+        # the order is keyed by grid shape and pressure sides, which fix the
+        # pattern: new pressure sides, the gauge of a closed box and a wider
+        # grid store a new one, and every key met keeps its order
         grid = FineGrid(10, 6, 2.0, 1.0)
         wider = FineGrid(12, 6, 2.4, 1.0)
         dirichlet = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
@@ -565,23 +567,27 @@ class TestStoredColumnOrder:
         memo = LastSolve()
         calls = self.spy(monkeypatch)
         specs = []
-        for seed, (g, bc) in enumerate((
-                (grid, dirichlet), (grid, dirichlet), (grid, outlet),
-                (grid, FlowBC()), (grid, FlowBC()), (wider, FlowBC()),
-                (wider, FlowBC()), (grid, FlowBC()))):
+        for seed, (g, bc, sides) in enumerate((
+                (grid, dirichlet, ("left", "right")),
+                (grid, dirichlet, ("left", "right")),
+                (grid, outlet, ("right",)), (grid, outlet, ("right",)),
+                (grid, FlowBC(), ()), (grid, FlowBC(), ()),
+                (wider, FlowBC(), ()), (wider, FlowBC(), ()),
+                (grid, FlowBC(), ()))):
             args = (g, random_mobility(g.nx, g.ny, 60 + seed, 1000.0),
                     rng(70 + seed).random((g.nx, g.ny)), bc)
             got = solve_flow(*args, memo=memo)
             specs.append(calls[-1][0])
-            # the store holds one pattern: the last one met
-            _pattern, order = memo.order
-            assert order.shape == (g.n_cells,)
+            stored = memo.orders[(g.nx, g.ny, sides)]
+            assert stored.q.shape == (g.n_cells,)
             for a, b in zip(got, solve_flow(*args)):
                 assert np.array_equal(a, b)
-        # each new pattern is ordered afresh, then reused; the last call
-        # meets the 10x6 closed box again after the wider grid
-        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"] + [
-            "MMD_AT_PLUS_A", "NATURAL"] * 2 + ["MMD_AT_PLUS_A"]
+        # each new key is ordered afresh, then reused; the last call meets
+        # the 10x6 closed box again after the wider grid, and still holds it
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"] * 4 + ["NATURAL"]
+        assert list(memo.orders) == [(10, 6, ("left", "right")),
+                                     (10, 6, ("right",)), (10, 6, ()),
+                                     (12, 6, ())]
 
     def test_run_fine_orders_the_fine_matrix_once(self, monkeypatch):
         grid = FineGrid(16, 8, 2.0, 1.0)
@@ -593,6 +599,120 @@ class TestStoredColumnOrder:
         assert solved == len(calls) > 2
         assert [spec for spec, _lu in calls] == (
             ["MMD_AT_PLUS_A"] + ["NATURAL"] * (solved - 1))
+
+
+# grids and pressure sides of the TPFA matrices the runs factor: the one-cell
+# gauge, a closed box (gravity presets and every block of a mixed cell
+# problem), an outlet (viscous) and a pressure drop along x (interface)
+OPERATORS = {
+    "one-cell": (FineGrid(1, 1, 0.5, 0.5), ()),
+    "closed-box": (FineGrid(7, 5, 1.4, 1.0), ()),
+    "outlet": (FineGrid(9, 6, 3.0, 1.0), ("right",)),
+    "pressure-drop": (FineGrid(9, 6, 3.0, 1.0), ("left", "right")),
+    "block": (FineGrid(24, 36, 2.0, 1.5), ()),
+}
+
+
+def bc_of(sides):
+    """Boundary data with pressure on ``sides`` and no flow elsewhere."""
+    return FlowBC(**{s: ("pressure", float(k)) for k, s in enumerate(sides)})
+
+
+def assert_same_arrays(got, want):
+    """Equal compressed arrays, dtypes included."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+
+
+class TestDirectAssembly:
+    """The five-point CSR build and the factored layout against the COO
+    assembly they replaced."""
+
+    @pytest.mark.parametrize("case", sorted(OPERATORS))
+    def test_stiffness_equals_the_coo_assembly(self, case):
+        grid, _sides = OPERATORS[case]
+        lam = random_mobility(grid.nx, grid.ny, 80, 1000.0)
+        got = fine.assemble_stiffness(grid, lam)
+        assert got.format == "csr"
+        assert_same_arrays(got, assemble_stiffness_coo(grid, lam))
+
+    @pytest.mark.parametrize("case", sorted(OPERATORS))
+    def test_factored_matrices_equal_the_coo_operator(self, monkeypatch,
+                                                      case):
+        # the first call factors A.tocsc(), the second, with the stored
+        # order, A.tocsc()[:, q]; both from the oracle's A arrays
+        grid, sides = OPERATORS[case]
+        calls = []
+        splu = fine.splu
+
+        def recording(A, **kw):
+            calls.append((A, splu(A, **kw)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fine, "splu", recording)
+        memo = LastSolve()
+        lam = random_mobility(grid.nx, grid.ny, 81, 1000.0)
+        lams = [lam, lam * (1.0 + rng(82).random(lam.shape))]
+        for lam in lams:
+            solve_flow(grid, lam, None, bc_of(sides), False, memo=memo)
+        assert len(calls) == 2
+        stored = memo.orders[(grid.nx, grid.ny, sides)]
+        q = np.argsort(calls[0][1].perm_c)
+        assert np.array_equal(stored.q, q)
+        first, second = (flow_operator_coo(grid, lam, sides).tocsc()
+                         for lam in lams)
+        assert_same_arrays(calls[0][0], first)
+        assert_same_arrays(calls[1][0], second[:, q])
+        # the CSR the residuals are taken with
+        csr = stored.csr.matrix(fine.operator_stencil(grid, lams[1], sides))
+        assert_same_arrays(csr, flow_operator_coo(grid, lams[1], sides))
+
+    def test_a_changed_lam_keeps_the_stored_order(self):
+        grid, sides = OPERATORS["outlet"]
+        memo = LastSolve()
+        held = None
+        for k in range(3):
+            lam = random_mobility(grid.nx, grid.ny, 90 + k, 1000.0)
+            solve_flow(grid, lam, None, bc_of(sides), False, memo=memo)
+            assert held is None or memo.orders[(9, 6, sides)] is held
+            held = memo.orders[(9, 6, sides)]
+        assert list(memo.orders) == [(9, 6, sides)]
+
+    def test_a_pivot_tie_is_factored_afresh(self, monkeypatch):
+        # constant lam ties pivots, and natural order on A[:, q] can break
+        # a tie otherwise than a fresh factorization of A: the tie shows in
+        # L, and the matrix is factored again with the full recipe
+        grid = FineGrid(3, 3, 3.0, 3.0)
+        f = np.zeros((3, 3))
+        f[0, 0], f[-1, -1] = 1.0, -1.0
+        first = np.full((3, 3), 3.0)
+        second = first.copy()
+        second[0, 2] = 30.0
+        specs = []
+        splu = fine.splu
+
+        def recording(A, **kw):
+            specs.append(kw["permc_spec"])
+            return splu(A, **kw)
+
+        monkeypatch.setattr(fine, "splu", recording)
+        memo = LastSolve()
+        solve_flow(grid, first, None, FlowBC(), False, f, memo=memo)
+        got = solve_flow(grid, second, None, FlowBC(), False, f, memo=memo)
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A"]
+        fresh = solve_flow(grid, second, None, FlowBC(), False, f)
+        for a, b in zip(got, fresh):
+            assert a.tobytes() == b.tobytes()
+        # trusting the natural-order factor would have changed the result
+        monkeypatch.setattr(fine, "_same_pivots", lambda lu, q: True)
+        memo = LastSolve()
+        solve_flow(grid, first, None, FlowBC(), False, f, memo=memo)
+        trusted = solve_flow(grid, second, None, FlowBC(), False, f,
+                             memo=memo)
+        assert any(a.tobytes() != b.tobytes()
+                   for a, b in zip(trusted, fresh))
 
 
 class TestCfl:

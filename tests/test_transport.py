@@ -15,9 +15,10 @@ from conftest import rng
 from dynmc import fine
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, InvariantError
-from dynmc.fine import (PARTICLE_CHUNK, ParticleCloud, advance_particles,
-                        advance_upwind, cfl, deposit, interp_velocity,
-                        run_fine, seed_particles, solve_flow, velocity_table)
+from dynmc.fine import (PARTICLE_CHUNK, FlowBC, ParticleCloud,
+                        advance_particles, advance_upwind, cfl, deposit,
+                        interp_velocity, run_fine, seed_particles,
+                        solve_flow, velocity_table)
 from dynmc.grids import FineGrid
 
 
@@ -456,20 +457,28 @@ class TestChunkedKernel:
         assert np.array_equal(out.y, want[1])
         assert np.array_equal(cloud.x, px) and np.array_equal(cloud.y, py)
 
-    def test_step_interpolates_three_times(self, monkeypatch):
-        """Through the module binding the tracer wraps."""
+    def test_step_interpolates_each_slice_three_times(self, monkeypatch):
+        """One pass over the cloud: each slice goes through its three
+        stages, from its start positions, before the next slice, and none
+        through the whole-cloud interp_velocity."""
         calls = []
-        real = fine.interp_velocity
+        real = fine._interp_slice
 
-        def spy(*args):
-            calls.append(args[3].shape)
-            return real(*args)
+        def spy(grid, table, px, py, *rest):
+            calls.append((px.size, np.shares_memory(px, cloud.x)))
+            return real(grid, table, px, py, *rest)
 
-        monkeypatch.setattr(fine, "interp_velocity", spy)
+        def whole(*args):
+            raise AssertionError("interp_velocity called by the step")
+
+        monkeypatch.setattr(fine, "_interp_slice", spy)
+        monkeypatch.setattr(fine, "interp_velocity", whole)
         grid, px, py, vx, vy = chunked_cloud()
         cloud = ParticleCloud(x=px, y=py, val=np.zeros(px.size))
         advance_particles(grid, cloud, vx, vy, 0.05)
-        assert calls == [px.shape] * 3
+        sizes = [PARTICLE_CHUNK] * 3 + [517]
+        assert calls == [(size, stage == 0) for size in sizes
+                         for stage in range(3)]
 
     def test_step_memory_is_bounded(self):
         grid = FineGrid(60, 32, 1.0, 1.0)
@@ -485,6 +494,24 @@ class TestChunkedKernel:
             tracemalloc.stop()
         assert peak <= 10 * 8 * n, f"peak {peak / (8 * n):.1f} x 8N bytes"
 
+
+    def test_step_holds_no_cloud_sized_stage_arrays(self):
+        # the peak grows with the cloud by the new cloud's x and y only:
+        # the stage velocities and work arrays are slice-sized
+        grid = FineGrid(60, 32, 1.0, 1.0)
+        vx, vy = rotation_field(grid)
+        peaks = []
+        for per_cell in (32, 64):
+            cloud = seed_particles(grid, grid.zeros(), per_cell, seed=0)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                advance_particles(grid, cloud, vx, vy, 0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        grown = 32 * grid.n_cells  # particles added
+        assert peaks[1] - peaks[0] <= 2 * 8 * grown * 1.01
 
 class TestRunFine:
     def test_zero_steps_returns_initial_state(self):
@@ -588,3 +615,33 @@ class TestFlowReuse:
         b = run_fine(*self.args, **self.kw, keep=())
         assert len(a.flow_reused) == self.args[-1] + 1
         assert a.flow_reused == b.flow_reused
+
+    def test_cfl_is_measured_once_per_solved_flow(self, monkeypatch):
+        # the upwind step takes the CFL run_fine measured when it solved
+        # the flow: a reused flow is not measured again
+        calls = []
+        real = fine.cfl
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(fine, "cfl", counted)
+        run = run_fine(*self.args, **self.kw, keep=())
+        solved = run.flow_reused.count(False)
+        assert len(calls) == solved < len(run.flow_reused)
+
+    def test_cfl_guard_runs_on_every_step(self):
+        # one flow, solved once and reused: at a CFL of 0.95 every step
+        # still warns
+        grid = FineGrid(8, 4, 2.0, 1.0)
+        bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
+        _p, vx, vy = solve_flow(grid, np.ones((8, 4)), None, bc, False)
+        tau = 0.95 / cfl(grid, vx, vy, 1.0)
+        c0 = rng(43).random((8, 4))
+        with pytest.warns(UserWarning, match="close to the stability") as rec:
+            run = run_fine(grid, lambda c: np.ones((8, 4)), c0, tau, 5,
+                           bc=bc, gravity_on=False)
+        assert run.flow_reused == [False] + [True] * 5
+        assert len(rec) == 5
+        assert run.max_cfl == pytest.approx(0.95)
