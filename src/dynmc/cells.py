@@ -41,10 +41,10 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, LastSolve,
-                   StepMemo, apply_stiffness, assemble_stiffness,
-                   check_residual, content_digest, gravity_volume_source,
-                   load_inputs, operator_key, pressure_diagonal, solve_flow)
+from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, StencilLayout,
+                   StepMemo, apply_stiffness, check_residual, content_digest,
+                   gravity_volume_source, load_inputs, operator_key,
+                   operator_stencil, solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -139,15 +139,16 @@ def piece_kkt(grid_b: FineGrid, lam_b: np.ndarray, labels_b: np.ndarray,
     half transmissibilities of its (left, right) face rows, (2, ny), and
     its :func:`moment_rows` (row, continua).
 
-    A_b is the block's pure-Neumann TPFA stiffness, D_b joins its first and
-    last cell columns to the face unknowns, and C_b holds ``cell_area`` at
-    (row of cell, cell).  K is assembled from the COO triplets of A_b +
-    D_b, C_b^T and C_b; converting them to CSC sorts them into the same
-    arrays ``sparse.bmat`` gives.
+    A_b + D_b is the block's :func:`~dynmc.fine.solve_flow` matrix with
+    pressure data on its left and right sides: D_b joins its first and last
+    cell columns to the face unknowns.  C_b holds ``cell_area`` at (row of
+    cell, cell).  K is assembled from the COO triplets of A_b + D_b, C_b^T
+    and C_b; converting them to CSC sorts them into the same arrays
+    ``sparse.bmat`` gives.
     """
     t = 2.0 * lam_b[[0, -1]] * grid_b.hy / grid_b.hx
-    A = (assemble_stiffness(grid_b, lam_b) + sparse.diags(
-        pressure_diagonal(grid_b, lam_b, ("left", "right")).ravel())).tocoo()
+    A = StencilLayout.of(grid_b.nx, grid_b.ny).matrix(operator_stencil(
+        grid_b, lam_b, ("left", "right"))).tocoo()
     row, continua = moment_rows(labels_b, n)
     nc, m = grid_b.n_cells, continua.size
     cells, vals = np.arange(nc), np.full(nc, grid_b.cell_area)
@@ -484,7 +485,7 @@ def load_key(operator: bytes, load: FlowLoad) -> bytes:
 
 def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
                       memo: StepMemo | None = None,
-                      orders: LastSolve | None = None) -> list:
+                      orders: dict | None = None) -> list:
     """Solve ``[(block, FlowLoad), ...]`` with one factorization per
     distinct block matrix; returns their (p, vx, vy) in the same order.
 
@@ -498,9 +499,9 @@ def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
     matrix on the grid of its first block (the result never depends on the
     grid's origin), a matrix with no new load to none.  Without a memo the
     call dedupes its own loads.  The results are read-only and shared by
-    every load of equal key.  ``orders``, a caller's memo of the calls,
-    orders each block shape and pressure-side set once; without it every
-    matrix is ordered afresh.
+    every load of equal key.  ``orders``, the caller's column orders of
+    :func:`~dynmc.fine.solve_flow`, orders each block shape and
+    pressure-side set once; without it every matrix is ordered afresh.
     """
     memo = StepMemo() if memo is None else memo
     operators: dict[tuple, bytes] = {}  # (block, side kinds) -> key
@@ -519,7 +520,7 @@ def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
     for blk, pending in groups.values():
         solved.update(zip(pending, solve_flow(
             _omega_grid(coarse, [blk]), _block_field(coarse, blk, lam),
-            loads=list(pending.values()), memo=orders)))
+            list(pending.values()), orders=orders)))
     for sol in solved.values():
         for a in sol:
             a.flags.writeable = False

@@ -4,14 +4,14 @@ Cell-centered two-point flux Darcy flow with gravity, donor-cell upwind
 transport, and an optional particle advection scheme with clamped mean
 deposition.  All face arrays follow the staggered layout of
 :mod:`dynmc.grids`.  The TPFA operator (stiffness, gravity source and
-pure-Neumann gauge) and the one SuperLU recipe live here only; its
-matrices are built straight from five-point stencil values into their
-compressed arrays.  The fine flow and the block loads of the mixed cell
-problems are factored here, one triangular solve per load; a caller's memo
-keeps, per grid shape and pressure sides, the column order of the first
-factorization and the layout of the matrix the later ones receive.  The
-Galerkin block pieces of :mod:`dynmc.cells` factor their KKT systems from
-the same stiffness with the same recipe.  Particles read the velocity from
+pure-Neumann gauge) and the one SuperLU recipe live here only.  Its matrices
+are built from five-point stencil values (:func:`operator_stencil`) straight
+into their compressed arrays: in :func:`solve_flow`, the one entry point of
+the fine flow and the mixed block loads, one triangular solve per load, and
+in the KKT systems of the Galerkin block pieces of :mod:`dynmc.cells`.  A
+caller's ``orders`` dict keeps, per grid shape and pressure sides, the
+column order of the first factorization; only the fine run also keeps its
+last result (:class:`LastSolve`).  Particles read the velocity from
 quarter-cell coefficient tables, built once per step, and take all three
 Runge-Kutta stages one cache-sized slice of the cloud at a time.
 """
@@ -37,7 +37,7 @@ SIDES = ("left", "right", "bottom", "top")
 # SuperLU's default COLAMD ordering on these 2-D stencils.  Partial pivoting
 # stays at SuperLU's default: the KKT matrices have a zero (2,2) block, and
 # with diagonal pivots (diag_pivot_thresh=0) the hydrostatic velocity of a
-# contrast-1000 closed box rises above 1e-10.  With a memo (``LastSolve``)
+# contrast-1000 closed box rises above 1e-10.  With a caller's ``orders``
 # the ordering is computed once per grid shape and pressure sides, which fix
 # the sparsity pattern: later matrices of the pattern are factored
 # column-permuted in natural order, with the same pivots, fill and bits and
@@ -122,14 +122,11 @@ class StencilLayout(NamedTuple):
     indices: np.ndarray
 
     @classmethod
-    def of(cls, nx: int, ny: int, gauged: bool = False,
-           diagonal: bool = True) -> "StencilLayout":
+    def of(cls, nx: int, ny: int, gauged: bool = False) -> "StencilLayout":
         """The CSR layout of the slots inside an nx x ny grid; a gauged
-        matrix keeps only the diagonal of row 0, and ``diagonal=False``
-        drops every diagonal slot."""
+        matrix keeps only the diagonal of row 0."""
         here = np.ones((nx, ny, SLOTS), dtype=bool)
         here[0, :, 0] = here[:, 0, 1] = here[:, -1, 3] = here[-1, :, 4] = 0
-        here[:, :, 2] = diagonal
         if gauged:
             here[0, 0] = [0, 0, 1, 0, 0]
         take = np.flatnonzero(here).astype(np.int32)
@@ -166,17 +163,10 @@ class StoredOrder(NamedTuple):
     factored: StencilLayout
 
 
-def assemble_stiffness(grid: FineGrid, lam: np.ndarray) -> sparse.csr_matrix:
-    """Pure-Neumann TPFA stiffness (SPSD, constants in the null space),
-    built straight into CSR; a one-cell grid has no faces and no entry."""
-    layout = StencilLayout.of(grid.nx, grid.ny, diagonal=grid.n_cells > 1)
-    return layout.matrix(_stencil(grid, lam))
-
-
 def apply_stiffness(grid: FineGrid, lam: np.ndarray, u: np.ndarray):
-    """``assemble_stiffness(grid, lam) @ u`` by the face stencil, for a
-    stack u of shape (nx, ny, k), and the row sums of |A| as (nx, ny); A is
-    never assembled."""
+    """A u for the pure-Neumann TPFA stiffness A (SPSD, constants in its
+    null space) by the face stencil, for a stack u of shape (nx, ny, k),
+    and the row sums of |A| as (nx, ny); A is never assembled."""
     tx, ty = transmissibilities(grid, lam)
     out = np.zeros_like(u)
     # face fluxes from the low to the high cell, one axis at a time
@@ -293,21 +283,20 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
 
 @dataclass
 class LastSolve:
-    """Caller-owned memo of :func:`solve_flow`.
+    """The fine run's memo of its last :func:`solve_flow` result.
 
-    ``inputs`` holds copies of everything the last result depends on and
-    ``result`` that result, the list of read-only (p, vx, vy); ``reused``
-    tells whether the latest call returned it without solving.  ``orders``
-    maps each (nx, ny, pressure sides) factored with the full recipe to its
-    :class:`StoredOrder`, which a later matrix of that key reuses: the
-    ordering reads the sparsity pattern only, and the shape and the
-    pressure sides fix it.
+    ``inputs`` holds copies of everything that result depends on and
+    ``result`` the result, the list of read-only (p, vx, vy); ``reused``
+    tells whether the latest call returned it without solving.
     """
 
+    # the inputs are compared byte for byte, not keyed by a content digest:
+    # digesting one 120 x 40 lam took 55-96 us against 3-8 us for the
+    # comparison (two 2-vCPU VMs), 20-35 ms over the 401 fine flow solves
+    # of the benchmark's shortened interface run
     inputs: tuple | None = None
     result: list | None = None
     reused: bool = False
-    orders: dict = field(default_factory=dict)
 
 
 def _pressure_sides(loads) -> set[tuple]:
@@ -409,31 +398,25 @@ def _same_inputs(new: tuple, held: tuple | None) -> bool:
                          for a, b in zip(new[1], held[1]))
 
 
-def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
-               bc: FlowBC | None = None, gravity_on: bool = True,
-               f: np.ndarray | None = None, *,
-               loads: list[FlowLoad] | None = None,
-               memo: LastSolve | None = None):
-    """Solve -div(lam (grad p - c e1)) = f; return (p, vx, vy).
+def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
+               memo: LastSolve | None = None, orders: dict | None = None
+               ) -> list:
+    """Solve -div(lam (grad p - c e1)) = f for each load against one
+    factorization; return the list of their (p, vx, vy).
 
     Face flux density is -lam_face (dp/dn - c_face [x-face]) with harmonic
     lam_face and arithmetic c_face.  Pure-Neumann problems are gauged by
-    pinning cell (0,0) after a compatibility check.
-
-    With ``loads`` the operator is assembled and factorized once and every
-    load is solved against it; the loads must share their pressure sides
-    (the only part of the boundary data in the matrix), and the result is
-    the list of their (p, vx, vy).
+    pinning cell (0,0) after a compatibility check.  The loads must share
+    their pressure sides, the only part of the boundary data in the matrix.
 
     With ``memo`` a call whose inputs equal the memo's, byte for byte,
     returns the stored arrays with no assembly, factorization or solve;
-    otherwise the new result, made read-only, replaces the stored one, and
-    the matrix is factored in the memo's stored order of its shape and
-    pressure sides, which the first such matrix stores.
+    otherwise the new result, made read-only, replaces the stored one.
+    ``orders`` maps each (nx, ny, pressure sides) met to the
+    :class:`StoredOrder` of its first factorization, in which later
+    matrices of that key are factored (the shape and the pressure sides fix
+    the pattern); without it every matrix is ordered afresh.
     """
-    single = loads is None
-    if single:
-        loads = [FlowLoad(c, bc or FlowBC(), gravity_on, f)]
     nx, ny = grid.nx, grid.ny
     if lam.shape != (nx, ny):
         raise ConfigError(f"lam shape {lam.shape} != grid {(nx, ny)}")
@@ -447,7 +430,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         inputs = _flow_inputs(grid, lam, loads)
         memo.reused = _same_inputs(inputs, memo.inputs)
         if memo.reused:
-            return memo.result[0] if single else list(memo.result)
+            return list(memo.result)
     stencil = operator_stencil(grid, lam, pressure)
     rhss = [_load_rhs(grid, lam, load) for load in loads]
     if not pressure:
@@ -460,7 +443,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
             rhs[0] = 0.0  # the gauge
 
     key = (nx, ny, pressure)
-    stored = None if memo is None else memo.orders.get(key)
+    stored = None if orders is None else orders.get(key)
     if stored is not None:
         A, q = stored.csr.matrix(stencil), stored.q
         # A[:, q] in its natural order meets the pivots and fill of a fresh
@@ -474,10 +457,9 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
         layout = StencilLayout.of(nx, ny, gauged=not pressure)
         A, q = layout.matrix(stencil), None
         lu = splu(A.tocsc(), **SPLU_OPTIONS)
-        if memo is not None and key not in memo.orders:
+        if orders is not None and key not in orders:
             order = np.argsort(lu.perm_c).astype(np.int32)
-            memo.orders[key] = StoredOrder(layout, order,
-                                           layout.permuted(order))
+            orders[key] = StoredOrder(layout, order, layout.permuted(order))
     # ||A||_inf from A's data, as abs(A).sum(axis=1) sums it; no row is
     # empty, each holds its diagonal
     norm = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
@@ -502,7 +484,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, c: np.ndarray | None = None,
                 a.flags.writeable = False
         meta, arrays = inputs
         memo.inputs, memo.result = (meta, [a.copy() for a in arrays]), out
-    return out[0] if single else list(out)
+    return list(out)
 
 
 def _same_pivots(lu, q: np.ndarray) -> bool:
@@ -944,12 +926,14 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
     store = [np.empty((kept,) + shape) for shape in
              ((nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny))]
 
-    memo = LastSolve()
+    memo, orders = LastSolve(), {}
     nu = 0.0  # the CFL of the latest flow
 
     def solve(c):
         nonlocal nu
-        p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on, memo=memo)
+        [(p, vx, vy)] = solve_flow(grid, lam_of(c),
+                                   [FlowLoad(c, bc, gravity_on)], memo=memo,
+                                   orders=orders)
         run.flow_reused.append(memo.reused)
         if not memo.reused:  # a reused vx, vy keeps the CFL of its solve
             nu = cfl(grid, vx, vy, tau)

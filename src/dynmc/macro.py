@@ -19,9 +19,8 @@ import numpy as np
 from . import cells
 from .continua import ContinuumSpec, averages, classify, continuum_masses
 from .exceptions import ConfigError, InvariantError, SolverError
-from .fine import (LastSolve, Snapshot, StepMemo, check_residual,
-                   content_digest, harmonic_face_mobility,
-                   transmissibilities)
+from .fine import (Snapshot, StepMemo, check_residual, content_digest,
+                   harmonic_face_mobility, transmissibilities)
 from .grids import CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
@@ -140,7 +139,7 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
                 n: int, edge_labels: np.ndarray, gravity: bool,
                 inflow_labels: np.ndarray | None,
                 loads: StepMemo | None = None,
-                orders: LastSolve | None = None):
+                orders: dict | None = None):
     """Every cell problem of one mixed solve, one factorization per block
     matrix and one solve per distinct block load; ``loads`` and ``orders``
     are the memos of ``cells.solve_block_loads``, which hand on the loads
@@ -214,7 +213,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
                             p_out: float | None = None,
                             inflow_labels: np.ndarray | None = None,
                             loads: StepMemo | None = None,
-                            orders: LastSolve | None = None
+                            orders: dict | None = None
                             ) -> MixedSolution:
     """Edge-basis saddle solve for the multicontinuum velocities.
 
@@ -553,7 +552,7 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
 
 def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
                     labels: np.ndarray, masses: np.ndarray, n: int,
-                    loads: StepMemo, orders: LastSolve):
+                    loads: StepMemo, orders: dict):
     """Mixed coarse flow of one snapshot: returns V, P and the (solved,
     reused) counts of its block loads.  ``loads`` carries the solved block
     loads from solve to solve; settled here, it keeps only this solve's.
@@ -603,9 +602,9 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     C = ref0.C.copy()
     states = []
     # the coarse flow, Galerkin regions and block pieces and the mixed block
-    # loads of the last step, and the column order of the block matrices
+    # loads of the last step, and the column orders of the block matrices
     flows, regions, pieces, loads = (StepMemo() for _ in range(4))
-    orders = LastSolve()
+    orders = {}
     total_removed = 0.0
 
     for k in range(steps + 1):

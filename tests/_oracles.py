@@ -8,8 +8,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from dynmc import cells
-from dynmc.fine import (SPLU_OPTIONS, _reflect, _side_values, advance_upwind,
-                        cfl, check_residual, interp_velocity,
+from dynmc.fine import (SPLU_OPTIONS, FlowLoad, _reflect, _side_values,
+                        advance_upwind, cfl, check_residual, interp_velocity,
                         pressure_diagonal, solve_flow, transmissibilities)
 from dynmc.continua import classify, continuum_masses, ContinuumSpec
 from dynmc.exceptions import InvariantError, SolverError
@@ -99,7 +99,8 @@ class SaddleSolver:
 
 def assemble_stiffness_coo(grid, lam):
     """The pure-Neumann TPFA stiffness from COO triplets, duplicates summed
-    by ``tocsr`` (the assembly ``fine.assemble_stiffness`` replaced)."""
+    by ``tocsr``: the oracle of the five-point stencil build of
+    ``fine.StencilLayout``."""
     tx, ty = transmissibilities(grid, lam)
     nx, ny = grid.nx, grid.ny
     idx = np.arange(nx * ny).reshape(nx, ny)
@@ -144,7 +145,7 @@ def piece_kkt_bmat(grid_b, lam_b, labels_b, n):
     """One block's interior KKT [[A_b + D_b, C_b^T], [C_b, 0]] through
     ``sparse.bmat``, with D_b from the pressure diagonal of its left and
     right sides and C_b stacked from dense moment rows."""
-    A = cells.assemble_stiffness(grid_b, lam_b) + sparse.diags(
+    A = assemble_stiffness_coo(grid_b, lam_b) + sparse.diags(
         pressure_diagonal(grid_b, lam_b, ("left", "right")).ravel())
     dense = [(labels_b == j).ravel() * grid_b.cell_area for j in range(n)
              if (labels_b == j).any()]
@@ -165,7 +166,7 @@ def kkt_bmat(ov, lam_local, labels_local, n):
     """The region KKT matrix [[A, C^T], [C, 0]] through ``sparse.bmat``,
     with C stacked from dense moment rows, one per (block, continuum)
     present; also returns C and its rows as :class:`KKTRow`."""
-    A = cells.assemble_stiffness(ov.grid, lam_local)
+    A = assemble_stiffness_coo(ov.grid, lam_local)
     area = ov.grid.cell_area
     dense, rows = [], []
     for li, reg in enumerate(ov.regions):
@@ -205,7 +206,7 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
     (``kkt="splu"``; unrefined, that solve is up to 5e-12 relative from its
     refined one on the desk interface regions).  The moment rows and
     targets come from ``kkt_bmat``, none from the engine's row index."""
-    A = cells.assemble_stiffness(ov.grid, lam_local)
+    A = assemble_stiffness_coo(ov.grid, lam_local)
     K, C, rows = kkt_bmat(ov, lam_local, labels_local, n)
     if kkt == "splu":
         lu = splu(K, **SPLU_OPTIONS)
@@ -507,7 +508,8 @@ def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,
     """
     c, states, worst = c0.copy(), [], 0.0
     for n in range(steps + 1):
-        p, vx, vy = solve_flow(grid, lam_of(c), c, bc, gravity_on)
+        [(p, vx, vy)] = solve_flow(grid, lam_of(c),
+                                   [FlowLoad(c, bc, gravity_on)])
         worst = max(worst, cfl(grid, vx, vy, tau))
         states.append((p, vx, vy, c))
         if n < steps:

@@ -18,7 +18,8 @@ from dynmc.continua import (ContinuumSpec, advect_labels, averages, classify,
                             continuum_masses, indicator, label_agreement,
                             single_continuum)
 from dynmc.experiment import run_experiment
-from dynmc.fine import advance_upwind, divergence, run_fine, solve_flow
+from dynmc.fine import (FlowLoad, advance_upwind, divergence, run_fine,
+                        solve_flow)
 from dynmc.grids import CoarseGrid, FineGrid
 from dynmc.macro import (CoarseModel, run_coarse, solve_coarse_flow_mixed,
                          step_macro_concentration)
@@ -63,7 +64,7 @@ def test_criterion_01_hydrostatic_exactness(capsys):
     grid = FineGrid(24, 12, 3.0, 1.5)
     lam = np.where(rng(0).random((24, 12)) < 0.5, 1000.0, 1.0)
     c = np.full((24, 12), 0.7)
-    _p, vx, vy = solve_flow(grid, lam, c, gravity_on=True)
+    [(_p, vx, vy)] = solve_flow(grid, lam, [FlowLoad(c)])
     vmax = max(np.abs(vx).max(), np.abs(vy).max())
 
     coarse = CoarseGrid(grid, 4)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, SuperLU
 
-from _oracles import (SaddleSolver, dense_kkt_solve, elliptic_oracle,
-                      kkt_bmat, moment_residuals, piece_kkt_bmat,
+from _oracles import (SaddleSolver, assemble_stiffness_coo,
+                      dense_kkt_solve, elliptic_oracle, kkt_bmat,
+                      moment_residuals, piece_kkt_bmat,
                       random_partition_region)
 from conftest import rng
 from dynmc import cells, fine, macro
@@ -124,7 +125,7 @@ class TestSaddleSolver:
 
     def test_matches_dense_oracle_directly(self):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
-        A = cells.assemble_stiffness(ov.grid, lam)
+        A = assemble_stiffness_coo(ov.grid, lam)
         _K, C, rows = kkt_bmat(ov, lam, labels, n)
         solver = SaddleSolver(A, C)
         b = rng(10).standard_normal(ov.grid.n_cells)
@@ -140,7 +141,7 @@ class TestSaddleSolver:
         # high-contrast three-continuum region
         ov, lam, labels, n = random_partition_region(12, 12, 3, 4, 1000.0,
                                                      TRIPLE)
-        A = cells.assemble_stiffness(ov.grid, lam)
+        A = assemble_stiffness_coo(ov.grid, lam)
         _K, C, rows = kkt_bmat(ov, lam, labels, n)
         solver = SaddleSolver(A, C)
         assert isinstance(solver._lu, SuperLU)
@@ -157,7 +158,7 @@ class TestSaddleSolver:
     @pytest.mark.parametrize("shift_primal", [False, True])
     def test_large_kkt_residual_rejected(self, monkeypatch, shift_primal):
         ov, lam, labels, n = random_partition_region(8, 8, 2, 9, 10.0, DUAL)
-        A = cells.assemble_stiffness(ov.grid, lam)
+        A = assemble_stiffness_coo(ov.grid, lam)
         _K, C, rows = kkt_bmat(ov, lam, labels, n)
         engine = cells.build_region_engine(ov, lam, labels, n)
         solver = SaddleSolver(A, C)
@@ -228,7 +229,7 @@ class TestSaddleSolver:
 
     def test_empty_constraints_rejected(self):
         ov, lam, labels = single_continuum_region()
-        A = cells.assemble_stiffness(ov.grid, lam)
+        A = assemble_stiffness_coo(ov.grid, lam)
         with pytest.raises(SolverError):
             SaddleSolver(A, A[:0, :])
 
@@ -248,7 +249,7 @@ class TestSaddleSolver:
                                                          contrast, thr)
         K_want, C_want, rows_want = kkt_bmat(ov, lam, labels, n)
         engine = cells.build_region_engine(ov, lam, labels, n)
-        K = SaddleSolver(cells.assemble_stiffness(ov.grid, lam), engine.C)._K
+        K = SaddleSolver(assemble_stiffness_coo(ov.grid, lam), engine.C)._K
         # each row's block, continuum and mass, in the oracle's row order
         blocks = np.repeat(np.arange(len(ov.regions)), np.diff(engine.starts))
         assert blocks.tolist() == [r.region for r in rows_want]

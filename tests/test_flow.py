@@ -13,6 +13,13 @@ from dynmc.fine import (FlowBC, FlowLoad, LastSolve, StepMemo, cfl,
 from dynmc.grids import FineGrid
 
 
+def solve_one(grid, lam, c, bc=FlowBC(), gravity_on=True, f=None, **memos):
+    """The (p, vx, vy) of one load: :func:`solve_flow` of a one-load
+    list, with its ``memo`` and ``orders``."""
+    [out] = solve_flow(grid, lam, [FlowLoad(c, bc, gravity_on, f)], **memos)
+    return out
+
+
 def dense_tpfa(grid, lam, sides, f=None):
     """Independent scalar-loop assembly and dense solve of the TPFA system.
 
@@ -67,7 +74,7 @@ class TestStencil:
         grid = FineGrid(9, 7, 2.25, 1.4)
         lam = random_mobility(9, 7, 51, 1000.0)
         u = rng(52).standard_normal((9, 7, 3))
-        A = fine.assemble_stiffness(grid, lam)
+        A = assemble_stiffness_coo(grid, lam)
         Au, rowsum = fine.apply_stiffness(grid, lam, u)
         want = A @ u.reshape(63, 3)
         assert np.abs(Au.reshape(63, 3) - want).max() <= 1e-13 * np.abs(
@@ -91,14 +98,14 @@ class TestHydrostatic:
         grid = FineGrid(12, 10, 3.0, 1.0)
         lam = random_mobility(12, 10, seed, contrast)
         c = np.full((12, 10), 0.7)
-        p, vx, vy = solve_flow(grid, lam, c, FlowBC(), gravity_on=True)
+        p, vx, vy = solve_one(grid, lam, c, FlowBC(), gravity_on=True)
         assert max(np.abs(vx).max(), np.abs(vy).max()) <= 1e-10 * 0.7 * grid.L1
 
     def test_pressure_matches_c_times_x(self):
         grid = FineGrid(10, 4, 2.0, 1.0)
         lam = np.ones((10, 4))
         c = np.full((10, 4), 0.7)
-        p, _vx, _vy = solve_flow(grid, lam, c, FlowBC(), gravity_on=True)
+        p, _vx, _vy = solve_one(grid, lam, c, FlowBC(), gravity_on=True)
         expect = 0.7 * grid.xc()[:, None]
         assert np.allclose(p - p[0, 0], expect - expect[0, 0], atol=1e-10)
 
@@ -108,8 +115,8 @@ class TestDenseOracle:
         grid = FineGrid(4, 4, 1.0, 1.0)
         lam = np.where((np.indices((4, 4)).sum(axis=0) % 2) == 0, 5.0, 0.2)
         bc = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
-        p, _vx, _vy = solve_flow(grid, lam, np.zeros((4, 4)), bc,
-                                 gravity_on=False)
+        p, _vx, _vy = solve_one(grid, lam, np.zeros((4, 4)), bc,
+                                gravity_on=False)
         expect = dense_tpfa(grid, lam, {"left": ("pressure", 1.0),
                                         "right": ("pressure", 0.0)})
         assert np.allclose(p, expect, atol=1e-12)
@@ -119,8 +126,8 @@ class TestDenseOracle:
         lam = random_mobility(7, 5, 12, 1000.0)
         f = rng(13).standard_normal((7, 5))
         f -= f.mean()  # compatible with the closed box
-        p, _vx, _vy = solve_flow(grid, lam, np.zeros((7, 5)), FlowBC(),
-                                 gravity_on=False, f=f)
+        p, _vx, _vy = solve_one(grid, lam, np.zeros((7, 5)), FlowBC(),
+                                gravity_on=False, f=f)
         expect = dense_tpfa(grid, lam, {}, f=f)
         assert np.abs(p - expect).max() <= 1e-10 * np.abs(expect).max()
 
@@ -129,8 +136,8 @@ class TestDenseOracle:
         lam = random_mobility(8, 4, 14, 1000.0)
         # unit inflow on the left, unit outflow on the right: no net source
         sides = {"left": ("flux", -1.0), "right": ("flux", 1.0)}
-        p, vx, _vy = solve_flow(grid, lam, np.zeros((8, 4)), FlowBC(**sides),
-                                gravity_on=False)
+        p, vx, _vy = solve_one(grid, lam, np.zeros((8, 4)), FlowBC(**sides),
+                               gravity_on=False)
         expect = dense_tpfa(grid, lam, sides)
         assert np.abs(p - expect).max() <= 1e-10 * np.abs(expect).max()
         assert np.allclose(vx[0, :], 1.0) and np.allclose(vx[-1, :], 1.0)
@@ -138,8 +145,8 @@ class TestDenseOracle:
 
     def test_one_cell_closed_box_is_pinned(self):
         grid = FineGrid(1, 1, 1.0, 1.0)
-        p, vx, vy = solve_flow(grid, np.full((1, 1), 2.0), np.full((1, 1), 0.5),
-                               FlowBC(), gravity_on=True)
+        p, vx, vy = solve_one(grid, np.full((1, 1), 2.0), np.full((1, 1), 0.5),
+                              FlowBC(), gravity_on=True)
         assert p[0, 0] == 0.0
         assert not vx.any() and not vy.any()
 
@@ -150,16 +157,16 @@ class TestConservation:
         lam = random_mobility(9, 7, 3, 10.0)
         f = rng(4).standard_normal((9, 7))
         f -= f.mean()  # compatible with no-flow
-        p, vx, vy = solve_flow(grid, lam, np.zeros((9, 7)), FlowBC(),
-                               gravity_on=False, f=f)
+        p, vx, vy = solve_one(grid, lam, np.zeros((9, 7)), FlowBC(),
+                              gravity_on=False, f=f)
         assert np.abs(divergence(grid, vx, vy) - f * grid.cell_area).max() < 1e-9
 
     def test_inflow_equals_outflow_contrast(self):
         grid = FineGrid(16, 8, 4.0, 2.0)
         lam = np.where(rng(5).random((16, 8)) < 0.4, 1000.0, 1.0)
         bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
-        _p, vx, vy = solve_flow(grid, lam, np.zeros((16, 8)), bc,
-                                gravity_on=False)
+        _p, vx, vy = solve_one(grid, lam, np.zeros((16, 8)), bc,
+                               gravity_on=False)
         inflow = vx[0, :].sum() * grid.hy
         outflow = vx[-1, :].sum() * grid.hy
         assert inflow == pytest.approx(grid.L2, rel=1e-12)
@@ -169,8 +176,8 @@ class TestConservation:
     def test_noflow_boundary_faces_carry_zero(self):
         grid = FineGrid(8, 6, 1.0, 1.0)
         c = rng(6).random((8, 6))
-        _p, vx, vy = solve_flow(grid, np.ones((8, 6)), c, FlowBC(),
-                                gravity_on=True)
+        _p, vx, vy = solve_one(grid, np.ones((8, 6)), c, FlowBC(),
+                               gravity_on=True)
         assert np.abs(vx[0, :]).max() == 0.0
         assert np.abs(vx[-1, :]).max() == 0.0
         assert np.abs(vy[:, 0]).max() == 0.0
@@ -189,7 +196,7 @@ class TestConservation:
         bc = FlowBC(left=("pressure", r.standard_normal(5)),
                     right=("pressure", r.standard_normal(5)),
                     bottom=(y_kind, bottom), top=(y_kind, top))
-        p, vx, vy = solve_flow(grid, lam, c, bc, gravity_on=True)
+        p, vx, vy = solve_one(grid, lam, c, bc, gravity_on=True)
         scale = max(np.abs(vx).max(), np.abs(vy).max()) * grid.hx
         assert np.abs(divergence(grid, vx, vy)).max() <= 1e-12 * scale
         if y_kind == "flux":  # outward densities
@@ -206,7 +213,7 @@ class TestErrors:
         lam = np.ones((4, 4))
         lam[1, 1] = 0.0
         with pytest.raises(ConfigError, match="positive"):
-            solve_flow(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
+            solve_one(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_mobility_not_finite_rejected(self, bad):
@@ -215,21 +222,21 @@ class TestErrors:
         lam = np.ones((4, 4))
         lam[2, 1] = bad
         with pytest.raises(ConfigError, match="finite and positive"):
-            solve_flow(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
+            solve_one(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
 
     def test_incompatible_pure_neumann_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
         f = np.ones((4, 4))  # net source with no outlet
         with pytest.raises(SolverError, match="incompatible"):
-            solve_flow(grid, np.ones((4, 4)), np.zeros((4, 4)), FlowBC(),
-                       gravity_on=False, f=f)
+            solve_one(grid, np.ones((4, 4)), np.zeros((4, 4)), FlowBC(),
+                      gravity_on=False, f=f)
 
     def test_bad_boundary_value_shape_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
         bc = FlowBC(left=("flux", np.ones(3)), right=("pressure", 0.0))
         with pytest.raises(ConfigError):
-            solve_flow(grid, np.ones((4, 4)), np.zeros((4, 4)), bc,
-                       gravity_on=False)
+            solve_one(grid, np.ones((4, 4)), np.zeros((4, 4)), bc,
+                      gravity_on=False)
 
 
 class TestManyLoads:
@@ -257,10 +264,10 @@ class TestManyLoads:
 
     def test_matches_one_load_calls_bit_for_bit(self):
         grid, lam, loads = self.block_loads()
-        many = solve_flow(grid, lam, loads=loads)
+        many = solve_flow(grid, lam, loads)
         assert len(many) == len(loads)
         for load, got in zip(loads, many):
-            one = solve_flow(grid, lam, *load)
+            [one] = solve_flow(grid, lam, [load])
             for a, b in zip(got, one):
                 assert np.array_equal(a, b)
 
@@ -271,9 +278,9 @@ class TestManyLoads:
         which the bit-for-bit comparison above cannot see on every CPU."""
         grid, lam, loads = self.block_loads()
         stored_order = memo == "stored-order"
-        memo = None if memo == "none" else LastSolve()
+        orders = None if memo == "none" else {}
         if stored_order:
-            solve_flow(grid, lam, loads=loads, memo=memo)
+            solve_flow(grid, lam, loads, orders=orders)
             lam = 2.0 * lam  # same pattern, new matrix: the stored order
         ndims, options = [], []
         splu = fine.splu
@@ -294,12 +301,12 @@ class TestManyLoads:
             return Factor(splu(A, **kwargs))
 
         monkeypatch.setattr(fine, "splu", spy)
-        solve_flow(grid, lam, loads=loads, memo=memo)
+        solve_flow(grid, lam, loads, orders=orders)
         assert options == ["NATURAL" if stored_order else "MMD_AT_PLUS_A"]
         # a solve and a refinement solve per load
         assert ndims == [1] * (2 * len(loads))
-        if memo is not None:  # the order is read through the proxy
-            assert list(memo.orders) == [(grid.nx, grid.ny, ())]
+        if orders is not None:  # the order is read through the proxy
+            assert list(orders) == [(grid.nx, grid.ny, ())]
 
     def test_shared_pressure_sides_with_their_own_values(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
@@ -310,8 +317,8 @@ class TestManyLoads:
                  FlowLoad(c, FlowBC(left=("pressure", 0.0),
                                     right=("pressure", rng(25).random(4)),
                                     top=("flux", 0.5)), False)]
-        for load, got in zip(loads, solve_flow(grid, lam, loads=loads)):
-            for a, b in zip(got, solve_flow(grid, lam, *load)):
+        for load, got in zip(loads, solve_flow(grid, lam, loads)):
+            for a, b in zip(got, solve_flow(grid, lam, [load])[0]):
                 assert np.array_equal(a, b)
 
     def test_different_pressure_sides_rejected(self):
@@ -319,13 +326,13 @@ class TestManyLoads:
         loads = [FlowLoad(None, FlowBC(left=("pressure", 1.0)), False),
                  FlowLoad(None, FlowBC(right=("pressure", 1.0)), False)]
         with pytest.raises(ConfigError, match="pressure sides"):
-            solve_flow(grid, np.ones((4, 4)), loads=loads)
+            solve_flow(grid, np.ones((4, 4)), loads)
 
     def test_one_incompatible_load_rejected(self):
         grid, lam, loads = self.block_loads()
         bad = FlowLoad(None, FlowBC(), False, np.ones((grid.nx, grid.ny)))
         with pytest.raises(SolverError, match="incompatible"):
-            solve_flow(grid, lam, loads=loads + [bad])
+            solve_flow(grid, lam, loads + [bad])
 
 
 def test_large_flow_residual_rejected(monkeypatch):
@@ -334,11 +341,11 @@ def test_large_flow_residual_rejected(monkeypatch):
     lam = random_mobility(8, 6, 26, 1000.0)
     c = rng(27).random((8, 6))
     bc = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
-    solve_flow(grid, lam, c, bc)
+    solve_one(grid, lam, c, bc)
     splu = fine.splu
     monkeypatch.setattr(fine, "splu", lambda A, **kw: splu(2.0 * A, **kw))
     with pytest.raises(SolverError, match="flow residual"):
-        solve_flow(grid, lam, c, bc)
+        solve_one(grid, lam, c, bc)
 
 
 def test_tpfa_factor_fill_stays_small(monkeypatch):
@@ -358,7 +365,7 @@ def test_tpfa_factor_fill_stays_small(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(fine, "splu", spy)
-    solve_flow(grid, lam, None, bc, gravity_on=False)
+    solve_one(grid, lam, None, bc, gravity_on=False)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 160_000
 
@@ -386,9 +393,9 @@ class TestLastSolve:
 
     def solve(self, memo, lam=None, c=None, bc=None, gravity_on=True,
               f=None):
-        return solve_flow(self.grid, self.lam if lam is None else lam,
-                          self.c if c is None else c, bc or self.bc,
-                          gravity_on, self.f if f is None else f, memo=memo)
+        return solve_one(self.grid, self.lam if lam is None else lam,
+                         self.c if c is None else c, bc or self.bc,
+                         gravity_on, self.f if f is None else f, memo=memo)
 
     def test_hit_is_bit_identical_and_factors_nothing(self, monkeypatch):
         memo = LastSolve()
@@ -397,8 +404,8 @@ class TestLastSolve:
         calls = self.spy(monkeypatch)
         hit = self.solve(memo, c=self.c.copy())
         assert memo.reused and calls == []
-        fresh = solve_flow(self.grid, self.lam, self.c, self.bc, True,
-                           self.f)
+        fresh = solve_one(self.grid, self.lam, self.c, self.bc, True,
+                          self.f)
         for a, b in zip(hit, fresh):
             assert (a == b).all()
 
@@ -538,19 +545,19 @@ class TestStoredColumnOrder:
         # gauged closed boxes, flux plus pressure, Dirichlet-x, a block
         grid, lam, c, bc, gravity, f = (block_flow() if problem == "block"
                                         else preset_flow(problem))
-        memo = LastSolve()
+        orders = {}
         calls = self.spy(monkeypatch)
-        solve_flow(grid, lam, c, bc, gravity, f, memo=memo)
+        solve_one(grid, lam, c, bc, gravity, f, orders=orders)
         # new values on the same pattern: lam changes, and c too if read
         lam2 = lam * (1.0 + rng(52).random(lam.shape))
         c2 = None if c is None else np.roll(c, 5, axis=0)
-        got = solve_flow(grid, lam2, c2, bc, gravity, f, memo=memo)
+        got = solve_one(grid, lam2, c2, bc, gravity, f, orders=orders)
         assert [spec for spec, _lu in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
         n = grid.n_cells
         assert np.array_equal(calls[1][1].perm_c, np.arange(n))
         assert calls[1][1].L.nnz == calls[0][1].L.nnz
         assert calls[1][1].U.nnz == calls[0][1].U.nnz
-        fresh = solve_flow(grid, lam2, c2, bc, gravity, f)
+        fresh = solve_one(grid, lam2, c2, bc, gravity, f)
         assert calls[2][0] == "MMD_AT_PLUS_A"
         assert not np.array_equal(calls[2][1].perm_c, np.arange(n))
         for a, b in zip(got, fresh):
@@ -564,7 +571,7 @@ class TestStoredColumnOrder:
         wider = FineGrid(12, 6, 2.4, 1.0)
         dirichlet = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
         outlet = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
-        memo = LastSolve()
+        orders = {}
         calls = self.spy(monkeypatch)
         specs = []
         for seed, (g, bc, sides) in enumerate((
@@ -576,16 +583,16 @@ class TestStoredColumnOrder:
                 (grid, FlowBC(), ()))):
             args = (g, random_mobility(g.nx, g.ny, 60 + seed, 1000.0),
                     rng(70 + seed).random((g.nx, g.ny)), bc)
-            got = solve_flow(*args, memo=memo)
+            got = solve_one(*args, orders=orders)
             specs.append(calls[-1][0])
-            stored = memo.orders[(g.nx, g.ny, sides)]
+            stored = orders[(g.nx, g.ny, sides)]
             assert stored.q.shape == (g.n_cells,)
-            for a, b in zip(got, solve_flow(*args)):
+            for a, b in zip(got, solve_one(*args)):
                 assert np.array_equal(a, b)
         # each new key is ordered afresh, then reused; the last call meets
         # the 10x6 closed box again after the wider grid, and still holds it
         assert specs == ["MMD_AT_PLUS_A", "NATURAL"] * 4 + ["NATURAL"]
-        assert list(memo.orders) == [(10, 6, ("left", "right")),
+        assert list(orders) == [(10, 6, ("left", "right")),
                                      (10, 6, ("right",)), (10, 6, ()),
                                      (12, 6, ())]
 
@@ -632,11 +639,15 @@ class TestDirectAssembly:
 
     @pytest.mark.parametrize("case", sorted(OPERATORS))
     def test_stiffness_equals_the_coo_assembly(self, case):
+        # the stiffness plus the pressure diagonal of the left and right
+        # sides, as a Galerkin block piece builds it
         grid, _sides = OPERATORS[case]
         lam = random_mobility(grid.nx, grid.ny, 80, 1000.0)
-        got = fine.assemble_stiffness(grid, lam)
+        sides = ("left", "right")
+        got = fine.StencilLayout.of(grid.nx, grid.ny).matrix(
+            fine.operator_stencil(grid, lam, sides))
         assert got.format == "csr"
-        assert_same_arrays(got, assemble_stiffness_coo(grid, lam))
+        assert_same_arrays(got, flow_operator_coo(grid, lam, sides))
 
     @pytest.mark.parametrize("case", sorted(OPERATORS))
     def test_factored_matrices_equal_the_coo_operator(self, monkeypatch,
@@ -652,13 +663,13 @@ class TestDirectAssembly:
             return calls[-1][1]
 
         monkeypatch.setattr(fine, "splu", recording)
-        memo = LastSolve()
+        orders = {}
         lam = random_mobility(grid.nx, grid.ny, 81, 1000.0)
         lams = [lam, lam * (1.0 + rng(82).random(lam.shape))]
         for lam in lams:
-            solve_flow(grid, lam, None, bc_of(sides), False, memo=memo)
+            solve_one(grid, lam, None, bc_of(sides), False, orders=orders)
         assert len(calls) == 2
-        stored = memo.orders[(grid.nx, grid.ny, sides)]
+        stored = orders[(grid.nx, grid.ny, sides)]
         q = np.argsort(calls[0][1].perm_c)
         assert np.array_equal(stored.q, q)
         first, second = (flow_operator_coo(grid, lam, sides).tocsc()
@@ -671,14 +682,14 @@ class TestDirectAssembly:
 
     def test_a_changed_lam_keeps_the_stored_order(self):
         grid, sides = OPERATORS["outlet"]
-        memo = LastSolve()
+        orders = {}
         held = None
         for k in range(3):
             lam = random_mobility(grid.nx, grid.ny, 90 + k, 1000.0)
-            solve_flow(grid, lam, None, bc_of(sides), False, memo=memo)
-            assert held is None or memo.orders[(9, 6, sides)] is held
-            held = memo.orders[(9, 6, sides)]
-        assert list(memo.orders) == [(9, 6, sides)]
+            solve_one(grid, lam, None, bc_of(sides), False, orders=orders)
+            assert held is None or orders[(9, 6, sides)] is held
+            held = orders[(9, 6, sides)]
+        assert list(orders) == [(9, 6, sides)]
 
     def test_a_pivot_tie_is_factored_afresh(self, monkeypatch):
         # constant lam ties pivots, and natural order on A[:, q] can break
@@ -698,19 +709,19 @@ class TestDirectAssembly:
             return splu(A, **kw)
 
         monkeypatch.setattr(fine, "splu", recording)
-        memo = LastSolve()
-        solve_flow(grid, first, None, FlowBC(), False, f, memo=memo)
-        got = solve_flow(grid, second, None, FlowBC(), False, f, memo=memo)
+        orders = {}
+        solve_one(grid, first, None, FlowBC(), False, f, orders=orders)
+        got = solve_one(grid, second, None, FlowBC(), False, f, orders=orders)
         assert specs == ["MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A"]
-        fresh = solve_flow(grid, second, None, FlowBC(), False, f)
+        fresh = solve_one(grid, second, None, FlowBC(), False, f)
         for a, b in zip(got, fresh):
             assert a.tobytes() == b.tobytes()
         # trusting the natural-order factor would have changed the result
         monkeypatch.setattr(fine, "_same_pivots", lambda lu, q: True)
-        memo = LastSolve()
-        solve_flow(grid, first, None, FlowBC(), False, f, memo=memo)
-        trusted = solve_flow(grid, second, None, FlowBC(), False, f,
-                             memo=memo)
+        orders = {}
+        solve_one(grid, first, None, FlowBC(), False, f, orders=orders)
+        trusted = solve_one(grid, second, None, FlowBC(), False, f,
+                            orders=orders)
         assert any(a.tobytes() != b.tobytes()
                    for a, b in zip(trusted, fresh))
 

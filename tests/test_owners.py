@@ -2,12 +2,16 @@
 source: ``macro`` cuts every Galerkin region and holds the region recipe
 (``FLOW_REFINE``, ``LAYERS``, ``EXTENSION_RULE``) and the boundary data
 (``G_IN``, ``P_IN``, ``P_OUT``); ``CoarseModel`` carries only what differs
-from run to run.
+from run to run.  The TPFA operator has one way in: one ``solve_flow``
+signature, one stencil build for it and the Galerkin block pieces, and a
+result memo that only the fine run keeps.
 """
 
 import ast
 import dataclasses
+import inspect
 
+from dynmc.fine import LastSolve, solve_flow
 from dynmc.macro import CoarseModel
 from test_solve_paths import SRC, callers, parse
 
@@ -63,3 +67,33 @@ def test_the_region_recipe_and_boundary_data_live_in_macro():
     assert {m: r for m, r in readers.items() if r} == {}
     assert [m for m in modules()
             if assigned(parse(m)) & (RECIPE | BOUNDARY)] == ["macro"]
+
+
+def sites(name: str) -> dict:
+    """{module: enclosing functions} of every call of ``name`` in ``src``."""
+    found = {m: callers(parse(m), name) for m in modules()}
+    return {m: s for m, s in found.items() if s}
+
+
+def test_the_tpfa_operator_has_one_way_in():
+    params = inspect.signature(solve_flow).parameters
+    assert [(p.name, p.kind.name) for p in params.values()] == [
+        ("grid", "POSITIONAL_OR_KEYWORD"), ("lam", "POSITIONAL_OR_KEYWORD"),
+        ("loads", "POSITIONAL_OR_KEYWORD"), ("memo", "KEYWORD_ONLY"),
+        ("orders", "KEYWORD_ONLY")]
+    # the fine flow and the block pieces build their matrix from one stencil
+    assert sites("operator_stencil") == {"fine": ["solve_flow"],
+                                         "cells": ["piece_kkt"]}
+    assert "diags" not in names(parse("cells"))
+    assert [m for m in modules()
+            if "assemble_stiffness" in names(parse(m))] == []
+
+
+def test_only_the_fine_run_keeps_a_flow_result():
+    # a block group never repeats its inputs: the block loads memo has
+    # removed every repeat, so the block solves take only column orders
+    assert [f.name for f in dataclasses.fields(LastSolve)] == [
+        "inputs", "result", "reused"]
+    assert sites("LastSolve") == {"fine": ["run_fine"]}
+    assert [m for m in modules() if "LastSolve" in names(parse(m))] == [
+        "fine"]

@@ -15,7 +15,7 @@ from conftest import rng
 from dynmc import fine
 from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, InvariantError
-from dynmc.fine import (PARTICLE_CHUNK, FlowBC, ParticleCloud,
+from dynmc.fine import (PARTICLE_CHUNK, FlowBC, FlowLoad, ParticleCloud,
                         advance_particles, advance_upwind, cfl, deposit,
                         interp_velocity, run_fine, seed_particles,
                         solve_flow, velocity_table)
@@ -539,7 +539,7 @@ class TestRunFine:
         assert [s.step for s in run.snapshots] == [0, 3, 6, 7]
         c, states = c0.copy(), {}
         for n in range(8):
-            p, vx, vy = solve_flow(grid, lam_of(c), c)
+            [(p, vx, vy)] = solve_flow(grid, lam_of(c), [FlowLoad(c)])
             states[n] = (p, vx, vy, c)
             c = advance_upwind(grid, c, vx, vy, 0.005)
         for s in run.snapshots:
@@ -559,7 +559,7 @@ class TestRunFine:
         assert (run.c0 == c0).all()
         c, worst = c0.copy(), 0.0
         for n in range(8):
-            p, vx, vy = solve_flow(grid, lam_of(c), c)
+            [(p, vx, vy)] = solve_flow(grid, lam_of(c), [FlowLoad(c)])
             worst = max(worst, cfl(grid, vx, vy, 0.005))
             c = advance_upwind(grid, c, vx, vy, 0.005)
         assert worst > 0.0 and run.max_cfl == worst
@@ -636,7 +636,8 @@ class TestFlowReuse:
         # still warns
         grid = FineGrid(8, 4, 2.0, 1.0)
         bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
-        _p, vx, vy = solve_flow(grid, np.ones((8, 4)), None, bc, False)
+        [(_p, vx, vy)] = solve_flow(grid, np.ones((8, 4)),
+                                    [FlowLoad(None, bc, False)])
         tau = 0.95 / cfl(grid, vx, vy, 1.0)
         c0 = rng(43).random((8, 4))
         with pytest.warns(UserWarning, match="close to the stability") as rec:
