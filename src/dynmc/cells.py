@@ -563,7 +563,7 @@ def edge_flux_loads(coarse: CoarseGrid, edge: int, labels: np.ndarray,
         else:
             sources[blk] = theta = sgn * S / mass
             f = theta * psi_b
-        loads.append((blk, FlowLoad(None, bc, False, f)))
+        loads.append((blk, FlowLoad(None, bc, f=f)))
     return S, sources, loads
 
 
@@ -572,7 +572,7 @@ def gravity_load(coarse: CoarseGrid, block: int, labels: np.ndarray,
     """Load of the recirculation driven by psi_i e1 in one block, or None
     when the continuum is absent from it."""
     psi = indicator(_block_field(coarse, block, labels), continuum)
-    return FlowLoad(psi, FlowBC(), True) if psi.any() else None
+    return FlowLoad(psi) if psi.any() else None
 
 
 def interface_load(coarse: CoarseGrid, block: int, labels: np.ndarray):
@@ -585,7 +585,7 @@ def interface_load(coarse: CoarseGrid, block: int, labels: np.ndarray):
     if m1 == 0 or m2 == 0:
         return None
     theta = m1 / m2
-    return theta, FlowLoad(None, FlowBC(), False, psi1 - theta * psi2)
+    return theta, FlowLoad(None, f=psi1 - theta * psi2)
 
 
 def solve_edge_flux_basis(coarse: CoarseGrid, edge: int,

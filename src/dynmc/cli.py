@@ -39,7 +39,7 @@ def _load_config(args) -> ExperimentConfig:
     elif args.config:
         try:
             with open(args.config) as fh:
-                cfg = from_ini(fh.read())
+                cfg = from_ini(fh.read(), source=args.config)
         except OSError as exc:
             raise ConfigError(
                 f"cannot read {args.config!r}: {exc.strerror}") from None

@@ -13,7 +13,7 @@ import numpy as np
 from . import ic as icmod
 from .continua import ContinuumSpec, classify_values
 from .exceptions import ConfigError
-from .fine import PARTICLES_PER_CELL, FlowBC
+from .fine import FlowBC
 from .grids import EXTENSION_KINDS, CoarseGrid, DomainLayout, build_layout
 from .macro import FLOW_REFINE, G_IN, P_IN, P_OUT, galerkin_flow
 
@@ -134,11 +134,6 @@ class ExperimentConfig:
     def flow_refine(self) -> int:
         """Galerkin flow blocks per coarse block, ``macro.FLOW_REFINE``."""
         return FLOW_REFINE
-
-    @property
-    def particles_per_cell(self) -> int:
-        """The seeding of a particle run, ``fine.PARTICLES_PER_CELL``."""
-        return PARTICLES_PER_CELL
 
     @property
     def gravity(self) -> bool:
@@ -286,11 +281,17 @@ def to_ini(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def from_ini(text: str, base: ExperimentConfig | None = None
-             ) -> ExperimentConfig:
+def from_ini(text: str, base: ExperimentConfig | None = None,
+             source: str = "<string>") -> ExperimentConfig:
+    """The config of INI ``text`` over ``base``; a malformed text raises
+    :class:`ConfigError` naming ``source``, the file it was read from."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive (nx vs Nx)
-    cp.read_string(text)
+    try:
+        cp.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigError(f"{source}: malformed INI: "
+                          + " ".join(str(exc).split())) from None
     updates = {}
     for section in cp.sections():
         if section not in _SECTIONS:

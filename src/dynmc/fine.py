@@ -7,13 +7,15 @@ deposition.  All face arrays follow the staggered layout of
 pure-Neumann gauge) and the one SuperLU recipe live here only.  Its matrices
 are built from five-point stencil values (:func:`operator_stencil`) straight
 into their compressed arrays: in :func:`solve_flow`, the one entry point of
-the fine flow and the mixed block loads, one triangular solve per load, and
-in the KKT systems of the Galerkin block pieces of :mod:`dynmc.cells`.  A
-caller's ``orders`` dict keeps, per grid shape and pressure sides, the
-column order of the first factorization; only the fine run also keeps its
-last result (:class:`LastSolve`).  Particles read the velocity from
-quarter-cell coefficient tables, built once per step, and take all three
-Runge-Kutta stages one cache-sized slice of the cloud at a time.
+the fine flow and the mixed block loads, one triangular solve per load (with
+buoyancy exactly when the load carries a concentration), and in the KKT
+systems of the Galerkin block pieces of :mod:`dynmc.cells`.  A caller's
+``orders`` dict keeps, per grid shape and pressure sides, the column order
+of the first factorization; only the fine run also keeps its last result
+(:class:`LastSolve`).  Particles, :data:`PARTICLES_PER_CELL` per cell, read
+the velocity from quarter-cell coefficient tables, built once per step, and
+take all three Runge-Kutta stages one cache-sized slice of the cloud at a
+time.
 """
 
 from __future__ import annotations
@@ -200,12 +202,11 @@ def gravity_volume_source(grid: FineGrid, lam: np.ndarray,
 
 
 class FlowLoad(NamedTuple):
-    """One right-hand side of :func:`solve_flow`: gravity concentration,
-    boundary data, gravity switch and volume source."""
+    """One right-hand side of :func:`solve_flow`: the concentration whose
+    buoyancy drives the flow (None: none), boundary data and volume source."""
 
-    c: np.ndarray | None  # read only with gravity on
+    c: np.ndarray | None
     bc: FlowBC = FlowBC()
-    gravity_on: bool = True
     f: np.ndarray | None = None
 
 
@@ -258,9 +259,9 @@ def operator_stencil(grid: FineGrid, lam: np.ndarray,
 
 def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
     """Flattened right-hand side of one load (before the gauge)."""
-    c, bc, gravity_on, f = load
+    c, bc, f = load
     rhs = grid.zeros() if f is None else f * grid.cell_area
-    if gravity_on:
+    if c is not None:
         rhs += gravity_volume_source(grid, lam, c)
     sides = _boundary_sides(grid)
     for side in SIDES:
@@ -273,7 +274,7 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
         elif kind == "pressure":
             pb = _side_values(bc.side(side)[1], rhs[sl].size)
             rhs[sl] += 2.0 * lam[sl] * ln / h * pb  # Dirichlet face term
-            if gravity_on and axis == 0:
+            if c is not None and axis == 0:
                 # outgoing gravity flux lam*c*(n.e1) at the boundary face
                 rhs[sl] -= out * lam[sl] * c[sl] * ln
         else:
@@ -302,7 +303,7 @@ class LastSolve:
 def _pressure_sides(loads) -> set[tuple]:
     """The distinct tuples of pressure sides among the loads' boundaries."""
     return {tuple(s for s in SIDES if bc.side(s)[0] == "pressure")
-            for _c, bc, _g, _f in loads}
+            for _c, bc, _f in loads}
 
 
 def content_digest(meta, *arrays) -> bytes:
@@ -365,14 +366,13 @@ def operator_key(lam: np.ndarray, loads) -> bytes:
 
 def load_inputs(load: FlowLoad) -> tuple:
     """(meta, arrays) of what one load adds to a :func:`solve_flow` result:
-    its gravity flag, side kinds and whether f is given; its boundary
-    values, c (with gravity on) and f (when given)."""
-    c, bc, gravity_on, f = load
-    meta = (bool(gravity_on), tuple(bc.side(s)[0] for s in SIDES),
-            f is None)
+    whether c and f are given and its side kinds; its boundary values, c and
+    f (when given)."""
+    c, bc, f = load
+    meta = (c is None, tuple(bc.side(s)[0] for s in SIDES), f is None)
     arrays = [np.asarray(value, dtype=float)
               for s in SIDES for value in bc.side(s)[1:]]
-    if gravity_on:
+    if c is not None:
         arrays.append(c)
     if f is not None:
         arrays.append(f)
@@ -401,8 +401,8 @@ def _same_inputs(new: tuple, held: tuple | None) -> bool:
 def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
                memo: LastSolve | None = None, orders: dict | None = None
                ) -> list:
-    """Solve -div(lam (grad p - c e1)) = f for each load against one
-    factorization; return the list of their (p, vx, vy).
+    """Solve -div(lam (grad p - c e1)) = f for each load (c = 0 for a load
+    without c) against one factorization; return their (p, vx, vy).
 
     Face flux density is -lam_face (dp/dn - c_face [x-face]) with harmonic
     lam_face and arithmetic c_face.  Pure-Neumann problems are gauged by
@@ -468,7 +468,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
     # one triangular solve per load: a multi-column solve goes through the
     # BLAS, whose kernels round a column differently from a lone one on
     # some CPUs
-    for (c, bc, gravity_on, _f), rhs in zip(loads, rhss):
+    for (c, bc, _f), rhs in zip(loads, rhss):
         p_vec = _solve(lu, q, rhs)
         # one step of iterative refinement: high-contrast lam amplifies the
         # factorization roundoff into spurious face fluxes otherwise
@@ -476,8 +476,7 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
         check_residual("flow", np.abs(A @ p_vec - rhs).max(), norm, p_vec,
                        rhs)
         p = p_vec.reshape(nx, ny)
-        out.append((p, *flux_from_pressure(grid, p, lam, faces, c, bc,
-                                           gravity_on)))
+        out.append((p, *flux_from_pressure(grid, p, lam, faces, c, bc)))
     if memo is not None:
         for arrays in out:
             for a in arrays:
@@ -524,15 +523,14 @@ def _solve(lu, q: np.ndarray | None, b: np.ndarray) -> np.ndarray:
 
 
 def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
-                       faces: tuple, c: np.ndarray, bc: FlowBC,
-                       gravity_on: bool):
-    """Face flux densities consistent with :func:`solve_flow`; ``faces`` is
-    ``harmonic_face_mobility(lam)``, shared by the loads of one matrix."""
+                       faces: tuple, c: np.ndarray | None, bc: FlowBC):
+    """Face flux densities consistent with :func:`solve_flow` (buoyancy
+    from c unless None); ``faces`` is ``harmonic_face_mobility(lam)``."""
     hx, hy = grid.hx, grid.hy
     lamx, lamy = faces
     vx, vy = grid.zero_faces()
     dpx = (p[1:, :] - p[:-1, :]) / hx
-    if gravity_on:
+    if c is not None:
         dpx = dpx - 0.5 * (c[:-1, :] + c[1:, :])
     vx[1:-1, :] = -lamx * dpx
     vy[:, 1:-1] = -lamy * (p[:, 1:] - p[:, :-1]) / hy
@@ -547,7 +545,7 @@ def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
         if kind == "flux":
             v[sl] = out * val
         else:  # pressure; buoyancy acts along x only
-            g = c[sl] if gravity_on and axis == 0 else 0.0
+            g = c[sl] if c is not None and axis == 0 else 0.0
             v[sl] = -lam[sl] * (out * (val - p[sl]) / (h / 2) - g)
     return vx, vy
 
@@ -902,9 +900,7 @@ class FineRun:
 def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
              bc: FlowBC | None = None, gravity_on: bool = True,
              scheme: str = "upwind", inflow_c: dict | None = None,
-             keep: range | tuple | None = None,
-             particles_per_cell: int = PARTICLES_PER_CELL,
-             seed: int = 0) -> FineRun:
+             keep: range | tuple | None = None, seed: int = 0) -> FineRun:
     """Sequential flow/transport loop with lagged mobility.
 
     Each step solves flow with lam(c^n) and advances transport to c^{n+1};
@@ -931,9 +927,9 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
 
     def solve(c):
         nonlocal nu
-        [(p, vx, vy)] = solve_flow(grid, lam_of(c),
-                                   [FlowLoad(c, bc, gravity_on)], memo=memo,
-                                   orders=orders)
+        [(p, vx, vy)] = solve_flow(
+            grid, lam_of(c), [FlowLoad(c if gravity_on else None, bc)],
+            memo=memo, orders=orders)
         run.flow_reused.append(memo.reused)
         if not memo.reused:  # a reused vx, vy keeps the CFL of its solve
             nu = cfl(grid, vx, vy, tau)
@@ -949,7 +945,7 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
     c = c0.copy()
     cloud = None
     if scheme == "particles":
-        cloud = seed_particles(grid, c0, particles_per_cell, seed)
+        cloud = seed_particles(grid, c0, PARTICLES_PER_CELL, seed)
 
     for n in range(steps):
         p, vx, vy = solve(c)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import time
@@ -61,9 +62,11 @@ def _data_rows(path: str, header: list[str]):
                 yield f"{path}, line {r.line_num}", line
 
 
-def _indexed_value(where: str, fields: list) -> tuple:
-    """(i, j, value) of one ``i,j,value`` row; a malformed row raises
-    :class:`ConfigError` naming ``where``."""
+def _indexed_value(where: str, fields: list, shape: tuple | None = None
+                   ) -> tuple:
+    """(i, j, value) of one ``i,j,value`` row; a malformed row, a NaN value
+    (the reader's mark of a missing entry) or, with ``shape``, a cell
+    outside it raises :class:`ConfigError` naming ``where``."""
     if len(fields) != 3:
         raise ConfigError(f"{where}: {len(fields)} fields for i,j,value")
     try:
@@ -72,6 +75,11 @@ def _indexed_value(where: str, fields: list) -> tuple:
         raise ConfigError(f"{where}: {exc}") from None
     if i < 0 or j < 0:
         raise ConfigError(f"{where}: negative index ({i}, {j})")
+    if shape is not None and not (i < shape[0] and j < shape[1]):
+        raise ConfigError(f"{where}: cell ({i}, {j}) outside the "
+                          f"{shape[0]}x{shape[1]} grid")
+    if math.isnan(v):
+        raise ConfigError(f"{where}: value is nan")
     return i, j, v
 
 
@@ -89,9 +97,11 @@ def _filled(path: str, rows: list, what: str) -> np.ndarray:
 
 def read_cell_csv(path: str, nx: int | None = None,
                   ny: int | None = None) -> np.ndarray:
-    """Cell field written by :func:`write_cell_csv`; a malformed row raises
-    :class:`ConfigError` naming the file and line."""
-    rows = [_indexed_value(where, line)
+    """Cell field written by :func:`write_cell_csv`, of shape (nx, ny) when
+    given; a malformed row raises :class:`ConfigError` naming the file and
+    line, a row outside the shape before anything is sized by it."""
+    shape = None if nx is None else (nx, ny)
+    rows = [_indexed_value(where, line, shape)
             for where, line in _data_rows(path, ["i", "j", "value"])]
     if not rows:
         raise ConfigError(f"{path}: no data rows")

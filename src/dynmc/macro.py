@@ -1,12 +1,14 @@
 """Effective coefficients, coarse flow solves, and multicontinuum transport.
 
 Two coarse flow models are provided.  The mixed model expands the velocity
-in edge/gravity/interface bases and solves a small saddle system with
-block pressures as multipliers (gravity and through-flow configurations).
+in edge/gravity/interface bases and solves a small saddle system with block
+pressures as multipliers, driven by the buoyancy of block concentrations
+Chat where given (gravity), else by inflow (through-flow configurations).
 The Galerkin model assembles gradient/average energy coefficients on a
 refined one-dimensional coarse grid and solves a block-centered
-finite-volume pressure system (interface-flattening configuration).
-Both feed the same donor-block Forward-Euler concentration step.
+finite-volume pressure system (interface-flattening configuration).  Both
+read the boundary data ``G_IN``, ``P_IN``, ``P_OUT`` of this module and
+feed the same donor-block Forward-Euler concentration step.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .fine import (Snapshot, StepMemo, check_residual, content_digest,
 from .grids import CoarseGrid, Oversample, oversample_block
 
 log = logging.getLogger(__name__)
+
+# the boundary data of the fine and coarse flows: the viscous inflow flux,
+# the Galerkin inlet pressure and the outlet pressure of both
+G_IN, P_IN, P_OUT = -1.0, 1.0, 0.0
 
 
 # --- effective coefficients (Galerkin form) ---------------------------
@@ -137,7 +143,6 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
 
 def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
                 n: int, edge_labels: np.ndarray, gravity: bool,
-                inflow_labels: np.ndarray | None,
                 loads: StepMemo | None = None,
                 orders: dict | None = None):
     """Every cell problem of one mixed solve, one factorization per block
@@ -153,7 +158,8 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
     block K as three lists of (key, faces), faces in :func:`_faces` order:
     the bases supported there keyed by basis index, the gravity loads
     (gravity mode) and the inflow lifts (otherwise) keyed by continuum,
-    each ascending.
+    each ascending.  The inflow edge carries the labels of the inlet
+    column, ``labels[0, :]``.
     """
     # no-flow outer boundary in gravity mode; the inflow edge is data
     edges = range(1, coarse.Nx if gravity else coarse.Nx + 1)
@@ -185,7 +191,7 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
         # the unknown bases so the system stays consistent near the inlet
         for i in range(n):  # a continuum absent from the inlet has no lift
             _S, _sources, items = cells.edge_flux_loads(
-                coarse, 0, labels, i, inflow_labels, "psi")
+                coarse, 0, labels, i, labels[0, :], "psi")
             queued.append((2, i, items))
     solved = iter(cells.solve_block_loads(
         coarse, lam, [item for _slot, _key, items in queued
@@ -208,32 +214,25 @@ class MixedSolution:
 def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
                             labels: np.ndarray, n: int,
                             Chat: np.ndarray | None,
-                            edge_labels: np.ndarray, variant: str = "gravity",
-                            g_in: float | None = None,
-                            p_out: float | None = None,
-                            inflow_labels: np.ndarray | None = None,
+                            edge_labels: np.ndarray,
                             loads: StepMemo | None = None,
                             orders: dict | None = None
                             ) -> MixedSolution:
     """Edge-basis saddle solve for the multicontinuum velocities.
 
-    variant 'gravity': no-flow outer boundary, uniform balancing sources,
-    one pressure per block, buoyancy drive from Chat (continuum mean
-    concentrations per block).  variant 'viscous': continuum-wise sources
-    and pressures, prescribed inflow ``g_in`` on the left boundary, fixed
-    pressure ``p_out`` on the right (one-sided edge bases there); it does
-    not read Chat, which may be None.
+    With Chat (continuum mean concentrations per block) the gravity
+    variant: no-flow outer boundary, uniform balancing sources, one
+    pressure per block, buoyancy drive from Chat.  Without it (None) the
+    viscous variant: continuum-wise sources and pressures, inflow flux
+    :data:`G_IN` through the left boundary into the continua of the inlet
+    column ``labels[0, :]``, pressure :data:`P_OUT` on the right (one-sided
+    edge bases there).
     ``edge_labels[I]`` holds the continuum label of every face of edge I;
     ``loads`` and ``orders`` carry the block solves (:func:`mixed_bases`).
     """
-    if variant not in ("gravity", "viscous"):
-        raise ConfigError(f"unknown mixed variant {variant!r}")
-    gravity = variant == "gravity"
-    if gravity and Chat is None:
-        raise ConfigError("the gravity variant needs Chat")
-
+    gravity = Chat is not None
     bases, table = mixed_bases(coarse, lam, labels, n, edge_labels, gravity,
-                               inflow_labels, loads, orders)
+                               loads, orders)
     nb = len(bases)
     if nb == 0:
         raise SolverError("no edge bases: every continuum absent on edges")
@@ -252,8 +251,8 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     f = np.zeros(len(rows))
     if not gravity:
         # prescribed inflow through the left boundary edge
-        V[0] = (np.bincount(inflow_labels, minlength=n)[:n] * coarse.fine.hy
-                * (-g_in))
+        V[0] = (np.bincount(labels[0, :], minlength=n)[:n] * coarse.fine.hy
+                * (-G_IN))
         f[row_of[0, present[0]]] = V[0, present[0]]
 
     # one pass over the blocks: F stacks the face fluxes of the bases
@@ -278,7 +277,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
             proj = sum((ci[i] * g for i, g in grav), zero)
             r = _faces(wx * rho, zero[wx.size:]) - w * proj
         else:
-            r = g_in * w * sum((g for _i, g in lifts), zero)
+            r = G_IN * w * sum((g for _i, g in lifts), zero)
         b[here] += F @ r
         for a in here:
             edge, i, S = bases[a]
@@ -289,7 +288,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
                 D[row_of[blk, i], a] = S if edge == blk + 1 else -S
             if edge == coarse.Nx:
                 # fixed outlet pressure enters the velocity equations
-                b[a] -= p_out * S
+                b[a] -= P_OUT * S
 
     # drop the balance rows no basis reaches; in the gravity variant (pure
     # Neumann) the last balance is implied and dropping it sets the gauge
@@ -325,9 +324,9 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
 
 
 def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
-                               ops: list[EffectiveOperators], n: int,
-                               p_in: float, p_out: float) -> tuple:
-    """1D block-centered pressure solve on the refined coarse grid.
+                               ops: list[EffectiveOperators], n: int) -> tuple:
+    """1D block-centered pressure solve on the refined coarse grid, with
+    the pressures :data:`P_IN` left and :data:`P_OUT` right.
 
     Returns (P array (NXf, n) with NaN for absent continua, V array
     (Nx + 1, n) of per-continuum fluxes on the base coarse edges, U per
@@ -368,8 +367,8 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
     A[K[1:], :, K[:-1], :] = -wal[1:-1]
     A[K[:-1], :, K[1:], :] = -wal[1:-1]
     rhs = np.zeros((NX, n))
-    rhs[0] += (wal[0] * p_in).sum(axis=1)
-    rhs[-1] += (wal[-1] * p_out).sum(axis=1)
+    rhs[0] += (wal[0] * P_IN).sum(axis=1)
+    rhs[-1] += (wal[-1] * P_OUT).sum(axis=1)
     A = A.reshape(NX * n, NX * n)[np.ix_(dofs, dofs)]
     sol, _norm = _dense_solve(A, rhs.ravel()[dofs], "coarse Galerkin")
     P = np.full((NX, n), np.nan)
@@ -377,7 +376,7 @@ def solve_coarse_flow_galerkin(flow_coarse: CoarseGrid, base_coarse: CoarseGrid,
 
     # per-continuum flux through every face; a continuum that ends at a
     # face (NaN pressure on one side) has no through-flow
-    dP = np.diff(np.vstack([np.full(n, p_in), P, np.full(n, p_out)]), axis=0)
+    dP = np.diff(np.vstack([np.full(n, P_IN), P, np.full(n, P_OUT)]), axis=0)
     dP[np.isnan(dP)] = 0.0
     F = -(al @ dP[:, :, None])[:, :, 0]
     U = 0.5 * (F[:-1] + F[1:])
@@ -462,9 +461,6 @@ class CoarseState:
     flow_reused: bool = False  # the previous step's coarse flow, taken whole
 
 
-# the boundary data of the fine and coarse flows: the viscous inflow flux,
-# the Galerkin inlet pressure and the outlet pressure of both
-G_IN, P_IN, P_OUT = -1.0, 1.0, 0.0
 # the Galerkin regions: each block of a flow grid FLOW_REFINE times finer
 # than the transport grid, oversampled by LAYERS blocks either side
 FLOW_REFINE, LAYERS, EXTENSION_RULE = 2, 6, "periodic-left,reflect-right"
@@ -545,8 +541,7 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
     seen: dict = {}
     ops = [_region_ops(flow, K, lam, labels, n, pieces, regions, seen)
            for K in flow.blocks()]
-    P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n,
-                                          P_IN, P_OUT)
+    P, V, _U = solve_coarse_flow_galerkin(flow, model.coarse, ops, n)
     return V, P, (*pieces.settle(), regions.settle()[1])
 
 
@@ -559,22 +554,18 @@ def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
     ``orders`` keeps the column order of the block matrices.
 
     Each edge face takes the continuum of its donor cell under the fine
-    velocity.  Only the gravity variant reads Chat, the per-block continuum
-    means of the snapshot's concentration; only the viscous one reads the
-    inflow labels, those of the inlet column.
+    velocity.  The gravity variant is selected by Chat, the per-block
+    continuum means of the snapshot's concentration.
     """
     coarse = model.coarse
-    gravity = model.approach == "mixed-gravity"
     Chat = None
-    if gravity:
+    if model.approach == "mixed-gravity":
         Cfine = averages(coarse, snap.p, snap.c, snap.vx, labels, n).C
         Chat = np.zeros_like(Cfine)
         np.divide(Cfine, masses, out=Chat, where=masses > 0)
     ms = solve_coarse_flow_mixed(
         coarse, lam, labels, n, Chat,
         coarse.edge_donor_labels(labels, coarse.edge_flux(snap.vx)),
-        variant="gravity" if gravity else "viscous", g_in=G_IN,
-        p_out=P_OUT, inflow_labels=None if gravity else labels[0, :],
         loads=loads, orders=orders)
     return ms.V, ms.P, loads.settle()
 

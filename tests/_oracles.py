@@ -508,8 +508,8 @@ def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,
     """
     c, states, worst = c0.copy(), [], 0.0
     for n in range(steps + 1):
-        [(p, vx, vy)] = solve_flow(grid, lam_of(c),
-                                   [FlowLoad(c, bc, gravity_on)])
+        [(p, vx, vy)] = solve_flow(
+            grid, lam_of(c), [FlowLoad(c if gravity_on else None, bc)])
         worst = max(worst, cfl(grid, vx, vy, tau))
         states.append((p, vx, vy, c))
         if n < steps:

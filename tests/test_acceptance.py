@@ -73,8 +73,7 @@ def test_criterion_01_hydrostatic_exactness(capsys):
     Chat[:, 0] = 0.7
     from test_coarse import edge_labels_still
     elab = edge_labels_still(coarse, labels)
-    ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat, elab,
-                                 variant="gravity")
+    ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat, elab)
     Vmax = np.abs(ms.V).max()
     ok = vmax <= 1e-10 and Vmax <= 1e-10
     emit(capsys, 1, "hydrostatic exactness",
@@ -340,7 +339,6 @@ def test_criterion_11_label_advection_oracle(capsys):
     c0 = cfg.initial_condition(ext)
     run = run_fine(ext, cfg.mobility(ext), c0, cfg.tau, cfg.steps,
                    gravity_on=True, scheme="particles",
-                   particles_per_cell=cfg.particles_per_cell,
                    seed=cfg.particle_seed)
     spec = cfg.continuum_spec()
     labels0 = classify(run.snapshots[0].c, spec)

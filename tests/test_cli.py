@@ -84,6 +84,27 @@ def test_run_coarse_reports_a_missing_mobility_file(tmp_path, capsys):
     assert f"cannot read '{path}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[time]\nsteps = 7\nsteps = 8\n",
+                                  "steps = 7\n"])
+def test_run_coarse_reports_a_malformed_config_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["run-coarse", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed INI")
+    assert "Traceback" not in err and "<string>" not in err
+
+
+def test_run_coarse_reports_a_mobility_row_outside_the_grid(tmp_path,
+                                                             capsys):
+    path = tmp_path / "lam.csv"
+    path.write_text("i,j,value\n0,0,1\n10000000,10000000,1\n")
+    assert main(["run-coarse", "--preset", "smoke", "--set", "lam_kind=file",
+                 "--set", f"lam_file={path}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}, line 3: cell (10000000, 10000000) outside the 8x4" in err
+
+
 def test_cells_solve_reports_an_unreadable_ic_file(tmp_path, capsys):
     assert main(["cells-solve", "--preset", "interface", "--set",
                  "ic_kind=file", "--set",

@@ -44,8 +44,7 @@ class TestMixedGravity:
         # equal concentrations everywhere: no buoyancy contrast at all
         Chat = np.full((4, 2), 0.7)
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
-                                     edge_labels_still(coarse, labels),
-                                     variant="gravity")
+                                     edge_labels_still(coarse, labels))
         assert np.abs(ms.V).max() <= 1e-10
         assert ms.balance_residual <= 1e-10
 
@@ -54,8 +53,7 @@ class TestMixedGravity:
         Chat = np.zeros((4, 2))
         Chat[:, 0] = [1.0, 0.8, 0.6, 0.4]  # heavy fluid on the left
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
-                                     edge_labels_still(coarse, labels),
-                                     variant="gravity")
+                                     edge_labels_still(coarse, labels))
         # net flow through an interior edge cancels (closed box) but the
         # continua carry opposite directions
         assert abs(ms.V[2].sum()) <= 1e-10
@@ -68,28 +66,19 @@ class TestMixedGravity:
         Chat[:, 0] = rng(0).random(4)
         Chat[:, 1] = rng(1).random(4)
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, Chat,
-                                     edge_labels_still(coarse, labels),
-                                     variant="gravity")
+                                     edge_labels_still(coarse, labels))
         for I in range(4):
             inflow = ms.V[I].sum()
             outflow = ms.V[I + 1].sum()
             assert abs(inflow - outflow) <= 1e-10
 
-    def test_missing_chat_rejected(self):
-        fine, coarse, c, labels, lam = striped_setup()
-        with pytest.raises(ConfigError, match="needs Chat"):
-            solve_coarse_flow_mixed(coarse, lam, labels, 2, None,
-                                    edge_labels_still(coarse, labels),
-                                    variant="gravity")
-
 
 class TestMixedViscous:
-    def solve(self, nblocks=2, g_in=-1.0):
+    def solve(self, nblocks=2):
+        # no Chat: the viscous variant, inflow G_IN = -1 and outlet P_OUT = 0
         fine, coarse, c, labels, lam = striped_setup(nblocks=nblocks)
         ms = solve_coarse_flow_mixed(coarse, lam, labels, 2, None,
-                                     edge_labels_still(coarse, labels),
-                                     variant="viscous", g_in=g_in, p_out=0.0,
-                                     inflow_labels=labels[0, :])
+                                     edge_labels_still(coarse, labels))
         return fine, coarse, ms
 
     def test_total_flux_matches_inflow_on_every_edge(self):
@@ -132,10 +121,10 @@ def test_large_mixed_kkt_residual_rejected(monkeypatch):
     Chat = np.zeros((3, 2))
     Chat[:, 0] = [1.0, 0.6, 0.2]
     args = (coarse, lam, labels, 2, Chat, edge_labels_still(coarse, labels))
-    solve_coarse_flow_mixed(*args, variant="gravity")
+    solve_coarse_flow_mixed(*args)
     shift_first_unknown(monkeypatch)
     with pytest.raises(SolverError, match="coarse mixed residual"):
-        solve_coarse_flow_mixed(*args, variant="gravity")
+        solve_coarse_flow_mixed(*args)
 
 
 def random_mixed_setup(seed, nblocks=3, mx=8, my=6):
@@ -165,18 +154,16 @@ class TestMixedBases:
             return solve_flow(grid, *args, **kwargs)
 
         monkeypatch.setattr(cells, "solve_flow", counted)
+        Chat = rng(41).random((coarse.Nx, 2))
         solve_coarse_flow_mixed(coarse, lam, labels, 2,
-                                rng(41).random((coarse.Nx, 2)), elab,
-                                variant=variant, g_in=-1.0, p_out=0.0,
-                                inflow_labels=labels[0, :])
+                                Chat if variant == "gravity" else None, elab)
         assert len(blocks) == len(set(blocks)) == coarse.Nx
 
     @pytest.mark.parametrize("gravity", [True, False])
     def test_bases_equal_one_solve_per_basis(self, gravity):
         coarse, labels, lam, elab = random_mixed_setup(42)
-        inflow = None if gravity else labels[0, :]
         bases, table = macro.mixed_bases(coarse, lam, labels, 2, elab,
-                                         gravity, inflow)
+                                         gravity)
         # one public basis call per basis, in the order the Gram matrix
         # is assembled
         variant = "uniform" if gravity else "psi"
@@ -215,7 +202,7 @@ class TestMixedBases:
         if not gravity:
             for i in range(2):
                 iset = cells.solve_edge_flux_basis(coarse, 0, lam, labels, i,
-                                                   inflow, "psi")
+                                                   labels[0, :], "psi")
                 if iset.bases[0].flag != "absent":
                     want_i.append(per_block(0, iset))
 
@@ -254,8 +241,8 @@ class TestMixedBases:
 
 def same_load(a, b) -> bool:
     """Whether two FlowLoads carry the same data, byte for byte."""
-    (ca, bca, ga, fa), (cb, bcb, gb, fb) = a, b
-    if ga != gb or (fa is None) != (fb is None):
+    (ca, bca, fa), (cb, bcb, fb) = a, b
+    if (ca is None) != (cb is None) or (fa is None) != (fb is None):
         return False
     for side in SIDES:
         sa, sb = bca.side(side), bcb.side(side)
@@ -263,7 +250,7 @@ def same_load(a, b) -> bool:
                 np.asarray(x).tobytes() != np.asarray(y).tobytes()
                 for x, y in zip(sa[1:], sb[1:])):
             return False
-    return ((not ga or ca.tobytes() == cb.tobytes())
+    return ((ca is None or ca.tobytes() == cb.tobytes())
             and (fa is None or fa.tobytes() == fb.tobytes()))
 
 
@@ -288,8 +275,7 @@ class TestBlockLoadMemo:
 
         monkeypatch.setattr(cells, "solve_block_loads", block_loads)
         monkeypatch.setattr(cells, "solve_flow", flow)
-        macro.mixed_bases(coarse, lam, labels, 2, elab, False, labels[0, :],
-                          memo, {})
+        macro.mixed_bases(coarse, lam, labels, 2, elab, False, memo, {})
         monkeypatch.setattr(cells, "solve_block_loads", real_loads)
         monkeypatch.setattr(cells, "solve_flow", real_flow)
         return items, solved, memo.settle()
@@ -390,7 +376,11 @@ def random_presence_setup(seed, n=2):
 
 
 @pytest.mark.parametrize("variant", ["gravity", "viscous"])
-def test_one_block_pass_equals_per_basis_loops(variant):
+def test_one_block_pass_equals_per_basis_loops(monkeypatch, variant):
+    # boundary data other than the presets', passed to the loops and set
+    # on macro's constants
+    monkeypatch.setattr(macro, "G_IN", -1.3)
+    monkeypatch.setattr(macro, "P_OUT", 0.4)
     gravity = variant == "gravity"
     solved = missing = 0
     for seed in range(40):
@@ -398,15 +388,15 @@ def test_one_block_pass_equals_per_basis_loops(variant):
         coarse, labels, lam, elab = random_presence_setup(seed, n)
         Chat = rng(100 + seed).random((coarse.Nx, n))
         Chat[seed % coarse.Nx, -1] = np.nan  # an absent continuum's mean
-        args = (coarse, lam, labels, n, Chat, elab, variant)
-        kwargs = dict(g_in=-1.3, p_out=0.4, inflow_labels=labels[0, :])
+        args = (coarse, lam, labels, n, Chat if gravity else None, elab)
         try:
-            ref = mixed_loops(*args, **kwargs)
+            ref = mixed_loops(*args, variant, g_in=-1.3, p_out=0.4,
+                              inflow_labels=labels[0, :])
         except SolverError as exc:
             with pytest.raises(SolverError, match=re.escape(str(exc))):
-                solve_coarse_flow_mixed(*args, **kwargs)
+                solve_coarse_flow_mixed(*args)
             continue
-        got = solve_coarse_flow_mixed(*args, **kwargs)
+        got = solve_coarse_flow_mixed(*args)
         assert np.array_equal(got.V, ref.V)
         assert list(got.P) == list(ref.P)
         assert all(got.P[k] == ref.P[k] for k in ref.P)
@@ -428,9 +418,9 @@ class TestGalerkinFlow:
     def test_homogeneous_column_linear_pressure_uniform_flux(self):
         fine = FineGrid(20, 4, 5.0, 1.0)
         coarse = CoarseGrid(fine, 5)
+        # the inlet and outlet pressures P_IN = 1 and P_OUT = 0
         P, V, U = solve_coarse_flow_galerkin(coarse, coarse,
-                                             self.unit_ops(5), 1,
-                                             p_in=1.0, p_out=0.0)
+                                             self.unit_ops(5), 1)
         dx = fine.L1 / 5
         expect_p = 1.0 - (np.arange(5) + 0.5) * dx / fine.L1
         assert np.allclose(P[:, 0], expect_p, atol=1e-12)
@@ -440,12 +430,12 @@ class TestGalerkinFlow:
             assert v[0] == pytest.approx(flux, rel=1e-12)
         assert np.allclose(U[:, 0], flux, atol=1e-12)
 
-    def test_refined_flow_grid_restricts_to_base_edges(self):
+    def test_refined_flow_grid_restricts_to_base_edges(self, monkeypatch):
+        monkeypatch.setattr(macro, "P_IN", 2.0)
         fine = FineGrid(24, 4, 6.0, 1.0)
         base = CoarseGrid(fine, 3)
         flow = CoarseGrid(fine, 6)
-        P, V, U = solve_coarse_flow_galerkin(flow, base, self.unit_ops(6), 1,
-                                             p_in=2.0, p_out=0.0)
+        P, V, U = solve_coarse_flow_galerkin(flow, base, self.unit_ops(6), 1)
         flux = 2.0 * fine.L2 / fine.L1
         assert V.shape == (4, 1)
         for v in V:
@@ -466,8 +456,7 @@ class TestGalerkinFlow:
                 if o.present.all() else np.zeros((2, 2))
         fine = FineGrid(16, 4, 4.0, 1.0)
         coarse = CoarseGrid(fine, 4)
-        P, V, U = solve_coarse_flow_galerkin(coarse, coarse, ops, 2,
-                                             p_in=1.0, p_out=0.0)
+        P, V, U = solve_coarse_flow_galerkin(coarse, coarse, ops, 2)
         assert np.isnan(P[2, 1]) and np.isnan(P[3, 1])
         assert U[2, 1] == 0.0 and U[3, 1] == 0.0  # no flow where absent
         assert V[4].sum() == pytest.approx(V[0].sum(), rel=1e-9)
@@ -475,7 +464,7 @@ class TestGalerkinFlow:
     def test_large_residual_rejected(self, monkeypatch):
         fine = FineGrid(20, 4, 5.0, 1.0)
         coarse = CoarseGrid(fine, 5)
-        args = (coarse, coarse, self.unit_ops(5), 1, 1.0, 0.0)
+        args = (coarse, coarse, self.unit_ops(5), 1)
         solve_coarse_flow_galerkin(*args)
         shift_first_unknown(monkeypatch)
         with pytest.raises(SolverError, match="coarse Galerkin residual"):
@@ -486,7 +475,7 @@ class TestGalerkinFlow:
         with pytest.raises(ConfigError):
             solve_coarse_flow_galerkin(CoarseGrid(fine, 3),
                                        CoarseGrid(fine, 2),
-                                       self.unit_ops(3), 1, 1.0, 0.0)
+                                       self.unit_ops(3), 1)
 
 
 def random_galerkin_ops(seed, n, NX):
@@ -515,6 +504,14 @@ def random_galerkin_ops(seed, n, NX):
 
 
 class TestGalerkinMatchesLoops:
+    """Boundary pressures other than the presets', passed to the loops and
+    set on macro's constants."""
+
+    @pytest.fixture(autouse=True)
+    def pressures(self, monkeypatch):
+        monkeypatch.setattr(macro, "P_IN", 1.3)
+        monkeypatch.setattr(macro, "P_OUT", -0.2)
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("refine", [1, 2])
     def test_random_presence_bit_for_bit(self, seed, refine):
@@ -523,9 +520,9 @@ class TestGalerkinMatchesLoops:
                 ops = random_galerkin_ops(100 * seed + 10 * n + NX, n, NX)
                 fine = FineGrid(4 * NX, 3, 1.5 * NX, 2.0)
                 args = (CoarseGrid(fine, NX), CoarseGrid(fine, NX // refine),
-                        ops, n, 1.3, -0.2)
+                        ops, n)
                 for got, ref in zip(solve_coarse_flow_galerkin(*args),
-                                    galerkin_loops(*args)):
+                                    galerkin_loops(*args, 1.3, -0.2)):
                     assert np.array_equal(got, ref, equal_nan=True)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -535,9 +532,9 @@ class TestGalerkinMatchesLoops:
         for seed in range(20):
             ops = random_galerkin_ops(seed, n, 1)
             coarse = CoarseGrid(FineGrid(4, 3, 1.5, 2.0), 1)
-            args = (coarse, coarse, ops, n, 1.3, -0.2)
+            args = (coarse, coarse, ops, n)
             for got, ref in zip(solve_coarse_flow_galerkin(*args),
-                                galerkin_loops(*args)):
+                                galerkin_loops(*args, 1.3, -0.2)):
                 assert np.array_equal(np.isnan(got), np.isnan(ref))
                 np.testing.assert_allclose(
                     got, ref, rtol=0, atol=1e-15 * np.nanmax(np.abs(ref)))

@@ -111,6 +111,18 @@ class TestIniAndOverrides:
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(listed) == sorted(fields)
 
+    @pytest.mark.parametrize("text, what", [
+        ("[time]\nsteps = 7\nsteps = 8\n", "option 'steps'"),
+        ("steps = 7\n", "no section headers"),
+        ("[time]\nsteps = 7\n[time]\n", "section 'time'"),
+    ])
+    def test_malformed_ini_names_its_file(self, text, what):
+        # configparser's own errors would name '<string>' and exit 1
+        with pytest.raises(ConfigError, match="bad.ini: malformed INI") as exc:
+            from_ini(text, source="bad.ini")
+        assert what in str(exc.value) and "\n" not in str(exc.value)
+        assert exc.value.exit_code == 2
+
     def test_ini_base_merge(self):
         base = get_preset("smoke")
         text = "[time]\nsteps = 7\ncoarse_steps = 7\n"

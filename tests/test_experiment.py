@@ -108,6 +108,37 @@ def test_file_fields_read_back_bit_for_bit(tmp_path, kind):
     assert got.tobytes() == field.tobytes()
 
 
+def test_file_inputs_run_the_experiment_they_were_written_from(tmp_path):
+    # c0 and lam of a preset, written by write_cell_csv, read back as
+    # ic_kind=file and lam_kind=file: the same report and series to the bit
+    cfg = apply_overrides(get_preset("gravity-dual-hetero"),
+                          ["steps=10", "coarse_steps=10"])
+    grid = cfg.layout().extended_fine
+    c0 = cfg.initial_condition(grid)
+    ic, lam = str(tmp_path / "c0.csv"), str(tmp_path / "lam.csv")
+    write_cell_csv(ic, c0)
+    write_cell_csv(lam, cfg.mobility(grid)(c0))
+    files = apply_overrides(cfg, ["ic_kind=file", f"ic_file={ic}",
+                                  "lam_kind=file", f"lam_file={lam}"])
+    runs = {name: run_experiment(c, str(tmp_path / name))
+            for name, c in (("preset", cfg), ("files", files))}
+
+    def report(res):
+        rep = res.report
+        return ([key for *key, _v in rep.rows()],
+                np.array([v for *_key, v in rep.rows()]).tobytes(),
+                [(e.relative.tobytes(), e.absolute.tobytes(),
+                  e.global_relative) for e in rep.eV_series],
+                {k: np.asarray(v).tobytes() for k, v in rep.eC_series.items()})
+
+    assert report(runs["files"]) == report(runs["preset"])
+    for name in ("averages_reference.csv", "averages_mh_refvel.csv",
+                 "averages_mh_mhvel.csv", "errors.csv", "c_initial.csv",
+                 "c_final.csv"):
+        assert ((tmp_path / "files" / name).read_bytes()
+                == (tmp_path / "preset" / name).read_bytes())
+
+
 @pytest.mark.parametrize("kind", ["lam", "ic"])
 def test_file_of_the_wrong_shape_fails_before_the_fine_run(monkeypatch,
                                                            tmp_path, kind):

@@ -13,10 +13,11 @@ from dynmc.fine import (FlowBC, FlowLoad, LastSolve, StepMemo, cfl,
 from dynmc.grids import FineGrid
 
 
-def solve_one(grid, lam, c, bc=FlowBC(), gravity_on=True, f=None, **memos):
-    """The (p, vx, vy) of one load: :func:`solve_flow` of a one-load
-    list, with its ``memo`` and ``orders``."""
-    [out] = solve_flow(grid, lam, [FlowLoad(c, bc, gravity_on, f)], **memos)
+def solve_one(grid, lam, c, bc=FlowBC(), f=None, **memos):
+    """The (p, vx, vy) of one load (buoyancy from c unless it is None):
+    :func:`solve_flow` of a one-load list, with its ``memo`` and
+    ``orders``."""
+    [out] = solve_flow(grid, lam, [FlowLoad(c, bc, f=f)], **memos)
     return out
 
 
@@ -98,14 +99,14 @@ class TestHydrostatic:
         grid = FineGrid(12, 10, 3.0, 1.0)
         lam = random_mobility(12, 10, seed, contrast)
         c = np.full((12, 10), 0.7)
-        p, vx, vy = solve_one(grid, lam, c, FlowBC(), gravity_on=True)
+        p, vx, vy = solve_one(grid, lam, c, FlowBC())
         assert max(np.abs(vx).max(), np.abs(vy).max()) <= 1e-10 * 0.7 * grid.L1
 
     def test_pressure_matches_c_times_x(self):
         grid = FineGrid(10, 4, 2.0, 1.0)
         lam = np.ones((10, 4))
         c = np.full((10, 4), 0.7)
-        p, _vx, _vy = solve_one(grid, lam, c, FlowBC(), gravity_on=True)
+        p, _vx, _vy = solve_one(grid, lam, c, FlowBC())
         expect = 0.7 * grid.xc()[:, None]
         assert np.allclose(p - p[0, 0], expect - expect[0, 0], atol=1e-10)
 
@@ -115,8 +116,7 @@ class TestDenseOracle:
         grid = FineGrid(4, 4, 1.0, 1.0)
         lam = np.where((np.indices((4, 4)).sum(axis=0) % 2) == 0, 5.0, 0.2)
         bc = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
-        p, _vx, _vy = solve_one(grid, lam, np.zeros((4, 4)), bc,
-                                gravity_on=False)
+        p, _vx, _vy = solve_one(grid, lam, None, bc)
         expect = dense_tpfa(grid, lam, {"left": ("pressure", 1.0),
                                         "right": ("pressure", 0.0)})
         assert np.allclose(p, expect, atol=1e-12)
@@ -126,8 +126,7 @@ class TestDenseOracle:
         lam = random_mobility(7, 5, 12, 1000.0)
         f = rng(13).standard_normal((7, 5))
         f -= f.mean()  # compatible with the closed box
-        p, _vx, _vy = solve_one(grid, lam, np.zeros((7, 5)), FlowBC(),
-                                gravity_on=False, f=f)
+        p, _vx, _vy = solve_one(grid, lam, None, FlowBC(), f=f)
         expect = dense_tpfa(grid, lam, {}, f=f)
         assert np.abs(p - expect).max() <= 1e-10 * np.abs(expect).max()
 
@@ -136,8 +135,7 @@ class TestDenseOracle:
         lam = random_mobility(8, 4, 14, 1000.0)
         # unit inflow on the left, unit outflow on the right: no net source
         sides = {"left": ("flux", -1.0), "right": ("flux", 1.0)}
-        p, vx, _vy = solve_one(grid, lam, np.zeros((8, 4)), FlowBC(**sides),
-                               gravity_on=False)
+        p, vx, _vy = solve_one(grid, lam, None, FlowBC(**sides))
         expect = dense_tpfa(grid, lam, sides)
         assert np.abs(p - expect).max() <= 1e-10 * np.abs(expect).max()
         assert np.allclose(vx[0, :], 1.0) and np.allclose(vx[-1, :], 1.0)
@@ -146,7 +144,7 @@ class TestDenseOracle:
     def test_one_cell_closed_box_is_pinned(self):
         grid = FineGrid(1, 1, 1.0, 1.0)
         p, vx, vy = solve_one(grid, np.full((1, 1), 2.0), np.full((1, 1), 0.5),
-                              FlowBC(), gravity_on=True)
+                              FlowBC())
         assert p[0, 0] == 0.0
         assert not vx.any() and not vy.any()
 
@@ -157,16 +155,14 @@ class TestConservation:
         lam = random_mobility(9, 7, 3, 10.0)
         f = rng(4).standard_normal((9, 7))
         f -= f.mean()  # compatible with no-flow
-        p, vx, vy = solve_one(grid, lam, np.zeros((9, 7)), FlowBC(),
-                              gravity_on=False, f=f)
+        p, vx, vy = solve_one(grid, lam, None, FlowBC(), f=f)
         assert np.abs(divergence(grid, vx, vy) - f * grid.cell_area).max() < 1e-9
 
     def test_inflow_equals_outflow_contrast(self):
         grid = FineGrid(16, 8, 4.0, 2.0)
         lam = np.where(rng(5).random((16, 8)) < 0.4, 1000.0, 1.0)
         bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
-        _p, vx, vy = solve_one(grid, lam, np.zeros((16, 8)), bc,
-                               gravity_on=False)
+        _p, vx, vy = solve_one(grid, lam, None, bc)
         inflow = vx[0, :].sum() * grid.hy
         outflow = vx[-1, :].sum() * grid.hy
         assert inflow == pytest.approx(grid.L2, rel=1e-12)
@@ -176,8 +172,7 @@ class TestConservation:
     def test_noflow_boundary_faces_carry_zero(self):
         grid = FineGrid(8, 6, 1.0, 1.0)
         c = rng(6).random((8, 6))
-        _p, vx, vy = solve_one(grid, np.ones((8, 6)), c, FlowBC(),
-                               gravity_on=True)
+        _p, vx, vy = solve_one(grid, np.ones((8, 6)), c, FlowBC())
         assert np.abs(vx[0, :]).max() == 0.0
         assert np.abs(vx[-1, :]).max() == 0.0
         assert np.abs(vy[:, 0]).max() == 0.0
@@ -196,7 +191,7 @@ class TestConservation:
         bc = FlowBC(left=("pressure", r.standard_normal(5)),
                     right=("pressure", r.standard_normal(5)),
                     bottom=(y_kind, bottom), top=(y_kind, top))
-        p, vx, vy = solve_one(grid, lam, c, bc, gravity_on=True)
+        p, vx, vy = solve_one(grid, lam, c, bc)
         scale = max(np.abs(vx).max(), np.abs(vy).max()) * grid.hx
         assert np.abs(divergence(grid, vx, vy)).max() <= 1e-12 * scale
         if y_kind == "flux":  # outward densities
@@ -213,7 +208,7 @@ class TestErrors:
         lam = np.ones((4, 4))
         lam[1, 1] = 0.0
         with pytest.raises(ConfigError, match="positive"):
-            solve_one(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
+            solve_one(grid, lam, None, FlowBC())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_mobility_not_finite_rejected(self, bad):
@@ -222,21 +217,19 @@ class TestErrors:
         lam = np.ones((4, 4))
         lam[2, 1] = bad
         with pytest.raises(ConfigError, match="finite and positive"):
-            solve_one(grid, lam, np.zeros((4, 4)), FlowBC(), gravity_on=False)
+            solve_one(grid, lam, None, FlowBC())
 
     def test_incompatible_pure_neumann_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
         f = np.ones((4, 4))  # net source with no outlet
         with pytest.raises(SolverError, match="incompatible"):
-            solve_one(grid, np.ones((4, 4)), np.zeros((4, 4)), FlowBC(),
-                      gravity_on=False, f=f)
+            solve_one(grid, np.ones((4, 4)), None, FlowBC(), f=f)
 
     def test_bad_boundary_value_shape_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
         bc = FlowBC(left=("flux", np.ones(3)), right=("pressure", 0.0))
         with pytest.raises(ConfigError):
-            solve_one(grid, np.ones((4, 4)), np.zeros((4, 4)), bc,
-                      gravity_on=False)
+            solve_one(grid, np.ones((4, 4)), None, bc)
 
 
 class TestManyLoads:
@@ -255,10 +248,10 @@ class TestManyLoads:
         uniform = np.full((nx, ny), S / (nx * ny * grid.cell_area))
         theta = psi.sum() / (nx * ny - psi.sum())
         loads = [
-            FlowLoad(None, FlowBC(right=("flux", edge)), False, uniform),
-            FlowLoad(None, FlowBC(left=("flux", -edge)), False, -uniform),
-            FlowLoad(psi, FlowBC(), True),
-            FlowLoad(None, FlowBC(), False, psi - theta * (1.0 - psi)),
+            FlowLoad(None, FlowBC(right=("flux", edge)), f=uniform),
+            FlowLoad(None, FlowBC(left=("flux", -edge)), f=-uniform),
+            FlowLoad(psi),
+            FlowLoad(None, f=psi - theta * (1.0 - psi)),
         ]
         return grid, lam, loads
 
@@ -314,23 +307,23 @@ class TestManyLoads:
         c = rng(24).random((8, 4))
         loads = [FlowLoad(c, FlowBC(left=("pressure", 1.0),
                                     right=("pressure", 0.0))),
-                 FlowLoad(c, FlowBC(left=("pressure", 0.0),
-                                    right=("pressure", rng(25).random(4)),
-                                    top=("flux", 0.5)), False)]
+                 FlowLoad(None, FlowBC(left=("pressure", 0.0),
+                                       right=("pressure", rng(25).random(4)),
+                                       top=("flux", 0.5)))]
         for load, got in zip(loads, solve_flow(grid, lam, loads)):
             for a, b in zip(got, solve_flow(grid, lam, [load])[0]):
                 assert np.array_equal(a, b)
 
     def test_different_pressure_sides_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)
-        loads = [FlowLoad(None, FlowBC(left=("pressure", 1.0)), False),
-                 FlowLoad(None, FlowBC(right=("pressure", 1.0)), False)]
+        loads = [FlowLoad(None, FlowBC(left=("pressure", 1.0))),
+                 FlowLoad(None, FlowBC(right=("pressure", 1.0)))]
         with pytest.raises(ConfigError, match="pressure sides"):
             solve_flow(grid, np.ones((4, 4)), loads)
 
     def test_one_incompatible_load_rejected(self):
         grid, lam, loads = self.block_loads()
-        bad = FlowLoad(None, FlowBC(), False, np.ones((grid.nx, grid.ny)))
+        bad = FlowLoad(None, f=np.ones((grid.nx, grid.ny)))
         with pytest.raises(SolverError, match="incompatible"):
             solve_flow(grid, lam, loads + [bad])
 
@@ -365,7 +358,7 @@ def test_tpfa_factor_fill_stays_small(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(fine, "splu", spy)
-    solve_one(grid, lam, None, bc, gravity_on=False)
+    solve_one(grid, lam, None, bc)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 160_000
 
@@ -391,11 +384,10 @@ class TestLastSolve:
         monkeypatch.setattr(fine, "splu", counting)
         return calls
 
-    def solve(self, memo, lam=None, c=None, bc=None, gravity_on=True,
-              f=None):
+    def solve(self, memo, lam=None, c=None, bc=None, f=None):
         return solve_one(self.grid, self.lam if lam is None else lam,
                          self.c if c is None else c, bc or self.bc,
-                         gravity_on, self.f if f is None else f, memo=memo)
+                         self.f if f is None else f, memo=memo)
 
     def test_hit_is_bit_identical_and_factors_nothing(self, monkeypatch):
         memo = LastSolve()
@@ -404,8 +396,7 @@ class TestLastSolve:
         calls = self.spy(monkeypatch)
         hit = self.solve(memo, c=self.c.copy())
         assert memo.reused and calls == []
-        fresh = solve_one(self.grid, self.lam, self.c, self.bc, True,
-                          self.f)
+        fresh = solve_one(self.grid, self.lam, self.c, self.bc, self.f)
         for a, b in zip(hit, fresh):
             assert (a == b).all()
 
@@ -437,12 +428,19 @@ class TestLastSolve:
         assert not memo.reused and len(calls) == 1
 
     def test_c_without_gravity_still_hits(self, monkeypatch):
-        memo = LastSolve()
-        first = self.solve(memo, gravity_on=False)
+        # without gravity run_fine hands its loads no c, so a step whose c
+        # moved but whose lam did not returns the stored solve
         calls = self.spy(monkeypatch)
-        again = self.solve(memo, c=self.c + 0.25, gravity_on=False)
-        assert memo.reused and calls == []
-        assert all(a is b for a, b in zip(first, again))
+        runs = [run_fine(self.grid, lambda c: self.lam, self.c, 5e-4, 3,
+                         bc=self.bc, gravity_on=gravity, scheme="upwind")
+                for gravity in (False, True)]
+        assert not np.array_equal(runs[0].snapshots[-1].c, self.c)
+        assert runs[0].flow_reused == [False, True, True, True]
+        assert runs[1].flow_reused == [False] * 4
+        assert len(calls) == 1 + 4
+        first, *later = runs[0].snapshots
+        for snap in later:
+            assert snap.vx.tobytes() == first.vx.tobytes()
 
 
 class TestStepMemo:
@@ -510,8 +508,8 @@ def preset_flow(name):
     cfg = get_preset(name)
     grid = cfg.layout().extended_fine
     c = cfg.initial_condition(grid)
-    return (grid, cfg.mobility(grid)(c), c, cfg.flow_bc(grid), cfg.gravity,
-            None)
+    return (grid, cfg.mobility(grid)(c), c if cfg.gravity else None,
+            cfg.flow_bc(grid), None)
 
 
 def block_flow():
@@ -521,7 +519,7 @@ def block_flow():
     edge = (rng(50).random(36) < 0.5).astype(float)
     f = np.full((24, 36), edge.sum() * grid.hy / (24 * 36 * grid.cell_area))
     return (grid, random_mobility(24, 36, 51, 1000.0), None,
-            FlowBC(right=("flux", edge)), False, f)
+            FlowBC(right=("flux", edge)), f)
 
 
 class TestStoredColumnOrder:
@@ -543,21 +541,21 @@ class TestStoredColumnOrder:
     def test_solution_equals_a_fresh_factorization(self, monkeypatch,
                                                    problem):
         # gauged closed boxes, flux plus pressure, Dirichlet-x, a block
-        grid, lam, c, bc, gravity, f = (block_flow() if problem == "block"
+        grid, lam, c, bc, f = (block_flow() if problem == "block"
                                         else preset_flow(problem))
         orders = {}
         calls = self.spy(monkeypatch)
-        solve_one(grid, lam, c, bc, gravity, f, orders=orders)
+        solve_one(grid, lam, c, bc, f, orders=orders)
         # new values on the same pattern: lam changes, and c too if read
         lam2 = lam * (1.0 + rng(52).random(lam.shape))
         c2 = None if c is None else np.roll(c, 5, axis=0)
-        got = solve_one(grid, lam2, c2, bc, gravity, f, orders=orders)
+        got = solve_one(grid, lam2, c2, bc, f, orders=orders)
         assert [spec for spec, _lu in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
         n = grid.n_cells
         assert np.array_equal(calls[1][1].perm_c, np.arange(n))
         assert calls[1][1].L.nnz == calls[0][1].L.nnz
         assert calls[1][1].U.nnz == calls[0][1].U.nnz
-        fresh = solve_one(grid, lam2, c2, bc, gravity, f)
+        fresh = solve_one(grid, lam2, c2, bc, f)
         assert calls[2][0] == "MMD_AT_PLUS_A"
         assert not np.array_equal(calls[2][1].perm_c, np.arange(n))
         for a, b in zip(got, fresh):
@@ -600,8 +598,9 @@ class TestStoredColumnOrder:
         grid = FineGrid(16, 8, 2.0, 1.0)
         c0 = rng(57).random((16, 8))
         calls = self.spy(monkeypatch)
+        monkeypatch.setattr(fine, "PARTICLES_PER_CELL", 4)
         run = run_fine(grid, lambda c: np.where(c > 0.5, 10.0, 1.0), c0,
-                       2e-3, 6, scheme="particles", particles_per_cell=4)
+                       2e-3, 6, scheme="particles")
         solved = run.flow_reused.count(False)
         assert solved == len(calls) > 2
         assert [spec for spec, _lu in calls] == (
@@ -667,7 +666,7 @@ class TestDirectAssembly:
         lam = random_mobility(grid.nx, grid.ny, 81, 1000.0)
         lams = [lam, lam * (1.0 + rng(82).random(lam.shape))]
         for lam in lams:
-            solve_one(grid, lam, None, bc_of(sides), False, orders=orders)
+            solve_one(grid, lam, None, bc_of(sides), orders=orders)
         assert len(calls) == 2
         stored = orders[(grid.nx, grid.ny, sides)]
         q = np.argsort(calls[0][1].perm_c)
@@ -686,7 +685,7 @@ class TestDirectAssembly:
         held = None
         for k in range(3):
             lam = random_mobility(grid.nx, grid.ny, 90 + k, 1000.0)
-            solve_one(grid, lam, None, bc_of(sides), False, orders=orders)
+            solve_one(grid, lam, None, bc_of(sides), orders=orders)
             assert held is None or orders[(9, 6, sides)] is held
             held = orders[(9, 6, sides)]
         assert list(orders) == [(9, 6, sides)]
@@ -710,17 +709,17 @@ class TestDirectAssembly:
 
         monkeypatch.setattr(fine, "splu", recording)
         orders = {}
-        solve_one(grid, first, None, FlowBC(), False, f, orders=orders)
-        got = solve_one(grid, second, None, FlowBC(), False, f, orders=orders)
+        solve_one(grid, first, None, FlowBC(), f, orders=orders)
+        got = solve_one(grid, second, None, FlowBC(), f, orders=orders)
         assert specs == ["MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A"]
-        fresh = solve_one(grid, second, None, FlowBC(), False, f)
+        fresh = solve_one(grid, second, None, FlowBC(), f)
         for a, b in zip(got, fresh):
             assert a.tobytes() == b.tobytes()
         # trusting the natural-order factor would have changed the result
         monkeypatch.setattr(fine, "_same_pivots", lambda lu, q: True)
         orders = {}
-        solve_one(grid, first, None, FlowBC(), False, f, orders=orders)
-        trusted = solve_one(grid, second, None, FlowBC(), False, f,
+        solve_one(grid, first, None, FlowBC(), f, orders=orders)
+        trusted = solve_one(grid, second, None, FlowBC(), f,
                             orders=orders)
         assert any(a.tobytes() != b.tobytes()
                    for a, b in zip(trusted, fresh))

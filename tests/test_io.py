@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,13 +49,31 @@ class TestCellCsv:
 
 
     @pytest.mark.parametrize("row", ["-1,1,99", "0,-1,99", "x,1,99",
-                                     "0,1,nan?", "0,1", "0,1,2,3"])
+                                     "0,1,nan?", "0,1", "0,1,2,3",
+                                     "10000000,10000000,1", "3000,2000,5",
+                                     "2,0,1", "0,2,1", "0,1,nan"])
     def test_malformed_row_rejected_with_its_line(self, tmp_path, row):
         path = tmp_path / "cells.csv"
         path.write_text(f"i,j,value\n0,0,1.0\n1,0,1.0\n{row}\n"
                         "0,1,1.0\n1,1,1.0\n")
         with pytest.raises(ConfigError, match=f"{path.name}, line 4"):
             io.read_cell_csv(str(path), 2, 2)
+
+
+    def test_row_outside_the_grid_allocates_nothing(self, tmp_path):
+        # sizing the field by this row would ask for 728 TiB
+        path = tmp_path / "lam.csv"
+        path.write_text("i,j,value\n0,0,1\n10000000,10000000,1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{path.name}, line 3: cell (10000000, 10000000) "
+                    "outside the 2x2 grid")):
+                io.read_cell_csv(str(path), 2, 2)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestFaceCsv:

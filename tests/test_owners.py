@@ -4,16 +4,20 @@ source: ``macro`` cuts every Galerkin region and holds the region recipe
 (``G_IN``, ``P_IN``, ``P_OUT``); ``CoarseModel`` carries only what differs
 from run to run.  The TPFA operator has one way in: one ``solve_flow``
 signature, one stencil build for it and the Galerkin block pieces, and a
-result memo that only the fine run keeps.
+result memo that only the fine run keeps.  No flow input restates what it
+is given: a load has buoyancy exactly when it carries a concentration, the
+mixed variant follows from Chat and its inlet labels from ``labels``, and
+the boundary values are read from ``macro``, never passed.
 """
 
 import ast
 import dataclasses
 import inspect
 
-from dynmc.fine import LastSolve, solve_flow
-from dynmc.macro import CoarseModel
-from test_solve_paths import SRC, callers, parse
+from dynmc.fine import FlowLoad, LastSolve, flux_from_pressure, solve_flow
+from dynmc.macro import (CoarseModel, mixed_bases, solve_coarse_flow_galerkin,
+                         solve_coarse_flow_mixed)
+from test_solve_paths import SRC, callers, parse, scoped_nodes
 
 RECIPE = {"FLOW_REFINE", "LAYERS", "EXTENSION_RULE"}
 BOUNDARY = {"G_IN", "P_IN", "P_OUT"}
@@ -97,3 +101,40 @@ def test_only_the_fine_run_keeps_a_flow_result():
     assert sites("LastSolve") == {"fine": ["run_fine"]}
     assert [m for m in modules() if "LastSolve" in names(parse(m))] == [
         "fine"]
+
+
+def test_flow_inputs_do_not_restate_their_data():
+    # buoyancy is the load's c, the mixed variant the given Chat, the inlet
+    # labels labels[0, :] and the boundary values macro's constants
+    assert FlowLoad._fields == ("c", "bc", "f")
+    assert {f.__name__: len(inspect.signature(f).parameters) for f in (
+        solve_coarse_flow_mixed, mixed_bases, solve_coarse_flow_galerkin,
+        flux_from_pressure)} == {
+        "solve_coarse_flow_mixed": 8, "mixed_bases": 8,
+        "solve_coarse_flow_galerkin": 4, "flux_from_pressure": 6}
+
+
+def test_no_call_passes_the_boundary_data():
+    # the solvers read macro's constants; no function or class of the
+    # package is handed one (numpy's are, to build arrays of them)
+    def bare(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    own = {node.name for m in modules() for node in ast.walk(parse(m))
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    passed = [(m, scope, bare(node.func)) for m in modules()
+              for scope, node in scoped_nodes(parse(m))
+              if isinstance(node, ast.Call) and bare(node.func) in own
+              and BOUNDARY & {bare(a) for a in node.args
+                              + [k.value for k in node.keywords]}]
+    assert passed == []
+
+
+def test_every_flow_load_names_its_source():
+    # a third positional argument would be read as the volume source f
+    found = [(m, scope, len(node.args)) for m in modules()
+             for scope, node in scoped_nodes(parse(m))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "FlowLoad"]
+    assert {m for m, _scope, _n in found} == {"cells", "fine"}
+    assert [(m, scope) for m, scope, n in found if n > 2] == []

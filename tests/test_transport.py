@@ -637,7 +637,7 @@ class TestFlowReuse:
         grid = FineGrid(8, 4, 2.0, 1.0)
         bc = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
         [(_p, vx, vy)] = solve_flow(grid, np.ones((8, 4)),
-                                    [FlowLoad(None, bc, False)])
+                                    [FlowLoad(None, bc)])
         tau = 0.95 / cfl(grid, vx, vy, 1.0)
         c0 = rng(43).random((8, 4))
         with pytest.warns(UserWarning, match="close to the stability") as rec:
