@@ -484,8 +484,7 @@ def load_key(operator: bytes, load: FlowLoad) -> bytes:
 
 
 def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
-                      memo: StepMemo | None = None,
-                      orders: dict | None = None) -> list:
+                      memo: StepMemo | None = None) -> list:
     """Solve ``[(block, FlowLoad), ...]`` with one factorization per
     distinct block matrix; returns their (p, vx, vy) in the same order.
 
@@ -499,9 +498,7 @@ def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
     matrix on the grid of its first block (the result never depends on the
     grid's origin), a matrix with no new load to none.  Without a memo the
     call dedupes its own loads.  The results are read-only and shared by
-    every load of equal key.  ``orders``, the caller's column orders of
-    :func:`~dynmc.fine.solve_flow`, orders each block shape and
-    pressure-side set once; without it every matrix is ordered afresh.
+    every load of equal key.
     """
     memo = StepMemo() if memo is None else memo
     operators: dict[tuple, bytes] = {}  # (block, side kinds) -> key
@@ -520,7 +517,7 @@ def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
     for blk, pending in groups.values():
         solved.update(zip(pending, solve_flow(
             _omega_grid(coarse, [blk]), _block_field(coarse, blk, lam),
-            list(pending.values()), orders=orders)))
+            list(pending.values()))))
     for sol in solved.values():
         for a in sol:
             a.flags.writeable = False

@@ -283,25 +283,27 @@ def to_ini(cfg: ExperimentConfig) -> str:
 
 def from_ini(text: str, base: ExperimentConfig | None = None,
              source: str = "<string>") -> ExperimentConfig:
-    """The config of INI ``text`` over ``base``; a malformed text raises
-    :class:`ConfigError` naming ``source``, the file it was read from."""
+    """The config of INI ``text`` over ``base``; every :class:`ConfigError`
+    it raises (a malformed text, an unknown section or key, a bad value or
+    config) names ``source``, the file it was read from."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive (nx vs Nx)
     try:
         cp.read_string(text, source=source)
+        updates = {}
+        for section in cp.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for name, raw in cp[section].items():
+                if name not in _SECTIONS[section]:
+                    raise ConfigError(f"unknown key {name!r} in [{section}]")
+                updates[name] = _parse_value(name, raw)
+        return dataclasses.replace(base or ExperimentConfig(), **updates)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: malformed INI: "
                           + " ".join(str(exc).split())) from None
-    updates = {}
-    for section in cp.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for name, raw in cp[section].items():
-            if name not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key {name!r} in [{section}]")
-            updates[name] = _parse_value(name, raw)
-    base = base or ExperimentConfig()
-    return dataclasses.replace(base, **updates)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:

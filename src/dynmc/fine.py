@@ -9,13 +9,12 @@ are built from five-point stencil values (:func:`operator_stencil`) straight
 into their compressed arrays: in :func:`solve_flow`, the one entry point of
 the fine flow and the mixed block loads, one triangular solve per load (with
 buoyancy exactly when the load carries a concentration), and in the KKT
-systems of the Galerkin block pieces of :mod:`dynmc.cells`.  A caller's
-``orders`` dict keeps, per grid shape and pressure sides, the column order
-of the first factorization; only the fine run also keeps its last result
-(:class:`LastSolve`).  Particles, :data:`PARTICLES_PER_CELL` per cell, read
-the velocity from quarter-cell coefficient tables, built once per step, and
-take all three Runge-Kutta stages one cache-sized slice of the cloud at a
-time.
+systems of the Galerkin block pieces of :mod:`dynmc.cells`.  Each matrix
+is factored once, by ``splu(A.tocsc(), **SPLU_OPTIONS)``; only the fine run
+keeps its last result (:class:`LastSolve`).  Particles,
+:data:`PARTICLES_PER_CELL` per cell, read the velocity from quarter-cell
+coefficient tables, built once per step, and take all three Runge-Kutta
+stages one cache-sized slice of the cloud at a time.
 """
 
 from __future__ import annotations
@@ -39,12 +38,7 @@ SIDES = ("left", "right", "bottom", "top")
 # SuperLU's default COLAMD ordering on these 2-D stencils.  Partial pivoting
 # stays at SuperLU's default: the KKT matrices have a zero (2,2) block, and
 # with diagonal pivots (diag_pivot_thresh=0) the hydrostatic velocity of a
-# contrast-1000 closed box rises above 1e-10.  With a caller's ``orders``
-# the ordering is computed once per grid shape and pressure sides, which fix
-# the sparsity pattern: later matrices of the pattern are factored
-# column-permuted in natural order, with the same pivots, fill and bits and
-# without the minimum-degree pass; a pivot tie that natural order may break
-# otherwise sends the matrix back to the full recipe (``_same_pivots``).
+# contrast-1000 closed box rises above 1e-10.
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
 
 
@@ -138,31 +132,10 @@ class StencilLayout(NamedTuple):
         indices = row + np.array([-ny, -1, 0, 1, ny], dtype=np.int32)[slot]
         return cls(take, indptr, indices)
 
-    def matrix(self, stencil: np.ndarray, kind=sparse.csr_matrix):
+    def matrix(self, stencil: np.ndarray) -> sparse.csr_matrix:
         n = self.indptr.size - 1
-        return kind((stencil.ravel().take(self.take), self.indices,
-                     self.indptr), shape=(n, n))
-
-    def permuted(self, q: np.ndarray) -> "StencilLayout":
-        """The CSC layout of ``A[:, q]``, as ``A.tocsc()[:, q]`` lays it
-        out, for A of this CSR layout."""
-        n = self.indptr.size - 1
-        where = sparse.csr_matrix(
-            (np.arange(1, self.take.size + 1), self.indices, self.indptr),
-            shape=(n, n)).tocsc()[:, q]
-        return StencilLayout(self.take[where.data - 1],
-                             where.indptr.astype(np.int32),
-                             where.indices.astype(np.int32))
-
-
-class StoredOrder(NamedTuple):
-    """One TPFA pattern's CSR layout, the column order of its first
-    factorization, ``q = argsort(perm_c)``, and the CSC layout of the
-    ``A[:, q]`` that later matrices of the pattern are factored as."""
-
-    csr: StencilLayout
-    q: np.ndarray
-    factored: StencilLayout
+        return sparse.csr_matrix((stencil.ravel().take(self.take),
+                                  self.indices, self.indptr), shape=(n, n))
 
 
 def apply_stiffness(grid: FineGrid, lam: np.ndarray, u: np.ndarray):
@@ -399,8 +372,7 @@ def _same_inputs(new: tuple, held: tuple | None) -> bool:
 
 
 def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
-               memo: LastSolve | None = None, orders: dict | None = None
-               ) -> list:
+               memo: LastSolve | None = None) -> list:
     """Solve -div(lam (grad p - c e1)) = f for each load (c = 0 for a load
     without c) against one factorization; return their (p, vx, vy).
 
@@ -412,10 +384,6 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
     With ``memo`` a call whose inputs equal the memo's, byte for byte,
     returns the stored arrays with no assembly, factorization or solve;
     otherwise the new result, made read-only, replaces the stored one.
-    ``orders`` maps each (nx, ny, pressure sides) met to the
-    :class:`StoredOrder` of its first factorization, in which later
-    matrices of that key are factored (the shape and the pressure sides fix
-    the pattern); without it every matrix is ordered afresh.
     """
     nx, ny = grid.nx, grid.ny
     if lam.shape != (nx, ny):
@@ -441,25 +409,8 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
                     f"pure-Neumann flow problem is incompatible: net source "
                     f"{rhs.sum():.3e}")
             rhs[0] = 0.0  # the gauge
-
-    key = (nx, ny, pressure)
-    stored = None if orders is None else orders.get(key)
-    if stored is not None:
-        A, q = stored.csr.matrix(stencil), stored.q
-        # A[:, q] in its natural order meets the pivots and fill of a fresh
-        # factorization of A, so the solution is the same to the bit, unless
-        # a pivot tie may have been broken otherwise
-        lu = splu(stored.factored.matrix(stencil, sparse.csc_matrix),
-                  **dict(SPLU_OPTIONS, permc_spec="NATURAL"))
-        if not _same_pivots(lu, q):
-            stored = None
-    if stored is None:
-        layout = StencilLayout.of(nx, ny, gauged=not pressure)
-        A, q = layout.matrix(stencil), None
-        lu = splu(A.tocsc(), **SPLU_OPTIONS)
-        if orders is not None and key not in orders:
-            order = np.argsort(lu.perm_c).astype(np.int32)
-            orders[key] = StoredOrder(layout, order, layout.permuted(order))
+    A = StencilLayout.of(nx, ny, gauged=not pressure).matrix(stencil)
+    lu = splu(A.tocsc(), **SPLU_OPTIONS)
     # ||A||_inf from A's data, as abs(A).sum(axis=1) sums it; no row is
     # empty, each holds its diagonal
     norm = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
@@ -469,10 +420,10 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
     # BLAS, whose kernels round a column differently from a lone one on
     # some CPUs
     for (c, bc, _f), rhs in zip(loads, rhss):
-        p_vec = _solve(lu, q, rhs)
+        p_vec = lu.solve(rhs)
         # one step of iterative refinement: high-contrast lam amplifies the
         # factorization roundoff into spurious face fluxes otherwise
-        p_vec += _solve(lu, q, rhs - A @ p_vec)
+        p_vec += lu.solve(rhs - A @ p_vec)
         check_residual("flow", np.abs(A @ p_vec - rhs).max(), norm, p_vec,
                        rhs)
         p = p_vec.reshape(nx, ny)
@@ -484,42 +435,6 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
         meta, arrays = inputs
         memo.inputs, memo.result = (meta, [a.copy() for a in arrays]), out
     return list(out)
-
-
-def _same_pivots(lu, q: np.ndarray) -> bool:
-    """Whether ``lu``, the natural-order factorization of ``A[:, q]``,
-    surely took the pivots of a fresh factorization of A in the order q.
-
-    SuperLU pivots column j on the largest entry left in it, the first one
-    met of equal ones, but on the diagonal entry where that is as large; for
-    ``A[:, q]`` in natural order that is row j, for A itself row q[j].  So
-    the two can differ only at a tie, which leaves a multiplier of size 1 in
-    column j of L: when a tied row is q[j], or the pivot is row j, the
-    stored order is not trusted.
-    """
-    L = lu.L
-    at = np.flatnonzero(np.abs(L.data) >= 1.0)
-    if at.size == L.shape[0]:  # L stores its unit diagonal: no tie
-        return True
-    rows = L.indices[at]
-    cols = np.searchsorted(L.indptr, at, side="right") - 1
-    tie = rows != cols  # the unit diagonal of L is no tie
-    if not tie.any():
-        return True
-    rows, cols = rows[tie], cols[tie]
-    pivot = np.argsort(lu.perm_r)  # the row of A behind each row of L
-    return not ((pivot[rows] == q[cols]).any()
-                or ((pivot[cols] == cols) & (q[cols] != cols)).any())
-
-
-def _solve(lu, q: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b with ``lu`` the factor of A[:, q] (of A if q is None):
-    x[q] is that factor's solution."""
-    if q is None:
-        return lu.solve(b)
-    x = np.empty_like(b)
-    x[q] = lu.solve(b)
-    return x
 
 
 def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
@@ -922,14 +837,14 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
     store = [np.empty((kept,) + shape) for shape in
              ((nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny))]
 
-    memo, orders = LastSolve(), {}
+    memo = LastSolve()
     nu = 0.0  # the CFL of the latest flow
 
     def solve(c):
         nonlocal nu
         [(p, vx, vy)] = solve_flow(
             grid, lam_of(c), [FlowLoad(c if gravity_on else None, bc)],
-            memo=memo, orders=orders)
+            memo=memo)
         run.flow_reused.append(memo.reused)
         if not memo.reused:  # a reused vx, vy keeps the CFL of its solve
             nu = cfl(grid, vx, vy, tau)

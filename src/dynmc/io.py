@@ -84,11 +84,17 @@ def _indexed_value(where: str, fields: list, shape: tuple | None = None
 
 
 def _filled(path: str, rows: list, what: str) -> np.ndarray:
-    """Array of the (i, j, value) rows, sized by their largest indices;
-    every entry must have a row."""
-    out = np.full((max(t[0] for t in rows) + 1, max(t[1] for t in rows) + 1),
+    """Array of the (where, i, j, value) rows, sized by their largest
+    indices; every entry must have one row, and a second one raises
+    :class:`ConfigError` naming both lines."""
+    out = np.full((max(t[1] for t in rows) + 1, max(t[2] for t in rows) + 1),
                   np.nan)
-    for i, j, v in rows:
+    first = {}  # (i, j) -> where its row is
+    for where, i, j, v in rows:
+        if (i, j) in first:
+            raise ConfigError(f"{where}: a second row for ({i}, {j}); the "
+                              f"first is at {first[i, j]}")
+        first[i, j] = where
         out[i, j] = v
     if np.isnan(out).any():
         raise ConfigError(f"{path}: missing {what}")
@@ -98,10 +104,11 @@ def _filled(path: str, rows: list, what: str) -> np.ndarray:
 def read_cell_csv(path: str, nx: int | None = None,
                   ny: int | None = None) -> np.ndarray:
     """Cell field written by :func:`write_cell_csv`, of shape (nx, ny) when
-    given; a malformed row raises :class:`ConfigError` naming the file and
-    line, a row outside the shape before anything is sized by it."""
+    given; a malformed or repeated row raises :class:`ConfigError` naming
+    the file and line, a row outside the shape before anything is sized by
+    it."""
     shape = None if nx is None else (nx, ny)
-    rows = [_indexed_value(where, line, shape)
+    rows = [(where, *_indexed_value(where, line, shape))
             for where, line in _data_rows(path, ["i", "j", "value"])]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
@@ -132,7 +139,8 @@ def read_face_csv(path: str):
     for where, line in _data_rows(path, ["orientation", "i", "j", "flux"]):
         if line[0] not in ("x", "y"):
             raise ConfigError(f"{where}: orientation {line[0]!r} is not x or y")
-        (xs if line[0] == "x" else ys).append(_indexed_value(where, line[1:]))
+        (xs if line[0] == "x" else ys).append(
+            (where, *_indexed_value(where, line[1:])))
     if not xs or not ys:
         raise ConfigError(f"{path}: missing face orientation rows")
     return _filled(path, xs, "x faces"), _filled(path, ys, "y faces")

@@ -143,12 +143,10 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, what: str):
 
 def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
                 n: int, edge_labels: np.ndarray, gravity: bool,
-                loads: StepMemo | None = None,
-                orders: dict | None = None):
+                loads: StepMemo | None = None):
     """Every cell problem of one mixed solve, one factorization per block
-    matrix and one solve per distinct block load; ``loads`` and ``orders``
-    are the memos of ``cells.solve_block_loads``, which hand on the loads
-    solved and the column orders of the solves before.
+    matrix and one solve per distinct block load; ``loads`` is the memo of
+    ``cells.solve_block_loads``, which hands on the loads solved before.
 
     Returns (bases, table).  ``bases`` holds one (edge, continuum, S) per
     basis: edge by edge, continua inner, with S the edge flux it carries;
@@ -195,7 +193,7 @@ def mixed_bases(coarse: CoarseGrid, lam: np.ndarray, labels: np.ndarray,
             queued.append((2, i, items))
     solved = iter(cells.solve_block_loads(
         coarse, lam, [item for _slot, _key, items in queued
-                      for item in items], loads, orders))
+                      for item in items], loads))
     table = [([], [], []) for _ in coarse.blocks()]
     for slot, key, items in queued:
         for blk, _load in items:
@@ -215,8 +213,7 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
                             labels: np.ndarray, n: int,
                             Chat: np.ndarray | None,
                             edge_labels: np.ndarray,
-                            loads: StepMemo | None = None,
-                            orders: dict | None = None
+                            loads: StepMemo | None = None
                             ) -> MixedSolution:
     """Edge-basis saddle solve for the multicontinuum velocities.
 
@@ -228,11 +225,11 @@ def solve_coarse_flow_mixed(coarse: CoarseGrid, lam: np.ndarray,
     column ``labels[0, :]``, pressure :data:`P_OUT` on the right (one-sided
     edge bases there).
     ``edge_labels[I]`` holds the continuum label of every face of edge I;
-    ``loads`` and ``orders`` carry the block solves (:func:`mixed_bases`).
+    ``loads`` carries the block solves (:func:`mixed_bases`).
     """
     gravity = Chat is not None
     bases, table = mixed_bases(coarse, lam, labels, n, edge_labels, gravity,
-                               loads, orders)
+                               loads)
     nb = len(bases)
     if nb == 0:
         raise SolverError("no edge bases: every continuum absent on edges")
@@ -547,11 +544,10 @@ def _galerkin_velocity(model: CoarseModel, lam: np.ndarray,
 
 def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
                     labels: np.ndarray, masses: np.ndarray, n: int,
-                    loads: StepMemo, orders: dict):
+                    loads: StepMemo):
     """Mixed coarse flow of one snapshot: returns V, P and the (solved,
     reused) counts of its block loads.  ``loads`` carries the solved block
     loads from solve to solve; settled here, it keeps only this solve's.
-    ``orders`` keeps the column order of the block matrices.
 
     Each edge face takes the continuum of its donor cell under the fine
     velocity.  The gravity variant is selected by Chat, the per-block
@@ -566,7 +562,7 @@ def _mixed_velocity(model: CoarseModel, snap: Snapshot, lam: np.ndarray,
     ms = solve_coarse_flow_mixed(
         coarse, lam, labels, n, Chat,
         coarse.edge_donor_labels(labels, coarse.edge_flux(snap.vx)),
-        loads=loads, orders=orders)
+        loads=loads)
     return ms.V, ms.P, loads.settle()
 
 
@@ -593,9 +589,8 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
     C = ref0.C.copy()
     states = []
     # the coarse flow, Galerkin regions and block pieces and the mixed block
-    # loads of the last step, and the column orders of the block matrices
+    # loads of the last step
     flows, regions, pieces, loads = (StepMemo() for _ in range(4))
-    orders = {}
     total_removed = 0.0
 
     for k in range(steps + 1):
@@ -627,7 +622,7 @@ def run_coarse(model: CoarseModel, snapshots: list[Snapshot], steps: int,
                     model, lam, labels, n, pieces, regions))
             else:
                 V, P, solved = flows.get(key, lambda: _mixed_velocity(
-                    model, snap, lam, labels, masses, n, loads, orders))
+                    model, snap, lam, labels, masses, n, loads))
             if flows.settle()[1]:
                 counts, solved, flow_reused = (0, 0, 0), (0, 0), True
 

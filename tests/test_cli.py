@@ -95,6 +95,27 @@ def test_run_coarse_reports_a_malformed_config_file(tmp_path, capsys, text):
     assert "Traceback" not in err and "<string>" not in err
 
 
+def test_run_coarse_names_the_config_file_of_an_unknown_key(tmp_path,
+                                                            capsys):
+    path = tmp_path / "unk.ini"
+    path.write_text("[time]\nstepz = 3\n")
+    assert main(["run-coarse", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: unknown key 'stepz' in [time]")
+    assert "Traceback" not in err
+
+
+def test_run_coarse_reports_a_repeated_mobility_row(tmp_path, capsys):
+    path = tmp_path / "lam.csv"
+    path.write_text("i,j,value\n0,0,1\n0,0,9\n")
+    assert main(["run-coarse", "--preset", "smoke", "--set", "lam_kind=file",
+                 "--set", f"lam_file={path}"]) == 2
+    err = capsys.readouterr().err
+    assert (f"{path}, line 3: a second row for (0, 0); the first is at "
+            f"{path}, line 2") in err
+    assert "Traceback" not in err
+
+
 def test_run_coarse_reports_a_mobility_row_outside_the_grid(tmp_path,
                                                              capsys):
     path = tmp_path / "lam.csv"

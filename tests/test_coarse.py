@@ -275,7 +275,7 @@ class TestBlockLoadMemo:
 
         monkeypatch.setattr(cells, "solve_block_loads", block_loads)
         monkeypatch.setattr(cells, "solve_flow", flow)
-        macro.mixed_bases(coarse, lam, labels, 2, elab, False, memo, {})
+        macro.mixed_bases(coarse, lam, labels, 2, elab, False, memo)
         monkeypatch.setattr(cells, "solve_block_loads", real_loads)
         monkeypatch.setattr(cells, "solve_flow", real_flow)
         return items, solved, memo.settle()
@@ -749,46 +749,6 @@ class TestRunCoarse:
         aba[1] = dataclasses.replace(aba[1], c=np.full((24, 6), 0.71))
         run_coarse(model, aba, 2, 0.05, velocity="mh")
         assert len(calls) == 3
-
-    def test_block_solves_take_only_the_orders_run_coarse_owns(
-            self, monkeypatch):
-        # every block group of every mixed solve reaches the TPFA operator
-        # with no result memo and the one orders dict of its run_coarse
-        fine = FineGrid(24, 6, 3.0, 0.75)
-        coarse = CoarseGrid(fine, 3)
-        model = CoarseModel(coarse=coarse,
-                            spec=ContinuumSpec(DUAL_THRESHOLDS),
-                            approach="mixed-gravity",
-                            lam_of=lambda cc: np.where(cc >= 0.5, 100.0, 1.0))
-        owned, calls = [], []
-        real_velocity, real_flow = macro._mixed_velocity, cells.solve_flow
-
-        def velocity(*args):
-            owned.append(args[-1])
-            return real_velocity(*args)
-
-        def flow(grid, lam_b, loads, **kwargs):
-            calls.append(kwargs)
-            return real_flow(grid, lam_b, loads, **kwargs)
-
-        monkeypatch.setattr(macro, "_mixed_velocity", velocity)
-        monkeypatch.setattr(cells, "solve_flow", flow)
-        vx = np.zeros((fine.nx + 1, fine.ny))
-        c = rng(45).random((24, 6))
-        snaps = self.make_snapshots(fine, 2, c, vx)
-        snaps[1] = dataclasses.replace(snaps[1], c=np.roll(c, 1, axis=0))
-        runs = []
-        for _ in range(2):
-            owned.clear()
-            calls.clear()
-            run_coarse(model, snaps, 2, 1e-3, velocity="mh")
-            assert len(owned) == 3 and calls
-            assert all(orders is owned[0] for orders in owned)
-            assert [set(kw) for kw in calls] == [{"orders"}] * len(calls)
-            assert all(kw["orders"] is owned[0] for kw in calls)
-            assert list(owned[0]) == [(coarse.mx, coarse.my, ())]
-            runs.append(owned[0])
-        assert runs[0] is not runs[1]
 
     def test_mh_viscous_averages_only_the_first_snapshot(self, monkeypatch):
         # the viscous coarse flow reads no Chat, so no per-step averages

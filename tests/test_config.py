@@ -115,6 +115,7 @@ class TestIniAndOverrides:
         ("[time]\nsteps = 7\nsteps = 8\n", "option 'steps'"),
         ("steps = 7\n", "no section headers"),
         ("[time]\nsteps = 7\n[time]\n", "section 'time'"),
+        ("[time]\nsteps = 50%\n", "'%' must be followed"),
     ])
     def test_malformed_ini_names_its_file(self, text, what):
         # configparser's own errors would name '<string>' and exit 1
@@ -122,6 +123,19 @@ class TestIniAndOverrides:
             from_ini(text, source="bad.ini")
         assert what in str(exc.value) and "\n" not in str(exc.value)
         assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("text, what", [
+        ("[time]\nstepz = 3\n", "unknown key 'stepz' in [time]"),
+        ("[bc]\nleft = 1\n", "unknown config section [bc]"),
+        ("[time]\nsteps = soon\n", "steps: expected an integer, got 'soon'"),
+        ("[time]\ncoarse_steps = 9\n", "coarse horizon exceeds the fine"),
+    ], ids=["key", "section", "value", "check"])
+    def test_every_ini_error_names_its_file(self, text, what):
+        # an unknown section or key, a bad value and the checks that run
+        # when the config is built
+        with pytest.raises(ConfigError) as exc:
+            from_ini(text, base=get_preset("smoke"), source="bad.ini")
+        assert str(exc.value).startswith(f"bad.ini: {what}")
 
     def test_ini_base_merge(self):
         base = get_preset("smoke")

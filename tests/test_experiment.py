@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -201,25 +202,12 @@ class Unkept(fine.LastSolve):
     inputs = property(lambda self: None, lambda self, value: None)
 
 
-def unordered(solve_flow):
-    """``solve_flow`` that drops the caller's column orders: every matrix is
-    ordered afresh, and none is stored."""
-
-    def solve(grid, lam, loads, *, orders=None, **memo):
-        return solve_flow(grid, lam, loads, **memo)
-
-    return solve
-
-
 def memos_off(monkeypatch):
     """Make every memo of a run forget: no step takes anything from the
-    step before, and no factorization takes the column order of another."""
+    step before."""
     for module in (fine, cells, macro):
         monkeypatch.setattr(module, "StepMemo", Forgetful)
     monkeypatch.setattr(fine, "LastSolve", Unkept)
-    for module in (fine, cells):
-        monkeypatch.setattr(module, "solve_flow",
-                            unordered(module.solve_flow))
 
 
 def assert_same_result(res, fresh):
@@ -300,7 +288,7 @@ def test_manifest_counts_reused_coarse_flow_solves(monkeypatch, tmp_path):
 
 def test_region_memo_changes_no_result(monkeypatch):
     # a run whose every memo forgets at each step (coarse flows, regions,
-    # block pieces and the fine flow's result and column order) solves and
+    # block pieces and the fine flow's result) solves and
     # rebuilds everything; its states and every report value are bit for
     # bit those of the run that reuses
     cfg = multi_solve_galerkin()
@@ -347,13 +335,25 @@ def test_region_memo_changes_no_result_when_lam_leaves_labels_free(
     assert_same_result(res, run_experiment(cfg))
 
 
-@pytest.mark.parametrize("workload", ["gravity-dual", "viscous"])
-def test_memos_change_no_result(monkeypatch, workload):
-    # the benchmark's shortened runs of the mixed models, with and without
-    # cross-step reuse; test_region_memo_changes_no_result runs interface
+class MixedRuns(NamedTuple):
+    """One shortened mixed workload run with every memo and without:
+    results, the memo-on run's manifest and the ``permc_spec`` of each fine
+    factorization of either run."""
+
+    res: object
+    manifest: dict
+    orders: list
+    fresh: object
+    fresh_orders: list
+
+
+def mixed_runs(workload, tmp_path_factory) -> MixedRuns:
+    """The benchmark's shortened ``workload`` run, written out, and the
+    same run under :func:`memos_off`."""
     short = {"gravity-dual": {"steps": 30, "coarse_steps": 30},
              "viscous": {"pre_steps": 40, "steps": 70, "coarse_steps": 30}}
     cfg = dataclasses.replace(get_preset(workload), **short[workload])
+    out = tmp_path_factory.mktemp(workload)
     orders = []  # the column ordering of each fine factorization
     real = fine.splu
 
@@ -361,13 +361,39 @@ def test_memos_change_no_result(monkeypatch, workload):
         orders.append(kwargs["permc_spec"])
         return real(A, **kwargs)
 
-    monkeypatch.setattr(fine, "splu", splu)
-    res = run_experiment(cfg)
-    assert "NATURAL" in orders  # a stored column order was reused
-    memos_off(monkeypatch)
-    orders.clear()
-    fresh = run_experiment(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fine, "splu", splu)
+        res = run_experiment(cfg, outdir=str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        on = orders.copy()
+        orders.clear()
+        memos_off(mp)
+        fresh = run_experiment(cfg)
+    return MixedRuns(res, manifest, on, fresh, orders)
+
+
+@pytest.fixture(scope="module")
+def gravity_dual_runs(tmp_path_factory):
+    return mixed_runs("gravity-dual", tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def viscous_runs(tmp_path_factory):
+    return mixed_runs("viscous", tmp_path_factory)
+
+
+def runs_of(request, workload) -> MixedRuns:
+    """The module's :class:`MixedRuns` of ``workload``."""
+    return request.getfixturevalue(f"{workload.replace('-', '_')}_runs")
+
+
+@pytest.mark.parametrize("workload", ["gravity-dual", "viscous"])
+def test_memos_change_no_result(request, workload):
+    # the benchmark's shortened runs of the mixed models, with and without
+    # cross-step reuse; test_region_memo_changes_no_result runs interface
+    res, _manifest, orders, fresh, fresh_orders = runs_of(request, workload)
     assert set(orders) == {fine.SPLU_OPTIONS["permc_spec"]}
+    assert set(fresh_orders) == {fine.SPLU_OPTIONS["permc_spec"]}
     assert not any(fresh.fine.flow_reused)
     assert not any(s.flow_reused for s in fresh.mh_mhvel)
     assert_same_result(res, fresh)
@@ -376,25 +402,18 @@ def test_memos_change_no_result(monkeypatch, workload):
 @pytest.mark.parametrize("workload, solved, total, fresh_solved, fresh_total", [
     ("gravity-dual", 195, 806, 527, 806), ("viscous", 164, 756, 551, 1016)])
 def test_manifest_counts_solved_and_reused_block_loads(
-        monkeypatch, tmp_path, workload, solved, total, fresh_solved,
-        fresh_total):
+        request, workload, solved, total, fresh_solved, fresh_total):
     # the benchmark's shortened runs at particle seed 0: of the block loads
     # of every mixed solve, those distinct within their solve and not
     # solved by the solve before are solved.  Without memos each solve
     # solves its distinct loads, and the viscous run solves the coarse flow
     # on 31 steps, not 23
-    short = {"gravity-dual": {"steps": 30, "coarse_steps": 30},
-             "viscous": {"pre_steps": 40, "steps": 70, "coarse_steps": 30}}
-    cfg = dataclasses.replace(get_preset(workload), **short[workload])
-    res = run_experiment(cfg, outdir=str(tmp_path))
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    res, manifest, _orders, fresh, _fresh_orders = runs_of(request, workload)
     assert manifest["block_loads_solved"] == solved
     assert manifest["block_loads_reused"] == total - solved
     assert sum(s.loads[0] for s in res.mh_mhvel) == solved
     assert all(s.loads == (0, 0) for s in res.mh_refvel)
     assert all(s.loads == (0, 0) for s in res.mh_mhvel if s.flow_reused)
-    memos_off(monkeypatch)
-    fresh = run_experiment(cfg)
     assert sum(s.loads[0] for s in fresh.mh_mhvel) == fresh_solved
     assert sum(sum(s.loads) for s in fresh.mh_mhvel) == fresh_total
 

@@ -6,7 +6,6 @@ import pytest
 from _oracles import assemble_stiffness_coo, flow_operator_coo
 from conftest import random_mobility, rng
 from dynmc import fine
-from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError, SolverError
 from dynmc.fine import (FlowBC, FlowLoad, LastSolve, StepMemo, cfl,
                         divergence, run_fine, solve_flow)
@@ -15,8 +14,7 @@ from dynmc.grids import FineGrid
 
 def solve_one(grid, lam, c, bc=FlowBC(), f=None, **memos):
     """The (p, vx, vy) of one load (buoyancy from c unless it is None):
-    :func:`solve_flow` of a one-load list, with its ``memo`` and
-    ``orders``."""
+    :func:`solve_flow` of a one-load list, with its ``memo``."""
     [out] = solve_flow(grid, lam, [FlowLoad(c, bc, f=f)], **memos)
     return out
 
@@ -264,17 +262,13 @@ class TestManyLoads:
             for a, b in zip(got, one):
                 assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("memo", ["none", "fresh", "stored-order"])
+    @pytest.mark.parametrize("memo", ["none", "fresh"])
     def test_one_triangular_solve_per_load(self, monkeypatch, memo):
         """Every right-hand side reaching a factor is one column: a 2-D
         solve of the stacked loads rounds differently on some BLAS kernels,
         which the bit-for-bit comparison above cannot see on every CPU."""
         grid, lam, loads = self.block_loads()
-        stored_order = memo == "stored-order"
-        orders = None if memo == "none" else {}
-        if stored_order:
-            solve_flow(grid, lam, loads, orders=orders)
-            lam = 2.0 * lam  # same pattern, new matrix: the stored order
+        memo = None if memo == "none" else LastSolve()
         ndims, options = [], []
         splu = fine.splu
 
@@ -294,12 +288,10 @@ class TestManyLoads:
             return Factor(splu(A, **kwargs))
 
         monkeypatch.setattr(fine, "splu", spy)
-        solve_flow(grid, lam, loads, orders=orders)
-        assert options == ["NATURAL" if stored_order else "MMD_AT_PLUS_A"]
+        solve_flow(grid, lam, loads, memo=memo)
+        assert options == ["MMD_AT_PLUS_A"]
         # a solve and a refinement solve per load
         assert ndims == [1] * (2 * len(loads))
-        if orders is not None:  # the order is read through the proxy
-            assert list(orders) == [(grid.nx, grid.ny, ())]
 
     def test_shared_pressure_sides_with_their_own_values(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
@@ -502,111 +494,6 @@ class TestStepMemo:
         assert memo.settle() == (0, 0) and memo.entries == {}
 
 
-def preset_flow(name):
-    """Fine grid, lam, c, boundary and gravity switch of a desk preset at
-    t = 0."""
-    cfg = get_preset(name)
-    grid = cfg.layout().extended_fine
-    c = cfg.initial_condition(grid)
-    return (grid, cfg.mobility(grid)(c), c if cfg.gravity else None,
-            cfg.flow_bc(grid), None)
-
-
-def block_flow():
-    """A 24x36 cell block with an edge-flux boundary and its balancing
-    source (gauged), contrast 1000."""
-    grid = FineGrid(24, 36, 2.0, 1.5)
-    edge = (rng(50).random(36) < 0.5).astype(float)
-    f = np.full((24, 36), edge.sum() * grid.hy / (24 * 36 * grid.cell_area))
-    return (grid, random_mobility(24, 36, 51, 1000.0), None,
-            FlowBC(right=("flux", edge)), f)
-
-
-class TestStoredColumnOrder:
-    """A pattern factored before is factored in its stored column order."""
-
-    def spy(self, monkeypatch):
-        calls = []  # (permc_spec, SuperLU) per factorization
-        splu = fine.splu
-
-        def recording(A, **kw):
-            calls.append((kw["permc_spec"], splu(A, **kw)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(fine, "splu", recording)
-        return calls
-
-    @pytest.mark.parametrize("problem", [
-        "gravity-dual", "gravity-triple", "viscous", "interface", "block"])
-    def test_solution_equals_a_fresh_factorization(self, monkeypatch,
-                                                   problem):
-        # gauged closed boxes, flux plus pressure, Dirichlet-x, a block
-        grid, lam, c, bc, f = (block_flow() if problem == "block"
-                                        else preset_flow(problem))
-        orders = {}
-        calls = self.spy(monkeypatch)
-        solve_one(grid, lam, c, bc, f, orders=orders)
-        # new values on the same pattern: lam changes, and c too if read
-        lam2 = lam * (1.0 + rng(52).random(lam.shape))
-        c2 = None if c is None else np.roll(c, 5, axis=0)
-        got = solve_one(grid, lam2, c2, bc, f, orders=orders)
-        assert [spec for spec, _lu in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
-        n = grid.n_cells
-        assert np.array_equal(calls[1][1].perm_c, np.arange(n))
-        assert calls[1][1].L.nnz == calls[0][1].L.nnz
-        assert calls[1][1].U.nnz == calls[0][1].U.nnz
-        fresh = solve_one(grid, lam2, c2, bc, f)
-        assert calls[2][0] == "MMD_AT_PLUS_A"
-        assert not np.array_equal(calls[2][1].perm_c, np.arange(n))
-        for a, b in zip(got, fresh):
-            assert np.array_equal(a, b)
-
-    def test_a_new_pattern_stores_a_new_order(self, monkeypatch):
-        # the order is keyed by grid shape and pressure sides, which fix the
-        # pattern: new pressure sides, the gauge of a closed box and a wider
-        # grid store a new one, and every key met keeps its order
-        grid = FineGrid(10, 6, 2.0, 1.0)
-        wider = FineGrid(12, 6, 2.4, 1.0)
-        dirichlet = FlowBC(left=("pressure", 1.0), right=("pressure", 0.0))
-        outlet = FlowBC(left=("flux", -1.0), right=("pressure", 0.0))
-        orders = {}
-        calls = self.spy(monkeypatch)
-        specs = []
-        for seed, (g, bc, sides) in enumerate((
-                (grid, dirichlet, ("left", "right")),
-                (grid, dirichlet, ("left", "right")),
-                (grid, outlet, ("right",)), (grid, outlet, ("right",)),
-                (grid, FlowBC(), ()), (grid, FlowBC(), ()),
-                (wider, FlowBC(), ()), (wider, FlowBC(), ()),
-                (grid, FlowBC(), ()))):
-            args = (g, random_mobility(g.nx, g.ny, 60 + seed, 1000.0),
-                    rng(70 + seed).random((g.nx, g.ny)), bc)
-            got = solve_one(*args, orders=orders)
-            specs.append(calls[-1][0])
-            stored = orders[(g.nx, g.ny, sides)]
-            assert stored.q.shape == (g.n_cells,)
-            for a, b in zip(got, solve_one(*args)):
-                assert np.array_equal(a, b)
-        # each new key is ordered afresh, then reused; the last call meets
-        # the 10x6 closed box again after the wider grid, and still holds it
-        assert specs == ["MMD_AT_PLUS_A", "NATURAL"] * 4 + ["NATURAL"]
-        assert list(orders) == [(10, 6, ("left", "right")),
-                                     (10, 6, ("right",)), (10, 6, ()),
-                                     (12, 6, ())]
-
-    def test_run_fine_orders_the_fine_matrix_once(self, monkeypatch):
-        grid = FineGrid(16, 8, 2.0, 1.0)
-        c0 = rng(57).random((16, 8))
-        calls = self.spy(monkeypatch)
-        monkeypatch.setattr(fine, "PARTICLES_PER_CELL", 4)
-        run = run_fine(grid, lambda c: np.where(c > 0.5, 10.0, 1.0), c0,
-                       2e-3, 6, scheme="particles")
-        solved = run.flow_reused.count(False)
-        assert solved == len(calls) > 2
-        assert [spec for spec, _lu in calls] == (
-            ["MMD_AT_PLUS_A"] + ["NATURAL"] * (solved - 1))
-
-
 # grids and pressure sides of the TPFA matrices the runs factor: the one-cell
 # gauge, a closed box (gravity presets and every block of a mixed cell
 # problem), an outlet (viscous) and a pressure drop along x (interface)
@@ -633,7 +520,7 @@ def assert_same_arrays(got, want):
 
 
 class TestDirectAssembly:
-    """The five-point CSR build and the factored layout against the COO
+    """The five-point CSR build and the factored matrix against the COO
     assembly they replaced."""
 
     @pytest.mark.parametrize("case", sorted(OPERATORS))
@@ -651,78 +538,29 @@ class TestDirectAssembly:
     @pytest.mark.parametrize("case", sorted(OPERATORS))
     def test_factored_matrices_equal_the_coo_operator(self, monkeypatch,
                                                       case):
-        # the first call factors A.tocsc(), the second, with the stored
-        # order, A.tocsc()[:, q]; both from the oracle's A arrays
+        # each call factors A.tocsc() once, with the one recipe, from the
+        # oracle's A arrays; a second lam on the same pattern is no different
         grid, sides = OPERATORS[case]
         calls = []
         splu = fine.splu
 
         def recording(A, **kw):
-            calls.append((A, splu(A, **kw)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(fine, "splu", recording)
-        orders = {}
-        lam = random_mobility(grid.nx, grid.ny, 81, 1000.0)
-        lams = [lam, lam * (1.0 + rng(82).random(lam.shape))]
-        for lam in lams:
-            solve_one(grid, lam, None, bc_of(sides), orders=orders)
-        assert len(calls) == 2
-        stored = orders[(grid.nx, grid.ny, sides)]
-        q = np.argsort(calls[0][1].perm_c)
-        assert np.array_equal(stored.q, q)
-        first, second = (flow_operator_coo(grid, lam, sides).tocsc()
-                         for lam in lams)
-        assert_same_arrays(calls[0][0], first)
-        assert_same_arrays(calls[1][0], second[:, q])
-        # the CSR the residuals are taken with
-        csr = stored.csr.matrix(fine.operator_stencil(grid, lams[1], sides))
-        assert_same_arrays(csr, flow_operator_coo(grid, lams[1], sides))
-
-    def test_a_changed_lam_keeps_the_stored_order(self):
-        grid, sides = OPERATORS["outlet"]
-        orders = {}
-        held = None
-        for k in range(3):
-            lam = random_mobility(grid.nx, grid.ny, 90 + k, 1000.0)
-            solve_one(grid, lam, None, bc_of(sides), orders=orders)
-            assert held is None or orders[(9, 6, sides)] is held
-            held = orders[(9, 6, sides)]
-        assert list(orders) == [(9, 6, sides)]
-
-    def test_a_pivot_tie_is_factored_afresh(self, monkeypatch):
-        # constant lam ties pivots, and natural order on A[:, q] can break
-        # a tie otherwise than a fresh factorization of A: the tie shows in
-        # L, and the matrix is factored again with the full recipe
-        grid = FineGrid(3, 3, 3.0, 3.0)
-        f = np.zeros((3, 3))
-        f[0, 0], f[-1, -1] = 1.0, -1.0
-        first = np.full((3, 3), 3.0)
-        second = first.copy()
-        second[0, 2] = 30.0
-        specs = []
-        splu = fine.splu
-
-        def recording(A, **kw):
-            specs.append(kw["permc_spec"])
+            calls.append((A, kw))
             return splu(A, **kw)
 
         monkeypatch.setattr(fine, "splu", recording)
-        orders = {}
-        solve_one(grid, first, None, FlowBC(), f, orders=orders)
-        got = solve_one(grid, second, None, FlowBC(), f, orders=orders)
-        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A"]
-        fresh = solve_one(grid, second, None, FlowBC(), f)
-        for a, b in zip(got, fresh):
-            assert a.tobytes() == b.tobytes()
-        # trusting the natural-order factor would have changed the result
-        monkeypatch.setattr(fine, "_same_pivots", lambda lu, q: True)
-        orders = {}
-        solve_one(grid, first, None, FlowBC(), f, orders=orders)
-        trusted = solve_one(grid, second, None, FlowBC(), f,
-                            orders=orders)
-        assert any(a.tobytes() != b.tobytes()
-                   for a, b in zip(trusted, fresh))
+        lam = random_mobility(grid.nx, grid.ny, 81, 1000.0)
+        lams = [lam, lam * (1.0 + rng(82).random(lam.shape))]
+        for lam in lams:
+            solve_one(grid, lam, None, bc_of(sides))
+        assert len(calls) == 2
+        for (A, kw), lam in zip(calls, lams):
+            assert kw == fine.SPLU_OPTIONS
+            assert_same_arrays(A, flow_operator_coo(grid, lam, sides).tocsc())
+        # the CSR the residuals are taken with
+        csr = fine.StencilLayout.of(grid.nx, grid.ny, gauged=not sides).matrix(
+            fine.operator_stencil(grid, lams[1], sides))
+        assert_same_arrays(csr, flow_operator_coo(grid, lams[1], sides))
 
 
 class TestCfl:

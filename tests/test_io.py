@@ -75,6 +75,16 @@ class TestCellCsv:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("shape", [(), (1, 1)], ids=["unsized", "sized"])
+    def test_repeated_cell_rejected_naming_both_lines(self, tmp_path, shape):
+        # unchecked, the second row overwrote the first: [[9.]]
+        path = tmp_path / "lam.csv"
+        path.write_text("i,j,value\n0,0,1\n0,0,9\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"lam.csv, line 3: a second row for (0, 0); the first is "
+                f"at {path}, line 2")):
+            io.read_cell_csv(str(path), *shape)
+
 
 class TestFaceCsv:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -106,6 +116,15 @@ class TestFaceCsv:
         path.write_text(f"orientation,i,j,flux\nx,0,0,1.0\n{row}\n"
                         "y,0,0,1.0\n")
         with pytest.raises(ConfigError, match=f"{path.name}, line 3"):
+            io.read_face_csv(str(path))
+
+    def test_repeated_face_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "faces.csv"
+        path.write_text("orientation,i,j,flux\nx,0,0,1.0\ny,0,0,1.0\n"
+                        "y,0,0,2.0\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"faces.csv, line 4: a second row for (0, 0); the first is "
+                f"at {path}, line 3")):
             io.read_face_csv(str(path))
 
 

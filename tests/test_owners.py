@@ -3,11 +3,12 @@ source: ``macro`` cuts every Galerkin region and holds the region recipe
 (``FLOW_REFINE``, ``LAYERS``, ``EXTENSION_RULE``) and the boundary data
 (``G_IN``, ``P_IN``, ``P_OUT``); ``CoarseModel`` carries only what differs
 from run to run.  The TPFA operator has one way in: one ``solve_flow``
-signature, one stencil build for it and the Galerkin block pieces, and a
-result memo that only the fine run keeps.  No flow input restates what it
-is given: a load has buoyancy exactly when it carries a concentration, the
-mixed variant follows from Chat and its inlet labels from ``labels``, and
-the boundary values are read from ``macro``, never passed.
+signature, one stencil build for it and the Galerkin block pieces, one
+factorization recipe, and a result memo that only the fine run keeps.  No
+flow input restates what it is given: a load has buoyancy exactly when it
+carries a concentration, the mixed variant follows from Chat and its inlet
+labels from ``labels``, and the boundary values are read from ``macro``,
+never passed.
 """
 
 import ast
@@ -83,8 +84,7 @@ def test_the_tpfa_operator_has_one_way_in():
     params = inspect.signature(solve_flow).parameters
     assert [(p.name, p.kind.name) for p in params.values()] == [
         ("grid", "POSITIONAL_OR_KEYWORD"), ("lam", "POSITIONAL_OR_KEYWORD"),
-        ("loads", "POSITIONAL_OR_KEYWORD"), ("memo", "KEYWORD_ONLY"),
-        ("orders", "KEYWORD_ONLY")]
+        ("loads", "POSITIONAL_OR_KEYWORD"), ("memo", "KEYWORD_ONLY")]
     # the fine flow and the block pieces build their matrix from one stencil
     assert sites("operator_stencil") == {"fine": ["solve_flow"],
                                          "cells": ["piece_kkt"]}
@@ -93,9 +93,26 @@ def test_the_tpfa_operator_has_one_way_in():
             if "assemble_stiffness" in names(parse(m))] == []
 
 
+def test_every_factorization_takes_the_one_recipe():
+    # each splu call factors one matrix with exactly **SPLU_OPTIONS: no
+    # option is added or overridden, so no matrix is ordered another way
+    found = [(m, scope, node) for m in modules()
+             for scope, node in scoped_nodes(parse(m))
+             if isinstance(node, ast.Call) and "splu" in (
+                 getattr(node.func, "id", None),
+                 getattr(node.func, "attr", None))]
+    assert {m for m, _scope, _node in found} == {"cells", "fine"}
+    for m, scope, node in found:
+        assert len(node.args) == 1, (m, scope)
+        assert [(k.arg, ast.unparse(k.value)) for k in node.keywords] == [
+            (None, "SPLU_OPTIONS")], (m, scope)
+    assert [m for m in modules()
+            if "permc_spec" in ast.unparse(parse(m))] == ["fine"]
+
+
 def test_only_the_fine_run_keeps_a_flow_result():
     # a block group never repeats its inputs: the block loads memo has
-    # removed every repeat, so the block solves take only column orders
+    # removed every repeat, so the block solves take no memo
     assert [f.name for f in dataclasses.fields(LastSolve)] == [
         "inputs", "result", "reused"]
     assert sites("LastSolve") == {"fine": ["run_fine"]}
@@ -110,7 +127,7 @@ def test_flow_inputs_do_not_restate_their_data():
     assert {f.__name__: len(inspect.signature(f).parameters) for f in (
         solve_coarse_flow_mixed, mixed_bases, solve_coarse_flow_galerkin,
         flux_from_pressure)} == {
-        "solve_coarse_flow_mixed": 8, "mixed_bases": 8,
+        "solve_coarse_flow_mixed": 7, "mixed_bases": 7,
         "solve_coarse_flow_galerkin": 4, "flux_from_pressure": 6}
 
 
