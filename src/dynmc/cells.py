@@ -41,10 +41,10 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .continua import indicator
 from .exceptions import ConfigError, SolverError
-from .fine import (SIDES, SPLU_OPTIONS, FlowBC, FlowLoad, StencilLayout,
-                   StepMemo, apply_stiffness, check_residual, content_digest,
-                   gravity_volume_source, load_inputs, operator_key,
-                   operator_stencil, solve_flow)
+from .fine import (SPLU_OPTIONS, FlowBC, FlowLoad, StencilLayout, StepMemo,
+                   apply_stiffness, check_residual, content_digest,
+                   gravity_volume_source, load_inputs, operator_stencil,
+                   solve_flow)
 from .grids import CoarseGrid, FineGrid, Oversample
 
 
@@ -477,8 +477,8 @@ def _absent(grid: FineGrid, continuum: int | None) -> CellBasisSet:
 
 
 def load_key(operator: bytes, load: FlowLoad) -> bytes:
-    """Content key of a block load: the :func:`~dynmc.fine.operator_key`
-    of its block matrix and the load's :func:`~dynmc.fine.load_inputs`."""
+    """Content key of a block load: the digest of its block's lam_b, which
+    keys the block matrix, and the load's :func:`~dynmc.fine.load_inputs`."""
     meta, arrays = load_inputs(load)
     return content_digest((operator, meta), *arrays)
 
@@ -489,29 +489,28 @@ def solve_block_loads(coarse: CoarseGrid, lam: np.ndarray, items: list,
     distinct block matrix; returns their (p, vx, vy) in the same order.
 
     A load on a block solves the lam_b operator of that block, and every
-    block has the same cell size, so loads whose lam_b and pressure sides
-    digest alike (:func:`~dynmc.fine.operator_key`, taken once per block
-    and boundary kinds) share one matrix, and loads of one matrix whose
-    data digest alike (:func:`load_key`) share one solution.  Each distinct
-    load is solved once: ``memo``, a caller's memo by load key, gives the
-    loads it holds, and the rest go to one :func:`solve_flow` call per
-    matrix on the grid of its first block (the result never depends on the
-    grid's origin), a matrix with no new load to none.  Without a memo the
-    call dedupes its own loads.  The results are read-only and shared by
-    every load of equal key.
+    block has the same cell size, so blocks whose lam_b digest alike (taken
+    once per block) share one matrix, and loads of one matrix whose data
+    digest alike (:func:`load_key`) share one solution.  The loads of one
+    matrix must share their pressure sides, as :func:`solve_flow` requires
+    (every mixed block load is closed).  Each distinct load is solved once:
+    ``memo``, a caller's memo by load key, gives the loads it holds, and
+    the rest go to one :func:`solve_flow` call per matrix on the grid of its
+    first block (the result never depends on the grid's origin), a matrix
+    with no new load to none.  Without a memo the call dedupes its own
+    loads.  The results are read-only and shared by every load of equal key.
     """
     memo = StepMemo() if memo is None else memo
-    operators: dict[tuple, bytes] = {}  # (block, side kinds) -> key
-    keys, groups = [], {}  # groups: operator key -> (block, {key: load})
+    operators: dict[int, bytes] = {}  # block -> digest of its lam_b
+    keys, groups = [], {}  # groups: lam_b digest -> (block, {key: load})
     for blk, load in items:
-        kinds = (blk, *(load.bc.side(s)[0] for s in SIDES))
-        if kinds not in operators:
-            operators[kinds] = operator_key(_block_field(coarse, blk, lam),
-                                            [load])
-        key = load_key(operators[kinds], load)
+        if blk not in operators:
+            operators[blk] = content_digest(
+                (), _block_field(coarse, blk, lam))
+        key = load_key(operators[blk], load)
         keys.append(key)
         if key not in memo.entries:
-            groups.setdefault(operators[kinds], (blk, {}))[1].setdefault(
+            groups.setdefault(operators[blk], (blk, {}))[1].setdefault(
                 key, load)
     solved = {}
     for blk, pending in groups.values():

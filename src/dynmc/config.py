@@ -87,6 +87,9 @@ class ExperimentConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} must be positive")
+        if self.lam_kind == "random-field" and self.lam_lo > self.lam_hi:
+            raise ConfigError(f"random-field needs lam_lo <= lam_hi, got "
+                              f"{self.lam_lo}, {self.lam_hi}")
         whole = math.isfinite(self.tau_coarse / self.tau) and self.substeps >= 1
         if not whole or (abs(self.tau_coarse - self.substeps * self.tau)
                          > 1e-12 * self.tau):
@@ -114,6 +117,7 @@ class ExperimentConfig:
                 "coarse horizon exceeds the fine horizon: "
                 f"{self.pre_steps} + {self.coarse_steps} x {self.substeps} "
                 f"> {self.steps}")
+        self.continuum_spec()  # the checks of the thresholds
         if self.approach == "mixed-viscous" and len(self.thresholds) != 1:
             raise ConfigError("mixed-viscous interface bases need exactly 2 "
                               f"continua, got {len(self.thresholds) + 1}")

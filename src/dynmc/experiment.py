@@ -63,9 +63,8 @@ def fine_reference(cfg: ExperimentConfig, keep: range | tuple | None = None):
              cfg.steps)
     run = run_fine(grid, lam_of, c0, cfg.tau, cfg.steps,
                    bc=cfg.flow_bc(grid), gravity_on=cfg.gravity,
-                   scheme=cfg.scheme,
-                   inflow_c=None if inflow is None else {"left": inflow},
-                   keep=keep, seed=cfg.particle_seed)
+                   scheme=cfg.scheme, inflow=inflow, keep=keep,
+                   seed=cfg.particle_seed)
     return grid, lam_of, inflow, run
 
 

@@ -31,7 +31,7 @@ from scipy.sparse.linalg import splu
 from .exceptions import ConfigError, InvariantError, SolverError
 from .grids import FineGrid
 
-SIDES = ("left", "right", "bottom", "top")
+SIDES = ("left", "right")
 
 # The one SuperLU recipe for every TPFA and KKT factorization: minimum degree
 # on A^T + A with unrelaxed supernodes, which leaves 0.3-0.65 times the fill of
@@ -44,16 +44,16 @@ SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
 
 @dataclass(frozen=True)
 class FlowBC:
-    """Boundary condition per side: ('noflow',), ('flux', g), ('pressure', p).
+    """Boundary condition of the channel's left and right x-faces:
+    ('noflow',), ('flux', g) or ('pressure', p); its bottom and top are
+    walls.
 
     Flux values are outward normal flux densities; arrays must match the
-    side's face count.
+    side's face count, ny.
     """
 
     left: tuple = ("noflow",)
     right: tuple = ("noflow",)
-    bottom: tuple = ("noflow",)
-    top: tuple = ("noflow",)
 
     def side(self, name: str) -> tuple:
         return getattr(self, name)
@@ -192,27 +192,20 @@ def check_residual(what: str, gap: float, norm: float, x: np.ndarray,
         raise SolverError(f"{what} residual {gap:.3e} above {bound:.3e}")
 
 
-def _boundary_sides(grid: FineGrid) -> dict:
-    """side -> (boundary cells, normal spacing, face length, outward normal
-    sign, normal axis).  The cell slice also picks the side's faces out of
-    the face array of the normal axis (vx for 0, vy for 1)."""
-    hx, hy = grid.hx, grid.hy
-    return {"left": (np.s_[0, :], hx, hy, -1.0, 0),
-            "right": (np.s_[-1, :], hx, hy, +1.0, 0),
-            "bottom": (np.s_[:, 0], hy, hx, -1.0, 1),
-            "top": (np.s_[:, -1], hy, hx, +1.0, 1)}
+# side -> (its boundary cells, outward normal sign); the cell slice also
+# picks the side's faces out of vx
+_X_FACES = {"left": (np.s_[0, :], -1.0), "right": (np.s_[-1, :], +1.0)}
 
 
 def pressure_diagonal(grid: FineGrid, lam: np.ndarray,
                       sides) -> np.ndarray:
     """(nx, ny) diagonal that pressure data on ``sides`` adds to the
-    stiffness: the half transmissibility 2 lam ln / h of each boundary
-    face, from its cell centre to the face."""
+    stiffness: the half transmissibility 2 lam hy / hx of each boundary
+    x-face, from its cell centre to the face."""
     out = grid.zeros()
-    table = _boundary_sides(grid)
     for side in sides:
-        sl, h, ln, _out, _axis = table[side]
-        out[sl] += 2.0 * lam[sl] * ln / h
+        sl, _out = _X_FACES[side]
+        out[sl] += 2.0 * lam[sl] * grid.hy / grid.hx
     return out
 
 
@@ -236,20 +229,19 @@ def _load_rhs(grid: FineGrid, lam: np.ndarray, load: FlowLoad) -> np.ndarray:
     rhs = grid.zeros() if f is None else f * grid.cell_area
     if c is not None:
         rhs += gravity_volume_source(grid, lam, c)
-    sides = _boundary_sides(grid)
-    for side in SIDES:
+    for side, (sl, out) in _X_FACES.items():
         kind = bc.side(side)[0]
         if kind == "noflow":
             continue
-        sl, h, ln, out, axis = sides[side]
         if kind == "flux":
-            rhs[sl] -= _side_values(bc.side(side)[1], rhs[sl].size) * ln
+            rhs[sl] -= _side_values(bc.side(side)[1], grid.ny) * grid.hy
         elif kind == "pressure":
-            pb = _side_values(bc.side(side)[1], rhs[sl].size)
-            rhs[sl] += 2.0 * lam[sl] * ln / h * pb  # Dirichlet face term
-            if c is not None and axis == 0:
+            pb = _side_values(bc.side(side)[1], grid.ny)
+            # Dirichlet face term
+            rhs[sl] += 2.0 * lam[sl] * grid.hy / grid.hx * pb
+            if c is not None:
                 # outgoing gravity flux lam*c*(n.e1) at the boundary face
-                rhs[sl] -= out * lam[sl] * c[sl] * ln
+                rhs[sl] -= out * lam[sl] * c[sl] * grid.hy
         else:
             raise ConfigError(f"unknown BC kind {kind!r} on {side}")
     return rhs.ravel()
@@ -282,8 +274,8 @@ def _pressure_sides(loads) -> set[tuple]:
 def content_digest(meta, *arrays) -> bytes:
     """blake2b digest of ``repr(meta)`` and of each array's dtype, shape and
     bytes: the key of every :class:`StepMemo` (of the coarse solves,
-    Galerkin regions, block pieces and block loads) and of the block-matrix
-    groups of the mixed cell problems."""
+    Galerkin regions, block pieces and block loads) and, of lam_b alone,
+    of the block matrices of the mixed cell problems."""
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(meta).encode())
     for a in arrays:
@@ -329,12 +321,6 @@ class StepMemo:
                         if k in self.used}
         self.used, self.made, self.reused = set(), 0, 0
         return counts
-
-
-def operator_key(lam: np.ndarray, loads) -> bytes:
-    """Digest of what the matrix of :func:`solve_flow` depends on besides
-    the grid's cell counts and sizes: lam and the loads' pressure sides."""
-    return content_digest(sorted(_pressure_sides(loads)), lam)
 
 
 def load_inputs(load: FlowLoad) -> tuple:
@@ -450,18 +436,16 @@ def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
     vx[1:-1, :] = -lamx * dpx
     vy[:, 1:-1] = -lamy * (p[:, 1:] - p[:, :-1]) / hy
 
-    faces = (vx, vy)
-    for side, (sl, h, _ln, out, axis) in _boundary_sides(grid).items():
+    for side, (sl, out) in _X_FACES.items():
         kind = bc.side(side)[0]
         if kind == "noflow":
             continue
-        v = faces[axis]
-        val = _side_values(bc.side(side)[1], v[sl].size)
+        val = _side_values(bc.side(side)[1], grid.ny)
         if kind == "flux":
-            v[sl] = out * val
-        else:  # pressure; buoyancy acts along x only
-            g = c[sl] if c is not None and axis == 0 else 0.0
-            v[sl] = -lam[sl] * (out * (val - p[sl]) / (h / 2) - g)
+            vx[sl] = out * val
+        else:  # pressure
+            g = c[sl] if c is not None else 0.0
+            vx[sl] = -lam[sl] * (out * (val - p[sl]) / (hx / 2) - g)
     return vx, vy
 
 
@@ -481,19 +465,16 @@ def cfl(grid: FineGrid, vx: np.ndarray, vy: np.ndarray, tau: float) -> float:
 
 
 def advance_upwind(grid: FineGrid, c: np.ndarray, vx: np.ndarray,
-                   vy: np.ndarray, tau: float, inflow_c: dict | None = None,
+                   vy: np.ndarray, tau: float,
+                   inflow: float | np.ndarray | None = None,
                    nu: float | None = None) -> np.ndarray:
     """One donor-cell step of c_t + div(v c) = 0.
 
-    ``inflow_c`` maps side names to the concentration carried by entering
-    boundary fluxes; sides without a value reuse the adjacent cell.  ``nu``
-    is :func:`cfl` of (vx, vy) at tau, measured here when not given.
+    ``inflow`` is the concentration that fluid entering through the left
+    face carries, a scalar or one value per face; without it, and on every
+    other boundary face, the donor is the adjacent cell.  ``nu`` is
+    :func:`cfl` of (vx, vy) at tau, measured here when not given.
     """
-    inflow_c = inflow_c or {}
-    unknown = sorted(set(inflow_c) - set(SIDES))
-    if unknown:
-        raise ConfigError(f"inflow_c key(s) {unknown} name no side of "
-                          f"{SIDES}")
     if nu is None:
         nu = cfl(grid, vx, vy, tau)
     if nu > 1.0:
@@ -504,14 +485,13 @@ def advance_upwind(grid: FineGrid, c: np.ndarray, vx: np.ndarray,
     nx, ny = grid.nx, grid.ny
     cxd = np.empty((nx + 1, ny))
     cxd[1:-1, :] = np.where(vx[1:-1, :] >= 0, c[:-1, :], c[1:, :])
+    # the left face lets fluid in where vx > 0
+    cxd[0, :] = c[0, :] if inflow is None else np.where(
+        vx[0, :] > 0, _side_values(inflow, ny), c[0, :])
+    cxd[-1, :] = c[-1, :]
     cyd = np.empty((nx, ny + 1))
     cyd[:, 1:-1] = np.where(vy[:, 1:-1] >= 0, c[:, :-1], c[:, 1:])
-    # a boundary face lets fluid in where out . v < 0
-    donors, faces = (cxd, cyd), (vx, vy)
-    for side, (sl, _h, _ln, out, axis) in _boundary_sides(grid).items():
-        given = inflow_c.get(side)
-        donors[axis][sl] = c[sl] if given is None else np.where(
-            out * faces[axis][sl] < 0, _side_values(given, c[sl].size), c[sl])
+    cyd[:, 0], cyd[:, -1] = c[:, 0], c[:, -1]
 
     fx = vx * cxd
     fy = vy * cyd
@@ -814,15 +794,17 @@ class FineRun:
 
 def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
              bc: FlowBC | None = None, gravity_on: bool = True,
-             scheme: str = "upwind", inflow_c: dict | None = None,
+             scheme: str = "upwind",
+             inflow: float | np.ndarray | None = None,
              keep: range | tuple | None = None, seed: int = 0) -> FineRun:
     """Sequential flow/transport loop with lagged mobility.
 
     Each step solves flow with lam(c^n) and advances transport to c^{n+1};
     a step whose flow inputs repeat the previous step's (same lam, and c
-    too with gravity on) reuses its solution.  Snapshots are kept at the
-    fine steps in ``keep`` (default: every step) and always at the final
-    step.
+    too with gravity on) reuses its solution.  ``inflow`` is the left-face
+    inflow column of the upwind scheme (:func:`advance_upwind`).
+    Snapshots are kept at the fine steps in ``keep`` (default: every step)
+    and always at the final step.
     """
     if scheme not in ("upwind", "particles"):
         raise ConfigError(f"unknown transport scheme {scheme!r}")
@@ -867,8 +849,7 @@ def run_fine(grid: FineGrid, lam_of, c0: np.ndarray, tau: float, steps: int,
         if n in keep:
             record(n, p, vx, vy, c)
         if scheme == "upwind":
-            c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c,
-                               nu=nu)
+            c = advance_upwind(grid, c, vx, vy, tau, inflow=inflow, nu=nu)
         else:
             cloud = advance_particles(grid, cloud, vx, vy, tau)
             c = deposit(grid, cloud)

@@ -91,7 +91,9 @@ class ErrorReport:
 
 def check_times(reference: list, other: list, name: str) -> None:
     """Reject a series ``other`` whose times are not those of
-    ``reference``, naming it and the first times it lacks."""
+    ``reference``, naming it and the first times it lacks, or whose first
+    state's C or V shape (blocks or edges by continua) is not the
+    reference's, naming it and both shapes."""
     times_r = [s.t for s in reference]
     times_o = [s.t for s in other]
     if len(times_o) != len(times_r) or np.max(
@@ -99,6 +101,11 @@ def check_times(reference: list, other: list, name: str) -> None:
         missing = sorted(set(np.round(times_r, 12).tolist())
                          - set(np.round(times_o, 12).tolist()))
         raise ConfigError(f"series {name} misaligned; missing {missing[:5]}")
+    for kind in ("C", "V"):
+        a, b = (np.shape(getattr(s[0], kind)) for s in (reference, other))
+        if a != b:
+            raise ConfigError(
+                f"series {name} misaligned: {kind} shapes {a} and {b}")
 
 
 def compute_errors(reference: list, mh_refvel: list, mh_mhvel: list,

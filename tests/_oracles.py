@@ -501,7 +501,7 @@ def continuum_masses_loops(labels, coarse, n):
 
 
 def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,
-                               inflow_c=None):
+                               inflow=None):
     """The fine upwind loop with a fresh flow solve at every step.
 
     Returns the (p, vx, vy, c) of steps 0..steps and the largest CFL.
@@ -513,7 +513,7 @@ def run_fine_upwind_unmemoized(grid, lam_of, c0, tau, steps, bc, gravity_on,
         worst = max(worst, cfl(grid, vx, vy, tau))
         states.append((p, vx, vy, c))
         if n < steps:
-            c = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow_c)
+            c = advance_upwind(grid, c, vx, vy, tau, inflow=inflow)
     return states, worst
 
 
@@ -627,30 +627,20 @@ def advance_particles_whole(grid, x0, y0, vx, vy, tau):
     return reflect_whole(grid, xn, yn)
 
 
-def advance_upwind_sides(grid, c, vx, vy, tau, inflow_c=None):
-    """``fine.advance_upwind`` after its CFL guard, one block per side."""
-    inflow_c = inflow_c or {}
+def advance_upwind_sides(grid, c, vx, vy, tau, inflow=None):
+    """``fine.advance_upwind`` after its CFL guard, one block per x-side;
+    the walls take the adjacent cell."""
     nx, ny = grid.nx, grid.ny
     cxd = np.empty((nx + 1, ny))
     cxd[1:-1, :] = np.where(vx[1:-1, :] >= 0, c[:-1, :], c[1:, :])
-    left = inflow_c.get("left")
     cxd[0, :] = np.where(vx[0, :] > 0,
-                         _side_values(left, ny) if left is not None
+                         _side_values(inflow, ny) if inflow is not None
                          else c[0, :], c[0, :])
-    right = inflow_c.get("right")
-    cxd[-1, :] = np.where(vx[-1, :] < 0,
-                          _side_values(right, ny) if right is not None
-                          else c[-1, :], c[-1, :])
+    cxd[-1, :] = c[-1, :]  # the right face takes no inflow
     cyd = np.empty((nx, ny + 1))
     cyd[:, 1:-1] = np.where(vy[:, 1:-1] >= 0, c[:, :-1], c[:, 1:])
-    bottom = inflow_c.get("bottom")
-    cyd[:, 0] = np.where(vy[:, 0] > 0,
-                         _side_values(bottom, nx) if bottom is not None
-                         else c[:, 0], c[:, 0])
-    top = inflow_c.get("top")
-    cyd[:, -1] = np.where(vy[:, -1] < 0,
-                          _side_values(top, nx) if top is not None
-                          else c[:, -1], c[:, -1])
+    cyd[:, 0] = c[:, 0]
+    cyd[:, -1] = c[:, -1]
     fx = vx * cxd
     fy = vy * cyd
     return c - tau / grid.cell_area * (

@@ -105,6 +105,24 @@ def test_run_coarse_names_the_config_file_of_an_unknown_key(tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, what", [
+    ("[continua]\nthresholds = 0.3,0.6\n",
+     "thresholds must strictly decrease"),
+    ("[mobility]\nlam_kind = random-field\nlam_hi = 5\nlam_lo = 9\n",
+     "random-field needs lam_lo <= lam_hi"),
+], ids=["thresholds", "random-field"])
+def test_run_coarse_names_the_config_file_of_a_failed_check(tmp_path, capsys,
+                                                            text, what):
+    # both used to pass the config's checks and fail later, in the
+    # continuum spec and the mobility, without the file's name
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["run-coarse", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {what}")
+    assert "Traceback" not in err
+
+
 def test_run_coarse_reports_a_repeated_mobility_row(tmp_path, capsys):
     path = tmp_path / "lam.csv"
     path.write_text("i,j,value\n0,0,1\n0,0,9\n")
@@ -233,20 +251,24 @@ class _State:
         self.t, self.C, self.V = t, C, V
 
 
-def write_series(path, steps, blocks, seed=0, edges=None):
-    """A one-continuum averages file of ``steps`` times 0, 0.1, ..."""
+def write_series(path, steps, blocks, seed=0, edges=None, continua=1):
+    """An averages file of ``steps`` times 0, 0.1, ..."""
     g = np.random.default_rng(seed)
     io.write_averages_csv(str(path), [
-        _State(0.1 * k, g.random((blocks, 1)) + 1,
-               g.random((edges or blocks + 1, 1)) + 1)
-        for k in range(steps)], 1)
+        _State(0.1 * k, g.random((blocks, continua)) + 1,
+               g.random((edges or blocks + 1, continua)) + 1)
+        for k in range(steps)], continua)
     return str(path)
 
 
 @pytest.mark.parametrize("other, error", [
     ({"steps": 3, "blocks": 5}, "b.csv misaligned; missing [0.3, 0.4]"),
     ({"steps": 5, "blocks": 3, "edges": 6}, "b.csv: 6 edges for 3 blocks"),
-], ids=["times", "blocks"])
+    ({"steps": 5, "blocks": 5, "continua": 2},
+     "b.csv misaligned: C shapes (5, 1) and (5, 2)"),
+    ({"steps": 5, "blocks": 3},
+     "b.csv misaligned: C shapes (5, 1) and (3, 1)"),
+], ids=["times", "blocks", "continua", "block-count"])
 def test_compare_two_series_must_line_up(tmp_path, capsys, other, error):
     # unchecked, 5 against 3 times compared t = 0.4 with t = 0.2, and C
     # rows for 3 blocks against 5 ended in a numpy traceback

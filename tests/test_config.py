@@ -129,7 +129,12 @@ class TestIniAndOverrides:
         ("[bc]\nleft = 1\n", "unknown config section [bc]"),
         ("[time]\nsteps = soon\n", "steps: expected an integer, got 'soon'"),
         ("[time]\ncoarse_steps = 9\n", "coarse horizon exceeds the fine"),
-    ], ids=["key", "section", "value", "check"])
+        ("[continua]\nthresholds = 0.3,0.6\n",
+         "thresholds must strictly decrease: (0.3, 0.6)"),
+        ("[mobility]\nlam_kind = random-field\nlam_hi = 5\nlam_lo = 9\n",
+         "random-field needs lam_lo <= lam_hi, got 9.0, 5.0"),
+    ], ids=["key", "section", "value", "check", "thresholds",
+            "random-field"])
     def test_every_ini_error_names_its_file(self, text, what):
         # an unknown section or key, a bad value and the checks that run
         # when the config is built

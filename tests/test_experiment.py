@@ -171,10 +171,11 @@ def multi_solve_galerkin():
                                coarse_steps=40)
 
 
-def spy_galerkin_solves(monkeypatch):
-    """Record the memos of every Galerkin coarse flow solve after it: the
-    regions' entries and keys in use, and the pieces' keys."""
-    memos = []
+def spy_galerkin_solves(monkeypatch, memos=None):
+    """Record the memos of every Galerkin coarse flow solve after it, into
+    ``memos`` (a new list when not given): the regions' entries and keys in
+    use, and the pieces' keys."""
+    memos = [] if memos is None else memos
     real = macro._galerkin_velocity
 
     def spy(model, lam, labels, n, pieces, regions):
@@ -237,12 +238,29 @@ def assert_same_result(res, fresh):
                               equal_nan=True)
 
 
-def test_manifest_counts_factored_and_reused_block_pieces(monkeypatch,
-                                                          tmp_path):
+class GalerkinRun(NamedTuple):
+    """The shortened interface run of :func:`multi_solve_galerkin`, its
+    manifest and the memos :func:`spy_galerkin_solves` recorded."""
+
+    cfg: object
+    res: object
+    manifest: dict
+    memos: list
+
+
+@pytest.fixture(scope="module")
+def galerkin_run(tmp_path_factory) -> GalerkinRun:
     cfg = multi_solve_galerkin()
-    solves = spy_galerkin_solves(monkeypatch)
-    res = run_experiment(cfg, outdir=str(tmp_path))
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    out = tmp_path_factory.mktemp("interface")
+    with pytest.MonkeyPatch.context() as mp:
+        memos = spy_galerkin_solves(mp)
+        res = run_experiment(cfg, outdir=str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    return GalerkinRun(cfg, res, manifest, memos)
+
+
+def test_manifest_counts_factored_and_reused_block_pieces(galerkin_run):
+    cfg, res, manifest, solves = galerkin_run
     regions = cfg.Nx * FLOW_REFINE
     # a step that solves the coarse flow looks up the pieces of every
     # block of each region it builds, (regions built) x (2 LAYERS + 1),
@@ -268,13 +286,10 @@ def test_manifest_counts_factored_and_reused_block_pieces(monkeypatch,
                for s in res.mh_refvel)
 
 
-def test_manifest_counts_reused_coarse_flow_solves(monkeypatch, tmp_path):
+def test_manifest_counts_reused_coarse_flow_solves(galerkin_run):
     # 4 of the 41 homogenized-velocity steps solve the coarse flow; every
     # other one takes the previous step's V and P whole
-    cfg = multi_solve_galerkin()
-    solves = spy_galerkin_solves(monkeypatch)
-    res = run_experiment(cfg, outdir=str(tmp_path))
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    cfg, res, manifest, solves = galerkin_run
     flags = [s.flow_reused for s in res.mh_mhvel]
     assert len(flags) == cfg.coarse_steps + 1 and len(solves) == 4
     assert manifest["coarse_flow_reused"] == sum(flags) == 37
@@ -286,14 +301,14 @@ def test_manifest_counts_reused_coarse_flow_solves(monkeypatch, tmp_path):
     assert not any(s.flow_reused for s in res.mh_refvel)
 
 
-def test_region_memo_changes_no_result(monkeypatch):
+def test_region_memo_changes_no_result(monkeypatch, galerkin_run):
     # a run whose every memo forgets at each step (coarse flows, regions,
     # block pieces and the fine flow's result) solves and
     # rebuilds everything; its states and every report value are bit for
     # bit those of the run that reuses
-    cfg = multi_solve_galerkin()
-    memos = spy_galerkin_solves(monkeypatch)
-    res = run_experiment(cfg)
+    cfg, res, _manifest, memos = galerkin_run
+    # the memo-off run below records on a copy of the shared run's memos
+    memos = spy_galerkin_solves(monkeypatch, list(memos))
     assert sum(s.regions_reused for s in res.mh_mhvel) > 0
     # after each solve the memo holds that solve's regions, no others, and
     # the pieces of every one of them, reused or built
@@ -496,7 +511,7 @@ def test_label_consistency_runs_the_preset_flow(monkeypatch, capsys, preset):
 
     def spy(*args, **kwargs):
         run = run_fine(*args, **kwargs)
-        seen.append((kwargs["bc"], kwargs["inflow_c"], run))
+        seen.append((kwargs["bc"], kwargs["inflow"], run))
         return run
 
     monkeypatch.setattr(experiment, "run_fine", spy)
@@ -505,7 +520,7 @@ def test_label_consistency_runs_the_preset_flow(monkeypatch, capsys, preset):
     cfg = get_preset(preset)
     [(bc, inflow, run)] = seen
     assert bc == cfg.flow_bc(cfg.layout().extended_fine)
-    assert (inflow["left"] == run.c0[0, :]).all()
+    assert (inflow == run.c0[0, :]).all()
     assert all(np.abs(s.vx).max() > 0 for s in run.snapshots)
     assert f"{preset}: 2 steps" in capsys.readouterr().out
 

@@ -8,14 +8,17 @@ factorization recipe, and a result memo that only the fine run keeps.  No
 flow input restates what it is given: a load has buoyancy exactly when it
 carries a concentration, the mixed variant follows from Chat and its inlet
 labels from ``labels``, and the boundary values are read from ``macro``,
-never passed.
+never passed.  The flow boundary is the channel's: data on the left and
+right x-faces only, and one left-face inflow column.
 """
 
 import ast
 import dataclasses
 import inspect
+import re
 
-from dynmc.fine import FlowLoad, LastSolve, flux_from_pressure, solve_flow
+from dynmc.fine import (SIDES, FlowBC, FlowLoad, LastSolve,
+                        flux_from_pressure, solve_flow)
 from dynmc.macro import (CoarseModel, mixed_bases, solve_coarse_flow_galerkin,
                          solve_coarse_flow_mixed)
 from test_solve_paths import SRC, callers, parse, scoped_nodes
@@ -155,3 +158,12 @@ def test_every_flow_load_names_its_source():
              and getattr(node.func, "id", None) == "FlowLoad"]
     assert {m for m, _scope, _n in found} == {"cells", "fine"}
     assert [(m, scope) for m, scope, n in found if n > 2] == []
+
+
+def test_the_flow_boundary_is_the_channels():
+    # the bottom and top are walls, inflow enters on the left only, and a
+    # block matrix is keyed by its lam_b, not by side kinds
+    assert [f.name for f in dataclasses.fields(FlowBC)] == ["left", "right"]
+    assert SIDES == ("left", "right")
+    assert [m for m in modules() if re.search(
+        r"\b(inflow_c|operator_key)\b", (SRC / f"{m}.py").read_text())] == []

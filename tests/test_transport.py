@@ -113,26 +113,13 @@ class TestUpwind:
         c = np.zeros((5, 2))
         vx, vy = grid.zero_faces()
         vx[:, :] = 1.0
-        out = advance_upwind(grid, c, vx, vy, tau=0.05,
-                             inflow_c={"left": 1.0})
+        out = advance_upwind(grid, c, vx, vy, tau=0.05, inflow=1.0)
         assert out[0, 0] > 0 and np.abs(out[1:, :]).max() == 0.0
-
-    def test_inflow_key_naming_no_side_rejected(self):
-        grid = FineGrid(5, 2, 1.0, 1.0)
-        c = np.zeros((5, 2))
-        vx, vy = grid.zero_faces()
-        vx[:, :] = 1.0
-        out = advance_upwind(grid, c, vx, vy, tau=0.05,
-                             inflow_c={"left": 1.0})
-        assert out[0, 0] == 0.25
-        with pytest.raises(ConfigError, match="'Left'"):
-            advance_upwind(grid, c, vx, vy, tau=0.05, inflow_c={"Left": 1.0})
 
 
 def test_upwind_boundary_table_matches_per_side_blocks():
     # random grids and face velocities with exact zeros and -0.0 on the
-    # rim, random inflow sides given as scalars or per-face arrays
-    sides = ("left", "right", "bottom", "top")
+    # rim, no inflow or a left inflow given as a scalar or per-face array
     for seed in range(300):
         g = rng(seed)
         nx, ny = (int(k) for k in g.integers(1, 7, size=2))
@@ -141,15 +128,10 @@ def test_upwind_boundary_table_matches_per_side_blocks():
         c = g.random((nx, ny))
         vx, vy = (g.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
                   * g.random(shape) for shape in ((nx + 1, ny), (nx, ny + 1)))
-        inflow = {}
-        for side in sides:
-            if g.random() < 0.5:
-                size = ny if side in ("left", "right") else nx
-                inflow[side] = (float(g.random()) if g.random() < 0.5
-                                else g.random(size))
+        inflow = [None, float(g.random()), g.random(ny)][g.integers(3)]
         tau = 0.2 * min(grid.hx, grid.hy)
-        got = advance_upwind(grid, c, vx, vy, tau, inflow_c=inflow)
-        ref = advance_upwind_sides(grid, c, vx, vy, tau, inflow_c=inflow)
+        got = advance_upwind(grid, c, vx, vy, tau, inflow=inflow)
+        ref = advance_upwind_sides(grid, c, vx, vy, tau, inflow=inflow)
         assert np.array_equal(got, ref)
 
 
@@ -596,7 +578,7 @@ class TestFlowReuse:
         self.args = (self.grid, cfg.mobility(self.grid), self.c0, cfg.tau,
                      cfg.steps)
         self.kw = dict(bc=cfg.flow_bc(self.grid), gravity_on=cfg.gravity,
-                       inflow_c={"left": self.c0[0, :].copy()})
+                       inflow=self.c0[0, :].copy())
 
     def test_snapshots_match_a_fresh_solve_every_step(self):
         run = run_fine(*self.args, **self.kw)
