@@ -93,10 +93,8 @@ def gradient_centers(ov: Oversample, labels_local: np.ndarray,
                      n: int) -> np.ndarray:
     """Per-continuum centering x from the central region's zero-mean
     condition; continua absent centrally fall back to the block centroid."""
-    coord = ov.x_centers
-    cen = ov.central
-    blk_lab = labels_local[cen.sx]
-    blk_x = coord[cen.sx]
+    blk_lab = labels_local[ov.central]
+    blk_x = ov.x_centers[ov.central]
     out = np.empty(n)
     for j in range(n):
         sel = blk_lab == j
@@ -237,12 +235,11 @@ def region_keys(ov: Oversample, lam_local: np.ndarray,
     """
     grid_b = _piece_grid(ov)
     out = []
-    for reg in ov.regions:
-        src = ov.src_ix[reg.sx]
+    for sx in ov.regions:
+        src = ov.src_ix[sx]
         run = (int(src[0]), int(src[-1]))
         if run not in seen:
-            seen[run] = piece_key(grid_b, lam_local[reg.sx],
-                                  labels_local[reg.sx], n)
+            seen[run] = piece_key(grid_b, lam_local[sx], labels_local[sx], n)
         out.append(seen[run])
     return out
 
@@ -361,8 +358,8 @@ def build_region_engine(ov: Oversample, lam_local: np.ndarray,
     if keys is None:
         keys = region_keys(ov, lam_local, labels_local, n, {})
     blocks = [memo.get(key, lambda: factor_piece(
-        grid_b, lam_local[reg.sx], labels_local[reg.sx], n))
-        for reg, key in zip(ov.regions, keys)]
+        grid_b, lam_local[sx], labels_local[sx], n))
+        for sx, key in zip(ov.regions, keys)]
     ab = np.zeros((2 * ny, (len(blocks) + 1) * ny), order="F")
     for k, pc in enumerate(blocks):
         ab[:, k * ny:(k + 2) * ny] += pc.band
@@ -401,7 +398,7 @@ def _family_load(ov: Oversample, lam_local: np.ndarray,
         # inject its (contrast-sized) natural flux into this basis
         return (gradient_boundary_source(grid, lam_local * psi).ravel(),
                 engine.C @ ((ov.x_centers - centers[i]) * psi).ravel())
-    mass = psi[ov.central.sx].sum() * grid.cell_area
+    mass = psi[ov.central].sum() * grid.cell_area
     s = psi / mass if mass > 0 else psi
     return (gravity_volume_source(grid, lam_local, s).ravel(),
             np.zeros(engine.continua.size))

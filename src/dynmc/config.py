@@ -87,6 +87,12 @@ class ExperimentConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} must be positive")
+        for name in ("lam_lo", "lam_hi"):
+            lam = getattr(self, name)
+            if not 0.0 < 2.0 * lam * lam < math.inf:
+                raise ConfigError(
+                    f"{name}={lam} over- or underflows the harmonic face "
+                    f"mobility 2 lam1 lam2 / (lam1 + lam2)")
         if self.lam_kind == "random-field" and self.lam_lo > self.lam_hi:
             raise ConfigError(f"random-field needs lam_lo <= lam_hi, got "
                               f"{self.lam_lo}, {self.lam_hi}")
@@ -101,6 +107,9 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} must be >= 0")
+        if not math.isfinite(2.0 * self.wiggle):
+            raise ConfigError(f"wiggle={self.wiggle} overflows the width of "
+                              f"its draw from [-wiggle, wiggle]")
         for kind, path in (("lam_kind", "lam_file"), ("ic_kind", "ic_file")):
             if getattr(self, kind) == "file" and not getattr(self, path):
                 raise ConfigError(f"{kind}=file needs {path}")
@@ -108,9 +117,9 @@ class ExperimentConfig:
         if self.ic_kind == "stripe-fingers" and not self.ic_centers:
             raise ConfigError("stripe-fingers needs its finger tip in "
                               "ic_centers")
-        if not 1 <= self.band_lo <= self.band_hi:
+        if not 1 <= self.band_lo <= self.band_hi < 2 ** 63:  # int64 draws
             raise ConfigError(
-                f"band heights need 1 <= band_lo <= band_hi, got "
+                f"band heights need 1 <= band_lo <= band_hi < 2**63, got "
                 f"{self.band_lo}, {self.band_hi}")
         if self.pre_steps + self.coarse_steps * self.substeps > self.steps:
             raise ConfigError(

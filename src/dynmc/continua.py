@@ -45,10 +45,6 @@ class ContinuumSpec:
         return int(classify_values(np.asarray([value]), self)[0])
 
 
-def single_continuum() -> ContinuumSpec:
-    return ContinuumSpec(thresholds=())
-
-
 def classify_values(c: np.ndarray, spec: ContinuumSpec) -> np.ndarray:
     """Continuum label (0-based, 0 = highest band) per entry."""
     if not np.all(np.isfinite(c)):

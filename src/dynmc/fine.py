@@ -95,7 +95,12 @@ def _stencil(grid: FineGrid, lam: np.ndarray) -> np.ndarray:
     order of :func:`apply_stiffness`: x-faces, then y-faces."""
     if not (np.isfinite(lam) & (lam > 0)).all():
         raise ConfigError("mobility must be finite and positive")
-    tx, ty = transmissibilities(grid, lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        tx, ty = transmissibilities(grid, lam)
+    if not all((np.isfinite(t) & (t > 0)).all() for t in (tx, ty)):
+        raise ConfigError("transmissibilities must be finite and positive: "
+                          "the mobility's harmonic face means over- or "
+                          "underflow")
     v = np.zeros((grid.nx, grid.ny, SLOTS))
     np.negative(tx, out=v[1:, :, 0])
     np.negative(ty, out=v[:, 1:, 1])
@@ -396,7 +401,10 @@ def solve_flow(grid: FineGrid, lam: np.ndarray, loads: list[FlowLoad], *,
                     f"{rhs.sum():.3e}")
             rhs[0] = 0.0  # the gauge
     A = StencilLayout.of(nx, ny, gauged=not pressure).matrix(stencil)
-    lu = splu(A.tocsc(), **SPLU_OPTIONS)
+    try:
+        lu = splu(A.tocsc(), **SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise SolverError(f"flow factorization failed: {exc}") from exc
     # ||A||_inf from A's data, as abs(A).sum(axis=1) sums it; no row is
     # empty, each holds its diagonal
     norm = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
@@ -447,12 +455,6 @@ def flux_from_pressure(grid: FineGrid, p: np.ndarray, lam: np.ndarray,
             g = c[sl] if c is not None else 0.0
             vx[sl] = -lam[sl] * (out * (val - p[sl]) / (hx / 2) - g)
     return vx, vy
-
-
-def divergence(grid: FineGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Cell-integrated discrete divergence of a face flux field."""
-    return ((vx[1:, :] - vx[:-1, :]) * grid.hy
-            + (vy[:, 1:] - vy[:, :-1]) * grid.hx)
 
 
 def cfl(grid: FineGrid, vx: np.ndarray, vy: np.ndarray, tau: float) -> float:

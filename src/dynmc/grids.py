@@ -129,32 +129,23 @@ class CoarseGrid:
 
 
 @dataclass(frozen=True)
-class OversampleRegion:
-    """One constituent block of an oversampled region, in local columns."""
-
-    offset: int  # block offset relative to the central block
-    sx: slice
-
-    @property
-    def is_central(self) -> bool:
-        return self.offset == 0
-
-
-@dataclass(frozen=True)
 class Oversample:
     """Block K extended by neighbor blocks along x, with out-of-domain
     source maps.
 
     ``src_ix`` maps each local cell column to the fine-grid column it
-    samples (periodic or mirror image for extended cells).  Local
-    coordinates continue the uniform spacing beyond the domain so gradient
-    moments see the virtual positions.
+    samples (periodic or mirror image for extended cells).  ``regions``
+    holds the local columns of each constituent block, left to right, and
+    ``central`` those of block K.  Local coordinates continue the uniform
+    spacing beyond the domain so gradient moments see the virtual
+    positions.
     """
 
     coarse: CoarseGrid
     grid: FineGrid  # local grid (origin at the virtual lower-left corner)
     src_ix: np.ndarray
-    regions: tuple[OversampleRegion, ...]
+    regions: tuple[slice, ...]
+    central: slice
 
     @cached_property
     def x_centers(self) -> np.ndarray:
@@ -163,51 +154,31 @@ class Oversample:
         x.flags.writeable = False
         return x
 
-    @property
-    def central(self) -> OversampleRegion:
-        for r in self.regions:
-            if r.is_central:
-                return r
-        raise AssertionError("oversample lost its central block")
-
     def sample(self, fine_field: np.ndarray) -> np.ndarray:
         """Pull a fine cell field onto the local grid through the source map."""
         return fine_field[self.src_ix]
 
 
-def _parse_rule(rule: str) -> set[str]:
-    parts = {p.strip() for p in rule.split(",") if p.strip()}
-    known = {"none", "periodic-left", "reflect-right"}
-    bad = parts - known
-    if bad:
-        raise ConfigError(f"unknown extension rule(s): {sorted(bad)}")
-    parts.discard("none")
-    return parts
-
-
-def oversample_block(coarse: CoarseGrid, K: int, layers: int,
-                     rule: str = "none") -> Oversample:
+def oversample_block(coarse: CoarseGrid, K: int, layers: int, *,
+                     truncate: bool = False) -> Oversample:
     """Build K+ = K plus ``layers`` neighbor blocks on each side.
 
-    Out-of-domain columns are mapped periodically (left) or mirrored
-    (right) when the rule allows; otherwise the region is truncated to the
-    domain.  A mirror image holds one domain width: a region reaching
-    beyond it (``layers > coarse.Nx``) raises :class:`ConfigError`.
-    Blocks are full height, so the region spans all fine rows.
+    Out-of-domain blocks take the periodic image on the left and the
+    mirror image on the right, as the Galerkin model's regions do; with
+    ``truncate`` the region is cut at the domain instead.  A mirror image
+    holds one domain width: a region reaching beyond it
+    (``layers > coarse.Nx``) raises :class:`ConfigError`.  Blocks are full
+    height, so the region spans all fine rows.
     """
     if not 0 <= K < coarse.Nx:
         raise ConfigError(f"block {K} outside coarse grid")
     if layers < 0:
         raise ConfigError("layers must be >= 0")
-    parts = _parse_rule(rule)
-    fine = coarse.fine
-    mx = coarse.mx
-
-    bI = [gI for gI in range(K - layers, K + layers + 1)
-          if 0 <= gI < coarse.Nx
-          or (gI < 0 and "periodic-left" in parts)
-          or (gI >= coarse.Nx and "reflect-right" in parts)]
-    cols = (np.asarray(bI)[:, None] * mx + np.arange(mx)).ravel()
+    fine, mx = coarse.fine, coarse.mx
+    lo, hi = K - layers, K + layers + 1
+    if truncate:
+        lo, hi = max(lo, 0), min(hi, coarse.Nx)
+    cols = np.arange(lo * mx, hi * mx)
     cols = np.where(cols < 0, cols % fine.nx, cols)
     src_ix = np.where(cols >= fine.nx, 2 * fine.nx - 1 - cols, cols)
     if src_ix.min() < 0:  # mirrored past the left wall: needs layers <= Nx
@@ -215,14 +186,12 @@ def oversample_block(coarse: CoarseGrid, K: int, layers: int,
             f"block {K} with {layers} layers reaches past the mirror image "
             f"of the {coarse.Nx}-block domain")
 
-    nxl = len(bI) * mx
+    nxl = cols.size
     grid = FineGrid(nxl, fine.ny, nxl * fine.hx, fine.ny * fine.hy,
-                    x0=fine.x0 + bI[0] * mx * fine.hx, y0=fine.y0)
-    regions = tuple(OversampleRegion(offset=gI - K,
-                                     sx=slice(k * mx, (k + 1) * mx))
-                    for k, gI in enumerate(bI))
+                    x0=fine.x0 + lo * mx * fine.hx, y0=fine.y0)
+    regions = tuple(slice(k, k + mx) for k in range(0, nxl, mx))
     return Oversample(coarse=coarse, grid=grid, src_ix=src_ix,
-                      regions=regions)
+                      regions=regions, central=regions[K - lo])
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,18 @@ def _indexed_value(where: str, fields: list, shape: tuple | None = None
     return i, j, v
 
 
-def _filled(path: str, rows: list, what: str) -> np.ndarray:
-    """Array of the (where, i, j, value) rows, sized by their largest
-    indices; every entry must have one row, and a second one raises
-    :class:`ConfigError` naming both lines."""
+def read_cell_csv(path: str, nx: int | None = None,
+                  ny: int | None = None) -> np.ndarray:
+    """Cell field written by :func:`write_cell_csv`, of shape (nx, ny) when
+    given, else sized by the largest indices; every cell must have one
+    row.  A malformed or repeated row raises :class:`ConfigError` naming
+    the file and line (both lines for a repeat), a row outside the shape
+    before anything is sized by it."""
+    shape = None if nx is None else (nx, ny)
+    rows = [(where, *_indexed_value(where, line, shape))
+            for where, line in _data_rows(path, ["i", "j", "value"])]
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
     out = np.full((max(t[1] for t in rows) + 1, max(t[2] for t in rows) + 1),
                   np.nan)
     first = {}  # (i, j) -> where its row is
@@ -97,22 +105,7 @@ def _filled(path: str, rows: list, what: str) -> np.ndarray:
         first[i, j] = where
         out[i, j] = v
     if np.isnan(out).any():
-        raise ConfigError(f"{path}: missing {what}")
-    return out
-
-
-def read_cell_csv(path: str, nx: int | None = None,
-                  ny: int | None = None) -> np.ndarray:
-    """Cell field written by :func:`write_cell_csv`, of shape (nx, ny) when
-    given; a malformed or repeated row raises :class:`ConfigError` naming
-    the file and line, a row outside the shape before anything is sized by
-    it."""
-    shape = None if nx is None else (nx, ny)
-    rows = [(where, *_indexed_value(where, line, shape))
-            for where, line in _data_rows(path, ["i", "j", "value"])]
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    out = _filled(path, rows, "cells")
+        raise ConfigError(f"{path}: missing cells")
     if nx is not None and out.shape != (nx, ny):
         raise ConfigError(f"{path}: grid is {out.shape[0]}x{out.shape[1]}, "
                           f"expected {nx}x{ny}")
@@ -130,20 +123,6 @@ def write_face_csv(path: str, vx: np.ndarray, vy: np.ndarray) -> None:
         for j in range(vy.shape[1]):
             for i in range(vy.shape[0]):
                 w.writerow(["y", i, j, _fmt(vy[i, j])])
-
-
-def read_face_csv(path: str):
-    """Face fluxes written by :func:`write_face_csv`; a malformed row raises
-    :class:`ConfigError` naming the file and line."""
-    xs, ys = [], []
-    for where, line in _data_rows(path, ["orientation", "i", "j", "flux"]):
-        if line[0] not in ("x", "y"):
-            raise ConfigError(f"{where}: orientation {line[0]!r} is not x or y")
-        (xs if line[0] == "x" else ys).append(
-            (where, *_indexed_value(where, line[1:])))
-    if not xs or not ys:
-        raise ConfigError(f"{path}: missing face orientation rows")
-    return _filled(path, xs, "x faces"), _filled(path, ys, "y faces")
 
 
 # --- macroscopic series -------------------------------------------------

@@ -63,12 +63,11 @@ def assemble_effective(ov: Oversample, lam_local: np.ndarray,
     continua's bases, a family's energies are (G w) G^T / |K|.
     """
     grid = ov.grid
-    cen = ov.central
-    present = np.array([(labels_local[cen.sx] == i).any()
+    present = np.array([(labels_local[ov.central] == i).any()
                         for i in range(n)])
     here = np.flatnonzero(present)
     mask = grid.zeros()
-    mask[cen.sx] = 1.0
+    mask[ov.central] = 1.0
     tx, ty = transmissibilities(grid, lam_local)
     w = np.concatenate([(0.5 * (mask[:-1, :] + mask[1:, :]) * tx).ravel(),
                         (0.5 * (mask[:, :-1] + mask[:, 1:]) * ty).ravel()])
@@ -460,12 +459,12 @@ class CoarseState:
 
 # the Galerkin regions: each block of a flow grid FLOW_REFINE times finer
 # than the transport grid, oversampled by LAYERS blocks either side
-FLOW_REFINE, LAYERS, EXTENSION_RULE = 2, 6, "periodic-left,reflect-right"
+FLOW_REFINE, LAYERS = 2, 6
 
 
 def galerkin_flow(coarse: CoarseGrid) -> CoarseGrid:
     """The Galerkin flow grid over ``coarse``; its regions reach at most
-    one domain width into EXTENSION_RULE's mirror image."""
+    one domain width into the mirror image on the right."""
     blocks = coarse.Nx * FLOW_REFINE
     if coarse.fine.nx % blocks:
         raise ConfigError(
@@ -473,13 +472,13 @@ def galerkin_flow(coarse: CoarseGrid) -> CoarseGrid:
             f"blocks does not divide fine nx={coarse.fine.nx}")
     if LAYERS > blocks:
         raise ConfigError(
-            f"{LAYERS} layers reach past the reflect-right mirror "
-            f"image of the {blocks}-block Galerkin flow grid")
+            f"{LAYERS} layers reach past the mirror image of the "
+            f"{blocks}-block Galerkin flow grid")
     return CoarseGrid(coarse.fine, blocks)
 
 
 def galerkin_region(flow: CoarseGrid, K: int) -> Oversample:
-    return oversample_block(flow, K, LAYERS, rule=EXTENSION_RULE)
+    return oversample_block(flow, K, LAYERS)
 
 
 @dataclass

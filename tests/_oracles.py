@@ -18,6 +18,12 @@ from dynmc.macro import (MixedSolution, _block_face_quadrature, _dense_solve,
                          _face_indicator_x, _faces)
 
 
+def divergence(grid, vx, vy):
+    """Cell-integrated discrete divergence of a face flux field."""
+    return ((vx[1:, :] - vx[:-1, :]) * grid.hy
+            + (vy[:, 1:] - vy[:, :-1]) * grid.hx)
+
+
 def random_partition_region(nx, ny, blocks_x, seed, contrast, thresholds):
     """An oversampled region covering a randomized labeled grid.
 
@@ -31,7 +37,7 @@ def random_partition_region(nx, ny, blocks_x, seed, contrast, thresholds):
     spec = ContinuumSpec(thresholds)
     labels = classify(c, spec)
     lam = np.where(rng.random((nx, ny)) < 0.5, float(contrast), 1.0)
-    ov = oversample_block(coarse, blocks_x // 2, 1, rule="none")
+    ov = oversample_block(coarse, blocks_x // 2, 1, truncate=True)
     return ov, ov.sample(lam), ov.sample(labels), spec.count
 
 
@@ -169,13 +175,13 @@ def kkt_bmat(ov, lam_local, labels_local, n):
     A = assemble_stiffness_coo(ov.grid, lam_local)
     area = ov.grid.cell_area
     dense, rows = [], []
-    for li, reg in enumerate(ov.regions):
-        blk = labels_local[reg.sx]
+    for li, sx in enumerate(ov.regions):
+        blk = labels_local[sx]
         for j in range(n):
             count = np.count_nonzero(blk == j)
             if count:
                 w = np.zeros((ov.grid.nx, ov.grid.ny))
-                w[reg.sx] = (blk == j) * area
+                w[sx] = (blk == j) * area
                 dense.append(w.ravel())
                 rows.append(KKTRow(li, j, count * area))
     C = sparse.csr_matrix(np.vstack(dense))
@@ -192,9 +198,9 @@ def oracle_targets(ov, labels_local, rows, i, family, centers=None):
         if family == "average":
             g[r] = row.mass
         else:
-            reg = ov.regions[row.region]
-            sel = labels_local[reg.sx] == i
-            x = ov.x_centers[reg.sx]
+            sx = ov.regions[row.region]
+            sel = labels_local[sx] == i
+            x = ov.x_centers[sx]
             g[r] = ((x - centers[i]) * sel).sum() * ov.grid.cell_area
     return g
 
@@ -226,7 +232,7 @@ def elliptic_oracle(ov, lam_local, labels_local, n, family, kkt="dense"):
                                centers)
         else:
             psi = (labels_local == i).astype(float)
-            mass = psi[ov.central.sx].sum() * ov.grid.cell_area
+            mass = psi[ov.central].sum() * ov.grid.cell_area
             s = psi / mass if mass > 0 else psi
             b = cells.gravity_volume_source(ov.grid, lam_local, s).ravel()
             g = np.zeros(len(rows))
@@ -246,7 +252,7 @@ def moment_residuals(ov, labels_local, rows, basis_continuum, field,
     value per row."""
     got = np.zeros(len(rows))
     for r, row in enumerate(rows):
-        sx = ov.regions[row.region].sx
+        sx = ov.regions[row.region]
         sel = labels_local[sx] == row.continuum
         got[r] = (field[sx] * sel).sum() * ov.grid.cell_area
     return got - oracle_targets(ov, labels_local, rows, basis_continuum,

@@ -10,16 +10,15 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import elliptic_oracle, moment_residuals, random_partition_region
+from _oracles import (divergence, elliptic_oracle, moment_residuals,
+                      random_partition_region)
 from conftest import rng
 from dynmc import cells
 from dynmc.config import apply_overrides, get_preset
 from dynmc.continua import (ContinuumSpec, advect_labels, averages, classify,
-                            continuum_masses, indicator, label_agreement,
-                            single_continuum)
+                            continuum_masses, indicator, label_agreement)
 from dynmc.experiment import run_experiment
-from dynmc.fine import (FlowLoad, advance_upwind, divergence, run_fine,
-                        solve_flow)
+from dynmc.fine import FlowLoad, advance_upwind, run_fine, solve_flow
 from dynmc.grids import CoarseGrid, FineGrid
 from dynmc.macro import (CoarseModel, run_coarse, solve_coarse_flow_mixed,
                          step_macro_concentration)
@@ -215,7 +214,7 @@ def test_criterion_04_conservation_ledger(capsys):
 def test_criterion_05_single_continuum_reduction(capsys):
     fine = FineGrid(40, 8, 5.0, 1.0)
     coarse = CoarseGrid(fine, 5)
-    spec = single_continuum()
+    spec = ContinuumSpec(())
     xg, _ = fine.cell_centers()
     c0 = 0.2 + 0.6 * (1.0 - xg / fine.L1)  # smooth decreasing profile
 

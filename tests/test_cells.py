@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.linalg import splu, SuperLU
 
 from _oracles import (SaddleSolver, assemble_stiffness_coo,
-                      dense_kkt_solve, elliptic_oracle, kkt_bmat,
+                      dense_kkt_solve, divergence, elliptic_oracle, kkt_bmat,
                       moment_residuals, piece_kkt_bmat,
                       random_partition_region)
 from conftest import rng
@@ -15,7 +15,7 @@ from dynmc import cells, fine, macro
 from dynmc.config import get_preset
 from dynmc.continua import classify, ContinuumSpec, indicator
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import StepMemo, divergence
+from dynmc.fine import StepMemo
 from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 
 DUAL = (0.5,)
@@ -42,13 +42,13 @@ def interface_start():
 
 def flow_region(model, K):
     flow = CoarseGrid(model.coarse.fine, model.coarse.Nx * macro.FLOW_REFINE)
-    return oversample_block(flow, K, macro.LAYERS, rule=macro.EXTENSION_RULE)
+    return oversample_block(flow, K, macro.LAYERS)
 
 
 def single_continuum_region(nx=8):
     fine = FineGrid(nx, nx, float(nx), float(nx))
     coarse = CoarseGrid(fine, 2)
-    ov = oversample_block(coarse, 1, 1, rule="none")
+    ov = oversample_block(coarse, 1, 1, truncate=True)
     lam = np.ones((nx, nx))
     labels = np.zeros((nx, nx), dtype=np.int8)
     return ov, ov.sample(lam), ov.sample(labels)
@@ -258,8 +258,8 @@ class TestSaddleSolver:
         assert engine.mass.tobytes() == mass_want.tobytes()
         pairs = [(engine.C, C_want), (K, K_want)]
         grid_b = block_grid(ov)
-        for reg in ov.regions:
-            args = (grid_b, lam[reg.sx], labels[reg.sx], n)
+        for sx in ov.regions:
+            args = (grid_b, lam[sx], labels[sx], n)
             pairs.append((cells.piece_kkt(*args)[0], piece_kkt_bmat(*args)))
         for got, want in pairs:
             assert got.format == want.format and got.shape == want.shape
@@ -295,8 +295,8 @@ def count_calls(monkeypatch, module, name):
 class TestRegionEngineMemo:
     """Block pieces are memoized by content across regions and solves."""
 
-    def build(self, coarse, K, lam, labels, memo=None, rule="none"):
-        ov = oversample_block(coarse, K, 1, rule=rule)
+    def build(self, coarse, K, lam, labels, memo=None, truncate=True):
+        ov = oversample_block(coarse, K, 1, truncate=truncate)
         return ov, cells.build_region_engine(ov, ov.sample(lam),
                                              ov.sample(labels), 2,
                                              pieces=memo)
@@ -335,18 +335,18 @@ class TestRegionEngineMemo:
         coarse, lam, labels = tiled_strip()
         memo = StepMemo()
         self.build(coarse, 2, lam, labels, memo)
-        K, rule = 3, "none"
+        K, truncate = 3, True
         if change == "boundary":
             K = 0
         elif change == "offsets":  # the block past the right edge mirrored
-            K, rule = coarse.Nx - 1, "reflect-right"
+            K, truncate = coarse.Nx - 1, False
         else:
             cell = (K * coarse.mx + 1, 2)
             field = lam if change == "lam" else labels
             field[cell] = 3.0 if change == "lam" else 1 - field[cell]
         pieces = count_calls(monkeypatch, cells, "splu")
         faces = count_calls(monkeypatch, cells, "cholesky_banded")
-        ov, engine = self.build(coarse, K, lam, labels, memo, rule)
+        ov, engine = self.build(coarse, K, lam, labels, memo, truncate)
         new = 0 if change == "boundary" else 1
         assert len(pieces) == new and len(faces) == 1
         assert (memo.made, memo.reused) == (1 + new, 2 + len(
@@ -381,8 +381,8 @@ class TestRegionEngineMemo:
         n = model.spec.count
         regions = [flow_region(model, K)
                    for K in range(model.coarse.Nx * macro.FLOW_REFINE)]
-        runs = {(int(ov.src_ix[r.sx][0]), int(ov.src_ix[r.sx][-1]))
-                for ov in regions for r in ov.regions}
+        runs = {(int(ov.src_ix[sx][0]), int(ov.src_ix[sx][-1]))
+                for ov in regions for sx in ov.regions}
         assert len(runs) < sum(len(ov.regions) for ov in regions)
         digests = count_calls(monkeypatch, cells, "content_digest")
         V, P, _counts = macro._galerkin_velocity(model, lam, labels, n,
@@ -392,8 +392,8 @@ class TestRegionEngineMemo:
         for ov in regions:
             lam_l, lab_l = ov.sample(lam), ov.sample(labels)
             assert cells.region_keys(ov, lam_l, lab_l, n, {}) == [
-                cells.piece_key(cells._piece_grid(ov), lam_l[r.sx],
-                                lab_l[r.sx], n) for r in ov.regions]
+                cells.piece_key(cells._piece_grid(ov), lam_l[sx],
+                                lab_l[sx], n) for sx in ov.regions]
         # and an engine that digests the blocks of its region afresh, not
         # taking the keys its region was looked up by, gives the same solve
         real = cells.build_region_engine
@@ -403,8 +403,8 @@ class TestRegionEngineMemo:
         digests.clear()
         V0, P0, _counts = macro._galerkin_velocity(model, lam, labels, n,
                                                    StepMemo(), StepMemo())
-        per_region = sum(len({(int(ov.src_ix[r.sx][0]),
-                               int(ov.src_ix[r.sx][-1])) for r in ov.regions})
+        per_region = sum(len({(int(ov.src_ix[sx][0]),
+                               int(ov.src_ix[sx][-1])) for sx in ov.regions})
                          for ov in regions)
         assert per_region > len(runs)
         assert len(digests) == len(runs) + per_region
@@ -436,7 +436,7 @@ class TestRegionEngineMemo:
         real = cells.build_region_engine
 
         def spy(ov, *args, **kwargs):
-            built.append(int(ov.src_ix[ov.central.sx][0]) // mx)
+            built.append(int(ov.src_ix[ov.central][0]) // mx)
             return real(ov, *args, **kwargs)
 
         monkeypatch.setattr(cells, "build_region_engine", spy)
@@ -447,7 +447,7 @@ class TestRegionEngineMemo:
         assert built == holding and reused == len(regions) - len(holding)
         # the changed block's own piece, and that of its mirror image
         runs = {(int(src[0]), int(src[-1])) for ov in regions
-                for src in (ov.src_ix[r.sx] for r in ov.regions)
+                for src in (ov.src_ix[sx] for sx in ov.regions)
                 if cell[0] in src}
         assert factored == len(runs) == (2 if block == 19 else 1)
         monkeypatch.setattr(cells, "build_region_engine", real)
@@ -531,9 +531,8 @@ def edge_regions():
     coarse = CoarseGrid(fine_grid, 6)
     labels = classify(rng(31).random((24, 10)), ContinuumSpec(TRIPLE))
     lam = np.where(rng(32).random((24, 10)) < 0.5, 100.0, 1.0)
-    for K, layers, rule in ((2, 0, "periodic-left,reflect-right"),
-                            (0, 2, "none")):
-        ov = oversample_block(coarse, K, layers, rule=rule)
+    for K, layers, truncate in ((2, 0, False), (0, 2, True)):
+        ov = oversample_block(coarse, K, layers, truncate=truncate)
         yield ov, ov.sample(lam), ov.sample(labels), 3
 
 
@@ -622,7 +621,7 @@ class TestBlockSubstructuring:
         coarse = CoarseGrid(fine_grid, 6)
         labels = classify(rng(41).random((6, 5)), ContinuumSpec(DUAL))
         lam = np.where(labels == 0, 10.0, 1.0)
-        ov = oversample_block(coarse, 2, 2, rule="none")
+        ov = oversample_block(coarse, 2, 2, truncate=True)
         lam_l, lab_l = ov.sample(lam), ov.sample(labels)
         got = cells.solve_constrained_elliptic(ov, lam_l, lab_l, 2,
                                                "gradient")

@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, artifacts, printed reports."""
 
+import csv
 import dataclasses
 import json
 
@@ -12,7 +13,7 @@ from dynmc.config import get_preset
 from dynmc.exceptions import ConfigError
 from dynmc.experiment import run_experiment
 from dynmc.grids import oversample_block
-from dynmc.macro import EXTENSION_RULE, FLOW_REFINE, LAYERS
+from dynmc.macro import FLOW_REFINE, LAYERS
 
 
 def test_list_presets(capsys):
@@ -37,8 +38,14 @@ def test_run_fine_smoke_writes_artifacts(tmp_path, capsys):
     assert "fine steps" in capsys.readouterr().out
     c = io.read_cell_csv(str(out / "c_final.csv"))
     assert c.shape == (8, 4)
-    vx, vy = io.read_face_csv(str(out / "v_final.csv"))
-    assert vx.shape == (9, 4) and vy.shape == (8, 5)
+    with open(out / "v_final.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["orientation", "i", "j", "flux"]
+    # one row with a number, not NaN, for each of the 9x4 x and 8x5 y faces
+    assert sorted((o, int(i), int(j)) for o, i, j, v in rows
+                  if float(v) == float(v)) == sorted(
+        [("x", i, j) for i in range(9) for j in range(4)]
+        + [("y", i, j) for i in range(8) for j in range(5)])
     manifest = json.loads((out / "manifest.json").read_text())
     # smoke has gravity on and c moves every step: no solve repeats
     assert manifest["fine_flow_reused"] == 0
@@ -110,16 +117,62 @@ def test_run_coarse_names_the_config_file_of_an_unknown_key(tmp_path,
      "thresholds must strictly decrease"),
     ("[mobility]\nlam_kind = random-field\nlam_hi = 5\nlam_lo = 9\n",
      "random-field needs lam_lo <= lam_hi"),
-], ids=["thresholds", "random-field"])
+    ("[mobility]\nlam_kind = contrast\nlam_hi = 1e308\n",
+     "lam_hi=1e+308 over- or underflows"),
+    ("[ic]\nband_hi = 99999999999999999999\n",
+     "band heights need 1 <= band_lo <= band_hi < 2**63"),
+    ("[ic]\nwiggle = 1e308\n", "wiggle=1e+308 overflows"),
+], ids=["thresholds", "random-field", "mobility-overflow", "band-int64",
+        "wiggle-overflow"])
 def test_run_coarse_names_the_config_file_of_a_failed_check(tmp_path, capsys,
                                                             text, what):
-    # both used to pass the config's checks and fail later, in the
-    # continuum spec and the mobility, without the file's name
+    # each used to pass the config's checks and fail later, in the
+    # continuum spec, the mobility, the fine flow's factorization or the
+    # initial condition's draws, without the file's name; the last three
+    # as tracebacks with exit 1
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main(["run-coarse", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {what}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["lam_kind=contrast", "lam_hi=1e308"], "lam_hi=1e+308"),
+    (["lam_kind=contrast", "lam_lo=1e-300"], "lam_lo=1e-300"),
+    (["lam_kind=random-field", "lam_hi=1e300"], "lam_hi=1e+300"),
+    (["band_hi=99999999999999999999"], "band_hi"),
+    (["wiggle=1e308"], "wiggle=1e+308"),
+], ids=["contrast-hi", "contrast-lo", "random-field", "band", "wiggle"])
+def test_run_coarse_rejects_an_overflowing_value_before_the_fine_run(
+        monkeypatch, capsys, overrides, key):
+    def never(*args, **kwargs):
+        raise AssertionError("run_fine called")
+
+    monkeypatch.setattr(experiment, "run_fine", never)
+    argv = ["run-coarse", "--preset", "smoke"]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_run_coarse_reports_a_mobility_file_whose_face_means_overflow(
+        tmp_path, capsys):
+    # finite, positive cells of 1e308 next to cells of 1: the harmonic
+    # face mobility 2 lam1 lam2 / (lam1 + lam2) is inf between them
+    path = tmp_path / "lam.csv"
+    path.write_text("i,j,value\n" + "".join(
+        f"{i},{j},{1e308 if i < 4 else 1}\n"
+        for j in range(4) for i in range(8)))
+    assert main(["run-coarse", "--preset", "smoke", "--set", "lam_kind=file",
+                 "--set", f"lam_file={path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: transmissibilities must be finite and "
+                          "positive")
     assert "Traceback" not in err
 
 
@@ -214,9 +267,9 @@ def test_cells_solve_oversamples_a_galerkin_region(tmp_path, monkeypatch,
     # refined flow grid (Nx x FLOW_REFINE blocks), by default the middle one
     calls = []
 
-    def spy(grid, K, layers, rule="none"):
-        calls.append((grid.Nx, K, layers, rule))
-        return oversample_block(grid, K, layers, rule=rule)
+    def spy(grid, K, layers, *, truncate=False):
+        calls.append((grid.Nx, K, layers, truncate))
+        return oversample_block(grid, K, layers, truncate=truncate)
 
     monkeypatch.setattr(macro, "oversample_block", spy)
     assert main(["cells-solve", "--preset", "interface", "--out",
@@ -225,7 +278,7 @@ def test_cells_solve_oversamples_a_galerkin_region(tmp_path, monkeypatch,
     cfg = get_preset("interface")
     run_experiment(dataclasses.replace(cfg, steps=10, coarse_steps=1))
     flow_blocks = cfg.Nx * FLOW_REFINE
-    assert shown == [(flow_blocks, flow_blocks // 2, LAYERS, EXTENSION_RULE)]
+    assert shown == [(flow_blocks, flow_blocks // 2, LAYERS, False)]
     assert shown[0] in calls[1:]
 
 

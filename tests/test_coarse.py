@@ -11,7 +11,7 @@ from _oracles import (coarse_cfl_loops, galerkin_loops, mixed_loops,
 from conftest import rng
 from dynmc import cells, macro
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, classify,
-                            continuum_masses, single_continuum)
+                            continuum_masses)
 from dynmc.exceptions import ConfigError, InvariantError, SolverError
 from dynmc.fine import SIDES, Snapshot, StepMemo, solve_flow
 from dynmc.grids import CoarseGrid, FineGrid
@@ -670,7 +670,7 @@ class TestRunCoarse:
         vx = np.zeros((17, 4))
         vx[1:-1, :] = 0.3
         snaps = self.make_snapshots(grid, 6, c, vx)
-        model = CoarseModel(coarse=coarse, spec=single_continuum(),
+        model = CoarseModel(coarse=coarse, spec=ContinuumSpec(()),
                             approach="mixed-gravity", lam_of=np.ones_like)
         tau = 0.05
         states = run_coarse(model, snaps, 6, tau, velocity="ref")
@@ -696,7 +696,7 @@ class TestRunCoarse:
             return np.ones_like(c)
 
         model = CoarseModel(coarse=CoarseGrid(grid, 4),
-                            spec=single_continuum(),
+                            spec=ContinuumSpec(()),
                             approach="mixed-gravity", lam_of=lam_of)
         snaps = self.make_snapshots(grid, 3, rng(3).random((16, 4)),
                                     np.zeros((17, 4)))
@@ -710,7 +710,7 @@ class TestRunCoarse:
         coarse = CoarseGrid(grid, 2)
         snaps = self.make_snapshots(grid, 2, np.full((8, 4), 0.4),
                                     np.zeros((9, 4)))
-        model = CoarseModel(coarse=coarse, spec=single_continuum(),
+        model = CoarseModel(coarse=coarse, spec=ContinuumSpec(()),
                             approach="mixed-gravity", lam_of=np.ones_like)
         with pytest.raises(ConfigError, match="missing"):
             run_coarse(model, snaps, 5, 0.1, velocity="ref")
@@ -718,12 +718,12 @@ class TestRunCoarse:
     def test_unknown_velocity_mode_and_approach(self):
         grid = FineGrid(8, 4, 2.0, 1.0)
         coarse = CoarseGrid(grid, 2)
-        model = CoarseModel(coarse=coarse, spec=single_continuum(),
+        model = CoarseModel(coarse=coarse, spec=ContinuumSpec(()),
                             approach="mixed-gravity", lam_of=np.ones_like)
         with pytest.raises(ConfigError):
             run_coarse(model, [], 1, 0.1, velocity="direct")
         with pytest.raises(ConfigError):
-            CoarseModel(coarse=coarse, spec=single_continuum(),
+            CoarseModel(coarse=coarse, spec=ContinuumSpec(()),
                         approach="spectral", lam_of=np.ones_like)
 
     def test_coarse_flow_reuses_only_the_previous_step(self, monkeypatch):

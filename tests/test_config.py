@@ -133,8 +133,14 @@ class TestIniAndOverrides:
          "thresholds must strictly decrease: (0.3, 0.6)"),
         ("[mobility]\nlam_kind = random-field\nlam_hi = 5\nlam_lo = 9\n",
          "random-field needs lam_lo <= lam_hi, got 9.0, 5.0"),
+        ("[mobility]\nlam_kind = contrast\nlam_hi = 1e308\n",
+         "lam_hi=1e+308 over- or underflows"),
+        ("[ic]\nband_hi = 99999999999999999999\n",
+         "band heights need 1 <= band_lo <= band_hi < 2**63"),
+        ("[ic]\nwiggle = 1e308\n", "wiggle=1e+308 overflows"),
     ], ids=["key", "section", "value", "check", "thresholds",
-            "random-field"])
+            "random-field", "mobility-overflow", "band-int64",
+            "wiggle-overflow"])
     def test_every_ini_error_names_its_file(self, text, what):
         # an unknown section or key, a bad value and the checks that run
         # when the config is built
@@ -196,7 +202,7 @@ class TestInvariants:
             dataclasses.replace(smoke, substeps=2)
 
     def test_galerkin_layers_must_stay_inside_the_mirror_image(self):
-        # 6 layers either side, reflect-right: Nx = 3 gives Nx x 2 = 6 flow
+        # 6 layers either side, mirrored on the right: Nx = 3 gives 6 flow
         # blocks, which the mirror image just holds; Nx = 2 gives 4
         cfg = get_preset("interface")
         assert dataclasses.replace(cfg, Nx=3).Nx == 3
@@ -298,6 +304,17 @@ class TestInvariants:
         ("smoke", ["lam_kind=random"], "unknown lam_kind 'random'"),
         ("smoke", ["ic_kind=wave"], "unknown ic_kind 'wave'"),
         ("smoke", ["extension=left"], "unknown extension 'left'"),
+        ("smoke", ["lam_kind=contrast", "lam_hi=1e308"],
+         r"lam_hi=1e\+308 over- or underflows the harmonic face mobility"),
+        ("viscous", ["lam_lo=1e-300"],
+         "lam_lo=1e-300 over- or underflows the harmonic face mobility"),
+        ("gravity-dual-hetero", ["lam_hi=1e300"],
+         r"lam_hi=1e\+300 over- or underflows"),
+        ("smoke", ["band_hi=99999999999999999999"],
+         r"band_lo <= band_hi < 2\*\*63, got 1, 99999999999999999999"),
+        ("smoke", ["band_hi=9223372036854775808"],
+         r"got 1, 9223372036854775808"),
+        ("smoke", ["wiggle=1e308"], r"wiggle=1e\+308 overflows the width"),
     ])
     def test_bad_value_rejected_before_any_run(self, preset, overrides,
                                                match):
@@ -307,9 +324,18 @@ class TestInvariants:
         # initial condition, and plateaus outside [0, 1] give a c0 outside
         # them; the values every preset shares are no keys at all; a
         # negative wiggle or seed ends in a bare ValueError, and a kind
-        # that names nothing fails only where it is read
+        # that names nothing fails only where it is read; a lam whose
+        # harmonic face mean over- or underflows ends in SuperLU's bare
+        # RuntimeError, and band heights past int64 or a wiggle whose
+        # range overflows in numpy's ValueError or OverflowError
         with pytest.raises(ConfigError, match=match):
             apply_overrides(get_preset(preset), overrides)
+
+    def test_the_largest_drawable_band_height_is_accepted(self):
+        # rng.integers(lo, hi + 1) draws int64: hi + 1 = 2**63 is its bound
+        cfg = apply_overrides(get_preset("smoke"), [f"band_hi={2 ** 63 - 1}"])
+        assert cfg.initial_condition(cfg.layout().extended_fine).shape == (
+            8, 4)
 
     def test_frozen(self):
         cfg = get_preset("smoke")

@@ -10,8 +10,7 @@ from conftest import rng
 from dynmc import continua
 from dynmc.continua import (ContinuumSpec, DUAL_THRESHOLDS, TRIPLE_THRESHOLDS,
                             advect_labels, averages, classify, classify_values,
-                            continuum_masses, indicator, label_agreement,
-                            single_continuum)
+                            continuum_masses, indicator, label_agreement)
 from dynmc.exceptions import ConfigError
 from dynmc.fine import interp_velocity
 from dynmc.grids import CoarseGrid, FineGrid
@@ -51,7 +50,7 @@ class TestClassify:
             ContinuumSpec((1.0,))
 
     def test_single_continuum(self):
-        spec = single_continuum()
+        spec = ContinuumSpec(())
         assert spec.count == 1
         assert (classify(rng(0).random((3, 3)), spec) == 0).all()
 
@@ -75,7 +74,7 @@ class TestAverages:
         self.spec = ContinuumSpec(DUAL_THRESHOLDS)
 
     def test_single_continuum_block_means(self):
-        spec = single_continuum()
+        spec = ContinuumSpec(())
         c = rng(1).random((8, 4))
         p = rng(2).random((8, 4))
         vx, _ = self.fine.zero_faces()

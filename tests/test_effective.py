@@ -12,9 +12,8 @@ from dynmc.grids import CoarseGrid, FineGrid, oversample_block
 def region_energy_oracle(ov, lam, u, v):
     """Independent scalar loop over interior faces of the local grid."""
     grid = ov.grid
-    cen = ov.central
     inside = np.zeros((grid.nx, grid.ny))
-    inside[cen.sx] = 1.0
+    inside[ov.central] = 1.0
     lamx, lamy = harmonic_face_mobility(lam)
     total = 0.0
     for i in range(grid.nx - 1):
@@ -60,7 +59,7 @@ class TestAssembleEffective:
     def test_single_continuum_unit_alpha_zero_beta(self):
         fine = FineGrid(12, 12, 3.0, 3.0)
         coarse = CoarseGrid(fine, 3)
-        ov = oversample_block(coarse, 1, 1, rule="none")
+        ov = oversample_block(coarse, 1, 1, truncate=True)
         lam = np.ones((12, 12))
         labels = np.zeros((12, 12), dtype=np.int8)
         ops, _, _ = solve_ops(ov, ov.sample(lam), ov.sample(labels), 1)
@@ -79,7 +78,7 @@ class TestAssembleEffective:
         labels = gen.integers(0, 3, (12, 12)).astype(np.int8)
         labels[4:8, :] = gen.integers(0, 2, (4, 12))  # no continuum 2
         lam = np.where(gen.random((12, 12)) < 0.5, 10.0, 1.0)
-        ov = oversample_block(coarse, 1, 1, rule="none")
+        ov = oversample_block(coarse, 1, 1, truncate=True)
         lam_l, lab_l = ov.sample(lam), ov.sample(labels)
         ops = check_against_oracle(ov, lam_l, lab_l, 3)
         assert ops.present.tolist() == [True, True, False]

@@ -59,8 +59,7 @@ def test_coarse_points_read_fine_steps_pre_plus_k_substeps():
     ("layers=-1", "unknown config key 'layers'"),
     ("extension_rule=bogus", "unknown config key 'extension_rule'"),
     # 6 layers reach past the mirror image of the Nx x 2 = 4 flow blocks
-    ("Nx=2", "6 layers reach past the reflect-right mirror image of the "
-             "4-block"),
+    ("Nx=2", "6 layers reach past the mirror image of the 4-block"),
 ], ids=["flow_refine", "layers", "extension_rule", "layers_past_mirror"])
 def test_galerkin_flow_grid_checked_before_the_fine_run(monkeypatch, override,
                                                         match):

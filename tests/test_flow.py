@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from _oracles import assemble_stiffness_coo, flow_operator_coo
+from _oracles import assemble_stiffness_coo, divergence, flow_operator_coo
 from conftest import random_mobility, rng
 from dynmc import fine
 from dynmc.exceptions import ConfigError, SolverError
-from dynmc.fine import (FlowBC, FlowLoad, LastSolve, StepMemo, cfl,
-                        divergence, run_fine, solve_flow)
+from dynmc.fine import (FlowBC, FlowLoad, LastSolve, StepMemo, cfl, run_fine,
+                        solve_flow)
 from dynmc.grids import FineGrid
 
 
@@ -211,6 +211,31 @@ class TestErrors:
         lam[2, 1] = bad
         with pytest.raises(ConfigError, match="finite and positive"):
             solve_one(grid, lam, None, FlowBC())
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1e308), (1e308, 1e308),
+                                        (1e-300, 1e-300)],
+                             ids=["inf", "nan", "zero"])
+    def test_face_mobility_overflow_rejected(self, lo, hi):
+        # each lam is finite and positive, but 2 lam1 lam2 / (lam1 + lam2)
+        # is inf, inf/inf or 0 on the faces between them: unchecked, SuperLU
+        # found the matrix exactly singular
+        grid = FineGrid(4, 4, 1.0, 1.0)
+        lam = np.full((4, 4), lo)
+        lam[2:] = hi
+        with pytest.raises(ConfigError, match="transmissibilities must be "
+                                              "finite and positive"):
+            solve_one(grid, lam, None, FlowBC())
+
+    def test_singular_factor_is_a_solver_error(self, monkeypatch):
+        # SuperLU reports a singular matrix as a bare RuntimeError
+        def singular(A, **kw):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fine, "splu", singular)
+        with pytest.raises(SolverError, match="flow factorization failed: "
+                                              "Factor is exactly singular"):
+            solve_one(FineGrid(4, 4, 1.0, 1.0), np.ones((4, 4)), None,
+                      FlowBC())
 
     def test_incompatible_pure_neumann_rejected(self):
         grid = FineGrid(4, 4, 1.0, 1.0)

@@ -81,36 +81,39 @@ class TestOversample:
     def test_zero_layers_is_the_block(self):
         ov = oversample_block(self.coarse, 4, 0)
         assert ov.grid.nx == self.coarse.mx
-        assert len(ov.regions) == 1 and ov.regions[0].is_central
+        assert ov.regions == (slice(0, 2),) and ov.central == ov.regions[0]
 
     def test_middle_block_two_layers_five_blocks(self):
-        ov = oversample_block(self.coarse, 5, 2, rule="none")
-        assert len(ov.regions) == 5
-        assert sorted(r.offset for r in ov.regions) == [-2, -1, 0, 1, 2]
+        ov = oversample_block(self.coarse, 5, 2, truncate=True)
+        assert ov.regions == tuple(slice(k, k + 2) for k in range(0, 10, 2))
+        assert ov.central == ov.regions[2]
+        assert list(ov.src_ix) == list(range(6, 16))  # blocks 3 to 7
 
     def test_truncation_without_rule(self):
-        ov = oversample_block(self.coarse, 0, 1, rule="none")
-        assert len(ov.regions) == 2
+        ov = oversample_block(self.coarse, 0, 1, truncate=True)
+        assert len(ov.regions) == 2 and ov.central == ov.regions[0]
 
     def test_periodic_left_maps_to_right_columns(self):
-        ov = oversample_block(self.coarse, 0, 1, rule="periodic-left")
+        ov = oversample_block(self.coarse, 0, 1)
         field = np.arange(40, dtype=float).reshape(20, 2)
         local = ov.sample(field)
         # left neighbor block samples the rightmost fine columns
         assert (local[:2, :] == field[18:20, :]).all()
         assert (local[2:4, :] == field[0:2, :]).all()
+        assert ov.central == slice(2, 4)
 
     def test_reflect_right_maps_to_mirror_columns(self):
-        ov = oversample_block(self.coarse, 9, 1, rule="reflect-right")
+        ov = oversample_block(self.coarse, 9, 1)
         field = np.arange(40, dtype=float).reshape(20, 2)
         local = ov.sample(field)
         # right neighbor block mirrors the last fine columns
         assert (local[2:4, :] == field[18:20, :]).all()
         assert (local[4, :] == field[19, :]).all()
         assert (local[5, :] == field[18, :]).all()
+        assert ov.central == slice(2, 4)
 
     def test_mirror_map_is_involution_on_its_image(self):
-        ov = oversample_block(self.coarse, 9, 1, rule="reflect-right")
+        ov = oversample_block(self.coarse, 9, 1)
         n = self.coarse.fine.nx
         for k, src in enumerate(ov.src_ix):
             virtual = 16 + k  # global column of local index k
@@ -119,27 +122,21 @@ class TestOversample:
                 assert 2 * n - 1 - src == virtual
 
     def test_virtual_coordinates_continue_spacing(self):
-        ov = oversample_block(self.coarse, 9, 1, rule="reflect-right")
+        ov = oversample_block(self.coarse, 9, 1)
         xs = ov.grid.xc()
         assert np.allclose(np.diff(xs), self.coarse.fine.hx)
         assert xs[-1] > self.coarse.fine.L1  # extends past the boundary
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ConfigError, match="unknown extension rule"):
-            oversample_block(self.coarse, 0, 1, rule="wrap-both")
-
     def test_mirror_past_one_domain_width_rejected(self):
         coarse = CoarseGrid(FineGrid(8, 2, 8.0, 2.0), 4)
-        rule = "periodic-left,reflect-right"
         # layers = Nx: the last block's region ends on the mirror's far wall
-        ov = oversample_block(coarse, 3, 4, rule=rule)
+        ov = oversample_block(coarse, 3, 4)
         assert list(ov.src_ix[-8:]) == [7, 6, 5, 4, 3, 2, 1, 0]
         for layers in (5, 6):
             with pytest.raises(ConfigError, match="past the mirror image"):
-                oversample_block(coarse, 3, layers, rule=rule)
+                oversample_block(coarse, 3, layers)
         # periodic wrapping never leaves the domain, however deep
-        assert oversample_block(coarse, 0, 6, rule="periodic-left"
-                                ).src_ix.min() >= 0
+        assert oversample_block(coarse, 0, 6).src_ix.min() >= 0
 
     def test_invalid_block_rejected(self):
         with pytest.raises(ConfigError):

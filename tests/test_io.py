@@ -1,5 +1,6 @@
 """Artifact writers and readers: exact round trips and validation."""
 
+import csv
 import json
 import os
 import re
@@ -92,40 +93,14 @@ class TestFaceCsv:
         vy = rng(3).standard_normal((4, 4))
         path = tmp_path / "faces.csv"
         io.write_face_csv(str(path), vx, vy)
-        bx, by = io.read_face_csv(str(path))
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["orientation", "i", "j", "flux"]
+        assert len(rows) == vx.size + vy.size
+        bx, by = np.full(vx.shape, np.nan), np.full(vy.shape, np.nan)
+        for o, i, j, v in rows:
+            {"x": bx, "y": by}[o][int(i), int(j)] = float(v)
         assert (bx == vx).all() and (by == vy).all()
-
-    def test_missing_orientation_rejected(self, tmp_path):
-        path = tmp_path / "faces.csv"
-        path.write_text("orientation,i,j,flux\nx,0,0,1.0\n")
-        with pytest.raises(ConfigError, match="orientation"):
-            io.read_face_csv(str(path))
-
-
-    def test_missing_face_rejected(self, tmp_path):
-        path = tmp_path / "faces.csv"
-        path.write_text("orientation,i,j,flux\nx,0,0,1.0\nx,1,1,1.0\n"
-                        "y,0,0,1.0\n")
-        with pytest.raises(ConfigError, match="missing x faces"):
-            io.read_face_csv(str(path))
-
-    @pytest.mark.parametrize("row", ["z,0,0,1.0", ",0,0,1.0", "x,-1,0,1.0",
-                                     "y,0,a,1.0", "x,0,0", "x,0,0,1.0,2"])
-    def test_malformed_row_rejected_with_its_line(self, tmp_path, row):
-        path = tmp_path / "faces.csv"
-        path.write_text(f"orientation,i,j,flux\nx,0,0,1.0\n{row}\n"
-                        "y,0,0,1.0\n")
-        with pytest.raises(ConfigError, match=f"{path.name}, line 3"):
-            io.read_face_csv(str(path))
-
-    def test_repeated_face_rejected_naming_both_lines(self, tmp_path):
-        path = tmp_path / "faces.csv"
-        path.write_text("orientation,i,j,flux\nx,0,0,1.0\ny,0,0,1.0\n"
-                        "y,0,0,2.0\n")
-        with pytest.raises(ConfigError, match=re.escape(
-                f"faces.csv, line 4: a second row for (0, 0); the first is "
-                f"at {path}, line 3")):
-            io.read_face_csv(str(path))
 
 
 class FakeState:

@@ -1,6 +1,6 @@
 """Each fixed decision of the coarse model has one owner, found from the
 source: ``macro`` cuts every Galerkin region and holds the region recipe
-(``FLOW_REFINE``, ``LAYERS``, ``EXTENSION_RULE``) and the boundary data
+(``FLOW_REFINE``, ``LAYERS``) and the boundary data
 (``G_IN``, ``P_IN``, ``P_OUT``); ``CoarseModel`` carries only what differs
 from run to run.  The TPFA operator has one way in: one ``solve_flow``
 signature, one stencil build for it and the Galerkin block pieces, one
@@ -9,13 +9,17 @@ flow input restates what it is given: a load has buoyancy exactly when it
 carries a concentration, the mixed variant follows from Chat and its inlet
 labels from ``labels``, and the boundary values are read from ``macro``,
 never passed.  The flow boundary is the channel's: data on the left and
-right x-faces only, and one left-face inflow column.
+right x-faces only, and one left-face inflow column.  And ``src`` holds
+only what a run uses: every top-level function and class is used by the
+package or its scripts.
 """
 
 import ast
 import dataclasses
 import inspect
 import re
+from collections import Counter
+from pathlib import Path
 
 from dynmc.fine import (SIDES, FlowBC, FlowLoad, LastSolve,
                         flux_from_pressure, solve_flow)
@@ -23,7 +27,7 @@ from dynmc.macro import (CoarseModel, mixed_bases, solve_coarse_flow_galerkin,
                          solve_coarse_flow_mixed)
 from test_solve_paths import SRC, callers, parse, scoped_nodes
 
-RECIPE = {"FLOW_REFINE", "LAYERS", "EXTENSION_RULE"}
+RECIPE = {"FLOW_REFINE", "LAYERS"}
 BOUNDARY = {"G_IN", "P_IN", "P_OUT"}
 
 
@@ -167,3 +171,37 @@ def test_the_flow_boundary_is_the_channels():
     assert SIDES == ("left", "right")
     assert [m for m in modules() if re.search(
         r"\b(inflow_c|operator_key)\b", (SRC / f"{m}.py").read_text())] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name, bare or attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def traced() -> set[tuple[str, str]]:
+    """(module, name) of every binding perfbench's tracer wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and ast.unparse(node.targets[0]) == "TARGETS"]
+    return {(t.elts[0].value, t.elts[1].value) for t in table.elts}
+
+
+def test_src_holds_only_what_a_run_uses():
+    # every top-level function and class is referenced, besides its own
+    # definition, somewhere in the package or its scripts; the one way
+    # out is to be a binding the tracer wraps (the solve_*_basis wrappers
+    # of cells, which only tests and the tracer call)
+    trees = {m: parse(m) for m in modules()}
+    reads = sum((read_names(tree) for tree in trees.values()), Counter())
+    for path in (ROOT / "scripts").glob("*.py"):
+        reads += read_names(ast.parse(path.read_text()))
+    unused = [(f"dynmc.{m}", node.name) for m, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and reads[node.name] == read_names(node)[node.name]]
+    assert [u for u in unused if u not in traced()] == []
